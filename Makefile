@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race smoke serve-smoke loadtest crash-smoke crash-soak fuzz-smoke profile-smoke layout-smoke jit-smoke determinism concurrency soak-short soak bench bench-exec bench-batch bench-record clean
+.PHONY: check vet build test race smoke serve-smoke loadtest crash-smoke crash-soak fuzz-smoke bench-check profile-smoke layout-smoke jit-smoke determinism concurrency soak-short soak bench bench-exec bench-batch bench-record clean
 
 # check is the tier-1 gate (see ROADMAP.md): static analysis, a full
 # build, the race-enabled test suite, the race-enabled concurrency
@@ -13,15 +13,25 @@ GO ?= go
 # the layout choice must matter), the compiled-executor bit-identity
 # smoke (SWE + the layout kernel trio, interpreter vs JIT, plus an
 # oracle-verified JIT run), the f90yd server lifecycle smoke (start,
-# load, overload, SIGTERM drain), and the durability-plane crash smoke
-# (SIGKILL mid-load, relaunch, bit-identical recovery).
-check: vet build race concurrency smoke fuzz-smoke determinism soak-short profile-smoke layout-smoke jit-smoke serve-smoke crash-smoke
+# load, overload, SIGTERM drain), the durability-plane crash smoke
+# (SIGKILL mid-load, relaunch, bit-identical recovery), and the vet +
+# tests of the repository benchmark's own module.
+check: vet build race concurrency smoke fuzz-smoke determinism soak-short profile-smoke layout-smoke jit-smoke serve-smoke crash-smoke bench-check
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# The repository benchmark (bench/, see BENCHMARK.json) is its own
+# module, so `go vet ./...` and `go test ./...` above never see it.
+# Its tests start no process (< 1 s); vetting it also proves that
+# bench/layers still compiles against the internal APIs it adapts
+# (rt.Checkpoint.Encode, rt.WriteFileAtomic, ...).
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Full suite, including the paper-scale §6 reproduction (~1 min).
 test:
@@ -85,16 +95,18 @@ crash-soak:
 loadtest:
 	REQS=256 LOADW=32 OUT=LOAD_baseline.json ./scripts/serve_smoke.sh
 
-# Short fuzz of the parser, the whole compile pipeline, and the
-# differential oracle (~30s). The native fuzzer also replays the
-# regression corpus in testdata/fuzz/. FuzzOracle gets a short budget:
-# every successfully-compiling input runs the interpreter plus both
-# machine backends, so its throughput is execution-bound, not
-# parse-bound.
+# Short fuzz of the parser, the whole compile pipeline, the
+# differential oracle, and the checkpoint reader (~35s). The native
+# fuzzer also replays the regression corpus in testdata/fuzz/.
+# FuzzOracle gets a short budget: every successfully-compiling input
+# runs the interpreter plus both machine backends, so its throughput is
+# execution-bound, not parse-bound. FuzzReadCheckpoint feeds the
+# f90y-ckpt/v2 decoder raw and validly-sealed byte strings.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s ./internal/rt
 
 # End-to-end smoke of the source-line cycle profiler: one run emits the
 # annotated listing, the pprof protobuf, and the folded stacks; the

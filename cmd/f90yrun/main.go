@@ -8,7 +8,7 @@
 //	        [-profile] [-profile-pprof swe.pb.gz] [-profile-folded swe.folded]
 //	        [-timeout 30s] [-max-cycles N] [-numeric off|trap|record]
 //	        [-exec-workers N] [-exec-jit] [-faults spec] [-checkpoint-every N]
-//	        [-checkpoint ckpt.json] [-resume ckpt.json]
+//	        [-checkpoint file.ckpt] [-resume file.ckpt]
 //	        [-distribute a=cyclic]... file.f90
 //
 // -distribute overrides an array's data distribution without editing
@@ -67,7 +67,7 @@
 //
 // -faults attaches a deterministic fault-injection plan (see
 // internal/faults.ParseSpec for the full key list). -checkpoint-every N
-// snapshots the machine to -checkpoint (default <file>.ckpt.json) every
+// snapshots the machine to -checkpoint (default <file>.ckpt) every
 // N host boundaries; -resume restarts a run from such a snapshot — a
 // run killed by an injected fatal fault continues from its last
 // checkpoint and produces the same final store as an uninterrupted run.
@@ -105,7 +105,7 @@ var (
 	flagExecJIT = flag.Bool("exec-jit", false, "run node routines through the compiled closure executor (bit-identical to the interpreter; wall-clock only)")
 	flagFaults  = flag.String("faults", "", driver.FaultsHelp)
 	flagCkEvery = flag.Int("checkpoint-every", 0, "write a checkpoint every N host boundaries (0 = off)")
-	flagCkPath  = flag.String("checkpoint", "", "checkpoint file path (default <file>.ckpt.json)")
+	flagCkPath  = flag.String("checkpoint", "", "checkpoint file path (default <file>.ckpt)")
 	flagResume  = flag.String("resume", "", "resume from a checkpoint file")
 	flagProf    = flag.Bool("profile", false, "print the source-annotated cycle profile (hot lines + listing) to stdout")
 	flagProfPB  = flag.String("profile-pprof", "", "write a pprof protobuf profile (open with go tool pprof)")

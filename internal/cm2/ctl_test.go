@@ -215,8 +215,8 @@ func TestCheckpointResumeAfterFatal(t *testing.T) {
 }
 
 // TestCheckpointRoundTripsThroughDisk: Write/ReadCheckpoint preserve
-// the snapshot bit-for-bit (Go's JSON float encoding round-trips
-// float64 exactly).
+// the snapshot bit-for-bit (store values travel as raw IEEE-754 bits;
+// the header's cycle buckets through JSON's exact float64 round trip).
 func TestCheckpointRoundTripsThroughDisk(t *testing.T) {
 	prog := compileCtl(t)
 	m := Default()
@@ -228,7 +228,7 @@ func TestCheckpointRoundTripsThroughDisk(t *testing.T) {
 	if err != nil || last == nil {
 		t.Fatalf("run: %v, ckpt %v", err, last)
 	}
-	path := t.TempDir() + "/ck.json"
+	path := t.TempDir() + "/ck.ckpt"
 	if err := last.Write(path); err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,12 @@ const FaultsHelp = "fault-injection spec, e.g. seed=7,pe=0.01,drop=0.001,fatal=2
 	"stall-cycles, delay-cycles, degrade, kill=PE@T, fatal=T)"
 
 // CheckpointPath resolves the snapshot path for a run of file: the
-// explicit -checkpoint value when given, else <file>.ckpt.json.
+// explicit -checkpoint value when given, else <file>.ckpt.
 func CheckpointPath(file, explicit string) string {
 	if explicit != "" {
 		return explicit
 	}
-	return file + ".ckpt.json"
+	return file + ".ckpt"
 }
 
 // ControlOptions bundles the control-plane CLI flags shared by the

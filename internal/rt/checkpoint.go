@@ -2,27 +2,39 @@ package rt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"f90y/internal/nir"
 )
 
 // CkptSchema identifies the snapshot format. Bump the version when the
 // layout changes incompatibly; ReadCheckpoint rejects other schemas.
-const CkptSchema = "f90y-ckpt/v1"
+//
+// A v2 file is a one-line JSON header (ckptHeader: every Checkpoint
+// field but the store's values, plus the sorted scalar names and, per
+// array sorted by name, kind/ext/lo/element count), '\n', the payload
+// (each scalar, then each array's elements, in header order, as the
+// eight little-endian bytes of the IEEE-754 bit pattern — so NaN
+// payloads, -0.0, infinities and denormals survive), then ckptTrailer.
+// DESIGN.md "Checkpoint/restart" has the layout byte by byte.
+const CkptSchema = "f90y-ckpt/v2"
 
-// ckptTrailer is the integrity trailer Write appends after the JSON
-// body: a newline, this prefix, the IEEE CRC-32 of the body as eight
-// lowercase hex digits, and a final newline. A file that ends mid-body
-// (torn write, lost tail) lacks the trailer and reads back as
-// ErrCkptTruncated; a file whose trailer disagrees with its body reads
-// back as ErrCkptCorrupt. The two are distinct sentinels so recovery
-// can report what actually happened to the file.
+// ckptTrailer is the integrity trailer Write appends after the body
+// (header line + payload): a newline, this prefix, the IEEE CRC-32 of
+// the body as eight lowercase hex digits, and a final newline. A file
+// that ends mid-body (torn write, lost tail) lacks the trailer and
+// reads back as ErrCkptTruncated; a file whose trailer disagrees with
+// its body reads back as ErrCkptCorrupt. The two are distinct sentinels
+// so recovery can report what actually happened to the file.
 const ckptTrailer = "#f90y-ckpt-crc32:"
 
 // Checkpoint file integrity sentinels, matched with errors.Is.
@@ -35,14 +47,27 @@ var (
 	ErrCkptCorrupt = errors.New("checkpoint corrupt")
 )
 
-// CkptArray is one serialized CM array. Data round-trips exactly:
-// encoding/json renders float64 with enough digits to reproduce the
-// IEEE bit pattern.
+// CkptArray is one serialized CM array. The header carries its shape;
+// Data travels in the payload as raw bits.
 type CkptArray struct {
 	Kind nir.ScalarKind `json:"kind"`
 	Ext  []int          `json:"ext"`
 	Lo   []int          `json:"lo"`
-	Data []float64      `json:"data"`
+	Data []float64      `json:"-"`
+}
+
+// ckptHeader is the JSON header line: the checkpoint's own tagged
+// fields plus the payload's table of contents, in payload order.
+type ckptHeader struct {
+	*Checkpoint
+	ScalarNames []string       `json:"scalar_names"`
+	ArrayHdrs   []ckptArrayHdr `json:"array_hdrs"`
+}
+
+type ckptArrayHdr struct {
+	Name string `json:"name"`
+	CkptArray
+	N int `json:"n"`
 }
 
 // Checkpoint is a versioned machine snapshot taken at a host-program
@@ -85,10 +110,10 @@ type Checkpoint struct {
 	// three-way split: "vu-cycles", "sparc-cycles", "degrade-cycles").
 	Extra map[string]float64 `json:"extra,omitempty"`
 
-	// The store.
-	Scalars map[string]float64        `json:"scalars"`
+	// The store; values travel in the payload, not the JSON header.
+	Scalars map[string]float64        `json:"-"`
 	Kinds   map[string]nir.ScalarKind `json:"kinds"`
-	Arrays  map[string]CkptArray      `json:"arrays"`
+	Arrays  map[string]CkptArray      `json:"-"`
 }
 
 // Checkpoint snapshots the store into a fresh Checkpoint (resume
@@ -142,29 +167,77 @@ func (ck *Checkpoint) ApplyStore(st *Store) error {
 }
 
 // Write serializes the checkpoint to path durably and atomically: the
-// JSON body plus a CRC-32 trailer go to a temporary file in the same
+// body plus a CRC-32 trailer stream into a temporary file in the same
 // directory, the file is fsynced, renamed over path, and the directory
 // is fsynced so the rename itself survives a crash. A reader therefore
 // sees either the previous complete checkpoint or this one — never a
 // mix — and a torn tail is detectable by the missing trailer.
 func (ck *Checkpoint) Write(path string) error {
-	data, err := ck.Encode()
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, data)
+	return writeAtomic(path, ck.EncodeTo)
 }
 
-// Encode renders the checkpoint's durable byte form: the JSON body
-// followed by the CRC-32 trailer ReadCheckpoint verifies. Exposed so
-// callers that must interpose on the bytes (the server's fault-injected
-// spill writes) produce exactly what Write would.
+// Encode renders the checkpoint's durable byte form in memory: exactly
+// the bytes Write puts on disk. Exposed so callers that must interpose
+// on the bytes (the server's spill writes, which pass through the fault
+// injector) produce exactly what Write would.
 func (ck *Checkpoint) Encode() ([]byte, error) {
-	body, err := json.Marshal(ck)
-	if err != nil {
-		return nil, fmt.Errorf("rt: encode checkpoint: %w", err)
+	values := len(ck.Scalars)
+	for _, a := range ck.Arrays {
+		values += len(a.Data)
 	}
-	return append(body, fmt.Sprintf("\n%s%08x\n", ckptTrailer, crc32.ChecksumIEEE(body))...), nil
+	buf := bytes.NewBuffer(make([]byte, 0, 8*values+ckptChunk))
+	if err := ck.EncodeTo(buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// ckptChunk is how many bytes of array values EncodeTo converts at a time.
+const ckptChunk = 64 << 10
+
+// EncodeTo streams the checkpoint's durable byte form (see CkptSchema)
+// to w: values are converted through one reused chunk and the CRC is
+// updated as the bytes go out, so nothing the size of the store is
+// built in memory.
+func (ck *Checkpoint) EncodeTo(w io.Writer) error {
+	h := ckptHeader{Checkpoint: ck}
+	for name := range ck.Scalars {
+		h.ScalarNames = append(h.ScalarNames, name)
+	}
+	sort.Strings(h.ScalarNames)
+	for name, a := range ck.Arrays {
+		h.ArrayHdrs = append(h.ArrayHdrs, ckptArrayHdr{Name: name, CkptArray: a, N: len(a.Data)})
+	}
+	sort.Slice(h.ArrayHdrs, func(i, j int) bool { return h.ArrayHdrs[i].Name < h.ArrayHdrs[j].Name })
+	buf, err := json.Marshal(h)
+	if err != nil {
+		return fmt.Errorf("rt: encode checkpoint: %w", err)
+	}
+	buf = append(buf, '\n')
+	for _, name := range h.ScalarNames {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ck.Scalars[name]))
+	}
+	crc := crc32.NewIEEE()
+	body := io.MultiWriter(crc, w)
+	_, err = body.Write(buf)
+	chunk := make([]byte, ckptChunk)
+	for _, a := range h.ArrayHdrs {
+		for vals := a.Data; len(vals) > 0 && err == nil; {
+			k := min(len(vals), len(chunk)/8)
+			for i, v := range vals[:k] {
+				binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
+			}
+			_, err = body.Write(chunk[:8*k])
+			vals = vals[k:]
+		}
+	}
+	if err == nil {
+		_, err = fmt.Fprintf(w, "\n%s%08x\n", ckptTrailer, crc.Sum32())
+	}
+	if err != nil {
+		return fmt.Errorf("rt: encode checkpoint: %w", err)
+	}
+	return nil
 }
 
 // WriteFileAtomic writes data to path via temp+fsync+rename(+dir
@@ -173,12 +246,21 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 // the system (checkpoints, spill files, journal compactions, cache
 // entries) so the crash-safety discipline lives in one place.
 func WriteFileAtomic(path string, data []byte) error {
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is WriteFileAtomic with the temporary file's content
+// produced by fill, so a checkpoint can stream into it.
+func writeAtomic(path string, fill func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("rt: write %s: %w", path, err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := fill(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("rt: write %s: %w", path, err)
@@ -208,31 +290,68 @@ func WriteFileAtomic(path string, data []byte) error {
 // ReadCheckpoint loads and validates a snapshot written by Write. A
 // file cut off before its integrity trailer returns an error wrapping
 // ErrCkptTruncated; a complete file whose body fails its CRC (or whose
-// body does not decode) returns one wrapping ErrCkptCorrupt. Both keep
-// the path in the message so recovery logs name the casualty.
+// header and payload disagree) returns one wrapping ErrCkptCorrupt.
+// Both keep the path in the message so recovery logs name the casualty.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("rt: read checkpoint: %w", err)
 	}
-	body, err := checkCkptTrailer(data)
+	ck, err := decodeCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("rt: checkpoint %s: %w", path, err)
-	}
-	ck := &Checkpoint{}
-	if err := json.Unmarshal(body, ck); err != nil {
-		// The trailer matched, so the bytes are what Write produced — a
-		// body that still fails to decode is a writer bug, but for the
-		// reader it is indistinguishable from corruption.
-		return nil, fmt.Errorf("rt: checkpoint %s: decode: %v: %w", path, err, ErrCkptCorrupt)
-	}
-	if ck.Schema != CkptSchema {
-		return nil, fmt.Errorf("rt: checkpoint %s has schema %q, want %q", path, ck.Schema, CkptSchema)
 	}
 	return ck, nil
 }
 
-// checkCkptTrailer splits data into the JSON body and its trailer,
+// decodeCheckpoint is EncodeTo's inverse over a whole file image. The
+// trailer matched before anything is decoded, so a header or payload
+// that still does not fit is a writer bug — for the reader it is
+// indistinguishable from corruption.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	body, err := checkCkptTrailer(data)
+	if err != nil {
+		return nil, err
+	}
+	// A v1 file is one JSON line whose keys land in no header field
+	// of another type, so it decodes this far and is named below.
+	head, payload, _ := bytes.Cut(body, []byte{'\n'})
+	h := ckptHeader{Checkpoint: &Checkpoint{}}
+	if err := json.Unmarshal(head, &h); err != nil {
+		return nil, fmt.Errorf("decode header: %v: %w", err, ErrCkptCorrupt)
+	}
+	ck := h.Checkpoint
+	if ck.Schema != CkptSchema {
+		return nil, fmt.Errorf("has schema %q, want %q", ck.Schema, CkptSchema)
+	}
+	// Every count is bounded by the bytes actually present before
+	// anything is allocated, so a lying header cannot ask for more
+	// than the file.
+	values, fits := len(h.ScalarNames), true
+	for _, a := range h.ArrayHdrs {
+		fits = fits && a.N >= 0 && a.N <= len(payload)/8
+		values += a.N
+	}
+	if !fits || 8*values != len(payload) {
+		return nil, fmt.Errorf("header declares %d values, payload is %d bytes: %w", values, len(payload), ErrCkptCorrupt)
+	}
+	vals := make([]float64, values)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	}
+	ck.Scalars = make(map[string]float64, len(h.ScalarNames))
+	for _, name := range h.ScalarNames {
+		ck.Scalars[name], vals = vals[0], vals[1:]
+	}
+	ck.Arrays = make(map[string]CkptArray, len(h.ArrayHdrs))
+	for _, a := range h.ArrayHdrs {
+		a.Data, vals = vals[:a.N:a.N], vals[a.N:]
+		ck.Arrays[a.Name] = a.CkptArray
+	}
+	return ck, nil
+}
+
+// checkCkptTrailer splits data into the body and its trailer,
 // verifying the CRC. The trailer is fixed-width, so a partial tail
 // never parses as a valid trailer.
 func checkCkptTrailer(data []byte) ([]byte, error) {

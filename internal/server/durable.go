@@ -53,6 +53,7 @@ type DurabilityStats struct {
 	JournalErrors   int64  `json:"journal_errors"` // append failures (degraded, not fatal)
 	TornRecords     int64  `json:"torn_records"`   // damaged WAL lines found at recovery
 	SpillWrites     int64  `json:"spill_writes"`
+	SpillErrors     int64  `json:"spill_errors"`     // failed spill writes (degraded, not fatal)
 	SpillCasualties int64  `json:"spill_casualties"` // unreadable spills at recovery
 	Suspended       int64  `json:"suspended"`        // jobs suspended by drain this epoch
 	Resumed         int64  `json:"resumed"`          // jobs resumed from a spill at startup
@@ -133,19 +134,21 @@ func (d *durable) spillPath(id string) string {
 }
 
 // writeSpill durably writes one job checkpoint, through the fault
-// injector when armed.
+// injector when armed. A failure degrades durability (counted, logged
+// with the job id) but never fails the run — same policy as a failed
+// journal append.
 func (d *durable) writeSpill(id string, ck *rt.Checkpoint) error {
 	data, err := ck.Encode()
+	if err == nil {
+		mangled, _ := d.io.Mangle(data)
+		err = rt.WriteFileAtomic(d.spillPath(id), mangled)
+	}
 	if err != nil {
+		d.count(func(st *DurabilityStats) { st.SpillErrors++ })
+		d.logf("f90yd: spill for job %s failed: %v\n", id, err)
 		return err
 	}
-	mangled, _ := d.io.Mangle(data)
-	if err := rt.WriteFileAtomic(d.spillPath(id), mangled); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.st.SpillWrites++
-	d.mu.Unlock()
+	d.count(func(st *DurabilityStats) { st.SpillWrites++ })
 	return nil
 }
 
@@ -371,6 +374,7 @@ func (s *Server) prepareDurable(js *jobState) {
 	id := js.id
 	journaled := false
 	ctl.Checkpoint = func(ck *rt.Checkpoint) error {
+		// A failed spill is writeSpill's to count and log; the run goes on.
 		if err := s.dur.writeSpill(id, ck); err == nil && !journaled {
 			journaled = true
 			s.dur.append(jrec{T: "ckpt", Job: id})

@@ -10,9 +10,32 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"f90y/internal/faults"
+	"f90y/internal/rt"
 )
+
+// lockedBuffer is a server log sink safe to read while workers write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // reqBody marshals a request body for the raw-client posts these tests
 // use (they need typed jobView decoding, not the map-based post helper).
@@ -74,6 +97,66 @@ func pollJob(t *testing.T, hs *httptest.Server, id string, want JobStatus) jobVi
 	}
 }
 
+// postRun posts one /v1/run request for src and decodes the job view.
+func postRun(t *testing.T, hs *httptest.Server, src string, async bool) (int, jobView) {
+	t.Helper()
+	resp, err := hs.Client().Post(hs.URL+"/v1/run", "application/json",
+		reqBody(t, map[string]any{"file": "dur.f90", "source": src, "async": async}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v jobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, v
+}
+
+// runBaseline returns durSrc-style src's uninterrupted result from a
+// throwaway durable server.
+func runBaseline(t *testing.T, src string) jobView {
+	t.Helper()
+	_, hs := testServer(t, durableConfig(t.TempDir()))
+	status, baseline := postRun(t, hs, src, false)
+	if status != 200 || baseline.Result == nil {
+		t.Fatalf("baseline run failed: %d %+v", status, baseline)
+	}
+	return baseline
+}
+
+// suspendOne runs one epoch on cfg's state dir whose only job, durSrc,
+// is suspended at its first checkpoint boundary and drained away. It
+// returns the job id; the spill is on disk when it returns.
+func suspendOne(t *testing.T, cfg Config) string {
+	t.Helper()
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahs := httptest.NewServer(a.Handler())
+	defer ahs.Close()
+	// Pre-arm the suspend flag: the run parks at its FIRST checkpoint
+	// boundary, deterministically, with almost all work still to do.
+	a.suspend.Store(true)
+
+	status, admitted := postRun(t, ahs, durSrc, true)
+	if status != http.StatusAccepted {
+		t.Fatalf("async admission: %d %+v", status, admitted)
+	}
+	v := pollJob(t, ahs, admitted.JobID, JobSuspended)
+	if v.HTTPStatus != http.StatusServiceUnavailable || v.Code != CodeSuspended {
+		t.Fatalf("suspended view = (%d, %s), want (503, suspended)", v.HTTPStatus, v.Code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	st := a.Drain(ctx)
+	cancel()
+	if st.Durability == nil || st.Durability.Suspended != 1 || st.Durability.SpillWrites < 1 || st.Durability.SpillErrors != 0 {
+		t.Fatalf("drain durability stats %+v, want 1 suspended, >=1 spill, 0 spill errors", st.Durability)
+	}
+	return admitted.JobID
+}
+
 // TestJournalTornTolerance: a WAL with a torn tail and a mid-file
 // mangled line yields every intact record plus an accurate torn count.
 func TestJournalTornTolerance(t *testing.T) {
@@ -128,59 +211,10 @@ func TestJournalTornTolerance(t *testing.T) {
 // resumed by a fresh server on the same state dir produces exactly the
 // result of a run that was never interrupted.
 func TestServerSuspendResumeBitIdentical(t *testing.T) {
-	// Baseline: the uninterrupted result.
-	base, baseHS := testServer(t, durableConfig(t.TempDir()))
-	_ = base
-	var baseline jobView
-	{
-		resp, err := baseHS.Client().Post(baseHS.URL+"/v1/run", "application/json",
-			reqBody(t, map[string]any{"file": "dur.f90", "source": durSrc}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&baseline); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 || baseline.Result == nil {
-			t.Fatalf("baseline run failed: %d %+v", resp.StatusCode, baseline)
-		}
-	}
+	baseline := runBaseline(t, durSrc)
 
 	dir := t.TempDir()
-	a, err := New(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ahs := httptest.NewServer(a.Handler())
-	// Pre-arm the suspend flag: the run parks at its FIRST checkpoint
-	// boundary, deterministically, with almost all work still to do.
-	a.suspend.Store(true)
-
-	resp, err := ahs.Client().Post(ahs.URL+"/v1/run", "application/json",
-		reqBody(t, map[string]any{"file": "dur.f90", "source": durSrc, "async": true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var admitted jobView
-	if err := json.NewDecoder(resp.Body).Decode(&admitted); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async admission: %d %+v", resp.StatusCode, admitted)
-	}
-	v := pollJob(t, ahs, admitted.JobID, JobSuspended)
-	if v.HTTPStatus != http.StatusServiceUnavailable || v.Code != CodeSuspended {
-		t.Fatalf("suspended view = (%d, %s), want (503, suspended)", v.HTTPStatus, v.Code)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	st := a.Drain(ctx)
-	cancel()
-	ahs.Close()
-	if st.Durability == nil || st.Durability.Suspended != 1 || st.Durability.SpillWrites < 1 {
-		t.Fatalf("drain durability stats %+v, want 1 suspended and >=1 spill", st.Durability)
-	}
+	id := suspendOne(t, durableConfig(dir))
 
 	// Epoch two: recovery resumes the spilled job to completion.
 	b, err := New(durableConfig(dir))
@@ -194,7 +228,7 @@ func TestServerSuspendResumeBitIdentical(t *testing.T) {
 		cancel()
 		bhs.Close()
 	}()
-	done := pollJob(t, bhs, admitted.JobID, JobDone)
+	done := pollJob(t, bhs, id, JobDone)
 	if done.HTTPStatus != 200 || done.Result == nil {
 		t.Fatalf("resumed job ended (%d, %s): %s", done.HTTPStatus, done.Code, done.Error)
 	}
@@ -204,6 +238,95 @@ func TestServerSuspendResumeBitIdentical(t *testing.T) {
 	}
 	if bst := b.Stats(); bst.Durability == nil || bst.Durability.Resumed != 1 {
 		t.Errorf("epoch-two durability stats %+v, want resumed=1", bst.Durability)
+	}
+}
+
+// TestServerRecoveryDamagedSpill: a spill that was torn, or corrupted
+// after it committed, is reported as a casualty and the job re-run from
+// scratch to the uninterrupted result — its bytes are never decoded
+// into a store. Epoch one writes through an armed (zero-rate) fault
+// injector, so the encode-in-memory spill path is the one on disk.
+func TestServerRecoveryDamagedSpill(t *testing.T) {
+	baseline := runBaseline(t, durSrc)
+	for name, damage := range map[string]func([]byte) []byte{
+		"torn":    func(b []byte) []byte { return b[:len(b)/2] },
+		"short":   func(b []byte) []byte { return b[:len(b)-1] },
+		"corrupt": func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir)
+			cfg.IOFaults = faults.NewIO(&faults.IOPlan{Seed: 1})
+			id := suspendOne(t, cfg)
+			if cfg.IOFaults.Stats().Writes == 0 {
+				t.Fatal("the armed injector saw no durable write")
+			}
+			spill := filepath.Join(dir, "spills", id+".ckpt")
+			data, err := os.ReadFile(spill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rt.ReadCheckpoint(spill); err != nil {
+				t.Fatalf("the undamaged spill does not read back: %v", err)
+			}
+			if err := os.WriteFile(spill, damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var log lockedBuffer
+			cfg = durableConfig(dir)
+			cfg.Log = &log
+			s, hs := testServer(t, cfg)
+			done := pollJob(t, hs, id, JobDone)
+			if done.HTTPStatus != 200 || !reflect.DeepEqual(done.Result, baseline.Result) {
+				t.Errorf("re-run job ended (%d, %s):\n got      %+v\n baseline %+v", done.HTTPStatus, done.Code, done.Result, baseline.Result)
+			}
+			d := s.Stats().Durability
+			if d == nil || d.SpillCasualties != 1 || d.Requeued != 1 || d.Resumed != 0 {
+				t.Errorf("durability stats %+v, want 1 casualty, 1 requeued, 0 resumed", d)
+			}
+			if want := "job " + id + " spill unusable"; !strings.Contains(log.String(), want) {
+				t.Errorf("recovery log does not name the casualty (%q):\n%s", want, log.String())
+			}
+		})
+	}
+}
+
+// TestServerSpillFailureIsCountedAndLogged: when spills/ stops being
+// writable under a running server, a run still finishes with the right
+// result (durability degrades, the request does not fail), every failed
+// spill moves spill_errors instead of spill_writes, and each is logged
+// with the job id. The same program runs once before and once after the
+// directory goes, so the second run's failures must number exactly the
+// first run's writes.
+func TestServerSpillFailureIsCountedAndLogged(t *testing.T) {
+	dir := t.TempDir()
+	var log lockedBuffer
+	cfg := durableConfig(dir)
+	cfg.Log = &log
+	s, hs := testServer(t, cfg)
+	status, healthy := postRun(t, hs, durSrc, false)
+	if status != 200 || healthy.Result == nil {
+		t.Fatalf("run on a healthy disk: %d %+v", status, healthy)
+	}
+	writes := s.Stats().Durability.SpillWrites
+	if d := s.Stats().Durability; writes == 0 || d.SpillErrors != 0 {
+		t.Fatalf("durability stats on a healthy disk %+v, want spills and no errors", d)
+	}
+	// chmod would not stop a root test run; taking the directory away does.
+	if err := os.Rename(filepath.Join(dir, "spills"), filepath.Join(dir, "spills.gone")); err != nil {
+		t.Fatal(err)
+	}
+	status, degraded := postRun(t, hs, durSrc, false)
+	if status != 200 || !reflect.DeepEqual(degraded.Result, healthy.Result) {
+		t.Errorf("run without spills/ ended %d:\n got     %+v\n healthy %+v", status, degraded.Result, healthy.Result)
+	}
+	d := s.Stats().Durability
+	if d.SpillWrites != writes || d.SpillErrors != writes || d.JournalErrors != 0 {
+		t.Errorf("durability stats %+v, want spill_writes still %d, spill_errors %d, no journal errors", d, writes, writes)
+	}
+	if got := int64(strings.Count(log.String(), "spill for job "+degraded.JobID+" failed")); got != d.SpillErrors {
+		t.Errorf("%d failure lines logged for job %s, spill_errors = %d", got, degraded.JobID, d.SpillErrors)
 	}
 }
 

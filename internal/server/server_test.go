@@ -381,15 +381,16 @@ func TestServerDrain(t *testing.T) {
 		st, _, _ := post(t, c, hs.URL+"/v1/run", "", map[string]any{"file": "swe.f90", "source": workload.SWE(16, 1)})
 		results <- st
 	}()
-	// Wait until the workers have actually picked work up.
+	// Wait until the workers have actually picked work up and all three
+	// requests are past admission (a late one would be shed as draining).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := s.Stats()
-		if st.InFlight.Running >= 2 {
+		if st.InFlight.Running >= 2 && st.Jobs.Admitted >= 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("jobs never started: %+v", st.InFlight)
+			t.Fatalf("jobs never started: %+v, admitted %d", st.InFlight, st.Jobs.Admitted)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
