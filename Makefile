@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check vet build test race smoke serve-smoke loadtest crash-smoke crash-soak fuzz-smoke bench-check profile-smoke layout-smoke jit-smoke determinism concurrency soak-short soak bench bench-exec bench-batch bench-record clean
+.PHONY: check vet build test race smoke modeled-check serve-smoke loadtest crash-smoke crash-soak fuzz-smoke bench-check profile-smoke layout-smoke jit-smoke determinism concurrency soak-short soak bench bench-exec bench-batch bench-record clean
 
 # check is the tier-1 gate (see ROADMAP.md): static analysis, a full
 # build, the race-enabled test suite, the race-enabled concurrency
-# tests (driver cache, batch executor, cancellation), machine-readable
-# benchmark smoke runs (serial and batch mode), a short fuzz of the
-# front end, the fault-plane determinism tests, a short fault-invariance
+# tests (driver cache, batch executor, cancellation), the modeled-fields
+# gate (the committed paper-scale bench records regenerate with every
+# modeled number unchanged), a machine-readable benchmark smoke run in
+# batch mode, a short fuzz of the front end, the fault-plane determinism tests, a short fault-invariance
 # soak through the differential oracle, an end-to-end smoke of the
 # source-line cycle profiler's three artifact formats, the !HPF$
 # distribution-plane layout sweep (oracle-verified, deterministic, and
@@ -16,7 +17,7 @@ GO ?= go
 # load, overload, SIGTERM drain), the durability-plane crash smoke
 # (SIGKILL mid-load, relaunch, bit-identical recovery), and the vet +
 # tests of the repository benchmark's own module.
-check: vet build race concurrency smoke fuzz-smoke determinism soak-short profile-smoke layout-smoke jit-smoke serve-smoke crash-smoke bench-check
+check: vet build race concurrency modeled-check smoke fuzz-smoke determinism soak-short profile-smoke layout-smoke jit-smoke serve-smoke crash-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -57,10 +58,15 @@ race:
 concurrency:
 	$(GO) test -race -run 'Concurrent|ExecParallelDeterminism|ExecJIT' ./...
 
-# Smoke-test the f90y-bench/v1 JSON writer end to end, serial and with
-# the parallel batch pool.
+# Modeled fields are the correctness signal: regenerate the committed
+# f90y-bench/v1 records (serial writer path, interpreter and -exec-jit)
+# and fail unless every field but phases[].micros is unchanged.
+modeled-check:
+	GO="$(GO)" ./scripts/modeled_check.sh
+
+# Smoke-test the f90y-bench/v1 JSON writer with the parallel batch pool
+# (modeled-check covers the serial path, with assertions).
 smoke:
-	$(GO) run ./cmd/swebench -json -n 128 -steps 2 -o .bench-smoke.json
 	$(GO) run ./cmd/swebench -json -parallel 4 -n 128 -steps 2 -o .bench-smoke.json
 	rm -f .bench-smoke.json
 
@@ -126,10 +132,13 @@ profile-smoke:
 layout-smoke:
 	./scripts/layout_smoke.sh
 
-# Fault-plane invariants: zero overhead with no plan attached, and
-# bit-identical replay of the same seed.
+# Fault-plane invariants: zero overhead with no plan attached,
+# bit-identical replay of the same seed, and exact resume (from every
+# boundary, from the parent commit's snapshots, never across machines).
+# The suite lives in internal/cm2 and runs every test over both targets
+# through the one run core (subtests .../cm2 and .../cm5).
 determinism:
-	$(GO) test -run 'ZeroOverhead|Determinism|Resume' ./internal/cm2/ ./internal/cm5/
+	$(GO) test -count=1 -run 'ZeroOverhead|Determinism|Resume' ./internal/cm2/
 
 # Short fault-invariance soak: the oracle package's soak tests under
 # the race detector (2 programs x 2 backends x 2 seeds x 4 plans).

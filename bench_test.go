@@ -14,6 +14,7 @@ package f90y
 // (guarded by -short).
 
 import (
+	"context"
 	"testing"
 
 	"f90y/internal/cm2"
@@ -37,7 +38,7 @@ func compileRun(b *testing.B, src string, cfg Config) *cm2.Result {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func BenchmarkSWE_ExecWorkers(b *testing.B) {
 		b.Run(name("workers", w), func(b *testing.B) {
 			var last *cm2.Result
 			for i := 0; i < b.N; i++ {
-				res, err := comp.RunCtl(&cm2.Control{ExecWorkers: w})
+				res, err := comp.Run(context.Background(), &cm2.Control{ExecWorkers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -124,7 +125,7 @@ func BenchmarkExecJIT(b *testing.B) {
 		b.Run(name("workers", w), func(b *testing.B) {
 			var last *cm2.Result
 			for i := 0; i < b.N; i++ {
-				res, err := comp.RunCtl(&cm2.Control{ExecWorkers: w, ExecJIT: true})
+				res, err := comp.Run(context.Background(), &cm2.Control{ExecWorkers: w, ExecJIT: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -157,7 +158,7 @@ func TestE1PaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func BenchmarkSWE_CM5(b *testing.B) {
 	}
 	var last *cm5.Result
 	for i := 0; i < b.N; i++ {
-		res, err := cm5.Default().Run(comp.Program)
+		res, err := cm5.Default().RunCtx(context.Background(), comp.Program, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "f90yc:", err)
 			os.Exit(2)
 		}
-		res, err := comp.RunCtlCtx(ctx, ctl)
+		res, err := comp.Run(ctx, ctl)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "f90yc:", err)
 			os.Exit(1)

@@ -314,7 +314,7 @@ func e1(w io.Writer, svc *driver.Service, n, steps int) error {
 	if err != nil {
 		return err
 	}
-	cmfRes, err := machine.Run(cmfProg)
+	cmfRes, err := machine.RunCtx(context.Background(), cmfProg, nil, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -461,11 +461,11 @@ func e7(w io.Writer, svc *driver.Service, n, steps int) error {
 	if err != nil {
 		return err
 	}
-	cm2Res, err := cm2.Default().Run(comp.Program)
+	cm2Res, err := cm2.Default().RunCtx(context.Background(), comp.Program, nil, nil, nil)
 	if err != nil {
 		return err
 	}
-	cm5Res, err := cm5.Default().Run(comp.Program)
+	cm5Res, err := cm5.Default().RunCtx(context.Background(), comp.Program, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package f90y_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ end program demo
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +70,7 @@ end program stencil
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,7 +55,7 @@ func main() {
 		fmt.Println()
 	}
 
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

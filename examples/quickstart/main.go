@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 			r.Name, r.InstrCount(), r.FlopsPerIteration())
 	}
 
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -46,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := comp.Run()
+		res, err := comp.Run(context.Background(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func main() {
 
 	// The full configuration's result is verified against the oracle.
 	comp, _ := f90y.Compile("stencil.f90", src, f90y.DefaultConfig())
-	res, _ := comp.Run()
+	res, _ := comp.Run(context.Background(), nil)
 	oracle, err := f90y.Interpret("stencil.f90", src)
 	if err != nil {
 		log.Fatal(err)

@@ -16,7 +16,7 @@
 //
 //	comp, err := f90y.Compile("swe.f90", source, f90y.DefaultConfig())
 //	if err != nil { ... }
-//	res, err := comp.Run()
+//	res, err := comp.Run(ctx, nil)
 //	fmt.Println(res.GFLOPS(), res.Output)
 package f90y
 
@@ -241,31 +241,16 @@ func CompileCtx(ctx context.Context, filename, src string, cfg Config) (*Compila
 	}, nil
 }
 
-// Run executes the compiled program on the simulated CM/2, reporting an
-// "exec" span plus the cycle-attribution counters to the compilation's
-// recorder.
-func (c *Compilation) Run() (*cm2.Result, error) {
-	return c.RunCtlCtx(context.Background(), nil)
-}
-
-// RunCtx is Run under a context: cancellation and deadline expiry are
-// checked at host op and loop-iteration boundaries and surface as an
-// error wrapping ErrCanceled.
-func (c *Compilation) RunCtx(ctx context.Context) (*cm2.Result, error) {
-	return c.RunCtlCtx(ctx, nil)
-}
-
-// RunCtl executes the compiled program under an execution control
-// plane: deterministic fault injection, periodic checkpoints, and
-// resume from a snapshot (see cm2.Control). A nil ctl is exactly Run.
-func (c *Compilation) RunCtl(ctl *cm2.Control) (*cm2.Result, error) {
-	return c.RunCtlCtx(context.Background(), ctl)
-}
-
-// RunCtlCtx is RunCtl under a context. A Compilation is immutable once
-// built, so concurrent RunCtlCtx calls on one Compilation are safe;
-// each run builds its own store.
-func (c *Compilation) RunCtlCtx(ctx context.Context, ctl *cm2.Control) (*cm2.Result, error) {
+// Run executes the compiled program on the simulated CM/2 under ctx,
+// reporting an "exec" span plus the cycle-attribution counters to the
+// compilation's recorder. Cancellation and deadline expiry are checked
+// at host op and loop-iteration boundaries and surface as an error
+// wrapping ErrCanceled. ctl optionally attaches an execution control
+// plane — deterministic fault injection, periodic checkpoints, resume
+// from a snapshot (see cm2.Control); nil is the plain run. A
+// Compilation is immutable once built, so concurrent Run calls on one
+// Compilation are safe; each run builds its own store.
+func (c *Compilation) Run(ctx context.Context, ctl *cm2.Control) (*cm2.Result, error) {
 	span := obs.Start(c.Obs, "exec")
 	defer span.End()
 	return c.Machine.RunCtx(ctx, c.Program, nil, c.Obs, ctl)

@@ -7,6 +7,7 @@ package f90y
 // the hpf phase at all.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,7 +23,7 @@ func runIdentity(t *testing.T, name, src string, cfg Config) (*Compilation, map[
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}

@@ -6,6 +6,7 @@ package f90y
 // tables rest on).
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestPipelineEmitsOneSpanPerPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comp.Run(); err != nil {
+	if _, err := comp.Run(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +72,7 @@ func TestCycleAttributionSumsExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRecorderOffIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resPlain, err := plain.Run()
+	resPlain, err := plain.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRecorderOffIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resRec, err := rec.Run()
+	resRec, err := rec.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package f90y
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -39,7 +40,7 @@ func agree(t *testing.T, name, src string) {
 		if err != nil {
 			t.Fatalf("[%s] compile: %v\n%s", cname, err, src)
 		}
-		res, err := comp.Run()
+		res, err := comp.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("[%s] run: %v\n%s", cname, err, src)
 		}
@@ -392,7 +393,7 @@ func TestRandomStraightLinePrograms(t *testing.T) {
 				t.Logf("[%s] compile: %v\n%s", cname, err, src)
 				return false
 			}
-			res, err := comp.Run()
+			res, err := comp.Run(context.Background(), nil)
 			if err != nil {
 				t.Logf("[%s] run: %v\n%s", cname, err, src)
 				return false
@@ -429,7 +430,7 @@ end do`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := comp.Run()
+	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +463,7 @@ func TestSWEPerformanceShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := comp.Run()
+		res, err := comp.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

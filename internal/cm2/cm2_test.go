@@ -1,6 +1,7 @@
 package cm2
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -15,6 +16,12 @@ import (
 	"f90y/internal/rt"
 	"f90y/internal/shape"
 )
+
+// execRoutine is the executor's short form for tests: the whole shape,
+// serially, through the interpreter, with no numeric plane.
+func execRoutine(r *peac.Routine, over shape.Shape, store *rt.Store) error {
+	return ExecRoutineOpts(context.Background(), r, over, store, ExecOpts{})
+}
 
 func TestMachineRunBasic(t *testing.T) {
 	tree, _ := parser.Parse("t.f90", `program t
@@ -33,7 +40,7 @@ end program t
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Default().Run(prog)
+	res, err := Default().RunCtx(context.Background(), prog, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +90,7 @@ func TestExecRoutineDirect(t *testing.T) {
 		st.Arrays["a"].Data[i] = float64(i)
 		st.Arrays["c"].Data[i] = 100
 	}
-	if err := ExecRoutine(r, shape.Of(10), st); err != nil {
+	if err := execRoutine(r, shape.Of(10), st); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -118,7 +125,7 @@ func TestExecRoutineCoordStream(t *testing.T) {
 		Scalars: map[string]float64{},
 		Kinds:   map[string]nir.ScalarKind{},
 	}
-	if err := ExecRoutine(r, shape.Of(3, 2), st); err != nil {
+	if err := execRoutine(r, shape.Of(3, 2), st); err != nil {
 		t.Fatal(err)
 	}
 	// a(i,j) = i + 100*j, column-major.
@@ -154,7 +161,7 @@ func TestExecRoutineMaskedStore(t *testing.T) {
 	}
 	st.Arrays["m"].Data = []float64{1, 0, 1, 0}
 	st.Arrays["a"].Data = []float64{5, 5, 5, 5}
-	if err := ExecRoutine(r, shape.Of(4), st); err != nil {
+	if err := execRoutine(r, shape.Of(4), st); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{9, 5, 9, 5}
@@ -170,7 +177,7 @@ func TestExecRoutineErrors(t *testing.T) {
 		Params: []peac.Param{{Kind: peac.ArrayParam, Name: "ghost", Reg: 2}},
 		Body:   []peac.Instr{{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)}}}
 	st := &rt.Store{Arrays: map[string]*rt.Array{}, Scalars: map[string]float64{}, Kinds: map[string]nir.ScalarKind{}}
-	if err := ExecRoutine(bad, shape.Of(4), st); err == nil {
+	if err := execRoutine(bad, shape.Of(4), st); err == nil {
 		t.Fatal("undefined array accepted")
 	}
 }
@@ -202,7 +209,7 @@ func TestChunkingIsExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		st.Arrays["a"].Data[i] = float64(i)
 	}
-	if err := ExecRoutine(r, shape.Of(n), st); err != nil {
+	if err := execRoutine(r, shape.Of(n), st); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -227,11 +234,11 @@ end program t
 	small.PEs = 256
 	big := Default()
 
-	rs, err := small.Run(prog)
+	rs, err := small.RunCtx(context.Background(), prog, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := big.Run(prog)
+	rb, err := big.RunCtx(context.Background(), prog, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,25 +78,15 @@ type ExecOpts struct {
 	JIT bool
 }
 
-// ExecRoutine executes a PEAC routine functionally over the whole shape.
-// All PEs run the identical program over their subgrids; executing over
-// the flattened array in chunks is exact for grid-local code. It is
-// shared by every machine model built on the PEAC ISA (CM/2, CM/5).
-func ExecRoutine(r *peac.Routine, over shape.Shape, store *rt.Store) error {
-	return ExecRoutineOpts(context.Background(), r, over, store, ExecOpts{})
-}
-
-// ExecRoutineNum is ExecRoutine under a numeric-exception plane: when
-// num is active, the destination lanes of every can-trap float op are
-// scanned for NaN/Inf after execution, and subgrid (the per-PE element
-// count of the dispatch layout) attributes an exceptional lane to its
-// processing element. A nil num is exactly ExecRoutine.
-func ExecRoutineNum(r *peac.Routine, over shape.Shape, store *rt.Store, num *rt.Numeric, subgrid int) error {
-	return ExecRoutineOpts(context.Background(), r, over, store, ExecOpts{Num: num, Subgrid: subgrid})
-}
-
-// ExecRoutineOpts is the full-form executor entry point: ExecRoutine
-// under a context, a numeric-exception plane, and an optional chunk
+// ExecRoutineOpts executes a PEAC routine functionally over the whole
+// shape. All PEs run the identical program over their subgrids;
+// executing over the flattened array in chunks is exact for grid-local
+// code. It is shared by every machine model built on the PEAC ISA
+// (CM/2, CM/5), and runs under a context, a numeric-exception plane
+// (when ExecOpts.Num is active, the destination lanes of every can-trap
+// float op are scanned for NaN/Inf after execution, and ExecOpts.Subgrid
+// — the per-PE element count of the dispatch layout — attributes an
+// exceptional lane to its processing element), and an optional chunk
 // worker pool (see ExecOpts). The context is honored by the parallel
 // path between chunks: a canceled context stops the fan-out and returns
 // an error wrapping rt.ErrCanceled.

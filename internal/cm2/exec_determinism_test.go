@@ -7,6 +7,7 @@ package cm2_test
 // identical fault and numeric tallies for every -exec-workers value.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestExecParallelDeterminism(t *testing.T) {
 
 	run := func(workers int) *cm2.Result {
 		t.Helper()
-		res, err := comp.RunCtl(&cm2.Control{
+		res, err := comp.Run(context.Background(), &cm2.Control{
 			Faults:      faults.New(plan, nil),
 			Numeric:     &rt.Numeric{Mode: rt.NumericRecord},
 			ExecWorkers: workers,

@@ -34,7 +34,7 @@ func TestExecJITChunkBoundaries(t *testing.T) {
 	r := chunkRoutine()
 	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
 		ref := chunkStore(n)
-		if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
+		if err := execRoutine(r, shape.Of(n), ref); err != nil {
 			t.Fatalf("n=%d interpreter: %v", n, err)
 		}
 		for _, workers := range []int{1, 2, 8, -1} {
@@ -125,7 +125,7 @@ func TestExecJITChainedMemPositions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		ref := parStore(n, tc.arrs, fill)
-		if err := ExecRoutine(tc.r, shape.Of(n), ref); err != nil {
+		if err := execRoutine(tc.r, shape.Of(n), ref); err != nil {
 			t.Fatalf("%s interpreter: %v", tc.name, err)
 		}
 		st := parStore(n, tc.arrs, fill)
@@ -166,7 +166,7 @@ func TestExecJITIntegerStoreKind(t *testing.T) {
 		return st
 	}
 	ref := mk()
-	if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
+	if err := execRoutine(r, shape.Of(n), ref); err != nil {
 		t.Fatal(err)
 	}
 	st := mk()
@@ -237,7 +237,7 @@ func TestExecJITErrorStrings(t *testing.T) {
 		mk := func() *rt.Store {
 			return parStore(n, []string{"a", "d"}, func(name string, i int) float64 { return 1 })
 		}
-		ref := ExecRoutine(r, shape.Of(n), mk())
+		ref := execRoutine(r, shape.Of(n), mk())
 		if ref == nil {
 			t.Fatalf("%s: interpreter did not error", tc.name)
 		}
@@ -478,7 +478,7 @@ func TestExecJITScalarAndNoOperand(t *testing.T) {
 		return st
 	}
 	ref := mk()
-	if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
+	if err := execRoutine(r, shape.Of(n), ref); err != nil {
 		t.Fatal(err)
 	}
 	st := mk()
@@ -540,7 +540,7 @@ func TestExecJITFusedPairs(t *testing.T) {
 			for _, accLeft := range []bool{true, false} {
 				r := fuseRoutine(op1, op2, accLeft)
 				ref := parStore(n, []string{"a", "b", "d"}, fill)
-				if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
+				if err := execRoutine(r, shape.Of(n), ref); err != nil {
 					t.Fatalf("%v/%v interpreter: %v", op1, op2, err)
 				}
 				for _, workers := range []int{1, 4} {
@@ -589,7 +589,7 @@ func TestExecJITSinkAliasing(t *testing.T) {
 		return float64(i%5) + 1
 	}
 	ref := parStore(n, []string{"a", "b"}, fill)
-	if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
+	if err := execRoutine(r, shape.Of(n), ref); err != nil {
 		t.Fatalf("interpreter: %v", err)
 	}
 	for _, workers := range []int{1, 4} {
@@ -639,7 +639,7 @@ func TestExecJITFusionLiveness(t *testing.T) {
 	}
 	names := []string{"a", "b", "d", "e"}
 	ref := parStore(n, names, fill)
-	if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
+	if err := execRoutine(r, shape.Of(n), ref); err != nil {
 		t.Fatalf("interpreter: %v", err)
 	}
 	st := parStore(n, names, fill)

@@ -66,7 +66,7 @@ func TestExecChainedMemMultiOperand(t *testing.T) {
 		}
 		return 0
 	})
-	if err := ExecRoutine(r, shape.Of(n), st); err != nil {
+	if err := execRoutine(r, shape.Of(n), st); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -105,7 +105,7 @@ func TestExecChainedAddend(t *testing.T) {
 		}
 		return 0
 	})
-	if err := ExecRoutine(r, shape.Of(n), st); err != nil {
+	if err := execRoutine(r, shape.Of(n), st); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -143,7 +143,7 @@ func TestExecFstrvChainedSourceAndMask(t *testing.T) {
 		}
 		return 0
 	})
-	if err := ExecRoutine(r, shape.Of(n), st); err != nil {
+	if err := execRoutine(r, shape.Of(n), st); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -172,7 +172,7 @@ func TestExecChainedUnboundPointer(t *testing.T) {
 		},
 	}
 	st := parStore(4, []string{"a", "d"}, func(string, int) float64 { return 1 })
-	err := ExecRoutine(r, shape.Of(4), st)
+	err := execRoutine(r, shape.Of(4), st)
 	if err == nil || !strings.Contains(err.Error(), "unbound pointer aP9") {
 		t.Fatalf("err = %v, want chained-load unbound pointer error", err)
 	}

@@ -11,6 +11,7 @@ package cm2_test
 // equal PEClassCycles.
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"strings"
@@ -47,7 +48,7 @@ func TestConcurrentExecPoolTelemetry(t *testing.T) {
 	run := func(workers int) (*cm2.Result, *obs.Collector) {
 		t.Helper()
 		col := obs.NewCollector()
-		res, err := cm2.Default().RunCtl(comp.Program, nil, col, &cm2.Control{ExecWorkers: workers})
+		res, err := cm2.Default().RunCtx(context.Background(), comp.Program, nil, col, &cm2.Control{ExecWorkers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -13,24 +13,15 @@ package cm2
 
 import (
 	"context"
-	"fmt"
 
 	"f90y/internal/faults"
 	"f90y/internal/fe"
 	"f90y/internal/hostvm"
-	"f90y/internal/nir"
 	"f90y/internal/obs"
 	"f90y/internal/peac"
 	"f90y/internal/rt"
 	"f90y/internal/shape"
-	"f90y/internal/source"
 )
-
-// DegradeClass is the PE cycle class charged for graceful degradation:
-// remapping a dead PE's subgrid onto its buddy and the extra subgrid
-// pass every subsequent dispatch pays while PEs are dead (the
-// synchronous machine gates on its slowest PE).
-const DegradeClass = "degrade"
 
 // Control is the optional execution control plane for a run: fault
 // injection, periodic checkpointing, and resume from a snapshot. A nil
@@ -109,30 +100,16 @@ type Result struct {
 	Store   *rt.Store
 	Stopped bool
 
+	// ExecTotals is the node side: Flops, NodeCalls, PECycles and its
+	// per-class, per-routine and per-line attributions, each of which
+	// sums exactly to PECycles. Host and communication follow the same
+	// rule: each map's values sum exactly to its total.
+	rt.ExecTotals
 	HostCycles float64
-	PECycles   float64
 	CommCycles float64
-	Flops      int64
-	NodeCalls  int
 	CommCalls  int
 	ClockHz    float64
 
-	// Cycle attribution (§5.2/§6): each map's values sum exactly to the
-	// corresponding total above.
-	//
-	// PEClassCycles attributes PECycles per PEAC instruction class
-	// (peac.CycleClass names: vector-arith, divide, sqrt, transcend,
-	// load-store, spill, loop).
-	PEClassCycles map[string]float64
-	// PERoutineCycles attributes PECycles per PEAC routine.
-	PERoutineCycles map[string]float64
-	// PELineCycles attributes PECycles per (routine, source line, class)
-	// cell, keyed by the provenance threaded from the Fortran front end
-	// through PEAC. Its values sum exactly to PECycles, and the per-class
-	// marginals equal PEClassCycles. The attribution is computed from the
-	// analytic model before dispatch, so it is bit-identical for every
-	// ExecWorkers setting.
-	PELineCycles map[rt.LineRef]float64
 	// CommClassCycles attributes CommCycles per runtime network
 	// (rt.CommGrid, rt.CommRouter, rt.CommReduce).
 	CommClassCycles map[string]float64
@@ -173,242 +150,23 @@ func (r *Result) GFLOPS() float64 {
 	return float64(r.Flops) / s / 1e9
 }
 
-// Run executes a partitioned program on the machine.
-func (m *Machine) Run(prog *fe.Program) (*Result, error) {
-	return m.RunObs(prog, nil, nil)
+// Target describes this CM/2 to the run core: one lane per PE, driven
+// directly by the sequencer (no per-dispatch setup), charged for the
+// layout's nominal subgrid.
+func (m *Machine) Target() *Target {
+	return &Target{
+		Name: "cm2", Unit: "processing element",
+		Units: m.PEs, Lanes: 1, ClockHz: m.ClockHz,
+		Subgrid: shape.Layout.SubgridSize,
+		PECost:  m.PECost, CommCost: m.CommCost, HostCost: m.HostCost,
+	}
 }
 
-// RunOn executes against a caller-prepared store (pre-initialized data).
-func (m *Machine) RunOn(prog *fe.Program, store *rt.Store) (*Result, error) {
-	return m.RunObs(prog, store, nil)
-}
-
-// RunObs executes a partitioned program, reporting telemetry to rec (a
-// nil recorder costs one branch per dispatch). A nil store means a
-// fresh store initialized from the program's symbols.
-func (m *Machine) RunObs(prog *fe.Program, store *rt.Store, rec obs.Recorder) (*Result, error) {
-	return m.RunCtl(prog, store, rec, nil)
-}
-
-// RunCtl executes a partitioned program under an execution control
-// plane: fault injection, periodic checkpoints, and resume from a
-// snapshot. A nil ctl is exactly RunObs — same code path, bit-identical
-// cycle totals. A run halted by an injected fatal fault returns an
-// error wrapping faults.ErrFatal; restart it from the last checkpoint
-// via ctl.Resume.
-func (m *Machine) RunCtl(prog *fe.Program, store *rt.Store, rec obs.Recorder, ctl *Control) (*Result, error) {
-	return m.RunCtx(context.Background(), prog, store, rec, ctl)
-}
-
-// RunCtx is RunCtl under a context: cancellation and deadline expiry
-// are checked at every host op and loop-iteration boundary and return
-// promptly with an error wrapping rt.ErrCanceled. The Machine is never
-// mutated by a run, so one *Machine may serve any number of concurrent
-// RunCtx calls (each run builds its own store when store is nil).
+// RunCtx executes a partitioned program on the machine: Target.Run with
+// this machine's Target (see there for store, rec, ctl and ctx). The
+// Machine is never mutated by a run, so one *Machine may serve any
+// number of concurrent RunCtx calls.
 func (m *Machine) RunCtx(ctx context.Context, prog *fe.Program, store *rt.Store, rec obs.Recorder, ctl *Control) (*Result, error) {
-	if store == nil {
-		store = rt.NewStore(prog.Syms)
-	}
-	comm := &rt.Comm{Store: store, PEs: m.PEs, Cost: m.CommCost}
-	res := &Result{
-		Store:           store,
-		ClockHz:         m.ClockHz,
-		PEClassCycles:   map[string]float64{},
-		PERoutineCycles: map[string]float64{},
-		PELineCycles:    map[rt.LineRef]float64{},
-	}
-
-	var inj *faults.Injector
-	var num *rt.Numeric
-	var hctl *hostvm.Ctl
-	workers := 0
-	jit := false
-	if ctl != nil {
-		inj = ctl.Faults
-		num = ctl.Numeric
-		res.Numeric = num
-		workers = ctl.ExecWorkers
-		jit = ctl.ExecJIT
-		comm.Faults = inj
-		hctl = &hostvm.Ctl{Faults: inj, CheckpointEvery: ctl.CheckpointEvery, MaxCycles: ctl.MaxCycles}
-		if ctl.MaxCycles > 0 {
-			hctl.ExtraCycles = func() float64 { return res.PECycles + comm.Cycles }
-		}
-		if ctl.Checkpoint != nil {
-			hctl.Checkpoint = func(vm *hostvm.VM, next int, inLoop bool, iterDone int) error {
-				return ctl.Checkpoint(snapshot(store, vm, comm, res, next, inLoop, iterDone))
-			}
-		}
-		if ck := ctl.Resume; ck != nil {
-			if err := resume(ck, store, comm, res, hctl); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	hooks := hostvm.Hooks{
-		Dispatch: func(r *peac.Routine, over shape.Shape) error {
-			return m.dispatch(ctx, r, over, store, res, rec, inj, num, workers, jit)
-		},
-		Comm: func(mv nir.Move) error { return comm.ExecMove(mv) },
-	}
-	vm, err := hostvm.RunCtx(ctx, prog, store, m.HostCost, hooks, hctl)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = vm.Output
-	res.Stopped = vm.Stopped()
-	res.HostCycles = vm.Cycles
-	res.CommCycles = comm.Cycles
-	res.CommCalls = comm.Calls
-	res.HostClassCycles = vm.ClassCycles()
-	res.CommClassCycles = map[string]float64{}
-	for _, cl := range rt.CommClasses {
-		res.CommClassCycles[cl] = comm.ClassCycles[cl]
-	}
-	res.CommLineCycles = rt.CopyLineMap(comm.LineCycles)
-	res.Faults = inj.Stats()
-	res.emit(rec)
-	return res, nil
-}
-
-// snapshot captures a consistent machine state at a host boundary via
-// the shared rt boundary plumbing; the CM/2 has no machine-specific
-// extras beyond the common fields.
-func snapshot(store *rt.Store, vm *hostvm.VM, comm *rt.Comm, res *Result, next int, inLoop bool, iterDone int) *rt.Checkpoint {
-	return rt.SnapshotBoundary(store, comm,
-		rt.Boundary{Machine: "cm2", NextOp: next, InLoop: inLoop, IterDone: iterDone},
-		rt.HostState{Output: vm.Output, Cycles: vm.Cycles, ClassCycles: vm.ClassCycles()},
-		rt.ExecTotals{
-			Flops:           res.Flops,
-			NodeCalls:       res.NodeCalls,
-			PECycles:        res.PECycles,
-			PEClassCycles:   res.PEClassCycles,
-			PERoutineCycles: res.PERoutineCycles,
-			PELineCycles:    res.PELineCycles,
-		})
-}
-
-// resume restores a snapshot into the store, the comm layer, the
-// result accumulators, and the host control plane, so the continued
-// run picks up every total where the snapshot left it.
-func resume(ck *rt.Checkpoint, store *rt.Store, comm *rt.Comm, res *Result, hctl *hostvm.Ctl) error {
-	tot, err := rt.ResumeBoundary(ck, store, comm)
-	if err != nil {
-		return fmt.Errorf("cm2: resume: %w", err)
-	}
-	res.PECycles = tot.PECycles
-	res.Flops = tot.Flops
-	res.NodeCalls = tot.NodeCalls
-	res.PEClassCycles = tot.PEClassCycles
-	res.PERoutineCycles = tot.PERoutineCycles
-	res.PELineCycles = tot.PELineCycles
-	hctl.SetResume(ck)
-	return nil
-}
-
-// emit reports the execution result as counters.
-func (res *Result) emit(rec obs.Recorder) {
-	if rec == nil {
-		return
-	}
-	obs.Add(rec, "exec/host-cycles", res.HostCycles)
-	obs.Add(rec, "exec/pe-cycles", res.PECycles)
-	obs.Add(rec, "exec/comm-cycles", res.CommCycles)
-	obs.Add(rec, "exec/flops", float64(res.Flops))
-	obs.Add(rec, "exec/node-calls", float64(res.NodeCalls))
-	obs.Add(rec, "exec/comm-calls", float64(res.CommCalls))
-	for cl, v := range res.PEClassCycles {
-		obs.Add(rec, "exec/pe/"+cl, v)
-	}
-	for cl, v := range res.CommClassCycles {
-		obs.Add(rec, "exec/comm/"+cl, v)
-	}
-	for cl, v := range res.HostClassCycles {
-		obs.Add(rec, "exec/host/"+cl, v)
-	}
-	for name, v := range res.PERoutineCycles {
-		obs.Add(rec, "exec/routine/"+name, v)
-	}
-	if res.Numeric != nil {
-		for cl, n := range res.Numeric.NaN {
-			obs.Add(rec, "exec/numeric/nan/"+cl, float64(n))
-		}
-		for cl, n := range res.Numeric.Inf {
-			obs.Add(rec, "exec/numeric/inf/"+cl, float64(n))
-		}
-	}
-}
-
-// dispatch runs one PEAC routine over its shape, charging the cycle model
-// and executing it functionally over the stored arrays, optionally
-// sharded across a chunk worker pool (Control.ExecWorkers).
-func (m *Machine) dispatch(ctx context.Context, r *peac.Routine, over shape.Shape, store *rt.Store, res *Result, rec obs.Recorder, inj *faults.Injector, num *rt.Numeric, workers int, jit bool) error {
-	if over == nil {
-		return fmt.Errorf("cm2: node routine %s without a shape: %w", r.Name, ErrDispatch)
-	}
-	layout := shape.Distribute(over, m.PEs, r.Dist)
-	sub := layout.SubgridSize()
-	if inj != nil {
-		if err := m.injectDispatch(r, sub, res, inj); err != nil {
-			return err
-		}
-	}
-	cyc := float64(m.PECost.RoutineCycles(r, sub))
-	res.PECycles += cyc
-	res.PERoutineCycles[r.Name] += cyc
-	itersPerPE := (sub + peac.VectorWidth - 1) / peac.VectorWidth
-	if itersPerPE > 0 {
-		byClass := m.PECost.BodyCyclesByClass(r.Body)
-		for cl, n := range byClass {
-			if n != 0 {
-				res.PEClassCycles[peac.CycleClass(cl).String()] += float64(n * itersPerPE)
-			}
-		}
-		for cell, n := range m.PECost.BodyCyclesByLine(r.Body, r.Pos) {
-			if n != 0 {
-				res.PELineCycles[lineRef(r, cell.Pos, cell.Class.String())] += float64(n * itersPerPE)
-			}
-		}
-	}
-	res.Flops += int64(r.FlopsPerIteration()) * int64(itersPerPE) * int64(layout.PEsUsed())
-	res.NodeCalls++
-	obs.Observe(rec, "cm2/dispatch-cycles", cyc)
-	return ExecRoutineOpts(ctx, r, over, store, ExecOpts{Num: num, Subgrid: sub, PEs: m.PEs, Workers: workers, Rec: rec, JIT: jit})
-}
-
-// injectDispatch applies the fault plane to one node dispatch. A PE
-// killed here either aborts the run (degradation disabled: a clean
-// error wrapping ErrDispatch and faults.ErrPEDead) or degrades
-// gracefully: the dead PE's subgrid is remapped onto a buddy — charged
-// one router transfer of the subgrid — and every later dispatch pays
-// one extra subgrid pass, because the synchronous machine gates on its
-// slowest PE and the buddy now runs two subgrids back to back.
-// Execution stays functionally exact: the model charges cycles, the
-// data motion is unaffected.
-func (m *Machine) injectDispatch(r *peac.Routine, sub int, res *Result, inj *faults.Injector) error {
-	for _, pe := range inj.DispatchTick(m.PEs) {
-		if !inj.Degrade() {
-			return fmt.Errorf("cm2: dispatch of %s: %w: processing element %d: %w",
-				r.Name, ErrDispatch, pe, faults.ErrPEDead)
-		}
-		remap := m.CommCost.RouterStartup + float64(sub)*m.CommCost.RouterPerElem
-		res.PECycles += remap
-		res.PEClassCycles[DegradeClass] += remap
-		res.PELineCycles[lineRef(r, r.Pos, DegradeClass)] += remap
-		inj.NoteDegraded(pe)
-	}
-	if inj.DeadCount() > 0 {
-		extra := float64(m.PECost.RoutineCycles(r, sub))
-		res.PECycles += extra
-		res.PEClassCycles[DegradeClass] += extra
-		res.PELineCycles[lineRef(r, r.Pos, DegradeClass)] += extra
-	}
-	return nil
-}
-
-// lineRef builds the attribution key for cycles modeled in routine r at
-// source position pos under a cycle class name.
-func lineRef(r *peac.Routine, pos source.Pos, class string) rt.LineRef {
-	return rt.LineRef{Routine: r.Name, File: pos.File, Line: pos.Line, Class: class}
+	res, _, err := m.Target().Run(ctx, prog, store, rec, ctl)
+	return res, err
 }

@@ -1,6 +1,7 @@
 package cm5
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,11 +28,11 @@ func TestSameFrontEndBothTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cm2Res, err := cm2.Default().Run(prog)
+	cm2Res, err := cm2.Default().RunCtx(context.Background(), prog, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("cm2: %v", err)
 	}
-	cm5Res, err := Default().Run(prog)
+	cm5Res, err := Default().RunCtx(context.Background(), prog, nil, nil)
 	if err != nil {
 		t.Fatalf("cm5: %v", err)
 	}
@@ -60,7 +61,7 @@ func TestCM5MatchesOracle(t *testing.T) {
 	mod, _ := lower.Lower(tree)
 	omod, _ := opt.Optimize(mod, opt.Default)
 	prog, _, _ := partition.Compile(omod, pe.Optimized)
-	res, err := Default().Run(prog)
+	res, err := Default().RunCtx(context.Background(), prog, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestCM5ThreeWaySplitAccounting(t *testing.T) {
 	mod, _ := lower.Lower(tree)
 	omod, _ := opt.Optimize(mod, opt.Default)
 	prog, _, _ := partition.Compile(omod, pe.Optimized)
-	res, err := Default().Run(prog)
+	res, err := Default().RunCtx(context.Background(), prog, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestCM5OutperformsCM2(t *testing.T) {
 	omod, _ := opt.Optimize(mod, opt.Default)
 	prog, _, _ := partition.Compile(omod, pe.Optimized)
 
-	r2, err := cm2.Default().Run(prog)
+	r2, err := cm2.Default().RunCtx(context.Background(), prog, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r5, err := Default().Run(prog)
+	r5, err := Default().RunCtx(context.Background(), prog, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

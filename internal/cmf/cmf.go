@@ -13,6 +13,8 @@
 package cmf
 
 import (
+	"context"
+
 	"f90y/internal/cm2"
 	"f90y/internal/fe"
 	"f90y/internal/lower"
@@ -58,5 +60,5 @@ func Run(filename, src string, m *cm2.Machine) (*cm2.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.Run(prog)
+	return m.RunCtx(context.Background(), prog, nil, nil, nil)
 }

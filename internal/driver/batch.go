@@ -83,30 +83,23 @@ func (s *Service) Run(ctx context.Context, job Job) RunResult {
 	span := obs.Start(rec, "exec")
 	defer span.End()
 	ctl := job.Ctl
-	// Service-wide defaults (watchdog budget, executor sharding) apply
-	// to jobs that don't set their own, cloning the control plane first
-	// — the job's Control may be shared across jobs.
-	clone := func() *cm2.Control {
+	// Service-wide defaults (watchdog budget, executor sharding and
+	// engine) apply to jobs that don't set their own, on a copy — the
+	// job's Control may be shared across jobs. With no defaults set a nil
+	// Control stays nil: the plain run path.
+	if s.MaxCycles > 0 || s.ExecWorkers != 0 || s.ExecJIT {
 		var c cm2.Control
 		if ctl != nil {
 			c = *ctl
 		}
-		return &c
-	}
-	if s.MaxCycles > 0 && (ctl == nil || ctl.MaxCycles == 0) {
-		c := clone()
-		c.MaxCycles = s.MaxCycles
-		ctl = c
-	}
-	if s.ExecWorkers != 0 && (ctl == nil || ctl.ExecWorkers == 0) {
-		c := clone()
-		c.ExecWorkers = s.ExecWorkers
-		ctl = c
-	}
-	if s.ExecJIT && (ctl == nil || !ctl.ExecJIT) {
-		c := clone()
-		c.ExecJIT = true
-		ctl = c
+		if c.MaxCycles == 0 {
+			c.MaxCycles = s.MaxCycles
+		}
+		if c.ExecWorkers == 0 {
+			c.ExecWorkers = s.ExecWorkers
+		}
+		c.ExecJIT = c.ExecJIT || s.ExecJIT
+		ctl = &c
 	}
 	switch job.Target {
 	case "", "cm2":

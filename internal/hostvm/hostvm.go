@@ -168,24 +168,13 @@ type frame struct {
 
 type stopSignal struct{}
 
-// Run interprets a partitioned program.
-func Run(prog *fe.Program, store *rt.Store, cost Cost, hooks Hooks) (vm *VM, err error) {
-	return RunCtx(context.Background(), prog, store, cost, hooks, nil)
-}
-
-// RunCtl interprets a partitioned program under an execution control
-// plane. A nil ctl is exactly Run: no injection, no checkpoints, and
-// bit-identical cycle totals.
-func RunCtl(prog *fe.Program, store *rt.Store, cost Cost, hooks Hooks, ctl *Ctl) (vm *VM, err error) {
-	return RunCtx(context.Background(), prog, store, cost, hooks, ctl)
-}
-
-// RunCtx interprets a partitioned program under a context: cancellation
-// and deadline expiry are checked at every op and loop-iteration
-// boundary and surface promptly as an error wrapping rt.ErrCanceled.
-// An uncancellable context (Done() == nil, e.g. context.Background())
-// costs one nil check per boundary — the cycle totals are bit-identical
-// to the ctx-less path.
+// RunCtx interprets a partitioned program under a context and an
+// optional execution control plane. Cancellation and deadline expiry
+// are checked at every op and loop-iteration boundary and surface
+// promptly as an error wrapping rt.ErrCanceled; an uncancellable
+// context (Done() == nil, e.g. context.Background()) costs one nil
+// check per boundary. A nil ctl means no injection and no checkpoints;
+// the cycle totals are bit-identical either way.
 func RunCtx(ctx context.Context, prog *fe.Program, store *rt.Store, cost Cost, hooks Hooks, ctl *Ctl) (vm *VM, err error) {
 	vm = &VM{Store: store, Cost: cost, Hooks: hooks, runCtx: ctx, done: ctx.Done(), ctl: ctl, limit: 500_000_000}
 	if ctl != nil {

@@ -1,6 +1,7 @@
 package hostvm
 
 import (
+	"context"
 	"testing"
 
 	"f90y/internal/fe"
@@ -22,7 +23,7 @@ func testStore() *rt.Store {
 
 func runOps(t *testing.T, ops []fe.Op, store *rt.Store, hooks Hooks) *VM {
 	t.Helper()
-	vm, err := Run(&fe.Program{Name: "t", Ops: ops}, store, DefaultCost, hooks)
+	vm, err := RunCtx(context.Background(), &fe.Program{Name: "t", Ops: ops}, store, DefaultCost, hooks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRuntimeErrors(t *testing.T) {
 		{fe.Assign{Tgt: sv("x"), Src: nir.Binary{Op: nir.Div, L: iv(1), R: iv(0)}}},
 	}
 	for i, ops := range cases {
-		if _, err := Run(&fe.Program{Ops: ops}, st, DefaultCost, Hooks{}); err == nil {
+		if _, err := RunCtx(context.Background(), &fe.Program{Ops: ops}, st, DefaultCost, Hooks{}, nil); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}

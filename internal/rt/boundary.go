@@ -36,16 +36,28 @@ type HostState struct {
 	ClassCycles map[string]float64
 }
 
-// ExecTotals is the machine-independent node-side accumulator state a
-// snapshot carries and a resume restores: flop and dispatch counts plus
-// the PE cycle total and its attributions.
+// ExecTotals is the machine-independent node-side accumulator state: a
+// run accumulates into it (cm2.Result embeds it), a snapshot carries it
+// and a resume restores it — flop and dispatch counts plus the PE cycle
+// total and its attributions (§5.2/§6), each of which sums exactly to
+// PECycles.
 type ExecTotals struct {
-	Flops           int64
-	NodeCalls       int
-	PECycles        float64
-	PEClassCycles   map[string]float64
+	Flops     int64
+	NodeCalls int
+	PECycles  float64
+	// PEClassCycles attributes PECycles per PEAC instruction class
+	// (peac.CycleClass names: vector-arith, divide, sqrt, transcend,
+	// load-store, spill, loop; plus the machine layer's degrade and
+	// setup classes).
+	PEClassCycles map[string]float64
+	// PERoutineCycles attributes PECycles per PEAC routine.
 	PERoutineCycles map[string]float64
-	PELineCycles    map[LineRef]float64
+	// PELineCycles attributes PECycles per (routine, source line, class)
+	// cell, keyed by the provenance threaded from the Fortran front end
+	// through PEAC; the per-class marginals equal PEClassCycles. The
+	// attribution is computed from the analytic model before dispatch,
+	// so it is bit-identical for every ExecWorkers setting.
+	PELineCycles map[LineRef]float64
 }
 
 // SnapshotBoundary captures the checkpoint state shared by every

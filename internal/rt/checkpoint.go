@@ -45,6 +45,10 @@ var (
 	// ErrCkptCorrupt reports a checkpoint file whose body does not match
 	// its integrity trailer: bits changed after the write committed.
 	ErrCkptCorrupt = errors.New("checkpoint corrupt")
+	// ErrCkptMachine reports an intact checkpoint taken on a different
+	// machine model than the one asked to resume it. Not damage: the
+	// file is fine, its cycle buckets just price another machine.
+	ErrCkptMachine = errors.New("checkpoint is for another machine")
 )
 
 // CkptArray is one serialized CM array. The header carries its shape;

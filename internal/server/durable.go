@@ -152,10 +152,22 @@ func (d *durable) writeSpill(id string, ck *rt.Checkpoint) error {
 	return nil
 }
 
-// readSpill loads a job checkpoint; integrity failures surface as
-// rt.ErrCkptTruncated / rt.ErrCkptCorrupt exactly like the CLI path.
-func (d *durable) readSpill(id string) (*rt.Checkpoint, error) {
-	return rt.ReadCheckpoint(d.spillPath(id))
+// readSpill loads the checkpoint of a job bound for target ("" is the
+// cm2 default); integrity failures surface as rt.ErrCkptTruncated /
+// rt.ErrCkptCorrupt and an intact spill of the other machine as
+// rt.ErrCkptMachine, exactly like the CLI path.
+func (d *durable) readSpill(id, target string) (*rt.Checkpoint, error) {
+	ck, err := rt.ReadCheckpoint(d.spillPath(id))
+	if err != nil {
+		return nil, err
+	}
+	if target == "" {
+		target = "cm2"
+	}
+	if ck.Machine != target {
+		return nil, fmt.Errorf("spill of a %q run, job targets %s: %w", ck.Machine, target, rt.ErrCkptMachine)
+	}
+	return ck, nil
 }
 
 // removeSpill deletes a finished job's checkpoint.
@@ -268,7 +280,7 @@ func (s *Server) replayJournal(recs []jrec) (carry []jrec, resume []*jobState) {
 			}
 			carryRec := *h.admitted
 			if h.ckpt {
-				ck, err := s.dur.readSpill(id)
+				ck, err := s.dur.readSpill(id, js.job.Target)
 				switch {
 				case err == nil:
 					ctl := js.job.Ctl
@@ -281,7 +293,9 @@ func (s *Server) replayJournal(recs []jrec) (carry []jrec, resume []*jobState) {
 					carry = append(carry, carryRec, jrec{T: "ckpt", Job: id})
 				default:
 					// Torn or corrupt spill: a casualty to report, never a
-					// snapshot to trust. The job re-runs from scratch.
+					// snapshot to trust. The job re-runs from scratch — as
+					// it does, unreported, for an intact spill this build
+					// cannot resume (another schema, another machine).
 					if errors.Is(err, rt.ErrCkptTruncated) || errors.Is(err, rt.ErrCkptCorrupt) || os.IsNotExist(err) {
 						s.dur.count(func(st *DurabilityStats) { st.SpillCasualties++ })
 						fmt.Fprintf(s.cfg.Log, "f90yd: recovery: job %s spill unusable (re-running): %v\n", id, err)

@@ -292,6 +292,36 @@ func TestServerRecoveryDamagedSpill(t *testing.T) {
 	}
 }
 
+// TestServerRecoveryOtherMachineSpill: an intact spill whose machine
+// tag is not the job's target is not damage and not resumable — its
+// cycle buckets price another machine — so recovery re-runs the job
+// from scratch, like any other readable-but-unusable spill, instead of
+// letting the run fail on rt.ErrCkptMachine.
+func TestServerRecoveryOtherMachineSpill(t *testing.T) {
+	baseline := runBaseline(t, durSrc)
+	dir := t.TempDir()
+	id := suspendOne(t, durableConfig(dir))
+	spill := filepath.Join(dir, "spills", id+".ckpt")
+	ck, err := rt.ReadCheckpoint(spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Machine = "cm5"
+	if err := ck.Write(spill); err != nil {
+		t.Fatal(err)
+	}
+
+	s, hs := testServer(t, durableConfig(dir))
+	done := pollJob(t, hs, id, JobDone)
+	if done.HTTPStatus != 200 || !reflect.DeepEqual(done.Result, baseline.Result) {
+		t.Errorf("re-run job ended (%d, %s):\n got      %+v\n baseline %+v", done.HTTPStatus, done.Code, done.Result, baseline.Result)
+	}
+	d := s.Stats().Durability
+	if d == nil || d.Requeued != 1 || d.Resumed != 0 || d.SpillCasualties != 0 {
+		t.Errorf("durability stats %+v, want 1 requeued, 0 resumed, 0 casualties", d)
+	}
+}
+
 // TestServerSpillFailureIsCountedAndLogged: when spills/ stops being
 // writable under a running server, a run still finishes with the right
 // result (durability degrades, the request does not fail), every failed

@@ -9,6 +9,7 @@ package f90y_test
 // (External test package: internal/oracle imports f90y.)
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -35,11 +36,11 @@ func TestJITSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
-		ref, err := comp.Run()
+		ref, err := comp.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("%s: interpreter run: %v", name, err)
 		}
-		res, err := comp.RunCtl(&cm2.Control{ExecJIT: true})
+		res, err := comp.Run(context.Background(), &cm2.Control{ExecJIT: true})
 		if err != nil {
 			t.Fatalf("%s: jit run: %v", name, err)
 		}
