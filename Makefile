@@ -5,15 +5,15 @@ GO ?= go
 # check is the tier-1 gate (see ROADMAP.md): static analysis, a full
 # build, the race-enabled test suite, the race-enabled concurrency
 # tests (driver cache, batch executor, cancellation), the modeled-fields
-# gate (the committed paper-scale bench records regenerate with every
+# gate (the committed paper-scale bench record regenerates with every
 # modeled number unchanged), a machine-readable benchmark smoke run in
 # batch mode, a short fuzz of the front end, the fault-plane determinism tests, a short fault-invariance
 # soak through the differential oracle, an end-to-end smoke of the
 # source-line cycle profiler's three artifact formats, the !HPF$
 # distribution-plane layout sweep (oracle-verified, deterministic, and
-# the layout choice must matter), the compiled-executor bit-identity
-# smoke (SWE + the layout kernel trio, interpreter vs JIT, plus an
-# oracle-verified JIT run), the f90yd server lifecycle smoke (start,
+# the layout choice must matter), the executor-engine smoke (SWE through
+# the three-way oracle under the reference evaluator, the compiled
+# chains and the tiered default), the f90yd server lifecycle smoke (start,
 # load, overload, SIGTERM drain), the durability-plane crash smoke
 # (SIGKILL mid-load, relaunch, bit-identical recovery), and the vet +
 # tests of the repository benchmark's own module.
@@ -48,18 +48,19 @@ race:
 # identity, cancellation, the
 # sharded-executor determinism test (bit-exact stores, cycles, and
 # fault/numeric tallies across -exec-workers values, with fault
-# injection and the numeric record plane active), the compiled-executor
+# injection and the numeric record plane active), the executor-engine
 # differential tests (chunk boundaries, chained-Mem positions, error
-# taxonomy, record-plane parity and failure-path merge, all JIT vs
-# interpreter across worker counts), and the pool telemetry test
-# (workers recording into one shared collector while the modeled
-# counters and per-line cycle attribution stay bit-identical to a
-# serial run).
+# taxonomy, record-plane parity and failure-path merge, each under the
+# reference evaluator, the compiled chains and the tiered default across
+# worker counts), the tier tests (goroutines first-dispatching one
+# shared routine), and the pool telemetry test (workers recording into
+# one shared collector while the modeled counters and per-line cycle
+# attribution stay bit-identical to a serial run).
 concurrency:
-	$(GO) test -race -run 'Concurrent|ExecParallelDeterminism|ExecJIT' ./...
+	$(GO) test -race -run 'Concurrent|^TestExec' ./...
 
 # Modeled fields are the correctness signal: regenerate the committed
-# f90y-bench/v1 records (serial writer path, interpreter and -exec-jit)
+# f90y-bench/v1 record (serial writer path, every flag at its default)
 # and fail unless every field but phases[].micros is unchanged.
 modeled-check:
 	GO="$(GO)" ./scripts/modeled_check.sh
@@ -155,34 +156,30 @@ soak:
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
-# Compiled-executor bit-identity smoke: SWE plus the layout kernel trio
-# run under the interpreter and the JIT (stores, output, and every
-# modeled cycle plane must match exactly), and an oracle-verified JIT
-# run of SWE across worker counts.
+# Executor-engine smoke: SWE through the three-way differential oracle
+# under each engine selection, across worker counts. (The kernel-by-
+# kernel bit-identity sweep, TestJITSmoke, runs with the suite in `race`.)
 jit-smoke:
-	$(GO) test -run 'JITSmoke' -count=1 .
+	$(GO) test -run 'JITSmokeOracle' -count=1 .
 
-# Sharded-executor scaling: SWE wall-clock across -exec-workers 1/2/4/8,
-# interpreted and JIT-compiled (modeled metrics are identical across all
-# eight by construction; see EXPERIMENTS.md).
+# Sharded-executor scaling: SWE wall-clock across -exec-workers 1/2/4/8
+# (modeled metrics are identical across all four by construction; see
+# EXPERIMENTS.md).
 bench-exec:
-	$(GO) test -bench 'SWE_ExecWorkers|ExecJIT' -benchmem -run '^$$' .
+	$(GO) test -bench 'SWE_ExecWorkers' -benchmem -run '^$$' .
 
 # Time the full experiment suite serial vs parallel and write the
 # f90y-batch/v1 comparison record.
 bench-batch:
 	$(GO) run ./cmd/swebench -bench-batch -o BENCH_batch.json
 
-# Refresh the committed baseline records: the f90y-bench/v1 JSON for
-# the paper-scale SWE run (with its profile summary), the same run with
-# the compiled executor (modeled fields must stay identical; only
-# phase wall-clock and the exec_jit marker differ), then the
-# sharded-executor scaling benchmarks — interpreted and JIT — for the
-# wall-clock numbers quoted in EXPERIMENTS.md.
+# Refresh the committed baseline record: the f90y-bench/v1 JSON for the
+# paper-scale SWE run (with its profile summary), then the
+# sharded-executor scaling benchmark for the wall-clock numbers quoted
+# in EXPERIMENTS.md.
 bench-record:
 	$(GO) run ./cmd/swebench -json -n 512 -steps 2 -o BENCH_baseline.json
-	$(GO) run ./cmd/swebench -json -exec-jit -n 512 -steps 2 -o BENCH_jit.json
-	$(GO) test -bench 'SWE_ExecWorkers|ExecJIT' -benchmem -run '^$$' .
+	$(GO) test -bench 'SWE_ExecWorkers' -benchmem -run '^$$' .
 
 # clean removes generated benchmark outputs but keeps the committed
 # BENCH_baseline.json (refresh it with bench-record).

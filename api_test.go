@@ -1,6 +1,11 @@
 package f90y_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,5 +39,65 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 		if len(got) != 1 || got[0] != c.want {
 			t.Errorf("%v exports Run* methods %v, want exactly [%s]", c.typ, got, c.want)
 		}
+	}
+}
+
+// TestEngineFlagRetired is the tripwire against the executor engine
+// becoming a user's choice again: the engine is decided per dispatch in
+// cm2.ExecRoutineOpts, so no ExecJIT identifier may reappear in non-test
+// code, and the CLI surface stays at the 69 flags left after -exec-jit
+// went from f90yrun, f90yd and swebench — a new flag must say which old
+// one it retires (ROADMAP) and update this count.
+func TestEngineFlagRetired(t *testing.T) {
+	defining := map[string]bool{}
+	for _, typ := range []string{"Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Text"} {
+		defining[typ], defining[typ+"Var"] = true, true
+	}
+	defining["Var"], defining["Func"], defining["BoolFunc"] = true, true, true
+
+	flags := 0
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// bench/ is the benchmark's own module and pins the names it
+			// uses; dot-directories hold build output.
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		inCmd := strings.HasPrefix(filepath.ToSlash(path), "cmd/")
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if strings.Contains(n.Name, "ExecJIT") {
+					t.Errorf("%s: identifier %s: the engine flag is retired", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && inCmd && defining[sel.Sel.Name] {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" {
+						flags++
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flags != 69 {
+		t.Errorf("cmd/ declares %d flags, want 69", flags)
 	}
 }

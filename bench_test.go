@@ -85,6 +85,8 @@ func BenchmarkSWE_F90Y(b *testing.B) {
 // metrics (gflops, cycles) are identical across sub-benchmarks by
 // construction — only host wall-clock (ns/op) changes, which is the
 // point: the speedup EXPERIMENTS.md records comes from this benchmark.
+// The engine is the production default: every SWE routine here spans
+// many chunks, so each is translated on its first dispatch.
 // Larger than benchN so each routine dispatch spans many 4096-element
 // chunks.
 func BenchmarkSWE_ExecWorkers(b *testing.B) {
@@ -98,34 +100,6 @@ func BenchmarkSWE_ExecWorkers(b *testing.B) {
 			var last *cm2.Result
 			for i := 0; i < b.N; i++ {
 				res, err := comp.Run(context.Background(), &cm2.Control{ExecWorkers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.GFLOPS(), "gflops-modeled")
-			b.ReportMetric(last.TotalCycles(), "cycles-modeled")
-		})
-	}
-}
-
-// BenchmarkExecJIT is BenchmarkSWE_ExecWorkers with the compiled
-// closure executor engaged: same compilation, same worker sweep, same
-// modeled metrics (which are identical to the interpreter's by
-// construction — compare cycles-modeled across the two benchmarks to
-// confirm). The wall-clock ratio between matching sub-benchmarks is
-// the JIT speedup EXPERIMENTS.md records.
-func BenchmarkExecJIT(b *testing.B) {
-	src := workload.SWE(512, benchSteps)
-	comp, err := Compile("swe.f90", src, DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(name("workers", w), func(b *testing.B) {
-			var last *cm2.Result
-			for i := 0; i < b.N; i++ {
-				res, err := comp.Run(context.Background(), &cm2.Control{ExecWorkers: w, ExecJIT: true})
 				if err != nil {
 					b.Fatal(err)
 				}

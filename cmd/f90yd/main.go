@@ -7,7 +7,7 @@
 //
 //	f90yd [-addr 127.0.0.1:8090] [-addr-file path] [-workers N]
 //	      [-queue-depth 64] [-request-timeout 60s] [-drain-timeout 15s]
-//	      [-max-cycles 2e9] [-exec-workers N] [-exec-jit] [-tenant-inflight 8]
+//	      [-max-cycles 2e9] [-exec-workers N] [-tenant-inflight 8]
 //	      [-max-source-bytes 1048576] [-tenant-max-cycles 0]
 //	      [-cache-entries 512] [-cache-bytes 268435456]
 //
@@ -55,7 +55,6 @@ var (
 	flagDrainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace for in-flight jobs on SIGTERM before they are killed")
 	flagMaxCycles    = flag.Float64("max-cycles", 2e9, "default modeled-cycle budget per job (rt.ErrBudget on overrun)")
 	flagExecWorkers  = flag.Int("exec-workers", 0, "default executor sharding per job (0/1 = serial, <0 = GOMAXPROCS)")
-	flagExecJIT      = flag.Bool("exec-jit", false, "run node routines through the compiled closure executor (bit-identical results; wall-clock only)")
 	flagTenantJobs   = flag.Int("tenant-inflight", 8, "max queued+running jobs per tenant (0 = unlimited)")
 	flagTenantCycles = flag.Float64("tenant-max-cycles", 0, "per-tenant cap on a job's requested cycle budget (0 = server default only)")
 	flagTenantExecW  = flag.Int("tenant-exec-workers", 8, "per-tenant cap on requested executor sharding")
@@ -89,7 +88,6 @@ func main() {
 		RequestTimeout: *flagReqTimeout,
 		MaxCycles:      *flagMaxCycles,
 		ExecWorkers:    *flagExecWorkers,
-		ExecJIT:        *flagExecJIT,
 		Quotas: server.Quotas{
 			MaxInFlight:    *flagTenantJobs,
 			MaxCycles:      *flagTenantCycles,

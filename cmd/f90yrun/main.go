@@ -7,7 +7,7 @@
 //	f90yrun [-target cm2|cm5] [-pes 2048] [-verify] [-metrics] [-trace out.json]
 //	        [-profile] [-profile-pprof swe.pb.gz] [-profile-folded swe.folded]
 //	        [-timeout 30s] [-max-cycles N] [-numeric off|trap|record]
-//	        [-exec-workers N] [-exec-jit] [-faults spec] [-checkpoint-every N]
+//	        [-exec-workers N] [-faults spec] [-checkpoint-every N]
 //	        [-checkpoint file.ckpt] [-resume file.ckpt]
 //	        [-distribute a=cyclic]... file.f90
 //
@@ -56,14 +56,13 @@
 // count; only host wall-clock changes. The analytic cycle model is
 // untouched: it prices the simulated machine, not the host.
 //
-// -exec-jit switches the node-routine executor from the PEAC
-// interpreter to the compiled engine: each routine is translated once
-// into a chain of specialized Go closures (operand kinds, masks, and
-// comparison predicates resolved at build time). Results — stores,
-// output, error strings, modeled cycle totals, numeric tallies — are
-// bit-identical to the interpreter for every -exec-workers value; only
-// host wall-clock changes. Composes with -exec-workers: the compiled
-// program dispatches from the same sharded chunk-worker pool.
+// There is no engine flag: a node routine is translated into a chain of
+// specialized Go closures the first time it is dispatched over more
+// than one 4,096-element chunk or the second time it is dispatched at
+// all, and interpreted before that (DESIGN.md "Executor tiers").
+// Results are bit-identical either way; -metrics counts which ran
+// (exec/engine/*) and why a fast chain was refused
+// (exec/fastpath-refused/*).
 //
 // -faults attaches a deterministic fault-injection plan (see
 // internal/faults.ParseSpec for the full key list). -checkpoint-every N
@@ -102,7 +101,6 @@ var (
 	flagMaxCyc  = flag.Float64("max-cycles", 0, "kill the run after this many modeled cycles (0 = no budget)")
 	flagNumeric = flag.String("numeric", "", "numeric-exception plane: off, trap, or record")
 	flagExecW   = flag.Int("exec-workers", 1, "shard each routine dispatch across N workers (1 = serial, <0 = GOMAXPROCS); results are bit-exact")
-	flagExecJIT = flag.Bool("exec-jit", false, "run node routines through the compiled closure executor (bit-identical to the interpreter; wall-clock only)")
 	flagFaults  = flag.String("faults", "", driver.FaultsHelp)
 	flagCkEvery = flag.Int("checkpoint-every", 0, "write a checkpoint every N host boundaries (0 = off)")
 	flagCkPath  = flag.String("checkpoint", "", "checkpoint file path (default <file>.ckpt)")
@@ -179,7 +177,6 @@ func main() {
 		MaxCycles:       *flagMaxCyc,
 		Numeric:         *flagNumeric,
 		ExecWorkers:     *flagExecW,
-		ExecJIT:         *flagExecJIT,
 	}.Build(file, cfg.Obs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "f90yrun:", err)

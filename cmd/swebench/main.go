@@ -5,7 +5,7 @@
 // Usage:
 //
 //	swebench [-n 1024] [-steps 4] [-experiment e1|e2|e3|e4|e5|e6|e7|all]
-//	         [-parallel N] [-exec-workers N] [-exec-jit]
+//	         [-parallel N] [-exec-workers N]
 //	swebench -json [-parallel N] [-o BENCH_swe.json] [-n 1024] [-steps 4]
 //	         [-profile] [-profile-pprof swe.pb.gz] [-profile-folded swe.folded]
 //	swebench -bench-batch [-parallel N] [-o BENCH_batch.json]
@@ -74,12 +74,6 @@
 // ranges (1 = serial, the default; N < 0 selects GOMAXPROCS). Every
 // table, record, and cycle total is bit-identical for every value —
 // only host wall-clock changes.
-//
-// -exec-jit swaps the PEAC interpreter for the compiled closure
-// executor on every run the suite dispatches (and records
-// "exec_jit": true in f90y-bench/v1). Like -exec-workers it is purely
-// a wall-clock lever: every table, record field, error string, and
-// modeled cycle is bit-identical to an interpreter run.
 package main
 
 import (
@@ -116,7 +110,6 @@ var (
 	flagSoak       = flag.Int("soak", 0, "chaos-soak: verify all kernels differentially, then sweep N seeds x fault plans x backends")
 	flagReproDir   = flag.String("repro-dir", "soak-repros", "directory for fault-invariance reproducer specs (-soak)")
 	flagExecW      = flag.Int("exec-workers", 1, "shard each routine dispatch across N chunk workers (1 = serial, <0 = GOMAXPROCS); results are bit-exact")
-	flagExecJIT    = flag.Bool("exec-jit", false, "run node routines through the compiled closure executor (bit-identical to the interpreter; wall-clock only)")
 	flagServeURL   = flag.String("serve-url", "", "load-generator client mode: fire a mixed job stream at a running f90yd and write a f90y-load/v1 record")
 	flagLoad       = flag.Int("load", 64, "with -serve-url: total requests to issue")
 	flagLoadW      = flag.Int("load-workers", 8, "with -serve-url: concurrent client connections")
@@ -144,12 +137,11 @@ func execWorkers() int {
 }
 
 // newService builds the shared compile-and-run service with the
-// -exec-workers and -exec-jit defaults applied, so every run the suite
-// dispatches shards (and compiles) its routines the same way.
+// -exec-workers default applied, so every run the suite dispatches
+// shards its routines the same way.
 func newService(workers int) *driver.Service {
 	svc := driver.New(workers)
 	svc.ExecWorkers = execWorkers()
-	svc.ExecJIT = *flagExecJIT
 	return svc
 }
 

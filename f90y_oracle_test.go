@@ -19,9 +19,10 @@ import (
 
 // FuzzOracle feeds fuzzer-generated programs through the differential
 // check: any program the compiler accepts must produce agreeing results
-// on the reference interpreter and both machine backends, under both
-// executor engines (interpreted and JIT-compiled) — the fuzzer is part
-// of the gate that keeps the compiled engine bit-exact. Inputs that
+// on the reference interpreter and both machine backends, under every
+// executor engine selection (forced reference evaluator, forced compiled
+// chains, and the tiered production default) — the fuzzer is part of the
+// gate that keeps the engines bit-exact. Inputs that
 // fail to compile, exceed the cycle/step/size guards, or trip known
 // semantic gaps between the backends are skipped; a genuine divergence
 // or a compiler panic fails the run.
@@ -42,17 +43,18 @@ func FuzzOracle(f *testing.F) {
 		}()
 		// Tight guards keep throughput up: an interpreter statement can
 		// touch every lane of every array, so the step and element
-		// limits multiply into the worst-case cost per exec. Both
-		// executor engines must pass; divergence handling below applies
-		// to whichever engine failed first.
+		// limits multiply into the worst-case cost per exec. Every
+		// engine selection must pass; divergence handling below applies
+		// to whichever failed first.
 		var rep *oracle.Report
 		var err error
-		for _, jit := range []bool{false, true} {
-			rep, err = oracle.Verify("fuzz.f90", src, oracle.Options{
-				MaxCycles:   2_000_000,
-				InterpSteps: 20_000,
-				MaxElems:    1 << 10,
-				ExecJIT:     jit,
+		for _, sel := range engineSelections {
+			withEngine(sel.e, func() {
+				rep, err = oracle.Verify("fuzz.f90", src, oracle.Options{
+					MaxCycles:   2_000_000,
+					InterpSteps: 20_000,
+					MaxElems:    1 << 10,
+				})
 			})
 			if err != nil {
 				break

@@ -107,7 +107,7 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 	if ctl != nil {
 		r.inj, comm.Faults = ctl.Faults, ctl.Faults
 		res.Numeric = ctl.Numeric
-		r.exec.Num, r.exec.Workers, r.exec.JIT = ctl.Numeric, ctl.ExecWorkers, ctl.ExecJIT
+		r.exec.Num, r.exec.Workers = ctl.Numeric, ctl.ExecWorkers
 		hctl = &hostvm.Ctl{
 			Faults: ctl.Faults, CheckpointEvery: ctl.CheckpointEvery, MaxCycles: ctl.MaxCycles,
 			ExtraCycles: func() float64 { return res.PECycles + comm.Cycles },

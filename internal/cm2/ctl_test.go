@@ -283,6 +283,58 @@ func TestResumeAtEveryBoundaryConserves(t *testing.T) {
 	})
 }
 
+// TestResumeAcrossEngineSwitch: the executor interprets a routine's cold
+// single-chunk first dispatch and compiles from its second, and that
+// state belongs to the process, not the snapshot. So a resume lands on
+// either side of the switch: in a new process every routine is unseen
+// and its first dispatch after the resume point is interpreted; in the
+// process that took the snapshot the routines it already dispatched once
+// resume straight into compiled code. Both must reproduce the
+// uninterrupted run exactly, at every boundary.
+func TestResumeAcrossEngineSwitch(t *testing.T) {
+	errStop := errors.New("stop at this boundary")
+	eachTarget(t, func(t *testing.T, tg *cm2.Target) {
+		ctl, cks := checkpointing(1, cm2.Control{})
+		clean := mustRun(t, tg, compileCtl(t), ctl)
+		resume := func(prog *fe.Program, ck *rt.Checkpoint) (outcome, map[string]float64) {
+			col := obs.NewCollector()
+			res, split, err := tg.Run(context.Background(), prog, nil, col, &cm2.Control{Resume: ck})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return outcome{res, split}, col.Counters()
+		}
+		var cold, compiled float64
+		for i, ck := range *cks {
+			out, c := resume(compileCtl(t), ck)
+			sameResult(t, "resumed in a new process", clean, out)
+			cold += c["exec/engine/reference-cold"]
+
+			// Replay the process that took snapshot i: run to boundary i,
+			// die there, resume on the same program.
+			prog, seen := compileCtl(t), 0
+			_, err := run(tg, prog, &cm2.Control{CheckpointEvery: 1, Checkpoint: func(*rt.Checkpoint) error {
+				if seen++; seen > i {
+					return errStop
+				}
+				return nil
+			}})
+			if !errors.Is(err, errStop) {
+				t.Fatalf("boundary %d: run ended with %v, want the planted stop", i, err)
+			}
+			out, c = resume(prog, ck)
+			sameResult(t, "resumed in the snapshot's process", clean, out)
+			compiled += c["exec/engine/compiled"]
+			if t.Failed() {
+				t.Fatalf("boundary %d (next op %d, in loop %v, iter %d)", i, ck.NextOp, ck.InLoop, ck.IterDone)
+			}
+		}
+		if cold == 0 || compiled == 0 {
+			t.Errorf("resumed runs dispatched %v cold and %v compiled routines; the switch was never crossed", cold, compiled)
+		}
+	})
+}
+
 // TestResumeRejectsOtherMachine: a snapshot's cycle buckets price the
 // machine that took it, so the other machine refuses it with
 // rt.ErrCkptMachine before touching the store.
@@ -538,10 +590,13 @@ func TestNumericRecord(t *testing.T) {
 // target, so a cm2 and a cm5 run of the same program report the same
 // counter and histogram series; the cm5 adds exactly its node split.
 func TestTargetsReportSameSeries(t *testing.T) {
-	prog := compileCtl(t)
 	series := func(tg *cm2.Target) (counters, hists map[string]bool) {
 		col := obs.NewCollector()
-		if _, _, err := tg.Run(context.Background(), prog, nil, col, nil); err != nil {
+		// A fresh compile per target: which engine a dispatch runs depends
+		// on whether this process has dispatched the routine before. The
+		// record plane makes the fused loop body refuse its fast chain.
+		ctl := &cm2.Control{Numeric: rt.NewNumeric(rt.NumericRecord)}
+		if _, _, err := tg.Run(context.Background(), compileCtl(t), nil, col, ctl); err != nil {
 			t.Fatal(err)
 		}
 		counters, hists = map[string]bool{}, map[string]bool{}
@@ -567,7 +622,8 @@ func TestTargetsReportSameSeries(t *testing.T) {
 	if !reflect.DeepEqual(h2, h5) || !h2["cm2/dispatch-cycles"] {
 		t.Errorf("histogram series: cm2 %v, cm5 %v; want equal and with cm2/dispatch-cycles", h2, h5)
 	}
-	for _, name := range []string{"exec/comm-calls", "exec/routine/Pk0"} {
+	for _, name := range []string{"exec/comm-calls", "exec/routine/Pk0",
+		"exec/engine/reference-cold", "exec/engine/compiled", "exec/fastpath-refused/numeric-plane"} {
 		if !c2[name] {
 			t.Errorf("%s missing on both targets: %v", name, c2)
 		}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"f90y/internal/nir"
 	"f90y/internal/obs"
 	"f90y/internal/peac"
 	"f90y/internal/rt"
@@ -41,7 +40,8 @@ type stream struct {
 var TestOnlyPerturb func(routine string, store *rt.Store)
 
 // ExecOpts configures one routine execution beyond the routine, shape,
-// and store themselves. The zero value is the plain serial path.
+// and store themselves. The zero value is the production default: serial,
+// engine chosen per dispatch by the tier rule (jitFor).
 type ExecOpts struct {
 	// Num attaches the numeric-exception plane: destination lanes of
 	// every can-trap float op are scanned for NaN/Inf after execution.
@@ -70,11 +70,11 @@ type ExecOpts struct {
 	// it never feeds modeled cycles, so attaching a recorder cannot
 	// perturb results. Nil (or a serial run) records nothing.
 	Rec obs.Recorder
-	// JIT selects the compiled executor (see jit.go): the routine is
-	// translated once into specialized per-instruction closures and the
-	// chain runs per chunk instead of the interpreter. Results, error
-	// strings, modeled cycles, and numeric tallies are bit-identical to
-	// the interpreter for every worker count; only wall-clock changes.
+	// JIT translates the routine on its first dispatch instead of
+	// waiting for jitFor's tier rule (see jit.go). Results, error
+	// strings, modeled cycles, and numeric tallies are bit-identical
+	// whichever engine runs, for every worker count; only wall-clock
+	// changes.
 	JIT bool
 }
 
@@ -141,17 +141,6 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 		s *= ext[d]
 	}
 
-	// Size the register file from the routine itself so register-file
-	// ablations (pe.Options.VRegs) execute unchanged.
-	nregs := peac.NumVRegs
-	for _, in := range r.Body {
-		for _, o := range []peac.Operand{in.A, in.B, in.C, in.D} {
-			if o.Kind == peac.VReg && o.N >= nregs {
-				nregs = o.N + 1
-			}
-		}
-	}
-
 	nchunks := (n + chunkSize - 1) / chunkSize
 	workers := o.Workers
 	if workers < 0 {
@@ -161,20 +150,20 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 		workers = nchunks
 	}
 
-	// Engine selection: the interpreter (execChunk) or the compiled
-	// kernel chain (jit.go). Both paths share the chunk grid, the
-	// worker pool, the workspace pool, and the numeric plane, so the
-	// choice changes wall-clock only.
-	var prog *jitProgram
+	// Engine selection, the one place it happens: the interpreter
+	// (execChunk) or a compiled kernel chain (jit.go), by jitFor's tier
+	// rule unless the caller or a test pinned one. Both share the chunk
+	// grid, the worker pool, the workspace pool, and the numeric plane, so
+	// the choice changes wall-clock only. One counter per dispatch says
+	// which ran and, when the fast chain was refused, why.
+	engine := TestOnlyEngine
+	if engine == EngineTiered && o.JIT {
+		engine = EngineCompiled
+	}
+	var chain *jitChain
 	var jstreams []stream
-	nbcast := 0
-	optOK := false
-	if o.JIT {
-		prog = jitFor(r)
-		if prog.nregs > nregs {
-			nregs = prog.nregs
-		}
-		nbcast = len(prog.scalarRegs)
+	nregs, nbcast := regFileSize(r), 0
+	if prog := jitFor(r, n, engine); prog != nil {
 		// Kernels index streams by pointer register once per strip, so
 		// they get a dense slice instead of the map.
 		maxReg := -1
@@ -187,36 +176,27 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 		for reg, st := range streams {
 			jstreams[reg] = st
 		}
-		// The optimized chain is valid unless one of its hazard stream
-		// pairs — a store that executes between an elided load and one
-		// of its redirected reads — binds the same array as the load in
-		// this dispatch, or a sunk store's array is Integer32 (its
-		// bypassed StoreLanes would have truncated, not copied).
-		optOK = true
-		for _, hz := range prog.hazards {
-			if streams[hz[0]].arr == streams[hz[1]].arr {
-				optOK = false
-				break
-			}
+		var refused string
+		chain, refused = prog.chainFor(r, jstreams, o.Num)
+		nbcast = len(chain.scalarRegs)
+		obs.Add(o.Rec, "exec/engine/compiled", 1)
+		if refused != "" {
+			obs.Add(o.Rec, "exec/fastpath-refused/"+refused, 1)
 		}
-		for _, s := range prog.sunk {
-			if streams[s].arr.Kind == nir.Integer32 {
-				optOK = false
-				break
-			}
-		}
+	} else if engine == EngineTiered {
+		obs.Add(o.Rec, "exec/engine/reference-cold", 1)
 	}
 	setup := func(ws *workspace) {
-		if prog != nil {
-			prog.bindScalars(ws, scalars)
+		if chain != nil {
+			chain.bindScalars(ws, scalars, min(n, chunkSize))
 		}
 	}
 	runChunk := func(ws *workspace, start, w int, num *rt.Numeric) error {
-		if prog != nil {
+		if chain != nil {
 			env := jitEnv{ws: ws, streams: jstreams, start: start, w: w,
 				ext: ext, lo: lo, strideBelow: strideBelow,
-				num: num, subgrid: o.Subgrid, npes: o.PEs, optOK: optOK}
-			return prog.execChunk(&env)
+				num: num, subgrid: o.Subgrid, npes: o.PEs}
+			return chain.execChunk(&env)
 		}
 		return execChunk(r, ws, streams, scalars, start, w, ext, lo, strideBelow, num, o.Subgrid, o.PEs)
 	}

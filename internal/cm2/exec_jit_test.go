@@ -1,8 +1,10 @@
 package cm2
 
-// Differential tests for the compiled executor (jit.go): every test
-// runs the interpreter as the reference and asserts the JIT is
-// bit-identical — stores compared by Float64bits, error strings byte
+// Differential tests for the executor's engines (jit.go): every test
+// runs the forced reference evaluator as the baseline and asserts the
+// forced compiled chains and the production default (tiered: cold
+// single-chunk first dispatch interpreted, everything else compiled)
+// are bit-identical — stores compared by Float64bits, error strings byte
 // for byte, numeric-plane tallies count for count — across chunk
 // boundaries and worker counts. The chained-memory regressions from
 // exec_par_test.go are re-run against the compiled path, which has its
@@ -11,6 +13,7 @@ package cm2
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -20,35 +23,97 @@ import (
 	"f90y/internal/shape"
 )
 
-// execJIT runs r over n elements with the compiled engine.
-func execJIT(t *testing.T, r *peac.Routine, st *rt.Store, n, workers int) error {
-	t.Helper()
-	return ExecRoutineOpts(context.Background(), r, shape.Of(n), st, ExecOpts{JIT: true, Workers: workers})
+// selections are the three engine choices every differential covers.
+var selections = []struct {
+	name string
+	e    Engine
+}{
+	{"reference", EngineReference},
+	{"compiled", EngineCompiled},
+	{"default", EngineTiered},
 }
 
-// TestExecJITChunkBoundaries drives the compiled engine across every
-// chunk-boundary case the ISSUE names (n = 1, chunkSize-1, chunkSize,
-// chunkSize+1, plus a many-chunk count) and worker counts, asserting
-// bit-exact agreement with the serial interpreter.
-func TestExecJITChunkBoundaries(t *testing.T) {
-	r := chunkRoutine()
-	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
-		ref := chunkStore(n)
-		if err := execRoutine(r, shape.Of(n), ref); err != nil {
-			t.Fatalf("n=%d interpreter: %v", n, err)
-		}
-		for _, workers := range []int{1, 2, 8, -1} {
-			st := chunkStore(n)
-			if err := execJIT(t, r, st, n, workers); err != nil {
-				t.Fatalf("n=%d workers=%d jit: %v", n, workers, err)
+// execEngine runs one dispatch with the engine choice pinned. The pin is
+// process-wide (TestOnlyEngine), so these tests never run in parallel.
+func execEngine(e Engine, r *peac.Routine, n int, st *rt.Store, o ExecOpts) error {
+	TestOnlyEngine = e
+	defer func() { TestOnlyEngine = EngineTiered }()
+	return ExecRoutineOpts(context.Background(), r, shape.Of(n), st, o)
+}
+
+// fresh returns r with no tier memo: a routine no dispatch has seen, so
+// the default selection starts from its cold state however often the
+// original ran.
+func fresh(r *peac.Routine) *peac.Routine {
+	return &peac.Routine{Name: r.Name, Params: r.Params, Body: r.Body,
+		SpillSlots: r.SpillSlots, Pos: r.Pos, Dist: r.Dist}
+}
+
+// sameBits fails unless every named array is bit-identical in both stores.
+func sameBits(t *testing.T, label string, got, want *rt.Store, arrays ...string) {
+	t.Helper()
+	for _, name := range arrays {
+		for i, w := range want.Arrays[name].Data {
+			g := got.Arrays[name].Data[i]
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: %s[%d] = %v, want %v (not bit-exact)", label, name, i, g, w)
 			}
-			for i, want := range ref.Arrays["d"].Data {
-				got := st.Arrays["d"].Data[i]
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("n=%d workers=%d: d[%d] = %v, want %v (jit not bit-exact)", n, workers, i, got, want)
+		}
+	}
+}
+
+// sameTallies fails unless the two numeric planes recorded the same
+// per-class NaN and Inf counts.
+func sameTallies(t *testing.T, label string, got, want *rt.Numeric) {
+	t.Helper()
+	for cl, c := range want.NaN {
+		if got.NaN[cl] != c {
+			t.Errorf("%s: NaN[%s] = %d, want %d", label, cl, got.NaN[cl], c)
+		}
+	}
+	for cl, c := range want.Inf {
+		if got.Inf[cl] != c {
+			t.Errorf("%s: Inf[%s] = %d, want %d", label, cl, got.Inf[cl], c)
+		}
+	}
+	if got.Total() != want.Total() {
+		t.Errorf("%s: %d exceptional lanes tallied, want %d", label, got.Total(), want.Total())
+	}
+}
+
+// differential runs r over n elements under every engine selection and
+// worker count — twice per routine instance, so the default selection is
+// seen on a first dispatch (cold when n fits one chunk) and on a second
+// (always compiled) — and asserts the named arrays match the serial
+// forced-reference run bit for bit.
+func differential(t *testing.T, label string, r *peac.Routine, n int, mk func() *rt.Store, workers []int, arrays ...string) {
+	t.Helper()
+	ref := mk()
+	if err := execEngine(EngineReference, fresh(r), n, ref, ExecOpts{}); err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	for _, sel := range selections {
+		for _, w := range workers {
+			rr := fresh(r)
+			for pass := 1; pass <= 2; pass++ {
+				st := mk()
+				if err := execEngine(sel.e, rr, n, st, ExecOpts{Workers: w}); err != nil {
+					t.Fatalf("%s: %s workers=%d dispatch %d: %v", label, sel.name, w, pass, err)
 				}
+				sameBits(t, label+": "+sel.name, st, ref, arrays...)
 			}
 		}
+	}
+}
+
+// TestExecJITChunkBoundaries drives every engine selection across the
+// chunk-boundary cases (n = 1, chunkSize-1, chunkSize, chunkSize+1, plus
+// a many-chunk count) and worker counts, asserting bit-exact agreement
+// with the serial reference evaluator.
+func TestExecJITChunkBoundaries(t *testing.T) {
+	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
+		differential(t, fmt.Sprintf("n=%d", n), chunkRoutine(), n, func() *rt.Store { return chunkStore(n) },
+			[]int{1, 2, 8, -1}, "d")
 	}
 }
 
@@ -124,20 +189,7 @@ func TestExecJITChainedMemPositions(t *testing.T) {
 		return -1
 	}
 	for _, tc := range cases {
-		ref := parStore(n, tc.arrs, fill)
-		if err := execRoutine(tc.r, shape.Of(n), ref); err != nil {
-			t.Fatalf("%s interpreter: %v", tc.name, err)
-		}
-		st := parStore(n, tc.arrs, fill)
-		if err := execJIT(t, tc.r, st, n, 1); err != nil {
-			t.Fatalf("%s jit: %v", tc.name, err)
-		}
-		for i, want := range ref.Arrays["d"].Data {
-			got := st.Arrays["d"].Data[i]
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: d[%d] = %v, want %v", tc.name, i, got, want)
-			}
-		}
+		differential(t, tc.name, tc.r, n, func() *rt.Store { return parStore(n, tc.arrs, fill) }, []int{1}, "d")
 	}
 }
 
@@ -165,21 +217,14 @@ func TestExecJITIntegerStoreKind(t *testing.T) {
 		st.Arrays["d"] = di
 		return st
 	}
-	ref := mk()
-	if err := execRoutine(r, shape.Of(n), ref); err != nil {
-		t.Fatal(err)
-	}
+	differential(t, "intstore", r, n, mk, []int{1}, "d")
 	st := mk()
-	if err := execJIT(t, r, st, n, 1); err != nil {
+	if err := execEngine(EngineCompiled, fresh(r), n, st, ExecOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref.Arrays["d"].Data {
-		want, got := ref.Arrays["d"].Data[i], st.Arrays["d"].Data[i]
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("d[%d] = %v, want %v (integer store must truncate)", i, got, want)
-		}
+	for i, got := range st.Arrays["d"].Data {
 		if got != math.Trunc(got) {
-			t.Fatalf("d[%d] = %v is not an integer", i, got)
+			t.Fatalf("d[%d] = %v is not an integer (integer store must truncate)", i, got)
 		}
 	}
 }
@@ -237,13 +282,21 @@ func TestExecJITErrorStrings(t *testing.T) {
 		mk := func() *rt.Store {
 			return parStore(n, []string{"a", "d"}, func(name string, i int) float64 { return 1 })
 		}
-		ref := execRoutine(r, shape.Of(n), mk())
+		ref := execEngine(EngineReference, fresh(r), n, mk(), ExecOpts{})
 		if ref == nil {
-			t.Fatalf("%s: interpreter did not error", tc.name)
+			t.Fatalf("%s: reference evaluator did not error", tc.name)
 		}
-		got := execJIT(t, r, mk(), n, 1)
-		if got == nil || got.Error() != ref.Error() {
-			t.Errorf("%s: jit error %q, want interpreter error %q", tc.name, got, ref)
+		// n fits one chunk, so the default's first dispatch is the cold
+		// reference evaluator and its second the compiled chain: the user
+		// of a failing loop body must see one error string, not two.
+		for _, sel := range selections {
+			rr := fresh(r)
+			for pass := 1; pass <= 2; pass++ {
+				got := execEngine(sel.e, rr, n, mk(), ExecOpts{})
+				if got == nil || got.Error() != ref.Error() {
+					t.Errorf("%s: %s dispatch %d: error %q, want %q", tc.name, sel.name, pass, got, ref)
+				}
+			}
 		}
 	}
 }
@@ -279,22 +332,23 @@ func TestExecJITTrapIdentical(t *testing.T) {
 			return 1
 		})
 	}
-	run := func(jit bool, workers int) error {
+	run := func(e Engine, workers int) error {
 		num := &rt.Numeric{Mode: rt.NumericTrap}
-		return ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(),
-			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers, JIT: jit})
+		return execEngine(e, fresh(r), n, mk(), ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers})
 	}
-	ref := run(false, 1)
+	ref := run(EngineReference, 1)
 	if ref == nil || !errors.Is(ref, rt.ErrNumeric) {
-		t.Fatalf("interpreter trap = %v, want rt.ErrNumeric", ref)
+		t.Fatalf("reference trap = %v, want rt.ErrNumeric", ref)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		got := run(true, workers)
-		if got == nil || got.Error() != ref.Error() {
-			t.Errorf("jit workers=%d: trap %q, want %q", workers, got, ref)
-		}
-		if !errors.Is(got, rt.ErrNumeric) {
-			t.Errorf("jit workers=%d: trap does not wrap rt.ErrNumeric", workers)
+	for _, sel := range selections {
+		for _, workers := range []int{1, 2, 8} {
+			got := run(sel.e, workers)
+			if got == nil || got.Error() != ref.Error() {
+				t.Errorf("%s workers=%d: trap %q, want %q", sel.name, workers, got, ref)
+			}
+			if !errors.Is(got, rt.ErrNumeric) {
+				t.Errorf("%s workers=%d: trap does not wrap rt.ErrNumeric", sel.name, workers)
+			}
 		}
 	}
 }
@@ -336,32 +390,20 @@ func TestExecJITNumericRecordParity(t *testing.T) {
 			return 0
 		})
 	}
-	run := func(jit bool, workers int) *rt.Numeric {
+	run := func(e Engine, workers int) *rt.Numeric {
 		num := &rt.Numeric{Mode: rt.NumericRecord}
-		if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(),
-			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers, JIT: jit}); err != nil {
-			t.Fatalf("jit=%v workers=%d: %v", jit, workers, err)
+		if err := execEngine(e, fresh(r), n, mk(), ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers}); err != nil {
+			t.Fatalf("engine=%d workers=%d: %v", e, workers, err)
 		}
 		return num
 	}
-	ref := run(false, 1)
+	ref := run(EngineReference, 1)
 	if ref.Total() == 0 {
 		t.Fatal("record run tallied no exceptional lanes; test inputs are broken")
 	}
-	for _, workers := range []int{1, 4, -1} {
-		got := run(true, workers)
-		for cl, c := range ref.NaN {
-			if got.NaN[cl] != c {
-				t.Errorf("jit workers=%d: NaN[%s] = %d, want %d", workers, cl, got.NaN[cl], c)
-			}
-		}
-		for cl, c := range ref.Inf {
-			if got.Inf[cl] != c {
-				t.Errorf("jit workers=%d: Inf[%s] = %d, want %d", workers, cl, got.Inf[cl], c)
-			}
-		}
-		if got.Total() != ref.Total() {
-			t.Errorf("jit workers=%d: total %d, want %d", workers, got.Total(), ref.Total())
+	for _, sel := range selections {
+		for _, workers := range []int{1, 4, -1} {
+			sameTallies(t, fmt.Sprintf("%s workers=%d", sel.name, workers), run(sel.e, workers), ref)
 		}
 	}
 }
@@ -373,8 +415,8 @@ func TestExecJITNumericRecordParity(t *testing.T) {
 // failure is planted in the LAST chunk, so the monotone chunk-claim
 // order guarantees every earlier chunk is claimed (and runs to
 // completion) before the failing chunk cancels the pool: serial and
-// parallel tallies are deterministic and must be equal, under both
-// engines.
+// parallel tallies are deterministic and must be equal, under every
+// engine selection.
 func TestExecJITRecordMergeOnFailure(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Pfail",
@@ -413,34 +455,27 @@ func TestExecJITRecordMergeOnFailure(t *testing.T) {
 			return 0
 		})
 	}
-	run := func(jit bool, workers int) (*rt.Numeric, error) {
+	run := func(e Engine, workers int) (*rt.Numeric, error) {
 		num := &rt.Numeric{Mode: rt.NumericRecord}
-		err := ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(),
-			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers, JIT: jit})
+		err := execEngine(e, fresh(r), n, mk(), ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers})
 		return num, err
 	}
-	refNum, refErr := run(false, 1)
+	refNum, refErr := run(EngineReference, 1)
 	if refErr == nil {
 		t.Fatal("serial run did not fail; test inputs are broken")
 	}
 	if refNum.Total() == 0 {
 		t.Fatal("serial failing run recorded no tallies; test inputs are broken")
 	}
-	for _, jit := range []bool{false, true} {
+	for _, sel := range selections {
 		for _, workers := range []int{1, 2, 8} {
-			num, err := run(jit, workers)
+			label := fmt.Sprintf("%s workers=%d", sel.name, workers)
+			num, err := run(sel.e, workers)
 			if err == nil || err.Error() != refErr.Error() {
-				t.Errorf("jit=%v workers=%d: err %q, want %q", jit, workers, err, refErr)
+				t.Errorf("%s: err %q, want %q", label, err, refErr)
 			}
-			if num.Total() != refNum.Total() {
-				t.Errorf("jit=%v workers=%d: failing run tallied %d lanes, want %d (record planes dropped on error path)",
-					jit, workers, num.Total(), refNum.Total())
-			}
-			for cl, c := range refNum.Inf {
-				if num.Inf[cl] != c {
-					t.Errorf("jit=%v workers=%d: Inf[%s] = %d, want %d", jit, workers, cl, num.Inf[cl], c)
-				}
-			}
+			// A shortfall here is record planes dropped on the error path.
+			sameTallies(t, label, num, refNum)
 		}
 	}
 }
@@ -477,20 +512,7 @@ func TestExecJITScalarAndNoOperand(t *testing.T) {
 		st.Scalars["s"] = 3.5
 		return st
 	}
-	ref := mk()
-	if err := execRoutine(r, shape.Of(n), ref); err != nil {
-		t.Fatal(err)
-	}
-	st := mk()
-	if err := execJIT(t, r, st, n, 1); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range ref.Arrays["d"].Data {
-		got := st.Arrays["d"].Data[i]
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("d[%d] = %v, want %v", i, got, want)
-		}
-	}
+	differential(t, "scalars", r, n, mk, []int{1}, "d")
 }
 
 // fuseRoutine builds "t = a ?1 b; d0 = acc ?2 s (or s ?2 acc); store"
@@ -538,24 +560,9 @@ func TestExecJITFusedPairs(t *testing.T) {
 	for _, op1 := range ops {
 		for _, op2 := range ops {
 			for _, accLeft := range []bool{true, false} {
-				r := fuseRoutine(op1, op2, accLeft)
-				ref := parStore(n, []string{"a", "b", "d"}, fill)
-				if err := execRoutine(r, shape.Of(n), ref); err != nil {
-					t.Fatalf("%v/%v interpreter: %v", op1, op2, err)
-				}
-				for _, workers := range []int{1, 4} {
-					st := parStore(n, []string{"a", "b", "d"}, fill)
-					if err := execJIT(t, r, st, n, workers); err != nil {
-						t.Fatalf("%v/%v jit: %v", op1, op2, err)
-					}
-					for i, want := range ref.Arrays["d"].Data {
-						got := st.Arrays["d"].Data[i]
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("op1=%v op2=%v accLeft=%v workers=%d: d[%d] = %v, want %v",
-								op1, op2, accLeft, workers, i, got, want)
-						}
-					}
-				}
+				differential(t, fmt.Sprintf("op1=%v op2=%v accLeft=%v", op1, op2, accLeft),
+					fuseRoutine(op1, op2, accLeft), n,
+					func() *rt.Store { return parStore(n, []string{"a", "b", "d"}, fill) }, []int{1, 4}, "d")
 			}
 		}
 	}
@@ -588,22 +595,7 @@ func TestExecJITSinkAliasing(t *testing.T) {
 		}
 		return float64(i%5) + 1
 	}
-	ref := parStore(n, []string{"a", "b"}, fill)
-	if err := execRoutine(r, shape.Of(n), ref); err != nil {
-		t.Fatalf("interpreter: %v", err)
-	}
-	for _, workers := range []int{1, 4} {
-		st := parStore(n, []string{"a", "b"}, fill)
-		if err := execJIT(t, r, st, n, workers); err != nil {
-			t.Fatalf("jit workers=%d: %v", workers, err)
-		}
-		for i, want := range ref.Arrays["a"].Data {
-			got := st.Arrays["a"].Data[i]
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("workers=%d: a[%d] = %v, want %v", workers, i, got, want)
-			}
-		}
-	}
+	differential(t, "sinkalias", r, n, func() *rt.Store { return parStore(n, []string{"a", "b"}, fill) }, []int{1, 4}, "a")
 }
 
 // TestExecJITFusionLiveness pins the planner's deadness rule: a register
@@ -637,23 +629,8 @@ func TestExecJITFusionLiveness(t *testing.T) {
 		}
 		return 0
 	}
-	names := []string{"a", "b", "d", "e"}
-	ref := parStore(n, names, fill)
-	if err := execRoutine(r, shape.Of(n), ref); err != nil {
-		t.Fatalf("interpreter: %v", err)
-	}
-	st := parStore(n, names, fill)
-	if err := execJIT(t, r, st, n, 2); err != nil {
-		t.Fatalf("jit: %v", err)
-	}
-	for _, name := range []string{"d", "e"} {
-		for i, want := range ref.Arrays[name].Data {
-			got := st.Arrays[name].Data[i]
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s[%d] = %v, want %v", name, i, got, want)
-			}
-		}
-	}
+	differential(t, "liveness", r, n,
+		func() *rt.Store { return parStore(n, []string{"a", "b", "d", "e"}, fill) }, []int{2}, "d", "e")
 }
 
 // TestExecJITFusedNumericRecord runs a fusable chain with the numeric
@@ -672,37 +649,21 @@ func TestExecJITFusedNumericRecord(t *testing.T) {
 		}
 		return 0
 	}
-	run := func(jit bool) (*rt.Numeric, *rt.Store) {
+	run := func(e Engine) (*rt.Numeric, *rt.Store) {
 		st := parStore(n, []string{"a", "b", "d"}, fill)
 		num := &rt.Numeric{Mode: rt.NumericRecord}
-		if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), st,
-			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: 2, JIT: jit}); err != nil {
-			t.Fatalf("jit=%v: %v", jit, err)
+		if err := execEngine(e, fresh(r), n, st, ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: 2}); err != nil {
+			t.Fatalf("engine=%d: %v", e, err)
 		}
 		return num, st
 	}
-	wantNum, wantSt := run(false)
-	gotNum, gotSt := run(true)
+	wantNum, wantSt := run(EngineReference)
 	if wantNum.Total() == 0 {
 		t.Fatal("record run tallied no exceptional lanes; test inputs are broken")
 	}
-	if gotNum.Total() != wantNum.Total() {
-		t.Fatalf("total tallies: jit %d, interp %d", gotNum.Total(), wantNum.Total())
-	}
-	for cl, c := range wantNum.NaN {
-		if gotNum.NaN[cl] != c {
-			t.Fatalf("NaN[%s] = %d, want %d", cl, gotNum.NaN[cl], c)
-		}
-	}
-	for cl, c := range wantNum.Inf {
-		if gotNum.Inf[cl] != c {
-			t.Fatalf("Inf[%s] = %d, want %d", cl, gotNum.Inf[cl], c)
-		}
-	}
-	for i, want := range wantSt.Arrays["d"].Data {
-		got := gotSt.Arrays["d"].Data[i]
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("d[%d] = %v, want %v", i, got, want)
-		}
+	for _, sel := range selections {
+		gotNum, gotSt := run(sel.e)
+		sameTallies(t, sel.name, gotNum, wantNum)
+		sameBits(t, sel.name, gotSt, wantSt, "d")
 	}
 }

@@ -31,55 +31,90 @@ package cm2
 //     lanes; the class string, mnemonic, and can-trap gate are merely
 //     precomputed per instruction instead of per chunk.
 //
-// The interpreter remains the oracle's reference path; the JIT is
-// selected per run (ExecOpts.JIT / Control.ExecJIT) and is gated behind
-// the three-way differential oracle and the fault-invariance soak.
+// Which engine a dispatch runs is decided in one place, jitFor, from a
+// property of the dispatch itself (see "Executor tiers" in DESIGN.md);
+// the interpreter remains the differential tests' reference and the
+// evaluator of cold single-chunk dispatches.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
+	"f90y/internal/nir"
 	"f90y/internal/peac"
 	"f90y/internal/rt"
 )
 
-// jitProgram is one routine's compiled form, cached on the routine
-// itself (peac.Routine.JIT) so a long-lived artifact compiles at most
-// once per process however many runs share it.
-type jitProgram struct {
-	nregs int // register-file size (mirrors ExecRoutineOpts's sizing)
+// Engine names how ExecRoutineOpts evaluates a routine.
+type Engine int
+
+const (
+	// EngineTiered is production: a routine is translated the first time
+	// it is dispatched over more than one chunk or the second time it is
+	// dispatched at all; a cold single-chunk first dispatch runs the
+	// reference evaluator, because translating (~15 µs) costs more than
+	// it saves on one such dispatch (~16 µs interpreted, ~10 compiled).
+	EngineTiered Engine = iota
+	// EngineReference is the execChunk interpreter on every dispatch.
+	EngineReference
+	// EngineCompiled translates on the first dispatch (ExecOpts.JIT).
+	EngineCompiled
+)
+
+// TestOnlyEngine, when not EngineTiered, overrides the engine choice of
+// every dispatch in the process. It exists solely so the differential
+// tests and the oracle can run one program under the reference
+// evaluator, the compiled chains, and the production tiering and compare
+// them; no flag, request field, Config or Control reaches it, and
+// production code never sets it.
+var TestOnlyEngine Engine
+
+// jitChain is one executable form of a routine: the kernels in
+// instruction order plus what running them needs from the dispatcher.
+type jitChain struct {
+	kernels []jitKernel
 	// scalarRegs maps each broadcast buffer (dense index) to the scalar
 	// register it materializes; bindScalars fills the buffers per worker.
 	scalarRegs []int
-	kernels    []jitKernel
-	// opt is the load-elided variant of the chain (see planLoadElim):
-	// FLODV copies whose register reads can all be redirected to
-	// zero-copy array windows compile to nothing, and the readers read
-	// the arrays in place. Valid only when none of the plan's hazard
-	// stream pairs alias at dispatch (jitEnv.elimOK); nil when the plan
-	// found nothing to elide.
-	opt []jitKernel
+	// pure marks a chain with no error kernels — static (unbound
+	// pointer, unimplemented opcode) or data-dependent (IntOp divide and
+	// mod). A pure chain cannot fail, which licenses the cache-tiled
+	// execution order in execChunk.
+	pure bool
+}
+
+// jitProgram is one routine's translated form, cached on the routine
+// itself (peac.Routine.Tier) so a long-lived artifact translates at most
+// once per process however many runs share it.
+type jitProgram struct {
+	// opt is the fast chain (see planOpt): dead loads elided and read in
+	// place, adjacent pairs fused, stores sunk into their producers. Nil
+	// when the plan found nothing to do; otherwise a dispatch runs it
+	// unless chainFor refuses.
+	opt *jitChain
+	// ref is the reference chain, one kernel per instruction. It is
+	// built at translation when there is no opt chain, and otherwise
+	// only when a dispatch first refuses the opt chain — most routines
+	// never need both. Concurrent refusals may each build it; the builds
+	// are equivalent and the last store wins.
+	ref atomic.Pointer[jitChain]
 	// hazards are the (loaded stream, stored stream) pairs whose
 	// aliasing would let a store change what an elided load would have
-	// copied; ExecRoutineOpts checks them against the actual bindings
-	// once per dispatch.
+	// copied; chainFor checks them against the actual bindings once per
+	// dispatch.
 	hazards [][2]int
 	// sunk lists the stream registers whose stores were sunk into their
 	// producer kernels (see planFuse). A sunk store bypasses StoreLanes,
-	// which is only a plain copy for Real arrays, so ExecRoutineOpts
-	// re-checks the bound arrays' kinds once per dispatch.
+	// which is only a plain copy for Real arrays, so chainFor re-checks
+	// the bound arrays' kinds once per dispatch.
 	sunk []int
 	// optNumOff marks an opt chain containing fused or sunk kernels,
 	// which skip the numeric-plane scan an intermediate destination
 	// would have received; such a chain is only selected when the plane
 	// is inactive.
 	optNumOff bool
-	// pure marks a chain with no error kernels — static (unbound
-	// pointer, unimplemented opcode) or data-dependent (IntOp divide and
-	// mod). A pure chain cannot fail, which licenses the cache-tiled
-	// execution order in execChunk.
-	pure bool
 }
 
 // jitEnv is the per-worker execution context a kernel chain runs in:
@@ -97,13 +132,6 @@ type jitEnv struct {
 	num         *rt.Numeric
 	subgrid     int
 	npes        int
-	// optOK reports that this dispatch's bindings satisfy the opt
-	// chain's preconditions: none of the program's hazard stream pairs
-	// bind the same array (a store through one of the paired registers
-	// then provably cannot change what the other's elided load would
-	// have copied), and every sunk store's array is Real, so the
-	// bypassed StoreLanes would have been a plain copy.
-	optOK bool
 }
 
 // jitKernel executes one instruction over the env's chunk window.
@@ -118,56 +146,141 @@ type jitSrc func(e *jitEnv) []float64
 // never-written lanes.
 var jitZeros = make([]float64, chunkSize)
 
-// jitFor returns r's compiled program, building and caching it on
-// first use. Concurrent first uses may both build (the cache is an
-// atomic box, not a once); every build is equivalent, so either result
-// serves all callers.
-func jitFor(r *peac.Routine) *jitProgram {
-	return r.JIT(func(r *peac.Routine) any { return compileRoutine(r) }).(*jitProgram)
+// jitCold is the tier memo of a routine that has been dispatched once
+// and not translated: its next dispatch translates.
+var jitCold = &jitProgram{}
+
+// jitFor decides the engine of one dispatch of r over n elements: it
+// returns r's translated form when the dispatch runs compiled — building
+// and caching it on first need — and nil when it runs the reference
+// evaluator. The tier memo is the only state: nil (never dispatched),
+// jitCold (dispatched once, single chunk), or the program. Concurrent
+// first dispatches of a shared routine may each see nil, and one of them
+// may translate while the other interprets; both engines are
+// bit-identical, so that is a property the tests pin, not a lock.
+func jitFor(r *peac.Routine, n int, e Engine) *jitProgram {
+	if e == EngineReference {
+		return nil
+	}
+	memo := r.Tier()
+	if p, _ := memo.(*jitProgram); p != nil && p != jitCold {
+		return p
+	}
+	if e == EngineTiered && memo == nil && n <= chunkSize {
+		r.AdvanceTier(nil, jitCold) // losing means another dispatch got here first
+		return nil
+	}
+	p := compileRoutine(r)
+	// Install over what was read, or over the cold mark a concurrent first
+	// dispatch slipped in; if a concurrent translation won instead, its
+	// program is equivalent and this dispatch just uses its own.
+	if !r.AdvanceTier(memo, p) {
+		r.AdvanceTier(jitCold, p)
+	}
+	return p
 }
 
-// compileRoutine translates the routine body into the kernel chain.
-// Everything the translation depends on — operand kinds, pointer
+// regFileSize sizes the register file from the routine itself so
+// register-file ablations (pe.Options.VRegs) execute unchanged.
+func regFileSize(r *peac.Routine) int {
+	nregs := peac.NumVRegs
+	for _, in := range r.Body {
+		for _, o := range []peac.Operand{in.A, in.B, in.C, in.D} {
+			if o.Kind == peac.VReg && o.N >= nregs {
+				nregs = o.N + 1
+			}
+		}
+	}
+	return nregs
+}
+
+// paramRegs classifies the routine's pointer registers: bound by any
+// stream parameter, and bound to a coordinate stream.
+func paramRegs(r *peac.Routine) (bound, coord map[int]bool) {
+	bound, coord = map[int]bool{}, map[int]bool{}
+	for _, pa := range r.Params {
+		switch pa.Kind {
+		case peac.ArrayParam:
+			bound[pa.Reg] = true
+		case peac.CoordParam:
+			bound[pa.Reg] = true
+			coord[pa.Reg] = true
+		}
+	}
+	return bound, coord
+}
+
+// compileRoutine translates the routine body into a kernel chain: the
+// opt chain when the plan finds anything to optimize, else the reference
+// chain. Everything the translation depends on — operand kinds, pointer
 // binding and coordinate-ness (fixed by Params), comparison predicates,
 // masks, IntOp — is a static property of the routine, so the result is
 // valid for every store and shape the routine later runs over.
 func compileRoutine(r *peac.Routine) *jitProgram {
-	p := &jitProgram{nregs: peac.NumVRegs}
-	for _, in := range r.Body {
-		for _, o := range []peac.Operand{in.A, in.B, in.C, in.D} {
-			if o.Kind == peac.VReg && o.N >= p.nregs {
-				p.nregs = o.N + 1
-			}
-		}
+	p := &jitProgram{}
+	bound, coord := paramRegs(r)
+	plan := planOpt(r, bound, coord)
+	if plan == nil {
+		p.ref.Store(buildChain(r, bound, coord, nil))
+		return p
 	}
-	b := &jitBuilder{prog: p, coord: map[int]bool{}, bound: map[int]bool{}, bcast: map[int]int{}}
-	for _, pa := range r.Params {
-		switch pa.Kind {
-		case peac.ArrayParam:
-			b.bound[pa.Reg] = true
-		case peac.CoordParam:
-			b.bound[pa.Reg] = true
-			b.coord[pa.Reg] = true
-		}
-	}
+	p.opt = buildChain(r, bound, coord, plan)
+	p.hazards = plan.hazards
+	p.sunk = plan.sunk
+	p.optNumOff = len(plan.fuse) > 0 || len(plan.sink) > 0
+	return p
+}
+
+// buildChain compiles the body under plan (nil: the reference chain).
+// Each chain owns its broadcast-buffer numbering and purity, so whichever
+// of a program's two chains is built first, or alone, is self-contained.
+func buildChain(r *peac.Routine, bound, coord map[int]bool, plan *elimPlan) *jitChain {
+	c := &jitChain{}
+	b := &jitBuilder{chain: c, coord: coord, bound: bound, bcast: map[int]int{}, plan: plan}
 	for idx, in := range r.Body {
 		if k := b.instr(idx, in); k != nil {
-			p.kernels = append(p.kernels, k)
+			c.kernels = append(c.kernels, k)
 		}
 	}
-	p.pure = !b.impure
-	if plan := planOpt(r, b.bound, b.coord); plan != nil {
-		b2 := &jitBuilder{prog: p, coord: b.coord, bound: b.bound, bcast: b.bcast, plan: plan}
-		for idx, in := range r.Body {
-			if k := b2.instr(idx, in); k != nil {
-				p.opt = append(p.opt, k)
+	c.pure = !b.impure
+	return c
+}
+
+// chainFor picks the chain one dispatch runs. The opt chain is valid
+// unless one of its hazard stream pairs — a store that executes between
+// an elided load and one of its redirected reads — binds the same array
+// as the load in this dispatch, the numeric plane is on and the chain
+// skips intermediate scans, or a sunk store's array is Integer32 (its
+// bypassed StoreLanes would have truncated, not copied). A refusal runs
+// the reference chain, built now if no dispatch needed it before, and
+// names its reason as counted under exec/fastpath-refused/.
+func (p *jitProgram) chainFor(r *peac.Routine, streams []stream, num *rt.Numeric) (c *jitChain, refused string) {
+	if p.opt != nil {
+		for _, hz := range p.hazards {
+			if streams[hz[0]].arr == streams[hz[1]].arr {
+				refused = "hazard-alias"
+				break
 			}
 		}
-		p.hazards = plan.hazards
-		p.sunk = plan.sunk
-		p.optNumOff = len(plan.fuse) > 0 || len(plan.sink) > 0
+		if refused == "" && p.optNumOff && num != nil && num.Mode != rt.NumericOff {
+			refused = "numeric-plane"
+		}
+		for _, s := range p.sunk {
+			if refused == "" && streams[s].arr.Kind == nir.Integer32 {
+				refused = "int32-sink"
+			}
+		}
+		if refused == "" {
+			return p.opt, ""
+		}
 	}
-	return p
+	c = p.ref.Load()
+	if c == nil {
+		bound, coord := paramRegs(r)
+		c = buildChain(r, bound, coord, nil)
+		p.ref.Store(c)
+	}
+	return c, refused
 }
 
 // planOpt assembles the opt chain's plan: dead-load elimination first
@@ -445,13 +558,16 @@ func planLoadElim(r *peac.Routine, bound, coord map[int]bool) *elimPlan {
 	return plan
 }
 
-// bindScalars fills the workspace's broadcast buffers from the run's
-// scalar bindings: one fill per worker per dispatch, after which every
-// scalar operand is an ordinary lane vector. An unbound scalar register
-// broadcasts 0, exactly like the interpreter's map lookup.
-func (p *jitProgram) bindScalars(ws *workspace, scalars map[int]float64) {
-	for j, reg := range p.scalarRegs {
-		buf := ws.bcast[j]
+// bindScalars fills the first lanes lanes of the workspace's broadcast
+// buffers from the run's scalar bindings: one fill per worker per
+// dispatch, after which every scalar operand is an ordinary lane vector.
+// lanes is the widest chunk window the dispatch has (min(n, chunkSize)):
+// kernels never read past their window, so a 256-element dispatch fills
+// 256 lanes, not 4,096. An unbound scalar register broadcasts 0, exactly
+// like the interpreter's map lookup.
+func (c *jitChain) bindScalars(ws *workspace, scalars map[int]float64, lanes int) {
+	for j, reg := range c.scalarRegs {
+		buf := ws.bcast[j][:lanes]
 		v := scalars[reg]
 		for i := range buf {
 			buf[i] = v
@@ -478,25 +594,21 @@ const jitStrip = 512
 // Anything that could observe the order difference (a data-dependent
 // error, a numeric trap or tally, which scans whole-chunk destinations
 // between instructions) forces the untiled reference order.
-func (p *jitProgram) execChunk(e *jitEnv) error {
+func (c *jitChain) execChunk(e *jitEnv) error {
 	numOff := e.num == nil || e.num.Mode == rt.NumericOff
-	ks := p.kernels
-	if p.opt != nil && e.optOK && (numOff || !p.optNumOff) {
-		ks = p.opt
-	}
-	if p.pure && e.w > jitStrip && numOff {
+	if c.pure && e.w > jitStrip && numOff {
 		start, w := e.start, e.w
 		for off := 0; off < w; off += jitStrip {
 			e.start = start + off
 			e.w = min(jitStrip, w-off)
-			for _, k := range ks {
+			for _, k := range c.kernels {
 				_ = k(e) // a pure chain cannot error
 			}
 		}
 		e.start, e.w = start, w
 		return nil
 	}
-	for _, k := range ks {
+	for _, k := range c.kernels {
 		if err := k(e); err != nil {
 			return err
 		}
@@ -504,9 +616,9 @@ func (p *jitProgram) execChunk(e *jitEnv) error {
 	return nil
 }
 
-// jitBuilder carries the per-routine compile state.
+// jitBuilder carries the compile state of one chain.
 type jitBuilder struct {
-	prog   *jitProgram
+	chain  *jitChain
 	bound  map[int]bool // pointer reg -> bound by a param
 	coord  map[int]bool // pointer reg -> bound to a coordinate stream
 	bcast  map[int]int  // scalar reg -> dense broadcast buffer index
@@ -561,9 +673,9 @@ func (b *jitBuilder) bcastIdx(n int) int {
 	if j, ok := b.bcast[n]; ok {
 		return j
 	}
-	j := len(b.prog.scalarRegs)
+	j := len(b.chain.scalarRegs)
 	b.bcast[n] = j
-	b.prog.scalarRegs = append(b.prog.scalarRegs, n)
+	b.chain.scalarRegs = append(b.chain.scalarRegs, n)
 	return j
 }
 
@@ -787,6 +899,47 @@ var (
 	errIntModZero = errors.New("mod by zero")
 )
 
+// laneOps maps each arithmetic opcode to its lane loop (FCMPV goes
+// through cmpOps, the IntOp divide and mod through their erroring
+// variants). Every loop has the one signature; a loop ignores the
+// sources its op does not have.
+var laneOps = map[peac.Opcode]func(dst, x, y, z []float64){
+	peac.FADDV:  lanesAdd,
+	peac.FSUBV:  lanesSub,
+	peac.FMULV:  lanesMul,
+	peac.FDIVV:  lanesDiv,
+	peac.FMODV:  lanesMod,
+	peac.FMINV:  lanesMin,
+	peac.FMAXV:  lanesMax,
+	peac.FMADDV: lanesFmadd,
+	peac.FMSUBV: lanesFmsub,
+	peac.FNEGV:  lanesNeg,
+	peac.FABSV:  lanesAbs,
+	peac.FSQRTV: lanesSqrt,
+	peac.FSINV:  lanesSin,
+	peac.FCOSV:  lanesCos,
+	peac.FTANV:  lanesTan,
+	peac.FEXPV:  lanesExp,
+	peac.FLOGV:  lanesLog,
+	peac.FTRNCV: lanesTrunc,
+	peac.FMOVV:  lanesMov,
+	peac.FNOTV:  lanesNot,
+	peac.FANDV:  lanesAnd,
+	peac.FORV:   lanesOr,
+	peac.FEQVV:  lanesEqv,
+	peac.FNEQV:  lanesNeqv,
+	peac.FSELV:  lanesSel,
+}
+
+var cmpOps = map[peac.CmpKind]func(dst, x, y, z []float64){
+	peac.CmpEQ: lanesCmpEQ,
+	peac.CmpNE: lanesCmpNE,
+	peac.CmpLT: lanesCmpLT,
+	peac.CmpLE: lanesCmpLE,
+	peac.CmpGT: lanesCmpGT,
+	peac.CmpGE: lanesCmpGE,
+}
+
 // arith compiles an arithmetic instruction. Sources resolve in the
 // interpreter's A, B, C order — including the unused C of a two-source
 // op, whose unbound chained operand must fault identically — then the
@@ -806,119 +959,27 @@ func (b *jitBuilder) arith(idx int, in peac.Instr) jitKernel {
 		return b.errKernel(err)
 	}
 
-	var (
-		f1  func(dst, x []float64)
-		f2  func(dst, x, y []float64)
-		f2e func(dst, x, y []float64) error
-		f3  func(dst, x, y, z []float64)
-	)
-	switch in.Op {
-	case peac.FADDV:
-		f2 = lanesAdd
-	case peac.FSUBV:
-		f2 = lanesSub
-	case peac.FMULV:
-		f2 = lanesMul
-	case peac.FDIVV:
-		if in.IntOp {
-			f2e = lanesDivInt
-			b.impure = true // data-dependent divide-by-zero error
-		} else {
-			f2 = lanesDiv
+	f := laneOps[in.Op]
+	var fe func(dst, x, y []float64) error // data-dependent divide/mod by zero
+	switch {
+	case in.Op == peac.FDIVV && in.IntOp:
+		fe = lanesDivInt
+	case in.Op == peac.FMODV && in.IntOp:
+		fe = lanesModInt
+	case in.Op == peac.FCMPV:
+		if f = cmpOps[in.Cmp]; f == nil {
+			f = lanesFalse // the interpreter's unmatched predicate
 		}
-	case peac.FMODV:
-		if in.IntOp {
-			f2e = lanesModInt
-			b.impure = true // data-dependent mod-by-zero error
-		} else {
-			f2 = lanesMod
-		}
-	case peac.FMINV:
-		f2 = lanesMin
-	case peac.FMAXV:
-		f2 = lanesMax
-	case peac.FMADDV:
-		f3 = lanesFmadd
-	case peac.FMSUBV:
-		f3 = lanesFmsub
-	case peac.FNEGV:
-		f1 = lanesNeg
-	case peac.FABSV:
-		f1 = lanesAbs
-	case peac.FSQRTV:
-		f1 = lanesSqrt
-	case peac.FSINV:
-		f1 = lanesSin
-	case peac.FCOSV:
-		f1 = lanesCos
-	case peac.FTANV:
-		f1 = lanesTan
-	case peac.FEXPV:
-		f1 = lanesExp
-	case peac.FLOGV:
-		f1 = lanesLog
-	case peac.FTRNCV:
-		f1 = lanesTrunc
-	case peac.FMOVV:
-		f1 = lanesMov
-	case peac.FNOTV:
-		f1 = lanesNot
-	case peac.FCMPV:
-		switch in.Cmp {
-		case peac.CmpEQ:
-			f2 = lanesCmpEQ
-		case peac.CmpNE:
-			f2 = lanesCmpNE
-		case peac.CmpLT:
-			f2 = lanesCmpLT
-		case peac.CmpLE:
-			f2 = lanesCmpLE
-		case peac.CmpGT:
-			f2 = lanesCmpGT
-		case peac.CmpGE:
-			f2 = lanesCmpGE
-		default:
-			f2 = lanesFalse // the interpreter's unmatched predicate
-		}
-	case peac.FANDV:
-		f2 = lanesAnd
-	case peac.FORV:
-		f2 = lanesOr
-	case peac.FEQVV:
-		f2 = lanesEqv
-	case peac.FNEQV:
-		f2 = lanesNeqv
-	case peac.FSELV:
-		f3 = lanesSel
-	default:
+	case f == nil:
 		return b.errKernel(fmt.Errorf("unimplemented opcode %v", in.Mnemonic()))
 	}
-
 	gd := b.dst(idx, in.D.N)
 	scan := scanStep(idx, in)
-	switch {
-	case f1 != nil:
+	if fe != nil {
+		b.impure = true
 		return func(e *jitEnv) error {
 			dst := gd(e)
-			f1(dst, ga(e))
-			if scan != nil {
-				return scan(e, dst)
-			}
-			return nil
-		}
-	case f2 != nil:
-		return func(e *jitEnv) error {
-			dst := gd(e)
-			f2(dst, ga(e), gb(e))
-			if scan != nil {
-				return scan(e, dst)
-			}
-			return nil
-		}
-	case f2e != nil:
-		return func(e *jitEnv) error {
-			dst := gd(e)
-			if err := f2e(dst, ga(e), gb(e)); err != nil {
+			if err := fe(dst, ga(e), gb(e)); err != nil {
 				return err
 			}
 			if scan != nil {
@@ -926,15 +987,14 @@ func (b *jitBuilder) arith(idx int, in peac.Instr) jitKernel {
 			}
 			return nil
 		}
-	default:
-		return func(e *jitEnv) error {
-			dst := gd(e)
-			f3(dst, ga(e), gb(e), gc(e))
-			if scan != nil {
-				return scan(e, dst)
-			}
-			return nil
+	}
+	return func(e *jitEnv) error {
+		dst := gd(e)
+		f(dst, ga(e), gb(e), gc(e))
+		if scan != nil {
+			return scan(e, dst)
 		}
+		return nil
 	}
 }
 
@@ -944,28 +1004,28 @@ func (b *jitBuilder) arith(idx int, in peac.Instr) jitKernel {
 // step, so a destination register aliasing a source (d = d*s) computes
 // exactly what the interpreter's read-then-write of element i computes.
 
-func lanesAdd(dst, x, y []float64) {
+func lanesAdd(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = x[i] + y[i]
 	}
 }
 
-func lanesSub(dst, x, y []float64) {
+func lanesSub(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = x[i] - y[i]
 	}
 }
 
-func lanesMul(dst, x, y []float64) {
+func lanesMul(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = x[i] * y[i]
 	}
 }
 
-func lanesDiv(dst, x, y []float64) {
+func lanesDiv(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = x[i] / y[i]
@@ -984,7 +1044,7 @@ func lanesDivInt(dst, x, y []float64) error {
 	return nil
 }
 
-func lanesMod(dst, x, y []float64) {
+func lanesMod(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Mod(x[i], y[i])
@@ -1004,14 +1064,14 @@ func lanesModInt(dst, x, y []float64) error {
 	return nil
 }
 
-func lanesMin(dst, x, y []float64) {
+func lanesMin(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Min(x[i], y[i])
 	}
 }
 
-func lanesMax(dst, x, y []float64) {
+func lanesMax(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Max(x[i], y[i])
@@ -1032,150 +1092,150 @@ func lanesFmsub(dst, x, y, z []float64) {
 	}
 }
 
-func lanesNeg(dst, x []float64) {
+func lanesNeg(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = -x[i]
 	}
 }
 
-func lanesAbs(dst, x []float64) {
+func lanesAbs(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Abs(x[i])
 	}
 }
 
-func lanesSqrt(dst, x []float64) {
+func lanesSqrt(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Sqrt(x[i])
 	}
 }
 
-func lanesSin(dst, x []float64) {
+func lanesSin(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Sin(x[i])
 	}
 }
 
-func lanesCos(dst, x []float64) {
+func lanesCos(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Cos(x[i])
 	}
 }
 
-func lanesTan(dst, x []float64) {
+func lanesTan(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Tan(x[i])
 	}
 }
 
-func lanesExp(dst, x []float64) {
+func lanesExp(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Exp(x[i])
 	}
 }
 
-func lanesLog(dst, x []float64) {
+func lanesLog(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Log(x[i])
 	}
 }
 
-func lanesTrunc(dst, x []float64) {
+func lanesTrunc(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Trunc(x[i])
 	}
 }
 
-func lanesMov(dst, x []float64) {
+func lanesMov(dst, x, _, _ []float64) {
 	copy(dst, x[:len(dst)])
 }
 
-func lanesNot(dst, x []float64) {
+func lanesNot(dst, x, _, _ []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] == 0)
 	}
 }
 
-func lanesCmpEQ(dst, x, y []float64) {
+func lanesCmpEQ(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] == y[i])
 	}
 }
 
-func lanesCmpNE(dst, x, y []float64) {
+func lanesCmpNE(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] != y[i])
 	}
 }
 
-func lanesCmpLT(dst, x, y []float64) {
+func lanesCmpLT(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] < y[i])
 	}
 }
 
-func lanesCmpLE(dst, x, y []float64) {
+func lanesCmpLE(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] <= y[i])
 	}
 }
 
-func lanesCmpGT(dst, x, y []float64) {
+func lanesCmpGT(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] > y[i])
 	}
 }
 
-func lanesCmpGE(dst, x, y []float64) {
+func lanesCmpGE(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] >= y[i])
 	}
 }
 
-func lanesFalse(dst, _, _ []float64) {
+func lanesFalse(dst, _, _, _ []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
 }
 
-func lanesAnd(dst, x, y []float64) {
+func lanesAnd(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] != 0 && y[i] != 0)
 	}
 }
 
-func lanesOr(dst, x, y []float64) {
+func lanesOr(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f(x[i] != 0 || y[i] != 0)
 	}
 }
 
-func lanesEqv(dst, x, y []float64) {
+func lanesEqv(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f((x[i] != 0) == (y[i] != 0))
 	}
 }
 
-func lanesNeqv(dst, x, y []float64) {
+func lanesNeqv(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
 		dst[i] = b2f((x[i] != 0) != (y[i] != 0))

@@ -59,13 +59,6 @@ type Control struct {
 	// changes. The analytic cycle model is computed before dispatch and
 	// is untouched by the fan-out.
 	ExecWorkers int
-	// ExecJIT selects the compiled executor for every routine dispatch:
-	// each PEAC routine is translated once into specialized Go closures
-	// (see cm2/jit.go) instead of being interpreted per chunk. Results,
-	// error strings, modeled cycles, and numeric tallies are
-	// bit-identical to the interpreter under every ExecWorkers value;
-	// only simulator wall-clock changes.
-	ExecJIT bool
 }
 
 // Machine is one CM/2 configuration.

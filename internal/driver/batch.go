@@ -83,11 +83,11 @@ func (s *Service) Run(ctx context.Context, job Job) RunResult {
 	span := obs.Start(rec, "exec")
 	defer span.End()
 	ctl := job.Ctl
-	// Service-wide defaults (watchdog budget, executor sharding and
-	// engine) apply to jobs that don't set their own, on a copy — the
-	// job's Control may be shared across jobs. With no defaults set a nil
+	// Service-wide defaults (watchdog budget, executor sharding) apply
+	// to jobs that don't set their own, on a copy — the job's Control
+	// may be shared across jobs. With no defaults set a nil
 	// Control stays nil: the plain run path.
-	if s.MaxCycles > 0 || s.ExecWorkers != 0 || s.ExecJIT {
+	if s.MaxCycles > 0 || s.ExecWorkers != 0 {
 		var c cm2.Control
 		if ctl != nil {
 			c = *ctl
@@ -98,7 +98,6 @@ func (s *Service) Run(ctx context.Context, job Job) RunResult {
 		if c.ExecWorkers == 0 {
 			c.ExecWorkers = s.ExecWorkers
 		}
-		c.ExecJIT = c.ExecJIT || s.ExecJIT
 		ctl = &c
 	}
 	switch job.Target {

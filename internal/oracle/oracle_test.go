@@ -51,24 +51,27 @@ func TestVerifyAgreesOnWorkloads(t *testing.T) {
 }
 
 // TestVerifyShardedExecutor: differential verification holds with the
-// sharded executor active on both machine backends, under BOTH engines
-// (the instruction interpreter and the compiled closure chain). The
-// grid is sized so every field straddles the executor's chunk boundary
-// (70x70 = 4900 elements > one 4096-element chunk), exercising
-// cross-chunk sharding against the serial interpreter.
+// sharded executor active on both machine backends, under every engine
+// selection (the instruction interpreter, the compiled closure chains,
+// and the tiered production default). The grid is sized so every field
+// straddles the executor's chunk boundary (70x70 = 4900 elements > one
+// 4096-element chunk), exercising cross-chunk sharding against the
+// serial interpreter.
 func TestVerifyShardedExecutor(t *testing.T) {
-	for _, jit := range []bool{false, true} {
+	defer func() { cm2.TestOnlyEngine = cm2.EngineTiered }()
+	for _, e := range []cm2.Engine{cm2.EngineReference, cm2.EngineCompiled, cm2.EngineTiered} {
+		cm2.TestOnlyEngine = e
 		for _, workers := range []int{2, -1} {
-			rep, err := Verify("swe.f90", workload.SWE(70, 2), Options{ExecWorkers: workers, ExecJIT: jit})
+			rep, err := Verify("swe.f90", workload.SWE(70, 2), Options{ExecWorkers: workers})
 			if err != nil {
-				t.Errorf("jit=%v workers=%d: %v", jit, workers, err)
+				t.Errorf("engine=%d workers=%d: %v", e, workers, err)
 				continue
 			}
 			if rep.Divergence != nil {
-				t.Errorf("jit=%v workers=%d: unexpected divergence %s", jit, workers, rep.Divergence)
+				t.Errorf("engine=%d workers=%d: unexpected divergence %s", e, workers, rep.Divergence)
 			}
 			if rep.Vars == 0 || rep.Elems == 0 {
-				t.Errorf("jit=%v workers=%d: nothing compared (vars=%d elems=%d)", jit, workers, rep.Vars, rep.Elems)
+				t.Errorf("engine=%d workers=%d: nothing compared (vars=%d elems=%d)", e, workers, rep.Vars, rep.Elems)
 			}
 		}
 	}

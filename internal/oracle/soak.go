@@ -44,11 +44,6 @@ type SoakOptions struct {
 	// ReproDir receives one f90y-repro/v1 JSON file per violation;
 	// empty disables reproducer files.
 	ReproDir string
-	// ExecJIT runs every job — baselines, faulted runs, and minimizer
-	// re-runs alike — through the compiled closure executor, so the
-	// fault-invariance property gates the JIT too: a recovered fault must
-	// leave JIT results bit-identical to the JIT baseline.
-	ExecJIT bool
 	// Machine and CM5 override the backend configurations.
 	Machine *cm2.Machine
 	CM5     *cm5.Machine
@@ -124,7 +119,7 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 	var jobs []driver.Job
 	var metas []jobMeta
 	addJob := func(m jobMeta) {
-		ctl := &cm2.Control{MaxCycles: o.MaxCycles, ExecJIT: o.ExecJIT}
+		ctl := &cm2.Control{MaxCycles: o.MaxCycles}
 		if !m.baseline {
 			p := m.plan
 			p.Seed = m.seed
@@ -189,7 +184,7 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 			r := svc.Run(ctx, driver.Job{
 				Name: jobs[i].Name, File: prog.File, Source: prog.Source,
 				Config: cfg, Target: m.backend, CM5: o.CM5,
-				Ctl: &cm2.Control{MaxCycles: o.MaxCycles, ExecJIT: o.ExecJIT, Faults: faults.New(&cand, nil)},
+				Ctl: &cm2.Control{MaxCycles: o.MaxCycles, Faults: faults.New(&cand, nil)},
 			})
 			if r.Err != nil {
 				return false

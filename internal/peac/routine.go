@@ -68,27 +68,27 @@ type Routine struct {
 	// The machine models use it to lay the iteration space out over PEs.
 	Dist shape.Distribution
 
-	// jitCache memoizes the compiled-executor form of the routine (an
-	// opaque value owned by the executor package; see the JIT method).
-	// An atomic box rather than a sync.Once keeps Routine free of noCopy
-	// state (go vet copylocks stays clean) and is invisible to gob, so
-	// disk-cached artifacts are unaffected.
-	jitCache atomic.Value
+	// tier is the executor's per-routine memo: nil until the routine's
+	// first dispatch, then whatever the executor package stored — its
+	// "dispatched once" mark, later the translated form (cm2/jit.go owns
+	// the values; see the Tier method). An atomic box rather than an
+	// atomic counter plus a sync.Once keeps Routine free of noCopy state
+	// (atomic.Int32 carries it, atomic.Value does not, so go vet
+	// copylocks stays clean) and is invisible to gob, so disk-cached
+	// artifacts are unaffected.
+	tier atomic.Value
 }
 
-// JIT returns the routine's cached compiled-executor form, building it
-// with build on first use. build must be pure and deterministic: under
-// concurrent first use it may run more than once (every result must be
-// equivalent; the last store wins), and every stored value must share
-// one concrete type.
-func (r *Routine) JIT(build func(*Routine) any) any {
-	if v := r.jitCache.Load(); v != nil {
-		return v
-	}
-	v := build(r)
-	r.jitCache.Store(v)
-	return v
-}
+// Tier returns the executor's memo for the routine: nil before anything
+// was stored. It is process state, shared by every run of the routine.
+func (r *Routine) Tier() any { return r.tier.Load() }
+
+// AdvanceTier replaces the memo with v if it still holds old (nil for
+// "nothing stored yet") and reports whether it did. Every stored value
+// must share one concrete type. Concurrent dispatches of one routine
+// race here by design: the loser keeps whatever it built for its own
+// dispatch, so every value stored for one routine must be equivalent.
+func (r *Routine) AdvanceTier(old, v any) bool { return r.tier.CompareAndSwap(old, v) }
 
 // Format renders the routine in the Fig. 12 assembly style: the loop
 // label, the body with each dual-issue group on one line, and the

@@ -1,15 +1,18 @@
 package f90y_test
 
-// JIT smoke: the tier-1 gate for the compiled executor. Each kernel is
-// compiled once and run under the interpreter and the compiled engine;
+// JIT smoke: the tier-1 gate for the executor's engines. Each kernel is
+// compiled once per engine selection — forced reference evaluator,
+// forced compiled chains, and the production default, which switches a
+// routine from one to the other mid-run — and run across worker counts;
 // stores must be bit-identical (Float64bits), PRINT output equal, and
-// every modeled cycle total unchanged — the JIT is a wall-clock-only
-// engine swap. The SWE kernel additionally goes through the full
-// three-way differential oracle with the compiled engine enabled.
+// every modeled cycle total unchanged: the engine is a wall-clock-only
+// choice. The SWE kernel additionally goes through the full three-way
+// differential oracle under each selection.
 // (External test package: internal/oracle imports f90y.)
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -19,6 +22,25 @@ import (
 	"f90y/internal/oracle"
 	"f90y/internal/workload"
 )
+
+// engineSelections are the three engine choices the differential gates
+// cover; cm2.TestOnlyEngine pins one process-wide, so no test that uses
+// them runs in parallel.
+var engineSelections = []struct {
+	name string
+	e    cm2.Engine
+}{
+	{"reference", cm2.EngineReference},
+	{"compiled", cm2.EngineCompiled},
+	{"default", cm2.EngineTiered},
+}
+
+// withEngine runs f with the engine choice pinned.
+func withEngine(e cm2.Engine, f func()) {
+	cm2.TestOnlyEngine = e
+	defer func() { cm2.TestOnlyEngine = cm2.EngineTiered }()
+	f()
+}
 
 func jitSmokeKernels() map[string]string {
 	return map[string]string{
@@ -32,70 +54,85 @@ func jitSmokeKernels() map[string]string {
 // TestJITSmoke asserts engine equivalence kernel by kernel.
 func TestJITSmoke(t *testing.T) {
 	for name, src := range jitSmokeKernels() {
-		comp, err := f90y.Compile(name, src, f90y.DefaultConfig())
-		if err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
-		}
-		ref, err := comp.Run(context.Background(), nil)
-		if err != nil {
-			t.Fatalf("%s: interpreter run: %v", name, err)
-		}
-		res, err := comp.Run(context.Background(), &cm2.Control{ExecJIT: true})
-		if err != nil {
-			t.Fatalf("%s: jit run: %v", name, err)
-		}
-
-		for arr, want := range ref.Store.Arrays {
-			got := res.Store.Arrays[arr]
-			if got == nil {
-				t.Fatalf("%s: jit run lost array %q", name, arr)
+		run := func(e cm2.Engine, workers int) *cm2.Result {
+			t.Helper()
+			// A fresh compilation per run: the default engine's choice
+			// depends on what this process already dispatched.
+			comp, err := f90y.Compile(name, src, f90y.DefaultConfig())
+			if err != nil {
+				t.Fatalf("%s: compile: %v", name, err)
 			}
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%s: %s[%d] = %v, want %v (jit not bit-exact)",
-						name, arr, i, got.Data[i], want.Data[i])
+			var res *cm2.Result
+			withEngine(e, func() { res, err = comp.Run(context.Background(), &cm2.Control{ExecWorkers: workers}) })
+			if err != nil {
+				t.Fatalf("%s: engine %d workers %d: %v", name, e, workers, err)
+			}
+			return res
+		}
+		ref := run(cm2.EngineReference, 1)
+		for _, sel := range engineSelections {
+			for _, workers := range []int{1, 2, -1} {
+				res := run(sel.e, workers)
+				what := fmt.Sprintf("%s: %s workers=%d", name, sel.name, workers)
+
+				for arr, want := range ref.Store.Arrays {
+					got := res.Store.Arrays[arr]
+					if got == nil {
+						t.Fatalf("%s: lost array %q", what, arr)
+					}
+					for i := range want.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+							t.Fatalf("%s: %s[%d] = %v, want %v (not bit-exact)",
+								what, arr, i, got.Data[i], want.Data[i])
+						}
+					}
+				}
+				if !reflect.DeepEqual(res.Store.Scalars, ref.Store.Scalars) {
+					t.Errorf("%s: scalars differ: %v vs %v", what, res.Store.Scalars, ref.Store.Scalars)
+				}
+				if !reflect.DeepEqual(res.Output, ref.Output) {
+					t.Errorf("%s: PRINT output differs:\n got: %q\n ref: %q", what, res.Output, ref.Output)
+				}
+
+				// The modeled planes are computed before dispatch; any drift
+				// here means the engine leaked into the cost model.
+				if res.PECycles != ref.PECycles || res.CommCycles != ref.CommCycles ||
+					res.HostCycles != ref.HostCycles || res.TotalCycles() != ref.TotalCycles() {
+					t.Errorf("%s: modeled cycles differ: (pe=%v comm=%v host=%v) vs reference (pe=%v comm=%v host=%v)",
+						what, res.PECycles, res.CommCycles, res.HostCycles,
+						ref.PECycles, ref.CommCycles, ref.HostCycles)
+				}
+				if res.Flops != ref.Flops || res.NodeCalls != ref.NodeCalls {
+					t.Errorf("%s: modeled work differs: (flops=%d calls=%d) vs reference (flops=%d calls=%d)",
+						what, res.Flops, res.NodeCalls, ref.Flops, ref.NodeCalls)
+				}
+				if !reflect.DeepEqual(res.PEClassCycles, ref.PEClassCycles) {
+					t.Errorf("%s: per-class PE cycle attribution differs: %v vs %v",
+						what, res.PEClassCycles, ref.PEClassCycles)
 				}
 			}
-		}
-		if !reflect.DeepEqual(res.Store.Scalars, ref.Store.Scalars) {
-			t.Errorf("%s: scalars differ: %v vs %v", name, res.Store.Scalars, ref.Store.Scalars)
-		}
-		if !reflect.DeepEqual(res.Output, ref.Output) {
-			t.Errorf("%s: PRINT output differs:\n jit: %q\n ref: %q", name, res.Output, ref.Output)
-		}
-
-		// The modeled planes are computed before dispatch; any drift here
-		// means the JIT leaked into the cost model.
-		if res.PECycles != ref.PECycles || res.CommCycles != ref.CommCycles ||
-			res.HostCycles != ref.HostCycles || res.TotalCycles() != ref.TotalCycles() {
-			t.Errorf("%s: modeled cycles differ: jit (pe=%v comm=%v host=%v) vs (pe=%v comm=%v host=%v)",
-				name, res.PECycles, res.CommCycles, res.HostCycles,
-				ref.PECycles, ref.CommCycles, ref.HostCycles)
-		}
-		if res.Flops != ref.Flops || res.NodeCalls != ref.NodeCalls {
-			t.Errorf("%s: modeled work differs: jit (flops=%d calls=%d) vs (flops=%d calls=%d)",
-				name, res.Flops, res.NodeCalls, ref.Flops, ref.NodeCalls)
-		}
-		if !reflect.DeepEqual(res.PEClassCycles, ref.PEClassCycles) {
-			t.Errorf("%s: per-class PE cycle attribution differs: %v vs %v",
-				name, res.PEClassCycles, ref.PEClassCycles)
 		}
 	}
 }
 
 // TestJITSmokeOracle runs the SWE kernel through the three-way
-// differential oracle (interp vs cm2 vs cm5) with the compiled engine
-// enabled on both backends — the gate the ISSUE requires before the
-// JIT is trusted anywhere.
+// differential oracle (interp vs cm2 vs cm5) under each engine
+// selection on both backends — the gate that lets the default engine be
+// trusted everywhere.
 func TestJITSmokeOracle(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		rep, err := oracle.Verify("swe.f90", workload.SWE(70, 2),
-			oracle.Options{ExecJIT: true, ExecWorkers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if rep.Elems == 0 {
-			t.Fatalf("workers=%d: oracle compared no elements", workers)
+	for _, sel := range engineSelections {
+		for _, workers := range []int{0, 4} {
+			var rep *oracle.Report
+			var err error
+			withEngine(sel.e, func() {
+				rep, err = oracle.Verify("swe.f90", workload.SWE(70, 2), oracle.Options{ExecWorkers: workers})
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", sel.name, workers, err)
+			}
+			if rep.Elems == 0 {
+				t.Fatalf("%s workers=%d: oracle compared no elements", sel.name, workers)
+			}
 		}
 	}
 }
