@@ -11,9 +11,9 @@ GO ?= go
 # soak through the differential oracle, an end-to-end smoke of the
 # source-line cycle profiler's three artifact formats, the !HPF$
 # distribution-plane layout sweep (oracle-verified, deterministic, and
-# the layout choice must matter), the executor-engine smoke (SWE through
-# the three-way oracle under the reference evaluator, the compiled
-# chains and the tiered default), the f90yd server lifecycle smoke (start,
+# the layout choice must matter), the executor smoke (SWE through the
+# three-way oracle under the reference evaluator and the translated
+# form), the f90yd server lifecycle smoke (start,
 # load, overload, SIGTERM drain), the durability-plane crash smoke
 # (SIGKILL mid-load, relaunch, bit-identical recovery), and the vet +
 # tests of the repository benchmark's own module.
@@ -48,16 +48,19 @@ race:
 # identity, cancellation, the
 # sharded-executor determinism test (bit-exact stores, cycles, and
 # fault/numeric tallies across -exec-workers values, with fault
-# injection and the numeric record plane active), the executor-engine
+# injection and the numeric record plane active), the executor
 # differential tests (chunk boundaries, chained-Mem positions, error
 # taxonomy, record-plane parity and failure-path merge, each under the
-# reference evaluator, the compiled chains and the tiered default across
-# worker counts), the tier tests (goroutines first-dispatching one
-# shared routine), and the pool telemetry test (workers recording into
-# one shared collector while the modeled counters and per-line cycle
-# attribution stay bit-identical to a serial run).
+# reference evaluator and the translated form across worker counts), the
+# dispatch-decision tests (fast-path refusals; goroutines
+# first-translating one shared routine), and the pool telemetry test
+# (workers recording into one shared collector while the modeled
+# counters and per-line cycle attribution stay bit-identical to a serial
+# run). Every executor test is named TestExec*; the count below fails
+# the gate if a rename ever leaves that pattern matching nothing.
 concurrency:
 	$(GO) test -race -run 'Concurrent|^TestExec' ./...
+	test "$$($(GO) test -list '^TestExec' ./internal/cm2/ | grep -c '^TestExec')" -ge 29
 
 # Modeled fields are the correctness signal: regenerate the committed
 # f90y-bench/v1 record (serial writer path, every flag at its default)
@@ -156,9 +159,10 @@ soak:
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
-# Executor-engine smoke: SWE through the three-way differential oracle
-# under each engine selection, across worker counts. (The kernel-by-
-# kernel bit-identity sweep, TestJITSmoke, runs with the suite in `race`.)
+# Executor smoke: SWE through the three-way differential oracle under
+# the reference evaluator and under the translated form, across worker
+# counts. (The kernel-by-kernel bit-identity sweep, TestJITSmoke, runs
+# with the suite in `race`.)
 jit-smoke:
 	$(GO) test -run 'JITSmokeOracle' -count=1 .
 

@@ -43,11 +43,13 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 }
 
 // TestEngineFlagRetired is the tripwire against the executor engine
-// becoming a user's choice again: the engine is decided per dispatch in
-// cm2.ExecRoutineOpts, so no ExecJIT identifier may reappear in non-test
-// code, and the CLI surface stays at the 69 flags left after -exec-jit
-// went from f90yrun, f90yd and swebench — a new flag must say which old
-// one it retires (ROADMAP) and update this count.
+// becoming a user's choice again: a routine has one translated form, so
+// no ExecJIT identifier may reappear in non-test code, nothing reads
+// ExecOpts.JIT (inert; bench/layers names it), nothing outside
+// internal/cm2 names cm2's test-only Engine, and the CLI surface stays at
+// the 69 flags left after -exec-jit went from f90yrun, f90yd and
+// swebench — a new flag must say which old one it retires (ROADMAP) and
+// update this count.
 func TestEngineFlagRetired(t *testing.T) {
 	defining := map[string]bool{}
 	for _, typ := range []string{"Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Text"} {
@@ -77,11 +79,19 @@ func TestEngineFlagRetired(t *testing.T) {
 			return err
 		}
 		inCmd := strings.HasPrefix(filepath.ToSlash(path), "cmd/")
+		inCM2 := strings.HasPrefix(filepath.ToSlash(path), "internal/cm2/")
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
 				if strings.Contains(n.Name, "ExecJIT") {
 					t.Errorf("%s: identifier %s: the engine flag is retired", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "JIT" {
+					t.Errorf("%s: reads .JIT: the field is inert", fset.Position(n.Pos()))
+				}
+				if pkg, ok := n.X.(*ast.Ident); ok && !inCM2 && pkg.Name == "cm2" && strings.Contains(n.Sel.Name, "Engine") {
+					t.Errorf("%s: cm2.%s outside internal/cm2: the engine is test-only", fset.Position(n.Pos()), n.Sel.Name)
 				}
 			case *ast.CallExpr:
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && inCmd && defining[sel.Sel.Name] {

@@ -56,13 +56,13 @@
 // count; only host wall-clock changes. The analytic cycle model is
 // untouched: it prices the simulated machine, not the host.
 //
-// There is no engine flag: a node routine is translated into a chain of
-// specialized Go closures the first time it is dispatched over more
-// than one 4,096-element chunk or the second time it is dispatched at
-// all, and interpreted before that (DESIGN.md "Executor tiers").
-// Results are bit-identical either way; -metrics counts which ran
-// (exec/engine/*) and why a fast chain was refused
-// (exec/fastpath-refused/*).
+// There is no engine flag: a node routine is decoded, on its first
+// dispatch, into one translated form — a step per instruction, each the
+// op's lane loop from the peac op table with its operands resolved —
+// and every dispatch runs that form (DESIGN.md "The executor"). Its fast
+// path (dead loads read in place, fused pairs, sunk stores) is granted
+// or refused per dispatch; -metrics counts each refusal and its reason
+// (exec/fastpath-refused/*). Results are bit-identical either way.
 //
 // -faults attaches a deterministic fault-injection plan (see
 // internal/faults.ParseSpec for the full key list). -checkpoint-every N

@@ -19,11 +19,10 @@ import (
 
 // FuzzOracle feeds fuzzer-generated programs through the differential
 // check: any program the compiler accepts must produce agreeing results
-// on the reference interpreter and both machine backends, under every
-// executor engine selection (forced reference evaluator, forced compiled
-// chains, and the tiered production default) — the fuzzer is part of the
-// gate that keeps the engines bit-exact. Inputs that
-// fail to compile, exceed the cycle/step/size guards, or trip known
+// on the reference interpreter and both machine backends, under the
+// executor's reference evaluator and its translated form — the fuzzer is
+// part of the gate that keeps the two bit-exact. Inputs that fail to
+// compile, exceed the cycle/step/size guards, or trip known
 // semantic gaps between the backends are skipped; a genuine divergence
 // or a compiler panic fails the run.
 func FuzzOracle(f *testing.F) {

@@ -241,7 +241,12 @@ func (r *run) dispatch(p *peac.Routine, over shape.Shape) error {
 	if t.Setup != nil {
 		setup = t.Setup(p)
 	}
-	vector := float64(t.PECost.RoutineCycles(p, perLane))
+	// One walk of the body's issue groups prices the dispatch and
+	// attributes it by class and by line.
+	iters := (perLane + peac.VectorWidth - 1) / peac.VectorWidth
+	cells := t.PECost.BodyCyclesByLine(p.Body, p.Pos)
+	classes := peac.ByClass(cells)
+	vector := float64(iters * classes.Total())
 	cyc := setup + vector
 	if r.inj != nil {
 		if err := r.injectDispatch(p, sub, cyc); err != nil {
@@ -255,14 +260,13 @@ func (r *run) dispatch(p *peac.Routine, over shape.Shape) error {
 	if t.Setup != nil {
 		res.PELineCycles[lineRef(p, p.Pos, SetupClass)] += setup
 	}
-	iters := (perLane + peac.VectorWidth - 1) / peac.VectorWidth
 	if iters > 0 {
-		for cl, n := range t.PECost.BodyCyclesByClass(p.Body) {
+		for cl, n := range classes {
 			if n != 0 {
 				res.PEClassCycles[peac.CycleClass(cl).String()] += float64(n * iters)
 			}
 		}
-		for cell, n := range t.PECost.BodyCyclesByLine(p.Body, p.Pos) {
+		for cell, n := range cells {
 			if n != 0 {
 				res.PELineCycles[lineRef(p, cell.Pos, cell.Class.String())] += float64(n * iters)
 			}

@@ -283,54 +283,38 @@ func TestResumeAtEveryBoundaryConserves(t *testing.T) {
 	})
 }
 
-// TestResumeAcrossEngineSwitch: the executor interprets a routine's cold
-// single-chunk first dispatch and compiles from its second, and that
-// state belongs to the process, not the snapshot. So a resume lands on
-// either side of the switch: in a new process every routine is unseen
-// and its first dispatch after the resume point is interpreted; in the
-// process that took the snapshot the routines it already dispatched once
-// resume straight into compiled code. Both must reproduce the
-// uninterrupted run exactly, at every boundary.
+// TestResumeAcrossEngineSwitch: which evaluator ran a routine, and
+// whether this process has translated it yet, is process state, not the
+// snapshot's. So snapshots taken by a run under the reference evaluator
+// resume under the translated form on either side of a routine's first
+// dispatch: in a new process every routine is untranslated and decodes
+// on its first dispatch after the resume point; in a process that ran
+// the program before, the resume finds every memo. Both must reproduce
+// the uninterrupted run exactly, at every boundary.
 func TestResumeAcrossEngineSwitch(t *testing.T) {
-	errStop := errors.New("stop at this boundary")
 	eachTarget(t, func(t *testing.T, tg *cm2.Target) {
-		ctl, cks := checkpointing(1, cm2.Control{})
-		clean := mustRun(t, tg, compileCtl(t), ctl)
-		resume := func(prog *fe.Program, ck *rt.Checkpoint) (outcome, map[string]float64) {
-			col := obs.NewCollector()
-			res, split, err := tg.Run(context.Background(), prog, nil, col, &cm2.Control{Resume: ck})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return outcome{res, split}, col.Counters()
-		}
-		var cold, compiled float64
-		for i, ck := range *cks {
-			out, c := resume(compileCtl(t), ck)
-			sameResult(t, "resumed in a new process", clean, out)
-			cold += c["exec/engine/reference-cold"]
+		clean := mustRun(t, tg, compileCtl(t), nil)
 
-			// Replay the process that took snapshot i: run to boundary i,
-			// die there, resume on the same program.
-			prog, seen := compileCtl(t), 0
-			_, err := run(tg, prog, &cm2.Control{CheckpointEvery: 1, Checkpoint: func(*rt.Checkpoint) error {
-				if seen++; seen > i {
-					return errStop
-				}
-				return nil
-			}})
-			if !errors.Is(err, errStop) {
-				t.Fatalf("boundary %d: run ended with %v, want the planted stop", i, err)
-			}
-			out, c = resume(prog, ck)
-			sameResult(t, "resumed in the snapshot's process", clean, out)
-			compiled += c["exec/engine/compiled"]
+		ctl, cks := checkpointing(1, cm2.Control{})
+		cm2.TestOnlyEngine = cm2.EngineReference
+		ref, err := run(tg, compileCtl(t), ctl)
+		cm2.TestOnlyEngine = cm2.EngineTranslated
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "reference evaluator", clean, ref)
+		if len(*cks) < 16 {
+			t.Fatalf("only %d boundaries checkpointed; want one per loop iteration at least", len(*cks))
+		}
+
+		warm := compileCtl(t)
+		mustRun(t, tg, warm, nil)
+		for i, ck := range *cks {
+			sameResult(t, "resumed in a new process", clean, mustRun(t, tg, compileCtl(t), &cm2.Control{Resume: ck}))
+			sameResult(t, "resumed over translated routines", clean, mustRun(t, tg, warm, &cm2.Control{Resume: ck}))
 			if t.Failed() {
 				t.Fatalf("boundary %d (next op %d, in loop %v, iter %d)", i, ck.NextOp, ck.InLoop, ck.IterDone)
 			}
-		}
-		if cold == 0 || compiled == 0 {
-			t.Errorf("resumed runs dispatched %v cold and %v compiled routines; the switch was never crossed", cold, compiled)
 		}
 	})
 }
@@ -592,9 +576,7 @@ func TestNumericRecord(t *testing.T) {
 func TestTargetsReportSameSeries(t *testing.T) {
 	series := func(tg *cm2.Target) (counters, hists map[string]bool) {
 		col := obs.NewCollector()
-		// A fresh compile per target: which engine a dispatch runs depends
-		// on whether this process has dispatched the routine before. The
-		// record plane makes the fused loop body refuse its fast chain.
+		// The record plane makes the fused loop body refuse its fast path.
 		ctl := &cm2.Control{Numeric: rt.NewNumeric(rt.NumericRecord)}
 		if _, _, err := tg.Run(context.Background(), compileCtl(t), nil, col, ctl); err != nil {
 			t.Fatal(err)
@@ -622,8 +604,7 @@ func TestTargetsReportSameSeries(t *testing.T) {
 	if !reflect.DeepEqual(h2, h5) || !h2["cm2/dispatch-cycles"] {
 		t.Errorf("histogram series: cm2 %v, cm5 %v; want equal and with cm2/dispatch-cycles", h2, h5)
 	}
-	for _, name := range []string{"exec/comm-calls", "exec/routine/Pk0",
-		"exec/engine/reference-cold", "exec/engine/compiled", "exec/fastpath-refused/numeric-plane"} {
+	for _, name := range []string{"exec/comm-calls", "exec/routine/Pk0", "exec/fastpath-refused/numeric-plane"} {
 		if !c2[name] {
 			t.Errorf("%s missing on both targets: %v", name, c2)
 		}

@@ -40,8 +40,7 @@ type stream struct {
 var TestOnlyPerturb func(routine string, store *rt.Store)
 
 // ExecOpts configures one routine execution beyond the routine, shape,
-// and store themselves. The zero value is the production default: serial,
-// engine chosen per dispatch by the tier rule (jitFor).
+// and store themselves. The zero value is the production default: serial.
 type ExecOpts struct {
 	// Num attaches the numeric-exception plane: destination lanes of
 	// every can-trap float op are scanned for NaN/Inf after execution.
@@ -70,11 +69,8 @@ type ExecOpts struct {
 	// it never feeds modeled cycles, so attaching a recorder cannot
 	// perturb results. Nil (or a serial run) records nothing.
 	Rec obs.Recorder
-	// JIT translates the routine on its first dispatch instead of
-	// waiting for jitFor's tier rule (see jit.go). Results, error
-	// strings, modeled cycles, and numeric tallies are bit-identical
-	// whichever engine runs, for every worker count; only wall-clock
-	// changes.
+	// JIT is inert: every routine is translated on its first dispatch
+	// (jit.go). The field stays only because bench/layers names it.
 	JIT bool
 }
 
@@ -104,8 +100,22 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 	ext := shape.Extents(over)
 	lo := shape.Lowers(over)
 
-	streams := map[int]stream{}
-	scalars := map[int]float64{}
+	// The routine's one translated form, built on first dispatch — or nil
+	// when a test pinned the reference evaluator. Both share the chunk
+	// grid, the worker pool, the workspace pool, and the numeric plane.
+	var prog *program
+	nregs, nptr, nsreg := 0, 0, 0
+	if TestOnlyEngine == EngineReference {
+		nregs, nptr, nsreg = extents(r)
+	} else {
+		prog = translated(r)
+		nregs, nptr, nsreg = prog.nregs, prog.nptr, prog.nsreg
+	}
+
+	// Bindings, indexed by register; a register no parameter binds keeps
+	// the zero stream (unbound) or scalar (0).
+	streams := make([]stream, nptr)
+	scalars := make([]float64, nsreg)
 	for _, p := range r.Params {
 		switch p.Kind {
 		case peac.ArrayParam:
@@ -150,55 +160,31 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 		workers = nchunks
 	}
 
-	// Engine selection, the one place it happens: the interpreter
-	// (execChunk) or a compiled kernel chain (jit.go), by jitFor's tier
-	// rule unless the caller or a test pinned one. Both share the chunk
-	// grid, the worker pool, the workspace pool, and the numeric plane, so
-	// the choice changes wall-clock only. One counter per dispatch says
-	// which ran and, when the fast chain was refused, why.
-	engine := TestOnlyEngine
-	if engine == EngineTiered && o.JIT {
-		engine = EngineCompiled
-	}
-	var chain *jitChain
-	var jstreams []stream
-	nregs, nbcast := regFileSize(r), 0
-	if prog := jitFor(r, n, engine); prog != nil {
-		// Kernels index streams by pointer register once per strip, so
-		// they get a dense slice instead of the map.
-		maxReg := -1
-		for reg := range streams {
-			if reg > maxReg {
-				maxReg = reg
+	// The fast path is granted or refused once per dispatch, over these
+	// bindings; a refusal is counted under its reason.
+	fast, nbcast := false, 0
+	if prog != nil {
+		nbcast = len(prog.scalarRegs)
+		if prog.hasFast {
+			refused := prog.refusal(streams, o.Num)
+			if fast = refused == ""; !fast {
+				obs.Add(o.Rec, "exec/fastpath-refused/"+refused, 1)
 			}
 		}
-		jstreams = make([]stream, maxReg+1)
-		for reg, st := range streams {
-			jstreams[reg] = st
-		}
-		var refused string
-		chain, refused = prog.chainFor(r, jstreams, o.Num)
-		nbcast = len(chain.scalarRegs)
-		obs.Add(o.Rec, "exec/engine/compiled", 1)
-		if refused != "" {
-			obs.Add(o.Rec, "exec/fastpath-refused/"+refused, 1)
-		}
-	} else if engine == EngineTiered {
-		obs.Add(o.Rec, "exec/engine/reference-cold", 1)
 	}
 	setup := func(ws *workspace) {
-		if chain != nil {
-			chain.bindScalars(ws, scalars, min(n, chunkSize))
+		if prog != nil {
+			prog.bindScalars(ws, scalars, min(n, chunkSize))
 		}
 	}
 	runChunk := func(ws *workspace, start, w int, num *rt.Numeric) error {
-		if chain != nil {
-			env := jitEnv{ws: ws, streams: jstreams, start: start, w: w,
+		if prog != nil {
+			e := env{ws: ws, streams: streams, fast: fast, start: start, w: w,
 				ext: ext, lo: lo, strideBelow: strideBelow,
 				num: num, subgrid: o.Subgrid, npes: o.PEs}
-			return chain.execChunk(&env)
+			return prog.execChunk(&e)
 		}
-		return execChunk(r, ws, streams, scalars, start, w, ext, lo, strideBelow, num, o.Subgrid, o.PEs)
+		return refChunk(r, ws, streams, scalars, start, w, ext, lo, strideBelow, num, o.Subgrid, o.PEs)
 	}
 
 	if workers <= 1 {
@@ -332,9 +318,9 @@ type workspace struct {
 	regs  [][]float64
 	slots [][]float64
 	mem   [3][]float64
-	// bcast holds the compiled executor's scalar broadcast buffers (one
-	// per distinct scalar register a routine reads; see jit.go). The
-	// interpreter path requests none.
+	// bcast holds the translated form's scalar broadcast buffers (one per
+	// distinct scalar register a routine reads; see jit.go). The reference
+	// evaluator requests none.
 	bcast [][]float64
 }
 
@@ -345,7 +331,7 @@ var wsPool = sync.Pool{New: func() any { return &workspace{} }}
 // broadcast buffers. Lane contents are unspecified: PEAC routines are
 // single basic blocks whose register allocator guarantees definition
 // before use, every op writes exactly the [0, w) lanes it is asked for,
-// and the compiled path refills its broadcast buffers per dispatch.
+// and the broadcast buffers are refilled per dispatch.
 func getWorkspace(nregs, nslots, nbcast int) *workspace {
 	ws := wsPool.Get().(*workspace)
 	for len(ws.regs) < nregs {
@@ -367,281 +353,6 @@ func getWorkspace(nregs, nslots, nbcast int) *workspace {
 
 func putWorkspace(ws *workspace) { wsPool.Put(ws) }
 
-// fetchMem reads a pointer stream for [start, start+w) into dst.
-func fetchMem(st stream, dst []float64, start, w int, ext, lo, strideBelow []int) {
-	if st.coordDim > 0 {
-		d := st.coordDim - 1
-		for i := 0; i < w; i++ {
-			off := start + i
-			dst[i] = float64(lo[d] + (off/strideBelow[d])%ext[d])
-		}
-		return
-	}
-	copy(dst[:w], st.arr.Data[start:start+w])
-}
-
-func execChunk(r *peac.Routine, ws *workspace, streams map[int]stream, scalars map[int]float64,
-	start, w int, ext, lo, strideBelow []int, num *rt.Numeric, subgrid, npes int) error {
-
-	regs, slots := ws.regs, ws.slots
-
-	// source resolves one operand to a lane slice or a broadcast scalar.
-	// A chained memory operand is fetched into buf — each operand
-	// position passes its own buffer, so an instruction with several
-	// chained streams (Mem in A and B, an FSTRV with a Mem source or
-	// mask) reads each stream's own lanes, never another operand's
-	// leftover fetch.
-	source := func(o peac.Operand, buf []float64) ([]float64, float64, error) {
-		switch o.Kind {
-		case peac.VReg:
-			return regs[o.N], 0, nil
-		case peac.SReg:
-			return nil, scalars[o.N], nil
-		case peac.SpillSlot:
-			return slots[o.N], 0, nil
-		case peac.Mem:
-			st, ok := streams[o.N]
-			if !ok {
-				return nil, 0, fmt.Errorf("chained load from unbound pointer aP%d", o.N)
-			}
-			fetchMem(st, buf, start, w, ext, lo, strideBelow)
-			return buf, 0, nil
-		}
-		return nil, 0, nil
-	}
-
-	at := func(sl []float64, sc float64, i int) float64 {
-		if sl != nil {
-			return sl[i]
-		}
-		return sc
-	}
-
-	for idx, in := range r.Body {
-		switch in.Op {
-		case peac.JNZ, peac.NOP:
-			continue
-		case peac.FLODV:
-			st, ok := streams[in.A.N]
-			if !ok {
-				return fmt.Errorf("load from unbound pointer aP%d", in.A.N)
-			}
-			fetchMem(st, regs[in.D.N], start, w, ext, lo, strideBelow)
-			continue
-		case peac.RESTV:
-			copy(regs[in.D.N][:w], slots[in.A.N][:w])
-			continue
-		case peac.SPILLV:
-			copy(slots[in.D.N][:w], regs[in.A.N][:w])
-			continue
-		case peac.FSTRV:
-			// The unbound-pointer taxonomy: a target register no param
-			// binds is "unbound"; one bound to a coordinate stream is a
-			// distinct, read-only-target error (coordinates are computed,
-			// not stored). The compiled path produces both byte-identically.
-			st, ok := streams[in.D.N]
-			if !ok {
-				return fmt.Errorf("store to unbound pointer aP%d", in.D.N)
-			}
-			if st.arr == nil {
-				return fmt.Errorf("store to coordinate stream aP%d", in.D.N)
-			}
-			src, srcSc, err := source(in.A, ws.mem[0])
-			if err != nil {
-				return err
-			}
-			if in.C.Kind != peac.NoOperand {
-				mask, maskSc, err := source(in.C, ws.mem[2])
-				if err != nil {
-					return err
-				}
-				for i := 0; i < w; i++ {
-					if at(mask, maskSc, i) != 0 {
-						st.arr.StoreVal(start+i, at(src, srcSc, i))
-					}
-				}
-			} else {
-				for i := 0; i < w; i++ {
-					st.arr.StoreVal(start+i, at(src, srcSc, i))
-				}
-			}
-			continue
-		}
-
-		// Arithmetic: resolve the sources, fetching each chained memory
-		// operand into its own per-position buffer.
-		av, asc, err := source(in.A, ws.mem[0])
-		if err != nil {
-			return err
-		}
-		bv, bsc, err := source(in.B, ws.mem[1])
-		if err != nil {
-			return err
-		}
-		cv, csc, err := source(in.C, ws.mem[2])
-		if err != nil {
-			return err
-		}
-		dst := regs[in.D.N]
-
-		switch in.Op {
-		case peac.FADDV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i) + at(bv, bsc, i)
-			}
-		case peac.FSUBV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i) - at(bv, bsc, i)
-			}
-		case peac.FMULV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i) * at(bv, bsc, i)
-			}
-		case peac.FDIVV:
-			if in.IntOp {
-				for i := 0; i < w; i++ {
-					d := at(bv, bsc, i)
-					if d == 0 {
-						return fmt.Errorf("integer division by zero")
-					}
-					dst[i] = math.Trunc(at(av, asc, i) / d)
-				}
-			} else {
-				for i := 0; i < w; i++ {
-					dst[i] = at(av, asc, i) / at(bv, bsc, i)
-				}
-			}
-		case peac.FMODV:
-			if in.IntOp {
-				for i := 0; i < w; i++ {
-					d := at(bv, bsc, i)
-					if d == 0 {
-						return fmt.Errorf("mod by zero")
-					}
-					x := at(av, asc, i)
-					dst[i] = x - math.Trunc(x/d)*d
-				}
-			} else {
-				for i := 0; i < w; i++ {
-					dst[i] = math.Mod(at(av, asc, i), at(bv, bsc, i))
-				}
-			}
-		case peac.FMINV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Min(at(av, asc, i), at(bv, bsc, i))
-			}
-		case peac.FMAXV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Max(at(av, asc, i), at(bv, bsc, i))
-			}
-		case peac.FMADDV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i)*at(bv, bsc, i) + at(cv, csc, i)
-			}
-		case peac.FMSUBV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i)*at(bv, bsc, i) - at(cv, csc, i)
-			}
-		case peac.FNEGV:
-			for i := 0; i < w; i++ {
-				dst[i] = -at(av, asc, i)
-			}
-		case peac.FABSV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Abs(at(av, asc, i))
-			}
-		case peac.FSQRTV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Sqrt(at(av, asc, i))
-			}
-		case peac.FSINV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Sin(at(av, asc, i))
-			}
-		case peac.FCOSV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Cos(at(av, asc, i))
-			}
-		case peac.FTANV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Tan(at(av, asc, i))
-			}
-		case peac.FEXPV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Exp(at(av, asc, i))
-			}
-		case peac.FLOGV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Log(at(av, asc, i))
-			}
-		case peac.FTRNCV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Trunc(at(av, asc, i))
-			}
-		case peac.FMOVV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i)
-			}
-		case peac.FCMPV:
-			for i := 0; i < w; i++ {
-				x, y := at(av, asc, i), at(bv, bsc, i)
-				var t bool
-				switch in.Cmp {
-				case peac.CmpEQ:
-					t = x == y
-				case peac.CmpNE:
-					t = x != y
-				case peac.CmpLT:
-					t = x < y
-				case peac.CmpLE:
-					t = x <= y
-				case peac.CmpGT:
-					t = x > y
-				case peac.CmpGE:
-					t = x >= y
-				}
-				dst[i] = b2f(t)
-			}
-		case peac.FANDV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f(at(av, asc, i) != 0 && at(bv, bsc, i) != 0)
-			}
-		case peac.FORV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f(at(av, asc, i) != 0 || at(bv, bsc, i) != 0)
-			}
-		case peac.FEQVV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f((at(av, asc, i) != 0) == (at(bv, bsc, i) != 0))
-			}
-		case peac.FNEQV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f((at(av, asc, i) != 0) != (at(bv, bsc, i) != 0))
-			}
-		case peac.FNOTV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f(at(av, asc, i) == 0)
-			}
-		case peac.FSELV:
-			for i := 0; i < w; i++ {
-				if at(cv, csc, i) != 0 {
-					dst[i] = at(av, asc, i)
-				} else {
-					dst[i] = at(bv, bsc, i)
-				}
-			}
-		default:
-			return fmt.Errorf("unimplemented opcode %v", in.Mnemonic())
-		}
-		if num != nil && num.Mode != rt.NumericOff && peac.CanTrap(in.Op) {
-			if err := scanNumeric(num, idx, in.Mnemonic(), peac.ClassOf(in).String(), dst, start, w, subgrid, npes); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // scanNumeric is the numeric-exception plane: it inspects the freshly
 // written destination lanes of one can-trap float op. Trap mode halts
 // at the first exceptional lane with instruction, element, and PE
@@ -651,10 +362,8 @@ func execChunk(r *peac.Routine, ws *workspace, streams map[int]stream, scalars m
 // does not tile the shape exactly can otherwise compute an element-to-PE
 // quotient past the last processing element.
 //
-// The mnemonic and class strings are parameters so both executors share
-// one formatter: the interpreter computes them per scan, the compiled
-// path precomputes them per instruction — either way the trap message
-// and the record-mode class keys are byte-identical.
+// Both evaluators share this one formatter, so the trap message and the
+// record-mode class keys are byte-identical.
 func scanNumeric(num *rt.Numeric, idx int, mnemonic, class string, dst []float64, start, w, subgrid, npes int) error {
 	for i := 0; i < w; i++ {
 		v := dst[i]
@@ -680,11 +389,4 @@ func scanNumeric(num *rt.Numeric, idx int, mnemonic, class string, dst []float64
 		num.Note(class, nan)
 	}
 	return nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -1,13 +1,12 @@
 package cm2
 
-// Differential tests for the executor's engines (jit.go): every test
-// runs the forced reference evaluator as the baseline and asserts the
-// forced compiled chains and the production default (tiered: cold
-// single-chunk first dispatch interpreted, everything else compiled)
-// are bit-identical — stores compared by Float64bits, error strings byte
-// for byte, numeric-plane tallies count for count — across chunk
+// Differential tests for the translated form (jit.go): every test runs
+// the reference evaluator (ref.go) as the baseline and asserts the
+// translated form — first dispatch (decode and run) and second (memo) —
+// is bit-identical: stores compared by Float64bits, error strings byte
+// for byte, numeric-plane tallies count for count, across chunk
 // boundaries and worker counts. The chained-memory regressions from
-// exec_par_test.go are re-run against the compiled path, which has its
+// exec_par_test.go are re-run against the translated form, which has its
 // own per-position fetch buffers to get wrong.
 
 import (
@@ -23,27 +22,25 @@ import (
 	"f90y/internal/shape"
 )
 
-// selections are the three engine choices every differential covers.
+// selections are the two evaluators every differential covers.
 var selections = []struct {
 	name string
 	e    Engine
 }{
 	{"reference", EngineReference},
-	{"compiled", EngineCompiled},
-	{"default", EngineTiered},
+	{"translated", EngineTranslated},
 }
 
 // execEngine runs one dispatch with the engine choice pinned. The pin is
 // process-wide (TestOnlyEngine), so these tests never run in parallel.
 func execEngine(e Engine, r *peac.Routine, n int, st *rt.Store, o ExecOpts) error {
 	TestOnlyEngine = e
-	defer func() { TestOnlyEngine = EngineTiered }()
+	defer func() { TestOnlyEngine = EngineTranslated }()
 	return ExecRoutineOpts(context.Background(), r, shape.Of(n), st, o)
 }
 
-// fresh returns r with no tier memo: a routine no dispatch has seen, so
-// the default selection starts from its cold state however often the
-// original ran.
+// fresh returns r with no memo: a routine no dispatch has seen, so its
+// next dispatch translates however often the original ran.
 func fresh(r *peac.Routine) *peac.Routine {
 	return &peac.Routine{Name: r.Name, Params: r.Params, Body: r.Body,
 		SpillSlots: r.SpillSlots, Pos: r.Pos, Dist: r.Dist}
@@ -81,11 +78,11 @@ func sameTallies(t *testing.T, label string, got, want *rt.Numeric) {
 	}
 }
 
-// differential runs r over n elements under every engine selection and
-// worker count — twice per routine instance, so the default selection is
-// seen on a first dispatch (cold when n fits one chunk) and on a second
-// (always compiled) — and asserts the named arrays match the serial
-// forced-reference run bit for bit.
+// differential runs r over n elements under both evaluators and every
+// worker count — twice per routine instance, so the translated form is
+// seen on the dispatch that decodes it and on one that finds the memo —
+// and asserts the named arrays match the serial reference run bit for
+// bit.
 func differential(t *testing.T, label string, r *peac.Routine, n int, mk func() *rt.Store, workers []int, arrays ...string) {
 	t.Helper()
 	ref := mk()
@@ -118,7 +115,7 @@ func TestExecJITChunkBoundaries(t *testing.T) {
 }
 
 // TestExecJITChainedMemPositions re-runs the chained-memory regressions
-// against the compiled path: distinct Mem streams in A and B, in A, B,
+// against the translated form: distinct Mem streams in A and B, in A, B,
 // and C, and an FSTRV with chained source and mask must each read their
 // own lanes through the per-position fetch buffers.
 func TestExecJITChainedMemPositions(t *testing.T) {
@@ -193,9 +190,9 @@ func TestExecJITChainedMemPositions(t *testing.T) {
 	}
 }
 
-// TestExecJITIntegerStoreKind asserts the compiled store path applies
+// TestExecJITIntegerStoreKind asserts the translated store step applies
 // the array's kind semantics: stores into an Integer32 array truncate,
-// masked and unmasked, exactly like the interpreter's StoreVal.
+// masked and unmasked, exactly like the reference evaluator's StoreVal.
 func TestExecJITIntegerStoreKind(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Pintstore",
@@ -219,7 +216,7 @@ func TestExecJITIntegerStoreKind(t *testing.T) {
 	}
 	differential(t, "intstore", r, n, mk, []int{1}, "d")
 	st := mk()
-	if err := execEngine(EngineCompiled, fresh(r), n, st, ExecOpts{}); err != nil {
+	if err := execEngine(EngineTranslated, fresh(r), n, st, ExecOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, got := range st.Arrays["d"].Data {
@@ -241,44 +238,59 @@ func TestExecJITErrorStrings(t *testing.T) {
 		{Kind: peac.CoordParam, Dim: 1, Reg: 5},
 	}
 	cases := []struct {
-		name string
-		body []peac.Instr
-		zero bool // plant a zero divisor lane
+		name   string
+		body   []peac.Instr
+		params []peac.Param // nil: baseParams
+		want   string       // the exact error, when the case pins it
 	}{
 		{"load-unbound", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(9), D: peac.V(0)},
-		}, false},
+		}, nil, ""},
 		{"chained-unbound-B", []peac.Instr{
 			{Op: peac.FADDV, A: peac.M(2), B: peac.M(9), D: peac.V(0)},
-		}, false},
+		}, nil, ""},
 		{"chained-unbound-C-of-2src", []peac.Instr{
-			// The interpreter resolves C even for a two-source op; the
-			// compiled path must fault identically.
+			// The reference evaluator resolves C even for a two-source op; the
+			// translated form must fault identically.
 			{Op: peac.FADDV, A: peac.V(0), B: peac.V(1), C: peac.M(9), D: peac.V(0)},
-		}, false},
+		}, nil, ""},
 		{"store-unbound", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FSTRV, A: peac.V(0), D: peac.M(9)},
-		}, false},
+		}, nil, ""},
+		{"store-unbound-then-read", []peac.Instr{
+			// The elidable load is read after a store to a pointer no
+			// parameter binds, numbered above every bound one: the planner
+			// must not take that store for an aliasing hazard (it once
+			// indexed the dispatch's streams by it and panicked).
+			{Op: peac.FLODV, A: peac.M(0), D: peac.V(0)},
+			{Op: peac.FSTRV, A: peac.V(0), D: peac.M(5)},
+			{Op: peac.FADDV, A: peac.V(0), B: peac.V(0), D: peac.V(1)},
+			{Op: peac.FSTRV, A: peac.V(1), D: peac.M(0)},
+		}, []peac.Param{{Kind: peac.ArrayParam, Name: "a", Reg: 0}},
+			"cm2: routine Perr_store-unbound-then-read: store to unbound pointer aP5"},
 		{"store-coordinate", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FSTRV, A: peac.V(0), D: peac.M(5)},
-		}, false},
+		}, nil, ""},
 		{"int-div-zero", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FDIVV, A: peac.V(0), B: peac.V(1), D: peac.V(2), IntOp: true},
-		}, true},
+		}, nil, ""},
 		{"int-mod-zero", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FMODV, A: peac.V(0), B: peac.V(1), D: peac.V(2), IntOp: true},
-		}, true},
+		}, nil, ""},
 		{"unimplemented-opcode", []peac.Instr{
 			{Op: peac.Opcode(250), A: peac.V(0), B: peac.V(1), D: peac.V(2)},
-		}, false},
+		}, nil, ""},
 	}
 	const n = 16
 	for _, tc := range cases {
 		r := &peac.Routine{Name: "Perr_" + tc.name, Params: baseParams, Body: tc.body}
+		if tc.params != nil {
+			r.Params = tc.params
+		}
 		mk := func() *rt.Store {
 			return parStore(n, []string{"a", "d"}, func(name string, i int) float64 { return 1 })
 		}
@@ -286,15 +298,19 @@ func TestExecJITErrorStrings(t *testing.T) {
 		if ref == nil {
 			t.Fatalf("%s: reference evaluator did not error", tc.name)
 		}
-		// n fits one chunk, so the default's first dispatch is the cold
-		// reference evaluator and its second the compiled chain: the user
-		// of a failing loop body must see one error string, not two.
+		if tc.want != "" && ref.Error() != tc.want {
+			t.Errorf("%s: reference error %q, want %q", tc.name, ref, tc.want)
+		}
+		// The user of a failing loop body must see one error string on
+		// every dispatch, whichever evaluator and worker count ran it.
 		for _, sel := range selections {
-			rr := fresh(r)
-			for pass := 1; pass <= 2; pass++ {
-				got := execEngine(sel.e, rr, n, mk(), ExecOpts{})
-				if got == nil || got.Error() != ref.Error() {
-					t.Errorf("%s: %s dispatch %d: error %q, want %q", tc.name, sel.name, pass, got, ref)
+			for _, workers := range []int{1, 2, -1} {
+				rr := fresh(r)
+				for pass := 1; pass <= 2; pass++ {
+					got := execEngine(sel.e, rr, n, mk(), ExecOpts{Workers: workers})
+					if got == nil || got.Error() != ref.Error() {
+						t.Errorf("%s: %s workers=%d dispatch %d: error %q, want %q", tc.name, sel.name, workers, pass, got, ref)
+					}
 				}
 			}
 		}
@@ -302,7 +318,7 @@ func TestExecJITErrorStrings(t *testing.T) {
 }
 
 // TestExecJITTrapIdentical plants exceptional lanes in two chunks and
-// asserts the compiled engine traps with the interpreter's exact error
+// asserts the translated form traps with the reference evaluator's exact error
 // — same instruction, element, and PE attribution — for every worker
 // count.
 func TestExecJITTrapIdentical(t *testing.T) {
@@ -354,7 +370,7 @@ func TestExecJITTrapIdentical(t *testing.T) {
 }
 
 // TestExecJITNumericRecordParity asserts record-mode tallies from the
-// compiled engine match the interpreter's exactly, per class, across
+// translated form match the reference evaluator's exactly, per class, across
 // worker counts.
 func TestExecJITNumericRecordParity(t *testing.T) {
 	r := &peac.Routine{
@@ -481,7 +497,7 @@ func TestExecJITRecordMergeOnFailure(t *testing.T) {
 }
 
 // TestExecJITScalarAndNoOperand asserts scalar broadcast (SReg, Const)
-// and missing-operand resolution match the interpreter: a NoOperand
+// and missing-operand resolution match the reference evaluator: a NoOperand
 // source reads broadcast zeros in both engines.
 func TestExecJITScalarAndNoOperand(t *testing.T) {
 	r := &peac.Routine{
@@ -495,7 +511,7 @@ func TestExecJITScalarAndNoOperand(t *testing.T) {
 		Body: []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FMULV, A: peac.V(0), B: peac.S(17), D: peac.V(1)},
-			// B is NoOperand: the interpreter broadcasts 0, so this adds 0.
+			// B is NoOperand: the reference evaluator broadcasts 0, so this adds 0.
 			{Op: peac.FADDV, A: peac.V(1), D: peac.V(1)},
 			{Op: peac.FMADDV, A: peac.V(1), B: peac.S(16), C: peac.S(18), D: peac.V(1)}, // S18 unbound -> 0
 			{Op: peac.FSTRV, A: peac.V(1), D: peac.M(4)},
@@ -517,7 +533,7 @@ func TestExecJITScalarAndNoOperand(t *testing.T) {
 
 // fuseRoutine builds "t = a ?1 b; d0 = acc ?2 s (or s ?2 acc); store"
 // so every fused-pair shape (op pair x accumulator side) runs against
-// the interpreter, with the pair's result sunk into the store.
+// the reference evaluator, with the pair's result sunk into the store.
 func fuseRoutine(op1, op2 peac.Opcode, accLeft bool) *peac.Routine {
 	second := peac.Instr{Op: op2, A: peac.V(0), B: peac.S(16), D: peac.V(0)}
 	if !accLeft {
@@ -544,7 +560,7 @@ func fuseRoutine(op1, op2 peac.Opcode, accLeft bool) *peac.Routine {
 // TestExecJITFusedPairs sweeps every fused-pair combination the planner
 // can emit — op1 x op2 x accumulator side — over inputs that include
 // zeros (hence Inf and NaN intermediates for div) and asserts the JIT
-// store is bit-identical to the interpreter, serial and parallel.
+// store is bit-identical to the reference evaluator, serial and parallel.
 func TestExecJITFusedPairs(t *testing.T) {
 	ops := []peac.Opcode{peac.FADDV, peac.FSUBV, peac.FMULV, peac.FDIVV}
 	const n = chunkSize + 601
@@ -571,7 +587,7 @@ func TestExecJITFusedPairs(t *testing.T) {
 // TestExecJITSinkAliasing runs a sinkable chain with the store target
 // bound to the same array as a load source — the hazard check must
 // reject the optimized chain and the reference chain must still match
-// the interpreter bit for bit (in-place update semantics).
+// the reference evaluator bit for bit (in-place update semantics).
 func TestExecJITSinkAliasing(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Psinkalias",
@@ -600,7 +616,7 @@ func TestExecJITSinkAliasing(t *testing.T) {
 
 // TestExecJITFusionLiveness pins the planner's deadness rule: a register
 // consumed by a later instruction must not be fused away or sunk, so the
-// chain that stores v0 and then reuses it still matches the interpreter.
+// chain that stores v0 and then reuses it still matches the reference evaluator.
 func TestExecJITFusionLiveness(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Plive",
@@ -636,7 +652,7 @@ func TestExecJITFusionLiveness(t *testing.T) {
 // TestExecJITFusedNumericRecord runs a fusable chain with the numeric
 // record plane active: the fused chain skips intermediate scans, so the
 // engine must fall back to the reference chain and the tallies (and the
-// store) must match the interpreter exactly.
+// store) must match the reference evaluator exactly.
 func TestExecJITFusedNumericRecord(t *testing.T) {
 	r := fuseRoutine(peac.FDIVV, peac.FMULV, true)
 	const n = chunkSize + 99

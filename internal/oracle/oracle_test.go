@@ -51,15 +51,14 @@ func TestVerifyAgreesOnWorkloads(t *testing.T) {
 }
 
 // TestVerifyShardedExecutor: differential verification holds with the
-// sharded executor active on both machine backends, under every engine
-// selection (the instruction interpreter, the compiled closure chains,
-// and the tiered production default). The grid is sized so every field
+// sharded executor active on both machine backends, under the reference
+// evaluator and the translated form. The grid is sized so every field
 // straddles the executor's chunk boundary (70x70 = 4900 elements > one
 // 4096-element chunk), exercising cross-chunk sharding against the
 // serial interpreter.
 func TestVerifyShardedExecutor(t *testing.T) {
-	defer func() { cm2.TestOnlyEngine = cm2.EngineTiered }()
-	for _, e := range []cm2.Engine{cm2.EngineReference, cm2.EngineCompiled, cm2.EngineTiered} {
+	defer func() { cm2.TestOnlyEngine = cm2.EngineTranslated }()
+	for _, e := range []cm2.Engine{cm2.EngineReference, cm2.EngineTranslated} {
 		cm2.TestOnlyEngine = e
 		for _, workers := range []int{2, -1} {
 			rep, err := Verify("swe.f90", workload.SWE(70, 2), Options{ExecWorkers: workers})

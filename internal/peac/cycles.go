@@ -44,37 +44,12 @@ func (c CycleClass) String() string {
 }
 
 // ClassOf assigns one instruction to its cycle class.
-func ClassOf(i Instr) CycleClass {
-	switch i.Op {
-	case FLODV, FSTRV:
-		return ClassMemory
-	case SPILLV, RESTV:
-		return ClassSpill
-	case FDIVV, FMODV:
-		return ClassDivide
-	case FSQRTV:
-		return ClassSqrt
-	case FSINV, FCOSV, FTANV, FEXPV, FLOGV:
-		return ClassTranscend
-	case JNZ:
-		return ClassLoop
-	}
-	return ClassVector
-}
+func ClassOf(i Instr) CycleClass { return i.Op.Info().Class }
 
 // CanTrap reports whether op can produce a NaN or infinity from its
-// operands — the instructions the numeric-exception plane (rt.Numeric)
-// scans after execution. Moves, compares, mask logic, selects, min/max,
-// negate/abs/trunc, and load/store only propagate lanes bit-for-bit and
-// are never scanned.
-func CanTrap(op Opcode) bool {
-	switch op {
-	case FADDV, FSUBV, FMULV, FDIVV, FMODV, FMADDV, FMSUBV,
-		FSQRTV, FSINV, FCOSV, FTANV, FEXPV, FLOGV:
-		return true
-	}
-	return false
-}
+// operands (OpInfo.Trap) — the instructions the numeric-exception plane
+// scans after execution.
+func CanTrap(op Opcode) bool { return op.Info().Trap }
 
 // ClassCycles is a per-class cycle tally for one loop iteration.
 type ClassCycles [NumCycleClasses]int
@@ -88,72 +63,71 @@ func (c ClassCycles) Total() int {
 	return n
 }
 
-// BodyCyclesByClass attributes BodyCycles to instruction classes; the
-// tally sums exactly to BodyCycles(body). Dual-issued pairs cost the
-// maximum of their two instructions; when the paired instruction raises
-// the issue-group cost, the increment is attributed to its class.
-func (c CostModel) BodyCyclesByClass(body []Instr) ClassCycles {
-	var out ClassCycles
-	prev := 0
-	open := false // see BodyCycles: a zero-cost slot still opens a group
-	for _, in := range body {
-		if in.Op == JNZ {
-			continue // charged once by the trailing LoopJnz term
-		}
-		cyc := c.InstrCycles(in)
-		if in.Paired && open {
-			if cyc > prev {
-				out[ClassOf(in)] += cyc - prev
-				prev = cyc
-			}
-			continue
-		}
-		out[ClassOf(in)] += cyc
-		prev = cyc
-		open = true
-	}
-	out[ClassLoop] += c.LoopJnz
-	return out
-}
-
 // LineCell is one (source position, cycle class) attribution bucket.
 type LineCell struct {
 	Pos   source.Pos
 	Class CycleClass
 }
 
-// BodyCyclesByLine attributes BodyCycles to (source line, class) cells
-// using exactly the same dual-issue accounting as BodyCyclesByClass, so
-// the per-cell tallies sum to BodyCycles(body) and their per-class
-// marginals equal BodyCyclesByClass(body). Instructions without a valid
-// Pos fall back to loopPos (the routine's anchor position), as does the
-// trailing loop-control jnz charge.
+// BodyCyclesByLine is the issue-group walker, the one statement of the
+// dual-issue accounting: it attributes the cycle cost of one loop
+// iteration to (source line, class) cells. Each issue group (a
+// non-paired instruction plus every consecutive Paired follower) costs
+// the maximum over its members — when a paired instruction raises the
+// group cost, the increment goes to its cell — everything else
+// accumulates serially, and the loop-control jnz is charged once at the
+// end. Whether a group is open is tracked explicitly rather than
+// inferred from a nonzero group cost, so an instruction dual-issued into
+// a zero-cost slot (a pair following a NOP) still joins that group
+// instead of being charged as a fresh serial slot; a body-leading Paired
+// instruction has no group to join and opens its own. Instructions
+// without a valid Pos fall back to loopPos (the routine's anchor
+// position), as does the jnz charge.
 func (c CostModel) BodyCyclesByLine(body []Instr, loopPos source.Pos) map[LineCell]int {
 	out := map[LineCell]int{}
-	at := func(in Instr) source.Pos {
-		if in.Pos.IsValid() {
-			return in.Pos
-		}
-		return loopPos
-	}
-	prev := 0
-	open := false // see BodyCycles: a zero-cost slot still opens a group
+	prev := 0     // cost of the open issue group
+	open := false // an issue group is open (it may cost 0: a NOP slot)
 	for _, in := range body {
 		if in.Op == JNZ {
 			continue // charged once by the trailing LoopJnz term
 		}
+		cell := LineCell{Pos: in.Pos, Class: ClassOf(in)}
+		if !in.Pos.IsValid() {
+			cell.Pos = loopPos
+		}
 		cyc := c.InstrCycles(in)
 		if in.Paired && open {
 			if cyc > prev {
-				out[LineCell{Pos: at(in), Class: ClassOf(in)}] += cyc - prev
+				out[cell] += cyc - prev
 				prev = cyc
 			}
 			continue
 		}
-		out[LineCell{Pos: at(in), Class: ClassOf(in)}] += cyc
+		out[cell] += cyc
 		prev = cyc
 		open = true
 	}
 	out[LineCell{Pos: loopPos, Class: ClassLoop}] += c.LoopJnz
 	return out
+}
+
+// ByClass sums line cells to their per-class marginals.
+func ByClass(cells map[LineCell]int) ClassCycles {
+	var out ClassCycles
+	for cell, n := range cells {
+		out[cell.Class] += n
+	}
+	return out
+}
+
+// BodyCyclesByClass attributes BodyCycles to instruction classes: the
+// per-class marginals of BodyCyclesByLine.
+func (c CostModel) BodyCyclesByClass(body []Instr) ClassCycles {
+	return ByClass(c.BodyCyclesByLine(body, source.Pos{}))
+}
+
+// BodyCycles is the cycle cost of one loop iteration: the total of
+// BodyCyclesByLine.
+func (c CostModel) BodyCycles(body []Instr) int {
+	return c.BodyCyclesByClass(body).Total()
 }

@@ -146,89 +146,51 @@ type Instr struct {
 	Pos    source.Pos
 }
 
-var opNames = map[Opcode]string{
-	NOP: "nop", FLODV: "flodv", FSTRV: "fstrv",
-	FADDV: "faddv", FSUBV: "fsubv", FMULV: "fmulv", FDIVV: "fdivv",
-	FMODV: "fmodv", FMINV: "fminv", FMAXV: "fmaxv",
-	FMADDV: "fmaddv", FMSUBV: "fmsubv",
-	FNEGV: "fnegv", FABSV: "fabsv", FSQRTV: "fsqrtv",
-	FSINV: "fsinv", FCOSV: "fcosv", FTANV: "ftanv",
-	FEXPV: "fexpv", FLOGV: "flogv", FTRNCV: "ftrncv", FMOVV: "fmovv",
-	FCMPV: "fcmpv", FANDV: "fandv", FORV: "forv", FNOTV: "fnotv",
-	FEQVV: "feqvv", FNEQV: "fneqv", FSELV: "fselv",
-	SPILLV: "fstrv", RESTV: "flodv", JNZ: "jnz",
-}
-
 // Mnemonic returns the assembly mnemonic.
 func (i Instr) Mnemonic() string {
 	if i.Op == FCMPV {
 		return "fcmpv." + i.Cmp.String()
 	}
-	return opNames[i.Op]
+	return i.Op.Info().Name
 }
 
+// String renders the instruction with the operand layout of its form.
 func (i Instr) String() string {
-	switch i.Op {
-	case NOP:
-		return "nop"
-	case FLODV:
-		return fmt.Sprintf("flodv %s %s", i.A, i.D)
-	case FSTRV:
-		if i.C.Kind != NoOperand {
-			return fmt.Sprintf("fstrv %s %s ?%s", i.A, i.D, i.C)
-		}
-		return fmt.Sprintf("fstrv %s %s", i.A, i.D)
-	case SPILLV:
-		return fmt.Sprintf("fstrv %s %s", i.A, i.D)
-	case RESTV:
-		return fmt.Sprintf("flodv %s %s", i.A, i.D)
-	case FNEGV, FABSV, FSQRTV, FSINV, FCOSV, FTANV, FEXPV, FLOGV, FTRNCV, FMOVV, FNOTV:
-		return fmt.Sprintf("%s %s %s", i.Mnemonic(), i.A, i.D)
-	case FMADDV, FMSUBV, FSELV:
-		return fmt.Sprintf("%s %s %s %s %s", i.Mnemonic(), i.A, i.B, i.C, i.D)
-	case JNZ:
+	info := i.Op.Info()
+	switch {
+	case i.Op == JNZ:
 		return "jnz ac2"
-	default:
-		return fmt.Sprintf("%s %s %s %s", i.Mnemonic(), i.A, i.B, i.D)
+	case info.Form == FormNone:
+		return info.Name
+	case info.Form == FormStore && i.C.Kind != NoOperand:
+		return fmt.Sprintf("fstrv %s %s ?%s", i.A, i.D, i.C)
+	case info.Form != FormArith || info.Srcs == 1:
+		return fmt.Sprintf("%s %s %s", i.Mnemonic(), i.A, i.D)
+	case info.Srcs == 3:
+		return fmt.Sprintf("%s %s %s %s %s", i.Mnemonic(), i.A, i.B, i.C, i.D)
 	}
+	return fmt.Sprintf("%s %s %s %s", i.Mnemonic(), i.A, i.B, i.D)
 }
 
 // MemOperand reports whether the instruction touches memory (loads,
 // stores, spills, or a chained memory source operand).
 func (i Instr) MemOperand() bool {
-	switch i.Op {
-	case FLODV, FSTRV, SPILLV, RESTV:
+	if f := i.Op.Info().Form; f != FormNone && f != FormArith {
 		return true
 	}
 	return i.A.Kind == Mem || i.B.Kind == Mem || i.C.Kind == Mem
 }
 
 // Arithmetic reports whether the instruction runs on the FPU datapath.
-func (i Instr) Arithmetic() bool {
-	switch i.Op {
-	case FLODV, FSTRV, SPILLV, RESTV, JNZ, NOP:
-		return false
-	}
-	return true
-}
+func (i Instr) Arithmetic() bool { return i.Op.Info().Form == FormArith }
 
 // Flops returns the floating-point operations performed per vector issue
 // (over VectorWidth elements). Mask bookkeeping, moves, loads and stores
 // count zero.
 func (i Instr) Flops() int {
-	switch i.Op {
-	case FADDV, FSUBV, FMULV, FDIVV, FNEGV, FABSV, FSQRTV, FMINV, FMAXV, FMODV:
-		if i.IntOp {
-			return 0
-		}
-		return VectorWidth
-	case FMADDV, FMSUBV:
-		if i.IntOp {
-			return 0
-		}
-		return 2 * VectorWidth
-	case FSINV, FCOSV, FTANV, FEXPV, FLOGV:
-		return VectorWidth
+	info := i.Op.Info()
+	if i.IntOp && info.Class != ClassTranscend {
+		return 0
 	}
-	return 0
+	return info.Flops * VectorWidth
 }

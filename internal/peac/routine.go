@@ -68,27 +68,25 @@ type Routine struct {
 	// The machine models use it to lay the iteration space out over PEs.
 	Dist shape.Distribution
 
-	// tier is the executor's per-routine memo: nil until the routine's
-	// first dispatch, then whatever the executor package stored — its
-	// "dispatched once" mark, later the translated form (cm2/jit.go owns
-	// the values; see the Tier method). An atomic box rather than an
-	// atomic counter plus a sync.Once keeps Routine free of noCopy state
-	// (atomic.Int32 carries it, atomic.Value does not, so go vet
-	// copylocks stays clean) and is invisible to gob, so disk-cached
-	// artifacts are unaffected.
-	tier atomic.Value
+	// translated is the executor's set-once memo: nil until the routine's
+	// first dispatch, then its translated form (cm2/jit.go owns the
+	// value). An atomic box keeps Routine free of noCopy state
+	// (atomic.Pointer and sync.Once carry it, atomic.Value does not, so
+	// go vet copylocks stays clean) and is invisible to gob, so
+	// disk-cached artifacts are unaffected.
+	translated atomic.Value
 }
 
-// Tier returns the executor's memo for the routine: nil before anything
-// was stored. It is process state, shared by every run of the routine.
-func (r *Routine) Tier() any { return r.tier.Load() }
+// Translated returns the executor's memo for the routine: nil before
+// anything was stored. It is process state, shared by every run of the
+// routine.
+func (r *Routine) Translated() any { return r.translated.Load() }
 
-// AdvanceTier replaces the memo with v if it still holds old (nil for
-// "nothing stored yet") and reports whether it did. Every stored value
-// must share one concrete type. Concurrent dispatches of one routine
-// race here by design: the loser keeps whatever it built for its own
-// dispatch, so every value stored for one routine must be equivalent.
-func (r *Routine) AdvanceTier(old, v any) bool { return r.tier.CompareAndSwap(old, v) }
+// SetTranslated stores the memo; every stored value must share one
+// concrete type. Concurrent first dispatches of one routine may each
+// translate and store — the last store wins, so every value stored for
+// one routine must be equivalent.
+func (r *Routine) SetTranslated(v any) { r.translated.Store(v) }
 
 // Format renders the routine in the Fig. 12 assembly style: the loop
 // label, the body with each dual-issue group on one line, and the
@@ -193,56 +191,17 @@ var DefaultCost = CostModel{
 	LoopJnz:   1,
 }
 
-// InstrCycles is the issue cost of one instruction under the model.
+// InstrCycles is the issue cost of one instruction under the model: the
+// cost of its class, nothing for an op the table marks free.
 func (c CostModel) InstrCycles(i Instr) int {
-	switch i.Op {
-	case NOP:
+	info := i.Op.Info()
+	if info.Free {
 		return 0
-	case JNZ:
-		return c.LoopJnz
-	case SPILLV, RESTV:
-		return c.Spill
-	case FDIVV, FMODV:
-		return c.Divide
-	case FSQRTV:
-		return c.Sqrt
-	case FSINV, FCOSV, FTANV, FEXPV, FLOGV:
-		return c.Transcend
-	default:
-		return c.VectorOp
 	}
-}
-
-// BodyCycles is the cycle cost of one loop iteration: each issue group
-// (a non-paired instruction plus every consecutive Paired follower)
-// costs the maximum over its members, everything else accumulates
-// serially, plus the loop-control jnz. Whether a group is open is
-// tracked explicitly rather than inferred from a nonzero group cost, so
-// an instruction dual-issued into a zero-cost slot (a pair following a
-// NOP) still joins that group instead of being charged as a fresh
-// serial slot; a body-leading Paired instruction has no group to join
-// and opens its own.
-func (c CostModel) BodyCycles(body []Instr) int {
-	total := 0
-	prev := 0     // cost of the open issue group
-	open := false // an issue group is open (it may cost 0: a NOP slot)
-	for _, in := range body {
-		if in.Op == JNZ {
-			continue // charged once by the trailing LoopJnz term
-		}
-		cyc := c.InstrCycles(in)
-		if in.Paired && open {
-			if cyc > prev {
-				total += cyc - prev
-				prev = cyc
-			}
-			continue
-		}
-		total += cyc
-		prev = cyc
-		open = true
-	}
-	return total + c.LoopJnz
+	return [NumCycleClasses]int{
+		ClassVector: c.VectorOp, ClassDivide: c.Divide, ClassSqrt: c.Sqrt, ClassTranscend: c.Transcend,
+		ClassMemory: c.VectorOp, ClassSpill: c.Spill, ClassLoop: c.LoopJnz,
+	}[info.Class]
 }
 
 // RoutineCycles is the per-PE cost of executing the routine over a local

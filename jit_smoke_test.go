@@ -1,13 +1,12 @@
 package f90y_test
 
-// JIT smoke: the tier-1 gate for the executor's engines. Each kernel is
-// compiled once per engine selection — forced reference evaluator,
-// forced compiled chains, and the production default, which switches a
-// routine from one to the other mid-run — and run across worker counts;
-// stores must be bit-identical (Float64bits), PRINT output equal, and
-// every modeled cycle total unchanged: the engine is a wall-clock-only
-// choice. The SWE kernel additionally goes through the full three-way
-// differential oracle under each selection.
+// JIT smoke: the tier-1 gate for the executor. Each kernel is compiled
+// afresh and run under the reference evaluator and under the translated
+// form (production), across worker counts; stores must be bit-identical
+// (Float64bits), PRINT output equal, and every modeled cycle total
+// unchanged: how a routine is evaluated is wall-clock only. The SWE
+// kernel additionally goes through the full three-way differential
+// oracle under each.
 // (External test package: internal/oracle imports f90y.)
 
 import (
@@ -23,22 +22,21 @@ import (
 	"f90y/internal/workload"
 )
 
-// engineSelections are the three engine choices the differential gates
-// cover; cm2.TestOnlyEngine pins one process-wide, so no test that uses
-// them runs in parallel.
+// engineSelections are the two evaluators the differential gates cover;
+// cm2.TestOnlyEngine pins one process-wide, so no test that uses them
+// runs in parallel.
 var engineSelections = []struct {
 	name string
 	e    cm2.Engine
 }{
 	{"reference", cm2.EngineReference},
-	{"compiled", cm2.EngineCompiled},
-	{"default", cm2.EngineTiered},
+	{"translated", cm2.EngineTranslated},
 }
 
 // withEngine runs f with the engine choice pinned.
 func withEngine(e cm2.Engine, f func()) {
 	cm2.TestOnlyEngine = e
-	defer func() { cm2.TestOnlyEngine = cm2.EngineTiered }()
+	defer func() { cm2.TestOnlyEngine = cm2.EngineTranslated }()
 	f()
 }
 
@@ -56,8 +54,8 @@ func TestJITSmoke(t *testing.T) {
 	for name, src := range jitSmokeKernels() {
 		run := func(e cm2.Engine, workers int) *cm2.Result {
 			t.Helper()
-			// A fresh compilation per run: the default engine's choice
-			// depends on what this process already dispatched.
+			// A fresh compilation per run, so every run translates its
+			// routines itself.
 			comp, err := f90y.Compile(name, src, f90y.DefaultConfig())
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
@@ -117,8 +115,8 @@ func TestJITSmoke(t *testing.T) {
 
 // TestJITSmokeOracle runs the SWE kernel through the three-way
 // differential oracle (interp vs cm2 vs cm5) under each engine
-// selection on both backends — the gate that lets the default engine be
-// trusted everywhere.
+// selection on both backends — the gate that lets the translated form
+// be trusted everywhere.
 func TestJITSmokeOracle(t *testing.T) {
 	for _, sel := range engineSelections {
 		for _, workers := range []int{0, 4} {
