@@ -1,23 +1,22 @@
 GO ?= go
 
-.PHONY: check vet build test race smoke modeled-check serve-smoke loadtest crash-smoke crash-soak fuzz-smoke bench-check profile-smoke layout-smoke jit-smoke determinism concurrency soak-short soak bench bench-exec bench-batch bench-record clean
+.PHONY: check vet build test race modeled-check modeled-record serve-smoke crash-smoke crash-soak fuzz-smoke bench-check profile-smoke layout-smoke soak bench clean
 
-# check is the tier-1 gate (see ROADMAP.md): static analysis, a full
-# build, the race-enabled test suite, the race-enabled concurrency
-# tests (driver cache, batch executor, cancellation), the modeled-fields
-# gate (the committed paper-scale bench record regenerates with every
-# modeled number unchanged), a machine-readable benchmark smoke run in
-# batch mode, a short fuzz of the front end, the fault-plane determinism tests, a short fault-invariance
-# soak through the differential oracle, an end-to-end smoke of the
-# source-line cycle profiler's three artifact formats, the !HPF$
-# distribution-plane layout sweep (oracle-verified, deterministic, and
-# the layout choice must matter), the executor smoke (SWE through the
-# three-way oracle under the reference evaluator and the translated
-# form), the f90yd server lifecycle smoke (start,
-# load, overload, SIGTERM drain), the durability-plane crash smoke
-# (SIGKILL mid-load, relaunch, bit-identical recovery), and the vet +
-# tests of the repository benchmark's own module.
-check: vet build race concurrency modeled-check smoke fuzz-smoke determinism soak-short profile-smoke layout-smoke jit-smoke serve-smoke crash-smoke bench-check
+# check is the tier-1 gate (see ROADMAP.md). Ten stages, every test run
+# race-enabled exactly once:
+#   vet            go vet
+#   build          go build
+#   race           the whole suite under -race -short (-short skips only
+#                  the paper-scale TestE1PaperScale; `make test` runs it)
+#   modeled-check  the paper-scale f90y-bench/v2 record regenerates
+#                  byte-identical to BENCH_baseline.json
+#   fuzz-smoke     short fuzz of parser, pipeline, oracle, checkpoint reader
+#   profile-smoke  the cycle profiler's three artifact formats
+#   layout-smoke   the !HPF$ layout sweep, oracle-verified and deterministic
+#   serve-smoke    f90yd lifecycle: start, load, overload, SIGTERM drain
+#   crash-smoke    SIGKILL mid-load, relaunch, bit-identical recovery
+#   bench-check    vet + tests of the repository benchmark's own module
+check: vet build race modeled-check fuzz-smoke profile-smoke layout-smoke serve-smoke crash-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -38,41 +37,24 @@ bench-check:
 test:
 	$(GO) test ./...
 
-# Race-enabled suite; -short skips the paper-scale run.
+# Race-enabled suite; -short skips the paper-scale run and nothing else,
+# so this is also the concurrency gate (Test*Concurrent*, TestExec*),
+# the fault-plane determinism and resume tests (internal/cm2), the short
+# fault-invariance soak (internal/oracle) and the executor smoke
+# (TestJITSmoke, TestJITSmokeOracle).
 race:
 	$(GO) test -race -short ./...
 
-# Race-enabled concurrency gate: shared-artifact determinism, compile
-# cache singleflight, LRU byte-bound eviction racing Peek/hot hits and
-# in-flight pins (plus the error-entry flood), batch serial/parallel
-# identity, cancellation, the
-# sharded-executor determinism test (bit-exact stores, cycles, and
-# fault/numeric tallies across -exec-workers values, with fault
-# injection and the numeric record plane active), the executor
-# differential tests (chunk boundaries, chained-Mem positions, error
-# taxonomy, record-plane parity and failure-path merge, each under the
-# reference evaluator and the translated form across worker counts), the
-# dispatch-decision tests (fast-path refusals; goroutines
-# first-translating one shared routine), and the pool telemetry test
-# (workers recording into one shared collector while the modeled
-# counters and per-line cycle attribution stay bit-identical to a serial
-# run). Every executor test is named TestExec*; the count below fails
-# the gate if a rename ever leaves that pattern matching nothing.
-concurrency:
-	$(GO) test -race -run 'Concurrent|^TestExec' ./...
-	test "$$($(GO) test -list '^TestExec' ./internal/cm2/ | grep -c '^TestExec')" -ge 29
-
 # Modeled fields are the correctness signal: regenerate the committed
-# f90y-bench/v1 record (serial writer path, every flag at its default)
-# and fail unless every field but phases[].micros is unchanged.
+# f90y-bench/v2 record (every flag at its default) and fail unless it is
+# byte-identical to BENCH_baseline.json.
 modeled-check:
 	GO="$(GO)" ./scripts/modeled_check.sh
 
-# Smoke-test the f90y-bench/v1 JSON writer with the parallel batch pool
-# (modeled-check covers the serial path, with assertions).
-smoke:
-	$(GO) run ./cmd/swebench -json -parallel 4 -n 128 -steps 2 -o .bench-smoke.json
-	rm -f .bench-smoke.json
+# Refresh the golden after a change that is MEANT to move a modeled
+# number (and say so in the PR).
+modeled-record:
+	$(GO) run ./cmd/swebench -json -n 512 -steps 2 -o BENCH_baseline.json
 
 # End-to-end server lifecycle smoke: build f90yd, start it on a random
 # port, fire the swebench -serve-url traffic mix (healthy, verified,
@@ -97,13 +79,6 @@ crash-smoke:
 # EXPERIMENTS.md L2.
 crash-soak:
 	KILLS=20 OUT=CRASH_soak.json ./scripts/crash_smoke.sh
-
-# Bigger load run against a fresh server, recording the f90y-load/v1
-# baseline (healthy p50/p99, per-class status counts) quoted in
-# EXPERIMENTS.md L1. 32 clients against 4 workers + a depth-8 queue
-# drives the admission queue into overflow on purpose.
-loadtest:
-	REQS=256 LOADW=32 OUT=LOAD_baseline.json ./scripts/serve_smoke.sh
 
 # Short fuzz of the parser, the whole compile pipeline, the
 # differential oracle, and the checkpoint reader (~35s). The native
@@ -136,19 +111,6 @@ profile-smoke:
 layout-smoke:
 	./scripts/layout_smoke.sh
 
-# Fault-plane invariants: zero overhead with no plan attached,
-# bit-identical replay of the same seed, and exact resume (from every
-# boundary, from the parent commit's snapshots, never across machines).
-# The suite lives in internal/cm2 and runs every test over both targets
-# through the one run core (subtests .../cm2 and .../cm5).
-determinism:
-	$(GO) test -count=1 -run 'ZeroOverhead|Determinism|Resume' ./internal/cm2/
-
-# Short fault-invariance soak: the oracle package's soak tests under
-# the race detector (2 programs x 2 backends x 2 seeds x 4 plans).
-soak-short:
-	$(GO) test -race -run 'Soak|Verify' ./internal/oracle/
-
 # Full chaos soak: verify all seven kernels across interp/cm2/cm5,
 # then sweep 25 seeds x 4 fault plans x 2 backends (1400 faulted runs)
 # asserting bit-exact fault invariance. Reproducers for any violation
@@ -159,33 +121,7 @@ soak:
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
-# Executor smoke: SWE through the three-way differential oracle under
-# the reference evaluator and under the translated form, across worker
-# counts. (The kernel-by-kernel bit-identity sweep, TestJITSmoke, runs
-# with the suite in `race`.)
-jit-smoke:
-	$(GO) test -run 'JITSmokeOracle' -count=1 .
-
-# Sharded-executor scaling: SWE wall-clock across -exec-workers 1/2/4/8
-# (modeled metrics are identical across all four by construction; see
-# EXPERIMENTS.md).
-bench-exec:
-	$(GO) test -bench 'SWE_ExecWorkers' -benchmem -run '^$$' .
-
-# Time the full experiment suite serial vs parallel and write the
-# f90y-batch/v1 comparison record.
-bench-batch:
-	$(GO) run ./cmd/swebench -bench-batch -o BENCH_batch.json
-
-# Refresh the committed baseline record: the f90y-bench/v1 JSON for the
-# paper-scale SWE run (with its profile summary), then the
-# sharded-executor scaling benchmark for the wall-clock numbers quoted
-# in EXPERIMENTS.md.
-bench-record:
-	$(GO) run ./cmd/swebench -json -n 512 -steps 2 -o BENCH_baseline.json
-	$(GO) test -bench 'SWE_ExecWorkers' -benchmem -run '^$$' .
-
 # clean removes generated benchmark outputs but keeps the committed
-# BENCH_baseline.json (refresh it with bench-record).
+# BENCH_baseline.json (refresh it with modeled-record).
 clean:
-	rm -f BENCH_swe_*.json BENCH_batch.json .bench-smoke.json .profile-smoke.pb.gz .profile-smoke.folded .load-smoke.json LOAD_swe.json .crash-smoke.json CRASH_swe.json
+	rm -f BENCH_swe_*.json .profile-smoke.pb.gz .profile-smoke.folded .load-smoke.json LOAD_swe.json .crash-smoke.json CRASH_swe.json

@@ -88,12 +88,11 @@ func main() {
 	}
 
 	ctx := context.Background()
-	art, err := driver.New(1).Compile(ctx, file, string(src), cfg)
+	comp, err := f90y.CompileCtx(ctx, file, string(src), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	comp := art.Comp
 
 	// -metrics/-trace execute the program so the report and trace carry
 	// the exec span and cycle attribution (and, with -faults, the

@@ -239,7 +239,7 @@ func buildLayoutRecord(svc *driver.Service, n, iters int, verify bool) (layoutRe
 // runLayoutSweep prints the sweep table to w and writes the record to
 // path (default BENCH_layout_n<N>_i<iters>.json).
 func runLayoutSweep(w io.Writer, path string, n, iters int, verify bool) error {
-	svc := newService(1)
+	svc := driver.New(1)
 	rec, err := buildLayoutRecord(svc, n, iters, verify)
 	if err != nil {
 		return err

@@ -1,19 +1,21 @@
 // Command swebench reproduces the experiments of the paper's evaluation
 // (§6 and the worked figures) on the simulated CM/2, printing
-// paper-versus-measured tables.
+// paper-versus-measured tables, and is the harness the tier-1 gates
+// drive: the modeled-fields golden, the chaos soak, the layout sweep,
+// the server load mix and the crash-restart check. It measures modeled
+// cycles only; wall-clock evidence is the repository benchmark's job
+// (bench/, BENCHMARK.json).
 //
 // Usage:
 //
 //	swebench [-n 1024] [-steps 4] [-experiment e1|e2|e3|e4|e5|e6|e7|all]
-//	         [-parallel N] [-exec-workers N]
-//	swebench -json [-parallel N] [-o BENCH_swe.json] [-n 1024] [-steps 4]
-//	         [-profile] [-profile-pprof swe.pb.gz] [-profile-folded swe.folded]
-//	swebench -bench-batch [-parallel N] [-o BENCH_batch.json]
+//	         [-parallel N]
+//	swebench -json [-o BENCH_swe.json] [-n 1024] [-steps 4] [-faults SPEC]
 //	swebench -layout-sweep [-layout-n 65536] [-layout-iters 2]
 //	         [-layout-verify] [-o BENCH_layout.json]
 //	swebench -soak N [-json [-o SOAK.json]] [-parallel N] [-repro-dir DIR]
 //	swebench -serve-url http://127.0.0.1:8090 [-load 64] [-load-workers 8]
-//	         [-serve-wait 10s] [-o LOAD_swe.json]
+//	         [-o LOAD_swe.json]
 //	swebench -restart N -server-bin ./f90yd [-state-dir DIR]
 //	         [-restart-io-faults seed=1,torn=0.05] [-o CRASH_swe.json]
 //
@@ -22,7 +24,7 @@
 // verified, fault-injected, budget-killer, and oversized jobs is fired
 // from concurrent clients, every response is checked against the
 // documented error taxonomy (any 500 fails the run), and a
-// "f90y-load/v1" record with healthy-request p50/p99 latencies is
+// "f90y-load/v2" record of per-class status and error-code counts is
 // written to -o.
 //
 // With -restart the suite becomes a crash-safety harness (see
@@ -33,26 +35,19 @@
 // -restart-io-faults, is lost ONLY as a server-reported torn-record
 // casualty. A "f90y-crash/v1" record goes to -o.
 //
-// With -parallel N the seven experiments run concurrently on an
-// N-worker pool (N < 1 selects GOMAXPROCS): each experiment renders
-// into its own buffer, buffers print in experiment order, and every
-// table is byte-identical to a serial run — the experiments share one
+// The experiments always render through one N-worker pool (-parallel N;
+// N <= 1 is a pool of one, which runs them in order): each experiment
+// renders into its own buffer, buffers print in experiment order, and
+// every table is byte-identical for every N — the experiments share one
 // compile cache (internal/driver) but no mutable run state.
 //
-// With -json the SWE benchmark runs once with full telemetry and a
-// machine-readable record (schema "f90y-bench/v1", see json.go) is
+// With -json the SWE benchmark runs once and a machine-readable record
+// of its modeled fields (schema "f90y-bench/v2", see json.go) is
 // written to -o (default BENCH_swe_n<N>_s<steps>.json); the output path
-// is printed to stdout. -parallel runs the three measured systems
-// (Fortran-90-Y, CM Fortran model, *Lisp model) concurrently.
-//
-// The record always carries a "profile" summary (total attributed
-// cycles + five hottest source lines); the -profile* flags additionally
-// emit the full artifacts from the same run — the annotated source
-// listing to stdout, a pprof protobuf, and folded flamegraph stacks.
-//
-// With -bench-batch the whole suite is timed twice — serial, then on
-// the parallel pool — and a "f90y-batch/v1" record comparing the two
-// wall-clocks is written to -o (default BENCH_batch.json).
+// is printed to stdout. The record is byte-deterministic — it is the
+// golden `make modeled-check` compares — and carries a "profile"
+// summary (total attributed cycles + five hottest source lines); the
+// full profile artifacts are `f90yrun -profile*`.
 //
 // With -layout-sweep the router-heavy kernel trio (transpose, FFT
 // butterfly, irregular gather) runs under BLOCK / CYCLIC / ALIGN'd
@@ -64,16 +59,10 @@
 //
 // With -soak N the suite's kernels are verified through the
 // differential oracle and chaos-soaked across N seeds x fault plans x
-// both backends (see soak.go); fault-invariance violations are
-// minimized to reproducer specs under -repro-dir and fail the command.
-// -json writes a "f90y-soak/v1" record to -o (default stdout).
-//
-// -exec-workers N is orthogonal to -parallel: where -parallel runs
-// whole experiments concurrently, -exec-workers shards each individual
-// PEAC routine dispatch across N chunk workers over disjoint element
-// ranges (1 = serial, the default; N < 0 selects GOMAXPROCS). Every
-// table, record, and cycle total is bit-identical for every value —
-// only host wall-clock changes.
+// both backends (see soak.go; -parallel N < 1 selects GOMAXPROCS
+// there); fault-invariance violations are minimized to reproducer
+// specs under -repro-dir and fail the command. -json writes a
+// "f90y-soak/v1" record to -o (default stdout).
 package main
 
 import (
@@ -83,14 +72,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
 
 	"f90y"
 	"f90y/internal/cm2"
 	"f90y/internal/cm5"
 	"f90y/internal/cmf"
 	"f90y/internal/driver"
+	"f90y/internal/fe"
 	"f90y/internal/opt"
 	"f90y/internal/pe"
 	"f90y/internal/peac"
@@ -102,21 +90,15 @@ var (
 	flagN          = flag.Int("n", 1024, "SWE grid edge")
 	flagSteps      = flag.Int("steps", 4, "SWE time steps")
 	flagExp        = flag.String("experiment", "all", "experiment id: e1..e7 or all")
-	flagJSON       = flag.Bool("json", false, "write a machine-readable benchmark record instead of tables")
-	flagOut        = flag.String("o", "", "output path for -json/-bench-batch (defaults depend on mode)")
+	flagJSON       = flag.Bool("json", false, "write a machine-readable record of the modeled fields instead of tables")
+	flagOut        = flag.String("o", "", "output path for the mode's record (defaults depend on mode)")
 	flagFaults     = flag.String("faults", "", driver.FaultsHelp)
-	flagParallel   = flag.Int("parallel", 0, "run experiments concurrently on an N-worker pool (0 = serial, <0 = GOMAXPROCS)")
-	flagBenchBatch = flag.Bool("bench-batch", false, "time the suite serial vs parallel and write a f90y-batch/v1 record")
+	flagParallel   = flag.Int("parallel", 0, "run experiments on an N-worker pool (N <= 1: one at a time, in order); with -soak, N < 1 = GOMAXPROCS")
 	flagSoak       = flag.Int("soak", 0, "chaos-soak: verify all kernels differentially, then sweep N seeds x fault plans x backends")
 	flagReproDir   = flag.String("repro-dir", "soak-repros", "directory for fault-invariance reproducer specs (-soak)")
-	flagExecW      = flag.Int("exec-workers", 1, "shard each routine dispatch across N chunk workers (1 = serial, <0 = GOMAXPROCS); results are bit-exact")
-	flagServeURL   = flag.String("serve-url", "", "load-generator client mode: fire a mixed job stream at a running f90yd and write a f90y-load/v1 record")
+	flagServeURL   = flag.String("serve-url", "", "load-generator client mode: fire a mixed job stream at a running f90yd and write a f90y-load/v2 record")
 	flagLoad       = flag.Int("load", 64, "with -serve-url: total requests to issue")
 	flagLoadW      = flag.Int("load-workers", 8, "with -serve-url: concurrent client connections")
-	flagServeWait  = flag.Duration("serve-wait", 10*time.Second, "with -serve-url: how long to poll /healthz for the server to come up")
-	flagProf       = flag.Bool("profile", false, "with -json: print the SWE run's source-annotated cycle profile to stdout")
-	flagProfPB     = flag.String("profile-pprof", "", "with -json: write the SWE run's pprof protobuf profile")
-	flagProfFG     = flag.String("profile-folded", "", "with -json: write the SWE run's folded stacks for flamegraph tooling")
 	flagLayout     = flag.Bool("layout-sweep", false, "sweep the kernel trio across !HPF$ data distributions and write a f90y-layout/v1 record")
 	flagLayoutN    = flag.Int("layout-n", 65536, "with -layout-sweep: problem size (elements)")
 	flagLayoutIter = flag.Int("layout-iters", 2, "with -layout-sweep: kernel iterations")
@@ -126,24 +108,6 @@ var (
 	flagStateDir   = flag.String("state-dir", "", "with -restart: server durability directory (default: a fresh temp dir)")
 	flagIOFaults   = flag.String("restart-io-faults", "", "with -restart: -io-faults spec passed to the server, e.g. seed=1,torn=0.05,short=0.05")
 )
-
-// execWorkers normalizes the -exec-workers flag: explicit serial (1)
-// becomes the zero value so the zero-overhead executor path is taken.
-func execWorkers() int {
-	if *flagExecW == 1 {
-		return 0
-	}
-	return *flagExecW
-}
-
-// newService builds the shared compile-and-run service with the
-// -exec-workers default applied, so every run the suite dispatches
-// shards its routines the same way.
-func newService(workers int) *driver.Service {
-	svc := driver.New(workers)
-	svc.ExecWorkers = execWorkers()
-	return svc
-}
 
 // experiment is one reproduction: it renders its table to w, running
 // compiles and executions through the shared service.
@@ -160,9 +124,6 @@ var experiments = []experiment{
 func main() {
 	flag.Parse()
 	workers := *flagParallel
-	if (*flagProf || *flagProfPB != "" || *flagProfFG != "") && !*flagJSON {
-		die(fmt.Errorf("-profile, -profile-pprof, and -profile-folded require -json (they profile the measured SWE run)"))
-	}
 	if *flagRestart > 0 {
 		if err := runRestart(os.Stdout, *flagServerBin, *flagRestart, *flagStateDir, *flagIOFaults, *flagOut); err != nil {
 			die(err)
@@ -170,7 +131,7 @@ func main() {
 		return
 	}
 	if *flagServeURL != "" {
-		if err := runServeLoad(os.Stdout, *flagServeURL, *flagLoad, *flagLoadW, *flagServeWait, *flagOut); err != nil {
+		if err := runServeLoad(os.Stdout, *flagServeURL, *flagLoad, *flagLoadW, *flagOut); err != nil {
 			die(err)
 		}
 		return
@@ -191,14 +152,8 @@ func main() {
 		}
 		return
 	}
-	if *flagBenchBatch {
-		if err := runBenchBatch(*flagOut, *flagN, *flagSteps, workers); err != nil {
-			die(err)
-		}
-		return
-	}
 	if *flagJSON {
-		writeJSON(*flagOut, *flagN, *flagSteps, workers)
+		writeJSON(*flagOut, *flagN, *flagSteps)
 		return
 	}
 
@@ -210,16 +165,16 @@ func main() {
 	} else {
 		ids = append(ids, *flagExp)
 	}
-	svc := newService(workers)
-	if err := runSuite(os.Stdout, svc, ids, *flagN, *flagSteps, workers); err != nil {
+	if err := runSuite(os.Stdout, driver.New(workers), ids, *flagN, *flagSteps, workers); err != nil {
 		die(err)
 	}
 }
 
-// runSuite executes the named experiments against one shared service.
-// workers > 1 runs them concurrently, each into a private buffer;
-// buffers flush to w in experiment order, so the bytes written are
-// identical to a serial run.
+// runSuite executes the named experiments against one shared service
+// on a pool of workers goroutines (workers <= 1: a pool of one, which
+// takes them in order). Each renders into a private buffer and buffers
+// flush to w in experiment order as they finish, so the bytes written
+// do not depend on the pool size.
 func runSuite(w io.Writer, svc *driver.Service, ids []string, n, steps, workers int) error {
 	byID := map[string]func(io.Writer, *driver.Service, int, int) error{}
 	for _, e := range experiments {
@@ -232,37 +187,32 @@ func runSuite(w io.Writer, svc *driver.Service, ids []string, n, steps, workers 
 		}
 	}
 
-	if workers <= 1 || len(ids) == 1 {
-		for _, id := range ids {
-			if err := byID[id](w, svc, n, steps); err != nil {
-				return err
-			}
-			if blank {
-				fmt.Fprintln(w)
-			}
-		}
-		return nil
+	type slot struct {
+		buf  bytes.Buffer
+		err  error
+		done chan struct{}
 	}
-
-	bufs := make([]bytes.Buffer, len(ids))
-	errs := make([]error, len(ids))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = byID[id](&bufs[i], svc, n, steps)
-		}(i, id)
+	slots := make([]slot, len(ids))
+	next := make(chan int, len(ids))
+	for i := range slots {
+		slots[i].done = make(chan struct{})
+		next <- i
 	}
-	wg.Wait()
-	for i := range ids {
-		if errs[i] != nil {
-			return fmt.Errorf("%s: %w", ids[i], errs[i])
+	close(next)
+	for range max(workers, 1) {
+		go func() {
+			for i := range next {
+				slots[i].err = byID[ids[i]](&slots[i].buf, svc, n, steps)
+				close(slots[i].done)
+			}
+		}()
+	}
+	for i := range slots {
+		<-slots[i].done
+		if slots[i].err != nil {
+			return fmt.Errorf("%s: %w", ids[i], slots[i].err)
 		}
-		if _, err := w.Write(bufs[i].Bytes()); err != nil {
+		if _, err := w.Write(slots[i].buf.Bytes()); err != nil {
 			return err
 		}
 		if blank {
@@ -285,12 +235,12 @@ func runF90Y(svc *driver.Service, file, src string, cfg f90y.Config) (*cm2.Resul
 }
 
 // compileF90Y compiles through the shared cache without running.
-func compileF90Y(svc *driver.Service, file, src string, cfg f90y.Config) (*f90y.Compilation, error) {
+func compileF90Y(svc *driver.Service, file, src string, cfg f90y.Config) (*fe.Program, error) {
 	art, err := svc.Compile(context.Background(), file, src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return art.Comp, nil
+	return art.Program, nil
 }
 
 // e1 is the §6 performance table: SWE sustained GFLOPS for hand-coded
@@ -378,8 +328,8 @@ func e4(w io.Writer, svc *driver.Service, n, steps int) error {
 	}
 	fmt.Fprintln(w, "E4 (Fig. 11): naive vs blocked vs partitioned program structure")
 	fmt.Fprintf(w, "%-24s %-16s %-12s %s\n", "configuration", "node routines", "comm calls", "host ops")
-	n1 := naive.Program.CountOps()
-	n2 := blocked.Program.CountOps()
+	n1 := naive.CountOps()
+	n2 := blocked.CountOps()
 	fmt.Fprintf(w, "%-24s %-16d %-12d %d\n", "naive", n1["callnode"], n1["comm"], n1["assign"])
 	fmt.Fprintf(w, "%-24s %-16d %-12d %d\n", "blocked+partitioned", n2["callnode"], n2["comm"], n2["assign"])
 	return nil
@@ -400,9 +350,9 @@ func e5(w io.Writer, svc *driver.Service, n, steps int) error {
 	if err != nil {
 		return err
 	}
-	pick := func(c *f90y.Compilation) *peac.Routine {
+	pick := func(p *fe.Program) *peac.Routine {
 		var best *peac.Routine
-		for _, r := range c.Program.Routines {
+		for _, r := range p.Routines {
 			if best == nil || r.InstrCount() > best.InstrCount() {
 				best = r
 			}
@@ -435,7 +385,7 @@ func e6(w io.Writer, svc *driver.Service, n, steps int) error {
 			return err
 		}
 		var r *peac.Routine
-		for _, rt := range comp.Program.Routines {
+		for _, rt := range comp.Routines {
 			if r == nil || rt.InstrCount() > r.InstrCount() {
 				r = rt
 			}
@@ -449,15 +399,15 @@ func e6(w io.Writer, svc *driver.Service, n, steps int) error {
 // both back ends.
 func e7(w io.Writer, svc *driver.Service, n, steps int) error {
 	src := workload.SWE(n, steps)
-	comp, err := compileF90Y(svc, "swe.f90", src, f90y.DefaultConfig())
+	prog, err := compileF90Y(svc, "swe.f90", src, f90y.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	cm2Res, err := cm2.Default().RunCtx(context.Background(), comp.Program, nil, nil, nil)
+	cm2Res, err := cm2.Default().RunCtx(context.Background(), prog, nil, nil, nil)
 	if err != nil {
 		return err
 	}
-	cm5Res, err := cm5.Default().RunCtx(context.Background(), comp.Program, nil, nil)
+	cm5Res, err := cm5.Default().RunCtx(context.Background(), prog, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -107,7 +107,7 @@ func launchServer(bin, stateDir, addrFile, ioFaults string, logw io.Writer) (*se
 	for {
 		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
 			url := "http://" + strings.TrimSpace(string(data))
-			if err := waitServe(&http.Client{Timeout: 5 * time.Second}, url, 10*time.Second); err == nil {
+			if err := waitServe(&http.Client{Timeout: 5 * time.Second}, url); err == nil {
 				return &serverProc{cmd: cmd, url: url}, nil
 			}
 		}

@@ -9,14 +9,13 @@ package main
 // against the documented error taxonomy (internal/server/errors.go):
 // any 500, or any status outside the documented set, fails the run.
 //
-// A "f90y-load/v1" record is written to -o (default LOAD_swe.json):
+// A "f90y-load/v2" record is written to -o (default LOAD_swe.json):
 //
 //	{
-//	  "schema": "f90y-load/v1",
-//	  "url": ..., "requests": N, "workers": C, "wall_ms": ...,
+//	  "schema": "f90y-load/v2",
+//	  "url": ..., "requests": N, "workers": C,
 //	  "classes": {"healthy": {"sent": n, "by_status": {"200": ...},
 //	               "by_code": {"queue_full": ...}}, ...},
-//	  "healthy_ms": {"p50": ..., "p99": ...},   latency of healthy 200s
 //	  "undocumented": 0,                        statuses outside the taxonomy
 //	  "server_stats": {...}                     final /statsz snapshot
 //	}
@@ -68,9 +67,7 @@ type loadRecord struct {
 	URL          string                     `json:"url"`
 	Requests     int                        `json:"requests"`
 	Workers      int                        `json:"workers"`
-	WallMS       float64                    `json:"wall_ms"`
 	Classes      map[string]*loadClassStats `json:"classes"`
-	HealthyMS    *loadPercentiles           `json:"healthy_ms,omitempty"`
 	Undocumented int                        `json:"undocumented"`
 	ServerStats  json.RawMessage            `json:"server_stats,omitempty"`
 }
@@ -82,15 +79,13 @@ type loadClassStats struct {
 	Unexpected int            `json:"unexpected,omitempty"`
 }
 
-type loadPercentiles struct {
-	P50 float64 `json:"p50"`
-	P99 float64 `json:"p99"`
-}
+// serveWait is how long waitServe polls for a server to come up.
+const serveWait = 10 * time.Second
 
-// waitServe polls GET /healthz until the server answers 200 or the
-// wait budget runs out.
-func waitServe(client *http.Client, url string, wait time.Duration) error {
-	deadline := time.Now().Add(wait)
+// waitServe polls GET /healthz until the server answers 200 or
+// serveWait runs out.
+func waitServe(client *http.Client, url string) error {
+	deadline := time.Now().Add(serveWait)
 	for {
 		resp, err := client.Get(url + "/healthz")
 		if err == nil {
@@ -101,9 +96,9 @@ func waitServe(client *http.Client, url string, wait time.Duration) error {
 		}
 		if time.Now().After(deadline) {
 			if err != nil {
-				return fmt.Errorf("server at %s not healthy after %v: %w", url, wait, err)
+				return fmt.Errorf("server at %s not healthy after %v: %w", url, serveWait, err)
 			}
-			return fmt.Errorf("server at %s not healthy after %v", url, wait)
+			return fmt.Errorf("server at %s not healthy after %v", url, serveWait)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -161,7 +156,7 @@ func loadMix(i int) loadClass {
 // runServeLoad fires the mix at the server and writes the record.
 // Returns an error (→ exit 1) on any undocumented status or when the
 // healthy class never completed a request.
-func runServeLoad(w io.Writer, url string, requests, workers int, wait time.Duration, outPath string) error {
+func runServeLoad(w io.Writer, url string, requests, workers int, outPath string) error {
 	url = strings.TrimRight(url, "/")
 	if requests < 1 {
 		requests = 64
@@ -170,7 +165,7 @@ func runServeLoad(w io.Writer, url string, requests, workers int, wait time.Dura
 		workers = 8
 	}
 	client := &http.Client{Timeout: 5 * time.Minute}
-	if err := waitServe(client, url, wait); err != nil {
+	if err := waitServe(client, url); err != nil {
 		return err
 	}
 
@@ -178,13 +173,11 @@ func runServeLoad(w io.Writer, url string, requests, workers int, wait time.Dura
 		class   string
 		status  int
 		code    string
-		ms      float64
 		allowed bool
 	}
 	outcomes := make([]outcome, requests)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	start := time.Now()
 	for i := 0; i < requests; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -208,7 +201,6 @@ func runServeLoad(w io.Writer, url string, requests, workers int, wait time.Dura
 			if tenant != "" {
 				req.Header.Set("X-Tenant", tenant)
 			}
-			t0 := time.Now()
 			resp, err := client.Do(req)
 			if err != nil {
 				// Transport errors (refused mid-drain, timeouts) are
@@ -234,23 +226,19 @@ func runServeLoad(w io.Writer, url string, requests, workers int, wait time.Dura
 				class:   cl.name,
 				status:  resp.StatusCode,
 				code:    code,
-				ms:      float64(time.Since(t0).Nanoseconds()) / 1e6,
 				allowed: cl.allowed[resp.StatusCode],
 			}
 		}(i)
 	}
 	wg.Wait()
-	wallMS := float64(time.Since(start).Nanoseconds()) / 1e6
 
 	rec := loadRecord{
-		Schema:   "f90y-load/v1",
+		Schema:   "f90y-load/v2",
 		URL:      url,
 		Requests: requests,
 		Workers:  workers,
-		WallMS:   wallMS,
 		Classes:  map[string]*loadClassStats{},
 	}
-	var healthyMS []float64
 	healthyOK := 0
 	for _, o := range outcomes {
 		cs := rec.Classes[o.class]
@@ -274,14 +262,6 @@ func runServeLoad(w io.Writer, url string, requests, workers int, wait time.Dura
 		}
 		if o.class == "healthy" && o.status == 200 {
 			healthyOK++
-			healthyMS = append(healthyMS, o.ms)
-		}
-	}
-	if len(healthyMS) > 0 {
-		sort.Float64s(healthyMS)
-		rec.HealthyMS = &loadPercentiles{
-			P50: healthyMS[len(healthyMS)*50/100],
-			P99: healthyMS[min(len(healthyMS)-1, len(healthyMS)*99/100)],
 		}
 	}
 
@@ -301,10 +281,7 @@ func runServeLoad(w io.Writer, url string, requests, workers int, wait time.Dura
 		return err
 	}
 	fmt.Fprintln(w, outPath)
-	if rec.HealthyMS != nil {
-		fmt.Fprintf(w, "load: %d reqs via %d workers in %.0f ms; healthy p50=%.1f ms p99=%.1f ms\n",
-			requests, workers, wallMS, rec.HealthyMS.P50, rec.HealthyMS.P99)
-	}
+	fmt.Fprintf(w, "load: %d reqs via %d workers\n", requests, workers)
 	for _, name := range sortedClassNames(rec.Classes) {
 		cs := rec.Classes[name]
 		fmt.Fprintf(w, "load: class %-8s sent=%-4d by_status=%v", name, cs.Sent, cs.ByStatus)

@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 
+	"f90y/internal/driver"
 	"f90y/internal/oracle"
 	"f90y/internal/workload"
 )
@@ -70,7 +71,7 @@ type soakRecord struct {
 // exits nonzero when it is not 0.
 func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outPath string) (int, error) {
 	progs := soakPrograms()
-	svc := newService(workers)
+	svc := driver.New(workers)
 	svc.MaxCycles = 2_000_000_000 // fault-induced runaways must not hang the sweep
 
 	rec := soakRecord{Schema: "f90y-soak/v1", Seeds: seeds, Backends: []string{"cm2", "cm5"}}
@@ -81,7 +82,7 @@ func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outP
 	// Phase 1: differential verification, interp vs cm2 vs cm5.
 	failures := 0
 	for _, p := range progs {
-		vrep, err := oracle.Verify(p.File, p.Source, oracle.Options{MaxCycles: svc.MaxCycles, ExecWorkers: svc.ExecWorkers})
+		vrep, err := oracle.Verify(p.File, p.Source, oracle.Options{MaxCycles: svc.MaxCycles})
 		if err != nil {
 			failures++
 			rec.Errors = append(rec.Errors, fmt.Sprintf("verify %s: %v", p.Name, err))

@@ -1,7 +1,7 @@
 package cm2_test
 
 // TestConcurrentExecPoolTelemetry is the race-enabled gate for the
-// sharded executor's runtime telemetry (wired into `make concurrency`):
+// sharded executor's runtime telemetry (wired into `make race`):
 // every pool worker records spans, counters, and histograms into ONE
 // shared obs.Collector concurrently, and the run's modeled telemetry
 // must still be bit-identical to a serial run's — only the wall-clock

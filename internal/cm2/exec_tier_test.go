@@ -174,7 +174,7 @@ func TestExecTierScalarLanes(t *testing.T) {
 // hitting one cached artifact do — and each may find it untranslated and
 // decode it. The forms are equivalent and the last store wins, so
 // whatever each ran, every store must equal the serial reference bit for
-// bit. Run under -race by `make concurrency`.
+// bit. Run under -race by `make race`.
 func TestExecTierConcurrentFirstDispatch(t *testing.T) {
 	for _, n := range []int{300, chunkSize + 300} {
 		mk := func() *rt.Store {

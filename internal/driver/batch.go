@@ -106,13 +106,13 @@ func (s *Service) Run(ctx context.Context, job Job) RunResult {
 		if m == nil {
 			m = cm2.Default()
 		}
-		res.CM2, res.Err = m.RunCtx(ctx, art.Comp.Program, nil, rec, ctl)
+		res.CM2, res.Err = m.RunCtx(ctx, art.Program, nil, rec, ctl)
 	case "cm5":
 		m := job.CM5
 		if m == nil {
 			m = cm5.Default()
 		}
-		res.CM5, res.Err = m.RunCtx(ctx, art.Comp.Program, rec, ctl)
+		res.CM5, res.Err = m.RunCtx(ctx, art.Program, rec, ctl)
 	default:
 		res.Err = fmt.Errorf("driver: job %s: unknown target %q", job.Name, job.Target)
 	}

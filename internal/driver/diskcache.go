@@ -13,16 +13,13 @@ import (
 	"sort"
 	"strings"
 
-	"f90y"
-	"f90y/internal/cm2"
 	"f90y/internal/fe"
 	"f90y/internal/nir"
 	"f90y/internal/rt"
 )
 
-// The on-disk artifact tier persists the partitioned program — the one
-// Compilation field every run consumes (batch.go reads art.Comp.Program
-// and nothing else; the machine is a run-time choice). The host IR and
+// The on-disk artifact tier persists the partitioned program — all an
+// Artifact holds (the machine is a run-time choice). The host IR and
 // the symbol table carry interface values, which gob can only move with
 // the concrete implementations registered. lower registers the types
 // symbols need (nir.Type, shape.Shape); the host ops and their value
@@ -173,10 +170,10 @@ func relinkRoutines(p *fe.Program) {
 }
 
 // loadDisk probes the disk tier for key. A usable entry returns the
-// restored artifact; a damaged one is removed (and counted) so it is
+// restored program; a damaged one is removed (and counted) so it is
 // recompiled this time and missed cleanly the next. Never returns a
-// corrupt artifact.
-func (s *Service) loadDisk(key Key) *Artifact {
+// corrupt program.
+func (s *Service) loadDisk(key Key) *fe.Program {
 	if s.CacheDir == "" {
 		return nil
 	}
@@ -203,7 +200,7 @@ func (s *Service) loadDisk(key Key) *Artifact {
 	s.mu.Lock()
 	s.disk.Hits++
 	s.mu.Unlock()
-	return &Artifact{Key: key, Comp: &f90y.Compilation{Program: prog, Machine: cm2.Default()}}
+	return prog
 }
 
 // storeDisk persists a finished compilation, best effort: a full disk
@@ -237,9 +234,9 @@ func (s *Service) DiskStats() DiskCacheStats {
 
 // PruneDiskCache bounds the disk tier at maxBytes by removing the
 // oldest entries (by modification time) until the total fits. Returns
-// the number of entries removed. Called by the server at startup and
-// after drain; a second process pruning concurrently is harmless —
-// removal of an already-removed file is not an error.
+// the number of entries removed. Called by the server at startup; a
+// second process pruning concurrently is harmless — removal of an
+// already-removed file is not an error.
 func (s *Service) PruneDiskCache(maxBytes int64) int {
 	if s.CacheDir == "" || maxBytes <= 0 {
 		return 0

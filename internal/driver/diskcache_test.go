@@ -38,6 +38,27 @@ func runThrough(t *testing.T, svc *Service) (*Artifact, []string, float64) {
 	return res.Artifact, r.Output, r.TotalCycles()
 }
 
+// populatedFields lists the paths of v's non-zero exported fields,
+// following pointers into the structs they name.
+func populatedFields(path string, v reflect.Value) []string {
+	if v.IsZero() {
+		return nil
+	}
+	out := []string{path}
+	for v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	if v.Kind() != reflect.Struct {
+		return out
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() {
+			out = append(out, populatedFields(path+"."+f.Name, v.Field(i))...)
+		}
+	}
+	return out
+}
+
 // TestDiskCacheRoundTrip: a second service with the same CacheDir
 // serves the compile from disk — no pipeline run — and the restored
 // program executes bit-identically to the freshly compiled one.
@@ -46,7 +67,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 
 	cold := New(1)
 	cold.CacheDir = dir
-	_, outCold, cycCold := runThrough(t, cold)
+	fresh, outCold, cycCold := runThrough(t, cold)
 	if st := cold.DiskStats(); st.Writes != 1 || st.Hits != 0 {
 		t.Fatalf("cold service disk stats %+v, want 1 write, 0 hits", st)
 	}
@@ -63,17 +84,22 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if cycCold != cycWarm {
 		t.Errorf("restored program cycles %v, compiled %v", cycWarm, cycCold)
 	}
+	// Both tiers hand out the same shape: same type, same fields set.
+	// (A disk hit used to fabricate a Compilation with only Program.)
+	if f, l := populatedFields("art", reflect.ValueOf(fresh)), populatedFields("art", reflect.ValueOf(art)); !reflect.DeepEqual(f, l) {
+		t.Errorf("disk-loaded artifact populates %v, freshly compiled %v", l, f)
+	}
 	// The restored host program must be structurally complete.
-	if got, want := art.Comp.Program.CountOps(), len(art.Comp.Program.Routines); len(got) == 0 || want == 0 {
+	if got, want := art.Program.CountOps(), len(art.Program.Routines); len(got) == 0 || want == 0 {
 		t.Errorf("restored program looks empty: ops %v, %d routines", got, want)
 	}
 	// Routine pointers are re-linked: every CallNode points into Routines.
-	if len(art.Comp.Program.Routines) > 0 {
+	if len(art.Program.Routines) > 0 {
 		seen := map[string]bool{}
-		for _, r := range art.Comp.Program.Routines {
+		for _, r := range art.Program.Routines {
 			seen[r.Name] = true
 		}
-		if !seen[art.Comp.Program.Routines[0].Name] {
+		if !seen[art.Program.Routines[0].Name] {
 			t.Error("routine table lost names")
 		}
 	}

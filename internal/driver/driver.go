@@ -35,6 +35,7 @@ import (
 
 	"f90y"
 	"f90y/internal/faults"
+	"f90y/internal/fe"
 	"f90y/internal/rt"
 )
 
@@ -77,12 +78,15 @@ func Fingerprint(cfg f90y.Config) string {
 	return fp
 }
 
-// Artifact is one cached compilation: the full pipeline output, shared
-// by every run of the same (source, config). It is immutable — runs
-// read the partitioned program and build their own stores.
+// Artifact is one cached compilation: the partitioned program, the one
+// pipeline output a run reads, shared by every run of the same (source,
+// config). It is immutable — runs build their own stores — and has the
+// same shape whether it was compiled in this process or loaded from the
+// disk tier. The AST and NIR modules are not retained; a caller that
+// wants them (f90yc -dump) calls f90y.CompileCtx itself.
 type Artifact struct {
-	Key  Key
-	Comp *f90y.Compilation
+	Key     Key
+	Program *fe.Program
 }
 
 // entry is one cache slot. The first requester compiles and closes
@@ -203,20 +207,16 @@ func (s *Service) CacheUsage() (entries int, bytes, evictions int64) {
 // charge for the retained pipeline artifacts, and a fixed overhead. The
 // estimate only needs to be monotone in real footprint — the bound is a
 // capacity-planning knob, not an accountant.
-func artifactCost(src string, comp *f90y.Compilation) int64 {
-	cost := int64(1024 + len(src))
-	if comp == nil || comp.Program == nil {
-		return cost
-	}
+func artifactCost(src string, prog *fe.Program) int64 {
 	instrs := 0
-	for _, r := range comp.Program.Routines {
+	for _, r := range prog.Routines {
 		instrs += r.InstrCount()
 	}
 	ops := 0
-	for _, n := range comp.Program.CountOps() {
+	for _, n := range prog.CountOps() {
 		ops += n
 	}
-	return cost + 64*int64(instrs) + 48*int64(ops)
+	return int64(1024+len(src)) + 64*int64(instrs) + 48*int64(ops)
 }
 
 // touchLocked marks e most recently used. Callers hold s.mu.
@@ -306,34 +306,29 @@ func (s *Service) Compile(ctx context.Context, file, src string, cfg f90y.Config
 	// Persistent tier: a prior process may have compiled this key. The
 	// singleflight slot is already claimed, so concurrent requesters
 	// wait on this probe exactly as they would on a compile.
-	if art := s.loadDisk(key); art != nil {
-		e.art = art
-		s.mu.Lock()
-		s.finishLocked(e, artifactCost(src, art.Comp))
-		s.mu.Unlock()
-		close(e.ready)
-		return e.art, nil
-	}
-
-	comp, err := f90y.CompileCtx(ctx, file, src, cfg)
-	if err != nil {
-		e.err = err
-		s.mu.Lock()
-		if errors.Is(err, rt.ErrCanceled) {
-			// A canceled compile says nothing about the program; evict
-			// so the next request retries under its own context.
-			s.removeLocked(e)
-		} else {
-			s.finishLocked(e, int64(256+len(src)))
+	prog := s.loadDisk(key)
+	if prog == nil {
+		comp, err := f90y.CompileCtx(ctx, file, src, cfg)
+		if err != nil {
+			e.err = err
+			s.mu.Lock()
+			if errors.Is(err, rt.ErrCanceled) {
+				// A canceled compile says nothing about the program; evict
+				// so the next request retries under its own context.
+				s.removeLocked(e)
+			} else {
+				s.finishLocked(e, int64(256+len(src)))
+			}
+			s.mu.Unlock()
+			close(e.ready)
+			return nil, err
 		}
-		s.mu.Unlock()
-		close(e.ready)
-		return nil, err
+		prog = comp.Program
+		s.storeDisk(key, prog)
 	}
-	e.art = &Artifact{Key: key, Comp: comp}
-	s.storeDisk(key, comp.Program)
+	e.art = &Artifact{Key: key, Program: prog}
 	s.mu.Lock()
-	s.finishLocked(e, artifactCost(src, comp))
+	s.finishLocked(e, artifactCost(src, prog))
 	s.mu.Unlock()
 	close(e.ready)
 	return e.art, nil

@@ -60,7 +60,7 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 	}
 
 	machine := cm2.Default()
-	baseline, err := machine.RunCtx(context.Background(), art.Comp.Program, nil, nil, nil)
+	baseline, err := machine.RunCtx(context.Background(), art.Program, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := machine.RunCtx(context.Background(), art.Comp.Program, nil, nil, nil)
+			res, err := machine.RunCtx(context.Background(), art.Program, nil, nil, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -234,7 +234,7 @@ func TestConcurrentCancelMidRun(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := cm2.Default().RunCtx(ctx, art.Comp.Program, nil, nil, nil)
+		_, err := cm2.Default().RunCtx(ctx, art.Program, nil, nil, nil)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -132,7 +132,7 @@ func TestCacheErrorEntriesBounded(t *testing.T) {
 
 // TestConcurrentByteBoundEviction races byte-bound eviction against
 // Peek and hot-key hits from many goroutines (run under -race via
-// `make concurrency`). Distinct sources churn the LRU past its byte
+// `make race`). Distinct sources churn the LRU past its byte
 // bound while readers hammer Peek and re-Compile one hot key; every
 // returned artifact must carry the key it was asked for, and the final
 // bookkeeping must balance: bytes within bound, eviction churn

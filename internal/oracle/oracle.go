@@ -200,8 +200,8 @@ type state struct {
 	name    string
 	order   []string // declaration order, arrays then scalars
 	arrays  map[string][]float64
-	exts    map[string][]int // extents per array, for coordinate reports
-	los     map[string][]int // declared lower bounds per array
+	exts    map[string][]int  // extents per array, for coordinate reports
+	los     map[string][]int  // declared lower bounds per array
 	kinds   map[string]string // real, int, logical
 	scalars map[string]float64
 	out     []string

@@ -21,7 +21,7 @@ func lineTestBody() []Instr {
 		{Op: FSTRV, Pos: at(4), Paired: true}, // does not raise: 6 == 6, free
 		{Op: SPILLV, Pos: at(3)},
 		{Op: RESTV, Pos: at(3)},
-		{Op: FSINV},         // no Pos: attributed to the anchor
+		{Op: FSINV},           // no Pos: attributed to the anchor
 		{Op: JNZ, Pos: at(3)}, // skipped; the trailing LoopJnz term charges loop@anchor
 	}
 }

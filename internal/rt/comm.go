@@ -237,18 +237,6 @@ func (c *Comm) scalarArg(v nir.Value) (float64, error) {
 	return val, err
 }
 
-func (c *Comm) targetArray(tgt nir.Value) (*Array, error) {
-	av, ok := tgt.(nir.AVar)
-	if !ok {
-		return nil, fmt.Errorf("rt: intrinsic target must be an array: %w", ErrBadOperand)
-	}
-	a, ok := c.Store.Arrays[av.Name]
-	if !ok {
-		return nil, fmt.Errorf("rt: undefined array %q: %w", av.Name, ErrUndefined)
-	}
-	return a, nil
-}
-
 func (c *Comm) execIntrinsic(fc nir.FcnCall, tgt nir.Value) error {
 	switch fc.Name {
 	case "cm_cshift", "cm_eoshift":
@@ -295,7 +283,7 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 		return err
 	}
 	dim := int(dimF)
-	out, err := c.targetArray(tgt)
+	out, err := c.arrayArg(tgt, "intrinsic target")
 	if err != nil {
 		return err
 	}
@@ -454,7 +442,7 @@ func (c *Comm) execTranspose(fc nir.FcnCall, tgt nir.Value) error {
 	if err != nil {
 		return err
 	}
-	out, err := c.targetArray(tgt)
+	out, err := c.arrayArg(tgt, "intrinsic target")
 	if err != nil {
 		return err
 	}
@@ -530,7 +518,7 @@ func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 	if err != nil {
 		return err
 	}
-	out, err := c.targetArray(tgt)
+	out, err := c.arrayArg(tgt, "intrinsic target")
 	if err != nil {
 		return err
 	}
@@ -564,13 +552,13 @@ func (c *Comm) execSpread(fc nir.FcnCall, tgt nir.Value) error {
 		return err
 	}
 	dim := int(dimF)
-	out, err := c.targetArray(tgt)
+	out, err := c.arrayArg(tgt, "intrinsic target")
 	if err != nil {
 		return err
 	}
 
 	var srcData []float64
-	var srcExt, srcLo []int
+	var srcExt []int
 	var srcArr *Array
 	switch a := fc.Args[0].(type) {
 	case nir.AVar:
@@ -579,7 +567,7 @@ func (c *Comm) execSpread(fc nir.FcnCall, tgt nir.Value) error {
 			return err
 		}
 		srcArr = arr
-		srcData, srcExt, srcLo = arr.Data, arr.Ext, arr.Lo
+		srcData, srcExt = arr.Data, arr.Ext
 	default:
 		v, err := c.scalarArg(fc.Args[0])
 		if err != nil {
@@ -587,7 +575,6 @@ func (c *Comm) execSpread(fc nir.FcnCall, tgt nir.Value) error {
 		}
 		srcData = []float64{v}
 	}
-	_ = srcLo
 	// Walk the output; drop the spread dimension to find the source
 	// element.
 	tmp := c.stageFor(out, srcArr)

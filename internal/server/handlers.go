@@ -383,12 +383,12 @@ func (s *Server) execute(ctx context.Context, js *jobState) (int, Code, string, 
 			return status, code, err.Error(), nil, cached
 		}
 		ops := 0
-		for _, n := range art.Comp.Program.CountOps() {
+		for _, n := range art.Program.CountOps() {
 			ops += n
 		}
 		sum := sha256.Sum256([]byte(js.job.Source))
 		return http.StatusOK, "", "", &runResult{
-			Routines:    len(art.Comp.Program.Routines),
+			Routines:    len(art.Program.Routines),
 			HostOps:     ops,
 			Fingerprint: art.Key.Config,
 			SourceSHA:   fmt.Sprintf("%x", sum),

@@ -560,7 +560,7 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// writeJSON writes v with status, counting it in stats when counted.
+// writeJSON writes v as indented JSON with status.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

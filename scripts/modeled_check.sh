@@ -1,15 +1,14 @@
 #!/bin/sh
 # modeled_check.sh — the "modeled fields unchanged" gate: regenerate the
-# committed f90y-bench/v1 record (the paper-scale SWE run, engine and
-# every flag at their defaults) and fail unless every line except the
-# wall-clock `"micros":` lines of phases[] equals the committed file.
-# Modeled cycles, attribution maps, GFLOPS, the baselines and the
-# profile summary are the correctness signal; a refactor that claims
-# "no modeled number changed" passes this or is wrong. (The record is
-# written one field per line, so a line filter is an exact field filter.)
+# committed f90y-bench/v2 record (the paper-scale SWE run, every flag at
+# its default) and fail unless it is byte-identical to the committed
+# file. The record holds modeled fields only — cycles, attribution maps,
+# GFLOPS, the baselines, the profile summary — and they are the
+# correctness signal; a refactor that claims "no modeled number changed"
+# passes this or is wrong.
 #
 # After a change that is MEANT to move a modeled number, refresh the
-# record with `make bench-record` and say so in the PR.
+# record with `make modeled-record` and say so in the PR.
 #
 # Used by `make modeled-check` (tier-1).
 set -eu
@@ -21,14 +20,11 @@ workdir="$(mktemp -d)"
 cleanup() { rm -rf "$workdir"; }
 trap cleanup EXIT INT TERM
 
-modeled() { grep -v '^ *"micros":' "$1"; }
-
 $GO run ./cmd/swebench -json -n 512 -steps 2 -o "$workdir/got.json" > /dev/null
-modeled "$want" > "$workdir/want.txt"
-modeled "$workdir/got.json" > "$workdir/got.txt"
-if ! cmp -s "$workdir/want.txt" "$workdir/got.txt"; then
-	echo "modeled-check: FAIL: modeled fields differ from $want" >&2
-	diff "$workdir/want.txt" "$workdir/got.txt" >&2 || true
+if ! cmp -s "$want" "$workdir/got.json"; then
+	echo "modeled-check: FAIL: regenerated record differs from $want" >&2
+	diff "$want" "$workdir/got.json" >&2 || true
+	echo "modeled-check: if the change is meant to move a modeled number: make modeled-record" >&2
 	exit 1
 fi
 echo "modeled-check: OK"

@@ -12,10 +12,11 @@
 # Parameters (environment):
 #   REQS   total load requests            (default 48)
 #   LOADW  concurrent load clients        (default 8)
-#   OUT    f90y-load/v1 record path       (default .load-smoke.json)
+#   OUT    f90y-load/v2 record path       (default .load-smoke.json)
 #
-# Used by `make serve-smoke` (tier-1, small) and `make loadtest`
-# (bigger run, writes LOAD_baseline.json for EXPERIMENTS.md L1).
+# Used by `make serve-smoke` (tier-1). The record counts statuses and
+# error codes per traffic class; request latency is the repository
+# benchmark's serve_hot workload (bench/).
 set -eu
 
 REQS="${REQS:-48}"
@@ -45,8 +46,8 @@ echo "serve-smoke: building f90yd and swebench"
     -request-timeout 30s -drain-timeout 10s 2> "$serverlog" &
 pid=$!
 
-# The load client polls /healthz itself (-serve-wait); we only need the
-# bound address to appear.
+# The load client polls /healthz itself; we only need the bound address
+# to appear.
 i=0
 while [ ! -s "$addrfile" ]; do
     i=$((i + 1))
@@ -61,7 +62,7 @@ addr="$(cat "$addrfile")"
 echo "serve-smoke: f90yd up at $addr (pid $pid)"
 
 "$workdir/swebench" -serve-url "http://$addr" \
-    -load "$REQS" -load-workers "$LOADW" -serve-wait 10s -o "$OUT"
+    -load "$REQS" -load-workers "$LOADW" -o "$OUT"
 
 echo "serve-smoke: load complete; sending SIGTERM"
 kill -TERM "$pid"
