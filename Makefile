@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race modeled-check modeled-record serve-smoke crash-smoke crash-soak fuzz-smoke bench-check profile-smoke layout-smoke soak bench clean
+.PHONY: check vet build test race modeled-check modeled-record serve-smoke crash-smoke crash-soak fuzz-smoke bench-check profile-smoke layout-smoke soak bench size clean
 
 # check is the tier-1 gate (see ROADMAP.md). Ten stages, every test run
 # race-enabled exactly once:
@@ -120,6 +120,15 @@ soak:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
+
+# The two numbers every simplicity PR quotes (ROADMAP "Open items"):
+# non-blank non-comment non-test Go outside bench/, and the cmd/ flag
+# count TestEngineFlagRetired asserts. Informational, not a check stage.
+size:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' \
+		| xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l | xargs echo 'non-test Go lines:'
+	@grep -rhoE '\bflag\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Text)(Var)?|Var|Func|BoolFunc)\(' \
+		--include='*.go' --exclude='*_test.go' cmd | wc -l | xargs echo 'cmd/ flags:'
 
 # clean removes generated benchmark outputs but keeps the committed
 # BENCH_baseline.json (refresh it with modeled-record).

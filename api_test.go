@@ -47,12 +47,16 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 // no ExecJIT identifier may reappear in non-test code, nothing reads
 // ExecOpts.JIT (inert; bench/layers names it), nothing outside
 // internal/cm2 names cm2's test-only Engine, and the CLI surface stays at
-// 63 flags: the 69 left after -exec-jit went from f90yrun, f90yd and
+// 60 flags: the 69 left after -exec-jit went from f90yrun, f90yd and
 // swebench, less the six swebench lost with its wall-clock recorders
 // (the serial-vs-parallel batch timer's mode flag, -exec-workers,
 // -serve-wait, and -profile, -profile-pprof, -profile-folded, which
-// remain on f90yrun). A new flag must say which old one it retires
-// (ROADMAP) and update this count.
+// remain on f90yrun), less the three that made the executor's width a
+// user's setting (f90yrun -exec-workers, f90yd -exec-workers, f90yd
+// -tenant-exec-workers; internal/driver derives the width now, so no
+// string literal in non-test code may spell the flag or the retired
+// exec_workers request field). A new flag must say which old one it
+// retires (ROADMAP) and update this count; `make size` prints it.
 func TestEngineFlagRetired(t *testing.T) {
 	defining := map[string]bool{}
 	for _, typ := range []string{"Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Text"} {
@@ -85,6 +89,10 @@ func TestEngineFlagRetired(t *testing.T) {
 		inCM2 := strings.HasPrefix(filepath.ToSlash(path), "internal/cm2/")
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.BasicLit:
+				if n.Kind == token.STRING && (strings.Contains(n.Value, "exec-workers") || strings.Contains(n.Value, "exec_workers")) {
+					t.Errorf("%s: literal %s: the executor width is derived, not configured", fset.Position(n.Pos()), n.Value)
+				}
 			case *ast.Ident:
 				if strings.Contains(n.Name, "ExecJIT") {
 					t.Errorf("%s: identifier %s: the engine flag is retired", fset.Position(n.Pos()), n.Name)
@@ -110,7 +118,7 @@ func TestEngineFlagRetired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flags != 63 {
-		t.Errorf("cmd/ declares %d flags, want 63", flags)
+	if flags != 60 {
+		t.Errorf("cmd/ declares %d flags, want 60", flags)
 	}
 }

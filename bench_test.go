@@ -81,7 +81,7 @@ func BenchmarkSWE_F90Y(b *testing.B) {
 }
 
 // BenchmarkSWE_ExecWorkers measures the sharded PEAC executor: one SWE
-// compilation run repeatedly under -exec-workers 1/2/4/8. Modeled
+// compilation run repeatedly at forced widths 1/2/4/8. Modeled
 // metrics (gflops, cycles) are identical across sub-benchmarks by
 // construction — only host wall-clock (ns/op) changes, which is the
 // point: the speedup EXPERIMENTS.md records comes from this benchmark.

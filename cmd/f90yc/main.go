@@ -103,7 +103,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "f90yc:", err)
 			os.Exit(2)
 		}
-		res, err := comp.Run(ctx, ctl)
+		res, err := comp.Run(ctx, &ctl)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "f90yc:", err)
 			os.Exit(1)

@@ -7,7 +7,7 @@
 //
 //	f90yd [-addr 127.0.0.1:8090] [-addr-file path] [-workers N]
 //	      [-queue-depth 64] [-request-timeout 60s] [-drain-timeout 15s]
-//	      [-max-cycles 2e9] [-exec-workers N] [-tenant-inflight 8]
+//	      [-max-cycles 2e9] [-tenant-inflight 8]
 //	      [-max-source-bytes 1048576] [-tenant-max-cycles 0]
 //	      [-cache-entries 512] [-cache-bytes 268435456]
 //
@@ -25,6 +25,11 @@
 // admitting, gives in-flight jobs -drain-timeout to finish, kills the
 // stragglers through the context plumbing, writes the final stats
 // snapshot to stderr, and exits 0.
+//
+// There is no executor-width flag or request field: each job shards its
+// routine dispatches across its share of the host's cores, GOMAXPROCS /
+// -workers (internal/driver), and results are bit-identical at every
+// width.
 //
 // -addr-file writes the bound address (host:port) to a file once the
 // listener is up — with -addr 127.0.0.1:0 this is how scripts discover
@@ -54,10 +59,8 @@ var (
 	flagReqTimeout   = flag.Duration("request-timeout", 60*time.Second, "per-job wall-clock deadline (requests may ask for less)")
 	flagDrainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace for in-flight jobs on SIGTERM before they are killed")
 	flagMaxCycles    = flag.Float64("max-cycles", 2e9, "default modeled-cycle budget per job (rt.ErrBudget on overrun)")
-	flagExecWorkers  = flag.Int("exec-workers", 0, "default executor sharding per job (0/1 = serial, <0 = GOMAXPROCS)")
 	flagTenantJobs   = flag.Int("tenant-inflight", 8, "max queued+running jobs per tenant (0 = unlimited)")
 	flagTenantCycles = flag.Float64("tenant-max-cycles", 0, "per-tenant cap on a job's requested cycle budget (0 = server default only)")
-	flagTenantExecW  = flag.Int("tenant-exec-workers", 8, "per-tenant cap on requested executor sharding")
 	flagMaxSource    = flag.Int("max-source-bytes", 1<<20, "max program source bytes per request (0 = unlimited)")
 	flagCacheEntries = flag.Int("cache-entries", 512, "artifact cache LRU entry bound")
 	flagCacheBytes   = flag.Int64("cache-bytes", 256<<20, "artifact cache LRU byte bound (estimated)")
@@ -87,11 +90,9 @@ func main() {
 		QueueDepth:     *flagQueueDepth,
 		RequestTimeout: *flagReqTimeout,
 		MaxCycles:      *flagMaxCycles,
-		ExecWorkers:    *flagExecWorkers,
 		Quotas: server.Quotas{
 			MaxInFlight:    *flagTenantJobs,
 			MaxCycles:      *flagTenantCycles,
-			MaxExecWorkers: *flagTenantExecW,
 			MaxSourceBytes: *flagMaxSource,
 		},
 		RetainedJobs:    *flagRetainedJobs,

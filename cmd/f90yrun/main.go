@@ -7,9 +7,8 @@
 //	f90yrun [-target cm2|cm5] [-pes 2048] [-verify] [-metrics] [-trace out.json]
 //	        [-profile] [-profile-pprof swe.pb.gz] [-profile-folded swe.folded]
 //	        [-timeout 30s] [-max-cycles N] [-numeric off|trap|record]
-//	        [-exec-workers N] [-faults spec] [-checkpoint-every N]
-//	        [-checkpoint file.ckpt] [-resume file.ckpt]
-//	        [-distribute a=cyclic]... file.f90
+//	        [-faults spec] [-checkpoint-every N] [-checkpoint file.ckpt]
+//	        [-resume file.ckpt] [-distribute a=cyclic]... file.f90
 //
 // -distribute overrides an array's data distribution without editing
 // the source (repeatable; same specs as !HPF$ DISTRIBUTE, e.g.
@@ -31,7 +30,7 @@
 // threads source positions from the Fortran tokens through NIR and PEAC,
 // and the machine model attributes every modeled PE cycle back to the
 // line that generated it (the attribution sums exactly to the report's
-// pe cycle total and is bit-identical for every -exec-workers value).
+// pe cycle total and is bit-identical at every executor width).
 // -profile-pprof writes the same attribution as a gzipped pprof profile
 // (`go tool pprof -top file.pb.gz`); -profile-folded writes folded
 // stacks (routine;file:line;class cycles) for flamegraph tooling.
@@ -49,12 +48,13 @@
 // instruction attribution); "record" tallies exceptional lanes per
 // cycle class into the telemetry counters instead.
 //
-// -exec-workers N shards each PEAC routine dispatch across N host
-// worker goroutines over disjoint element ranges (1 = serial, the
-// default; N < 0 selects GOMAXPROCS). Results — stores, output, cycle
-// totals, GFLOPS, numeric tallies — are bit-identical for every worker
-// count; only host wall-clock changes. The analytic cycle model is
-// untouched: it prices the simulated machine, not the host.
+// There is no executor-width flag: each PEAC routine dispatch is sharded
+// across GOMAXPROCS host worker goroutines over disjoint element ranges
+// (internal/driver derives the width; a dispatch of a single 4,096-
+// element chunk runs inline). Results — stores, output, cycle totals,
+// GFLOPS, numeric tallies — are bit-identical at every width; only host
+// wall-clock changes. The analytic cycle model is untouched: it prices
+// the simulated machine, not the host.
 //
 // There is no engine flag: a node routine is decoded, on its first
 // dispatch, into one translated form — a step per instruction, each the
@@ -100,7 +100,6 @@ var (
 	flagTimeout = flag.Duration("timeout", 0, "abort the compile+run after this duration (0 = no limit)")
 	flagMaxCyc  = flag.Float64("max-cycles", 0, "kill the run after this many modeled cycles (0 = no budget)")
 	flagNumeric = flag.String("numeric", "", "numeric-exception plane: off, trap, or record")
-	flagExecW   = flag.Int("exec-workers", 1, "shard each routine dispatch across N workers (1 = serial, <0 = GOMAXPROCS); results are bit-exact")
 	flagFaults  = flag.String("faults", "", driver.FaultsHelp)
 	flagCkEvery = flag.Int("checkpoint-every", 0, "write a checkpoint every N host boundaries (0 = off)")
 	flagCkPath  = flag.String("checkpoint", "", "checkpoint file path (default <file>.ckpt)")
@@ -176,7 +175,6 @@ func main() {
 		ResumePath:      *flagResume,
 		MaxCycles:       *flagMaxCyc,
 		Numeric:         *flagNumeric,
-		ExecWorkers:     *flagExecW,
 	}.Build(file, cfg.Obs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "f90yrun:", err)

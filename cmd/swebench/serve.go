@@ -138,12 +138,6 @@ func loadMix(i int) loadClass {
 			body:    map[string]any{"source": "! x\n" + strings.Repeat("! padding line to exceed the source byte bound\n", 40000), "tenant": tenant},
 			allowed: map[int]bool{413: true},
 		}
-	case i%10 == 9: // healthy but sharded executor
-		return loadClass{
-			name:    "healthy",
-			body:    map[string]any{"file": "swe.f90", "source": healthySrc, "exec_workers": 4, "tenant": tenant},
-			allowed: map[int]bool{200: true, 429: true},
-		}
 	default:
 		return loadClass{
 			name:    "healthy",

@@ -78,49 +78,46 @@ type run struct {
 	split Split
 }
 
-// Run executes a partitioned program on the target under ctx and an
-// optional control plane (see Control; nil is the plain path, same
-// code, bit-identical totals), reporting telemetry to rec (nil costs
-// one branch per dispatch). A nil store means a fresh one initialized
-// from the program's symbols. Cancellation is checked at every host op
-// and loop-iteration boundary and surfaces as rt.ErrCanceled; an
-// injected fatal fault as faults.ErrFatal, restartable from the last
-// checkpoint via ctl.Resume. The Target is never mutated, so one value
-// may serve concurrent runs.
+// Run executes a partitioned program on the target under ctx and a
+// control plane (see Control; nil is the zero value), reporting
+// telemetry to rec (nil costs one branch per dispatch). A nil store
+// means a fresh one initialized from the program's symbols.
+// Cancellation is checked at every host op and loop-iteration boundary
+// and surfaces as rt.ErrCanceled; an injected fatal fault as
+// faults.ErrFatal, restartable from the last checkpoint via ctl.Resume.
+// The Target is never mutated, so one value may serve concurrent runs.
 func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec obs.Recorder, ctl *Control) (*Result, Split, error) {
+	if ctl == nil {
+		ctl = &Control{}
+	}
 	if store == nil {
 		store = rt.NewStore(prog.Syms)
 	}
 	r := &run{
 		t: t, ctx: ctx, store: store, rec: rec,
-		comm: &rt.Comm{Store: store, PEs: t.Units * t.Lanes, Cost: t.CommCost},
-		res: &Result{Store: store, ClockHz: t.ClockHz, ExecTotals: rt.ExecTotals{
+		inj:  ctl.Faults,
+		comm: &rt.Comm{Store: store, PEs: t.Units * t.Lanes, Cost: t.CommCost, Faults: ctl.Faults},
+		res: &Result{Store: store, ClockHz: t.ClockHz, Numeric: ctl.Numeric, ExecTotals: rt.ExecTotals{
 			PEClassCycles:   map[string]float64{},
 			PERoutineCycles: map[string]float64{},
 			PELineCycles:    map[rt.LineRef]float64{},
 		}},
-		exec: ExecOpts{PEs: t.Units, Rec: rec},
+		exec: ExecOpts{PEs: t.Units, Rec: rec, Num: ctl.Numeric, Workers: ctl.ExecWorkers},
 	}
 	res, comm := r.res, r.comm
 
-	var hctl *hostvm.Ctl
-	if ctl != nil {
-		r.inj, comm.Faults = ctl.Faults, ctl.Faults
-		res.Numeric = ctl.Numeric
-		r.exec.Num, r.exec.Workers = ctl.Numeric, ctl.ExecWorkers
-		hctl = &hostvm.Ctl{
-			Faults: ctl.Faults, CheckpointEvery: ctl.CheckpointEvery, MaxCycles: ctl.MaxCycles,
-			ExtraCycles: func() float64 { return res.PECycles + comm.Cycles },
+	hctl := &hostvm.Ctl{
+		Faults: ctl.Faults, CheckpointEvery: ctl.CheckpointEvery, MaxCycles: ctl.MaxCycles,
+		ExtraCycles: func() float64 { return res.PECycles + comm.Cycles },
+	}
+	if ctl.Checkpoint != nil {
+		hctl.Checkpoint = func(vm *hostvm.VM, next int, inLoop bool, iterDone int) error {
+			return ctl.Checkpoint(r.snapshot(vm, next, inLoop, iterDone))
 		}
-		if ctl.Checkpoint != nil {
-			hctl.Checkpoint = func(vm *hostvm.VM, next int, inLoop bool, iterDone int) error {
-				return ctl.Checkpoint(r.snapshot(vm, next, inLoop, iterDone))
-			}
-		}
-		if ctl.Resume != nil {
-			if err := r.resume(ctl.Resume, hctl); err != nil {
-				return nil, Split{}, err
-			}
+	}
+	if ctl.Resume != nil {
+		if err := r.resume(ctl.Resume, hctl); err != nil {
+			return nil, Split{}, err
 		}
 	}
 

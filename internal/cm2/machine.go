@@ -23,9 +23,10 @@ import (
 	"f90y/internal/shape"
 )
 
-// Control is the optional execution control plane for a run: fault
-// injection, periodic checkpointing, and resume from a snapshot. A nil
-// *Control runs the plain path with zero overhead.
+// Control is the execution control plane for a run: fault injection,
+// periodic checkpointing, resume from a snapshot, the cycle watchdog,
+// the numeric plane and the executor's width. The zero value requests
+// none of them; a nil *Control means the zero value.
 type Control struct {
 	// Faults drives injection across the host VM, the communication
 	// layer, and node dispatch (nil disables injection).
@@ -57,7 +58,9 @@ type Control struct {
 	// output, cycle totals, numeric tallies — are bit-exact and
 	// invariant under the worker count; only simulator wall-clock
 	// changes. The analytic cycle model is computed before dispatch and
-	// is untouched by the fan-out.
+	// is untouched by the fan-out. It is not a user's setting:
+	// driver.Service.Run derives it for every run that leaves it zero,
+	// and tests force a width through it.
 	ExecWorkers int
 }
 

@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"f90y"
@@ -31,9 +32,10 @@ type Job struct {
 	// CM5 overrides the CM-5 configuration for the cm5 target; nil
 	// means cm5.Default().
 	CM5 *cm5.Machine
-	// Ctl optionally attaches an execution control plane (fault
-	// injection, checkpoints, resume).
-	Ctl *cm2.Control
+	// Ctl is the job's execution control plane (fault injection,
+	// checkpoints, resume, budget). Run fills the service's budget and
+	// the executor width into whichever of the two the job left zero.
+	Ctl cm2.Control
 }
 
 // RunResult is one job's outcome. Exactly one of CM2/CM5 is set on
@@ -41,9 +43,12 @@ type Job struct {
 type RunResult struct {
 	Job      Job
 	Artifact *Artifact
-	CM2      *cm2.Result
-	CM5      *cm5.Result
-	Err      error
+	// Cached reports that the artifact was resident and finished when
+	// the job looked it up (see Service.CompileCached).
+	Cached bool
+	CM2    *cm2.Result
+	CM5    *cm5.Result
+	Err    error
 }
 
 // Result returns the target-independent execution result (the CM-5
@@ -70,10 +75,19 @@ func (r *RunResult) Profile() *profile.Profile {
 	return profile.New(lines, map[string]string{r.Job.File: r.Job.Source})
 }
 
+// execWidth is the one place an executor width is decided: each of the
+// service's concurrent runs shards its routine dispatches across its
+// share of the process's cores. A program never says how many
+// processors execute a statement (§3.3), so neither does a user.
+func execWidth(procs, workers int) int {
+	return max(1, procs/workers)
+}
+
 // Run compiles (through the cache) and executes one job under ctx.
 func (s *Service) Run(ctx context.Context, job Job) RunResult {
 	res := RunResult{Job: job}
-	art, err := s.Compile(ctx, job.File, job.Source, job.Config)
+	art, cached, err := s.CompileCached(ctx, job.File, job.Source, job.Config)
+	res.Cached = cached
 	if err != nil {
 		res.Err = err
 		return res
@@ -83,22 +97,11 @@ func (s *Service) Run(ctx context.Context, job Job) RunResult {
 	span := obs.Start(rec, "exec")
 	defer span.End()
 	ctl := job.Ctl
-	// Service-wide defaults (watchdog budget, executor sharding) apply
-	// to jobs that don't set their own, on a copy — the job's Control
-	// may be shared across jobs. With no defaults set a nil
-	// Control stays nil: the plain run path.
-	if s.MaxCycles > 0 || s.ExecWorkers != 0 {
-		var c cm2.Control
-		if ctl != nil {
-			c = *ctl
-		}
-		if c.MaxCycles == 0 {
-			c.MaxCycles = s.MaxCycles
-		}
-		if c.ExecWorkers == 0 {
-			c.ExecWorkers = s.ExecWorkers
-		}
-		ctl = &c
+	if ctl.MaxCycles == 0 {
+		ctl.MaxCycles = s.MaxCycles
+	}
+	if ctl.ExecWorkers == 0 {
+		ctl.ExecWorkers = execWidth(runtime.GOMAXPROCS(0), s.workers)
 	}
 	switch job.Target {
 	case "", "cm2":
@@ -106,13 +109,13 @@ func (s *Service) Run(ctx context.Context, job Job) RunResult {
 		if m == nil {
 			m = cm2.Default()
 		}
-		res.CM2, res.Err = m.RunCtx(ctx, art.Program, nil, rec, ctl)
+		res.CM2, res.Err = m.RunCtx(ctx, art.Program, nil, rec, &ctl)
 	case "cm5":
 		m := job.CM5
 		if m == nil {
 			m = cm5.Default()
 		}
-		res.CM5, res.Err = m.RunCtx(ctx, art.Program, rec, ctl)
+		res.CM5, res.Err = m.RunCtx(ctx, art.Program, rec, &ctl)
 	default:
 		res.Err = fmt.Errorf("driver: job %s: unknown target %q", job.Name, job.Target)
 	}

@@ -70,7 +70,7 @@ func TestCheckpointCarriesNaNAndInf(t *testing.T) {
 	for _, target := range []string{"cm2", "cm5"} {
 		t.Run(target, func(t *testing.T) {
 			svc := New(1)
-			run := func(ctl *cm2.Control) *cm2.Result {
+			run := func(ctl cm2.Control) *cm2.Result {
 				t.Helper()
 				res := svc.Run(context.Background(), Job{
 					Name: "special", File: "special.f90", Source: specialSrc,
@@ -81,7 +81,7 @@ func TestCheckpointCarriesNaNAndInf(t *testing.T) {
 				}
 				return res.Result()
 			}
-			clean := run(nil)
+			clean := run(cm2.Control{})
 			want := storeBits(clean.Store)
 			classes := map[string]bool{}
 			for _, bits := range want {

@@ -38,46 +38,34 @@ type ControlOptions struct {
 	ResumePath      string  // -resume ("" = fresh run)
 	MaxCycles       float64 // -max-cycles watchdog budget (0 = off)
 	Numeric         string  // -numeric off|trap|record ("" = off)
-	ExecWorkers     int     // -exec-workers executor sharding (0/1 = serial, <0 = GOMAXPROCS)
 }
 
 // Build assembles the execution control plane for a run of file,
-// reporting injection telemetry to rec. It returns (nil, nil) when no
-// control feature is requested — the zero-overhead path.
-func (o ControlOptions) Build(file string, rec obs.Recorder) (*cm2.Control, error) {
+// reporting injection telemetry to rec; with nothing requested it is
+// the zero Control.
+func (o ControlOptions) Build(file string, rec obs.Recorder) (cm2.Control, error) {
 	plan, err := faults.ParseSpec(o.Faults)
 	if err != nil {
-		return nil, err
+		return cm2.Control{}, err
 	}
 	numMode, err := rt.ParseNumericMode(o.Numeric)
 	if err != nil {
-		return nil, err
+		return cm2.Control{}, err
 	}
-	workers := o.ExecWorkers
-	if workers == 1 {
-		workers = 0 // explicit serial: same zero-overhead path as unset
-	}
-	if plan == nil && o.CheckpointEvery == 0 && o.ResumePath == "" &&
-		o.MaxCycles == 0 && numMode == rt.NumericOff && workers == 0 {
-		return nil, nil
-	}
-	ctl := &cm2.Control{
+	ctl := cm2.Control{
 		Faults:          faults.New(plan, rec),
 		CheckpointEvery: o.CheckpointEvery,
 		MaxCycles:       o.MaxCycles,
 		Numeric:         rt.NewNumeric(numMode),
-		ExecWorkers:     workers,
 	}
 	if o.CheckpointEvery > 0 {
 		path := CheckpointPath(file, o.CheckpointPath)
 		ctl.Checkpoint = func(ck *rt.Checkpoint) error { return ck.Write(path) }
 	}
 	if o.ResumePath != "" {
-		ck, err := rt.ReadCheckpoint(o.ResumePath)
-		if err != nil {
-			return nil, err
+		if ctl.Resume, err = rt.ReadCheckpoint(o.ResumePath); err != nil {
+			return cm2.Control{}, err
 		}
-		ctl.Resume = ck
 	}
 	return ctl, nil
 }

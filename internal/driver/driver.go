@@ -18,7 +18,9 @@
 //     on a bounded worker pool with per-job telemetry recorders. Cycle
 //     totals, GFLOPS, and output are deterministic and independent of
 //     the worker count: a run touches no state shared with its
-//     neighbors (each has its own store; machines are read-only).
+//     neighbors (each has its own store; machines are read-only). Each
+//     run shards its routine dispatches across its share of the host's
+//     cores, GOMAXPROCS / workers (execWidth) — derived, never asked.
 //   - The shared CLI wiring (cli.go): -faults/-checkpoint/-metrics/
 //     -trace flag plumbing, deduplicated out of the three commands.
 package driver
@@ -119,14 +121,6 @@ type Service struct {
 	// the first Run/RunBatch call; it is read concurrently afterwards.
 	MaxCycles float64
 
-	// ExecWorkers is the service-wide default for the sharded PEAC
-	// executor, applied to every run whose job does not set its own
-	// cm2.Control.ExecWorkers: n > 1 fans each routine dispatch across
-	// n chunk workers, negative selects GOMAXPROCS, 0 and 1 stay
-	// serial. Results are bit-exact regardless. Set before the first
-	// Run/RunBatch call; it is read concurrently afterwards.
-	ExecWorkers int
-
 	// MaxCacheEntries and MaxCacheBytes bound the compile cache:
 	// entries beyond either bound are evicted least-recently-used.
 	// Zero leaves that dimension unbounded (the CLI default — a batch
@@ -179,18 +173,6 @@ func (s *Service) CacheStats() (hits, misses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hits, s.misses
-}
-
-// Peek reports whether (src, cfg) is resident and finished in the
-// cache, without touching LRU order or the hit/miss counters. The
-// answer is advisory — a concurrent request can evict or insert the
-// key immediately after.
-func (s *Service) Peek(src string, cfg f90y.Config) bool {
-	key := KeyOf(src, cfg)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.cache[key]
-	return ok && e.done
 }
 
 // CacheUsage reports the cache's current occupancy — resident entries
@@ -283,18 +265,27 @@ func (s *Service) removeLocked(e *entry) {
 // compile errors are cached like successes — and bounded like them, so
 // distinct bad sources cannot grow the cache past its LRU bounds.
 func (s *Service) Compile(ctx context.Context, file, src string, cfg f90y.Config) (*Artifact, error) {
+	art, _, err := s.CompileCached(ctx, file, src, cfg)
+	return art, err
+}
+
+// CompileCached is Compile that also reports whether the entry was
+// resident and finished at lookup — a request that did no pipeline work
+// and waited for none.
+func (s *Service) CompileCached(ctx context.Context, file, src string, cfg f90y.Config) (art *Artifact, cached bool, err error) {
 	key := KeyOf(src, cfg)
 	s.mu.Lock()
 	e, ok := s.cache[key]
 	if ok {
+		cached = e.done
 		s.hits++
 		s.touchLocked(e)
 		s.mu.Unlock()
 		select {
 		case <-e.ready:
-			return e.art, e.err
+			return e.art, cached, e.err
 		case <-ctx.Done():
-			return nil, fmt.Errorf("driver: compile %s: %w", file, rt.Canceled(ctx))
+			return nil, cached, fmt.Errorf("driver: compile %s: %w", file, rt.Canceled(ctx))
 		}
 	}
 	s.misses++
@@ -321,7 +312,7 @@ func (s *Service) Compile(ctx context.Context, file, src string, cfg f90y.Config
 			}
 			s.mu.Unlock()
 			close(e.ready)
-			return nil, err
+			return nil, false, err
 		}
 		prog = comp.Program
 		s.storeDisk(key, prog)
@@ -331,5 +322,5 @@ func (s *Service) Compile(ctx context.Context, file, src string, cfg f90y.Config
 	s.finishLocked(e, artifactCost(src, prog))
 	s.mu.Unlock()
 	close(e.ready)
-	return e.art, nil
+	return e.art, false, nil
 }

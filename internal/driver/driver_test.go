@@ -132,8 +132,9 @@ func TestConcurrentBatchMatchesSerial(t *testing.T) {
 }
 
 // TestConcurrentCacheHitReturnsSameArtifact asserts hit/miss counting,
-// pointer identity on a hit, a changed config missing, and — via span
-// counts — that a hit re-runs no pipeline phase.
+// the cached flag a request gets back, pointer identity on a hit, a
+// changed config missing, and — via span counts — that a hit re-runs no
+// pipeline phase.
 func TestConcurrentCacheHitReturnsSameArtifact(t *testing.T) {
 	svc := New(4)
 	src := workload.Fig9(16)
@@ -142,9 +143,12 @@ func TestConcurrentCacheHitReturnsSameArtifact(t *testing.T) {
 	cfg1 := f90y.DefaultConfig()
 	col1 := obs.NewCollector()
 	cfg1.Obs = col1
-	a1, err := svc.Compile(ctx, "fig9.f90", src, cfg1)
+	a1, cached, err := svc.CompileCached(ctx, "fig9.f90", src, cfg1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cached {
+		t.Error("the compiling miss reported itself cached")
 	}
 	if n := len(col1.Spans()); n == 0 {
 		t.Fatal("compiling miss recorded no pipeline spans")
@@ -153,9 +157,12 @@ func TestConcurrentCacheHitReturnsSameArtifact(t *testing.T) {
 	cfg2 := f90y.DefaultConfig()
 	col2 := obs.NewCollector()
 	cfg2.Obs = col2
-	a2, err := svc.Compile(ctx, "fig9.f90", src, cfg2)
+	a2, cached, err := svc.CompileCached(ctx, "fig9.f90", src, cfg2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !cached {
+		t.Error("a hit on a finished entry did not report itself cached")
 	}
 	if a1 != a2 {
 		t.Errorf("cache hit returned a different artifact pointer: %p vs %p", a1, a2)
@@ -307,7 +314,7 @@ func TestServiceBudgetKillsRunaway(t *testing.T) {
 	// must not overwrite an explicit per-job budget.
 	res := svc.Run(context.Background(), Job{
 		Name: "own-budget", File: "loop.f90", Source: src,
-		Config: f90y.DefaultConfig(), Ctl: &cm2.Control{MaxCycles: 10_000},
+		Config: f90y.DefaultConfig(), Ctl: cm2.Control{MaxCycles: 10_000},
 	})
 	if !errors.Is(res.Err, rt.ErrBudget) {
 		t.Errorf("per-job budget: want rt.ErrBudget, got %v", res.Err)

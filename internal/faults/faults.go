@@ -173,9 +173,8 @@ type Injector struct {
 	pending     []int // scheduled kills awaiting the next dispatch
 	dead        map[int]bool
 
-	stats      Stats
-	log        []LogEntry
-	logDropped int64
+	stats Stats
+	log   []LogEntry
 }
 
 // New builds an injector from a plan, filling in default retry/cost
@@ -223,8 +222,6 @@ func (in *Injector) note(kind, site string, pe int) {
 	in.stats.Injected[kind]++
 	if len(in.log) < maxLog {
 		in.log = append(in.log, LogEntry{Tick: in.hostTick, Kind: kind, Site: site, PE: pe})
-	} else {
-		in.logDropped++
 	}
 	obs.Add(in.rec, "faults/injected/"+kind, 1)
 	obs.Event(in.rec, "fault/"+kind, map[string]float64{"tick": float64(in.hostTick), "pe": float64(pe)})
@@ -309,8 +306,6 @@ func (in *Injector) NoteRetry(site string, cycles float64) {
 	in.stats.RetryCycles += cycles
 	if len(in.log) < maxLog {
 		in.log = append(in.log, LogEntry{Tick: in.hostTick, Kind: "retry", Site: site, PE: -1})
-	} else {
-		in.logDropped++
 	}
 	obs.Add(in.rec, "faults/retries", 1)
 	obs.Add(in.rec, "faults/retry-cycles", cycles)
@@ -361,8 +356,6 @@ func (in *Injector) NoteDegraded(pe int) {
 	in.stats.Degraded++
 	if len(in.log) < maxLog {
 		in.log = append(in.log, LogEntry{Tick: in.hostTick, Kind: "degrade", Site: "pe", PE: pe})
-	} else {
-		in.logDropped++
 	}
 	obs.Add(in.rec, "faults/degraded", 1)
 	obs.Event(in.rec, "fault/degrade", map[string]float64{"tick": float64(in.hostTick), "pe": float64(pe)})
@@ -378,16 +371,13 @@ func (in *Injector) Stats() *Stats {
 }
 
 // Log returns the recorded fault events in injection order (bounded at
-// maxLog entries; LogDropped reports overflow).
+// maxLog entries).
 func (in *Injector) Log() []LogEntry {
 	if in == nil {
 		return nil
 	}
 	return in.log
 }
-
-// LogDropped is the number of events that overflowed the bounded log.
-func (in *Injector) LogDropped() int64 { return in.logDropped }
 
 // Checksum is the per-transfer payload checksum: FNV-1a over the IEEE
 // bit patterns, so it distinguishes -0/+0 and NaN payload bits that

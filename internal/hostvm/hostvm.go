@@ -61,9 +61,9 @@ const (
 // reports are unchanged.
 var HostClasses = []string{HostIssue, HostScalar, HostElem, HostDispatch, HostStall}
 
-// Ctl is the optional execution control plane: fault injection,
-// periodic checkpointing, and resume from a snapshot. A nil *Ctl costs
-// nothing — Run(Ctl) with nil is bit-identical to the plain path.
+// Ctl is the execution control plane: fault injection, periodic
+// checkpointing, the cycle watchdog, and resume from a snapshot. The
+// zero value requests none of them.
 type Ctl struct {
 	// Faults injects front-end stalls and scheduled fatal faults at
 	// every host tick (nil disables injection).
@@ -169,29 +169,29 @@ type frame struct {
 type stopSignal struct{}
 
 // RunCtx interprets a partitioned program under a context and an
-// optional execution control plane. Cancellation and deadline expiry
-// are checked at every op and loop-iteration boundary and surface
-// promptly as an error wrapping rt.ErrCanceled; an uncancellable
-// context (Done() == nil, e.g. context.Background()) costs one nil
-// check per boundary. A nil ctl means no injection and no checkpoints;
-// the cycle totals are bit-identical either way.
+// execution control plane. Cancellation and deadline expiry are checked
+// at every op and loop-iteration boundary and surface promptly as an
+// error wrapping rt.ErrCanceled; an uncancellable context (Done() ==
+// nil, e.g. context.Background()) costs one nil check per boundary. A
+// nil ctl is the zero Ctl: no injection, no checkpoints, no budget.
 func RunCtx(ctx context.Context, prog *fe.Program, store *rt.Store, cost Cost, hooks Hooks, ctl *Ctl) (vm *VM, err error) {
+	if ctl == nil {
+		ctl = &Ctl{}
+	}
 	vm = &VM{Store: store, Cost: cost, Hooks: hooks, runCtx: ctx, done: ctx.Done(), ctl: ctl, limit: 500_000_000}
-	if ctl != nil {
-		vm.Output = append(vm.Output, ctl.ResumeOutput...)
-		for cl, v := range ctl.ResumeClassCycles {
-			switch cl {
-			case HostIssue:
-				vm.charge(&vm.IssueCycles, v)
-			case HostScalar:
-				vm.charge(&vm.ScalarCycles, v)
-			case HostElem:
-				vm.charge(&vm.ElemCycles, v)
-			case HostDispatch:
-				vm.charge(&vm.DispatchCycles, v)
-			case HostStall:
-				vm.charge(&vm.StallCycles, v)
-			}
+	vm.Output = append(vm.Output, ctl.ResumeOutput...)
+	for cl, v := range ctl.ResumeClassCycles {
+		switch cl {
+		case HostIssue:
+			vm.charge(&vm.IssueCycles, v)
+		case HostScalar:
+			vm.charge(&vm.ScalarCycles, v)
+		case HostElem:
+			vm.charge(&vm.ElemCycles, v)
+		case HostDispatch:
+			vm.charge(&vm.DispatchCycles, v)
+		case HostStall:
+			vm.charge(&vm.StallCycles, v)
 		}
 	}
 	defer func() {
@@ -211,14 +211,11 @@ func RunCtx(ctx context.Context, prog *fe.Program, store *rt.Store, cost Cost, h
 // Stopped reports whether the program ended via STOP.
 func (vm *VM) Stopped() bool { return vm.stopped }
 
-// execTop runs the program's top-level op sequence. With a control
-// plane attached it honours the resume position and offers a
-// checkpoint boundary after every top-level op (and, inside top-level
-// serial DO loops, after every iteration).
+// execTop runs the program's top-level op sequence: it honours the
+// resume position and offers a checkpoint boundary after every
+// top-level op (and, inside top-level serial DO loops, after every
+// iteration).
 func (vm *VM) execTop(ops []fe.Op) error {
-	if vm.ctl == nil {
-		return vm.exec(ops)
-	}
 	for i := vm.ctl.ResumeOp; i < len(ops); i++ {
 		op := ops[i]
 		if ds, ok := op.(fe.DoSerial); ok {
@@ -280,23 +277,21 @@ func (vm *VM) tick() error {
 		}
 	}
 	vm.charge(&vm.IssueCycles, vm.Cost.StatementIssued)
-	if vm.ctl != nil {
-		stall, err := vm.ctl.Faults.HostTick()
-		if stall != 0 {
-			vm.charge(&vm.StallCycles, stall)
+	stall, err := vm.ctl.Faults.HostTick()
+	if stall != 0 {
+		vm.charge(&vm.StallCycles, stall)
+	}
+	if err != nil {
+		return fmt.Errorf("hostvm: %w", err)
+	}
+	if max := vm.ctl.MaxCycles; max > 0 {
+		total := vm.Cycles
+		if vm.ctl.ExtraCycles != nil {
+			total += vm.ctl.ExtraCycles()
 		}
-		if err != nil {
-			return fmt.Errorf("hostvm: %w", err)
-		}
-		if max := vm.ctl.MaxCycles; max > 0 {
-			total := vm.Cycles
-			if vm.ctl.ExtraCycles != nil {
-				total += vm.ctl.ExtraCycles()
-			}
-			if total > max {
-				return fmt.Errorf("hostvm: %.0f modeled cycles exceed the %.0f-cycle budget at host step %d: %w",
-					total, max, vm.steps, rt.ErrBudget)
-			}
+		if total > max {
+			return fmt.Errorf("hostvm: %.0f modeled cycles exceed the %.0f-cycle budget at host step %d: %w",
+				total, max, vm.steps, rt.ErrBudget)
 		}
 	}
 	return nil
@@ -383,9 +378,9 @@ func (vm *VM) execOp(op fe.Op) error {
 	return fmt.Errorf("hostvm: unknown op %T", op)
 }
 
-// doSerial runs one serial DO. topIdx >= 0 marks a top-level loop run
-// under the control plane: each completed iteration is a checkpoint
-// boundary, and resume restarts at the snapshot's iteration + 1.
+// doSerial runs one serial DO. topIdx >= 0 marks a top-level loop: each
+// completed iteration is a checkpoint boundary, and resume restarts at
+// the snapshot's iteration + 1.
 func (vm *VM) doSerial(op fe.DoSerial, resume bool, topIdx int) error {
 	iv, ok := op.S.(shape.Interval)
 	if !ok {

@@ -30,17 +30,6 @@ func passes(opts Options) []Pass {
 	return out
 }
 
-// PassNames returns the names of the passes opts enables, in order; the
-// CLIs and tests use it to know which "opt/<name>" spans to expect.
-func PassNames(opts Options) []string {
-	ps := passes(opts)
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
-}
-
 // Optimize runs the NIR transformation stage over a module, returning
 // the rewritten module (Body and Prog replaced) and statistics. The
 // input module is not modified.

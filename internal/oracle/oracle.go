@@ -62,9 +62,9 @@ type Options struct {
 	// MaxCycles bounds each backend run (rt.ErrBudget on overrun);
 	// zero disables the watchdog.
 	MaxCycles float64
-	// ExecWorkers shards each machine backend's routine dispatches
-	// across chunk workers (0/1 = serial, <0 = GOMAXPROCS). Because the
-	// sharded executor is bit-exact, the cm2-vs-cm5 0-ULP check and the
+	// ExecWorkers forces each machine backend's executor width (see
+	// cm2.Control.ExecWorkers; zero is serial). Because the sharded
+	// executor is bit-exact, the cm2-vs-cm5 0-ULP check and the
 	// interpreter tolerance are unchanged.
 	ExecWorkers int
 	// InterpSteps bounds the interpreter (interp.ErrSteps on overrun);
@@ -139,17 +139,12 @@ func Verify(file, src string, o Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: interp: %w", err)
 	}
-	ctl := func() *cm2.Control {
-		if o.MaxCycles <= 0 && o.ExecWorkers == 0 {
-			return nil
-		}
-		return &cm2.Control{MaxCycles: o.MaxCycles, ExecWorkers: o.ExecWorkers}
-	}
+	ctl := &cm2.Control{MaxCycles: o.MaxCycles, ExecWorkers: o.ExecWorkers}
 	m2 := o.Machine
 	if m2 == nil {
 		m2 = cm2.Default()
 	}
-	r2, err := m2.RunCtx(context.Background(), comp.Program, nil, nil, ctl())
+	r2, err := m2.RunCtx(context.Background(), comp.Program, nil, nil, ctl)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: cm2: %w", err)
 	}
@@ -157,7 +152,7 @@ func Verify(file, src string, o Options) (*Report, error) {
 	if m5 == nil {
 		m5 = cm5.Default()
 	}
-	r5, err := m5.RunCtx(context.Background(), comp.Program, nil, ctl())
+	r5, err := m5.RunCtx(context.Background(), comp.Program, nil, ctl)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: cm5: %w", err)
 	}

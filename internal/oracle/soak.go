@@ -119,7 +119,7 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 	var jobs []driver.Job
 	var metas []jobMeta
 	addJob := func(m jobMeta) {
-		ctl := &cm2.Control{MaxCycles: o.MaxCycles}
+		ctl := cm2.Control{MaxCycles: o.MaxCycles}
 		if !m.baseline {
 			p := m.plan
 			p.Seed = m.seed
@@ -184,7 +184,7 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 			r := svc.Run(ctx, driver.Job{
 				Name: jobs[i].Name, File: prog.File, Source: prog.Source,
 				Config: cfg, Target: m.backend, CM5: o.CM5,
-				Ctl: &cm2.Control{MaxCycles: o.MaxCycles, Faults: faults.New(&cand, nil)},
+				Ctl: cm2.Control{MaxCycles: o.MaxCycles, Faults: faults.New(&cand, nil)},
 			})
 			if r.Err != nil {
 				return false

@@ -46,11 +46,6 @@ func (c CycleClass) String() string {
 // ClassOf assigns one instruction to its cycle class.
 func ClassOf(i Instr) CycleClass { return i.Op.Info().Class }
 
-// CanTrap reports whether op can produce a NaN or infinity from its
-// operands (OpInfo.Trap) — the instructions the numeric-exception plane
-// scans after execution.
-func CanTrap(op Opcode) bool { return op.Info().Trap }
-
 // ClassCycles is a per-class cycle tally for one loop iteration.
 type ClassCycles [NumCycleClasses]int
 

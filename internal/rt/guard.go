@@ -65,7 +65,7 @@ func ParseNumericMode(s string) (NumericMode, error) {
 
 // Numeric is the numeric-exception plane for one run: the executor
 // scans the destination lanes of every can-trap PEAC float op (see
-// peac.CanTrap) and either traps or tallies per cycle class. Counts are
+// peac.OpInfo.Trap) and either traps or tallies per cycle class. Counts are
 // keyed by the peac.CycleClass names so rt stays independent of the
 // instruction set.
 type Numeric struct {
@@ -76,7 +76,6 @@ type Numeric struct {
 	Inf map[string]int64
 }
 
-// NewNumeric builds a plane in the given mode.
 // NewNumeric builds a plane for the mode; NumericOff yields nil (the
 // plane disabled), so callers can pass the result straight to a
 // control structure.

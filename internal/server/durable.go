@@ -39,7 +39,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"f90y/internal/cm2"
 	"f90y/internal/driver"
 	"f90y/internal/faults"
 	"f90y/internal/rt"
@@ -283,12 +282,7 @@ func (s *Server) replayJournal(recs []jrec) (carry []jrec, resume []*jobState) {
 				ck, err := s.dur.readSpill(id, js.job.Target)
 				switch {
 				case err == nil:
-					ctl := js.job.Ctl
-					if ctl == nil {
-						ctl = &cm2.Control{}
-					}
-					ctl.Resume = ck
-					js.job.Ctl = ctl
+					js.job.Ctl.Resume = ck
 					s.dur.count(func(st *DurabilityStats) { st.Resumed++ })
 					carry = append(carry, carryRec, jrec{T: "ckpt", Job: id})
 				default:
@@ -372,19 +366,13 @@ func (s *Server) enqueueRecovered(resume []*jobState) {
 // prepareDurable wires the checkpoint plane into one admitted run job:
 // every CheckpointEvery boundaries the run spills its snapshot; once
 // the suspend flag is up, the next spill also stops the run with
-// ErrSuspended. The ctl is cloned — specs may be shared with recovery
-// state — and Resume set by recovery is preserved.
+// ErrSuspended. Resume set by recovery stays.
 func (s *Server) prepareDurable(js *jobState) {
 	if s.dur == nil || js.kind != "run" {
 		return
 	}
-	var ctl cm2.Control
-	if js.job.Ctl != nil {
-		ctl = *js.job.Ctl
-	}
-	if ctl.CheckpointEvery == 0 {
-		ctl.CheckpointEvery = s.cfg.CheckpointEvery
-	}
+	ctl := &js.job.Ctl
+	ctl.CheckpointEvery = s.cfg.CheckpointEvery
 	id := js.id
 	journaled := false
 	ctl.Checkpoint = func(ck *rt.Checkpoint) error {
@@ -398,5 +386,4 @@ func (s *Server) prepareDurable(js *jobState) {
 		}
 		return nil
 	}
-	js.job.Ctl = &ctl
 }

@@ -396,6 +396,34 @@ func TestServerRecoveryRequeuesNeverStarted(t *testing.T) {
 	s.jobs.drop(njs)
 }
 
+// parentJournal is a WAL written by the build before the executor's
+// width stopped being a request field: its admitted record still
+// carries "exec_workers":4 (bytes and CRCs as that build wrote them, for
+// durSrc).
+const parentJournal = `78e01d1c {"t":"journal","schema":"f90y-journal/v1"}
+efd7baff {"t":"admitted","job":"j000003","tenant":"legacy","kind":"run","req":{"file":"dur.f90","source":"      PROGRAM DUR\n      REAL A(16), B(16)\n      INTEGER I\n      A = 1.5\n      B = 0.5\n      DO I = 1, 400\n        A = A * B + A\n      END DO\n      PRINT *, SUM(A)\n      END\n","config":{},"exec_workers":4}}
+`
+
+// TestServerRecoveryParentJournal: a journal from before exec_workers
+// was retired replays intact — the field is ignored, not schema drift —
+// and the job is re-admitted and finishes with the uninterrupted result.
+func TestServerRecoveryParentJournal(t *testing.T) {
+	baseline := runBaseline(t, durSrc)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.wal"), []byte(parentJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, hs := testServer(t, durableConfig(dir))
+	v := pollJob(t, hs, "j000003", JobDone)
+	if v.HTTPStatus != 200 || !reflect.DeepEqual(v.Result, baseline.Result) {
+		t.Fatalf("recovered job ended (%d, %s) %s: result %+v, want %+v", v.HTTPStatus, v.Code, v.Error, v.Result, baseline.Result)
+	}
+	d := s.Stats().Durability
+	if d.TornRecords != 0 || d.Unrecoverable != 0 || d.Requeued != 1 {
+		t.Errorf("durability stats %+v, want torn=0 unrecoverable=0 requeued=1", d)
+	}
+}
+
 // TestServerRecoveryServesFinished: finished results survive a restart
 // — the journal's finished record reloads into the retention table and
 // GET /v1/jobs/{id} answers identically next epoch.

@@ -75,8 +75,6 @@ type runRequest struct {
 	// MaxCycles asks for a cycle budget; the tenant cap clamps it (a
 	// request may ask for less, never more).
 	MaxCycles float64 `json:"max_cycles,omitempty"`
-	// ExecWorkers asks for executor sharding; the tenant cap clamps it.
-	ExecWorkers int `json:"exec_workers,omitempty"`
 	// Numeric is the numeric-exception plane: "", "off", "record", "trap".
 	Numeric string `json:"numeric,omitempty"`
 	// Faults attaches a deterministic fault-injection spec (the same
@@ -187,7 +185,7 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusNotFound, errorf(CodeNotFound, "no such route: %s %s", r.Method, r.URL.Path))
+		s.fail(w, http.StatusNotFound, errorf(CodeNotFound, "no such route: %s %s", r.Method, r.URL.Path))
 	})
 	return mux
 }
@@ -218,7 +216,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	js := s.jobs.get(r.PathValue("id"))
 	if js == nil {
-		s.writeJSON(w, http.StatusNotFound, errorf(CodeNotFound, "no such job %q (finished jobs are retained up to %d)", r.PathValue("id"), s.cfg.RetainedJobs))
+		s.fail(w, http.StatusNotFound, errorf(CodeNotFound, "no such job %q (finished jobs are retained up to %d)", r.PathValue("id"), s.cfg.RetainedJobs))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, js.view())
@@ -309,27 +307,21 @@ func (s *Server) jobFromSpec(js *jobState) error {
 		return fmt.Errorf("max_cycles and timeout_ms must be >= 0")
 	}
 
-	// Quota resolution: the request may narrow its budget and sharding,
-	// never widen them past the tenant caps. Enforcement itself is the
-	// runtime watchdog (rt.ErrBudget), not a second mechanism.
+	// Quota resolution: the request may narrow its budget, never widen
+	// it past the tenant cap. Enforcement itself is the runtime watchdog
+	// (rt.ErrBudget), not a second mechanism.
 	budget := s.cfg.Quotas.budget(req.MaxCycles)
-	execW := s.cfg.Quotas.execWorkers(req.ExecWorkers)
-	var ctl *cm2.Control
-	if plan != nil || numMode != rt.NumericOff || budget > 0 || execW != 0 {
-		ctl = &cm2.Control{
-			Faults:      faults.New(plan, nil),
-			MaxCycles:   budget,
-			Numeric:     rt.NewNumeric(numMode),
-			ExecWorkers: execW,
-		}
-	}
 	js.job = driver.Job{
 		Name:   js.id,
 		File:   file,
 		Source: req.Source,
 		Config: cfg,
 		Target: req.Target,
-		Ctl:    ctl,
+		Ctl: cm2.Control{
+			Faults:    faults.New(plan, nil),
+			MaxCycles: budget,
+			Numeric:   rt.NewNumeric(numMode),
+		},
 	}
 	js.verify = req.Verify
 	js.budget = budget
@@ -375,9 +367,8 @@ func withJobContext(base context.Context) (context.Context, context.CancelCauseF
 // execute runs one admitted job's work under ctx and returns its
 // terminal (status, code, error message, payload, cache-hit flag).
 func (s *Server) execute(ctx context.Context, js *jobState) (int, Code, string, *runResult, bool) {
-	cached := s.svc.Peek(js.job.Source, js.job.Config)
 	if js.kind == "compile" {
-		art, err := s.svc.Compile(ctx, js.job.File, js.job.Source, js.job.Config)
+		art, cached, err := s.svc.CompileCached(ctx, js.job.File, js.job.Source, js.job.Config)
 		if err != nil {
 			status, code := classify(err, true)
 			return status, code, err.Error(), nil, cached
@@ -398,7 +389,7 @@ func (s *Server) execute(ctx context.Context, js *jobState) (int, Code, string, 
 	res := s.svc.Run(ctx, js.job)
 	if res.Err != nil {
 		status, code := classify(res.Err, res.Artifact == nil)
-		return status, code, res.Err.Error(), nil, cached
+		return status, code, res.Err.Error(), nil, res.Cached
 	}
 	cr := res.Result()
 	out := &runResult{
@@ -429,9 +420,9 @@ func (s *Server) execute(ctx context.Context, js *jobState) (int, Code, string, 
 			if code == CodeRun {
 				code = CodeVerifyFailed
 			}
-			return status, code, fmt.Sprintf("verify: %v", err), nil, cached
+			return status, code, fmt.Sprintf("verify: %v", err), nil, res.Cached
 		}
 		out.Verified = &verifyJSON{Vars: rep.Vars, Elems: rep.Elems}
 	}
-	return http.StatusOK, "", "", out, cached
+	return http.StatusOK, "", "", out, res.Cached
 }

@@ -5,10 +5,8 @@ package server
 // setting cm2.Control.MaxCycles on its jobs, so the kill site, the
 // determinism guarantee, and the rt.ErrBudget error chain are exactly
 // the ones PR 4's watchdog already proved. The server only decides the
-// number; the runtime enforces it. Likewise ExecWorkers caps reuse the
-// sharded executor's existing knob, and the admission-side quotas
-// (source bytes, in-flight jobs) are checked before any pipeline work
-// starts.
+// number; the runtime enforces it. The admission-side quotas (source
+// bytes, in-flight jobs) are checked before any pipeline work starts.
 
 import (
 	"sync"
@@ -24,9 +22,6 @@ type Quotas struct {
 	// request may ask for less, never more; a job with no request
 	// budget gets this cap (or the service default if smaller).
 	MaxCycles float64
-	// MaxExecWorkers caps the per-job executor sharding a request may
-	// ask for (0 = requests may not shard beyond the service default).
-	MaxExecWorkers int
 	// MaxSourceBytes bounds the program source accepted from a tenant;
 	// larger requests get 413 before any admission work.
 	MaxSourceBytes int
@@ -126,16 +121,4 @@ func (q Quotas) budget(requested float64) float64 {
 	default:
 		return q.MaxCycles
 	}
-}
-
-// execWorkers clamps a requested sharding width to the tenant cap; 0
-// defers to the service default.
-func (q Quotas) execWorkers(requested int) int {
-	if requested == 0 {
-		return 0
-	}
-	if requested < 0 || (q.MaxExecWorkers > 0 && requested > q.MaxExecWorkers) {
-		return q.MaxExecWorkers
-	}
-	return requested
 }

@@ -61,8 +61,6 @@ type Config struct {
 	// MaxCycles is the service-default watchdog budget for jobs with no
 	// request or tenant budget (0 = 2e9 modeled cycles).
 	MaxCycles float64
-	// ExecWorkers is the service-default executor sharding (0 = serial).
-	ExecWorkers int
 	// Quotas are the per-tenant bounds; the zero value applies the
 	// defaults of DefaultQuotas.
 	Quotas Quotas
@@ -98,7 +96,6 @@ type Config struct {
 var DefaultQuotas = Quotas{
 	MaxInFlight:    8,
 	MaxSourceBytes: 1 << 20,
-	MaxExecWorkers: 8,
 }
 
 // withDefaults resolves the documented zero-value defaults.
@@ -227,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	svc := driver.New(cfg.Workers)
 	svc.MaxCycles = cfg.MaxCycles
-	svc.ExecWorkers = cfg.ExecWorkers
 	svc.MaxCacheEntries = cfg.CacheEntries
 	svc.MaxCacheBytes = cfg.CacheBytes
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -140,6 +141,11 @@ func TestServerRoundTrip(t *testing.T) {
 		if r["gflops"].(float64) <= 0 {
 			t.Errorf("run %s: gflops %v", target, r["gflops"])
 		}
+		// The retired exec_workers field is accepted and ignored.
+		status, v, _ = post(t, c, hs.URL+"/v1/run", "", map[string]any{"file": "swe.f90", "source": src, "target": target, "exec_workers": 4})
+		if status != 200 || !reflect.DeepEqual(v["result"], any(r)) {
+			t.Errorf("run %s with the retired exec_workers field: status %d, result %v, want %v", target, status, v["result"], r)
+		}
 	}
 
 	// Async: admit, then poll to completion.
@@ -179,6 +185,18 @@ func TestServerRoundTrip(t *testing.T) {
 	if status, v = get(t, c, hs.URL+"/v1/jobs/nope"); status != 404 || errCode(v) != "not_found" {
 		t.Errorf("unknown job: %d %s", status, errCode(v))
 	}
+	if status, v = get(t, c, hs.URL+"/v1/nope"); status != 404 || errCode(v) != "not_found" {
+		t.Errorf("unknown route: %d %s", status, errCode(v))
+	}
+	// Both 404s are counted like every other error response.
+	_, v = get(t, c, hs.URL+"/statsz")
+	jobs := v["jobs"].(map[string]any)
+	if n := jobs["by_status"].(map[string]any)["404"]; n != 2.0 {
+		t.Errorf("statsz by_status[404] = %v after two 404s, want 2", n)
+	}
+	if n := jobs["by_code"].(map[string]any)["not_found"]; n != 2.0 {
+		t.Errorf("statsz by_code[not_found] = %v after two 404s, want 2", n)
+	}
 }
 
 // TestErrorTaxonomy drives each documented failure mode and asserts
@@ -187,7 +205,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	_, hs := testServer(t, Config{
 		Workers:    2,
 		QueueDepth: 8,
-		Quotas:     Quotas{MaxInFlight: 8, MaxSourceBytes: 4096, MaxExecWorkers: 4},
+		Quotas:     Quotas{MaxInFlight: 8, MaxSourceBytes: 4096},
 	})
 	c := hs.Client()
 
