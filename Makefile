@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race modeled-check modeled-record serve-smoke crash-smoke crash-soak fuzz-smoke bench-check profile-smoke layout-smoke soak bench size clean
+.PHONY: check vet build test race modeled-check modeled-record serve-smoke crash-smoke crash-soak fuzz-smoke bench-check bench-pairs profile-smoke layout-smoke soak bench size clean
 
 # check is the tier-1 gate (see ROADMAP.md). Ten stages, every test run
 # race-enabled exactly once:
@@ -32,6 +32,15 @@ build:
 bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# The "ten alternating pairs" of EXPERIMENTS.md's B rows: the benchmark
+# on a parent revision (a temporary git worktree) against this checkout,
+# a fresh seed per pair, every run printed, then the table — median
+# [q1, q3] per side, Δ median, change wins, parent IQR — per end-to-end
+# metric. Informational, not a check stage; ~1 min per pair.
+#   make bench-pairs PARENT=<rev> [W=swe] [PAIRS=10]
+bench-pairs:
+	GO="$(GO)" PARENT="$(PARENT)" W="$(W)" PAIRS="$(PAIRS)" ./scripts/bench_pairs.sh
 
 # Full suite, including the paper-scale §6 reproduction (~1 min).
 test:

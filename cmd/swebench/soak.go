@@ -35,8 +35,9 @@ import (
 	"f90y/internal/workload"
 )
 
-// soakPrograms are the soak subjects: the suite's seven kernels at
-// sizes small enough to sweep hundreds of runs in seconds.
+// soakPrograms are the soak subjects: the suite's seven kernels, and the
+// shifts by a DO index, at sizes small enough to sweep hundreds of runs
+// in seconds.
 func soakPrograms() []oracle.Program {
 	return []oracle.Program{
 		{Name: "swe", File: "swe.f90", Source: workload.SWE(16, 2)},
@@ -46,6 +47,7 @@ func soakPrograms() []oracle.Program {
 		{Name: "fig12", File: "fig12.f90", Source: workload.Fig12(16)},
 		{Name: "stencil", File: "stencil.f90", Source: workload.Stencil(16, 2)},
 		{Name: "spill", File: "spill.f90", Source: workload.SpillKernel(64, 10)},
+		{Name: "doshift", File: "doshift.f90", Source: workload.DoShift(16)},
 	}
 }
 

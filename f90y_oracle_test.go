@@ -32,6 +32,11 @@ func FuzzOracle(f *testing.F) {
 	f.Add(workload.Stencil(8, 2))
 	f.Add("program p\ninteger :: i\ni = 1\nprint *, i\nend program p\n")
 	f.Add("program q\nreal :: a(4), b(4)\na = 2.0\nb = sqrt(a) + cshift(a, 1)\nprint *, sum(b)\nend program q\n")
+	// Shift views: a shift amount and a boundary naming DO indexes (the
+	// host VM resolves them), and — with the chains and the
+	// self-assigning shift under testdata/fuzz/FuzzOracle — the shapes
+	// partition's view analysis accepts and refuses.
+	f.Add(workload.DoShift(8))
 	f.Fuzz(func(t *testing.T, src string) {
 		start := time.Now()
 		defer func() {

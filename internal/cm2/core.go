@@ -210,6 +210,9 @@ func (r *run) emit() {
 	add("exec/comm/", res.CommClassCycles)
 	add("exec/host/", res.HostClassCycles)
 	add("exec/routine/", res.PERoutineCycles)
+	for why, n := range r.store.Materialized {
+		obs.Add(rec, "rt/shift-view/materialized/"+why, float64(n))
+	}
 	if res.Numeric != nil {
 		for cl, n := range res.Numeric.NaN {
 			obs.Add(rec, "exec/numeric/nan/"+cl, float64(n))

@@ -22,6 +22,7 @@ import (
 	"f90y/internal/partition"
 	"f90y/internal/pe"
 	"f90y/internal/rt"
+	"f90y/internal/workload"
 )
 
 // ctlProg is the control-plane test workload: a top-level serial DO
@@ -62,6 +63,21 @@ func compileSrc(t *testing.T, file, src string) *fe.Program {
 }
 
 func compileCtl(t *testing.T) *fe.Program { return compileSrc(t, "t.f90", ctlProg) }
+
+// liveViewProg is straight-line: its shifts and the routines that read
+// them are all top-level ops, so checkpoint boundaries fall between a
+// shift into a view (partition marks all three temporaries) and its
+// reader — snapshots that carry a live view, one of them of a chain.
+const liveViewProg = `program t
+real a(64), b(64), c(64)
+real s
+forall (i=1:64) a(i) = i
+b = cshift(a, 3) + a
+c = cshift(cshift(b, 1), -2)*2.0 + b
+s = sum(c)
+print *, 'sum =', s
+end program t
+`
 
 // outcome is everything one run through the core reports.
 type outcome struct {
@@ -135,6 +151,12 @@ func sameResult(t *testing.T, what string, a, b outcome) {
 func sameStore(t *testing.T, what string, a, b *rt.Store) {
 	t.Helper()
 	for name, arr := range a.Arrays {
+		// A shift temporary marked as a view is not program state once
+		// its last reader has run (a copy on an armed run, a view of a
+		// since-overwritten source otherwise); skipped by the flag.
+		if arr.ShiftView {
+			continue
+		}
 		if !reflect.DeepEqual(arr.Data, b.Arrays[name].Data) {
 			t.Errorf("%s: array %q differs", what, name)
 		}
@@ -262,23 +284,55 @@ func TestCheckpointResumeAfterFatal(t *testing.T) {
 // TestResumeAtEveryBoundaryConserves: a snapshot taken at ANY host
 // boundary resumes to the uninterrupted run's exact outcome, and the
 // per-class, per-routine and per-line maps each still sum exactly to
-// PECycles — no boundary loses or double-counts a cycle.
+// PECycles — no boundary loses or double-counts a cycle. Over the
+// looping control-plane workload and over liveViewProg, whose snapshots
+// carry live shift views; the snapshots are taken under one evaluator
+// and resumed under each.
 func TestResumeAtEveryBoundaryConserves(t *testing.T) {
-	prog := compileCtl(t)
+	defer func() { cm2.TestOnlyEngine = cm2.EngineTranslated }()
+	engines := []cm2.Engine{cm2.EngineTranslated, cm2.EngineReference}
 	eachTarget(t, func(t *testing.T, tg *cm2.Target) {
-		ctl, cks := checkpointing(1, cm2.Control{})
-		clean := mustRun(t, tg, prog, ctl)
-		conserves(t, "uninterrupted", clean)
-		if len(*cks) < 16 {
-			t.Fatalf("only %d boundaries checkpointed; want one per loop iteration at least", len(*cks))
-		}
-		for i, ck := range *cks {
-			resumed := mustRun(t, tg, prog, &cm2.Control{Resume: ck})
-			sameResult(t, "resumed", clean, resumed)
-			conserves(t, "resumed", resumed)
-			if t.Failed() {
-				t.Fatalf("boundary %d (next op %d, in loop %v, iter %d)", i, ck.NextOp, ck.InLoop, ck.IterDone)
-			}
+		for _, p := range []struct {
+			name, src  string
+			boundaries int // at least this many
+			liveViews  bool
+		}{
+			{"loop", ctlProg, 16, false},
+			{"live views", liveViewProg, 6, true},
+		} {
+			t.Run(p.name, func(t *testing.T) {
+				prog := compileSrc(t, "t.f90", p.src)
+				for _, taken := range engines {
+					cm2.TestOnlyEngine = taken
+					ctl, cks := checkpointing(1, cm2.Control{})
+					clean := mustRun(t, tg, prog, ctl)
+					conserves(t, "uninterrupted", clean)
+					if len(*cks) < p.boundaries {
+						t.Fatalf("only %d boundaries checkpointed; want at least %d", len(*cks), p.boundaries)
+					}
+					views := 0
+					for i, ck := range *cks {
+						for _, a := range ck.Arrays {
+							if a.ViewOf != "" {
+								views++
+							}
+						}
+						for _, resumedBy := range engines {
+							cm2.TestOnlyEngine = resumedBy
+							resumed := mustRun(t, tg, prog, &cm2.Control{Resume: ck})
+							sameResult(t, "resumed", clean, resumed)
+							conserves(t, "resumed", resumed)
+							if t.Failed() {
+								t.Fatalf("boundary %d (next op %d, in loop %v, iter %d), engines %d -> %d",
+									i, ck.NextOp, ck.InLoop, ck.IterDone, taken, resumedBy)
+							}
+						}
+					}
+					if p.liveViews && views == 0 {
+						t.Fatal("no snapshot carried a view record; the live-view resume is vacuous")
+					}
+				}
+			})
 		}
 	})
 }
@@ -405,6 +459,17 @@ func TestParentCheckpointsResume(t *testing.T) {
 		if want := []string{"sum = 467.3776408148478"}; !reflect.DeepEqual(out.Output, want) {
 			t.Errorf("output %q, want %q", out.Output, want)
 		}
+		// The parent gave the shift temporary tmp0 memory and the files
+		// carry its payload; without an injector this build makes tmp0 a
+		// view. Resuming that way reaches the same values.
+		healthy := mustRun(t, tg, prog, &cm2.Control{Resume: ck})
+		if !reflect.DeepEqual(healthy.Output, out.Output) {
+			t.Errorf("healthy resume printed %q, armed %q", healthy.Output, out.Output)
+		}
+		sameStore(t, "healthy resume of a parent snapshot", healthy.Store, out.Store)
+		if !healthy.Store.Arrays["tmp0"].ShiftView || out.Store.Arrays["tmp0"].Data == nil {
+			t.Error("tmp0 is not a marked temporary that the parent's payload restored")
+		}
 	})
 }
 
@@ -427,6 +492,21 @@ func TestCheckpointRoundTripsThroughDisk(t *testing.T) {
 		}
 		if !reflect.DeepEqual(last, loaded) {
 			t.Error("checkpoint changed across the disk round trip")
+		}
+	})
+}
+
+// TestShiftByDoIndex: a shift amount or boundary naming the index of
+// an enclosing serial DO — one loop up, and two — resolves against the
+// host VM's loop frames before the communication layer evaluates it
+// (both machines used to die with "local_under outside iteration").
+// The wanted lines are the reference interpreter's.
+func TestShiftByDoIndex(t *testing.T) {
+	prog := compileSrc(t, "doshift.f90", workload.DoShift(8))
+	eachTarget(t, func(t *testing.T, tg *cm2.Target) {
+		out := mustRun(t, tg, prog, nil)
+		if want := []string{"b 1508", "c 1617"}; !reflect.DeepEqual(out.Output, want) {
+			t.Errorf("output %q, want %q", out.Output, want)
 		}
 	})
 }

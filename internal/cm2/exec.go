@@ -29,6 +29,12 @@ const chunkSize = 4096
 type stream struct {
 	arr      *rt.Array
 	coordDim int // 0 = array stream, else coordinate dimension (1-based)
+	// rot, when non-nil, makes the stream a rotated window of arr: the
+	// parameter named a shift view (rt/view.go) and arr is the array
+	// that owns its content. Element i of the stream, per dimension d of
+	// arr, is element (i + rot[d]) mod arr.Ext[d] of arr. Read-only: a
+	// routine never stores through a view, nor to the array under one.
+	rot []int
 }
 
 // TestOnlyPerturb, when non-nil, runs after every routine execution
@@ -104,18 +110,32 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 	// when a test pinned the reference evaluator. Both share the chunk
 	// grid, the worker pool, the workspace pool, and the numeric plane.
 	var prog *program
+	var stored []bool // by pointer register: the body stores through it
 	nregs, nptr, nsreg := 0, 0, 0
 	if TestOnlyEngine == EngineReference {
 		nregs, nptr, nsreg = extents(r)
+		stored = r.StoredPtrs()
 	} else {
 		prog = translated(r)
 		nregs, nptr, nsreg = prog.nregs, prog.nptr, prog.nsreg
+		stored = prog.stored
 	}
 
 	// Bindings, indexed by register; a register no parameter binds keeps
-	// the zero stream (unbound) or scalar (0).
+	// the zero stream (unbound) or scalar (0). The arrays the routine
+	// stores to move to their next write generation first, so a view of
+	// one of them — which the stores would change under the chunks still
+	// reading it — is stale by the time it would bind.
 	streams := make([]stream, nptr)
 	scalars := make([]float64, nsreg)
+	for _, p := range r.Params {
+		if arr := store.Arrays[p.Name]; p.Kind == peac.ArrayParam && arr != nil && stored[p.Reg] {
+			if arr.Data == nil {
+				return fmt.Errorf("cm2: routine %s stores through %q, a shift temporary that owns no memory", r.Name, p.Name)
+			}
+			arr.Wrote()
+		}
+	}
 	for _, p := range r.Params {
 		switch p.Kind {
 		case peac.ArrayParam:
@@ -127,6 +147,16 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 				return fmt.Errorf("cm2: array %q size %d does not conform to shape %v", p.Name, arr.Size(), over)
 			}
 			streams[p.Reg] = stream{arr: arr}
+			if arr.Data == nil {
+				// The one place a view becomes a rotated stream.
+				src, rot, err := arr.View()
+				if err != nil {
+					return fmt.Errorf("cm2: routine %s: shift temporary %q: %w", r.Name, p.Name, err)
+				}
+				if streams[p.Reg] = (stream{arr: src, rot: rot}); rot != nil {
+					obs.Add(o.Rec, "exec/shift-view/bound", 1)
+				}
+			}
 		case peac.CoordParam:
 			if p.Dim < 1 || p.Dim > len(ext) {
 				return fmt.Errorf("cm2: coordinate dim %d out of range for %v", p.Dim, over)
@@ -179,7 +209,7 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 	}
 	runChunk := func(ws *workspace, start, w int, num *rt.Numeric) error {
 		if prog != nil {
-			e := env{ws: ws, streams: streams, fast: fast, start: start, w: w,
+			e := env{p: prog, ws: ws, streams: streams, fast: fast, start: start, w: w,
 				ext: ext, lo: lo, strideBelow: strideBelow,
 				num: num, subgrid: o.Subgrid, npes: o.PEs}
 			return prog.execChunk(&e)
@@ -322,6 +352,17 @@ type workspace struct {
 	// distinct scalar register a routine reads; see jit.go). The reference
 	// evaluator requests none.
 	bcast [][]float64
+	// rot is index scratch for gathering a rotated stream's window
+	// (env.rotated): two ints per array dimension.
+	rot []int
+}
+
+// rotIdx returns two rank-long scratch index slices.
+func (ws *workspace) rotIdx(rank int) (a, b []int) {
+	if len(ws.rot) < 2*rank {
+		ws.rot = make([]int, 2*rank)
+	}
+	return ws.rot[:rank], ws.rot[rank : 2*rank]
 }
 
 var wsPool = sync.Pool{New: func() any { return &workspace{} }}

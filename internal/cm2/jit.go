@@ -63,16 +63,22 @@ const (
 	refCoord                // coordinate stream of pointer register n, filled per window
 )
 
-// ref is one resolved operand.
+// ref is one resolved operand: twelve bytes, four to a step.
 type ref struct {
 	kind refKind
-	n    int32
+	// ld, on a source with fast set, is 1 + the elided load step that
+	// would have filled the register (see env.loaded). It shares kind's
+	// word, so the plan elides no load past step maxElidedLoad.
+	ld uint16
+	n  int32
 	// fast, when nonzero, is 1 + the pointer register whose array window
 	// stands in for this operand on the fast path: the stream an elided
 	// load would have copied (a source) or a sunk store's target (a
 	// destination).
 	fast int32
 }
+
+const maxElidedLoad = 1<<16 - 2
 
 type stepKind uint8
 
@@ -94,7 +100,12 @@ type step struct {
 	// half of a fused pair, a sunk store); pair > 0 fuses steps[pair]
 	// into this step (one loop from fusedOps), accLeft telling which of
 	// its operands was this step's destination.
-	skip    bool
+	skip bool
+	// A skipped dead load (planLoadElim) is elided; crossed when a fused
+	// pair spans it, so that executing it after all — what a rotated
+	// stream wants, see run — would land between the pair's two halves.
+	elided  bool
+	crossed bool
 	accLeft bool
 	pair    int32
 	fn      peac.LaneFunc
@@ -117,6 +128,8 @@ type program struct {
 	// params and body: what a dispatch sizes its workspace and binding
 	// slices by.
 	nregs, nptr, nsreg int
+	// stored[reg]: the body stores through pointer register reg.
+	stored []bool
 	// scalarRegs maps each broadcast buffer (dense index) to the scalar
 	// register it materializes; bindScalars fills the buffers per worker.
 	scalarRegs []int32
@@ -203,6 +216,7 @@ func decode(r *peac.Routine) *program {
 	p := &program{body: r.Body, steps: make([]step, len(r.Body)), pure: true}
 	p.scalarRegs, p.hazards, p.sunk = p.scalarBuf[:0], p.hazardBuf[:0], p.sunkBuf[:0]
 	p.nregs, p.nptr, p.nsreg = extents(r)
+	p.stored = r.StoredPtrs()
 	for k := range r.Body {
 		st := &p.steps[k]
 		if err := p.decodeInstr(r, st, &r.Body[k]); err != nil {
@@ -352,7 +366,7 @@ func (p *program) regDeadAfter(reg int32, after int) bool {
 func (p *program) planLoadElim() {
 	for k := range p.steps {
 		ld := &p.steps[k]
-		if ld.kind != stepLanes || p.body[k].Op.Info().Form != peac.FormLoad {
+		if ld.kind != stepLanes || p.body[k].Op.Info().Form != peac.FormLoad || k > maxElidedLoad {
 			continue
 		}
 		n, d := ld.src[0].n, ld.d.n
@@ -374,12 +388,12 @@ func (p *program) planLoadElim() {
 		if !ok {
 			continue
 		}
-		ld.skip, p.hasFast = true, true
+		ld.skip, ld.elided, p.hasFast = true, true, true
 		for j := k + 1; j <= end; j++ {
 			st := &p.steps[j]
 			for pos := range st.src {
 				if st.reads(pos, d) {
-					st.src[pos].fast = n + 1
+					st.src[pos].fast, st.src[pos].ld = n+1, uint16(k+1)
 				}
 			}
 			// A store before a redirected read could alias that read's array.
@@ -449,6 +463,9 @@ func (p *program) planFuse() {
 		}
 		a.pair, a.accLeft = int32(j), accLeft
 		c.skip, p.hasFast, p.unscanned = true, true, true
+		for k := i + 1; k < j; k++ {
+			p.steps[k].crossed = p.steps[k].elided
+		}
 	}
 	for i, j := next(-1), 0; i < len(p.steps); i = next(i) {
 		if j = next(i); j == len(p.steps) {
@@ -514,6 +531,7 @@ func (p *program) bindScalars(ws *workspace, scalars []float64, lanes int) {
 // register) and fast-path decision, and the chunk window. One env per
 // worker, re-windowed per chunk.
 type env struct {
+	p           *program
 	ws          *workspace
 	streams     []stream
 	fast        bool
@@ -525,6 +543,16 @@ type env struct {
 	npes        int
 }
 
+// loaded reports that source r's elided load was executed after all, so
+// r reads the register, not the stream. That is the rule for a rotated
+// stream: redirected, every read would gather the window again; loaded,
+// the strip gathers it once, into the register. The exception is a load
+// a fused pair spans (step.crossed): the pair runs at its first half's
+// position, ahead of the load, so its reads gather for themselves.
+func (e *env) loaded(r ref) bool {
+	return r.ld != 0 && e.streams[r.fast-1].rot != nil && !e.p.steps[r.ld-1].crossed
+}
+
 // zeroLanes is what a NoOperand source reads.
 var zeroLanes = make([]float64, chunkSize)
 
@@ -532,7 +560,7 @@ var zeroLanes = make([]float64, chunkSize)
 // pos selects the fetch buffer a coordinate stream materializes into
 // (A=0, B=1, C=2), so an instruction chaining several never aliases.
 func (e *env) lanes(r ref, pos int) []float64 {
-	if e.fast && r.fast != 0 {
+	if e.fast && r.fast != 0 && !e.loaded(r) {
 		r = ref{kind: refArray, n: r.fast - 1}
 	}
 	switch r.kind {
@@ -543,7 +571,11 @@ func (e *env) lanes(r ref, pos int) []float64 {
 	case refBcast:
 		return e.ws.bcast[r.n]
 	case refArray:
-		return e.streams[r.n].arr.Data[e.start : e.start+e.w]
+		st := &e.streams[r.n]
+		if st.rot != nil {
+			return e.rotated(st, e.ws.mem[pos])
+		}
+		return st.arr.Data[e.start : e.start+e.w]
 	case refCoord:
 		return e.coord(r, e.ws.mem[pos])
 	}
@@ -575,6 +607,73 @@ func (e *env) coord(r ref, dst []float64) []float64 {
 		}
 	}
 	return dst
+}
+
+// rotated resolves the window of a rotated stream (stream.rot): the
+// window itself, in place, when it is one contiguous run of the source —
+// every window of a stream rotated along higher axes only, unless it
+// crosses that rotation's wrap — else gathered into dst. Like coord it
+// finds its way without a per-element divide: the window's first element
+// is decomposed once, then every row along the lowest axis is two copies
+// (the run up to the rotation's wrap and the run after it) and the
+// higher axes' source indexes advance by carry.
+func (e *env) rotated(st *stream, dst []float64) []float64 {
+	data, ext, rot := st.arr.Data, st.arr.Ext, st.rot
+	// Per axis, for the window's first element: the index the rotation
+	// reads (src) and how many steps remain before the window's own index
+	// carries (left). delta is the source offset minus the window offset.
+	src, left := e.ws.rotIdx(len(ext))
+	rest, stride, delta := e.start, 1, 0
+	oneRun, rotates := true, false
+	for d, n := range ext {
+		i := rest % n
+		rest /= n
+		s := i + rot[d]
+		if s >= n {
+			s -= n
+		}
+		src[d], left[d] = s, n-i
+		delta += (s - i) * stride
+		if rot[d] != 0 && !rotates {
+			// The lowest rotated axis: below it the source is contiguous,
+			// so the window is one run iff stepping along this axis
+			// neither carries nor wraps inside it.
+			rotates = true
+			steps := (e.start%stride + e.w - 1) / stride
+			oneRun = i+steps < n && s+steps < n
+		}
+		stride *= n
+	}
+	if oneRun {
+		return data[e.start+delta : e.start+delta+e.w]
+	}
+	n0 := ext[0]
+	j, base := n0-left[0], e.start+delta-src[0] // the row's first window index; its source row
+	for filled := 0; filled < e.w; j = 0 {
+		seg := min(n0-j, e.w-filled)
+		a := j + rot[0]
+		if a >= n0 {
+			a -= n0
+		}
+		head := min(seg, n0-a)
+		copy(dst[filled:filled+head], data[base+a:base+a+head])
+		copy(dst[filled+head:filled+seg], data[base:base+seg-head])
+		filled += seg
+		// Next row: step the higher axes, carrying where the window's
+		// own index wraps.
+		for d, stride := 1, n0; d < len(ext); d, stride = d+1, stride*ext[d] {
+			if src[d]++; src[d] == ext[d] {
+				src[d] = 0
+				base -= ext[d] * stride
+			}
+			base += stride
+			if left[d]--; left[d] > 0 {
+				break
+			}
+			left[d] = ext[d]
+		}
+	}
+	return dst[:e.w]
 }
 
 // strip is the cache-tiling grain: a pure program runs all its steps
@@ -615,6 +714,15 @@ func (p *program) run(e *env, numOn bool) error {
 	for k := range p.steps {
 		st := &p.steps[k]
 		if e.fast && st.skip {
+			if !st.elided || st.crossed || e.streams[st.src[0].n].rot == nil {
+				continue
+			}
+			// A dead load of a rotated stream executes after all, straight
+			// into its register (env.loaded has its readers agree).
+			dst := e.ws.regs[st.d.n][:e.w]
+			if win := e.rotated(&e.streams[st.src[0].n], dst); &win[0] != &dst[0] {
+				copy(dst, win)
+			}
 			continue
 		}
 		switch st.kind {

@@ -17,6 +17,20 @@ func fetchMem(st stream, dst []float64, start, w int, ext, lo, strideBelow []int
 		}
 		return
 	}
+	if st.rot != nil {
+		// A rotated stream, by the definition: element off of the stream
+		// has, per dimension, the source's index plus the rotation, modulo
+		// the extent. (The translated form gathers runs; env.rotated.)
+		for i := 0; i < w; i++ {
+			off, src, stride := start+i, 0, 1
+			for d, n := range st.arr.Ext {
+				src += (off/stride%n + st.rot[d]) % n * stride
+				stride *= n
+			}
+			dst[i] = st.arr.Data[src]
+		}
+		return
+	}
 	copy(dst[:w], st.arr.Data[start:start+w])
 }
 

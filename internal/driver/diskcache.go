@@ -50,7 +50,7 @@ func init() {
 // carrying the payload CRC and length, then the gob payload. Bump it
 // when either the container or the gob schema changes incompatibly —
 // unreadable entries are evicted and recompiled, never served.
-const artMagic = "f90y-art/v1"
+const artMagic = "f90y-art/v2"
 
 // errArtCorrupt reports a cache entry that failed its integrity or
 // identity checks. Always an eviction, never a served artifact.

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -105,6 +106,43 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskCacheKeepsShiftViews: which temporaries are shift views is
+// decided at compile time and rides on the symbol table, so it must
+// survive the disk tier: a program restored from disk allocates and
+// binds the same views as the one that was compiled.
+func TestDiskCacheKeepsShiftViews(t *testing.T) {
+	const src = "program v\nreal a(8), b(8)\nforall (i=1:8) a(i) = i\nb = cshift(a, 3) + a\nprint *, b\nend program v\n"
+	dir := t.TempDir()
+	var outs [2][]string
+	for i := range outs {
+		svc := New(1)
+		svc.CacheDir = dir
+		res := svc.Run(context.Background(), Job{Name: "v", File: "v.f90", Source: src, Config: f90y.DefaultConfig()})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if hits := svc.DiskStats().Hits; hits != int64(i) {
+			t.Fatalf("service %d: %d disk hits", i, hits)
+		}
+		marked := 0
+		for _, sym := range res.Artifact.Program.Syms.All() {
+			if sym.ShiftView {
+				marked++
+				if a := res.Result().Store.Arrays[sym.Name]; a.Data != nil || !a.ShiftView {
+					t.Errorf("service %d: %s owns memory after the run", i, sym.Name)
+				}
+			}
+		}
+		if marked != 1 || len(res.Result().Store.Materialized) != 0 {
+			t.Errorf("service %d: %d symbols marked, materialized %v", i, marked, res.Result().Store.Materialized)
+		}
+		outs[i] = res.Result().Output
+	}
+	if !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Errorf("restored program printed %q, compiled %q", outs[1], outs[0])
+	}
+}
+
 // TestDiskCacheCorruptEntryEvicted: every way an entry can be damaged —
 // torn tail, bit flip, wrong key, garbage — is detected, counted,
 // removed, and recompiled. A corrupt entry is never served.
@@ -129,7 +167,10 @@ func TestDiskCacheCorruptEntryEvicted(t *testing.T) {
 		"short":   func(b []byte) []byte { return b[:len(b)-1] },
 		"bitflip": func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)/2] ^= 1; return c },
 		"garbage": func([]byte) []byte { return []byte("not an artifact\n") },
-		"empty":   func([]byte) []byte { return nil },
+		// An intact entry of the schema before shift views: its symbols
+		// carry no ShiftView flag, so serving it would run without views.
+		"parent schema": func(b []byte) []byte { return bytes.Replace(b, []byte(artMagic), []byte("f90y-art/v1"), 1) },
+		"empty":         func([]byte) []byte { return nil },
 	}
 	for name, mangle := range damage {
 		t.Run(name, func(t *testing.T) {

@@ -315,6 +315,35 @@ func (vm *VM) ctx() *rt.EvalCtx {
 	return c
 }
 
+// bindLocals resolves the serial-loop coordinates in the arguments of a
+// move's runtime intrinsics (a shift amount, a boundary, a dimension
+// naming an enclosing DO index) to constants: only the VM knows the loop
+// frames, and the communication layer evaluates those arguments with no
+// iteration of its own. A general move iterates for itself and is left
+// alone, as is every move outside a serial loop.
+func (vm *VM) bindLocals(m nir.Move) nir.Move {
+	if len(vm.frames) == 0 {
+		return m
+	}
+	local := vm.ctx().Local
+	bind := func(v nir.Value) nir.Value {
+		if lu, ok := v.(nir.LocalUnder); ok {
+			if c, ok := local(lu.S, lu.Dim); ok {
+				return nir.IntConst(int64(c))
+			}
+		}
+		return v
+	}
+	moves := append([]nir.GuardedMove(nil), m.Moves...)
+	for i, g := range moves {
+		if _, ok := g.Src.(nir.FcnCall); ok {
+			moves[i].Src = nir.RewriteValues(g.Src, bind)
+		}
+	}
+	m.Moves = moves
+	return m
+}
+
 // eval computes a scalar NIR value on the host, charging cycles.
 func (vm *VM) eval(v nir.Value) (float64, nir.ScalarKind, error) {
 	c := vm.ctx()
@@ -342,7 +371,7 @@ func (vm *VM) execOp(op fe.Op) error {
 		vm.charge(&vm.DispatchCycles, vm.Cost.DispatchStart+float64(len(op.Routine.Params))*vm.Cost.DispatchPerArg)
 		return vm.Hooks.Dispatch(op.Routine, op.Over)
 	case fe.Comm:
-		return vm.Hooks.Comm(op.Move)
+		return vm.Hooks.Comm(vm.bindLocals(op.Move))
 	case fe.If:
 		c, _, err := vm.eval(op.Cond)
 		if err != nil {
@@ -452,6 +481,10 @@ func (vm *VM) assign(op fe.Assign) error {
 		if err != nil {
 			return fmt.Errorf("hostvm: %q: %w", tgt.Name, err)
 		}
+		if err := vm.Store.Materialize(arr, rt.MaterializedHostRead); err != nil {
+			return fmt.Errorf("hostvm: %q: %w", tgt.Name, err)
+		}
+		arr.Wrote()
 		arr.StoreVal(off, val)
 		vm.charge(&vm.ElemCycles, vm.Cost.ElemAccess)
 		return nil
@@ -470,6 +503,9 @@ func (vm *VM) print(op fe.Print) error {
 				arr, ok := vm.Store.Arrays[a.Name]
 				if !ok {
 					return fmt.Errorf("hostvm: undefined array %q", a.Name)
+				}
+				if err := vm.Store.Materialize(arr, rt.MaterializedHostRead); err != nil {
+					return fmt.Errorf("hostvm: %q: %w", a.Name, err)
 				}
 				elems := make([]string, arr.Size())
 				for i, v := range arr.Data {

@@ -32,6 +32,12 @@ type Symbol struct {
 	Param  bool
 	Const  constVal // value for PARAMETERs
 	Temp   bool     // compiler-generated temporary
+	// ShiftView marks a temporary that only ever holds a whole-array
+	// CSHIFT of another array and is only ever read by PEAC routines
+	// before that array changes: the runtime binds it as a rotated
+	// window of its source and gives it no memory. internal/partition
+	// decides it on the finished host program (shiftview.go).
+	ShiftView bool
 	// Dist is the array's data distribution from !HPF$ directives (or a
 	// compiler override); the zero value is the default blockwise layout.
 	Dist shape.Distribution

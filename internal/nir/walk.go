@@ -109,36 +109,48 @@ func ValuesOf(i Imp, fn func(Value)) {
 // subscripts do).
 func Reads(i Imp) map[string]bool {
 	out := map[string]bool{}
+	EachRead(i, func(name string) { out[name] = true })
+	return out
+}
+
+// EachRead is Reads without the set: fn is called once per reading
+// occurrence, so an identifier read twice is reported twice.
+func EachRead(i Imp, fn func(name string)) {
+	read := func(v Value) {
+		switch v := v.(type) {
+		case SVar:
+			fn(v.Name)
+		case AVar:
+			fn(v.Name)
+		}
+	}
 	WalkImps(i, func(a Imp) {
 		switch a := a.(type) {
 		case Move:
 			for _, m := range a.Moves {
-				WalkValues(m.Mask, func(v Value) { addRead(out, v) })
-				WalkValues(m.Src, func(v Value) { addRead(out, v) })
+				WalkValues(m.Mask, read)
+				WalkValues(m.Src, read)
 				// Target subscripts are reads even though the target is a write.
 				if av, ok := m.Tgt.(AVar); ok {
-					walkField(av.Field, func(v Value) { addRead(out, v) })
+					walkField(av.Field, read)
 				}
 			}
 		default:
-			ValuesOf(a, func(v Value) { addRead(out, v) })
+			ValuesOf(a, read)
 		}
 	})
-	return out
-}
-
-func addRead(set map[string]bool, v Value) {
-	switch v := v.(type) {
-	case SVar:
-		set[v.Name] = true
-	case AVar:
-		set[v.Name] = true
-	}
 }
 
 // Writes returns the set of identifiers whose storage action i may write.
 func Writes(i Imp) map[string]bool {
 	out := map[string]bool{}
+	EachWrite(i, func(name string) { out[name] = true })
+	return out
+}
+
+// EachWrite is Writes without the set: fn is called once per written
+// target.
+func EachWrite(i Imp, fn func(name string)) {
 	WalkImps(i, func(a Imp) {
 		m, ok := a.(Move)
 		if !ok {
@@ -147,13 +159,12 @@ func Writes(i Imp) map[string]bool {
 		for _, g := range m.Moves {
 			switch t := g.Tgt.(type) {
 			case SVar:
-				out[t.Name] = true
+				fn(t.Name)
 			case AVar:
-				out[t.Name] = true
+				fn(t.Name)
 			}
 		}
 	})
-	return out
 }
 
 // RewriteValues applies fn bottom-up to every value in v, rebuilding

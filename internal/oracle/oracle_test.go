@@ -19,7 +19,8 @@ import (
 )
 
 // soakPrograms are the standard verification subjects: the paper's
-// seven experiment kernels at reduced sizes.
+// seven experiment kernels at reduced sizes, and the shifts by a DO
+// index.
 func soakPrograms() []Program {
 	return []Program{
 		{Name: "swe", File: "swe.f90", Source: workload.SWE(16, 2)},
@@ -29,6 +30,7 @@ func soakPrograms() []Program {
 		{Name: "fig12", File: "fig12.f90", Source: workload.Fig12(16)},
 		{Name: "stencil", File: "stencil.f90", Source: workload.Stencil(16, 2)},
 		{Name: "spill", File: "spill.f90", Source: workload.SpillKernel(64, 10)},
+		{Name: "doshift", File: "doshift.f90", Source: workload.DoShift(16)},
 	}
 }
 

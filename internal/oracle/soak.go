@@ -225,10 +225,17 @@ func diffResults(an, bn string, a, b *cm2.Result) *Divergence {
 // resultState normalizes a run result without a symbol table: every
 // store entry, sorted by name (faulted and baseline runs of one program
 // share one compiled artifact, so the stores are structurally equal).
+// Shift temporaries the compiler marked as views are skipped, by the
+// flag: once their last reader has run their bytes are not program
+// state — a copy taken at shift time under the injector, a view of a
+// since-overwritten source without it. Every other temporary compares.
 func resultState(name string, r *cm2.Result) *state {
 	s := newState(name, r.Output)
 	for _, n := range sortedNames(r.Store.Arrays) {
 		a := r.Store.Arrays[n]
+		if a.ShiftView {
+			continue
+		}
 		s.order = append(s.order, n)
 		s.arrays[n] = a.Data
 		s.exts[n], s.los[n] = a.Ext, a.Lo

@@ -27,6 +27,7 @@ type Stats struct {
 	CommCalls    int // runtime communication invocations
 	HostMoves    int // front-end scalar/element assignments
 	Fallbacks    int // compute blocks the PE compiler rejected (host path)
+	ShiftViews   int // shift temporaries that hold no memory (shiftview.go)
 }
 
 // Compile partitions an optimized module into a host program plus PEAC
@@ -50,6 +51,7 @@ func CompileObs(mod *lower.Module, peOpts pe.Options, rec obs.Recorder) (*fe.Pro
 	if err != nil {
 		return nil, p.stats, err
 	}
+	p.stats.ShiftViews = markShiftViews(ops, mod.Syms, rec)
 	obs.Add(rec, "partition/node-routines", float64(p.stats.NodeRoutines))
 	obs.Add(rec, "partition/comm-calls", float64(p.stats.CommCalls))
 	obs.Add(rec, "partition/host-moves", float64(p.stats.HostMoves))

@@ -88,6 +88,25 @@ func (r *Routine) Translated() any { return r.translated.Load() }
 // one routine must be equivalent.
 func (r *Routine) SetTranslated(v any) { r.translated.Store(v) }
 
+// StoredPtrs reports, per pointer register a parameter binds, whether
+// the body stores through it: whether a dispatch writes the array bound
+// there. One walk of the parameters and the body.
+func (r *Routine) StoredPtrs() []bool {
+	n := 0
+	for _, p := range r.Params {
+		if p.Kind == ArrayParam || p.Kind == CoordParam {
+			n = max(n, p.Reg+1)
+		}
+	}
+	stored := make([]bool, n)
+	for k := range r.Body {
+		if in := &r.Body[k]; in.Op.Info().Form == FormStore && in.D.N < n {
+			stored[in.D.N] = true
+		}
+	}
+	return stored
+}
+
 // Format renders the routine in the Fig. 12 assembly style: the loop
 // label, the body with each dual-issue group on one line, and the
 // closing jnz. A group is a non-paired instruction followed by every

@@ -52,12 +52,17 @@ var (
 )
 
 // CkptArray is one serialized CM array. The header carries its shape;
-// Data travels in the payload as raw bits.
+// Data travels in the payload as raw bits. A shift view (view.go) owns
+// no memory and contributes no payload: its header entry names the
+// array it reads as (ViewOf) and the rotation per dimension (Rot), with
+// an element count of zero.
 type CkptArray struct {
-	Kind nir.ScalarKind `json:"kind"`
-	Ext  []int          `json:"ext"`
-	Lo   []int          `json:"lo"`
-	Data []float64      `json:"-"`
+	Kind   nir.ScalarKind `json:"kind"`
+	Ext    []int          `json:"ext"`
+	Lo     []int          `json:"lo"`
+	ViewOf string         `json:"view_of,omitempty"`
+	Rot    []int          `json:"rot,omitempty"`
+	Data   []float64      `json:"-"`
 }
 
 // ckptHeader is the JSON header line: the checkpoint's own tagged
@@ -136,19 +141,31 @@ func (st *Store) Checkpoint() *Checkpoint {
 		ck.Kinds[name] = k
 	}
 	for name, a := range st.Arrays {
-		ck.Arrays[name] = CkptArray{
+		ca := CkptArray{
 			Kind: a.Kind,
 			Ext:  append([]int(nil), a.Ext...),
 			Lo:   append([]int(nil), a.Lo...),
-			Data: append([]float64(nil), a.Data...),
 		}
+		switch {
+		case a.Data != nil:
+			ca.Data = append([]float64(nil), a.Data...)
+		case a.view != nil:
+			ca.ViewOf, ca.Rot = a.view.of, append([]int(nil), a.view.rot...)
+		default:
+			continue // a shift temporary nothing has written yet
+		}
+		ck.Arrays[name] = ca
 	}
 	return ck
 }
 
 // ApplyStore restores the snapshot's scalars and arrays into a store
 // freshly allocated from the same program. Symbols present in the
-// store but absent from the snapshot keep their zero initialization.
+// store but absent from the snapshot keep their zero initialization. A
+// view record is restored as a view of its source as the source now
+// stands; one that does not fit the program — an array the compiler did
+// not mark, a source that is missing, is the array itself, has other
+// extents or no memory, a rotation out of range — is ErrCkptCorrupt.
 func (ck *Checkpoint) ApplyStore(st *Store) error {
 	for name, v := range ck.Scalars {
 		if _, ok := st.Scalars[name]; !ok {
@@ -161,11 +178,33 @@ func (ck *Checkpoint) ApplyStore(st *Store) error {
 		if !ok {
 			return fmt.Errorf("rt: checkpoint array %q not in program: %w", name, ErrUndefined)
 		}
-		if len(a.Data) != len(ca.Data) {
+		if ca.ViewOf != "" {
+			continue // below, once every source has its memory
+		}
+		if a.Size() != len(ca.Data) {
 			return fmt.Errorf("rt: checkpoint array %q has %d elements, program declares %d: %w",
-				name, len(ca.Data), len(a.Data), ErrShape)
+				name, len(ca.Data), a.Size(), ErrShape)
+		}
+		if a.Data == nil {
+			a.view, a.Data = nil, make([]float64, len(ca.Data))
 		}
 		copy(a.Data, ca.Data)
+	}
+	for name, ca := range ck.Arrays {
+		if ca.ViewOf == "" {
+			continue
+		}
+		a, src := st.Arrays[name], st.Arrays[ca.ViewOf]
+		fits := a.ShiftView && src != nil && src != a && src.Data != nil && len(ca.Data) == 0 &&
+			len(ca.Rot) == len(a.Ext) && sameExtents(a, src)
+		for d := 0; fits && d < len(ca.Rot); d++ {
+			fits = ca.Rot[d] >= 0 && ca.Rot[d] < a.Ext[d]
+		}
+		if !fits {
+			return fmt.Errorf("rt: checkpoint array %q: view of %q rotated %v does not fit the program: %w",
+				name, ca.ViewOf, ca.Rot, ErrCkptCorrupt)
+		}
+		a.setView(&view{of: ca.ViewOf, src: src, rot: append([]int(nil), ca.Rot...), gen: src.gen})
 	}
 	return nil
 }
@@ -333,7 +372,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	// than the file.
 	values, fits := len(h.ScalarNames), true
 	for _, a := range h.ArrayHdrs {
-		fits = fits && a.N >= 0 && a.N <= len(payload)/8
+		fits = fits && a.N >= 0 && a.N <= len(payload)/8 && (a.ViewOf == "" || a.N == 0)
 		values += a.N
 	}
 	if !fits || 8*values != len(payload) {
@@ -349,7 +388,9 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	ck.Arrays = make(map[string]CkptArray, len(h.ArrayHdrs))
 	for _, a := range h.ArrayHdrs {
-		a.Data, vals = vals[:a.N:a.N], vals[a.N:]
+		if a.ViewOf == "" {
+			a.Data, vals = vals[:a.N:a.N], vals[a.N:]
+		}
 		ck.Arrays[a.Name] = a.CkptArray
 	}
 	return ck, nil

@@ -318,7 +318,9 @@ func TestCheckpointWriteLeavesNoTemp(t *testing.T) {
 
 // FuzzReadCheckpoint: no byte string — sealed with a valid trailer or
 // not — panics the reader, over-allocates, or yields a store together
-// with an error; whatever decodes re-encodes to a file that decodes.
+// with an error; whatever decodes re-encodes to a file that decodes,
+// and applies to a store shaped like its own header without a panic —
+// view records included, whatever they name.
 func FuzzReadCheckpoint(f *testing.F) {
 	small := mustEncode(f, testCkpt())
 	body := ckptBody(f, small)
@@ -332,6 +334,15 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(ckptBody(f, mustEncode(f, &Checkpoint{Schema: CkptSchema})), true)
 	f.Add([]byte(`{"schema":"f90y-ckpt/v1","scalars":{"i":7},"arrays":{}}`), true)
 	f.Add([]byte("{\"schema\":\"f90y-ckpt/v2\"}\n"), true)
+	viewed := testCkpt()
+	viewed.Arrays["t"] = CkptArray{Ext: []int{2}, Lo: []int{1}, ViewOf: "a", Rot: []int{1}}
+	viewBody := ckptBody(f, mustEncode(f, viewed))
+	f.Add(viewBody, true)
+	f.Add(bytes.Replace(viewBody, []byte(`"view_of":"a"`), []byte(`"view_of":"t"`), 1), true)
+	f.Add(bytes.Replace(viewBody, []byte(`"view_of":"a"`), []byte(`"view_of":"z"`), 1), true)
+	f.Add(bytes.Replace(viewBody, []byte(`"rot":[1]`), []byte(`"rot":[1,7]`), 1), true)
+	f.Add(bytes.Replace(viewBody, []byte(`"rot":[1]`), []byte(`"rot":[-9]`), 1), true)
+	f.Add(bytes.Replace(viewBody, []byte(`"rot":[1],"n":0`), []byte(`"rot":[1],"n":2`), 1), true)
 	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
 		if seal {
 			data = sealCkpt(data)
@@ -349,6 +360,16 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		if 8*values > len(data) {
 			t.Fatalf("decoded %d values from a %d-byte file", values, len(data))
+		}
+		st := &Store{Arrays: map[string]*Array{}, Scalars: ck.Scalars}
+		for name, a := range ck.Arrays {
+			st.Arrays[name] = &Array{Kind: a.Kind, Ext: a.Ext, Lo: a.Lo, ShiftView: a.ViewOf != ""}
+			if a.ViewOf == "" {
+				st.Arrays[name].Data = make([]float64, len(a.Data))
+			}
+		}
+		if err := ck.ApplyStore(st); err != nil && !errors.Is(err, ErrCkptCorrupt) {
+			t.Fatalf("ApplyStore onto the header's own shapes: %v", err)
 		}
 		again, err := ck.Encode()
 		if err != nil {

@@ -220,16 +220,36 @@ func (c *Comm) ExecMove(m nir.Move) error {
 	return nil
 }
 
+// arrayArg resolves an intrinsic's array operand or target for code
+// that indexes its Data: a shift view is given memory first.
 func (c *Comm) arrayArg(v nir.Value, what string) (*Array, error) {
+	_, a, err := c.arrayRef(v, what)
+	if err != nil {
+		return nil, err
+	}
+	return a, c.owned(a)
+}
+
+// arrayRef resolves an array operand by name and leaves a shift view
+// a view.
+func (c *Comm) arrayRef(v nir.Value, what string) (string, *Array, error) {
 	av, ok := v.(nir.AVar)
 	if !ok {
-		return nil, fmt.Errorf("rt: %s must be an array reference: %w", what, ErrBadOperand)
+		return "", nil, fmt.Errorf("rt: %s must be an array reference: %w", what, ErrBadOperand)
 	}
 	a, ok := c.Store.Arrays[av.Name]
 	if !ok {
-		return nil, fmt.Errorf("rt: undefined array %q: %w", av.Name, ErrUndefined)
+		return "", nil, fmt.Errorf("rt: undefined array %q: %w", av.Name, ErrUndefined)
 	}
-	return a, nil
+	return av.Name, a, nil
+}
+
+// owned makes sure a owns memory before the comm layer indexes it.
+func (c *Comm) owned(a *Array) error {
+	if err := c.Store.Materialize(a, MaterializedCommRead); err != nil {
+		return fmt.Errorf("rt: %w", err)
+	}
+	return nil
 }
 
 func (c *Comm) scalarArg(v nir.Value) (float64, error) {
@@ -257,9 +277,14 @@ func (c *Comm) execIntrinsic(fc nir.FcnCall, tgt nir.Value) error {
 }
 
 // execShift implements circular and end-off grid shifts over the NEWS
-// network.
+// network. The modeled cost depends on the operands' shapes and layouts
+// alone; how the host moves the payload is a separate choice: a healthy
+// circular shift into a temporary the compiler marked (Array.ShiftView)
+// records a view of the source and moves nothing, everything else
+// copies — with the fault injector attached included, because the
+// staged, checksummed payload is what the injector mangles.
 func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
-	src, err := c.arrayArg(fc.Args[0], fc.Name)
+	srcName, src, err := c.arrayRef(fc.Args[0], fc.Name)
 	if err != nil {
 		return err
 	}
@@ -283,7 +308,7 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 		return err
 	}
 	dim := int(dimF)
-	out, err := c.arrayArg(tgt, "intrinsic target")
+	_, out, err := c.arrayRef(tgt, "intrinsic target")
 	if err != nil {
 		return err
 	}
@@ -295,57 +320,100 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 	if d < 0 || d >= src.Rank() {
 		return fmt.Errorf("rt: shift dim %d out of range: %w", dim, ErrShape)
 	}
-	n := src.Ext[d]
+	class, cyc := c.shiftCost(src, out, d, shift)
+
+	if circular && out.ShiftView && c.Faults == nil && sameExtents(src, out) {
+		v, err := viewOf(srcName, src, d, shift)
+		if err != nil {
+			return fmt.Errorf("rt: %s of %q: %w", fc.Name, srcName, err)
+		}
+		if v.src != out {
+			return c.deliver(class, cyc, transfer{elems: out.Size(), commit: func() { out.setView(v) }})
+		}
+	}
+	if err := c.owned(src); err != nil {
+		return err
+	}
+	if out.Data == nil {
+		why := MaterializedCommRead
+		if c.Faults != nil {
+			why = MaterializedArmed
+		}
+		c.Store.overwrite(out, why)
+	}
+	tmp := c.stageFor(out, src)
+	shiftInto(tmp, src.Data, src.Ext, d, shift, circular, boundary)
+	return c.deliverArray(class, cyc, out, tmp)
+}
+
+func sameExtents(a, b *Array) bool {
+	if len(a.Ext) != len(b.Ext) {
+		return false
+	}
+	for d := range a.Ext {
+		if a.Ext[d] != b.Ext[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// shiftInto writes src shifted by shift along dimension d (0-based) of
+// an array of extents ext into dst: dst[i] = src[i+shift] along d,
+// wrapping when circular, boundary where an end-off shift runs out.
+// It goes block by block: each (outer, i) pair covers a contiguous
+// strideBelow-long run, so the whole shift is memmoves instead of a
+// per-element divide/modulo to recover i from the flat offset. A shift
+// along the lowest axis (strideBelow == 1) degenerates to one-element
+// "runs", so it gets its own form: each n-long block is a rotation (two
+// copies) or an end-off slide (one copy plus a boundary fill).
+func shiftInto(dst, src []float64, ext []int, d, shift int, circular bool, boundary float64) {
+	n := ext[d]
 	strideBelow := 1
 	for k := 0; k < d; k++ {
-		strideBelow *= src.Ext[k]
+		strideBelow *= ext[k]
 	}
-	// Stage block by block: each (outer, i) pair covers a contiguous
-	// strideBelow-long run, so the whole shift is memmoves instead of a
-	// per-element divide/modulo to recover i from the flat offset. A
-	// shift along the lowest axis (strideBelow == 1) degenerates to
-	// one-element "runs", so it gets its own form: each n-long block is
-	// a rotation (two copies) or an end-off slide (one copy plus a
-	// boundary fill).
-	tmp := c.stageFor(out, src)
 	if strideBelow == 1 {
 		s := shift
 		if circular {
 			s = ((s % n) + n) % n
 		}
-		for base := 0; base < len(tmp); base += n {
+		for base := 0; base < len(dst); base += n {
 			switch {
 			case circular:
-				copy(tmp[base:base+n-s], src.Data[base+s:base+n])
-				copy(tmp[base+n-s:base+n], src.Data[base:base+s])
+				copy(dst[base:base+n-s], src[base+s:base+n])
+				copy(dst[base+n-s:base+n], src[base:base+s])
 			case s >= n || s <= -n:
-				fill(tmp[base:base+n], boundary)
+				fill(dst[base:base+n], boundary)
 			case s >= 0:
-				copy(tmp[base:base+n-s], src.Data[base+s:base+n])
-				fill(tmp[base+n-s:base+n], boundary)
+				copy(dst[base:base+n-s], src[base+s:base+n])
+				fill(dst[base+n-s:base+n], boundary)
 			default:
-				fill(tmp[base:base-s], boundary)
-				copy(tmp[base-s:base+n], src.Data[base:base+n+s])
+				fill(dst[base:base-s], boundary)
+				copy(dst[base-s:base+n], src[base:base+n+s])
 			}
 		}
-	} else {
-		blk := n * strideBelow
-		for base := 0; base < len(tmp); base += blk {
-			for i := 0; i < n; i++ {
-				row := tmp[base+i*strideBelow : base+(i+1)*strideBelow]
-				j := i + shift
-				if circular {
-					j = ((j % n) + n) % n
-				} else if j < 0 || j >= n {
-					fill(row, boundary)
-					continue
-				}
-				copy(row, src.Data[base+j*strideBelow:base+(j+1)*strideBelow])
+		return
+	}
+	blk := n * strideBelow
+	for base := 0; base < len(dst); base += blk {
+		for i := 0; i < n; i++ {
+			row := dst[base+i*strideBelow : base+(i+1)*strideBelow]
+			j := i + shift
+			if circular {
+				j = ((j % n) + n) % n
+			} else if j < 0 || j >= n {
+				fill(row, boundary)
+				continue
 			}
+			copy(row, src[base+j*strideBelow:base+(j+1)*strideBelow])
 		}
 	}
+}
 
-	// Cost. Default layouts take the legacy NEWS model verbatim: local
+// shiftCost prices a shift of src into out along dimension d.
+func (c *Comm) shiftCost(src, out *Array, d, shift int) (string, float64) {
+	// Default layouts take the legacy NEWS model verbatim: local
 	// block rotate plus wire traffic for boundary-crossing elements,
 	// one charge per PE-grid step travelled.
 	srcD, outD, explicit := effectivePair(src, out)
@@ -353,7 +421,7 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 		l := c.layoutOf(src)
 		sub := float64(l.SubgridSize())
 		hops := math.Abs(float64(shift))
-		return c.deliverArray(CommGrid, c.Cost.GridStartup+sub*c.Cost.GridLocal+sub*l.OffPEFraction(d)*c.Cost.GridWire*hops, out, tmp)
+		return CommGrid, c.Cost.GridStartup + sub*c.Cost.GridLocal + sub*l.OffPEFraction(d)*c.Cost.GridWire*hops
 	}
 	// Explicit layouts: a shift between identically-distributed arrays
 	// is a grid shift whose wire traffic the layout's own shift model
@@ -365,14 +433,14 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 	sub := float64(l.SubgridSize())
 	router := c.Cost.RouterStartup + sub*c.Cost.RouterPerElem
 	if !srcD.Equal(outD, src.Rank()) {
-		return c.deliverArray(CommRouter, router, out, tmp)
+		return CommRouter, router
 	}
 	frac, hops := l.ShiftCost(d, shift)
 	grid := c.Cost.GridStartup + sub*c.Cost.GridLocal + sub*frac*c.Cost.GridWire*hops
 	if grid <= router {
-		return c.deliverArray(CommGrid, grid, out, tmp)
+		return CommGrid, grid
 	}
-	return c.deliverArray(CommRouter, router, out, tmp)
+	return CommRouter, router
 }
 
 func (c *Comm) execReduce(fc nir.FcnCall, tgt nir.Value) error {

@@ -75,6 +75,7 @@ func (c *Comm) deliver(class string, cyc float64, t transfer) error {
 // transfer would violate the zero-overhead invariant (it showed up as
 // a third of SWE wall-clock under the profiler).
 func (c *Comm) deliverArray(class string, cyc float64, dst *Array, stage []float64) error {
+	dst.Wrote()
 	var sum uint64
 	if c.Faults != nil {
 		sum = faults.Checksum(stage)

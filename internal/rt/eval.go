@@ -103,6 +103,9 @@ func evalSubscripted(av nir.AVar, ctx *EvalCtx) (float64, nir.ScalarKind, error)
 	if err != nil {
 		return 0, 0, fmt.Errorf("rt: %q: %w", av.Name, err)
 	}
+	if err := ctx.Store.Materialize(arr, MaterializedHostRead); err != nil {
+		return 0, 0, fmt.Errorf("rt: %q: %w", av.Name, err)
+	}
 	return arr.Data[off], arr.Kind, nil
 }
 

@@ -40,6 +40,9 @@ func (c *Comm) generalMove(over shape.Shape, g nir.GuardedMove) error {
 		if !ok {
 			return 0, 0, fmt.Errorf("rt: undefined array %q: %w", av.Name, ErrUndefined)
 		}
+		if err := c.owned(arr); err != nil {
+			return 0, 0, err
+		}
 		off, err := c.resolve(av, arr, idx, lo, pos, ctx)
 		if err != nil {
 			return 0, 0, err
@@ -57,6 +60,10 @@ func (c *Comm) generalMove(over shape.Shape, g nir.GuardedMove) error {
 	if !ok {
 		return fmt.Errorf("rt: undefined array %q: %w", tgtAV.Name, ErrUndefined)
 	}
+	if err := c.owned(tgtArr); err != nil {
+		return err
+	}
+	tgtArr.Wrote()
 
 	for p := 0; p < n; p++ {
 		pos = p

@@ -28,21 +28,38 @@ type Array struct {
 	// element storage (always flat column-major) — only the modeled
 	// communication geometry.
 	Dist shape.Distribution
+	// ShiftView marks a compiler temporary the compiler proved is only
+	// ever a whole-array CSHIFT read by PEAC routines
+	// (lower.Symbol.ShiftView): it starts without memory, a healthy
+	// shift into it records a view instead of copying (view.go), and
+	// once its last reader has run its content is not program state.
+	ShiftView bool
+	// gen is the write generation: Wrote bumps it, a view remembers its
+	// source's and is stale once they differ.
+	gen uint64
+	// view, while Data is nil, is what the array reads as.
+	view *view
 }
 
 // NewArray allocates a zeroed CM array for a shape.
 func NewArray(kind nir.ScalarKind, s shape.Shape) *Array {
-	ext := shape.Extents(s)
-	lo := shape.Lowers(s)
-	n := 1
-	for _, e := range ext {
-		n *= e
-	}
-	return &Array{Kind: kind, Ext: append([]int(nil), ext...), Lo: append([]int(nil), lo...), Data: make([]float64, n)}
+	a := &Array{Kind: kind, Ext: shape.Extents(s), Lo: shape.Lowers(s)}
+	a.Data = make([]float64, a.Size())
+	return a
 }
 
-// Size is the element count.
-func (a *Array) Size() int { return len(a.Data) }
+// Size is the declared element count, whether or not the array
+// currently owns memory (see ShiftView).
+func (a *Array) Size() int {
+	if a.Data != nil {
+		return len(a.Data)
+	}
+	n := 1
+	for _, e := range a.Ext {
+		n *= e
+	}
+	return n
+}
 
 // Rank is the dimension count.
 func (a *Array) Rank() int { return len(a.Ext) }
@@ -118,9 +135,13 @@ type Store struct {
 	Arrays  map[string]*Array
 	Scalars map[string]float64
 	Kinds   map[string]nir.ScalarKind
+	// Materialized counts, by reason, the times a shift temporary had
+	// to be given memory after all (Store.Materialize).
+	Materialized map[string]int
 }
 
-// NewStore allocates storage for every non-PARAMETER symbol.
+// NewStore allocates storage for every non-PARAMETER symbol; a shift
+// temporary marked as a view gets its shape and no memory.
 func NewStore(syms *lower.SymTab) *Store {
 	st := &Store{Arrays: map[string]*Array{}, Scalars: map[string]float64{}, Kinds: map[string]nir.ScalarKind{}}
 	for _, sym := range syms.All() {
@@ -132,8 +153,10 @@ func NewStore(syms *lower.SymTab) *Store {
 			st.Scalars[sym.Name] = 0
 			continue
 		}
-		a := NewArray(sym.Kind, sym.Shape)
-		a.Dist = sym.Dist
+		a := &Array{Kind: sym.Kind, Ext: shape.Extents(sym.Shape), Lo: shape.Lowers(sym.Shape), Dist: sym.Dist, ShiftView: sym.ShiftView}
+		if !a.ShiftView {
+			a.Data = make([]float64, a.Size())
+		}
 		st.Arrays[sym.Name] = a
 	}
 	return st

@@ -194,6 +194,32 @@ end program stencil
 `, n, iters)
 }
 
+// DoShift shifts by amounts, and fills with a boundary, that name the
+// index of the enclosing serial DO — one level up and two: the runtime
+// intrinsics' scalar arguments are evaluated by the communication
+// layer, the loop frames live in the host VM, and the two must meet.
+func DoShift(n int) string {
+	return fmt.Sprintf(`program doshift
+integer, parameter :: n = %d
+real, array(n) :: a, b, c
+integer it, jt
+forall (i=1:n) a(i) = i
+b = 0.0
+c = 0.0
+do it = 1, 3
+  b = b + cshift(a, shift=it)
+  c = c + eoshift(a, shift=1, boundary=0.5*it)
+  do jt = 1, 2
+    b = b + cshift(a, shift=it-2*jt)
+    c = c + eoshift(a, shift=jt-it, boundary=1.0*(it+jt))
+  end do
+end do
+print *, 'b', sum(b*a)
+print *, 'c', sum(c*a)
+end program doshift
+`, n)
+}
+
 // SpillKernel is a synthetic computation whose live-value count is
 // controlled by depth, driving the register allocator past the eight
 // vector registers (the E6 spill-pressure experiment).
