@@ -38,7 +38,7 @@ bench-check:
 # a fresh seed per pair, every run printed, then the table — median
 # [q1, q3] per side, Δ median, change wins, parent IQR — per end-to-end
 # metric. Informational, not a check stage; ~1 min per pair.
-#   make bench-pairs PARENT=<rev> [W=swe] [PAIRS=10]
+#   make bench-pairs PARENT=<rev> [W=swe[,router...]] [PAIRS=10]
 bench-pairs:
 	GO="$(GO)" PARENT="$(PARENT)" W="$(W)" PAIRS="$(PAIRS)" ./scripts/bench_pairs.sh
 

@@ -10,6 +10,8 @@
 //	      [-max-cycles 2e9] [-tenant-inflight 8]
 //	      [-max-source-bytes 1048576] [-tenant-max-cycles 0]
 //	      [-cache-entries 512] [-cache-bytes 268435456]
+//	      [-retained-jobs 256] [-state-dir DIR] [-disk-cache-bytes 1073741824]
+//	      [-io-faults spec]
 //
 // Endpoints:
 //
@@ -30,6 +32,17 @@
 // routine dispatches across its share of the host's cores, GOMAXPROCS /
 // -workers (internal/driver), and results are bit-identical at every
 // width.
+//
+// With -state-dir the server is crash-safe (job journal, run spills,
+// persistent artifact cache; internal/server durable.go). There is no
+// spill-cadence flag either: a run spills at a host boundary when the
+// work a crash would lose is worth a spill — at least 100 ms at risk,
+// and no more often than eight times what its last spill took — so a
+// request that finishes sooner writes two journal records and no spill,
+// and is restored after a crash by re-running it from its journaled
+// source. Every run's store is drawn from one slab arena and handed back
+// once the response is rendered; /statsz reports both (durability,
+// store_arena).
 //
 // -addr-file writes the bound address (host:port) to a file once the
 // listener is up — with -addr 127.0.0.1:0 this is how scripts discover
@@ -66,7 +79,6 @@ var (
 	flagCacheBytes   = flag.Int64("cache-bytes", 256<<20, "artifact cache LRU byte bound (estimated)")
 	flagRetainedJobs = flag.Int("retained-jobs", 256, "finished jobs retained for GET /v1/jobs/{id}")
 	flagStateDir     = flag.String("state-dir", "", "durability plane root (job journal, drain spills, persistent artifact cache); empty = disabled")
-	flagCkptEvery    = flag.Int("ckpt-every", 0, "spill a run checkpoint every N host boundaries under -state-dir (0 = 8)")
 	flagDiskCache    = flag.Int64("disk-cache-bytes", 1<<30, "persistent artifact cache byte bound under -state-dir (pruned at startup)")
 	flagIOFaults     = flag.String("io-faults", "", "deterministic durable-write fault spec, e.g. seed=1,torn=0.05,short=0.05 (crash testing)")
 )
@@ -95,14 +107,13 @@ func main() {
 			MaxCycles:      *flagTenantCycles,
 			MaxSourceBytes: *flagMaxSource,
 		},
-		RetainedJobs:    *flagRetainedJobs,
-		CacheEntries:    *flagCacheEntries,
-		CacheBytes:      *flagCacheBytes,
-		StateDir:        *flagStateDir,
-		CheckpointEvery: *flagCkptEvery,
-		DiskCacheBytes:  *flagDiskCache,
-		IOFaults:        faults.NewIO(ioPlan),
-		Log:             os.Stderr,
+		RetainedJobs:   *flagRetainedJobs,
+		CacheEntries:   *flagCacheEntries,
+		CacheBytes:     *flagCacheBytes,
+		StateDir:       *flagStateDir,
+		DiskCacheBytes: *flagDiskCache,
+		IOFaults:       faults.NewIO(ioPlan),
+		Log:            os.Stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "f90yd:", err)

@@ -38,14 +38,16 @@ import (
 	"f90y/internal/workload"
 )
 
-// crashLoopKernel has enough top-level host boundaries (one per DO
-// iteration) that a SIGKILL reliably lands mid-run, leaving a spill.
+// crashLoopKernel computes for about a second per 36,000 iterations
+// (one 128x128 dispatch and one top-level host boundary each), far past
+// the server's spill floor, so a SIGKILL a quarter of a second in lands
+// mid-run on a job that has spilled. Every iteration moves the result.
 func crashLoopKernel(iters int) string {
 	return fmt.Sprintf(`      PROGRAM LOOPK
-      REAL A(32), B(32)
+      REAL A(128,128), B(128,128)
       INTEGER I
       A = 1.5
-      B = 0.25
+      B = 0.00001
       DO I = 1, %d
         A = A * B + A
       END DO
@@ -62,8 +64,8 @@ var crashProgs = []struct {
 	file string
 	src  string
 }{
-	{"loopa.f90", crashLoopKernel(2400)},
-	{"loopb.f90", crashLoopKernel(1800)},
+	{"loopa.f90", crashLoopKernel(48000)},
+	{"loopb.f90", crashLoopKernel(40000)},
 	{"swe.f90", workload.SWE(12, 1)},
 	{"fig9.f90", workload.Fig9(32)},
 }
@@ -92,7 +94,7 @@ func launchServer(bin, stateDir, addrFile, ioFaults string, logw io.Writer) (*se
 	args := []string{
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
 		"-workers", "2", "-queue-depth", "32",
-		"-state-dir", stateDir, "-ckpt-every", "8",
+		"-state-dir", stateDir,
 		"-request-timeout", "5m", "-drain-timeout", "30s",
 	}
 	if ioFaults != "" {
@@ -275,8 +277,9 @@ func runRestart(w io.Writer, bin string, cycles int, stateDir, ioFaults, outPath
 		}
 		rec.Jobs += len(jobs)
 
-		// Let the workers get into the long kernels, then pull the plug.
-		time.Sleep(150 * time.Millisecond)
+		// Let the workers get into the long kernels and past their first
+		// spill, then pull the plug.
+		time.Sleep(250 * time.Millisecond)
 		srv.kill()
 		alive = false
 

@@ -90,7 +90,8 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 	if ctl == nil {
 		ctl = &Control{}
 	}
-	if store == nil {
+	own := store == nil
+	if own {
 		store = rt.NewStore(prog.Syms)
 	}
 	r := &run{
@@ -107,12 +108,18 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 	res, comm := r.res, r.comm
 
 	hctl := &hostvm.Ctl{
-		Faults: ctl.Faults, CheckpointEvery: ctl.CheckpointEvery, MaxCycles: ctl.MaxCycles,
+		Faults: ctl.Faults, MaxCycles: ctl.MaxCycles,
 		ExtraCycles: func() float64 { return res.PECycles + comm.Cycles },
 	}
 	if ctl.Checkpoint != nil {
+		// One snap closure serves every boundary of the run, so one the
+		// hook declines allocates nothing.
+		var at *hostvm.VM
+		var b rt.Boundary
+		snap := func() *rt.Checkpoint { return r.snapshot(at, b) }
 		hctl.Checkpoint = func(vm *hostvm.VM, next int, inLoop bool, iterDone int) error {
-			return ctl.Checkpoint(r.snapshot(vm, next, inLoop, iterDone))
+			at, b = vm, rt.Boundary{Machine: t.Name, NextOp: next, InLoop: inLoop, IterDone: iterDone}
+			return ctl.Checkpoint(snap)
 		}
 	}
 	if ctl.Resume != nil {
@@ -127,6 +134,9 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 	}
 	vm, err := hostvm.RunCtx(ctx, prog, store, t.HostCost, hooks, hctl)
 	if err != nil {
+		if own {
+			store.Release() // no Result carries it out
+		}
 		return nil, Split{}, err
 	}
 	res.Output = vm.Output
@@ -152,9 +162,8 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 
 // snapshot captures a consistent machine state at a host boundary; the
 // Split travels in Checkpoint.Extra.
-func (r *run) snapshot(vm *hostvm.VM, next int, inLoop bool, iterDone int) *rt.Checkpoint {
-	ck := rt.SnapshotBoundary(r.store, r.comm,
-		rt.Boundary{Machine: r.t.Name, NextOp: next, InLoop: inLoop, IterDone: iterDone},
+func (r *run) snapshot(vm *hostvm.VM, b rt.Boundary) *rt.Checkpoint {
+	ck := rt.SnapshotBoundary(r.store, r.comm, b,
 		rt.HostState{Output: vm.Output, Cycles: vm.Cycles, ClassCycles: vm.ClassCycles()},
 		r.res.ExecTotals)
 	ck.Extra = map[string]float64{extraSetup: r.split.Setup, extraVector: r.split.Vector, extraDegrade: r.split.Degrade}
@@ -213,6 +222,8 @@ func (r *run) emit() {
 	for why, n := range r.store.Materialized {
 		obs.Add(rec, "rt/shift-view/materialized/"+why, float64(n))
 	}
+	obs.Add(rec, "rt/arena/get", float64(r.store.ArenaGets))
+	obs.Add(rec, "rt/arena/reuse", float64(r.store.ArenaReuses))
 	if res.Numeric != nil {
 		for cl, n := range res.Numeric.NaN {
 			obs.Add(rec, "exec/numeric/nan/"+cl, float64(n))

@@ -110,8 +110,13 @@ func mustRun(t *testing.T, tg *cm2.Target, prog *fe.Program, ctl *cm2.Control) o
 // the slice the snapshots land in.
 func checkpointing(n int, ctl cm2.Control) (*cm2.Control, *[]*rt.Checkpoint) {
 	var cks []*rt.Checkpoint
-	ctl.CheckpointEvery = n
-	ctl.Checkpoint = func(ck *rt.Checkpoint) error { cks = append(cks, ck); return nil }
+	boundaries := 0
+	ctl.Checkpoint = func(snap func() *rt.Checkpoint) error {
+		if boundaries++; boundaries%n == 0 {
+			cks = append(cks, snap())
+		}
+		return nil
+	}
 	return &ctl, &cks
 }
 

@@ -31,12 +31,12 @@ type Control struct {
 	// Faults drives injection across the host VM, the communication
 	// layer, and node dispatch (nil disables injection).
 	Faults *faults.Injector
-	// CheckpointEvery writes a snapshot after every N top-level host
-	// boundaries (ops and top-level serial-DO iterations); zero
-	// disables checkpointing.
-	CheckpointEvery int
-	// Checkpoint receives each snapshot (typically to write to disk).
-	Checkpoint func(ck *rt.Checkpoint) error
+	// Checkpoint is consulted at every top-level host boundary (ops and
+	// top-level serial-DO iterations) and decides whether this one is
+	// worth a snapshot: snap takes it — a copy of the whole store — so a
+	// boundary the hook declines costs nothing. A non-nil error stops the
+	// run at the boundary. Nil disables checkpointing.
+	Checkpoint func(snap func() *rt.Checkpoint) error
 	// Resume restores a snapshot before execution: the store, the
 	// accumulated cycle attribution, and the host resume position.
 	Resume *rt.Checkpoint

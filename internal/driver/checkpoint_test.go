@@ -106,12 +106,13 @@ func TestCheckpointCarriesNaNAndInf(t *testing.T) {
 			}
 			// Keep each boundary's file as well.
 			writeLast, boundaries := ctl.Checkpoint, 0
-			ctl.Checkpoint = func(ck *rt.Checkpoint) error {
+			ctl.Checkpoint = func(snap func() *rt.Checkpoint) error {
 				boundaries++
+				ck := snap()
 				if err := ck.Write(filepath.Join(dir, fmt.Sprintf("b%03d.ckpt", boundaries))); err != nil {
 					return err
 				}
-				return writeLast(ck)
+				return writeLast(func() *rt.Checkpoint { return ck })
 			}
 			if got := storeBits(run(ctl).Store); !reflect.DeepEqual(got, want) {
 				t.Errorf("checkpointing changed the final store:\n got  %x\n want %x", got, want)

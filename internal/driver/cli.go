@@ -53,14 +53,20 @@ func (o ControlOptions) Build(file string, rec obs.Recorder) (cm2.Control, error
 		return cm2.Control{}, err
 	}
 	ctl := cm2.Control{
-		Faults:          faults.New(plan, rec),
-		CheckpointEvery: o.CheckpointEvery,
-		MaxCycles:       o.MaxCycles,
-		Numeric:         rt.NewNumeric(numMode),
+		Faults:    faults.New(plan, rec),
+		MaxCycles: o.MaxCycles,
+		Numeric:   rt.NewNumeric(numMode),
 	}
-	if o.CheckpointEvery > 0 {
-		path := CheckpointPath(file, o.CheckpointPath)
-		ctl.Checkpoint = func(ck *rt.Checkpoint) error { return ck.Write(path) }
+	if every := o.CheckpointEvery; every > 0 {
+		// An explicit count is a request, not a policy: the file is
+		// rewritten at exactly every N-th boundary of the run.
+		path, boundaries := CheckpointPath(file, o.CheckpointPath), 0
+		ctl.Checkpoint = func(snap func() *rt.Checkpoint) error {
+			if boundaries++; boundaries%every != 0 {
+				return nil
+			}
+			return snap().Write(path)
+		}
 	}
 	if o.ResumePath != "" {
 		if ctl.Resume, err = rt.ReadCheckpoint(o.ResumePath); err != nil {

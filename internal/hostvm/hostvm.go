@@ -68,13 +68,11 @@ type Ctl struct {
 	// Faults injects front-end stalls and scheduled fatal faults at
 	// every host tick (nil disables injection).
 	Faults *faults.Injector
-	// CheckpointEvery invokes Checkpoint after every N completed
-	// top-level boundaries (top-level ops and top-level serial-DO
-	// iterations). Zero disables checkpointing.
-	CheckpointEvery int
-	// Checkpoint receives the VM at a consistent boundary: every op
-	// before next has completed; when inLoop is set, op next is a
-	// serial DO completed through iteration iterDone.
+	// Checkpoint is offered the VM at every completed top-level boundary
+	// (top-level ops and top-level serial-DO iterations) and decides for
+	// itself whether this one is worth a snapshot: every op before next
+	// has completed; when inLoop is set, op next is a serial DO
+	// completed through iteration iterDone. Nil disables checkpointing.
 	Checkpoint func(vm *VM, next int, inLoop bool, iterDone int) error
 
 	// MaxCycles is the watchdog budget: when the modeled cycle total
@@ -127,10 +125,9 @@ type VM struct {
 	DispatchCycles float64
 	StallCycles    float64
 
-	runCtx     context.Context
-	done       <-chan struct{} // runCtx.Done(), nil when uncancellable
-	ctl        *Ctl
-	boundaries int
+	runCtx context.Context
+	done   <-chan struct{} // runCtx.Done(), nil when uncancellable
+	ctl    *Ctl
 
 	frames  []frame
 	stopped bool
@@ -242,13 +239,11 @@ func (vm *VM) execTop(ops []fe.Op) error {
 	return nil
 }
 
-// boundary marks one completed top-level unit of work and writes a
-// checkpoint every CheckpointEvery units.
+// boundary marks one completed top-level unit of work and offers it to
+// the checkpoint hook.
 func (vm *VM) boundary(next int, inLoop bool, iterDone int) error {
-	vm.boundaries++
-	c := vm.ctl
-	if c.CheckpointEvery > 0 && c.Checkpoint != nil && vm.boundaries%c.CheckpointEvery == 0 {
-		if err := c.Checkpoint(vm, next, inLoop, iterDone); err != nil {
+	if ckpt := vm.ctl.Checkpoint; ckpt != nil {
+		if err := ckpt(vm, next, inLoop, iterDone); err != nil {
 			return fmt.Errorf("hostvm: checkpoint at op %d: %w", next, err)
 		}
 	}

@@ -148,7 +148,8 @@ func (st *Store) Checkpoint() *Checkpoint {
 		}
 		switch {
 		case a.Data != nil:
-			ca.Data = append([]float64(nil), a.Data...)
+			ca.Data = st.slab(len(a.Data))
+			copy(ca.Data, a.Data)
 		case a.view != nil:
 			ca.ViewOf, ca.Rot = a.view.of, append([]int(nil), a.view.rot...)
 		default:
@@ -157,6 +158,16 @@ func (st *Store) Checkpoint() *Checkpoint {
 		ck.Arrays[name] = ca
 	}
 	return ck
+}
+
+// Release hands the array copies of a snapshot Store.Checkpoint took
+// back to the arena, once its bytes are on disk; the snapshot must not
+// be used afterwards.
+func (ck *Checkpoint) Release() {
+	for _, ca := range ck.Arrays {
+		putSlab(ca.Data)
+	}
+	ck.Arrays = nil
 }
 
 // ApplyStore restores the snapshot's scalars and arrays into a store
@@ -186,7 +197,7 @@ func (ck *Checkpoint) ApplyStore(st *Store) error {
 				name, len(ca.Data), a.Size(), ErrShape)
 		}
 		if a.Data == nil {
-			a.view, a.Data = nil, make([]float64, len(ca.Data))
+			a.view, a.Data = nil, st.slab(len(ca.Data))
 		}
 		copy(a.Data, ca.Data)
 	}

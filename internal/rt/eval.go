@@ -89,7 +89,7 @@ func Eval(v nir.Value, ctx *EvalCtx) (float64, nir.ScalarKind, error) {
 func evalSubscripted(av nir.AVar, ctx *EvalCtx) (float64, nir.ScalarKind, error) {
 	arr, ok := ctx.Store.Arrays[av.Name]
 	if !ok {
-		return 0, 0, fmt.Errorf("rt: undefined array %q", av.Name)
+		return 0, 0, fmt.Errorf("rt: undefined array %q: %w", av.Name, ErrUndefined)
 	}
 	sub, ok := av.Field.(nir.Subscript)
 	if !ok {

@@ -138,10 +138,14 @@ type Store struct {
 	// Materialized counts, by reason, the times a shift temporary had
 	// to be given memory after all (Store.Materialize).
 	Materialized map[string]int
+	// ArenaGets and ArenaReuses count the slabs of arenaMin elements and
+	// up this store asked the arena for, and those it was lent used.
+	ArenaGets, ArenaReuses int
 }
 
-// NewStore allocates storage for every non-PARAMETER symbol; a shift
-// temporary marked as a view gets its shape and no memory.
+// NewStore allocates storage for every non-PARAMETER symbol, each array
+// a zeroed slab from the arena (arena.go); a shift temporary marked as a
+// view gets its shape and no memory.
 func NewStore(syms *lower.SymTab) *Store {
 	st := &Store{Arrays: map[string]*Array{}, Scalars: map[string]float64{}, Kinds: map[string]nir.ScalarKind{}}
 	for _, sym := range syms.All() {
@@ -155,11 +159,37 @@ func NewStore(syms *lower.SymTab) *Store {
 		}
 		a := &Array{Kind: sym.Kind, Ext: shape.Extents(sym.Shape), Lo: shape.Lowers(sym.Shape), Dist: sym.Dist, ShiftView: sym.ShiftView}
 		if !a.ShiftView {
-			a.Data = make([]float64, a.Size())
+			a.Data = st.slab(a.Size())
 		}
 		st.Arrays[sym.Name] = a
 	}
 	return st
+}
+
+// slab draws n zeroed elements for the store from the arena.
+func (st *Store) slab(n int) []float64 {
+	s, reused := getSlab(n)
+	if n >= arenaMin {
+		st.ArenaGets++
+	}
+	if reused {
+		st.ArenaReuses++
+	}
+	return s
+}
+
+// Release hands every slab back to the arena and leaves the store
+// without arrays, each Array.Data nil: a later reference finds no such
+// array (ErrUndefined), never what the slab's next borrower wrote. Only
+// the store's last user may call it — a server once the response is
+// rendered; a second call is a no-op.
+func (st *Store) Release() {
+	ageArena()
+	for _, a := range st.Arrays {
+		putSlab(a.Data)
+		a.Data, a.view = nil, nil
+	}
+	st.Arrays = nil
 }
 
 // SetScalar writes a scalar with kind semantics.

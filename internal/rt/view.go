@@ -48,7 +48,7 @@ func (a *Array) View() (src *Array, rot []int, err error) {
 	v := a.view
 	if v == nil {
 		if a.Data == nil {
-			a.Data = make([]float64, a.Size())
+			a.Data, _ = getSlab(a.Size())
 		}
 		return a, nil, nil
 	}
@@ -78,6 +78,7 @@ func viewOf(of string, src *Array, d, shift int) (*view, error) {
 
 // setView makes the array read as v and releases its memory.
 func (a *Array) setView(v *view) {
+	putSlab(a.Data)
 	a.view, a.Data = v, nil
 	a.Wrote()
 }
@@ -85,7 +86,7 @@ func (a *Array) setView(v *view) {
 // materialize gives a viewing array its own memory holding the viewed
 // content, copied one rotated dimension at a time by the loops a
 // copying shift runs.
-func (a *Array) materialize() error {
+func (st *Store) materialize(a *Array) error {
 	src, rot, err := a.View()
 	if err != nil || src == a {
 		return err
@@ -93,13 +94,17 @@ func (a *Array) materialize() error {
 	data, own := src.Data, false
 	for d, r := range rot {
 		if r != 0 {
-			next := make([]float64, len(data))
+			next := st.slab(len(data))
 			shiftInto(next, data, a.Ext, d, r, true, 0)
+			if own {
+				putSlab(data)
+			}
 			data, own = next, true
 		}
 	}
 	if !own {
-		data = append(make([]float64, 0, len(data)), data...)
+		data = st.slab(len(data))
+		copy(data, src.Data)
 	}
 	a.Data, a.view = data, nil
 	return nil
@@ -121,14 +126,14 @@ func (st *Store) Materialize(a *Array, why string) error {
 		return nil
 	}
 	st.noteMaterialized(why)
-	return a.materialize()
+	return st.materialize(a)
 }
 
 // overwrite gives a memory for a writer about to replace every element:
 // whatever a read as is dropped, not copied.
 func (st *Store) overwrite(a *Array, why string) {
 	st.noteMaterialized(why)
-	a.view, a.Data = nil, make([]float64, a.Size())
+	a.view, a.Data = nil, st.slab(a.Size())
 }
 
 func (st *Store) noteMaterialized(why string) {

@@ -8,10 +8,12 @@ package server
 //	              format, atomic temp+rename+fsync, CRC trailer)
 //	cache/        the driver's persistent artifact tier (diskcache.go)
 //
-// Run jobs execute with periodic checkpointing wired through the
-// EXISTING cm2.Control hook: every CheckpointEvery host boundaries the
-// runtime snapshot is spilled to disk. Drain flips the suspend flag, so
-// the next spill also returns ErrSuspended — the run stops at an exact
+// Run jobs checkpoint through the EXISTING cm2.Control hook, which the
+// run consults at every top-level host boundary; the rule that answers
+// it (prepareDurable) spills the runtime snapshot when the work a crash
+// would lose is worth a spill, so a request shorter than spillFloor
+// never touches spills/. Drain flips the suspend flag, so the next
+// boundary spills and returns ErrSuspended — the run stops at an exact
 // boundary with a just-written snapshot, and the client gets 503 +
 // code "suspended" with its job id still valid.
 //
@@ -38,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"f90y/internal/driver"
 	"f90y/internal/faults"
@@ -46,19 +49,21 @@ import (
 
 // DurabilityStats is the /statsz durability section.
 type DurabilityStats struct {
-	StateDir        string `json:"state_dir"`
-	JournalRecords  int64  `json:"journal_records"` // appended this epoch
-	JournalBytes    int64  `json:"journal_bytes"`
-	JournalErrors   int64  `json:"journal_errors"` // append failures (degraded, not fatal)
-	TornRecords     int64  `json:"torn_records"`   // damaged WAL lines found at recovery
-	SpillWrites     int64  `json:"spill_writes"`
-	SpillErrors     int64  `json:"spill_errors"`     // failed spill writes (degraded, not fatal)
-	SpillCasualties int64  `json:"spill_casualties"` // unreadable spills at recovery
-	Suspended       int64  `json:"suspended"`        // jobs suspended by drain this epoch
-	Resumed         int64  `json:"resumed"`          // jobs resumed from a spill at startup
-	Requeued        int64  `json:"requeued"`         // jobs re-run from scratch at startup
-	RecoveredDone   int64  `json:"recovered_done"`   // finished results reloaded at startup
-	Unrecoverable   int64  `json:"unrecoverable"`    // admitted records that no longer build a job
+	StateDir        string  `json:"state_dir"`
+	JournalRecords  int64   `json:"journal_records"` // appended this epoch
+	JournalBytes    int64   `json:"journal_bytes"`
+	JournalErrors   int64   `json:"journal_errors"` // append failures (degraded, not fatal)
+	TornRecords     int64   `json:"torn_records"`   // damaged WAL lines found at recovery
+	SpillWrites     int64   `json:"spill_writes"`
+	SpillErrors     int64   `json:"spill_errors"`     // failed spill writes (degraded, not fatal)
+	SpillMS         float64 `json:"spill_ms"`         // wall time inside spills: snapshot, encode, write
+	UnspilledRuns   int64   `json:"unspilled_runs"`   // runs that ended without ever spilling
+	SpillCasualties int64   `json:"spill_casualties"` // unreadable spills at recovery
+	Suspended       int64   `json:"suspended"`        // jobs suspended by drain this epoch
+	Resumed         int64   `json:"resumed"`          // jobs resumed from a spill at startup
+	Requeued        int64   `json:"requeued"`         // jobs re-run from scratch at startup
+	RecoveredDone   int64   `json:"recovered_done"`   // finished results reloaded at startup
+	Unrecoverable   int64   `json:"unrecoverable"`    // admitted records that no longer build a job
 
 	DiskCache driver.DiskCacheStats `json:"disk_cache"`
 }
@@ -133,22 +138,22 @@ func (d *durable) spillPath(id string) string {
 }
 
 // writeSpill durably writes one job checkpoint, through the fault
-// injector when armed. A failure degrades durability (counted, logged
-// with the job id) but never fails the run — same policy as a failed
-// journal append.
-func (d *durable) writeSpill(id string, ck *rt.Checkpoint) error {
+// injector when armed, and reports its size. A failure degrades
+// durability (counted, logged with the job id) but never fails the run
+// — same policy as a failed journal append.
+func (d *durable) writeSpill(id string, ck *rt.Checkpoint) (int, error) {
 	data, err := ck.Encode()
 	if err == nil {
-		mangled, _ := d.io.Mangle(data)
-		err = rt.WriteFileAtomic(d.spillPath(id), mangled)
+		data, _ = d.io.Mangle(data)
+		err = rt.WriteFileAtomic(d.spillPath(id), data)
 	}
 	if err != nil {
 		d.count(func(st *DurabilityStats) { st.SpillErrors++ })
 		d.logf("f90yd: spill for job %s failed: %v\n", id, err)
-		return err
+		return 0, err
 	}
 	d.count(func(st *DurabilityStats) { st.SpillWrites++ })
-	return nil
+	return len(data), nil
 }
 
 // readSpill loads the checkpoint of a job bound for target ("" is the
@@ -304,9 +309,9 @@ func (s *Server) replayJournal(recs []jrec) (carry []jrec, resume []*jobState) {
 			}
 			resume = append(resume, js)
 		default:
-			// A ckpt/started record whose admitted line was torn: the job
-			// cannot be rebuilt. The torn counter already reports the loss;
-			// make the orphan explicit too.
+			// A ckpt (or a parent's started) record whose admitted line was
+			// torn: the job cannot be rebuilt. The torn counter already
+			// reports the loss; make the orphan explicit too.
 			s.dur.count(func(st *DurabilityStats) { st.Unrecoverable++ })
 			s.dur.removeSpill(id)
 		}
@@ -345,7 +350,7 @@ func (s *Server) replayJournal(recs []jrec) (carry []jrec, resume []*jobState) {
 func (s *Server) enqueueRecovered(resume []*jobState) {
 	for _, js := range resume {
 		s.admitMu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.admitMu.Unlock()
 			return
 		}
@@ -363,25 +368,52 @@ func (s *Server) enqueueRecovered(resume []*jobState) {
 	}
 }
 
+// The spill rule's two constants. A run spills at a host boundary once
+// the work a crash would lose — the time since it started, resumed, or
+// last finished a spill — has reached spillFloor, and no sooner than
+// spillRatio times what its last spill took. So the plane taxes a run by
+// at most 1/(spillRatio+1) of its wall time, a crash re-does at most
+// spillFloor plus one spill interval of compute per in-flight job, and
+// a run shorter than spillFloor is protected by its journaled admission
+// alone: recovery re-queues it from source.
+const (
+	spillFloor = 100 * time.Millisecond
+	spillRatio = 8
+)
+
 // prepareDurable wires the checkpoint plane into one admitted run job:
-// every CheckpointEvery boundaries the run spills its snapshot; once
-// the suspend flag is up, the next spill also stops the run with
+// the hook below answers every top-level host boundary from the clock,
+// before any copy is taken. Once the suspend flag is up the next
+// boundary spills whatever the clock says and stops the run with
 // ErrSuspended. Resume set by recovery stays.
 func (s *Server) prepareDurable(js *jobState) {
 	if s.dur == nil || js.kind != "run" {
 		return
 	}
-	ctl := &js.job.Ctl
-	ctl.CheckpointEvery = s.cfg.CheckpointEvery
-	id := js.id
+	js.spilled = js.job.Ctl.Resume != nil
 	journaled := false
-	ctl.Checkpoint = func(ck *rt.Checkpoint) error {
-		// A failed spill is writeSpill's to count and log; the run goes on.
-		if err := s.dur.writeSpill(id, ck); err == nil && !journaled {
-			journaled = true
-			s.dur.append(jrec{T: "ckpt", Job: id})
+	atRisk, lastSpill := s.now(), time.Duration(0)
+	js.job.Ctl.Checkpoint = func(snap func() *rt.Checkpoint) error {
+		suspend, start := s.suspend.Load(), s.now()
+		if !suspend && start.Sub(atRisk) < max(spillFloor, spillRatio*lastSpill) {
+			return nil
 		}
-		if s.suspend.Load() {
+		ck := snap()
+		// A failed spill is writeSpill's to count and log; the run goes on.
+		n, err := s.dur.writeSpill(js.id, ck)
+		ck.Release()
+		atRisk = s.now()
+		lastSpill = atRisk.Sub(start)
+		js.spilled = true
+		s.dur.count(func(st *DurabilityStats) { st.SpillMS += durMS(lastSpill) })
+		if err == nil {
+			fmt.Fprintf(s.cfg.Log, "f90yd: job %s spilled %d bytes in %.1f ms\n", js.id, n, durMS(lastSpill))
+			if !journaled {
+				journaled = true
+				s.dur.append(jrec{T: "ckpt", Job: js.id})
+			}
+		}
+		if suspend {
 			return ErrSuspended
 		}
 		return nil

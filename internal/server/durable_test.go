@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -65,11 +66,24 @@ const durSrc = `      PROGRAM DUR
 // durableConfig is the shared small-server config for durability tests.
 func durableConfig(dir string) Config {
 	return Config{
-		Workers:         2,
-		QueueDepth:      8,
-		StateDir:        dir,
-		CheckpointEvery: 1,
-		Quotas:          Quotas{MaxInFlight: 8, MaxSourceBytes: 1 << 20},
+		Workers:    2,
+		QueueDepth: 8,
+		StateDir:   dir,
+		Quotas:     Quotas{MaxInFlight: 8, MaxSourceBytes: 1 << 20},
+	}
+}
+
+// stepClock is a fake spill-rule clock: every reading is step later
+// than the one before, so what the rule decides depends only on how
+// often it looks, never on the machine.
+func stepClock(step time.Duration) func() time.Time {
+	var mu sync.Mutex
+	now := time.Unix(0, 0)
+	return func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		now = now.Add(step)
+		return now
 	}
 }
 
@@ -328,13 +342,15 @@ func TestServerRecoveryOtherMachineSpill(t *testing.T) {
 // spill moves spill_errors instead of spill_writes, and each is logged
 // with the job id. The same program runs once before and once after the
 // directory goes, so the second run's failures must number exactly the
-// first run's writes.
+// first run's writes — the rule reads a stepping clock, on which durSrc
+// is a long run that spills every ninth boundary.
 func TestServerSpillFailureIsCountedAndLogged(t *testing.T) {
 	dir := t.TempDir()
 	var log lockedBuffer
 	cfg := durableConfig(dir)
 	cfg.Log = &log
 	s, hs := testServer(t, cfg)
+	s.now = stepClock(spillFloor)
 	status, healthy := postRun(t, hs, durSrc, false)
 	if status != 200 || healthy.Result == nil {
 		t.Fatalf("run on a healthy disk: %d %+v", status, healthy)
@@ -510,5 +526,263 @@ func TestServerStateless(t *testing.T) {
 	}
 	if st := s.Stats(); st.Durability != nil {
 		t.Errorf("stateless server reports durability stats: %+v", st.Durability)
+	}
+}
+
+// parentJournalStarted is a WAL as the build before the "started" record
+// was retired wrote it (bytes and CRCs from that build): two admitted
+// runs of durSrc, each picked up by a worker, the first with a spill.
+const parentJournalStarted = `78e01d1c {"t":"journal","schema":"f90y-journal/v1"}
+9488cc40 {"t":"admitted","job":"j000001","tenant":"anon","kind":"run","req":{"file":"dur.f90","source":"      PROGRAM DUR\n      REAL A(16), B(16)\n      INTEGER I\n      A = 1.5\n      B = 0.5\n      DO I = 1, 400\n        A = A * B + A\n      END DO\n      PRINT *, SUM(A)\n      END\n","config":{},"async":true}}
+9686530b {"t":"started","job":"j000001"}
+b22459aa {"t":"ckpt","job":"j000001"}
+b43956ab {"t":"admitted","job":"j000002","tenant":"anon","kind":"run","req":{"file":"dur.f90","source":"      PROGRAM DUR\n      REAL A(16), B(16)\n      INTEGER I\n      A = 1.5\n      B = 0.5\n      DO I = 1, 400\n        A = A * B + A\n      END DO\n      PRINT *, SUM(A)\n      END\n","config":{},"async":true}}
+94c0ed52 {"t":"started","job":"j000002"}
+`
+
+// TestServerRecoveryParentJournalStarted: this build never writes a
+// "started" record, and a WAL that holds them replays exactly as it did
+// — the started-and-spilled job resumes, the started-only job is
+// re-queued, nothing reads as torn or unrecoverable.
+func TestServerRecoveryParentJournalStarted(t *testing.T) {
+	baseline := runBaseline(t, durSrc)
+	dir := t.TempDir()
+	if id := suspendOne(t, durableConfig(dir)); id != "j000001" {
+		t.Fatalf("the suspended job is %s; the literal journal names j000001", id)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.wal"), []byte(parentJournalStarted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, hs := testServer(t, durableConfig(dir))
+	for _, id := range []string{"j000001", "j000002"} {
+		if v := pollJob(t, hs, id, JobDone); v.HTTPStatus != 200 || !reflect.DeepEqual(v.Result, baseline.Result) {
+			t.Errorf("job %s ended (%d, %s) %s: result %+v, want %+v", id, v.HTTPStatus, v.Code, v.Error, v.Result, baseline.Result)
+		}
+	}
+	d := s.Stats().Durability
+	if d.Resumed != 1 || d.Requeued != 1 || d.TornRecords != 0 || d.Unrecoverable != 0 {
+		t.Errorf("durability stats %+v, want resumed=1 requeued=1 torn=0 unrecoverable=0", d)
+	}
+	recs, _, err := readJournal(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.T == "started" {
+			t.Errorf("the compacted journal still carries %+v", r)
+		}
+	}
+}
+
+// spillRuleRun is one run job's checkpoint hook on a durable server
+// whose clock the test owns: work advances it, and so does snap, by
+// what the spill is to cost.
+type spillRuleRun struct {
+	s     *Server
+	dir   string
+	js    *jobState
+	now   time.Time
+	cost  time.Duration
+	snaps []time.Time // the clock when each snapshot was taken
+}
+
+func newSpillRuleRun(t *testing.T, cost time.Duration) *spillRuleRun {
+	t.Helper()
+	r := &spillRuleRun{dir: t.TempDir(), now: time.Unix(1000, 0), cost: cost}
+	r.s, _ = testServer(t, durableConfig(r.dir))
+	r.s.now = func() time.Time { return r.now }
+	r.js = r.s.jobs.newJob("t", "run")
+	t.Cleanup(func() { r.s.jobs.drop(r.js) })
+	r.s.prepareDurable(r.js)
+	return r
+}
+
+func (r *spillRuleRun) snap() *rt.Checkpoint {
+	r.snaps = append(r.snaps, r.now)
+	r.now = r.now.Add(r.cost)
+	return (&rt.Store{Scalars: map[string]float64{"x": 1}}).Checkpoint()
+}
+
+// boundary does work's worth of computing and offers the boundary.
+func (r *spillRuleRun) boundary(work time.Duration) error {
+	r.now = r.now.Add(work)
+	return r.js.job.Ctl.Checkpoint(r.snap)
+}
+
+func (r *spillRuleRun) ckptRecords(t *testing.T) (n int) {
+	t.Helper()
+	recs, _, err := readJournal(filepath.Join(r.dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.T == "ckpt" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSpillRule drives the rule one boundary at a time on a clock the
+// test owns: what a run pays the durability plane follows the work it
+// has at risk, never how many boundaries it crossed.
+func TestSpillRule(t *testing.T) {
+	t.Run("short run never spills", func(t *testing.T) {
+		r := newSpillRuleRun(t, 5*time.Millisecond)
+		for at := time.Millisecond; at < spillFloor; at += time.Millisecond {
+			if err := r.boundary(time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files, err := os.ReadDir(filepath.Join(r.dir, "spills"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.snaps) != 0 || len(files) != 0 || r.ckptRecords(t) != 0 || r.js.spilled {
+			t.Errorf("%d snapshots, %d files under spills/, %d ckpt records, spilled=%v; want none of them",
+				len(r.snaps), len(files), r.ckptRecords(t), r.js.spilled)
+		}
+		if d := r.s.Stats().Durability; d.SpillWrites != 0 || d.SpillMS != 0 {
+			t.Errorf("durability stats %+v, want no spill counted", d)
+		}
+	})
+
+	t.Run("long run spills by work at risk", func(t *testing.T) {
+		const work, cost = 30 * time.Millisecond, 25 * time.Millisecond
+		r := newSpillRuleRun(t, cost)
+		start := r.now
+		for i := 0; i < 60; i++ {
+			if err := r.boundary(work); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(r.snaps) < 3 {
+			t.Fatalf("%d spills over 60 boundaries of %v", len(r.snaps), work)
+		}
+		// Each spill is at the FIRST boundary with enough at risk: since
+		// the start for the first, since the last spill finished — and no
+		// closer than spillRatio of its cost — for the rest.
+		since, need := start, spillFloor
+		for i, at := range r.snaps {
+			if at.Sub(since) < need || at.Add(-work).Sub(since) >= need {
+				t.Errorf("spill %d at +%v, %v after the last one finished; want the first boundary past %v",
+					i, at.Sub(start), at.Sub(since), need)
+			}
+			since, need = at.Add(cost), max(spillFloor, spillRatio*cost)
+		}
+		d := r.s.Stats().Durability
+		if n := int64(len(r.snaps)); d.SpillWrites != n || d.SpillMS != float64(n)*durMS(cost) || r.ckptRecords(t) != 1 || !r.js.spilled {
+			t.Errorf("durability stats %+v, %d ckpt records, spilled=%v; want %d spill_writes of %v each, one record, spilled",
+				d, r.ckptRecords(t), r.js.spilled, n, cost)
+		}
+	})
+
+	t.Run("suspend spills at the very next boundary", func(t *testing.T) {
+		r := newSpillRuleRun(t, time.Millisecond)
+		if err := r.boundary(time.Millisecond); err != nil || len(r.snaps) != 0 {
+			t.Fatalf("boundary before the flag: err %v, %d snapshots", err, len(r.snaps))
+		}
+		r.s.suspend.Store(true)
+		if err := r.boundary(time.Microsecond); !errors.Is(err, ErrSuspended) {
+			t.Fatalf("boundary under the suspend flag returned %v, want ErrSuspended", err)
+		}
+		if _, err := rt.ReadCheckpoint(r.s.dur.spillPath(r.js.id)); err != nil || len(r.snaps) != 1 {
+			t.Errorf("%d snapshots, spill reads back as %v; want one, intact", len(r.snaps), err)
+		}
+	})
+
+	t.Run("a declined boundary allocates nothing", func(t *testing.T) {
+		r := newSpillRuleRun(t, time.Millisecond)
+		hook, snap := r.js.job.Ctl.Checkpoint, r.snap
+		if n := testing.AllocsPerRun(100, func() { hook(snap) }); n != 0 || len(r.snaps) != 0 {
+			t.Errorf("a declined boundary made %v allocations and %d snapshots, want 0 and 0", n, len(r.snaps))
+		}
+	})
+}
+
+// TestReadyzDoesNotWaitForAdmission: an admission holds admitMu across
+// its journal append and fsync, and a readiness probe must answer
+// without queueing behind that disk write.
+func TestReadyzDoesNotWaitForAdmission(t *testing.T) {
+	s, hs := testServer(t, Config{Workers: 1, QueueDepth: 2})
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	status := make(chan int, 1)
+	go func() {
+		resp, err := hs.Client().Get(hs.URL + "/readyz")
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	select {
+	case got := <-status:
+		if got != http.StatusOK {
+			t.Errorf("/readyz = %d, want 200", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("/readyz is waiting for the admission lock")
+	}
+}
+
+// Two programs over the same extents, so their stores are the same
+// slabs: one leaves NaNs and a non-zero pattern in every array, the
+// other reads an array before it ever assigns it.
+const (
+	arenaPoisonSrc = `      PROGRAM POISON
+      REAL A(32,32), B(32,32)
+      A = 0.0
+      A = A / A
+      B = -7.25
+      PRINT *, B(1,1)
+      END
+`
+	arenaReaderSrc = `      PROGRAM READER
+      REAL A(32,32), B(32,32)
+      A = B + 1.0
+      PRINT *, SUM(A), SUM(B)
+      END
+`
+)
+
+// TestServerStoreArenaIsolation: two workers answer 200 requests from
+// each of two clients that alternate the poisoning program with the
+// reading one. Stores are reused (the arena counts it) and the reader
+// sees zeros every time — a reused slab is cleared, not trusted.
+func TestServerStoreArenaIsolation(t *testing.T) {
+	s, hs := testServer(t, Config{Workers: 2, QueueDepth: 8})
+	run := func(src string) (int, any) {
+		status, v, _ := post(t, hs.Client(), hs.URL+"/v1/run", "", map[string]any{"source": src})
+		res, _ := v["result"].(map[string]any)
+		return status, res["output"]
+	}
+	status, want := run(arenaReaderSrc)
+	if status != 200 || !reflect.DeepEqual(want, []any{"1024 0"}) {
+		t.Fatalf("the reader on a fresh store: %d %v, want 200 [1024 0]", status, want)
+	}
+	before := s.Stats().StoreArena
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if (i+c)%2 == 0 {
+					if status, _ := run(arenaPoisonSrc); status != 200 {
+						t.Errorf("client %d request %d: poison run: %d", c, i, status)
+					}
+				} else if status, got := run(arenaReaderSrc); status != 200 || !reflect.DeepEqual(got, want) {
+					t.Errorf("client %d request %d: the reader printed %v (status %d), want %v", c, i, got, status, want)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	after := s.Stats().StoreArena
+	if gets, reuses := after.Gets-before.Gets, after.Reuses-before.Reuses; gets != 800 || reuses < gets*9/10 {
+		t.Errorf("400 runs of two arrays each: %d arena gets, %d reuses; want 800 and at least nine in ten reused", gets, reuses)
 	}
 }

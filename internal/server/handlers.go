@@ -197,12 +197,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz: readiness — 503 as the very first step of a drain
 // (notReady flips before admission closes), so load balancers stop
-// routing here while in-flight work is still being checkpointed.
+// routing here while in-flight work is still being checkpointed. It
+// takes no lock: admitMu is held across an admission's journal fsync,
+// and a slow disk must not read as "not ready".
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.admitMu.Lock()
-	draining := s.draining
-	s.admitMu.Unlock()
-	if draining || s.notReady.Load() {
+	if s.draining.Load() || s.notReady.Load() {
 		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -392,6 +391,9 @@ func (s *Server) execute(ctx context.Context, js *jobState) (int, Code, string, 
 		return status, code, res.Err.Error(), nil, res.Cached
 	}
 	cr := res.Result()
+	// Everything the response carries is copied out of the store below;
+	// its slabs go back to the arena for the next run.
+	defer cr.Store.Release()
 	out := &runResult{
 		Target:    js.job.Target,
 		GFLOPS:    cr.GFLOPS(),

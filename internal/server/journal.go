@@ -13,11 +13,13 @@ package server
 // the surviving records:
 //
 //	admitted  job accepted; carries the full request so it can be rebuilt
-//	started   a worker picked the job up (diagnostic; replay treats
-//	          admitted-but-unfinished jobs identically either way)
 //	ckpt      the job has a spill file; resume from it on restart
 //	finished  terminal outcome with the full result payload, so async
 //	          pollers get identical bytes across a restart
+//
+// Every record written is one recovery reads, because each costs an
+// fsync on a request's path. Earlier builds also wrote "started" when a
+// worker picked a job up; replay never read it and skips it still.
 //
 // On startup the journal is compacted: finished records inside the
 // retention window and admitted(+ckpt) records for jobs being recovered
@@ -43,7 +45,7 @@ const JournalSchema = "f90y-journal/v1"
 
 // jrec is one journal record. T selects which fields are meaningful.
 type jrec struct {
-	T      string `json:"t"`                // journal | admitted | started | ckpt | finished
+	T      string `json:"t"`                // journal | admitted | ckpt | finished
 	Schema string `json:"schema,omitempty"` // journal header
 	Job    string `json:"job,omitempty"`
 

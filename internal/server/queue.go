@@ -42,6 +42,9 @@ type jobState struct {
 	// spec is the validated request the job was built from; journaled on
 	// admission so recovery can rebuild the job after a crash.
 	spec *runRequest
+	// spilled: the run has (or resumed from) a file under spills/; set
+	// and read on the worker's goroutine only.
+	spilled bool
 
 	ctx    context.Context
 	cancel context.CancelCauseFunc

@@ -45,6 +45,7 @@ import (
 
 	"f90y/internal/driver"
 	"f90y/internal/faults"
+	"f90y/internal/rt"
 )
 
 // Config sizes the server. Zero values select the documented defaults.
@@ -76,10 +77,6 @@ type Config struct {
 	// New replays any prior epoch's journal found there. Empty (the
 	// default) disables all of it.
 	StateDir string
-	// CheckpointEvery is the spill cadence for run jobs under StateDir:
-	// a snapshot every N top-level host boundaries (0 = 8). Ignored
-	// without a StateDir.
-	CheckpointEvery int
 	// DiskCacheBytes bounds the persistent artifact cache under
 	// StateDir; oldest entries are pruned at startup (0 = 1 GiB).
 	DiskCacheBytes int64
@@ -127,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.CheckpointEvery < 1 {
-		c.CheckpointEvery = 8
-	}
 	if c.DiskCacheBytes == 0 {
 		c.DiskCacheBytes = 1 << 30
 	}
@@ -152,11 +146,15 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
 
-	admitMu  sync.Mutex // guards draining + jobWG.Add vs Drain
-	draining bool
+	// admitMu orders jobWG.Add against Drain: draining is written under
+	// it, and read under it wherever the read decides an admission.
+	admitMu  sync.Mutex
+	draining atomic.Bool
 
 	// The durability plane (nil without Config.StateDir).
 	dur *durable
+	// now is the spill rule's clock (time.Now; tests step a fake one).
+	now func() time.Time
 	// suspend asks in-flight runs to stop at their next checkpoint
 	// boundary (set by Drain before admission closes).
 	suspend atomic.Bool
@@ -234,6 +232,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:        newJobTable(cfg.RetainedJobs),
 		tenants:     newTenants(cfg.Quotas),
 		stopWorkers: make(chan struct{}),
+		now:         time.Now,
 		start:       time.Now(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
@@ -323,7 +322,7 @@ func (s *Server) worker() {
 // envelope reject it and the job is unregistered.
 func (s *Server) admit(js *jobState) (int, apiError) {
 	s.admitMu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.admitMu.Unlock()
 		s.jobs.drop(js)
 		e := errorf(CodeDraining, "server is draining; not admitting new jobs")
@@ -395,9 +394,6 @@ func (s *Server) runJob(js *jobState) {
 	js.status = JobRunning
 	js.started = time.Now()
 	js.mu.Unlock()
-	if s.dur != nil {
-		s.dur.append(jrec{T: "started", Job: js.id})
-	}
 	s.prepareDurable(js)
 
 	timeout := s.cfg.RequestTimeout
@@ -426,7 +422,11 @@ func (s *Server) runJob(js *jobState) {
 		if s.dur != nil {
 			s.dur.append(jrec{T: "finished", Job: js.id, Tenant: js.tenant, Kind: js.kind,
 				Status: status, Code: code, Error: errMsg, Cached: cached, Result: result})
-			s.dur.removeSpill(js.id)
+			if js.spilled {
+				s.dur.removeSpill(js.id)
+			} else if js.kind == "run" {
+				s.dur.count(func(st *DurabilityStats) { st.UnspilledRuns++ })
+			}
 		}
 	}
 
@@ -452,7 +452,7 @@ func (s *Server) Drain(ctx context.Context) Stats {
 		s.suspend.Store(true)
 	}
 	s.admitMu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	s.admitMu.Unlock()
 	fmt.Fprintf(s.cfg.Log, "f90yd: draining (in-flight jobs finishing)\n")
 
@@ -519,6 +519,8 @@ type Stats struct {
 		Evictions int64 `json:"evictions"`
 	} `json:"cache"`
 	Tenants map[string]TenantStats `json:"tenants"`
+	// StoreArena is the process-wide slab arena run stores draw from.
+	StoreArena rt.ArenaStats `json:"store_arena"`
 	// Durability is present only when the plane is enabled (-state-dir).
 	Durability *DurabilityStats `json:"durability,omitempty"`
 }
@@ -528,9 +530,7 @@ func (s *Server) Stats() Stats {
 	var st Stats
 	st.Schema = "f90y-statsz/v1"
 	st.UptimeMS = time.Since(s.start).Milliseconds()
-	s.admitMu.Lock()
-	st.Draining = s.draining
-	s.admitMu.Unlock()
+	st.Draining = s.draining.Load()
 	st.Workers = s.cfg.Workers
 	st.Queue.Len = len(s.queue)
 	st.Queue.Cap = s.cfg.QueueDepth
@@ -552,6 +552,7 @@ func (s *Server) Stats() Stats {
 	st.Cache.Hits, st.Cache.Misses = s.svc.CacheStats()
 	st.Cache.Entries, st.Cache.Bytes, st.Cache.Evictions = s.svc.CacheUsage()
 	st.Tenants = s.tenants.snapshot()
+	st.StoreArena = rt.ReadArenaStats()
 	st.Durability = s.dur.snapshot(s.svc.DiskStats())
 	return st
 }

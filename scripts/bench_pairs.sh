@@ -6,6 +6,10 @@
 #
 #   PARENT=<rev> [W=swe] [PAIRS=10] [SEED=100] ./scripts/bench_pairs.sh
 #
+# W may name several workloads, comma-separated (W=serve_durable,serve_hot):
+# each gets its own PAIRS pairs and its own table, one after the other,
+# against the same parent checkout.
+#
 # The parent is checked out into a git worktree under a temporary
 # directory (removed on exit); PARENT_DIR=<dir> uses an existing
 # checkout of it instead and leaves it alone. Each side is built and run
@@ -27,7 +31,7 @@ W="${W:-swe}"
 PAIRS="${PAIRS:-10}"
 SEED="${SEED:-100}"
 if [ -z "${PARENT:-}" ] && [ -z "${PARENT_DIR:-}" ]; then
-	echo "usage: PARENT=<rev> [W=swe] [PAIRS=10] [SEED=100] $0" >&2
+	echo "usage: PARENT=<rev> [W=swe[,router...]] [PAIRS=10] [SEED=100] $0" >&2
 	exit 2
 fi
 
@@ -45,17 +49,19 @@ if [ -z "${PARENT_DIR:-}" ]; then
 	git worktree add --detach "$parent" "$PARENT" > /dev/null
 fi
 
-# run SIDE DIR SEED: one benchmark run; its result line (the last line
-# of stdout) is printed and kept.
+# run SIDE DIR SEED: one benchmark run of workload $w; its result line
+# (the last line of stdout) is printed and kept.
 run() {
-	line="$(cd "$2" && $GO run -C bench f90y/bench --workload "$W" --seed "$3" --trace 0 | tail -n 1)"
-	echo "pair $pair seed $3 $1 $line"
+	line="$(cd "$2" && $GO run -C bench f90y/bench --workload "$w" --seed "$3" --trace 0 | tail -n 1)"
+	echo "$w pair $pair seed $3 $1 $line"
 	case "$line" in
 	"{"*) echo "$line" >> "$tmp/$1.jsonl" ;;
-	*) echo "bench-pairs: the $1 run printed no result line" >&2; exit 1 ;;
+	*) echo "bench-pairs: the $1 run of $w printed no result line" >&2; exit 1 ;;
 	esac
 }
 
+for w in $(echo "$W" | tr ',' ' '); do
+rm -f "$tmp/parent.jsonl" "$tmp/change.jsonl"
 pair=1
 while [ "$pair" -le "$PAIRS" ]; do
 	seed=$((SEED + pair))
@@ -71,7 +77,7 @@ done
 
 # The table. BENCHMARK.json gives each end-to-end metric's direction;
 # the result lines give "name":{"value":V, ...} per metric.
-awk -v w="$W" '
+awk -v w="$w" '
 function quart(v, n, i,    j, d) {
 	j = int(i * (n + 1) / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
 	d = i * (n + 1) - j * 4
@@ -125,3 +131,4 @@ END {
 	}
 	printf "\n%d runs per side; incorrect runs: parent %d, change %d\n", n, wrong["parent"], wrong["change"]
 }' BENCHMARK.json "$tmp/parent.jsonl" "$tmp/change.jsonl"
+done
