@@ -9,7 +9,8 @@ GO ?= go
 #   race           the whole suite under -race -short (-short skips only
 #                  the paper-scale TestE1PaperScale; `make test` runs it)
 #   modeled-check  the paper-scale f90y-bench/v2 record regenerates
-#                  byte-identical to BENCH_baseline.json
+#                  byte-identical to BENCH_baseline.json; a compile stays
+#                  inside its allocation budget and is deterministic
 #   fuzz-smoke     short fuzz of parser, pipeline, oracle, checkpoint reader
 #   profile-smoke  the cycle profiler's three artifact formats
 #   layout-smoke   the !HPF$ layout sweep, oracle-verified and deterministic
@@ -56,7 +57,10 @@ race:
 
 # Modeled fields are the correctness signal: regenerate the committed
 # f90y-bench/v2 record (every flag at its default) and fail unless it is
-# byte-identical to BENCH_baseline.json.
+# byte-identical to BENCH_baseline.json. The same stage holds the
+# compiler's other exact counts (f90y_compile_test.go, a !race file the
+# race stage never builds): allocations and bytes per compile against
+# their committed budget, and one PEAC listing per source.
 modeled-check:
 	GO="$(GO)" ./scripts/modeled_check.sh
 

@@ -15,11 +15,14 @@ package f90y
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"f90y/internal/cm2"
 	"f90y/internal/cm5"
 	"f90y/internal/cmf"
+	"f90y/internal/obs"
 	"f90y/internal/opt"
 	"f90y/internal/pe"
 	"f90y/internal/peac"
@@ -417,6 +420,42 @@ func BenchmarkRegisterFile(b *testing.B) {
 			}
 			b.ReportMetric(float64(r.SpillSlots), "spill-slots")
 			b.ReportMetric(float64(peac.DefaultCost.BodyCycles(r.Body)), "cycles/iter")
+		})
+	}
+}
+
+// ---- C1: the compile path's ledger ----
+
+// BenchmarkCompile times source → partitioned program and reports, next
+// to allocs/op, each phase's share in ms/op from the compile's own spans
+// (pe-codegen is nested in partition and subtracted from it). The
+// programs are the repository benchmark's compile_big and serve_cold
+// shapes, and SWE as the real-program control.
+func BenchmarkCompile(b *testing.B) {
+	for _, c := range []struct{ name, src string }{
+		{"big4000", workload.Statements(16, 4000)},
+		{"cold300", workload.Statements(16, 300)},
+		{"swe", workload.SWE(benchN, benchSteps)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			phase := map[string]time.Duration{}
+			for i := 0; i < b.N; i++ {
+				col := obs.NewCollector()
+				cfg := DefaultConfig()
+				cfg.Obs = col
+				if _, err := Compile("bench.f90", c.src, cfg); err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range col.Spans() {
+					name, _, _ := strings.Cut(s.Name, "/")
+					phase[name] += s.Dur()
+				}
+			}
+			phase["partition"] -= phase["pe-codegen"]
+			for name, d := range phase {
+				b.ReportMetric(float64(d.Microseconds())/1e3/float64(b.N), name+"-ms/op")
+			}
 		})
 	}
 }

@@ -76,6 +76,7 @@ type run struct {
 	inj   *faults.Injector
 	exec  ExecOpts // per-run executor options; Subgrid is set per dispatch
 	split Split
+	cells []peac.LineCycles // dispatch's pricing buffer, reused
 }
 
 // Run executes a partitioned program on the target under ctx and a
@@ -255,8 +256,8 @@ func (r *run) dispatch(p *peac.Routine, over shape.Shape) error {
 	// One walk of the body's issue groups prices the dispatch and
 	// attributes it by class and by line.
 	iters := (perLane + peac.VectorWidth - 1) / peac.VectorWidth
-	cells := t.PECost.BodyCyclesByLine(p.Body, p.Pos)
-	classes := peac.ByClass(cells)
+	r.cells = t.PECost.BodyCyclesByLine(r.cells, p.Body, p.Pos)
+	classes := peac.ByClass(r.cells)
 	vector := float64(iters * classes.Total())
 	cyc := setup + vector
 	if r.inj != nil {
@@ -277,9 +278,9 @@ func (r *run) dispatch(p *peac.Routine, over shape.Shape) error {
 				res.PEClassCycles[peac.CycleClass(cl).String()] += float64(n * iters)
 			}
 		}
-		for cell, n := range cells {
-			if n != 0 {
-				res.PELineCycles[lineRef(p, cell.Pos, cell.Class.String())] += float64(n * iters)
+		for _, cell := range r.cells {
+			if cell.Cycles != 0 {
+				res.PELineCycles[lineRef(p, cell.Pos, cell.Class.String())] += float64(cell.Cycles * iters)
 			}
 		}
 	}

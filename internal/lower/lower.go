@@ -689,14 +689,20 @@ func (lw *lowerer) lowerPrint(s *ast.Print) nir.Imp {
 // distinct array shape, a WITH_DECL(DECLSET[...]) for all entities, and
 // the PROGRAM action (Fig. 8).
 func (lw *lowerer) wrap(body nir.Imp, mod *Module) nir.Imp {
-	shapeNames := map[string]string{}
+	// A program declares a handful of distinct shapes, so a domain is
+	// found by comparing against each.
 	var domains []Domain
+	domainOf := func(s shape.Shape) string {
+		for _, d := range domains {
+			if sameDomain(d.Shape, s) {
+				return d.Name
+			}
+		}
+		return ""
+	}
 	for _, sym := range lw.syms.Arrays() {
-		key := shapeKey(sym.Shape)
-		if _, seen := shapeNames[key]; !seen {
-			name := domainName(len(domains))
-			shapeNames[key] = name
-			domains = append(domains, Domain{Name: name, Shape: sym.Shape})
+		if domainOf(sym.Shape) == "" {
+			domains = append(domains, Domain{Name: domainName(len(domains)), Shape: sym.Shape})
 		}
 	}
 	mod.Domains = domains
@@ -710,7 +716,7 @@ func (lw *lowerer) wrap(body nir.Imp, mod *Module) nir.Imp {
 		}
 		t := sym.Type
 		if sym.Shape != nil {
-			t = nir.DField{Shape: shape.Ref{Name: shapeNames[shapeKey(sym.Shape)]}, Elem: nir.Scalar{Kind: sym.Kind}}
+			t = nir.DField{Shape: shape.Ref{Name: domainOf(sym.Shape)}, Elem: nir.Scalar{Kind: sym.Kind}}
 		}
 		decls = append(decls, nir.DeclVar{Name: sym.Name, Type: t})
 	}

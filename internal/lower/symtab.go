@@ -15,6 +15,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"strconv"
 
 	"f90y/internal/ast"
 	"f90y/internal/nir"
@@ -291,7 +292,7 @@ func (lw *lowerer) evalConstInt(e ast.Expr, what string) (int, bool) {
 // freshTemp allocates a compiler temporary with the given type, matching
 // the paper's tmp0/tmp1 naming (Fig. 12).
 func (lw *lowerer) freshTemp(kind nir.ScalarKind, sh shape.Shape, pos source.Pos) *Symbol {
-	name := fmt.Sprintf("tmp%d", lw.tempCount)
+	name := "tmp" + strconv.Itoa(lw.tempCount)
 	lw.tempCount++
 	sym := &Symbol{Name: name, Kind: kind, Shape: sh, Temp: true}
 	if sh == nil {
@@ -306,6 +307,25 @@ func (lw *lowerer) freshTemp(kind nir.ScalarKind, sh shape.Shape, pos source.Pos
 	return sym
 }
 
-// shapeKey produces a canonical string for shape identity used to assign
-// domain names deterministically.
-func shapeKey(s shape.Shape) string { return s.String() }
+// sameDomain reports whether two shapes print alike, the identity domain
+// names are assigned by: structural equality with loop tags, which are
+// not printed, left out.
+func sameDomain(a, b shape.Shape) bool {
+	switch a := a.(type) {
+	case shape.Interval:
+		b, ok := b.(shape.Interval)
+		return ok && a.Lo == b.Lo && a.Hi == b.Hi && a.Serial == b.Serial
+	case shape.Prod:
+		b, ok := b.(shape.Prod)
+		if !ok || len(a.Dims) != len(b.Dims) {
+			return false
+		}
+		for i := range a.Dims {
+			if !sameDomain(a.Dims[i], b.Dims[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return shape.Equal(a, b) // points and refs carry no tag
+}

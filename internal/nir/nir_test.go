@@ -2,6 +2,7 @@ package nir
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,10 +104,10 @@ func TestSeqFlattening(t *testing.T) {
 func TestReadsWrites(t *testing.T) {
 	m := fig8Move()
 	r, w := Reads(m), Writes(m)
-	if !r["k"] || r["l"] {
+	if !slices.Contains(r, "k") || slices.Contains(r, "l") {
 		t.Errorf("reads = %v", r)
 	}
-	if !w["k"] || !w["l"] {
+	if !slices.Contains(w, "k") || !slices.Contains(w, "l") {
 		t.Errorf("writes = %v", w)
 	}
 }
@@ -118,10 +119,10 @@ func TestReadsIncludesMaskAndSubscripts(t *testing.T) {
 		Tgt:  AVar{Name: "a", Field: Subscript{Subs: []Value{SVar{Name: "i"}}}},
 	}}}
 	r := Reads(m)
-	if !r["n"] || !r["i"] {
+	if !slices.Contains(r, "n") || !slices.Contains(r, "i") {
 		t.Errorf("reads = %v", r)
 	}
-	if Reads(m)["a"] {
+	if slices.Contains(Reads(m), "a") {
 		t.Errorf("target should not be read: %v", r)
 	}
 }
@@ -131,11 +132,11 @@ func TestReadsNested(t *testing.T) {
 	loop := While{Cond: Binary{Op: Less, L: SVar{Name: "i"}, R: SVar{Name: "n"}}, Body: inner}
 	r := Reads(loop)
 	for _, name := range []string{"b", "i", "n"} {
-		if !r[name] {
+		if !slices.Contains(r, name) {
 			t.Errorf("missing read %q: %v", name, r)
 		}
 	}
-	if !Writes(loop)["a"] {
+	if !slices.Contains(Writes(loop), "a") {
 		t.Errorf("missing write a")
 	}
 }
@@ -332,5 +333,22 @@ func TestWalkImpsVisitsEverything(t *testing.T) {
 func TestStrConstEquality(t *testing.T) {
 	if !EqualValue(StrConst{S: "a"}, StrConst{S: "a"}) || EqualValue(StrConst{S: "a"}, StrConst{S: "b"}) {
 		t.Fatal("StrConst equality broken")
+	}
+}
+
+func TestNamesSetAlgebra(t *testing.T) {
+	var s Names
+	for _, n := range []string{"q", "a", "m", "a", "q"} {
+		s = s.Add(n)
+	}
+	if got := strings.Join(s, ","); got != "a,m,q" {
+		t.Fatalf("Add keeps sorted unique names, got %s", got)
+	}
+	u := Names{"b", "m"}.Union(s)
+	if got := strings.Join(u, ","); got != "a,b,m,q" {
+		t.Fatalf("Union = %s", got)
+	}
+	if !s.Intersects(Names{"b", "m"}) || s.Intersects(Names{"b", "n", "z"}) || s.Intersects(nil) {
+		t.Fatal("Intersects wrong")
 	}
 }

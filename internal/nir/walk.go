@@ -1,6 +1,10 @@
 package nir
 
-import "f90y/internal/shape"
+import (
+	"sort"
+
+	"f90y/internal/shape"
+)
 
 // WalkValues calls fn for v and every value reachable beneath it,
 // including subscript and section components of AVar fields.
@@ -103,13 +107,54 @@ func ValuesOf(i Imp, fn func(Value)) {
 	}
 }
 
+// Names is a small set of identifiers kept sorted and duplicate-free. A
+// statement touches a handful of names and a block's sets are merged
+// and intersected per statement, which a sorted slice does in one pass
+// and without a hash table per statement.
+type Names []string
+
+// Add returns the set with name in it.
+func (s Names) Add(name string) Names {
+	i := sort.SearchStrings(s, name)
+	if i < len(s) && s[i] == name {
+		return s
+	}
+	s = append(s, "")
+	copy(s[i+1:], s[i:])
+	s[i] = name
+	return s
+}
+
+// Union returns the set with every name of t in it.
+func (s Names) Union(t Names) Names {
+	for _, name := range t {
+		s = s.Add(name)
+	}
+	return s
+}
+
+// Intersects reports whether the two sets share a name.
+func (s Names) Intersects(t Names) bool {
+	for i, j := 0, 0; i < len(s) && j < len(t); {
+		switch {
+		case s[i] == t[j]:
+			return true
+		case s[i] < t[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
+}
+
 // Reads returns the set of identifiers whose storage action i may read,
 // including reads nested anywhere beneath it. Mask expressions and
 // subscript components count as reads; move targets do not (but their
 // subscripts do).
-func Reads(i Imp) map[string]bool {
-	out := map[string]bool{}
-	EachRead(i, func(name string) { out[name] = true })
+func Reads(i Imp) Names {
+	out := make(Names, 0, 8)
+	EachRead(i, func(name string) { out = out.Add(name) })
 	return out
 }
 
@@ -142,9 +187,9 @@ func EachRead(i Imp, fn func(name string)) {
 }
 
 // Writes returns the set of identifiers whose storage action i may write.
-func Writes(i Imp) map[string]bool {
-	out := map[string]bool{}
-	EachWrite(i, func(name string) { out[name] = true })
+func Writes(i Imp) Names {
+	var out Names
+	EachWrite(i, func(name string) { out = out.Add(name) })
 	return out
 }
 

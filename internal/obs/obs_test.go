@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -137,6 +139,35 @@ func TestReportGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("report mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestReportFoldsSiblingRuns: past foldPast same-named siblings print as
+// one line with count, total, min and max; a shorter run and the spans
+// the collector hands out are untouched.
+func TestReportFoldsSiblingRuns(t *testing.T) {
+	c := NewCollector()
+	fakeClock(c)
+	part := c.StartSpan("partition")
+	for i := 0; i < foldPast+1; i++ {
+		c.StartSpan("pe-codegen").End()
+	}
+	part.End()
+	for i := 0; i < foldPast; i++ {
+		c.StartSpan("exec").End()
+	}
+	got := c.Report()
+	if want := fmt.Sprintf("    pe-codegen ×%d", foldPast+1); strings.Count(got, "pe-codegen") != 1 || !strings.Contains(got, want) {
+		t.Errorf("run of %d siblings not folded into one %q line:\n%s", foldPast+1, want, got)
+	}
+	if !strings.Contains(got, "total, min 1000µs max 1000µs") {
+		t.Errorf("folded line lacks total/min/max:\n%s", got)
+	}
+	if n := strings.Count(got, "  exec "); n != foldPast {
+		t.Errorf("run of %d siblings printed %d lines, want one each:\n%s", foldPast, n, got)
+	}
+	if n := len(c.Spans()); n != 1+foldPast+1+foldPast {
+		t.Errorf("collector holds %d spans, folding must not drop any", n)
 	}
 }
 

@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// foldPast is the longest run of same-named sibling spans Report prints
+// one line each.
+const foldPast = 8
+
 // Report renders the collector as a fixed-width text table: phases
 // (spans) in start order with nesting shown by indentation, counters in
 // sorted order, then histograms. It is the one formatting path shared by
@@ -30,20 +34,40 @@ func (c *Collector) Report() string {
 			}
 			return r.End
 		}
+		depth := make([]int, len(spans))
 		for i, s := range spans {
-			depth := 0
 			for j := 0; j < i; j++ {
 				p := spans[j]
 				if p.Start <= s.Start && end(p) > s.Start && end(p) >= end(s) {
-					depth++
+					depth[i]++
 				}
 			}
-			name := strings.Repeat("  ", depth) + s.Name
+		}
+		for i := 0; i < len(spans); {
+			s := spans[i]
+			name := strings.Repeat("  ", depth[i]) + s.Name
 			if s.End == 0 {
 				fmt.Fprintf(&b, "  %-32s (open)\n", name)
+				i++
 				continue
 			}
-			fmt.Fprintf(&b, "  %-32s %12.0fµs\n", name, float64(s.Dur().Microseconds()))
+			// A run of closed siblings of one name (one span a routine, a
+			// chunk, ...) past foldPast folds into a single line; the
+			// spans themselves stay in Spans and the trace.
+			total, lo, hi := time.Duration(0), s.Dur(), s.Dur()
+			j := i
+			for ; j < len(spans) && spans[j].Name == s.Name && depth[j] == depth[i] && spans[j].End != 0; j++ {
+				d := spans[j].Dur()
+				total, lo, hi = total+d, min(lo, d), max(hi, d)
+			}
+			if j-i <= foldPast {
+				fmt.Fprintf(&b, "  %-32s %12.0fµs\n", name, float64(s.Dur().Microseconds()))
+				i++
+				continue
+			}
+			fmt.Fprintf(&b, "  %-32s %12.0fµs  total, min %.0fµs max %.0fµs\n", fmt.Sprintf("%s ×%d", name, j-i),
+				float64(total.Microseconds()), float64(lo.Microseconds()), float64(hi.Microseconds()))
+			i = j
 		}
 	}
 	if len(counters) > 0 {

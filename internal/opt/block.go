@@ -36,17 +36,6 @@ func sameSerialSpace(a, b shape.Shape) bool {
 	return ok1 && ok2 && ia.Serial && ib.Serial && ia.Lo == ib.Lo && ia.Hi == ib.Hi
 }
 
-// sharesWrites reports whether the block writes any name in w (WW
-// conflicts block fusion even when reads are disjoint).
-func sharesWrites(b *block, w map[string]bool) bool {
-	for n := range w {
-		if b.writes[n] {
-			return true
-		}
-	}
-	return false
-}
-
 // retagLoop rewrites a loop body's local_under references from its own
 // shape onto the fusion target's shape, in every value position (moves,
 // conditions, call arguments).
@@ -120,6 +109,25 @@ type optimizer struct {
 	cls   *Classifier
 	opts  Options
 	stats Stats
+	// verdicts carries each unpadded move's classification from the pad
+	// pass to the blocking pass. A Move is a value, so its identity is
+	// its first guarded move; a padded move is a new move and is
+	// classified afresh.
+	verdicts map[*nir.GuardedMove]Verdict
+}
+
+// verdict classifies an action, once across the passes.
+func (o *optimizer) verdict(a nir.Imp) Verdict {
+	m, ok := a.(nir.Move)
+	if !ok {
+		return Verdict{Class: Host}
+	}
+	if len(m.Moves) > 0 {
+		if v, ok := o.verdicts[&m.Moves[0]]; ok {
+			return v
+		}
+	}
+	return o.cls.ClassifyMove(m)
 }
 
 // rewrite transforms one action, recursing into composite bodies.
@@ -161,22 +169,12 @@ type block struct {
 	dist   shape.Distribution // compute blocks: the moves' explicit layout
 	moves  []nir.Move         // compute blocks only
 	action nir.Imp            // comm/host blocks
-	reads  map[string]bool
-	writes map[string]bool
+	reads  nir.Names
+	writes nir.Names
 }
 
-func conflicts(b *block, r, w map[string]bool) bool {
-	for name := range w {
-		if b.reads[name] || b.writes[name] {
-			return true
-		}
-	}
-	for name := range r {
-		if b.writes[name] {
-			return true
-		}
-	}
-	return false
+func conflicts(b *block, r, w nir.Names) bool {
+	return w.Intersects(b.reads) || w.Intersects(b.writes) || r.Intersects(b.writes)
 }
 
 // blockList performs the execution-partition and domain-blocking
@@ -190,7 +188,8 @@ func conflicts(b *block, r, w map[string]bool) bool {
 func (o *optimizer) blockList(list []nir.Imp) nir.Imp {
 	var blocks []*block
 	add := func(a nir.Imp) {
-		cl := o.cls.Classify(a)
+		v := o.verdict(a)
+		cl := v.Class
 		r, w := nir.Reads(a), nir.Writes(a)
 		if cl == Comm && o.opts.BlockDomains {
 			// Hoist communication to the earliest legal point: just after
@@ -222,15 +221,10 @@ func (o *optimizer) blockList(list []nir.Imp) nir.Imp {
 					b := blocks[i]
 					ld, isDo := b.action.(nir.Do)
 					if isDo && b.class == Host && sameSerialSpace(ld.S, d.S) &&
-						!conflicts(b, r, w) && !sharesWrites(b, w) {
+						!conflicts(b, r, w) {
 						retagged := retagLoop(d, ld.S)
 						b.action = nir.Do{S: ld.S, Body: nir.Seq(ld.Body, retagged.Body)}
-						for n := range r {
-							b.reads[n] = true
-						}
-						for n := range w {
-							b.writes[n] = true
-						}
+						b.reads, b.writes = b.reads.Union(r), b.writes.Union(w)
 						o.stats.FusedLoops++
 						return
 					}
@@ -244,20 +238,14 @@ func (o *optimizer) blockList(list []nir.Imp) nir.Imp {
 			// Section padding has already run as its own pass
 			// (pad-sections); compute moves arrive here in final form.
 			m := a.(nir.Move)
-			mDist, _ := o.cls.MoveDist(m)
-			rank := len(shape.Extents(m.Over))
+			rank := shape.Rank(m.Over)
 			if o.opts.BlockDomains {
 				for i := len(blocks) - 1; i >= 0; i-- {
 					b := blocks[i]
 					if b.class == Compute && shape.Congruent(b.over, m.Over) &&
-						b.dist.Equal(mDist, rank) {
+						b.dist.Equal(v.Dist, rank) {
 						b.moves = append(b.moves, m)
-						for n := range r {
-							b.reads[n] = true
-						}
-						for n := range w {
-							b.writes[n] = true
-						}
+						b.reads, b.writes = b.reads.Union(r), b.writes.Union(w)
 						o.stats.FusedMoves++
 						return
 					}
@@ -266,7 +254,7 @@ func (o *optimizer) blockList(list []nir.Imp) nir.Imp {
 					}
 				}
 			}
-			blocks = append(blocks, &block{class: Compute, over: m.Over, dist: mDist,
+			blocks = append(blocks, &block{class: Compute, over: m.Over, dist: v.Dist,
 				moves: []nir.Move{m}, reads: r, writes: w})
 			return
 		}

@@ -54,197 +54,133 @@ func (c Class) String() string {
 // symbol table.
 type Classifier struct {
 	Syms *lower.SymTab
+	// Calls counts the moves classified, for the opt/classify-calls counter.
+	Calls int
 }
 
 // Classify assigns an action to its phase class.
 func (c *Classifier) Classify(a nir.Imp) Class {
-	switch a := a.(type) {
-	case nir.Move:
-		return c.classifyMove(a)
-	default:
-		return Host
+	if m, ok := a.(nir.Move); ok {
+		return c.ClassifyMove(m).Class
 	}
+	return Host
 }
 
-func (c *Classifier) classifyMove(m nir.Move) Class {
-	// Runtime intrinsic calls (cm_cshift, cm_reduce_sum, ...) are
-	// communication regardless of shape.
-	comm := false
-	for _, g := range m.Moves {
-		nir.WalkValues(g.Src, func(v nir.Value) {
-			if fc, ok := v.(nir.FcnCall); ok && strings.HasPrefix(fc.Name, "cm_") {
-				comm = true
-			}
-		})
-	}
-	if comm {
-		return Comm
-	}
-	if m.Over == nil || shape.Serial(m.Over) {
-		return Host
-	}
+// Verdict is what the passes ask of one move: its phase class and, for
+// a compute move, the explicit data distribution its arrays share.
+// Arrays with the default blockwise distribution are wildcards — the
+// compiler materializes their values in the partner's layout — so they
+// never constrain Dist.
+type Verdict struct {
+	Class Class
+	Dist  shape.Distribution
+}
 
-	// A parallel move is grid-local (Compute) when every array reference
-	// is pointwise under the common shape: everywhere references to
-	// congruent arrays, or identically-aligned sections of a single
-	// declared shape.
-	type secsig struct {
-		name string
-		sec  nir.Section
-	}
-	var firstSec *secsig
-	local := true
-	sawSection := false
+// sections is what the same walk learns for PadMove: the move's first
+// array section and the declared shape its sectioned arrays share.
+type sections struct {
+	found bool
+	first nir.Section
+	full  shape.Shape
+}
 
-	checkAVar := func(av nir.AVar) {
+// ClassifyMove decides a move's class and distribution.
+func (c *Classifier) ClassifyMove(m nir.Move) Verdict {
+	v, _ := c.classifyMove(m)
+	return v
+}
+
+// classifyMove is the one walk over a move's masks, sources and targets
+// behind every classification query.
+func (c *Classifier) classifyMove(m nir.Move) (Verdict, sections) {
+	c.Calls++
+	host := m.Over == nil || shape.Serial(m.Over)
+	var (
+		comm, inSrc   bool // a cm_ runtime call in a source
+		local         = true
+		sawEverywhere bool
+		sec           sections
+		dist          shape.Distribution
+		distOK        = true
+	)
+	visit := func(x nir.Value) {
+		if fc, ok := x.(nir.FcnCall); ok {
+			// Runtime intrinsic calls (cm_cshift, cm_reduce_sum, ...) are
+			// communication regardless of shape.
+			comm = comm || inSrc && strings.HasPrefix(fc.Name, "cm_")
+			return
+		}
+		av, ok := x.(nir.AVar)
+		if !ok || host {
+			return
+		}
+		// A parallel move is grid-local (Compute) when every array
+		// reference is pointwise under the common shape: everywhere
+		// references to congruent arrays, or identically-aligned sections
+		// of a single declared shape.
 		sym, ok := c.Syms.Lookup(av.Name)
 		if !ok || sym.Shape == nil {
 			local = false
 			return
 		}
+		// Arrays carrying two different explicit !HPF$ distributions are
+		// not co-resident even when their shapes agree: the move needs a
+		// router realignment.
+		if !sym.Dist.IsDefault() {
+			if dist.IsDefault() {
+				dist = sym.Dist
+			} else if !dist.Equal(sym.Dist, shape.Rank(sym.Shape)) {
+				distOK = false
+			}
+		}
 		switch f := av.Field.(type) {
 		case nir.Everywhere:
+			sawEverywhere = true
 			if !shape.Congruent(sym.Shape, m.Over) {
 				local = false
 			}
 		case nir.Section:
-			sawSection = true
 			for _, t := range f.Subs {
 				if t.Scalar {
 					local = false // rank reduction: alignment broken
 				}
 			}
-			if firstSec == nil {
-				firstSec = &secsig{name: av.Name, sec: f}
-				// The sectioned arrays must all share a declared shape.
+			if !sec.found {
+				sec = sections{found: true, first: f, full: sym.Shape}
 				return
 			}
-			prev, _ := c.Syms.Lookup(firstSec.name)
-			if !shape.Congruent(prev.Shape, sym.Shape) || !sameSection(firstSec.sec, f) {
+			// The sectioned arrays must all share a declared shape.
+			if !shape.Congruent(sec.full, sym.Shape) || !sameSection(sec.first, f) {
 				local = false
 			}
 		case nir.Subscript:
 			local = false // gather/scatter: general communication
 		}
 	}
-
 	for _, g := range m.Moves {
-		for _, v := range []nir.Value{g.Mask, g.Src, g.Tgt} {
-			nir.WalkValues(v, func(x nir.Value) {
-				if av, ok := x.(nir.AVar); ok {
-					checkAVar(av)
-				}
-			})
-		}
+		nir.WalkValues(g.Mask, visit)
+		inSrc = true
+		nir.WalkValues(g.Src, visit)
+		inSrc = false
+		nir.WalkValues(g.Tgt, visit)
 	}
-	if !local {
-		return Comm
-	}
-	if sawSection {
+	cl := Compute
+	switch {
+	case comm:
+		cl = Comm
+	case host:
+		cl = Host
+	case !local, !distOK:
+		cl = Comm
+	case sec.found && sawEverywhere && !shape.Congruent(m.Over, sec.full):
 		// Aligned sections mixed with everywhere refs over the (smaller)
 		// section space are misaligned with the full arrays; only
-		// all-section moves stay local. Detect everywhere refs: they are
-		// congruent with m.Over (the section space), but the sections
-		// live on the full shape — localness requires no such mixing
-		// unless the section space equals the full shape.
-		full := c.sectionFullShape(m)
-		if full == nil {
-			return Comm
-		}
-		mixed := false
-		for _, g := range m.Moves {
-			for _, v := range []nir.Value{g.Mask, g.Src, g.Tgt} {
-				nir.WalkValues(v, func(x nir.Value) {
-					av, ok := x.(nir.AVar)
-					if !ok {
-						return
-					}
-					if _, ew := av.Field.(nir.Everywhere); ew {
-						sym, _ := c.Syms.Lookup(av.Name)
-						if sym != nil && sym.Shape != nil && !shape.Congruent(sym.Shape, full) {
-							mixed = true
-						}
-					}
-				})
-			}
-		}
-		if mixed {
-			return Comm
-		}
+		// all-section moves stay local, unless the section space equals
+		// the full shape. (Every everywhere ref is congruent with m.Over
+		// here, so one comparison speaks for all of them.)
+		cl = Comm
 	}
-	// Arrays carrying two different explicit !HPF$ distributions are not
-	// co-resident even when their shapes agree: the move needs a router
-	// realignment, so it is communication.
-	if _, ok := c.MoveDist(m); !ok {
-		return Comm
-	}
-	return Compute
-}
-
-// MoveDist returns the explicit data distribution shared by a move's
-// array references, if any (ok=true). Arrays with the default blockwise
-// distribution are wildcards — the compiler materializes their values in
-// the partner's layout — so they never constrain the result. Two
-// differing explicit distributions mean the move cannot be grid-local
-// (ok=false): it requires a router realignment.
-func (c *Classifier) MoveDist(m nir.Move) (shape.Distribution, bool) {
-	var d shape.Distribution
-	ok := true
-	for _, g := range m.Moves {
-		for _, v := range []nir.Value{g.Mask, g.Src, g.Tgt} {
-			nir.WalkValues(v, func(x nir.Value) {
-				av, isAV := x.(nir.AVar)
-				if !isAV {
-					return
-				}
-				sym, found := c.Syms.Lookup(av.Name)
-				if !found || sym.Shape == nil || sym.Dist.IsDefault() {
-					return
-				}
-				rank := len(shape.Extents(sym.Shape))
-				if d.IsDefault() {
-					d = sym.Dist
-				} else if !d.Equal(sym.Dist, rank) {
-					ok = false
-				}
-			})
-		}
-	}
-	return d, ok
-}
-
-// sectionFullShape returns the declared shape shared by all sectioned
-// arrays of a move, or nil if there is none or they disagree.
-func (c *Classifier) sectionFullShape(m nir.Move) shape.Shape {
-	var full shape.Shape
-	ok := true
-	for _, g := range m.Moves {
-		for _, v := range []nir.Value{g.Mask, g.Src, g.Tgt} {
-			nir.WalkValues(v, func(x nir.Value) {
-				av, isAV := x.(nir.AVar)
-				if !isAV {
-					return
-				}
-				if _, isSec := av.Field.(nir.Section); !isSec {
-					return
-				}
-				sym, found := c.Syms.Lookup(av.Name)
-				if !found || sym.Shape == nil {
-					ok = false
-					return
-				}
-				if full == nil {
-					full = sym.Shape
-				} else if !shape.Congruent(full, sym.Shape) {
-					ok = false
-				}
-			})
-		}
-	}
-	if !ok {
-		return nil
-	}
-	return full
+	return Verdict{Class: cl, Dist: dist}, sec
 }
 
 func sameSection(a, b nir.Section) bool {

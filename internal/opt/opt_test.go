@@ -405,3 +405,32 @@ end do`)
 		t.Fatalf("different-bounds loops fused")
 	}
 }
+
+// TestClassifyDoesNotAllocate: the passes classify every move, so a
+// classification is a walk and nothing more — for a plain compute move,
+// a masked one, and one the optimizer answers from its carried verdict.
+func TestClassifyDoesNotAllocate(t *testing.T) {
+	mod := mustModule(t, wrap(`real, array(16,16) :: a, b, c
+a = 0.5*b + 0.25*c + 0.125
+where (a > 0.5) b = 0.5*a`))
+	o := &optimizer{cls: &Classifier{Syms: mod.Syms}, opts: Default, verdicts: map[*nir.GuardedMove]Verdict{}}
+	body := o.padAll(mod.Body) // classifies once, remembers
+	acts := topActions(body)
+	for _, a := range acts {
+		if v := o.verdict(a); v.Class != Compute {
+			t.Fatalf("%s classified %v, want compute", nir.Print(a), v.Class)
+		}
+	}
+	calls := o.cls.Calls
+	if n := testing.AllocsPerRun(100, func() {
+		for _, a := range acts {
+			o.cls.Classify(a)
+			o.verdict(a)
+		}
+	}); n != 0 {
+		t.Errorf("classifying allocates %v times a round, want 0", n)
+	}
+	if got, want := o.cls.Calls-calls, 101*len(acts); got != want {
+		t.Errorf("%d classification walks, want %d: a carried verdict must not walk again", got, want)
+	}
+}

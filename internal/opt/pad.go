@@ -16,35 +16,18 @@ import (
 // false when padding does not apply (not a compute move, no sections,
 // negative strides, or rank-reducing subscripts).
 func (c *Classifier) PadMove(m nir.Move) (nir.Move, bool) {
-	if c.Classify(m) != Compute {
-		return m, false
-	}
-	full := c.sectionFullShape(m)
-	if full == nil {
-		return m, false // no sections at all
-	}
-	if shape.Congruent(full, m.Over) && !hasSection(m) {
-		return m, false
-	}
+	v, sec := c.classifyMove(m)
+	return padMove(m, v, sec)
+}
 
-	// All sections are identical (Compute classification guarantees it);
-	// take the first as the representative.
-	var sec *nir.Section
-	for _, g := range m.Moves {
-		for _, v := range []nir.Value{g.Mask, g.Src, g.Tgt} {
-			nir.WalkValues(v, func(x nir.Value) {
-				if av, ok := x.(nir.AVar); ok && sec == nil {
-					if s, isSec := av.Field.(nir.Section); isSec {
-						sc := s
-						sec = &sc
-					}
-				}
-			})
-		}
-	}
-	if sec == nil {
+// padMove pads a move its classification walk has already described.
+func padMove(m nir.Move, v Verdict, secs sections) (nir.Move, bool) {
+	if v.Class != Compute || !secs.found {
 		return m, false
 	}
+	// All sections are identical (Compute classification guarantees it);
+	// the first is the representative.
+	full, sec := secs.full, secs.first
 
 	declLo := shape.Lowers(full)
 	declExt := shape.Extents(full)
@@ -120,22 +103,6 @@ func (c *Classifier) PadMove(m nir.Move) (nir.Move, bool) {
 		out.Moves[i] = ng
 	}
 	return out, true
-}
-
-func hasSection(m nir.Move) bool {
-	found := false
-	for _, g := range m.Moves {
-		for _, v := range []nir.Value{g.Mask, g.Src, g.Tgt} {
-			nir.WalkValues(v, func(x nir.Value) {
-				if av, ok := x.(nir.AVar); ok {
-					if _, isSec := av.Field.(nir.Section); isSec {
-						found = true
-					}
-				}
-			})
-		}
-	}
-	return found
 }
 
 func constInt(v nir.Value) (int, bool) {

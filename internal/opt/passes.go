@@ -41,7 +41,7 @@ func Optimize(mod *lower.Module, opts Options) (*lower.Module, Stats) {
 // "opt/<name>" span, and the final statistics are emitted as counters.
 // rec may be nil.
 func OptimizeObs(mod *lower.Module, opts Options, rec obs.Recorder) (*lower.Module, Stats) {
-	o := &optimizer{cls: &Classifier{Syms: mod.Syms}, opts: opts}
+	o := &optimizer{cls: &Classifier{Syms: mod.Syms}, opts: opts, verdicts: map[*nir.GuardedMove]Verdict{}}
 	body := mod.Body
 	for _, p := range passes(opts) {
 		span := obs.Start(rec, "opt/"+p.Name)
@@ -52,6 +52,7 @@ func OptimizeObs(mod *lower.Module, opts Options, rec obs.Recorder) (*lower.Modu
 	obs.Add(rec, "opt/fused-moves", float64(o.stats.FusedMoves))
 	obs.Add(rec, "opt/hoisted-comms", float64(o.stats.HoistedComms))
 	obs.Add(rec, "opt/fused-loops", float64(o.stats.FusedLoops))
+	obs.Add(rec, "opt/classify-calls", float64(o.cls.Calls))
 	out := *mod
 	out.Body = body
 	out.Prog = replaceBody(mod.Prog, body)
@@ -60,14 +61,19 @@ func OptimizeObs(mod *lower.Module, opts Options, rec obs.Recorder) (*lower.Modu
 
 // padAll is the pad-sections pass body: every compute-classified
 // aligned-section move becomes a full-shape masked move (Fig. 10).
-// PadMove itself verifies the Compute classification, so the traversal
-// simply offers it every move.
+// padMove itself checks the Compute classification, so the traversal
+// simply offers it every move — and keeps the verdict of each move it
+// leaves alone for the blocking pass.
 func (o *optimizer) padAll(a nir.Imp) nir.Imp {
 	switch a := a.(type) {
 	case nir.Move:
-		if padded, did := o.cls.PadMove(a); did {
+		v, secs := o.cls.classifyMove(a)
+		if padded, did := padMove(a, v, secs); did {
 			o.stats.PaddedMoves++
 			return padded
+		}
+		if len(a.Moves) > 0 {
+			o.verdicts[&a.Moves[0]] = v
 		}
 		return a
 	case nir.Sequentially:

@@ -24,6 +24,10 @@ type Parser struct {
 	rep  *source.Reporter
 
 	directives []*ast.Directive // !HPF$ directives collected in source order
+
+	// Argument lists being gathered by parseIndexRest, innermost last.
+	subs []ast.Subscript
+	keys []string
 }
 
 // Parse lexes and parses one main program unit.
@@ -298,19 +302,18 @@ func (p *Parser) matchEnd(form string) bool {
 		return false
 	}
 	save := p.pos
-	words := strings.Fields(form)
+	w0, w1, two := strings.Cut(form, " ") // every form is one word or two
 	first := p.cur().Text
-	fused := strings.Join(words, "")
-	if first == fused && len(words) > 1 {
+	if two && len(first) == len(form)-1 && first[:len(w0)] == w0 && first[len(w0):] == w1 {
 		p.next()
 		return true
 	}
-	if first != words[0] {
+	if first != w0 {
 		return false
 	}
 	p.next()
-	for _, w := range words[1:] {
-		if !p.atKw(w) {
+	if two {
+		if !p.atKw(w1) {
 			p.pos = save
 			return false
 		}
@@ -857,18 +860,24 @@ func (p *Parser) parseIndexRest(name lexer.Token) ast.Expr {
 	if p.accept(lexer.RPAREN) {
 		return node
 	}
+	// The list gathers on the parser's stack (calls nest) and leaves as
+	// two slices of exactly its length.
+	base := len(p.subs)
 	for {
 		key := ""
 		if p.at(lexer.IDENT) && p.peek().Kind == lexer.ASSIGN {
 			key = p.next().Text
 			p.next() // '='
 		}
-		node.Subs = append(node.Subs, p.parseSubscript())
-		node.Keys = append(node.Keys, key)
+		sub := p.parseSubscript()
+		p.subs, p.keys = append(p.subs, sub), append(p.keys, key)
 		if !p.accept(lexer.COMMA) {
 			break
 		}
 	}
+	node.Subs = append([]ast.Subscript(nil), p.subs[base:]...)
+	node.Keys = append([]string(nil), p.keys[base:]...)
+	p.subs, p.keys = p.subs[:base], p.keys[:base]
 	p.expect(lexer.RPAREN)
 	return node
 }

@@ -10,6 +10,7 @@ package partition
 
 import (
 	"fmt"
+	"strconv"
 
 	"f90y/internal/fe"
 	"f90y/internal/lower"
@@ -42,10 +43,9 @@ func Compile(mod *lower.Module, peOpts pe.Options) (*fe.Program, Stats, error) {
 // partition statistics are emitted as counters. rec may be nil.
 func CompileObs(mod *lower.Module, peOpts pe.Options, rec obs.Recorder) (*fe.Program, Stats, error) {
 	p := &partitioner{
-		cls:    &opt.Classifier{Syms: mod.Syms},
-		syms:   mod.Syms,
-		peOpts: peOpts,
-		rec:    rec,
+		cls: &opt.Classifier{Syms: mod.Syms},
+		pe:  pe.NewCompiler(mod.Syms, peOpts),
+		rec: rec,
 	}
 	ops, err := p.ops(mod.Body)
 	if err != nil {
@@ -56,14 +56,17 @@ func CompileObs(mod *lower.Module, peOpts pe.Options, rec obs.Recorder) (*fe.Pro
 	obs.Add(rec, "partition/comm-calls", float64(p.stats.CommCalls))
 	obs.Add(rec, "partition/host-moves", float64(p.stats.HostMoves))
 	obs.Add(rec, "partition/fallbacks", float64(p.stats.Fallbacks))
+	obs.Add(rec, "opt/classify-calls", float64(p.cls.Calls))
+	dagNodes, cseHits := p.pe.Stats()
+	obs.Add(rec, "pe/dag-nodes", float64(dagNodes))
+	obs.Add(rec, "pe/cse-hits", float64(cseHits))
 	prog := &fe.Program{Name: mod.Name, Ops: ops, Routines: p.routines, Syms: mod.Syms}
 	return prog, p.stats, nil
 }
 
 type partitioner struct {
 	cls      *opt.Classifier
-	syms     *lower.SymTab
-	peOpts   pe.Options
+	pe       *pe.Compiler // the one codegen workspace of this compilation
 	routines []*peac.Routine
 	stats    Stats
 	nextID   int
@@ -137,12 +140,13 @@ func (p *partitioner) ops(a nir.Imp) ([]fe.Op, error) {
 }
 
 func (p *partitioner) move(m nir.Move) ([]fe.Op, error) {
-	switch p.cls.Classify(m) {
+	v := p.cls.ClassifyMove(m)
+	switch v.Class {
 	case opt.Compute:
-		name := fmt.Sprintf("Pk%d", p.nextID)
+		name := "Pk" + strconv.Itoa(p.nextID)
 		p.nextID++
 		span := obs.Start(p.rec, "pe-codegen")
-		r, err := pe.Compile(name, m, p.syms, p.peOpts)
+		r, err := p.pe.Compile(name, m)
 		span.End()
 		if err != nil {
 			// The PE/NIR compiler accepts a restricted language (§5.2);
@@ -155,12 +159,14 @@ func (p *partitioner) move(m nir.Move) ([]fe.Op, error) {
 		// Stamp the routine with the block's explicit data distribution
 		// (if any) so the machine models lay its iteration space out the
 		// way the !HPF$ directives asked for.
-		r.Dist, _ = p.cls.MoveDist(m)
+		r.Dist = v.Dist
 		p.routines = append(p.routines, r)
-		obs.Add(p.rec, "pe/"+r.Name+"/instrs", float64(r.InstrCount()))
-		obs.Add(p.rec, "pe/"+r.Name+"/issue-slots", float64(r.IssueSlots()))
-		obs.Add(p.rec, "pe/"+r.Name+"/spill-slots", float64(r.SpillSlots))
-		obs.Add(p.rec, "pe/"+r.Name+"/flops-per-iter", float64(r.FlopsPerIteration()))
+		if p.rec != nil { // the counter names are built per routine
+			obs.Add(p.rec, "pe/"+r.Name+"/instrs", float64(r.InstrCount()))
+			obs.Add(p.rec, "pe/"+r.Name+"/issue-slots", float64(r.IssueSlots()))
+			obs.Add(p.rec, "pe/"+r.Name+"/spill-slots", float64(r.SpillSlots))
+			obs.Add(p.rec, "pe/"+r.Name+"/flops-per-iter", float64(r.FlopsPerIteration()))
+		}
 		return []fe.Op{fe.CallNode{Routine: r, Over: m.Over}}, nil
 	case opt.Comm:
 		p.stats.CommCalls++

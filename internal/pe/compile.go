@@ -9,13 +9,49 @@ import (
 	"f90y/internal/source"
 )
 
+// Compiler compiles the computation blocks of one module. It owns the
+// one workspace every block's DAG, instruction selection and register
+// allocation are built in: Compile resets it — truncating, never
+// reallocating — and copies what the Routine keeps (Body, Params) out at
+// exact length, so a routine pins none of the workspace. Not safe for
+// concurrent use.
+type Compiler struct {
+	b   builder
+	sel selector
+	ra  allocator
+}
+
+// NewCompiler returns a compiler for blocks over syms at one
+// optimization level.
+func NewCompiler(syms *lower.SymTab, opts Options) *Compiler {
+	c := &Compiler{b: builder{
+		opts:    opts,
+		syms:    syms,
+		memo:    map[nodeKey]*node{},
+		version: map[string]int{},
+		avail:   map[string]*node{},
+	}}
+	c.sel.b, c.sel.opts = &c.b, opts
+	return c
+}
+
+// Stats totals, over every block compiled so far, the DAG vertices built
+// and the hash-consing hits (the pe/dag-nodes and pe/cse-hits counters).
+func (c *Compiler) Stats() (dagNodes, cseHits int) { return c.b.dagNodes, c.b.cseHits }
+
+// Compile compiles one block with a workspace of its own.
+func Compile(name string, m nir.Move, syms *lower.SymTab, opts Options) (*peac.Routine, error) {
+	return NewCompiler(syms, opts).Compile(name, m)
+}
+
 // Compile reduces one computation block — a fused pointwise MOVE over a
 // parallel shape — to a PEAC node procedure. The caller (the CM2/NIR
 // compiler) guarantees the move is grid-local; Compile re-validates the
 // restriction and reports an error otherwise, allowing the partitioner to
 // fall back to host execution.
-func Compile(name string, m nir.Move, syms *lower.SymTab, opts Options) (*peac.Routine, error) {
-	b := newBuilder(opts, syms)
+func (c *Compiler) Compile(name string, m nir.Move) (*peac.Routine, error) {
+	b, sel := &c.b, &c.sel
+	b.reset()
 
 	// Build the block's DAG in statement order.
 	for _, g := range m.Moves {
@@ -39,7 +75,7 @@ func Compile(name string, m nir.Move, syms *lower.SymTab, opts Options) (*peac.R
 			return nil, fmt.Errorf("pe: non-pointwise target %q", av.Name)
 		}
 		isInt := false
-		if sym, found := syms.Lookup(av.Name); found {
+		if sym, found := b.syms.Lookup(av.Name); found {
 			isInt = sym.Kind == nir.Integer32
 		}
 		b.store(av.Name, val, mask, isInt, g.Pos)
@@ -57,39 +93,42 @@ func Compile(name string, m nir.Move, syms *lower.SymTab, opts Options) (*peac.R
 		}
 	}
 
-	sel := newSelector(b, opts)
 	if err := sel.run(); err != nil {
 		return nil, err
 	}
 
-	k := opts.VRegs
+	k := b.opts.VRegs
 	if k <= 0 {
 		k = peac.NumVRegs
 	}
-	body, slots := allocate(sel.instrs, sel.nvreg, k)
-	if opts.Overlap {
+	body, slots := c.ra.allocate(sel.instrs, sel.nvreg, k)
+	if b.opts.Overlap {
 		body = overlap(body)
 	}
-	body = append(body, peac.Instr{Op: peac.JNZ, Pos: anchor})
 
-	return &peac.Routine{
+	r := &peac.Routine{
 		Name:       name,
-		Params:     sel.params,
-		Body:       body,
+		Params:     append([]peac.Param(nil), sel.params...),
+		Body:       make([]peac.Instr, len(body)+1),
 		SpillSlots: slots,
 		Pos:        anchor,
-	}, nil
+	}
+	copy(r.Body, body)
+	r.Body[len(body)] = peac.Instr{Op: peac.JNZ, Pos: anchor}
+	return r, nil
 }
 
-// selector turns the DAG into virtual-register PEAC instructions.
+// selector turns the DAG into virtual-register PEAC instructions. Like
+// the builder it is workspace: run resets it.
 type selector struct {
 	b      *builder
 	opts   Options
 	instrs []peac.Instr
 	params []peac.Param
 
-	emitted map[*node]bool
-	operand map[*node]peac.Operand
+	// By node id: whether the node has been emitted, and its operand.
+	emitted []bool
+	operand []peac.Operand
 	nvreg   int
 	nextPtr int // pointer register counter (aP2 upward, as in Fig. 12)
 	nextS   int // scalar register counter (aS16 upward)
@@ -100,17 +139,26 @@ type selector struct {
 	curPos source.Pos
 }
 
-func newSelector(b *builder, opts Options) *selector {
-	return &selector{
-		b: b, opts: opts,
-		emitted: map[*node]bool{},
-		operand: map[*node]peac.Operand{},
-		nextPtr: 2,
-		nextS:   16,
+// resized returns s with length n and every element zero, reusing its
+// memory when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+func (s *selector) reset() {
+	n := len(s.b.nodes)
+	s.instrs, s.params = s.instrs[:0], s.params[:0]
+	s.emitted, s.operand = resized(s.emitted, n), resized(s.operand, n)
+	s.nvreg, s.nextPtr, s.nextS = 0, 2, 16
 }
 
 func (s *selector) run() error {
+	s.reset()
 	s.countUses()
 	if s.opts.Fmadd {
 		s.markFmadds()
@@ -136,25 +184,24 @@ func (s *selector) run() error {
 	return nil
 }
 
-// countUses tallies operand references reachable from the stores.
+// countUses tallies operand references reachable from the stores. A
+// node's own count doubles as its visited mark.
 func (s *selector) countUses() {
-	seen := map[*node]bool{}
-	var walk func(n *node)
-	walk = func(n *node) {
-		n.uses++
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, a := range n.args {
-			walk(a)
-		}
-	}
 	for _, st := range s.b.stores {
 		if st.mask != nil {
-			walk(st.mask)
+			countUses(st.mask)
 		}
-		walk(st.val)
+		countUses(st.val)
+	}
+}
+
+func countUses(n *node) {
+	n.uses++
+	if n.uses > 1 {
+		return
+	}
+	for _, a := range n.args[:n.nargs] {
+		countUses(a)
 	}
 }
 
@@ -201,7 +248,7 @@ func (s *selector) newVReg() peac.Operand {
 }
 
 func (s *selector) operandOf(n *node) peac.Operand {
-	if op, ok := s.operand[n]; ok {
+	if op := s.operand[n.id]; op.Kind != peac.NoOperand {
 		return op
 	}
 	panic("pe: operand requested before emission for node")
@@ -210,7 +257,7 @@ func (s *selector) operandOf(n *node) peac.Operand {
 // chainable reports whether n can fold into an arithmetic instruction as
 // its memory operand.
 func (s *selector) chainable(n *node) bool {
-	return s.opts.Chaining && n.op == opLoad && n.uses == 1 && !s.emitted[n] && !n.chain
+	return s.opts.Chaining && n.op == opLoad && n.uses == 1 && !s.emitted[n.id] && !n.chain
 }
 
 var cmpKind = map[nir.BinOp]peac.CmpKind{
@@ -235,35 +282,35 @@ var unOpcode = map[nir.UnOp]peac.Opcode{
 // emit lowers a node (and its operands) to instructions, lazily so loads
 // appear adjacent to their first use.
 func (s *selector) emit(n *node) error {
-	if s.emitted[n] {
+	if s.emitted[n.id] {
 		return nil
 	}
-	s.emitted[n] = true
+	s.emitted[n.id] = true
 
 	switch n.op {
 	case opConst:
 		reg := s.newScalar(peac.Param{Kind: peac.ConstParam, Value: n.cval, IsInt: n.isInt})
-		s.operand[n] = peac.S(reg)
+		s.operand[n.id] = peac.S(reg)
 		return nil
 	case opScalar:
 		reg := s.newScalar(peac.Param{Kind: peac.ScalarParam, Name: n.sname, IsInt: n.isInt})
-		s.operand[n] = peac.S(reg)
+		s.operand[n.id] = peac.S(reg)
 		return nil
 	case opLoad:
 		ptr := s.newPtr(peac.Param{Kind: peac.ArrayParam, Name: n.array, IsInt: n.isInt})
 		if n.chain {
-			s.operand[n] = peac.M(ptr)
+			s.operand[n.id] = peac.M(ptr)
 			return nil
 		}
 		d := s.newVReg()
 		s.instrs = append(s.instrs, peac.Instr{Op: peac.FLODV, A: peac.M(ptr), D: d, Pos: s.curPos})
-		s.operand[n] = d
+		s.operand[n.id] = d
 		return nil
 	case opCoord:
 		ptr := s.newPtr(peac.Param{Kind: peac.CoordParam, Dim: n.dim, IsInt: true})
 		d := s.newVReg()
 		s.instrs = append(s.instrs, peac.Instr{Op: peac.FLODV, A: peac.M(ptr), D: d, Pos: s.curPos})
-		s.operand[n] = d
+		s.operand[n.id] = d
 		return nil
 	case opUn:
 		if n.un == nir.ToFloat64 || n.un == nir.ToFloat32 {
@@ -271,7 +318,7 @@ func (s *selector) emit(n *node) error {
 			if err := s.emit(n.args[0]); err != nil {
 				return err
 			}
-			s.operand[n] = s.operandOf(n.args[0])
+			s.operand[n.id] = s.operandOf(n.args[0])
 			return nil
 		}
 		if err := s.emit(n.args[0]); err != nil {
@@ -283,7 +330,7 @@ func (s *selector) emit(n *node) error {
 		}
 		d := s.newVReg()
 		s.instrs = append(s.instrs, peac.Instr{Op: op, A: s.operandOf(n.args[0]), D: d, IntOp: n.isInt, Pos: s.curPos})
-		s.operand[n] = d
+		s.operand[n.id] = d
 		return nil
 	case opCmp:
 		return s.emitBinLike(n, peac.FCMPV)
@@ -297,7 +344,7 @@ func (s *selector) emit(n *node) error {
 		}
 		return s.emitBinLike(n, op)
 	case opSel:
-		for _, a := range n.args {
+		for _, a := range n.args[:n.nargs] {
 			if err := s.emit(a); err != nil {
 				return err
 			}
@@ -306,7 +353,7 @@ func (s *selector) emit(n *node) error {
 		s.instrs = append(s.instrs, peac.Instr{Op: peac.FSELV,
 			A: s.operandOf(n.args[1]), B: s.operandOf(n.args[2]),
 			C: s.operandOf(n.args[0]), D: d, Pos: s.curPos})
-		s.operand[n] = d
+		s.operand[n.id] = d
 		return nil
 	}
 	return fmt.Errorf("pe: unknown node op %d", n.op)
@@ -329,7 +376,7 @@ func (s *selector) fmaddParts(n *node) (mul, addend *node, isSub, swapped bool) 
 }
 
 func (s *selector) emitFmadd(n, mul, addend *node, isSub, _ bool) error {
-	for _, a := range []*node{mul.args[0], mul.args[1], addend} {
+	for _, a := range [3]*node{mul.args[0], mul.args[1], addend} {
 		if err := s.emit(a); err != nil {
 			return err
 		}
@@ -342,9 +389,9 @@ func (s *selector) emitFmadd(n, mul, addend *node, isSub, _ bool) error {
 	s.instrs = append(s.instrs, peac.Instr{Op: op,
 		A: s.operandOf(mul.args[0]), B: s.operandOf(mul.args[1]),
 		C: s.operandOf(addend), D: d, Pos: s.curPos})
-	s.operand[n] = d
-	s.operand[mul] = d // fused: no separate result
-	s.emitted[mul] = true
+	s.operand[n.id] = d
+	s.operand[mul.id] = d // fused: no separate result
+	s.emitted[mul.id] = true
 	return nil
 }
 
@@ -374,6 +421,6 @@ func (s *selector) emitBinLike(n *node, op peac.Opcode) error {
 		in.Cmp = cmpKind[n.cmp]
 	}
 	s.instrs = append(s.instrs, in)
-	s.operand[n] = d
+	s.operand[n.id] = d
 	return nil
 }

@@ -14,6 +14,7 @@ package pe
 
 import (
 	"fmt"
+	"math"
 
 	"f90y/internal/lower"
 	"f90y/internal/nir"
@@ -61,7 +62,8 @@ type node struct {
 	bin   nir.BinOp
 	un    nir.UnOp
 	cmp   nir.BinOp // comparison kind for opCmp
-	args  []*node
+	args  [3]*node  // the first nargs are operands
+	nargs int
 	array string  // opLoad
 	ver   int     // load version (invalidated by stores)
 	dim   int     // opCoord
@@ -71,6 +73,21 @@ type node struct {
 	uses  int
 	fused bool // consumed into an fmadd; no instruction emitted
 	chain bool // folded as a memory operand; no separate load emitted
+}
+
+// nodeKey is a node's identity for hash-consing: two values with one key
+// are one DAG vertex. It is compared by value, never formatted. op is
+// the BinOp or UnOp; a, b, c are operand ids (a load's store version, a
+// coordinate's dimension); a constant keys on its bit pattern, because
+// 0.0 == -0.0 as floats while 1/x tells them apart. A load's version is
+// what keeps a read after a masked store apart from the read before it.
+type nodeKey struct {
+	kind    nodeOp
+	op      int32
+	a, b, c int32
+	name    string
+	bits    uint64
+	isInt   bool
 }
 
 // storeEffect is one array store in block order. pos is the source
@@ -83,42 +100,54 @@ type storeEffect struct {
 	pos   source.Pos
 }
 
-// builder constructs the DAG for one computation block.
+// nodeChunk is the arena's growth step: nodes are handed out of fixed
+// chunks so a *node stays valid while the arena grows.
+const nodeChunk = 256
+
+// builder constructs the DAG for one computation block. It is part of a
+// Compiler's workspace: reset empties it and keeps its memory.
 type builder struct {
 	opts    Options
 	syms    *lower.SymTab
-	nodes   []*node
-	memo    map[string]*node // hash-consing (CSE)
-	version map[string]int   // store counters per array
-	avail   map[string]*node // store-to-load forwarding values
+	chunks  [][]node
+	nodes   []*node           // by id
+	memo    map[nodeKey]*node // hash-consing (CSE)
+	version map[string]int    // store counters per array
+	avail   map[string]*node  // store-to-load forwarding values
 	stores  []storeEffect
-	coords  map[int]*node
+
+	dagNodes, cseHits int // totals over every block, never reset
 }
 
-func newBuilder(opts Options, syms *lower.SymTab) *builder {
-	return &builder{
-		opts:    opts,
-		syms:    syms,
-		memo:    map[string]*node{},
-		version: map[string]int{},
-		avail:   map[string]*node{},
-		coords:  map[int]*node{},
-	}
+func (b *builder) reset() {
+	b.nodes = b.nodes[:0]
+	b.stores = b.stores[:0]
+	clear(b.memo)
+	clear(b.version)
+	clear(b.avail)
 }
 
-func (b *builder) intern(key string, mk func() *node) *node {
+// intern returns the node of a key: the memoized one under CSE, or a
+// zeroed fresh one (fresh=true) the caller fills in.
+func (b *builder) intern(key nodeKey) (n *node, fresh bool) {
 	if b.opts.CSE {
 		if n, ok := b.memo[key]; ok {
-			return n
+			b.cseHits++
+			return n, false
 		}
 	}
-	n := mk()
-	n.id = len(b.nodes)
+	b.dagNodes++
+	id := len(b.nodes)
+	if id/nodeChunk == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]node, nodeChunk))
+	}
+	n = &b.chunks[id/nodeChunk][id%nodeChunk]
+	*n = node{id: id}
 	b.nodes = append(b.nodes, n)
 	if b.opts.CSE {
 		b.memo[key] = n
 	}
-	return n
+	return n, true
 }
 
 func (b *builder) load(array string, isInt bool) *node {
@@ -128,55 +157,52 @@ func (b *builder) load(array string, isInt bool) *node {
 		}
 	}
 	ver := b.version[array]
-	key := fmt.Sprintf("load:%s:%d", array, ver)
-	return b.intern(key, func() *node {
-		return &node{op: opLoad, array: array, ver: ver, isInt: isInt}
-	})
+	n, fresh := b.intern(nodeKey{kind: opLoad, name: array, a: int32(ver)})
+	if fresh {
+		n.op, n.array, n.ver, n.isInt = opLoad, array, ver, isInt
+	}
+	return n
 }
 
 func (b *builder) coord(dim int) *node {
-	if n, ok := b.coords[dim]; ok && b.opts.CSE {
-		return n
+	n, fresh := b.intern(nodeKey{kind: opCoord, a: int32(dim)})
+	if fresh {
+		n.op, n.dim, n.isInt = opCoord, dim, true
 	}
-	n := b.intern(fmt.Sprintf("coord:%d", dim), func() *node {
-		return &node{op: opCoord, dim: dim, isInt: true}
-	})
-	b.coords[dim] = n
 	return n
 }
 
 func (b *builder) scalar(name string, isInt bool) *node {
-	return b.intern("svar:"+name, func() *node {
-		return &node{op: opScalar, sname: name, isInt: isInt}
-	})
+	n, fresh := b.intern(nodeKey{kind: opScalar, name: name})
+	if fresh {
+		n.op, n.sname, n.isInt = opScalar, name, isInt
+	}
+	return n
 }
 
 func (b *builder) constant(v float64, isInt bool) *node {
-	return b.intern(fmt.Sprintf("const:%g:%v", v, isInt), func() *node {
-		return &node{op: opConst, cval: v, isInt: isInt}
-	})
+	n, fresh := b.intern(nodeKey{kind: opConst, bits: math.Float64bits(v), isInt: isInt})
+	if fresh {
+		n.op, n.cval, n.isInt = opConst, v, isInt
+	}
+	return n
 }
 
 func (b *builder) binary(op nir.BinOp, l, r *node) *node {
-	isInt := l.isInt && r.isInt
+	key := nodeKey{kind: opBin, op: int32(op), a: int32(l.id), b: int32(r.id), isInt: l.isInt && r.isInt}
 	if op.Comparison() || op.Logical() {
-		key := fmt.Sprintf("cmp:%d:%d:%d", op, l.id, r.id)
-		return b.intern(key, func() *node {
-			n := &node{args: []*node{l, r}}
-			if op.Comparison() {
-				n.op = opCmp
-				n.cmp = op
-			} else {
-				n.op = opBin
-				n.bin = op
-			}
-			return n
-		})
+		key.kind, key.isInt = opCmp, false
 	}
-	key := fmt.Sprintf("bin:%d:%d:%d:%v", op, l.id, r.id, isInt)
-	return b.intern(key, func() *node {
-		return &node{op: opBin, bin: op, args: []*node{l, r}, isInt: isInt}
-	})
+	n, fresh := b.intern(key)
+	if fresh {
+		n.args, n.nargs, n.isInt = [3]*node{l, r}, 2, key.isInt
+		if op.Comparison() {
+			n.op, n.cmp = opCmp, op
+		} else {
+			n.op, n.bin = opBin, op
+		}
+	}
+	return n
 }
 
 func (b *builder) unary(op nir.UnOp, x *node) *node {
@@ -186,30 +212,28 @@ func (b *builder) unary(op nir.UnOp, x *node) *node {
 		if !x.isInt {
 			return x // all lanes are 64-bit already
 		}
-		isInt = false
 		// A pure reinterpretation: integers are stored exactly in f64
 		// lanes, so conversion is a semantic retag, not an instruction.
-		key := fmt.Sprintf("retag:%d", x.id)
-		return b.intern(key, func() *node {
-			return &node{op: opUn, un: nir.ToFloat64, args: []*node{x}, isInt: false}
-		})
+		op, isInt = nir.ToFloat64, false
 	case nir.ToInteger32:
 		if x.isInt {
 			return x
 		}
 		isInt = true
 	}
-	key := fmt.Sprintf("un:%d:%d", op, x.id)
-	return b.intern(key, func() *node {
-		return &node{op: opUn, un: op, args: []*node{x}, isInt: isInt}
-	})
+	n, fresh := b.intern(nodeKey{kind: opUn, op: int32(op), a: int32(x.id)})
+	if fresh {
+		n.op, n.un, n.args, n.nargs, n.isInt = opUn, op, [3]*node{x}, 1, isInt
+	}
+	return n
 }
 
 func (b *builder) sel(cond, t, f *node) *node {
-	key := fmt.Sprintf("sel:%d:%d:%d", cond.id, t.id, f.id)
-	return b.intern(key, func() *node {
-		return &node{op: opSel, args: []*node{cond, t, f}, isInt: t.isInt && f.isInt}
-	})
+	n, fresh := b.intern(nodeKey{kind: opSel, a: int32(cond.id), b: int32(t.id), c: int32(f.id)})
+	if fresh {
+		n.op, n.args, n.nargs, n.isInt = opSel, [3]*node{cond, t, f}, 3, t.isInt && f.isInt
+	}
+	return n
 }
 
 // store records a (possibly masked) array store and updates forwarding

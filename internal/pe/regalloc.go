@@ -2,9 +2,34 @@ package pe
 
 import (
 	"math"
+	"slices"
 
 	"f90y/internal/peac"
 )
+
+// allocator is the register allocator's share of a Compiler's
+// workspace; allocate resets it.
+type allocator struct {
+	uses     [][]int // use positions per virtual register
+	physOf   []int   // vreg -> phys, -1 if not resident
+	slotOf   []int   // vreg -> spill slot, -1 if none
+	resident []int   // phys -> vreg, -1 if free
+	out      []peac.Instr
+}
+
+// vregSources lists the distinct virtual registers an instruction reads,
+// in operand order (A, B, C). The order is the allocator's only tie-break
+// between an instruction's sources, so the listing a block compiles to is
+// a function of the block alone.
+func vregSources(in peac.Instr) (srcs [3]int, n int) {
+	for _, o := range in.Sources() {
+		if o.Kind == peac.VReg && !slices.Contains(srcs[:n], o.N) {
+			srcs[n] = o.N
+			n++
+		}
+	}
+	return srcs, n
+}
 
 // allocate maps virtual vector registers onto the eight architected
 // registers by lifetime analysis over the single basic block (§5.2:
@@ -13,14 +38,20 @@ import (
 // register allocation can be optimized"). When pressure exceeds the file,
 // the live value with the farthest next use is spilled (Belady's rule);
 // values are SSA within the block, so a value already written to its spill
-// slot is never stored twice.
-func allocate(instrs []peac.Instr, nvreg, K int) ([]peac.Instr, int) {
+// slot is never stored twice. The result is workspace memory, valid until
+// the next call.
+func (a *allocator) allocate(instrs []peac.Instr, nvreg, K int) ([]peac.Instr, int) {
 	const inf = math.MaxInt
 
-	// Use positions per virtual register.
-	uses := make([][]int, nvreg)
+	for len(a.uses) < nvreg {
+		a.uses = append(a.uses, nil)
+	}
+	uses := a.uses[:nvreg]
+	for v := range uses {
+		uses[v] = uses[v][:0]
+	}
 	for i, in := range instrs {
-		for _, o := range sourceOps(in) {
+		for _, o := range in.Sources() {
 			if o.Kind == peac.VReg {
 				uses[o.N] = append(uses[o.N], i)
 			}
@@ -35,38 +66,31 @@ func allocate(instrs []peac.Instr, nvreg, K int) ([]peac.Instr, int) {
 		return inf
 	}
 
-	physOf := make([]int, nvreg) // vreg -> phys, -1 if not resident
-	slotOf := make([]int, nvreg) // vreg -> spill slot, -1 if none
+	a.physOf, a.slotOf, a.resident = resized(a.physOf, nvreg), resized(a.slotOf, nvreg), resized(a.resident, K)
+	physOf, slotOf, resident := a.physOf, a.slotOf, a.resident
 	for i := range physOf {
 		physOf[i] = -1
 		slotOf[i] = -1
 	}
-	resident := make([]int, K) // phys -> vreg, -1 if free
 	for i := range resident {
 		resident[i] = -1
 	}
 	slots := 0
-	var out []peac.Instr
-
-	takeFree := func() int {
-		for p, v := range resident {
-			if v == -1 {
-				return p
-			}
-		}
-		return -1
+	out := a.out[:0]
+	if cap(out) < len(instrs) {
+		out = make([]peac.Instr, 0, len(instrs)+len(instrs)/4)
 	}
 
 	// allocPhys finds a register, spilling the farthest-next-used value if
-	// necessary; vregs in keep must not be evicted.
-	allocPhys := func(at int, keep map[int]bool) int {
-		if p := takeFree(); p >= 0 {
+	// necessary; the vregs in keep must not be evicted.
+	allocPhys := func(at int, keep []int) int {
+		if p := slices.Index(resident, -1); p >= 0 {
 			return p
 		}
 		victim, victimNext := -1, -1
 		for p := 0; p < K; p++ {
 			v := resident[p]
-			if v == -1 || keep[v] {
+			if slices.Contains(keep, v) {
 				continue
 			}
 			nu := nextUse(v, at)
@@ -100,19 +124,14 @@ func allocate(instrs []peac.Instr, nvreg, K int) ([]peac.Instr, int) {
 
 	for i := range instrs {
 		in := instrs[i]
-		// Source vregs of this instruction.
-		srcs := map[int]bool{}
-		for _, o := range sourceOps(in) {
-			if o.Kind == peac.VReg {
-				srcs[o.N] = true
-			}
-		}
-		// Restore spilled sources.
-		for v := range srcs {
+		srcArr, n := vregSources(in)
+		srcs := srcArr[:n]
+		// Restore spilled sources; the others must survive meanwhile.
+		for _, v := range srcs {
 			if physOf[v] >= 0 {
 				continue
 			}
-			p := allocPhys(i, residentSet(resident, srcs))
+			p := allocPhys(i, srcs)
 			out = append(out, peac.Instr{Op: peac.RESTV, A: peac.Slot(slotOf[v]), D: peac.V(p), Pos: in.Pos})
 			physOf[v] = p
 			resident[p] = v
@@ -123,53 +142,24 @@ func allocate(instrs []peac.Instr, nvreg, K int) ([]peac.Instr, int) {
 		in.C = rewrite(in.C)
 
 		// Free sources that die here.
-		for v := range srcs {
+		for _, v := range srcs {
 			if nextUse(v, i+1) == inf {
 				resident[physOf[v]] = -1
 				physOf[v] = -1
 			}
 		}
-		// Allocate the destination.
+		// Allocate the destination; surviving sources keep their registers.
 		if in.D.Kind == peac.VReg {
 			dv := in.D.N
-			keep := map[int]bool{}
-			for v := range srcs {
-				if physOf[v] >= 0 {
-					keep[v] = true
-				}
-			}
-			p := allocPhys(i, keep)
+			p := allocPhys(i, srcs)
 			physOf[dv] = p
 			resident[p] = dv
 			in.D = peac.V(p)
 		}
 		out = append(out, in)
 	}
+	a.out = out
 	return out, slots
-}
-
-// residentSet returns the set of vregs that must survive while restoring
-// the given sources.
-func residentSet(resident []int, srcs map[int]bool) map[int]bool {
-	keep := map[int]bool{}
-	for _, v := range resident {
-		if v >= 0 && srcs[v] {
-			keep[v] = true
-		}
-	}
-	return keep
-}
-
-// sourceOps lists the operands an instruction reads.
-func sourceOps(in peac.Instr) []peac.Operand {
-	switch in.Op {
-	case peac.FLODV, peac.RESTV:
-		return nil
-	case peac.FSTRV, peac.SPILLV:
-		return []peac.Operand{in.A, in.C}
-	default:
-		return []peac.Operand{in.A, in.B, in.C}
-	}
 }
 
 // overlap dual-issues memory operations with the preceding arithmetic

@@ -64,53 +64,75 @@ type LineCell struct {
 	Class CycleClass
 }
 
+// LineCycles is one bucket's cycles for one loop iteration.
+type LineCycles struct {
+	LineCell
+	Cycles int
+}
+
 // BodyCyclesByLine is the issue-group walker, the one statement of the
 // dual-issue accounting: it attributes the cycle cost of one loop
-// iteration to (source line, class) cells. Each issue group (a
-// non-paired instruction plus every consecutive Paired follower) costs
-// the maximum over its members — when a paired instruction raises the
-// group cost, the increment goes to its cell — everything else
-// accumulates serially, and the loop-control jnz is charged once at the
-// end. Whether a group is open is tracked explicitly rather than
-// inferred from a nonzero group cost, so an instruction dual-issued into
-// a zero-cost slot (a pair following a NOP) still joins that group
-// instead of being charged as a fresh serial slot; a body-leading Paired
-// instruction has no group to join and opens its own. Instructions
-// without a valid Pos fall back to loopPos (the routine's anchor
-// position), as does the jnz charge.
-func (c CostModel) BodyCyclesByLine(body []Instr, loopPos source.Pos) map[LineCell]int {
-	out := map[LineCell]int{}
+// iteration to (source line, class) cells, appended to dst (which may be
+// nil, or a buffer the caller reuses) one entry a cell, in the order the
+// body first charges them. Each issue group (a non-paired instruction
+// plus every consecutive Paired follower) costs the maximum over its
+// members — when a paired instruction raises the group cost, the
+// increment goes to its cell — everything else accumulates serially, and
+// the loop-control jnz is charged once at the end. Whether a group is
+// open is tracked explicitly rather than inferred from a nonzero group
+// cost, so an instruction dual-issued into a zero-cost slot (a pair
+// following a NOP) still joins that group instead of being charged as a
+// fresh serial slot; a body-leading Paired instruction has no group to
+// join and opens its own. Instructions without a valid Pos fall back to
+// loopPos (the routine's anchor position), as does the jnz charge.
+func (c CostModel) BodyCyclesByLine(dst []LineCycles, body []Instr, loopPos source.Pos) []LineCycles {
+	out := dst[:0]
+	last := 0 // index of the cell charged last: a statement's instructions are adjacent
+	charge := func(cell LineCell, cyc int) {
+		if last < len(out) && out[last].LineCell == cell {
+			out[last].Cycles += cyc
+			return
+		}
+		for last = 0; last < len(out); last++ {
+			if out[last].LineCell == cell {
+				out[last].Cycles += cyc
+				return
+			}
+		}
+		out = append(out, LineCycles{cell, cyc})
+	}
 	prev := 0     // cost of the open issue group
 	open := false // an issue group is open (it may cost 0: a NOP slot)
-	for _, in := range body {
+	for k := range body {
+		in := &body[k]
 		if in.Op == JNZ {
 			continue // charged once by the trailing LoopJnz term
 		}
-		cell := LineCell{Pos: in.Pos, Class: ClassOf(in)}
+		cell := LineCell{Pos: in.Pos, Class: in.Op.Info().Class}
 		if !in.Pos.IsValid() {
 			cell.Pos = loopPos
 		}
-		cyc := c.InstrCycles(in)
+		cyc := c.InstrCycles(*in)
 		if in.Paired && open {
 			if cyc > prev {
-				out[cell] += cyc - prev
+				charge(cell, cyc-prev)
 				prev = cyc
 			}
 			continue
 		}
-		out[cell] += cyc
+		charge(cell, cyc)
 		prev = cyc
 		open = true
 	}
-	out[LineCell{Pos: loopPos, Class: ClassLoop}] += c.LoopJnz
+	charge(LineCell{Pos: loopPos, Class: ClassLoop}, c.LoopJnz)
 	return out
 }
 
 // ByClass sums line cells to their per-class marginals.
-func ByClass(cells map[LineCell]int) ClassCycles {
+func ByClass(cells []LineCycles) ClassCycles {
 	var out ClassCycles
-	for cell, n := range cells {
-		out[cell.Class] += n
+	for _, cell := range cells {
+		out[cell.Class] += cell.Cycles
 	}
 	return out
 }
@@ -118,7 +140,7 @@ func ByClass(cells map[LineCell]int) ClassCycles {
 // BodyCyclesByClass attributes BodyCycles to instruction classes: the
 // per-class marginals of BodyCyclesByLine.
 func (c CostModel) BodyCyclesByClass(body []Instr) ClassCycles {
-	return ByClass(c.BodyCyclesByLine(body, source.Pos{}))
+	return ByClass(c.BodyCyclesByLine(nil, body, source.Pos{}))
 }
 
 // BodyCycles is the cycle cost of one loop iteration: the total of

@@ -35,15 +35,20 @@ func TestBodyCyclesByLineConservation(t *testing.T) {
 	anchor := source.Pos{File: "k.f90", Line: 3, Col: 1}
 	c := DefaultCost
 
-	cells := c.BodyCyclesByLine(body, anchor)
+	cells := c.BodyCyclesByLine(nil, body, anchor)
 	total := 0
 	var marginals ClassCycles
-	for cell, n := range cells {
-		if n == 0 {
+	byCell := map[LineCell]int{}
+	for _, cell := range cells {
+		if cell.Cycles == 0 {
 			t.Errorf("zero-cycle cell emitted: %+v", cell)
 		}
-		total += n
-		marginals[cell.Class] += n
+		if _, dup := byCell[cell.LineCell]; dup {
+			t.Errorf("cell listed twice: %+v", cell.LineCell)
+		}
+		byCell[cell.LineCell] = cell.Cycles
+		total += cell.Cycles
+		marginals[cell.Class] += cell.Cycles
 	}
 	if want := c.BodyCycles(body); total != want {
 		t.Errorf("per-line attribution sums to %d, BodyCycles = %d", total, want)
@@ -54,15 +59,15 @@ func TestBodyCyclesByLineConservation(t *testing.T) {
 
 	// Spot-check the accounting: the raising paired divide charges its
 	// increment to its own line and class.
-	if got := cells[LineCell{Pos: source.Pos{File: "k.f90", Line: 4, Col: 1}, Class: ClassDivide}]; got != c.Divide-c.VectorOp {
+	if got := byCell[LineCell{Pos: source.Pos{File: "k.f90", Line: 4, Col: 1}, Class: ClassDivide}]; got != c.Divide-c.VectorOp {
 		t.Errorf("raising paired divide charged %d cycles, want %d", got, c.Divide-c.VectorOp)
 	}
 	// The Pos-less transcendental lands on the anchor.
-	if got := cells[LineCell{Pos: anchor, Class: ClassTranscend}]; got != c.Transcend {
+	if got := byCell[LineCell{Pos: anchor, Class: ClassTranscend}]; got != c.Transcend {
 		t.Errorf("anchored transcendental charged %d cycles, want %d", got, c.Transcend)
 	}
 	// Loop control lands on the anchor exactly once.
-	if got := cells[LineCell{Pos: anchor, Class: ClassLoop}]; got != c.LoopJnz {
+	if got := byCell[LineCell{Pos: anchor, Class: ClassLoop}]; got != c.LoopJnz {
 		t.Errorf("loop control charged %d cycles, want %d", got, c.LoopJnz)
 	}
 }

@@ -96,8 +96,8 @@ func TestBodyCyclesGroups(t *testing.T) {
 			t.Errorf("%s: BodyCyclesByClass total = %d, want %d", tc.name, got, tc.want)
 		}
 		sum := 0
-		for _, v := range c.BodyCyclesByLine(tc.body, Instr{}.Pos) {
-			sum += v
+		for _, cell := range c.BodyCyclesByLine(nil, tc.body, Instr{}.Pos) {
+			sum += cell.Cycles
 		}
 		if sum != tc.want {
 			t.Errorf("%s: BodyCyclesByLine sum = %d, want %d", tc.name, sum, tc.want)

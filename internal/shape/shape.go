@@ -42,6 +42,10 @@ type Interval struct {
 	Tag    string
 }
 
+// Len is the number of indices in the interval: zero when Hi < Lo (a
+// zero-trip range such as FORALL (i=10:0) iterates nothing).
+func (i Interval) Len() int { return max(0, i.Hi-i.Lo+1) }
+
 // Prod is the cross-product of its dimension shapes (prod_dom in Fig. 6).
 type Prod struct {
 	Dims []Shape
@@ -142,49 +146,57 @@ func Rank(s Shape) int {
 	return 0
 }
 
-// Extents returns the per-dimension lengths of a resolved shape, in order.
+// Extents returns the per-dimension lengths of a resolved shape, in
+// order, as a slice the caller may keep (nil for a point).
 func Extents(s Shape) []int {
-	switch s := s.(type) {
-	case Point:
+	r := Rank(s)
+	if r == 0 {
 		return nil
-	case Interval:
-		return []int{s.Hi - s.Lo + 1}
-	case Prod:
-		var out []int
-		for _, d := range s.Dims {
-			out = append(out, Extents(d)...)
-		}
-		return out
-	case Ref:
-		panic("shape: Extents on unresolved " + s.String())
 	}
-	return nil
+	return appendDims(make([]int, 0, r), s, false)
 }
 
 // Lowers returns the per-dimension lower bounds of a resolved shape.
 func Lowers(s Shape) []int {
-	switch s := s.(type) {
-	case Point:
+	r := Rank(s)
+	if r == 0 {
 		return nil
-	case Interval:
-		return []int{s.Lo}
-	case Prod:
-		var out []int
-		for _, d := range s.Dims {
-			out = append(out, Lowers(d)...)
-		}
-		return out
-	case Ref:
-		panic("shape: Lowers on unresolved " + s.String())
 	}
-	return nil
+	return appendDims(make([]int, 0, r), s, true)
+}
+
+// appendDims appends each dimension's extent (or lower bound) to dst.
+// The compile-time queries below hand it a stack buffer, so asking a
+// question of a shape allocates nothing.
+func appendDims(dst []int, s Shape, lowers bool) []int {
+	switch s := s.(type) {
+	case Interval:
+		if lowers {
+			return append(dst, s.Lo)
+		}
+		return append(dst, s.Len())
+	case Prod:
+		for _, d := range s.Dims {
+			dst = appendDims(dst, d, lowers)
+		}
+	case Ref:
+		panic("shape: extents of unresolved " + s.String())
+	}
+	return dst
 }
 
 // Size is the number of points in a resolved shape. Points have size 1.
 func Size(s Shape) int {
 	n := 1
-	for _, e := range Extents(s) {
-		n *= e
+	switch s := s.(type) {
+	case Interval:
+		n = s.Len()
+	case Prod:
+		for _, d := range s.Dims {
+			n *= Size(d)
+		}
+	case Ref:
+		panic("shape: Size on unresolved " + s.String())
 	}
 	return n
 }
@@ -238,7 +250,9 @@ func Equal(a, b Shape) bool {
 // static shapechecking (§4.1) and by the domain-blocking optimizer (§4.2):
 // two MOVEs may be fused only over congruent shapes.
 func Congruent(a, b Shape) bool {
-	ea, eb := Extents(a), Extents(b)
+	// Ranks past the buffers (none occur) spill to the heap, still correct.
+	var bufA, bufB [8]int
+	ea, eb := appendDims(bufA[:0], a, false), appendDims(bufB[:0], b, false)
 	if len(ea) != len(eb) {
 		return false
 	}

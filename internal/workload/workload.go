@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 )
 
@@ -247,5 +248,47 @@ func SpillKernel(n, terms int) string {
 	}
 	fmt.Fprintf(&b, "r = (%s) * (%s)\n", strings.Join(sum, " + "), strings.Join(prod, " * "))
 	b.WriteString("end program spill\n")
+	return b.String()
+}
+
+// Statements is the in-module twin of the repository benchmark's
+// generated straight-line program (bench/workloads.go genStatements,
+// behind compile_big and serve_cold): nstmts array statements over six
+// n×n arrays in four forms — array assignment, CSHIFT, a WHERE/ELSEWHERE
+// block, SUM into a scalar — every update a convex blend plus a constant
+// below 1, so values stay bounded however long the program is. It drives
+// the compile-path ledger (BenchmarkCompile, TestCompileAllocBudget); the
+// generated-program testing item on the roadmap will subsume it.
+func Statements(n, nstmts int) string {
+	const narr = 6
+	r := rand.New(rand.NewSource(1)) // one structure at every length
+	arr := func() string { return fmt.Sprintf("x%d", r.Intn(narr)) }
+	// constant draws from band: [band+0.001, band+0.199], so it never
+	// equals one of the template's own literals (0.25, 0.5).
+	constant := func(band float64) float64 { return band + float64(1+r.Intn(199))/1000 }
+	var b strings.Builder
+	fmt.Fprintf(&b, "program stmts\ninteger, parameter :: n = %d\n", n)
+	b.WriteString("real, array(n,n) :: x0, x1, x2, x3, x4, x5\nreal :: s, chk\n")
+	b.WriteString("s = 0.0\n")
+	for k := 0; k < narr; k++ {
+		fmt.Fprintf(&b, "forall (i=1:n, j=1:n) x%d(i,j) = mod(i*%d + j*%d, 17)/17.0\n", k, 3+2*k, 5+k)
+	}
+	for i := 0; i < nstmts; i++ {
+		switch i % 8 {
+		case 0, 1, 2, 3:
+			fmt.Fprintf(&b, "%s = 0.5*%s + 0.25*%s + %.3f\n", arr(), arr(), arr(), constant(0))
+		case 4, 5:
+			fmt.Fprintf(&b, "%s = 0.5*cshift(%s, dim=%d, shift=%d) + 0.25*%s + %.3f\n",
+				arr(), arr(), 1+r.Intn(2), 1-2*r.Intn(2), arr(), constant(0.3))
+		case 6:
+			t, m := arr(), arr()
+			fmt.Fprintf(&b, "where (%s > %.3f)\n  %s = 0.5*%s\nelsewhere\n  %s = 0.25*%s + %.3f\nend where\n",
+				m, constant(0.5), t, t, t, t, constant(0.7))
+		case 7:
+			fmt.Fprintf(&b, "s = sum(%s)/(n*n)\n", arr())
+		}
+	}
+	b.WriteString("chk = sum(x0) + sum(x1) + sum(x2) + sum(x3) + sum(x4) + sum(x5)\n")
+	b.WriteString("print *, 'chk', chk, s\nend program stmts\n")
 	return b.String()
 }

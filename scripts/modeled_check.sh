@@ -10,6 +10,8 @@
 # After a change that is MEANT to move a modeled number, refresh the
 # record with `make modeled-record` and say so in the PR.
 #
+# The same gate holds the compile path's counts (f90y_compile_test.go).
+#
 # Used by `make modeled-check` (tier-1).
 set -eu
 
@@ -25,6 +27,14 @@ if ! cmp -s "$want" "$workdir/got.json"; then
 	echo "modeled-check: FAIL: regenerated record differs from $want" >&2
 	diff "$want" "$workdir/got.json" >&2 || true
 	echo "modeled-check: if the change is meant to move a modeled number: make modeled-record" >&2
+	exit 1
+fi
+# The compiler's own deterministic counts, against committed numbers: what
+# a compile allocates, and one PEAC listing per source. Their file is
+# built without -race only, so the race stage never runs them.
+if ! out="$($GO test -count=1 -run '^(TestCompileAllocBudget|TestLexerAllocatesOneSlice|TestCompileDeterministic)$' . 2>&1)"; then
+	echo "modeled-check: FAIL: the compile path's counts moved" >&2
+	echo "$out" >&2
 	exit 1
 fi
 echo "modeled-check: OK"
