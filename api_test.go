@@ -58,9 +58,11 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 // exec_workers request field), less f90yd -ckpt-every (a run under
 // -state-dir spills by the work it has at risk, internal/server
 // durable.go, so no literal may spell that flag either; f90yrun's
-// -checkpoint-every, an explicit request for a file, stays). A new flag
-// must say which old one it retires (ROADMAP) and update this count;
-// `make size` prints it.
+// -checkpoint-every, an explicit request for a file, stays), less the
+// three that made f90yc a second way to run a program (-metrics, -trace,
+// -faults; f90yrun's emit a superset). A new flag must say which old one
+// it retires (ROADMAP) and update this count and the budget `make
+// modeled-check` holds `make size` to.
 func TestEngineFlagRetired(t *testing.T) {
 	defining := map[string]bool{}
 	for _, typ := range []string{"Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Text"} {
@@ -69,28 +71,9 @@ func TestEngineFlagRetired(t *testing.T) {
 	defining["Var"], defining["Func"], defining["BoolFunc"] = true, true, true
 
 	flags := 0
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			// bench/ is the benchmark's own module and pins the names it
-			// uses; dot-directories hold build output.
-			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		inCmd := strings.HasPrefix(filepath.ToSlash(path), "cmd/")
-		inCM2 := strings.HasPrefix(filepath.ToSlash(path), "internal/cm2/")
+	eachNonTestFile(t, func(path string, fset *token.FileSet, file *ast.File) {
+		inCmd := strings.HasPrefix(path, "cmd/")
+		inCM2 := strings.HasPrefix(path, "internal/cm2/")
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BasicLit:
@@ -120,12 +103,68 @@ func TestEngineFlagRetired(t *testing.T) {
 			}
 			return true
 		})
+	})
+	if flags != 56 {
+		t.Errorf("cmd/ declares %d flags, want 56", flags)
+	}
+}
+
+// TestOneTargetTable holds "a machine is a value from the flag to the
+// oracle": outside the two machine packages, no non-test code spells a
+// machine's name — it resolves a name through, or ranges over,
+// driver.Targets (internal/driver/targets.go, the one file allowed to).
+// A third machine is then one Target and one table row, not an edit in
+// every tool. Comments and help text are prose, not dispatch: only a
+// string literal that IS a name counts.
+func TestOneTargetTable(t *testing.T) {
+	seen := 0
+	eachNonTestFile(t, func(path string, fset *token.FileSet, file *ast.File) {
+		home := strings.HasPrefix(path, "internal/cm2/") || strings.HasPrefix(path, "internal/cm5/") ||
+			path == "internal/driver/targets.go"
+		ast.Inspect(file, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING || (lit.Value != `"cm2"` && lit.Value != `"cm5"`) {
+				return true
+			}
+			if seen++; !home {
+				t.Errorf("%s: literal %s: resolve the machine through driver.Targets", fset.Position(lit.Pos()), lit.Value)
+			}
+			return true
+		})
+	})
+	if seen < 2 {
+		t.Fatalf("the scan saw %d machine-name literals, not even the machine packages' own: it has gone blind", seen)
+	}
+}
+
+// eachNonTestFile parses every non-test Go file of the module and hands
+// it to visit with its slash-separated path. bench/ is the benchmark's
+// own module and pins the names it uses; dot-directories hold build
+// output.
+func eachNonTestFile(t *testing.T, visit func(path string, fset *token.FileSet, file *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(path), fset, file)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if flags != 59 {
-		t.Errorf("cmd/ declares %d flags, want 59", flags)
 	}
 }

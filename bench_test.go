@@ -302,7 +302,7 @@ func BenchmarkSWE_CM5(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var last *cm5.Result
+	var last *cm2.Result
 	for i := 0; i < b.N; i++ {
 		res, err := cm5.Default().RunCtx(context.Background(), comp.Program, nil, nil)
 		if err != nil {
@@ -311,8 +311,8 @@ func BenchmarkSWE_CM5(b *testing.B) {
 		last = res
 	}
 	b.ReportMetric(last.GFLOPS(), "gflops-modeled")
-	b.ReportMetric(last.SPARCCycles, "sparc-cycles")
-	b.ReportMetric(last.VUCycles, "vu-cycles")
+	b.ReportMetric(last.Split.Setup, "sparc-cycles")
+	b.ReportMetric(last.Split.Vector, "vu-cycles")
 }
 
 // ---- A1: blocking ablation on SWE ----

@@ -6,34 +6,23 @@
 //
 //	f90yc [flags] file.f90
 //
-//	-dump ast|nir|opt|peac|host|stats|none  what to print (default peac)
+//	-dump ast|nir|opt|peac|host|stats|none  what to print (default peac; none with -v)
 //	-O                                   optimization level (default true)
 //	-pe naive|optimized                  PE code generator level
 //	-v                                   print the phase/counter report to stderr
-//	-metrics                             run the program, print the full report
-//	-trace out.json                      run the program, write a Chrome trace
-//	-faults spec                         inject faults during -metrics/-trace runs
 //
-// -metrics and -trace execute the compiled program on the modeled CM/2
-// so the report and trace include the "exec" span and the cycle
-// attribution counters; the trace file loads in chrome://tracing or
-// ui.perfetto.dev. When any of -v/-metrics/-trace is given, -dump
-// defaults to none.
-//
-// Compilation goes through internal/driver — the same cached service
-// layer behind f90yrun and swebench — so flag semantics and fault-spec
-// parsing cannot drift between the commands.
+// f90yc compiles; it never runs the program. The full telemetry report, the Chrome trace and fault injection
+// — compile spans plus the "exec" span and the cycle attribution — are
+// f90yrun's -metrics, -trace and -faults.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"f90y"
 	"f90y/internal/ast"
-	"f90y/internal/driver"
 	"f90y/internal/fe"
 	"f90y/internal/nir"
 	"f90y/internal/obs"
@@ -42,13 +31,10 @@ import (
 )
 
 var (
-	flagDump    = flag.String("dump", "peac", "dump: ast, nir, opt, peac, host, stats, none")
-	flagO       = flag.Bool("O", true, "enable the NIR shape transformations (blocking, padding)")
-	flagPE      = flag.String("pe", "optimized", "PE code generator: naive or optimized")
-	flagV       = flag.Bool("v", false, "print the compilation phase/counter report to stderr")
-	flagMetrics = flag.Bool("metrics", false, "run the program and print the full telemetry report")
-	flagTrace   = flag.String("trace", "", "run the program and write a Chrome trace_event JSON file")
-	flagFaults  = flag.String("faults", "", driver.FaultsHelp)
+	flagDump = flag.String("dump", "", "dump: ast, nir, opt, peac, host, stats, none (default peac; none with -v)")
+	flagO    = flag.Bool("O", true, "enable the NIR shape transformations (blocking, padding)")
+	flagPE   = flag.String("pe", "optimized", "PE code generator: naive or optimized")
+	flagV    = flag.Bool("v", false, "print the compilation phase/counter report to stderr")
 )
 
 func main() {
@@ -72,45 +58,26 @@ func main() {
 		cfg.PE = pe.Naive
 	}
 
-	// Telemetry requests share one collector; stats dumps render from it
-	// too, so there is a single formatting path for phase statistics.
-	tel := driver.NewTelemetry(*flagMetrics, *flagTrace)
-	if (*flagV || *flagDump == "stats") && tel.Col == nil {
-		tel.Col = obs.NewCollector()
+	// -v and the stats dump render the one collector, so there is a
+	// single formatting path for phase statistics.
+	var col *obs.Collector
+	if *flagV || *flagDump == "stats" {
+		col = obs.NewCollector()
+		cfg.Obs = col
 	}
-	cfg.Obs = tel.Recorder()
 
-	// Telemetry flags change the default output from a peac dump to none;
-	// an explicit -dump still wins.
 	dump := *flagDump
-	if (*flagV || *flagMetrics || *flagTrace != "") && !dumpSetExplicitly() {
-		dump = "none"
+	if dump == "" {
+		dump = "peac"
+		if *flagV {
+			dump = "none"
+		}
 	}
 
-	ctx := context.Background()
-	comp, err := f90y.CompileCtx(ctx, file, string(src), cfg)
+	comp, err := f90y.Compile(file, string(src), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	// -metrics/-trace execute the program so the report and trace carry
-	// the exec span and cycle attribution (and, with -faults, the
-	// injected-fault events and recovery counters).
-	if *flagMetrics || *flagTrace != "" {
-		ctl, err := driver.ControlOptions{Faults: *flagFaults}.Build(file, cfg.Obs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f90yc:", err)
-			os.Exit(2)
-		}
-		res, err := comp.Run(ctx, &ctl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f90yc:", err)
-			os.Exit(1)
-		}
-		for _, line := range res.Output {
-			fmt.Println(line)
-		}
 	}
 
 	switch dump {
@@ -129,31 +96,15 @@ func main() {
 	case "host":
 		printHost(comp.Program.Ops, 0)
 	case "stats":
-		fmt.Print(tel.Col.Report())
+		fmt.Print(col.Report())
 	default:
 		fmt.Fprintf(os.Stderr, "f90yc: unknown dump %q\n", dump)
 		os.Exit(2)
 	}
 
-	if *flagMetrics {
-		fmt.Print(tel.Col.Report())
-	} else if *flagV && dump != "stats" {
-		fmt.Fprint(os.Stderr, tel.Col.Report())
+	if *flagV && dump != "stats" {
+		fmt.Fprint(os.Stderr, col.Report())
 	}
-	if err := tel.WriteTrace(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "f90yc:", err)
-		os.Exit(1)
-	}
-}
-
-func dumpSetExplicitly() bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dump" {
-			set = true
-		}
-	})
-	return set
 }
 
 func printHost(ops []fe.Op, depth int) {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	f90yrun [-target cm2|cm5] [-pes 2048] [-verify] [-metrics] [-trace out.json]
+//	f90yrun [-target cm2|cm5] [-pes N] [-verify] [-metrics] [-trace out.json]
 //	        [-profile] [-profile-pprof swe.pb.gz] [-profile-folded swe.folded]
 //	        [-timeout 30s] [-max-cycles N] [-numeric off|trap|record]
 //	        [-faults spec] [-checkpoint-every N] [-checkpoint file.ckpt]
@@ -13,18 +13,22 @@
 // -distribute overrides an array's data distribution without editing
 // the source (repeatable; same specs as !HPF$ DISTRIBUTE, e.g.
 // "a=cyclic", "b=block,cyclic(2)", "c=*,block"). Source-level !HPF$
-// directives need no flag — they are part of the program. The
-// overrides apply to the measured run; -verify exercises the source as
-// written, so put directives in the source to verify a layout.
+// directives need no flag — they are part of the program.
+//
+// -target names a machine of the target table (internal/driver); -pes
+// resizes it: N processing units — PEs on the CM/2, nodes on the CM-5 —
+// in place of the machine's full size.
 //
 // With -verify the program is run through the differential oracle
-// (internal/oracle): the reference interpreter and BOTH machine
-// backends execute it and the final stores are cross-checked
-// value-for-value under the documented ULP tolerance; a divergence
-// reports the first differing variable, element, and backend pair and
-// exits nonzero. -metrics prints the phase/counter telemetry report
-// (compile spans plus execution cycle attribution) to stderr; -trace
-// writes the same telemetry as Chrome trace_event JSON.
+// (internal/oracle): the reference interpreter and EVERY machine of the
+// table execute it — compiled as this run was, -distribute overrides
+// included, and with the -pes resize applied to the -target machine —
+// and the final stores are cross-checked value-for-value under the
+// documented ULP tolerance; a divergence reports the first differing
+// variable, element, and backend pair and exits nonzero. -metrics prints
+// the phase/counter telemetry report (compile spans plus execution
+// cycle attribution) to stderr; -trace writes the same telemetry as
+// Chrome trace_event JSON.
 //
 // -profile prints the source-line cycle profile to stdout: the compiler
 // threads source positions from the Fortran tokens through NIR and PEAC,
@@ -84,17 +88,17 @@ import (
 	"strings"
 
 	"f90y"
-	"f90y/internal/cm5"
 	"f90y/internal/driver"
 	"f90y/internal/faults"
+	"f90y/internal/obs"
 	"f90y/internal/oracle"
 	"f90y/internal/rt"
 )
 
 var (
-	flagTarget  = flag.String("target", "cm2", "target machine: cm2 or cm5")
-	flagPEs     = flag.Int("pes", 2048, "processing elements (cm2 target)")
-	flagVerify  = flag.Bool("verify", false, "cross-check interpreter, cm2, and cm5 results (differential oracle)")
+	flagTarget  = flag.String("target", driver.Targets[0].Name, "target machine: "+driver.TargetNames())
+	flagPEs     = flag.Int("pes", 0, "processing units of the target machine: PEs on cm2, nodes on cm5 (0 = the machine's full size)")
+	flagVerify  = flag.Bool("verify", false, "cross-check the interpreter and every target machine (differential oracle)")
 	flagMetrics = flag.Bool("metrics", false, "print the telemetry report to stderr")
 	flagTrace   = flag.String("trace", "", "write a Chrome trace_event JSON file")
 	flagTimeout = flag.Duration("timeout", 0, "abort the compile+run after this duration (0 = no limit)")
@@ -162,11 +166,19 @@ func main() {
 		defer cancel()
 	}
 
-	tel := driver.NewTelemetry(*flagMetrics, *flagTrace)
+	// -metrics and -trace render one collector.
 	cfg := f90y.DefaultConfig()
-	cfg.Machine.PEs = *flagPEs
-	cfg.Obs = tel.Recorder()
+	var col *obs.Collector
+	if *flagMetrics || *flagTrace != "" {
+		col = obs.NewCollector()
+		cfg.Obs = col
+	}
 	cfg.Distribute = flagDist
+	machine, err := driver.Target(*flagTarget, *flagPEs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "f90yrun: -target/-pes:", err)
+		os.Exit(2)
+	}
 
 	ctl, err := driver.ControlOptions{
 		Faults:          *flagFaults,
@@ -181,48 +193,51 @@ func main() {
 		os.Exit(2)
 	}
 
-	cm5m := cm5.Default()
 	svc := driver.New(1)
 	res := svc.Run(ctx, driver.Job{
-		Name:   file,
-		File:   file,
-		Source: string(src),
-		Config: cfg,
-		Target: *flagTarget,
-		CM5:    cm5m,
-		Ctl:    ctl,
+		Name:    file,
+		File:    file,
+		Source:  string(src),
+		Config:  cfg,
+		Machine: machine,
+		Ctl:     ctl,
 	})
 	if res.Err != nil {
 		fail(file, res.Err)
 	}
 
-	var report string
-	switch {
-	case res.CM2 != nil:
-		r := res.CM2
-		report = fmt.Sprintf(
-			"cm2: %d PEs @ %.0f MHz | %.3f modeled ms | %.2f GFLOPS | %d node calls, %d comm calls\n"+
-				"cycles: pe %.0f, comm %.0f, host %.0f | flops %d",
-			cfg.Machine.PEs, cfg.Machine.ClockHz/1e6, r.Seconds()*1e3, r.GFLOPS(),
-			r.NodeCalls, r.CommCalls, r.PECycles, r.CommCycles, r.HostCycles, r.Flops)
-	case res.CM5 != nil:
-		r := res.CM5
-		report = fmt.Sprintf(
-			"cm5: %d nodes x %d VUs @ %.0f MHz | %.3f modeled ms | %.2f GFLOPS | %d node calls",
-			cm5m.Nodes, cm5m.VUsPerNode, cm5m.ClockHz/1e6, r.Seconds()*1e3, r.GFLOPS(), r.NodeCalls)
+	r := res.Result
+	size := fmt.Sprintf("%d %ss", machine.Units, machine.Unit)
+	if machine.Lanes > 1 {
+		size += fmt.Sprintf(" x %d lanes", machine.Lanes)
 	}
-	common := res.Result()
-	if common.Faults != nil {
-		report += "\n" + faultLine(common.Faults)
+	report := fmt.Sprintf(
+		"%s: %s @ %.0f MHz | %.3f modeled ms | %.2f GFLOPS | %d node calls, %d comm calls\n"+
+			"cycles: pe %.0f, comm %.0f, host %.0f | flops %d",
+		machine.Name, size, machine.ClockHz/1e6, r.Seconds()*1e3, r.GFLOPS(),
+		r.NodeCalls, r.CommCalls, r.PECycles, r.CommCycles, r.HostCycles, r.Flops)
+	if r.Faults != nil {
+		report += "\n" + faultLine(r.Faults)
 	}
-	if common.Numeric != nil && common.Numeric.Mode == rt.NumericRecord {
-		report += "\n" + numericLine(common.Numeric)
+	if r.Numeric != nil && r.Numeric.Mode == rt.NumericRecord {
+		report += "\n" + numericLine(r.Numeric)
 	}
 	if *flagVerify {
-		verify(file, string(src), *flagMaxCyc)
+		// What ran is what is verified: the run's own config, and its
+		// machine standing in for its table entry. A divergence (or any
+		// backend failure) is fatal.
+		rep, err := oracle.Verify(file, string(src), oracle.Options{
+			Config: &cfg, Targets: driver.TargetsWith(machine), MaxCycles: *flagMaxCyc,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "f90yrun: verify:", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "verify: %d variables, %d values agree across %s (<=%d ulps)\n",
+			rep.Vars, rep.Elems, strings.Join(rep.Backends, ", "), uint64(oracle.DefaultULPs))
 	}
 
-	for _, line := range common.Output {
+	for _, line := range r.Output {
 		fmt.Println(line)
 	}
 	prof := driver.ProfileOptions{Text: *flagProf, Pprof: *flagProfPB, Folded: *flagProfFG}
@@ -231,10 +246,15 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, report)
-	tel.Report(os.Stderr)
-	if err := tel.WriteTrace(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "f90yrun:", err)
-		os.Exit(1)
+	if *flagMetrics {
+		fmt.Fprint(os.Stderr, col.Report())
+	}
+	if *flagTrace != "" {
+		if err := driver.WriteFile(*flagTrace, col.WriteTrace); err != nil {
+			fmt.Fprintln(os.Stderr, "f90yrun:", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *flagTrace)
 	}
 }
 
@@ -258,17 +278,4 @@ func numericLine(n *rt.Numeric) string {
 		inf += c
 	}
 	return fmt.Sprintf("numeric: %d NaN lanes, %d Inf lanes recorded", nan, inf)
-}
-
-// verify runs the program through the differential oracle: reference
-// interpreter vs cm2 vs cm5, value-for-value. A divergence (or any
-// backend failure) is fatal; agreement prints the comparison size.
-func verify(file, src string, maxCycles float64) {
-	rep, err := oracle.Verify(file, src, oracle.Options{MaxCycles: maxCycles})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "f90yrun: verify:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "verify: %d variables, %d values agree across interp, cm2, cm5 (<=%d ulps)\n",
-		rep.Vars, rep.Elems, uint64(oracle.DefaultULPs))
 }

@@ -166,10 +166,9 @@ func layoutCases(n, iters int) []layoutCase {
 // buildLayoutRecord runs the sweep and assembles the record. Separated
 // from printing and the file write so tests can assert determinism.
 func buildLayoutRecord(svc *driver.Service, n, iters int, verify bool) (layoutRecord, error) {
-	cfg := f90y.DefaultConfig()
 	rec := layoutRecord{
 		Schema: "f90y-layout/v1",
-		PEs:    cfg.Machine.PEs,
+		PEs:    driver.Targets[0].Units,
 		N:      n,
 		Iters:  iters,
 	}
@@ -195,7 +194,7 @@ func buildLayoutRecord(svc *driver.Service, n, iters int, verify bool) (layoutRe
 			if res.Err != nil {
 				return rec, fmt.Errorf("%s/%s: %w", c.kernel, v.name, res.Err)
 			}
-			r := res.Result()
+			r := res.Result
 			total := r.TotalCycles()
 			row := layoutRow{
 				Layout:     v.name,

@@ -3,11 +3,12 @@ package main
 // Chaos-soak mode. `swebench -soak N` sweeps the seven experiment
 // kernels (at reduced sizes) through the differential oracle and the
 // fault-invariance chaos harness: each program is first verified across
-// the reference interpreter and both machine backends, then run under
-// N seeds x the default fault plans x both backends, asserting that
-// every recovered fault leaves the numerical results bit-identical to
-// the unfaulted baseline. Violations are minimized to a reproducer spec
-// written under -repro-dir and fail the command with exit status 1.
+// the reference interpreter and every machine of the target table, then
+// run under N seeds x the default fault plans x those machines,
+// asserting that every recovered fault leaves the numerical results
+// bit-identical to the unfaulted baseline. Violations are minimized to a
+// reproducer spec written under -repro-dir and fail the command with
+// exit status 1.
 //
 // Schema "f90y-soak/v1" (-soak N -json):
 //
@@ -15,7 +16,7 @@ package main
 //	  "schema": "f90y-soak/v1",
 //	  "seeds": N,                       seeds swept per plan
 //	  "plans": ["seed=0,drop=0.05,...], the swept plans, CLI spec syntax
-//	  "backends": ["cm2", "cm5"],
+//	  "backends": ["cm2", "cm5"],       the target table's names
 //	  "programs": [{"name": "swe", "vars": 9, "elems": 1234}, ...],
 //	      per-program oracle verification size (interp vs cm2 vs cm5)
 //	  "runs": 448,                      faulted runs compared to baselines
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"f90y/internal/driver"
 	"f90y/internal/oracle"
@@ -76,12 +78,16 @@ func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outP
 	svc := driver.New(workers)
 	svc.MaxCycles = 2_000_000_000 // fault-induced runaways must not hang the sweep
 
-	rec := soakRecord{Schema: "f90y-soak/v1", Seeds: seeds, Backends: []string{"cm2", "cm5"}}
+	rec := soakRecord{Schema: "f90y-soak/v1", Seeds: seeds}
+	for _, t := range driver.Targets {
+		rec.Backends = append(rec.Backends, t.Name)
+	}
+	backends := strings.Join(rec.Backends, ", ")
 	for _, p := range oracle.DefaultPlans() {
 		rec.Plans = append(rec.Plans, p.SpecString())
 	}
 
-	// Phase 1: differential verification, interp vs cm2 vs cm5.
+	// Phase 1: differential verification, interp vs every target.
 	failures := 0
 	for _, p := range progs {
 		vrep, err := oracle.Verify(p.File, p.Source, oracle.Options{MaxCycles: svc.MaxCycles})
@@ -95,8 +101,8 @@ func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outP
 		}
 		rec.Programs = append(rec.Programs, soakProgram{Name: p.Name, Vars: vrep.Vars, Elems: vrep.Elems})
 		if !asJSON {
-			fmt.Fprintf(w, "verify %-8s ok    %d vars, %d values agree across interp, cm2, cm5\n",
-				p.Name, vrep.Vars, vrep.Elems)
+			fmt.Fprintf(w, "verify %-8s ok    %d vars, %d values agree across interp, %s\n",
+				p.Name, vrep.Vars, vrep.Elems, backends)
 		}
 	}
 
@@ -138,8 +144,8 @@ func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outP
 		return failures, nil
 	}
 
-	fmt.Fprintf(w, "soak: %d programs x 2 backends x %d seeds x %d plans = %d faulted runs\n",
-		len(progs), seeds, len(oracle.DefaultPlans()), srep.Runs)
+	fmt.Fprintf(w, "soak: %d programs x %d backends x %d seeds x %d plans = %d faulted runs\n",
+		len(progs), len(rec.Backends), seeds, len(oracle.DefaultPlans()), srep.Runs)
 	for _, v := range srep.Violations {
 		fmt.Fprintf(w, "VIOLATION %s/%s seed=%d spec=%q: %s", v.Program, v.Backend, v.Seed, v.Spec, v.Divergence)
 		if v.ReproPath != "" {

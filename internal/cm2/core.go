@@ -43,7 +43,8 @@ const (
 // asks which machine it is driving; it only reads these fields.
 type Target struct {
 	// Name tags checkpoints and prefixes error text ("cm2", "cm5");
-	// Unit is the error-text noun for one processing unit.
+	// Unit is the noun for one processing unit in reports and error
+	// text ("PE", "node").
 	Name, Unit string
 	// Units is the number of processing units a shape is distributed
 	// over; each drives Lanes vector lanes over its subgrid.
@@ -61,8 +62,9 @@ type Target struct {
 	HostCost hostvm.Cost
 }
 
-// Split is Result.PECycles by source: per-dispatch setup, vector work,
-// and degradation. Setup stays zero on a target without Target.Setup.
+// Split is Result.PECycles by source: per-dispatch setup (the CM-5's
+// node SPARC), vector work, and degradation. Setup stays zero on a
+// target without Target.Setup.
 type Split struct{ Setup, Vector, Degrade float64 }
 
 // run is the state of one execution.
@@ -74,8 +76,7 @@ type run struct {
 	res   *Result
 	rec   obs.Recorder
 	inj   *faults.Injector
-	exec  ExecOpts // per-run executor options; Subgrid is set per dispatch
-	split Split
+	exec  ExecOpts          // per-run executor options; Subgrid is set per dispatch
 	cells []peac.LineCycles // dispatch's pricing buffer, reused
 }
 
@@ -87,7 +88,7 @@ type run struct {
 // and surfaces as rt.ErrCanceled; an injected fatal fault as
 // faults.ErrFatal, restartable from the last checkpoint via ctl.Resume.
 // The Target is never mutated, so one value may serve concurrent runs.
-func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec obs.Recorder, ctl *Control) (*Result, Split, error) {
+func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec obs.Recorder, ctl *Control) (*Result, error) {
 	if ctl == nil {
 		ctl = &Control{}
 	}
@@ -125,7 +126,7 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 	}
 	if ctl.Resume != nil {
 		if err := r.resume(ctl.Resume, hctl); err != nil {
-			return nil, Split{}, err
+			return nil, err
 		}
 	}
 
@@ -138,7 +139,7 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 		if own {
 			store.Release() // no Result carries it out
 		}
-		return nil, Split{}, err
+		return nil, err
 	}
 	res.Output = vm.Output
 	res.Stopped = vm.Stopped()
@@ -154,11 +155,11 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 	if t.Setup != nil {
 		// Setup time is its own attribution class, so the breakdown
 		// sums exactly to PECycles; per line it is charged as it accrues.
-		res.PEClassCycles[SetupClass] = r.split.Setup
+		res.PEClassCycles[SetupClass] = res.Split.Setup
 	}
 	res.Faults = r.inj.Stats()
 	r.emit()
-	return res, r.split, nil
+	return res, nil
 }
 
 // snapshot captures a consistent machine state at a host boundary; the
@@ -167,7 +168,8 @@ func (r *run) snapshot(vm *hostvm.VM, b rt.Boundary) *rt.Checkpoint {
 	ck := rt.SnapshotBoundary(r.store, r.comm, b,
 		rt.HostState{Output: vm.Output, Cycles: vm.Cycles, ClassCycles: vm.ClassCycles()},
 		r.res.ExecTotals)
-	ck.Extra = map[string]float64{extraSetup: r.split.Setup, extraVector: r.split.Vector, extraDegrade: r.split.Degrade}
+	sp := r.res.Split
+	ck.Extra = map[string]float64{extraSetup: sp.Setup, extraVector: sp.Vector, extraDegrade: sp.Degrade}
 	return ck
 }
 
@@ -184,12 +186,13 @@ func (r *run) resume(ck *rt.Checkpoint, hctl *hostvm.Ctl) error {
 	if err != nil {
 		return fmt.Errorf("%s: resume: %w", r.t.Name, err)
 	}
-	r.res.ExecTotals = tot
-	r.split = Split{Setup: ck.Extra[extraSetup], Vector: ck.Extra[extraVector], Degrade: ck.Extra[extraDegrade]}
-	if r.split.Degrade != 0 {
+	res := r.res
+	res.ExecTotals = tot
+	res.Split = Split{Setup: ck.Extra[extraSetup], Vector: ck.Extra[extraVector], Degrade: ck.Extra[extraDegrade]}
+	if res.Split.Degrade != 0 {
 		// CM-5 snapshots from before the core carry degradation in
 		// Extra only, not in the class map.
-		r.res.PEClassCycles[DegradeClass] = r.split.Degrade
+		res.PEClassCycles[DegradeClass] = res.Split.Degrade
 	}
 	hctl.SetResume(ck)
 	return nil
@@ -208,8 +211,8 @@ func (r *run) emit() {
 	obs.Add(rec, "exec/node-calls", float64(res.NodeCalls))
 	obs.Add(rec, "exec/comm-calls", float64(res.CommCalls))
 	if r.t.Setup != nil {
-		obs.Add(rec, "exec/sparc-cycles", r.split.Setup)
-		obs.Add(rec, "exec/vu-cycles", r.split.Vector)
+		obs.Add(rec, "exec/sparc-cycles", res.Split.Setup)
+		obs.Add(rec, "exec/vu-cycles", res.Split.Vector)
 	}
 	add := func(prefix string, cycles map[string]float64) {
 		for k, v := range cycles {
@@ -265,8 +268,8 @@ func (r *run) dispatch(p *peac.Routine, over shape.Shape) error {
 			return err
 		}
 	}
-	r.split.Setup += setup
-	r.split.Vector += vector
+	res.Split.Setup += setup
+	res.Split.Vector += vector
 	res.PECycles += cyc
 	res.PERoutineCycles[p.Name] += cyc
 	if t.Setup != nil {
@@ -304,7 +307,7 @@ func (r *run) dispatch(p *peac.Routine, over shape.Shape) error {
 func (r *run) injectDispatch(p *peac.Routine, sub int, cyc float64) error {
 	t := r.t
 	charge := func(c float64) {
-		r.split.Degrade += c
+		r.res.Split.Degrade += c
 		r.res.PECycles += c
 		r.res.PEClassCycles[DegradeClass] += c
 		r.res.PELineCycles[lineRef(p, p.Pos, DegradeClass)] += c

@@ -80,10 +80,7 @@ end program t
 `
 
 // outcome is everything one run through the core reports.
-type outcome struct {
-	*cm2.Result
-	cm2.Split
-}
+type outcome struct{ *cm2.Result }
 
 // eachTarget runs f as one subtest per machine model.
 func eachTarget(t *testing.T, f func(t *testing.T, tg *cm2.Target)) {
@@ -93,8 +90,8 @@ func eachTarget(t *testing.T, f func(t *testing.T, tg *cm2.Target)) {
 }
 
 func run(tg *cm2.Target, prog *fe.Program, ctl *cm2.Control) (outcome, error) {
-	res, split, err := tg.Run(context.Background(), prog, nil, nil, ctl)
-	return outcome{res, split}, err
+	res, err := tg.Run(context.Background(), prog, nil, nil, ctl)
+	return outcome{res}, err
 }
 
 func mustRun(t *testing.T, tg *cm2.Target, prog *fe.Program, ctl *cm2.Control) outcome {
@@ -200,7 +197,7 @@ func TestRunCtlNilZeroOverhead(t *testing.T) {
 	prog := compileCtl(t)
 	eachTarget(t, func(t *testing.T, tg *cm2.Target) {
 		plain := mustRun(t, tg, prog, nil)
-		if plain.Faults != nil || plain.Degrade != 0 {
+		if plain.Faults != nil || plain.Split.Degrade != 0 {
 			t.Error("nil ctl must not attach fault stats or charge degrade cycles")
 		}
 		// An empty Control (no injector, no checkpoints) is also exact.
@@ -396,7 +393,7 @@ func TestResumeRejectsOtherMachine(t *testing.T) {
 				store.Arrays["a"].Data[i] = -7
 			}
 			before := store.Checkpoint()
-			_, _, err := to.Run(context.Background(), prog, store, nil, &cm2.Control{Resume: ck})
+			_, err := to.Run(context.Background(), prog, store, nil, &cm2.Control{Resume: ck})
 			if !errors.Is(err, rt.ErrCkptMachine) {
 				t.Fatalf("want rt.ErrCkptMachine, got %v", err)
 			}
@@ -530,7 +527,7 @@ func TestPEKillDegradesOrAborts(t *testing.T) {
 		if degraded.Faults.Degraded != 1 || len(degraded.Faults.DeadPEs) != 1 {
 			t.Fatalf("stats: %+v", degraded.Faults)
 		}
-		if d := degraded.PEClassCycles[cm2.DegradeClass]; d <= 0 || d != degraded.Degrade {
+		if d := degraded.PEClassCycles[cm2.DegradeClass]; d <= 0 || d != degraded.Split.Degrade {
 			t.Errorf("degrade class %v, split %+v: want equal and positive", d, degraded.Split)
 		}
 		if degraded.PECycles <= clean.PECycles {
@@ -663,7 +660,7 @@ func TestTargetsReportSameSeries(t *testing.T) {
 		col := obs.NewCollector()
 		// The record plane makes the fused loop body refuse its fast path.
 		ctl := &cm2.Control{Numeric: rt.NewNumeric(rt.NumericRecord)}
-		if _, _, err := tg.Run(context.Background(), compileCtl(t), nil, col, ctl); err != nil {
+		if _, err := tg.Run(context.Background(), compileCtl(t), nil, col, ctl); err != nil {
 			t.Fatal(err)
 		}
 		counters, hists = map[string]bool{}, map[string]bool{}

@@ -101,6 +101,9 @@ type Result struct {
 	// sums exactly to PECycles. Host and communication follow the same
 	// rule: each map's values sum exactly to its total.
 	rt.ExecTotals
+	// Split is PECycles by source (per-dispatch setup, vector work,
+	// degradation); Setup is zero on a target without Target.Setup.
+	Split      Split
 	HostCycles float64
 	CommCycles float64
 	CommCalls  int
@@ -151,7 +154,7 @@ func (r *Result) GFLOPS() float64 {
 // layout's nominal subgrid.
 func (m *Machine) Target() *Target {
 	return &Target{
-		Name: "cm2", Unit: "processing element",
+		Name: "cm2", Unit: "PE",
 		Units: m.PEs, Lanes: 1, ClockHz: m.ClockHz,
 		Subgrid: shape.Layout.SubgridSize,
 		PECost:  m.PECost, CommCost: m.CommCost, HostCost: m.HostCost,
@@ -163,6 +166,5 @@ func (m *Machine) Target() *Target {
 // Machine is never mutated by a run, so one *Machine may serve any
 // number of concurrent RunCtx calls.
 func (m *Machine) RunCtx(ctx context.Context, prog *fe.Program, store *rt.Store, rec obs.Recorder, ctl *Control) (*Result, error) {
-	res, _, err := m.Target().Run(ctx, prog, store, rec, ctl)
-	return res, err
+	return m.Target().Run(ctx, prog, store, rec, ctl)
 }

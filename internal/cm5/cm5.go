@@ -78,15 +78,6 @@ func Default() *Machine {
 	}
 }
 
-// Result extends the common execution result with the three-way split's
-// node-level breakdown.
-type Result struct {
-	cm2.Result
-	VUCycles      float64 // vector-datapath time
-	SPARCCycles   float64 // node SPARC issue/setup time
-	DegradeCycles float64 // dead-node remaps and buddy double-duty (fault plane)
-}
-
 // Target describes this CM-5 to the run core — the whole retarget: the
 // control processor has already broadcast the block (host side); each
 // node's SPARC unpacks arguments and kicks off its vector units (Setup),
@@ -94,7 +85,7 @@ type Result struct {
 // layouts are counted exactly per node (partition.NodeSubgridSize).
 func (m *Machine) Target() *cm2.Target {
 	return &cm2.Target{
-		Name: "cm5", Unit: "processing node",
+		Name: "cm5", Unit: "node",
 		Units: m.Nodes, Lanes: m.VUsPerNode, ClockHz: m.ClockHz,
 		Setup:   func(r *peac.Routine) float64 { return m.NodeSetup + float64(len(r.Params))*2 },
 		Subgrid: partition.NodeSubgridSize,
@@ -107,12 +98,9 @@ func (m *Machine) Target() *cm2.Target {
 // and ctx). The input is the same fe.Program the CM/2 consumes: the
 // front end is target-independent. Node cycles are attributed to the
 // PEAC instruction classes (vector-unit time) plus cm2.SetupClass for
-// the node SPARC's block setup. The Machine is never mutated by a run,
-// so one *Machine may serve concurrent RunCtx calls.
-func (m *Machine) RunCtx(ctx context.Context, prog *fe.Program, rec obs.Recorder, ctl *cm2.Control) (*Result, error) {
-	res, split, err := m.Target().Run(ctx, prog, nil, rec, ctl)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Result: *res, VUCycles: split.Vector, SPARCCycles: split.Setup, DegradeCycles: split.Degrade}, nil
+// the node SPARC's block setup; Result.Split is the three-way split's
+// node-level breakdown. The Machine is never mutated by a run, so one
+// *Machine may serve concurrent RunCtx calls.
+func (m *Machine) RunCtx(ctx context.Context, prog *fe.Program, rec obs.Recorder, ctl *cm2.Control) (*cm2.Result, error) {
+	return m.Target().Run(ctx, prog, nil, rec, ctl)
 }

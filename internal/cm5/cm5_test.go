@@ -84,11 +84,12 @@ func TestCM5ThreeWaySplitAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SPARCCycles <= 0 || res.VUCycles <= 0 || res.HostCycles <= 0 {
+	sp := res.Split
+	if sp.Setup <= 0 || sp.Vector <= 0 || res.HostCycles <= 0 {
 		t.Fatalf("three-way split not accounted: %+v", res)
 	}
-	if res.PECycles != res.VUCycles+res.SPARCCycles {
-		t.Fatalf("PECycles %v != VU %v + SPARC %v", res.PECycles, res.VUCycles, res.SPARCCycles)
+	if res.PECycles != sp.Vector+sp.Setup {
+		t.Fatalf("PECycles %v != VU %v + SPARC %v", res.PECycles, sp.Vector, sp.Setup)
 	}
 }
 

@@ -2,13 +2,11 @@ package driver
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
 	"f90y"
 	"f90y/internal/cm2"
-	"f90y/internal/cm5"
 	"f90y/internal/obs"
 	"f90y/internal/obs/profile"
 	"f90y/internal/rt"
@@ -24,40 +22,28 @@ type Job struct {
 	// File and Source are the program to compile.
 	File   string
 	Source string
-	// Config selects the optimization levels, the CM/2 machine (for
-	// the cm2 target), and the per-job recorder.
+	// Config selects the optimization levels, the distribution
+	// overrides and the per-job recorder.
 	Config f90y.Config
-	// Target is "cm2" (the default when empty) or "cm5".
-	Target string
-	// CM5 overrides the CM-5 configuration for the cm5 target; nil
-	// means cm5.Default().
-	CM5 *cm5.Machine
+	// Machine is the machine the job runs on — a row of Targets, a
+	// resized copy of one (Target), or any other value; nil means the
+	// table's default. It is the only machine Run consults.
+	Machine *cm2.Target
 	// Ctl is the job's execution control plane (fault injection,
 	// checkpoints, resume, budget). Run fills the service's budget and
 	// the executor width into whichever of the two the job left zero.
 	Ctl cm2.Control
 }
 
-// RunResult is one job's outcome. Exactly one of CM2/CM5 is set on
-// success, matching the job's target.
+// RunResult is one job's outcome: Result on success, Err otherwise.
 type RunResult struct {
 	Job      Job
 	Artifact *Artifact
 	// Cached reports that the artifact was resident and finished when
 	// the job looked it up (see Service.CompileCached).
 	Cached bool
-	CM2    *cm2.Result
-	CM5    *cm5.Result
+	Result *cm2.Result
 	Err    error
-}
-
-// Result returns the target-independent execution result (the CM-5
-// result embeds the common form); nil when the job failed.
-func (r *RunResult) Result() *cm2.Result {
-	if r.CM5 != nil {
-		return &r.CM5.Result
-	}
-	return r.CM2
 }
 
 // Profile builds the job's source-line cycle profile from the result's
@@ -67,7 +53,7 @@ func (r *RunResult) Result() *cm2.Result {
 // with the job's own source attached for the annotated view. Nil when
 // the job failed or its target recorded no attribution.
 func (r *RunResult) Profile() *profile.Profile {
-	res := r.Result()
+	res := r.Result
 	if res == nil || (len(res.PELineCycles) == 0 && len(res.CommLineCycles) == 0) {
 		return nil
 	}
@@ -103,22 +89,11 @@ func (s *Service) Run(ctx context.Context, job Job) RunResult {
 	if ctl.ExecWorkers == 0 {
 		ctl.ExecWorkers = execWidth(runtime.GOMAXPROCS(0), s.workers)
 	}
-	switch job.Target {
-	case "", "cm2":
-		m := job.Config.Machine
-		if m == nil {
-			m = cm2.Default()
-		}
-		res.CM2, res.Err = m.RunCtx(ctx, art.Program, nil, rec, &ctl)
-	case "cm5":
-		m := job.CM5
-		if m == nil {
-			m = cm5.Default()
-		}
-		res.CM5, res.Err = m.RunCtx(ctx, art.Program, rec, &ctl)
-	default:
-		res.Err = fmt.Errorf("driver: job %s: unknown target %q", job.Name, job.Target)
+	m := job.Machine
+	if m == nil {
+		m = Targets[0]
 	}
+	res.Result, res.Err = m.Run(ctx, art.Program, nil, rec, &ctl)
 	return res
 }
 

@@ -67,19 +67,19 @@ func storeBits(st *rt.Store) map[string][]uint64 {
 // both targets: checkpoint at every boundary, resume from each one,
 // and the final store is bit-identical to the uninterrupted run's.
 func TestCheckpointCarriesNaNAndInf(t *testing.T) {
-	for _, target := range []string{"cm2", "cm5"} {
-		t.Run(target, func(t *testing.T) {
+	for _, m := range Targets {
+		t.Run(m.Name, func(t *testing.T) {
 			svc := New(1)
 			run := func(ctl cm2.Control) *cm2.Result {
 				t.Helper()
 				res := svc.Run(context.Background(), Job{
 					Name: "special", File: "special.f90", Source: specialSrc,
-					Config: f90y.DefaultConfig(), Target: target, Ctl: ctl,
+					Config: f90y.DefaultConfig(), Machine: m, Ctl: ctl,
 				})
 				if res.Err != nil {
 					t.Fatal(res.Err)
 				}
-				return res.Result()
+				return res.Result
 			}
 			clean := run(cm2.Control{})
 			want := storeBits(clean.Store)

@@ -12,8 +12,8 @@ import (
 	"f90y/internal/rt"
 )
 
-// FaultsHelp is the one -faults usage string shared by f90yc, f90yrun,
-// and swebench, so the documented key list cannot drift between
+// FaultsHelp is the one -faults usage string shared by f90yrun and
+// swebench, so the documented key list cannot drift between
 // commands (see internal/faults.ParseSpec for semantics).
 const FaultsHelp = "fault-injection spec, e.g. seed=7,pe=0.01,drop=0.001,fatal=200 " +
 	"(keys: seed, pe, drop, corrupt, delay, stall, retries, backoff, backoff-cap, " +
@@ -76,9 +76,9 @@ func (o ControlOptions) Build(file string, rec obs.Recorder) (cm2.Control, error
 	return ctl, nil
 }
 
-// ProfileOptions bundles the -profile* CLI flags shared by f90yrun and
-// swebench: the text hot-line report and the two file artifacts built
-// from the same source-line cycle attribution.
+// ProfileOptions bundles f90yrun's -profile* flags: the text hot-line
+// report and the two file artifacts built from the same source-line
+// cycle attribution.
 type ProfileOptions struct {
 	Text   bool   // -profile: annotated source listing
 	Pprof  string // -profile-pprof: gzipped pprof protobuf path ("" = off)
@@ -106,88 +106,31 @@ func (o ProfileOptions) Emit(p *profile.Profile, w, logw io.Writer) error {
 			return err
 		}
 	}
-	write := func(path, kind string, render func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(logw, "%s profile written to %s\n", kind, path)
-		return nil
-	}
 	if o.Pprof != "" {
-		if err := write(o.Pprof, "pprof", p.WritePprof); err != nil {
+		if err := WriteFile(o.Pprof, p.WritePprof); err != nil {
 			return err
 		}
+		fmt.Fprintf(logw, "pprof profile written to %s\n", o.Pprof)
 	}
 	if o.Folded != "" {
-		if err := write(o.Folded, "folded-stacks", p.WriteFolded); err != nil {
+		if err := WriteFile(o.Folded, p.WriteFolded); err != nil {
 			return err
 		}
+		fmt.Fprintf(logw, "folded-stacks profile written to %s\n", o.Folded)
 	}
 	return nil
 }
 
-// Telemetry is the -metrics/-trace wiring shared by the commands: one
-// collector behind both flags, a text report, and a Chrome trace file.
-type Telemetry struct {
-	Metrics   bool
-	TracePath string
-	// Col is non-nil whenever any telemetry output is requested; extra
-	// consumers (f90yc's -v and stats dump) may set it directly.
-	Col *obs.Collector
-}
-
-// NewTelemetry builds the wiring, creating the collector when any
-// output is requested.
-func NewTelemetry(metrics bool, tracePath string) *Telemetry {
-	t := &Telemetry{Metrics: metrics, TracePath: tracePath}
-	if metrics || tracePath != "" {
-		t.Col = obs.NewCollector()
-	}
-	return t
-}
-
-// Recorder is the collector as a nil-safe obs.Recorder for Config.Obs.
-func (t *Telemetry) Recorder() obs.Recorder {
-	if t.Col == nil {
-		return nil
-	}
-	return t.Col
-}
-
-// Report writes the text telemetry report to w when -metrics is set.
-func (t *Telemetry) Report(w io.Writer) {
-	if t.Metrics && t.Col != nil {
-		fmt.Fprint(w, t.Col.Report())
-	}
-}
-
-// WriteTrace writes the Chrome trace_event file when -trace is set,
-// noting the path on logw.
-func (t *Telemetry) WriteTrace(logw io.Writer) error {
-	if t.TracePath == "" {
-		return nil
-	}
-	f, err := os.Create(t.TracePath)
+// WriteFile creates path and renders an artifact (a profile, a trace)
+// into it, reporting the first of the render and close errors.
+func WriteFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := t.Col.WriteTrace(f); err == nil {
-		err = f.Close()
-	} else {
+	if err := render(f); err != nil {
 		f.Close()
-	}
-	if err != nil {
 		return err
 	}
-	fmt.Fprintf(logw, "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", t.TracePath)
-	return nil
+	return f.Close()
 }

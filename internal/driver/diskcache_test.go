@@ -35,7 +35,7 @@ func runThrough(t *testing.T, svc *Service) (*Artifact, []string, float64) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	r := res.Result()
+	r := res.Result
 	return res.Artifact, r.Output, r.TotalCycles()
 }
 
@@ -128,15 +128,15 @@ func TestDiskCacheKeepsShiftViews(t *testing.T) {
 		for _, sym := range res.Artifact.Program.Syms.All() {
 			if sym.ShiftView {
 				marked++
-				if a := res.Result().Store.Arrays[sym.Name]; a.Data != nil || !a.ShiftView {
+				if a := res.Result.Store.Arrays[sym.Name]; a.Data != nil || !a.ShiftView {
 					t.Errorf("service %d: %s owns memory after the run", i, sym.Name)
 				}
 			}
 		}
-		if marked != 1 || len(res.Result().Store.Materialized) != 0 {
-			t.Errorf("service %d: %d symbols marked, materialized %v", i, marked, res.Result().Store.Materialized)
+		if marked != 1 || len(res.Result.Store.Materialized) != 0 {
+			t.Errorf("service %d: %d symbols marked, materialized %v", i, marked, res.Result.Store.Materialized)
 		}
-		outs[i] = res.Result().Output
+		outs[i] = res.Result.Output
 	}
 	if !reflect.DeepEqual(outs[0], outs[1]) {
 		t.Errorf("restored program printed %q, compiled %q", outs[1], outs[0])

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -99,15 +100,15 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 func TestConcurrentBatchMatchesSerial(t *testing.T) {
 	jobs := func() []Job {
 		var js []Job
-		for i, target := range []string{"cm2", "cm5", "cm2", "cm5"} {
+		for i, m := range slices.Concat(Targets, Targets) {
 			cfg := f90y.DefaultConfig()
 			cfg.Obs = obs.NewCollector()
 			js = append(js, Job{
-				Name:   fmt.Sprintf("swe-%s-%d", target, i),
-				File:   "swe.f90",
-				Source: workload.SWE(32, 2),
-				Config: cfg,
-				Target: target,
+				Name:    fmt.Sprintf("swe-%s-%d", m.Name, i),
+				File:    "swe.f90",
+				Source:  workload.SWE(32, 2),
+				Config:  cfg,
+				Machine: m,
 			})
 		}
 		cfg := f90y.Config{Opt: f90y.DefaultConfig().Opt, PE: pe.Naive}
@@ -124,7 +125,7 @@ func TestConcurrentBatchMatchesSerial(t *testing.T) {
 		if serial[i].Err != nil || parallel[i].Err != nil {
 			t.Fatalf("job %d errors: serial=%v parallel=%v", i, serial[i].Err, parallel[i].Err)
 		}
-		s, p := resultFingerprint(serial[i].Result()), resultFingerprint(parallel[i].Result())
+		s, p := resultFingerprint(serial[i].Result), resultFingerprint(parallel[i].Result)
 		if s != p {
 			t.Errorf("job %d (%s) differs:\nserial   %s\nparallel %s", i, serial[i].Job.Name, s, p)
 		}
@@ -301,10 +302,11 @@ func TestServiceBudgetKillsRunaway(t *testing.T) {
 	src := "program loop\ninteger :: i\ni = 0\ndo while (i < 1)\n  i = i * 1\nend do\nend program loop\n"
 	svc := New(2)
 	svc.MaxCycles = 100_000
-	for _, target := range []string{"cm2", "cm5"} {
+	for _, m := range Targets {
+		target := m.Name
 		res := svc.Run(context.Background(), Job{
 			Name: "runaway", File: "loop.f90", Source: src,
-			Config: f90y.DefaultConfig(), Target: target,
+			Config: f90y.DefaultConfig(), Machine: m,
 		})
 		if !errors.Is(res.Err, rt.ErrBudget) {
 			t.Errorf("%s: want rt.ErrBudget, got %v", target, res.Err)

@@ -19,10 +19,11 @@ import (
 func TestRunResultProfileConservesCycles(t *testing.T) {
 	svc := New(1)
 	src := workload.SWE(32, 2)
-	for _, target := range []string{"cm2", "cm5"} {
+	for _, m := range Targets {
+		target := m.Name
 		res := svc.Run(context.Background(), Job{
 			Name: target, File: "swe.f90", Source: src,
-			Config: f90y.DefaultConfig(), Target: target,
+			Config: f90y.DefaultConfig(), Machine: m,
 		})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", target, res.Err)
@@ -31,7 +32,7 @@ func TestRunResultProfileConservesCycles(t *testing.T) {
 		if p == nil {
 			t.Fatalf("%s: no profile from a successful run", target)
 		}
-		if got, want := p.Total(), res.Result().PECycles+res.Result().CommCycles; got != want {
+		if got, want := p.Total(), res.Result.PECycles+res.Result.CommCycles; got != want {
 			t.Errorf("%s: profile total %v, PECycles+CommCycles %v (attribution must conserve cycles)", target, got, want)
 		}
 

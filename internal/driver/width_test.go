@@ -56,26 +56,27 @@ func TestRunDerivesExecutorWidth(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 
 	svc := New(1)
-	run := func(src, target string, ctl cm2.Control) (*cm2.Result, map[string]float64) {
+	run := func(src string, m *cm2.Target, ctl cm2.Control) (*cm2.Result, map[string]float64) {
 		t.Helper()
 		col := obs.NewCollector()
 		cfg := f90y.DefaultConfig()
 		cfg.Obs = col
-		res := svc.Run(context.Background(), Job{Name: "w", File: "w.f90", Source: src, Config: cfg, Target: target, Ctl: ctl})
+		res := svc.Run(context.Background(), Job{Name: "w", File: "w.f90", Source: src, Config: cfg, Machine: m, Ctl: ctl})
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		return res.Result(), poolCounters(col)
+		return res.Result, poolCounters(col)
 	}
 
 	big := workload.SWE(96, 2)   // 9,216 elements: three chunks
 	small := workload.SWE(16, 2) // 256 elements: one chunk
-	for _, target := range []string{"cm2", "cm5"} {
-		wide, pool := run(big, target, cm2.Control{})
+	for _, m := range Targets {
+		target := m.Name
+		wide, pool := run(big, m, cm2.Control{})
 		if pool["execpool/workers"] == 0 {
 			t.Errorf("%s: a 3-chunk program on 4 cores recorded no pool workers: %v", target, pool)
 		}
-		serial, pool := run(big, target, cm2.Control{ExecWorkers: 1})
+		serial, pool := run(big, m, cm2.Control{ExecWorkers: 1})
 		if len(pool) != 0 {
 			t.Errorf("%s: the job's own ExecWorkers=1 did not win: %v", target, pool)
 		}
@@ -88,7 +89,7 @@ func TestRunDerivesExecutorWidth(t *testing.T) {
 		if !reflect.DeepEqual(storeBits(wide.Store), storeBits(serial.Store)) {
 			t.Errorf("%s: derived width changed the store", target)
 		}
-		if _, pool := run(small, target, cm2.Control{}); len(pool) != 0 {
+		if _, pool := run(small, m, cm2.Control{}); len(pool) != 0 {
 			t.Errorf("%s: a single-chunk program left the inline path: %v", target, pool)
 		}
 	}

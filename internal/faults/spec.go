@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// ParseSpec parses the CLI fault-plan syntax shared by f90yc, f90yrun,
-// and swebench:
+// ParseSpec parses the fault-plan syntax shared by f90yrun, swebench
+// and a served request's "faults" field:
 //
 //	-faults seed=S,pe=P,drop=D,corrupt=C,delay=L,stall=T,...
 //

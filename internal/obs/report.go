@@ -14,7 +14,7 @@ const foldPast = 8
 // Report renders the collector as a fixed-width text table: phases
 // (spans) in start order with nesting shown by indentation, counters in
 // sorted order, then histograms. It is the one formatting path shared by
-// f90yc -v, f90yc -metrics, and f90yrun -metrics.
+// f90yc -v, f90yc -dump stats, and f90yrun -metrics.
 func (c *Collector) Report() string {
 	spans := c.Spans()
 	counters := c.Counters()

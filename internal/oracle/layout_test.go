@@ -1,8 +1,16 @@
 package oracle
 
 import (
+	"slices"
 	"testing"
 
+	"f90y"
+	"f90y/internal/cm2"
+	"f90y/internal/cm5"
+	"f90y/internal/driver"
+	"f90y/internal/partition"
+	"f90y/internal/peac"
+	"f90y/internal/rt"
 	"f90y/internal/workload"
 )
 
@@ -57,6 +65,67 @@ func TestVerifyLayoutKernels(t *testing.T) {
 		}
 		if rep.Divergence != nil {
 			t.Errorf("%s: divergence %s", c.name, rep.Divergence)
+		}
+	}
+}
+
+// TestVerifyChecksWhatRan: the oracle verifies the program the caller
+// ran, not the source as written. `f90yrun -distribute x=cyclic -verify`
+// and a served `"verify": true` pass their job's config; the override
+// must reach the verified runs — the FFT's shifts leave the NEWS grid
+// for the router under CYCLIC — and still agree everywhere.
+func TestVerifyChecksWhatRan(t *testing.T) {
+	src := workload.LayoutFFT(8192, 6, nil)
+	router := func(o Options) float64 {
+		t.Helper()
+		rep, err := Verify("fft.f90", src, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Runs[0].CommClassCycles[rt.CommRouter]
+	}
+	cfg := f90y.DefaultConfig()
+	cfg.Distribute = []string{"x=cyclic", "y=cyclic"}
+	if asWritten, asRun := router(Options{}), router(Options{Config: &cfg}); asWritten != 0 || asRun == 0 {
+		t.Errorf("router cycles: %v as written (want 0), %v under the override (want > 0)", asWritten, asRun)
+	}
+}
+
+// TestOracleThirdTarget: a third machine is one value. A 256-node,
+// 2-lane CM-5 written here as a Target literal joins the table's two,
+// and every machine pair still agrees bit for bit (interpreter against
+// each within the tolerance) on SWE and the layout trio.
+func TestOracleThirdTarget(t *testing.T) {
+	m := cm5.Default()
+	small := &cm2.Target{
+		Name: "cm5-256", Unit: "node",
+		Units: 256, Lanes: 2, ClockHz: m.ClockHz,
+		Setup:   func(r *peac.Routine) float64 { return m.NodeSetup },
+		Subgrid: partition.NodeSubgridSize,
+		PECost:  m.VUCost, CommCost: m.CommCost, HostCost: m.HostCost,
+	}
+	targets := append(slices.Clone(driver.Targets), small)
+	for name, src := range map[string]string{
+		"swe":       workload.SWE(64, 2),
+		"transpose": workload.LayoutTranspose(16, 2, nil),
+		"fft":       workload.LayoutFFT(64, 6, nil),
+		"gather":    workload.LayoutGather(64, 2, nil),
+	} {
+		pairwise, err := Verify(name+".f90", src, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep, err := Verify(name+".f90", src, Options{Targets: targets})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if got := rep.Backends; len(got) != 4 || got[3] != small.Name {
+			t.Errorf("%s: backends %v, want interp, the table, %s", name, got, small.Name)
+		}
+		// Three backends make three pairs, four make six.
+		if rep.Elems != 2*pairwise.Elems {
+			t.Errorf("%s: %d values compared over four backends, %d over three: want twice as many", name, rep.Elems, pairwise.Elems)
 		}
 	}
 }

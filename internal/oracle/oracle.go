@@ -1,10 +1,10 @@
 // Package oracle implements differential execution verification: one
-// program is run on the reference interpreter and on both simulated
-// machine backends (CM/2 and CM-5), and the final stores are
-// cross-checked value-for-value. The interpreter evaluates the AST
-// directly — no lowering, no partitioning, no machine model — so any
-// disagreement localizes a bug to the compiled pipeline (or, less
-// often, to the interpreter itself). On top of the verifier, soak.go
+// program is run on the reference interpreter and on every simulated
+// machine of the target table (driver.Targets: CM/2 and CM-5), and the
+// final stores are cross-checked value-for-value. The interpreter
+// evaluates the AST directly — no lowering, no partitioning, no machine
+// model — so any disagreement localizes a bug to the compiled pipeline
+// (or, less often, to the interpreter itself). On top of the verifier, soak.go
 // builds a chaos harness asserting the fault-invariance property:
 // injected faults may change cycle totals but never numerical results.
 //
@@ -15,9 +15,9 @@
 // the interpreter evaluates expressions as written while the compiled
 // pipeline may reassociate (e.g. FMADD contraction, reduction-tree
 // order), so bit-exactness between the two is not a sound requirement —
-// but a small ULP envelope is. The two machine backends share one PEAC
-// executor, so cm2-vs-cm5 is checked bit-exact (0 ULPs), as is every
-// faulted-vs-baseline pair in the soak harness. PRINT output is
+// but a small ULP envelope is. The machine backends share one PEAC
+// executor, so every machine pair is checked bit-exact (0 ULPs), as is
+// every faulted-vs-baseline pair in the soak harness. PRINT output is
 // compared byte-for-byte between the machine backends and against the
 // interpreter (both sides format through the same %g rules).
 package oracle
@@ -33,7 +33,7 @@ import (
 	"f90y"
 	"f90y/internal/ast"
 	"f90y/internal/cm2"
-	"f90y/internal/cm5"
+	"f90y/internal/driver"
 	"f90y/internal/interp"
 	"f90y/internal/nir"
 	"f90y/internal/rt"
@@ -55,16 +55,20 @@ type Options struct {
 	// ULPs is the interpreter-vs-backend tolerance for real values;
 	// zero means DefaultULPs. Machine-vs-machine is always 0.
 	ULPs uint64
-	// Machine is the CM/2 configuration; nil means cm2.Default().
-	Machine *cm2.Machine
-	// CM5 is the CM-5 configuration; nil means cm5.Default().
-	CM5 *cm5.Machine
+	// Config is the compile configuration of the run being verified —
+	// optimization levels and distribution overrides — so the oracle
+	// checks the program that ran, not the source as written; nil means
+	// f90y.DefaultConfig(). Its recorder is not used.
+	Config *f90y.Config
+	// Targets are the machines run and cross-checked; nil means the
+	// table, driver.Targets.
+	Targets []*cm2.Target
 	// MaxCycles bounds each backend run (rt.ErrBudget on overrun);
 	// zero disables the watchdog.
 	MaxCycles float64
 	// ExecWorkers forces each machine backend's executor width (see
 	// cm2.Control.ExecWorkers; zero is serial). Because the sharded
-	// executor is bit-exact, the cm2-vs-cm5 0-ULP check and the
+	// executor is bit-exact, the machine-pair 0-ULP check and the
 	// interpreter tolerance are unchanged.
 	ExecWorkers int
 	// InterpSteps bounds the interpreter (interp.ErrSteps on overrun);
@@ -104,20 +108,30 @@ func (d *Divergence) String() string {
 // Report summarizes one verification.
 type Report struct {
 	File       string      `json:"file"`
-	Backends   []string    `json:"backends"`
-	Vars       int         `json:"vars"`  // variables cross-checked
-	Elems      int         `json:"elems"` // total values compared per backend pair
+	Backends   []string    `json:"backends"` // "interp", then each machine's name
+	Vars       int         `json:"vars"`     // variables cross-checked
+	Elems      int         `json:"elems"`    // total values compared per backend pair
 	Divergence *Divergence `json:"divergence,omitempty"`
+	// Runs are the machine runs that were compared, in Backends order
+	// (Runs[i] ran on Backends[i+1]).
+	Runs []*cm2.Result `json:"-"`
 }
 
-// Verify compiles and runs the program on all three backends and
-// cross-checks the results. A nil error means full agreement; a
-// divergence returns the report and an error wrapping ErrDivergence;
-// any compile or run failure is returned as-is.
+// Verify compiles the program once and runs it on the interpreter and
+// on every target, then cross-checks the results: interpreter against
+// each machine at the ULP tolerance, each machine pair bit-exact. A nil
+// error means full agreement; a divergence returns the report and an
+// error wrapping ErrDivergence; any compile or run failure is returned
+// as-is.
 func Verify(file, src string, o Options) (*Report, error) {
 	cfg := f90y.DefaultConfig()
-	if o.Machine != nil {
-		cfg.Machine = o.Machine
+	if o.Config != nil {
+		cfg = *o.Config
+		cfg.Obs = nil
+	}
+	targets := o.Targets
+	if targets == nil {
+		targets = driver.Targets
 	}
 	comp, err := f90y.Compile(file, src, cfg)
 	if err != nil {
@@ -140,49 +154,41 @@ func Verify(file, src string, o Options) (*Report, error) {
 		return nil, fmt.Errorf("oracle: interp: %w", err)
 	}
 	ctl := &cm2.Control{MaxCycles: o.MaxCycles, ExecWorkers: o.ExecWorkers}
-	m2 := o.Machine
-	if m2 == nil {
-		m2 = cm2.Default()
-	}
-	r2, err := m2.RunCtx(context.Background(), comp.Program, nil, nil, ctl)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: cm2: %w", err)
-	}
-	m5 := o.CM5
-	if m5 == nil {
-		m5 = cm5.Default()
-	}
-	r5, err := m5.RunCtx(context.Background(), comp.Program, nil, ctl)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: cm5: %w", err)
+	rep := &Report{File: file, Backends: []string{"interp"}}
+	states := []*state{interpState(comp, im)}
+	for _, t := range targets {
+		res, err := t.Run(context.Background(), comp.Program, nil, nil, ctl)
+		if err != nil {
+			return nil, fmt.Errorf("oracle: %s: %w", t.Name, err)
+		}
+		rep.Backends = append(rep.Backends, t.Name)
+		rep.Runs = append(rep.Runs, res)
+		states = append(states, storeState(t.Name, comp, res.Store, res.Output))
 	}
 
 	skip := loopVars(comp.AST)
-	si := interpState(comp, im)
-	s2 := storeState("cm2", comp, r2.Store, r2.Output)
-	s5 := storeState("cm5", comp, r5.Store, r5.Output)
-
 	ulps := o.ULPs
 	if ulps == 0 {
 		ulps = DefaultULPs
 	}
-	rep := &Report{File: file, Backends: []string{"interp", "cm2", "cm5"}}
-	for _, pair := range []struct {
-		a, b *state
-		tol  uint64
-	}{
-		{si, s2, ulps},
-		{si, s5, ulps},
-		{s2, s5, 0}, // shared PEAC executor: must be bit-exact
-	} {
-		d, vars, elems := compare(pair.a, pair.b, pair.tol, skip)
-		if vars > rep.Vars {
-			rep.Vars = vars
+	// Every pair: the interpreter (states[0]) against each machine within
+	// the tolerance, then machine against machine — one shared PEAC
+	// executor, so bit-exact.
+	for i, a := range states {
+		tol := uint64(0)
+		if i == 0 {
+			tol = ulps
 		}
-		rep.Elems += elems
-		if d != nil {
-			rep.Divergence = d
-			return rep, fmt.Errorf("oracle: %s: %s: %w", file, d, ErrDivergence)
+		for _, b := range states[i+1:] {
+			d, vars, elems := compare(a, b, tol, skip)
+			if vars > rep.Vars {
+				rep.Vars = vars
+			}
+			rep.Elems += elems
+			if d != nil {
+				rep.Divergence = d
+				return rep, fmt.Errorf("oracle: %s: %s: %w", file, d, ErrDivergence)
+			}
 		}
 	}
 	return rep, nil

@@ -9,12 +9,11 @@ import (
 
 	"f90y"
 	"f90y/internal/cm2"
-	"f90y/internal/cm5"
 	"f90y/internal/driver"
 	"f90y/internal/faults"
 )
 
-// The chaos-soak harness sweeps seeds x fault plans x backends and
+// The chaos-soak harness sweeps seeds x fault plans x machines and
 // asserts the fault-invariance property: every fault the runtime
 // recovers from — dropped or corrupted transfers (retransmitted),
 // delayed transfers, host stalls, PE deaths absorbed by graceful
@@ -44,9 +43,9 @@ type SoakOptions struct {
 	// ReproDir receives one f90y-repro/v1 JSON file per violation;
 	// empty disables reproducer files.
 	ReproDir string
-	// Machine and CM5 override the backend configurations.
-	Machine *cm2.Machine
-	CM5     *cm5.Machine
+	// Targets are the machines swept; nil means the table,
+	// driver.Targets.
+	Targets []*cm2.Target
 }
 
 // Violation is one fault-invariance failure: a recovered-fault run
@@ -85,12 +84,11 @@ func DefaultPlans() []faults.Plan {
 	}
 }
 
-// Soak sweeps each program across both machine backends under
-// seeds x plans, comparing every faulted run bit-exact against the
-// per-backend baseline on svc's worker pool. Violations are minimized
-// and (when ReproDir is set) written as reproducer specs. The returned
-// error covers harness failures only; violations and run errors are in
-// the report.
+// Soak sweeps each program across every target under seeds x plans,
+// comparing every faulted run bit-exact against the per-target baseline
+// on svc's worker pool. Violations are minimized and (when ReproDir is
+// set) written as reproducer specs. The returned error covers harness
+// failures only; violations and run errors are in the report.
 func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptions) (*SoakReport, error) {
 	seeds := o.Seeds
 	if len(seeds) == 0 {
@@ -101,17 +99,17 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 		plans = DefaultPlans()
 	}
 	cfg := f90y.DefaultConfig()
-	if o.Machine != nil {
-		cfg.Machine = o.Machine
+	targets := o.Targets
+	if targets == nil {
+		targets = driver.Targets
 	}
-	backends := []string{"cm2", "cm5"}
 
 	// One flat batch: per (program, backend) a baseline job plus
 	// seeds x plans faulted jobs. Each faulted job gets its own
 	// injector — injectors are stateful and not concurrency-safe.
 	type jobMeta struct {
 		prog     int
-		backend  string
+		target   *cm2.Target
 		seed     int64
 		plan     faults.Plan
 		baseline bool
@@ -126,22 +124,21 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 			ctl.Faults = faults.New(&p, nil)
 		}
 		jobs = append(jobs, driver.Job{
-			Name:   fmt.Sprintf("%s/%s", progs[m.prog].Name, m.backend),
-			File:   progs[m.prog].File,
-			Source: progs[m.prog].Source,
-			Config: cfg,
-			Target: m.backend,
-			CM5:    o.CM5,
-			Ctl:    ctl,
+			Name:    fmt.Sprintf("%s/%s", progs[m.prog].Name, m.target.Name),
+			File:    progs[m.prog].File,
+			Source:  progs[m.prog].Source,
+			Config:  cfg,
+			Machine: m.target,
+			Ctl:     ctl,
 		})
 		metas = append(metas, m)
 	}
 	for pi := range progs {
-		for _, be := range backends {
-			addJob(jobMeta{prog: pi, backend: be, baseline: true})
+		for _, t := range targets {
+			addJob(jobMeta{prog: pi, target: t, baseline: true})
 			for _, seed := range seeds {
 				for _, plan := range plans {
-					addJob(jobMeta{prog: pi, backend: be, seed: seed, plan: plan})
+					addJob(jobMeta{prog: pi, target: t, seed: seed, plan: plan})
 				}
 			}
 		}
@@ -149,23 +146,15 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 	results := svc.RunBatch(ctx, jobs)
 
 	rep := &SoakReport{Programs: len(progs)}
-	baselines := map[string]*cm2.Result{}
-	for i, m := range metas {
-		if !m.baseline {
-			continue
-		}
-		key := fmt.Sprintf("%d/%s", m.prog, m.backend)
-		if err := results[i].Err; err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s baseline: %v", jobs[i].Name, err))
-			continue
-		}
-		baselines[key] = results[i].Result()
-	}
+	// Each (program, target) group is its baseline, then its faulted runs.
+	var base *cm2.Result
 	for i, m := range metas {
 		if m.baseline {
+			if base = results[i].Result; base == nil {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s baseline: %v", jobs[i].Name, results[i].Err))
+			}
 			continue
 		}
-		base := baselines[fmt.Sprintf("%d/%s", m.prog, m.backend)]
 		if base == nil {
 			continue // baseline failed; already recorded
 		}
@@ -175,7 +164,7 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 				fmt.Sprintf("%s seed=%d %s: %v", jobs[i].Name, m.seed, specOf(withSeed(m.plan, m.seed)), err))
 			continue
 		}
-		d := diffResults(m.backend+"/baseline", m.backend+"/faulted", base, results[i].Result())
+		d := diffResults(m.target.Name+"/baseline", m.target.Name+"/faulted", base, results[i].Result)
 		if d == nil {
 			continue
 		}
@@ -183,16 +172,16 @@ func Soak(ctx context.Context, svc *driver.Service, progs []Program, o SoakOptio
 		minimized := minimize(withSeed(m.plan, m.seed), func(cand faults.Plan) bool {
 			r := svc.Run(ctx, driver.Job{
 				Name: jobs[i].Name, File: prog.File, Source: prog.Source,
-				Config: cfg, Target: m.backend, CM5: o.CM5,
+				Config: cfg, Machine: m.target,
 				Ctl: cm2.Control{MaxCycles: o.MaxCycles, Faults: faults.New(&cand, nil)},
 			})
 			if r.Err != nil {
 				return false
 			}
-			return diffResults("a", "b", base, r.Result()) != nil
+			return diffResults("a", "b", base, r.Result) != nil
 		})
 		v := Violation{
-			Program: prog.Name, Backend: m.backend, Seed: m.seed,
+			Program: prog.Name, Backend: m.target.Name, Seed: m.seed,
 			Spec: specOf(minimized), Divergence: d,
 		}
 		if o.ReproDir != "" {

@@ -156,17 +156,14 @@ func (d *durable) writeSpill(id string, ck *rt.Checkpoint) (int, error) {
 	return len(data), nil
 }
 
-// readSpill loads the checkpoint of a job bound for target ("" is the
-// cm2 default); integrity failures surface as rt.ErrCkptTruncated /
-// rt.ErrCkptCorrupt and an intact spill of the other machine as
+// readSpill loads the checkpoint of a job bound for the machine named
+// target; integrity failures surface as rt.ErrCkptTruncated /
+// rt.ErrCkptCorrupt and an intact spill of another machine as
 // rt.ErrCkptMachine, exactly like the CLI path.
 func (d *durable) readSpill(id, target string) (*rt.Checkpoint, error) {
 	ck, err := rt.ReadCheckpoint(d.spillPath(id))
 	if err != nil {
 		return nil, err
-	}
-	if target == "" {
-		target = "cm2"
 	}
 	if ck.Machine != target {
 		return nil, fmt.Errorf("spill of a %q run, job targets %s: %w", ck.Machine, target, rt.ErrCkptMachine)
@@ -284,7 +281,7 @@ func (s *Server) replayJournal(recs []jrec) (carry []jrec, resume []*jobState) {
 			}
 			carryRec := *h.admitted
 			if h.ckpt {
-				ck, err := s.dur.readSpill(id, js.job.Target)
+				ck, err := s.dur.readSpill(id, js.job.Machine.Name)
 				switch {
 				case err == nil:
 					js.job.Ctl.Resume = ck

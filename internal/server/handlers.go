@@ -16,13 +16,10 @@ import (
 	"time"
 
 	"f90y"
-	"f90y/internal/cm2"
 	"f90y/internal/driver"
-	"f90y/internal/faults"
 	"f90y/internal/opt"
 	"f90y/internal/oracle"
 	"f90y/internal/pe"
-	"f90y/internal/rt"
 )
 
 // tenantOf resolves the tenant token: the X-Tenant header, defaulting
@@ -70,7 +67,7 @@ func (cs configSpec) build() (f90y.Config, error) {
 type runRequest struct {
 	File   string     `json:"file,omitempty"`
 	Source string     `json:"source"`
-	Target string     `json:"target,omitempty"` // "cm2" (default) or "cm5"
+	Target string     `json:"target,omitempty"` // a driver.Targets name; "" is the default machine
 	Config configSpec `json:"config"`
 	// MaxCycles asks for a cycle budget; the tenant cap clamps it (a
 	// request may ask for less, never more).
@@ -80,8 +77,9 @@ type runRequest struct {
 	// Faults attaches a deterministic fault-injection spec (the same
 	// grammar as the CLIs' -faults flag).
 	Faults string `json:"faults,omitempty"`
-	// Verify runs the differential oracle (interp vs cm2 vs cm5) after
-	// a successful run; a divergence fails the job with 422.
+	// Verify runs the differential oracle (the interpreter against every
+	// machine of the table, under this request's config) after a
+	// successful run; a divergence fails the job with 422.
 	Verify bool `json:"verify,omitempty"`
 	// TimeoutMS asks for a per-job wall-clock deadline; the server's
 	// RequestTimeout clamps it.
@@ -289,16 +287,7 @@ func (s *Server) jobFromSpec(js *jobState) error {
 		js.job = driver.Job{Name: js.id, File: file, Source: req.Source, Config: cfg}
 		return nil
 	}
-	switch req.Target {
-	case "", "cm2", "cm5":
-	default:
-		return fmt.Errorf("unknown target %q (want cm2 or cm5)", req.Target)
-	}
-	numMode, err := rt.ParseNumericMode(req.Numeric)
-	if err != nil {
-		return err
-	}
-	plan, err := faults.ParseSpec(req.Faults)
+	machine, err := driver.Target(req.Target, 0)
 	if err != nil {
 		return err
 	}
@@ -308,22 +297,22 @@ func (s *Server) jobFromSpec(js *jobState) error {
 
 	// Quota resolution: the request may narrow its budget, never widen
 	// it past the tenant cap. Enforcement itself is the runtime watchdog
-	// (rt.ErrBudget), not a second mechanism.
+	// (rt.ErrBudget), not a second mechanism. The control plane is built
+	// where the CLIs build theirs; a served job names no checkpoint or
+	// resume file.
 	budget := s.cfg.Quotas.budget(req.MaxCycles)
-	js.job = driver.Job{
-		Name:   js.id,
-		File:   file,
-		Source: req.Source,
-		Config: cfg,
-		Target: req.Target,
-		Ctl: cm2.Control{
-			Faults:    faults.New(plan, nil),
-			MaxCycles: budget,
-			Numeric:   rt.NewNumeric(numMode),
-		},
+	ctl, err := driver.ControlOptions{Faults: req.Faults, MaxCycles: budget, Numeric: req.Numeric}.Build(file, nil)
+	if err != nil {
+		return err
 	}
-	js.verify = req.Verify
-	js.budget = budget
+	js.job = driver.Job{
+		Name:    js.id,
+		File:    file,
+		Source:  req.Source,
+		Config:  cfg,
+		Machine: machine,
+		Ctl:     ctl,
+	}
 	if req.TimeoutMS > 0 {
 		js.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
@@ -390,12 +379,12 @@ func (s *Server) execute(ctx context.Context, js *jobState) (int, Code, string, 
 		status, code := classify(res.Err, res.Artifact == nil)
 		return status, code, res.Err.Error(), nil, res.Cached
 	}
-	cr := res.Result()
+	cr := res.Result
 	// Everything the response carries is copied out of the store below;
 	// its slabs go back to the arena for the next run.
 	defer cr.Store.Release()
 	out := &runResult{
-		Target:    js.job.Target,
+		Target:    js.job.Machine.Name,
 		GFLOPS:    cr.GFLOPS(),
 		Flops:     cr.Flops,
 		NodeCalls: cr.NodeCalls,
@@ -408,15 +397,12 @@ func (s *Server) execute(ctx context.Context, js *jobState) (int, Code, string, 
 		},
 		Output: cr.Output,
 	}
-	if out.Target == "" {
-		out.Target = "cm2"
-	}
-	if js.verify {
-		// The oracle compiles and runs all three backends itself; the
-		// job's budget bounds each of them (rt.ErrBudget on overrun).
-		// It is not context-aware — the budget, not the deadline, is
-		// its backstop.
-		rep, err := oracle.Verify(js.job.File, js.job.Source, oracle.Options{MaxCycles: js.budget})
+	if js.spec.Verify {
+		// The oracle compiles (under the job's config) and runs every
+		// backend itself; the job's budget bounds each of them
+		// (rt.ErrBudget on overrun). It is not context-aware — the
+		// budget, not the deadline, is its backstop.
+		rep, err := oracle.Verify(js.job.File, js.job.Source, oracle.Options{Config: &js.job.Config, MaxCycles: js.job.Ctl.MaxCycles})
 		if err != nil {
 			status, code := classify(err, false)
 			if code == CodeRun {

@@ -36,8 +36,6 @@ type jobState struct {
 	tenant  string
 	kind    string // "compile" or "run"
 	job     driver.Job
-	verify  bool          // run the differential oracle after a successful run
-	budget  float64       // effective MaxCycles for the verify pass
 	timeout time.Duration // per-job deadline applied by the worker
 	// spec is the validated request the job was built from; journaled on
 	// admission so recovery can rebuild the job after a crash.

@@ -10,13 +10,20 @@
 # After a change that is MEANT to move a modeled number, refresh the
 # record with `make modeled-record` and say so in the PR.
 #
-# The same gate holds the compile path's counts (f90y_compile_test.go).
+# The same gate holds the repository's other exact counts: the compile
+# path's (f90y_compile_test.go) and the size budget below.
 #
 # Used by `make modeled-check` (tier-1).
 set -eu
 
 GO="${GO:-go}"
 want=BENCH_baseline.json
+
+# The size budget: what `make size` may report at most. A change that
+# grows either number says so by raising it here, in its own diff; a
+# simplification lowers it to what it reached.
+max_lines=19750
+max_flags=56
 
 workdir="$(mktemp -d)"
 cleanup() { rm -rf "$workdir"; }
@@ -35,6 +42,14 @@ fi
 if ! out="$($GO test -count=1 -run '^(TestCompileAllocBudget|TestLexerAllocatesOneSlice|TestCompileDeterministic)$' . 2>&1)"; then
 	echo "modeled-check: FAIL: the compile path's counts moved" >&2
 	echo "$out" >&2
+	exit 1
+fi
+size="$(${MAKE:-make} -s size)"
+lines="$(echo "$size" | sed -n 's/^non-test Go lines: //p')"
+flags="$(echo "$size" | sed -n 's/^cmd\/ flags: //p')"
+if ! { [ "$lines" -le "$max_lines" ] && [ "$flags" -le "$max_flags" ]; }; then
+	echo "modeled-check: FAIL: make size reports ${lines:-?} non-test lines and ${flags:-?} cmd/ flags; the budget is $max_lines and $max_flags" >&2
+	echo "modeled-check: a change that means to grow either raises the budget in scripts/modeled_check.sh" >&2
 	exit 1
 fi
 echo "modeled-check: OK"
