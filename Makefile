@@ -122,8 +122,9 @@ profile-smoke:
 
 # Distribution-plane smoke: the swebench layout sweep with every
 # kernel/layout pair oracle-verified, record determinism across runs,
-# at least one kernel whose best layout is not all-BLOCK, and a >= 2x
-# worst/best cycle spread (see EXPERIMENTS.md E2').
+# at least one kernel whose best layout is not all-BLOCK, a >= 1.5x
+# worst/best cycle spread, and no row charged more than a router pass
+# per transfer (see EXPERIMENTS.md E2').
 layout-smoke:
 	./scripts/layout_smoke.sh
 

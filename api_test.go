@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -134,6 +135,45 @@ func TestOneTargetTable(t *testing.T) {
 	})
 	if seen < 2 {
 		t.Fatalf("the scan saw %d machine-name literals, not even the machine packages' own: it has gone blind", seen)
+	}
+}
+
+// TestOneCommCostPath holds "one place knows what a transfer costs":
+// the CommCost fields are named by the formulas of internal/rt/cost.go
+// (DefaultCommCost with them) and by the two machines' own literals,
+// nowhere else — every other file prices a transfer by calling a
+// CommCost method — and no file of the layout layers describes a
+// second, "legacy" model beside the one.
+func TestOneCommCostPath(t *testing.T) {
+	fields := map[string]bool{"GridStartup": true, "GridLocal": true, "GridWire": true, "RouterStartup": true,
+		"RouterPerElem": true, "ReduceStartup": true, "ReducePerElem": true, "HopCost": true}
+	seen := 0
+	eachNonTestFile(t, func(path string, fset *token.FileSet, file *ast.File) {
+		home := path == "internal/rt/cost.go" || path == "internal/cm2/machine.go" || path == "internal/cm5/cm5.go"
+		ast.Inspect(file, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok || !fields[id.Name] {
+				return true
+			}
+			if seen++; !home {
+				t.Errorf("%s: %s: price the transfer with a CommCost method (internal/rt/cost.go)", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
+		if !strings.HasPrefix(path, "internal/rt/") && !strings.HasPrefix(path, "internal/shape/") &&
+			!strings.HasPrefix(path, "internal/partition/") {
+			return
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(strings.ToLower(string(src)), "legacy") {
+			t.Errorf("%s says \"legacy\": the default layout is an ordinary Distribution with one price", path)
+		}
+	})
+	if seen < len(fields) {
+		t.Fatalf("the scan saw %d CommCost field names, not even cost.go's own: it has gone blind", seen)
 	}
 }
 

@@ -3,12 +3,14 @@ package main
 // The layout sweep (-layout-sweep): the router-heavy kernel trio
 // (transpose ping-pong, FFT butterfly, irregular gather) is compiled
 // and run under three data distributions each — the directive-free
-// BLOCK default, an explicit CYCLIC layout, and an ALIGN'd layout — on
-// the default CM/2 model. The printed table and the "f90y-layout/v1"
-// record show, per (kernel, layout), the modeled cycle total, the
-// NEWS-grid/router/reduce split of the communication cycles, and the
-// communication fraction; per kernel, the best layout and the
-// worst/best cycle spread.
+// all-BLOCK default, an explicit CYCLIC layout, and an ALIGN'd layout —
+// on the default CM/2 model, every row priced by the one rt.CommCost
+// path. The printed table and the "f90y-layout/v1" record show, per
+// (kernel, layout), the modeled cycle total, the NEWS-grid/router/reduce
+// split of the communication cycles, and the communication fraction;
+// per kernel, the best layout and the worst/best cycle spread. A row
+// charged more than a router pass per comm call fails the command: the
+// price of leaving the grid caps what staying on it may cost.
 //
 // Schema "f90y-layout/v1" (all cycle values are modeled CM/2 cycles;
 // grid+router+reduce sums exactly to comm_cycles; the record carries no
@@ -46,6 +48,7 @@ import (
 	"f90y"
 	"f90y/internal/driver"
 	"f90y/internal/oracle"
+	"f90y/internal/shape"
 	"f90y/internal/workload"
 )
 
@@ -195,6 +198,16 @@ func buildLayoutRecord(svc *driver.Service, n, iters int, verify bool) (layoutRe
 				return rec, fmt.Errorf("%s/%s: %w", c.kernel, v.name, res.Err)
 			}
 			r := res.Result
+			// What the row's comm calls cost if each took a router
+			// pass of the largest subgrid the row laid out.
+			sub := 0
+			for _, a := range r.Store.Arrays {
+				sub = max(sub, shape.Distribute(shape.Of(a.Ext...), rec.PEs, a.Dist).SubgridSize())
+			}
+			if bound := float64(r.CommCalls) * driver.Targets[0].CommCost.RouterPass(sub); r.CommCycles > bound {
+				return rec, fmt.Errorf("%s/%s: %v comm cycles, above the %v its %d comm calls cost on the router",
+					c.kernel, v.name, r.CommCycles, bound, r.CommCalls)
+			}
 			total := r.TotalCycles()
 			row := layoutRow{
 				Layout:     v.name,

@@ -8,6 +8,7 @@ package f90y
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"f90y/internal/hostvm"
@@ -177,5 +178,38 @@ func TestRecorderOffIsBitIdentical(t *testing.T) {
 	}
 	if math.Abs(resPlain.GFLOPS()-resRec.GFLOPS()) != 0 {
 		t.Errorf("gflops diverged")
+	}
+}
+
+// TestCommOpCounters: a recorded run says which transfers left the NEWS
+// grid, one rt/comm/<op>/<class> count per transfer. The 16-stage FFT
+// butterfly under the all-BLOCK default makes 32 shifts; the long
+// strides of the late stages are routed, and the counters say so
+// without anyone reading rt/comm.go.
+func TestCommOpCounters(t *testing.T) {
+	col := obs.NewCollector()
+	cfg := DefaultConfig()
+	cfg.Obs = col
+	comp, err := Compile("fft.f90", workload.LayoutFFT(65536, 16, nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := comp.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := col.Counters()
+	grid, router := c["rt/comm/shift/grid"], c["rt/comm/shift/router"]
+	if grid != 10 || router != 22 {
+		t.Errorf("rt/comm/shift/{grid,router} = %v, %v; want 10 on the grid and 22 routed", grid, router)
+	}
+	total := 0.0
+	for name, v := range c {
+		if strings.HasPrefix(name, "rt/comm/") {
+			total += v
+		}
+	}
+	if total != float64(res.CommCalls) {
+		t.Errorf("rt/comm/* counts sum to %v, the run made %d comm calls", total, res.CommCalls)
 	}
 }

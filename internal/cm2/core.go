@@ -108,6 +108,9 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 		exec: ExecOpts{PEs: t.Units, Rec: rec, Num: ctl.Numeric, Workers: ctl.ExecWorkers},
 	}
 	res, comm := r.res, r.comm
+	if rec != nil {
+		comm.OpCalls = map[string]float64{}
+	}
 
 	hctl := &hostvm.Ctl{
 		Faults: ctl.Faults, MaxCycles: ctl.MaxCycles,
@@ -223,6 +226,7 @@ func (r *run) emit() {
 	add("exec/comm/", res.CommClassCycles)
 	add("exec/host/", res.HostClassCycles)
 	add("exec/routine/", res.PERoutineCycles)
+	add("rt/comm/", r.comm.OpCalls)
 	for why, n := range r.store.Materialized {
 		obs.Add(rec, "rt/shift-view/materialized/"+why, float64(n))
 	}
@@ -317,7 +321,7 @@ func (r *run) injectDispatch(p *peac.Routine, sub int, cyc float64) error {
 			return fmt.Errorf("%s: dispatch of %s: %w: %s %d: %w",
 				t.Name, p.Name, ErrDispatch, t.Unit, u, faults.ErrPEDead)
 		}
-		charge(t.CommCost.RouterStartup + float64(sub)*t.CommCost.RouterPerElem)
+		charge(t.CommCost.RouterPass(sub))
 		r.inj.NoteDegraded(u)
 	}
 	if r.inj.DeadCount() > 0 {

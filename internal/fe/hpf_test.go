@@ -71,8 +71,13 @@ end program t
 
 	for _, bad := range []string{"zz=block", "a=banana", "a=block,block", "noequals"} {
 		mod2, tree2 := lowerFor(t, src)
-		if err := ApplyDirectives(tree2, mod2.Syms, []string{bad}); err == nil {
+		// An override has no line; its diagnostic is labelled with where
+		// it came from, not "<unknown>".
+		err := ApplyDirectives(tree2, mod2.Syms, []string{bad})
+		if err == nil {
 			t.Errorf("override %q: expected error", bad)
+		} else if !strings.HasPrefix(err.Error(), "<distribute>: error: ") {
+			t.Errorf("override %q: error %q is not reported at <distribute>", bad, err)
 		}
 	}
 }

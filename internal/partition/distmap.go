@@ -5,9 +5,7 @@ package partition
 // it computes exact per-PE ownership counts. The machine models charge
 // node compute for the worst-loaded PE — the synchronous machine gates on
 // its slowest processor — so the quantity of interest is the maximum
-// number of points any single PE owns. For the default blockwise layout
-// the nominal Block product is returned unchanged, keeping directive-free
-// cycle totals bit-identical to the legacy model.
+// number of points any single PE owns.
 
 import (
 	"fmt"
@@ -44,10 +42,9 @@ func MaxPointsPerPE(lo shape.Layout) int {
 }
 
 // NodeSubgridSize is the per-PE (or per-node) subgrid extent the machine
-// models charge compute for: exact ownership counting for explicit
-// distributions, the nominal Block product for the default layout (the
-// two agree for BLOCK dims; the gate keeps the directive-free path on
-// the exact legacy arithmetic).
+// models charge compute for: MaxPointsPerPE. For an all-BLOCK layout
+// that is the nominal Block product, so the gate is a shortcut past the
+// counting, not a second model (TestNodeSubgridSizeDefaultGate).
 func NodeSubgridSize(lo shape.Layout) int {
 	if lo.Dist.IsDefault() {
 		return lo.SubgridSize()

@@ -103,9 +103,9 @@ func TestDistributionCoversShape(t *testing.T) {
 	}
 }
 
-// TestNodeSubgridSizeDefaultGate pins the gate: for the default layout
-// NodeSubgridSize returns the nominal Block product (the legacy
-// arithmetic), bit-identical to SubgridSize.
+// TestNodeSubgridSizeDefaultGate proves the gate a shortcut, not a
+// second model: for an all-BLOCK layout the nominal Block product
+// NodeSubgridSize returns IS the exact worst-PE count.
 func TestNodeSubgridSizeDefaultGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -116,8 +116,8 @@ func TestNodeSubgridSizeDefaultGate(t *testing.T) {
 		}
 		pes := 1 << rng.Intn(12)
 		lo := shape.Blockwise(shape.Of(ext...), pes)
-		if got, want := NodeSubgridSize(lo), lo.SubgridSize(); got != want {
-			t.Fatalf("ext=%v pes=%d: NodeSubgridSize=%d, SubgridSize=%d", ext, pes, got, want)
+		if got, want := NodeSubgridSize(lo), MaxPointsPerPE(lo); got != want || got != lo.SubgridSize() {
+			t.Fatalf("ext=%v pes=%d: NodeSubgridSize=%d, MaxPointsPerPE=%d, SubgridSize=%d", ext, pes, got, want, lo.SubgridSize())
 		}
 	}
 	// An explicit cyclic layout takes the exact-count path.

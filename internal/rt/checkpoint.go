@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"f90y/internal/nir"
@@ -207,7 +208,7 @@ func (ck *Checkpoint) ApplyStore(st *Store) error {
 		}
 		a, src := st.Arrays[name], st.Arrays[ca.ViewOf]
 		fits := a.ShiftView && src != nil && src != a && src.Data != nil && len(ca.Data) == 0 &&
-			len(ca.Rot) == len(a.Ext) && sameExtents(a, src)
+			len(ca.Rot) == len(a.Ext) && slices.Equal(a.Ext, src.Ext)
 		for d := 0; fits && d < len(ca.Rot); d++ {
 			fits = ca.Rot[d] >= 0 && ca.Rot[d] < a.Ext[d]
 		}

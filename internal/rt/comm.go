@@ -3,42 +3,13 @@ package rt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"f90y/internal/faults"
 	"f90y/internal/nir"
 	"f90y/internal/shape"
 	"f90y/internal/source"
 )
-
-// CommCost is the communication cycle model, in per-PE sequencer cycles.
-// Grid shifts use the microcoded NEWS network: cheap per element, with a
-// wire charge only for elements crossing a PE boundary. Everything
-// irregular goes through the general router at a much higher per-element
-// charge (§2.2: special-purpose communications "can be substantially
-// faster than the worst-case router alternative"). Reductions combine a
-// local sweep with a log-depth hypercube phase.
-type CommCost struct {
-	GridStartup   float64
-	GridLocal     float64 // per element, intra-PE
-	GridWire      float64 // per element crossing a PE face, per hop
-	RouterStartup float64
-	RouterPerElem float64
-	ReduceStartup float64
-	ReducePerElem float64
-	HopCost       float64 // per hypercube dimension in combine trees
-}
-
-// DefaultCommCost is the calibrated CM/2 model.
-var DefaultCommCost = CommCost{
-	GridStartup:   150,
-	GridLocal:     3.5,
-	GridWire:      70,
-	RouterStartup: 400,
-	RouterPerElem: 60,
-	ReduceStartup: 150,
-	ReducePerElem: 2,
-	HopCost:       25,
-}
 
 // Communication cycle classes: every charge is attributed to the
 // network that carries it, mirroring §2.2's split between the microcoded
@@ -69,10 +40,16 @@ type Comm struct {
 	// exactly to Cycles, so flamegraphs can overlay network time onto
 	// PE time and show where a bad layout burns router cycles.
 	LineCycles map[LineRef]float64
+	// OpCalls, when non-nil, counts this run's transfers under
+	// "<op>/<class>" (shift|transpose|gather|spread|reduce|dot|general
+	// over the CommClasses): which operations left the NEWS grid. Nil
+	// costs one branch per transfer.
+	OpCalls map[string]float64
 	// pos is the source position of the guarded move currently
 	// executing; charge attributes cycles (including fault retries) to
-	// it.
+	// it. op names the operation for OpCalls.
 	pos source.Pos
+	op  string
 	// scratch is the staging buffer comm ops reuse between transfers.
 	// Comm ops run serially on the host thread and deliver never
 	// retains the staged slice past the call, so one buffer suffices;
@@ -128,22 +105,9 @@ func fill(dst []float64, v float64) {
 
 // Restore pre-seeds the per-class and per-line cycle attribution (and
 // the re-summed total) from a checkpoint, so a resumed run's totals
-// continue from the snapshot. A checkpoint written before per-line comm
-// attribution existed has nil lineCycles; its class totals are then
-// seeded under zero-position LineRefs so the sum invariant holds.
+// continue from the snapshot.
 func (c *Comm) Restore(classCycles map[string]float64, lineCycles map[LineRef]float64, calls int) {
-	if len(lineCycles) > 0 {
-		c.LineCycles = CopyLineMap(lineCycles)
-	} else {
-		for cl, v := range classCycles {
-			if v != 0 {
-				if c.LineCycles == nil {
-					c.LineCycles = map[LineRef]float64{}
-				}
-				c.LineCycles[LineRef{Routine: CommRoutine, Class: cl}] += v
-			}
-		}
-	}
+	c.LineCycles = CopyLineMap(lineCycles)
 	if c.ClassCycles == nil {
 		c.ClassCycles = map[string]float64{CommGrid: 0, CommRouter: 0, CommReduce: 0}
 	}
@@ -178,22 +142,16 @@ func (c *Comm) layoutOf(a *Array) shape.Layout {
 // communication. An array without an explicit distribution is treated
 // as aligned with its distributed partner: the compiler materializes
 // temporaries in the layout of their consumers, so only explicit
-// directives change routing. The third result reports whether any
-// explicit distribution is involved — when false the legacy
-// default-layout cost path must be taken, bit for bit.
-func effectivePair(src, out *Array) (shape.Distribution, shape.Distribution, bool) {
+// directives change routing. Two arrays without one are both all-BLOCK.
+func effectivePair(src, out *Array) (shape.Distribution, shape.Distribution) {
 	sd, od := src.Dist, out.Dist
-	sdef, odef := sd.IsDefault(), od.IsDefault()
-	if sdef && odef {
-		return sd, od, false
-	}
-	if sdef {
+	if sd.IsDefault() {
 		sd = od
 	}
-	if odef {
+	if od.IsDefault() {
 		od = sd
 	}
-	return sd, od, true
+	return sd, od
 }
 
 // ExecMove executes one communication-class move: either a runtime
@@ -213,6 +171,7 @@ func (c *Comm) ExecMove(m nir.Move) error {
 			}
 			continue
 		}
+		c.op = "general"
 		if err := c.generalMove(m.Over, g); err != nil {
 			return err
 		}
@@ -258,22 +217,25 @@ func (c *Comm) scalarArg(v nir.Value) (float64, error) {
 }
 
 func (c *Comm) execIntrinsic(fc nir.FcnCall, tgt nir.Value) error {
+	var exec func(nir.FcnCall, nir.Value) error
 	switch fc.Name {
 	case "cm_cshift", "cm_eoshift":
-		return c.execShift(fc, tgt)
+		c.op, exec = "shift", c.execShift
 	case "cm_reduce_sum", "cm_reduce_product", "cm_reduce_max", "cm_reduce_min",
 		"cm_reduce_any", "cm_reduce_all", "cm_reduce_count":
-		return c.execReduce(fc, tgt)
+		c.op, exec = "reduce", c.execReduce
 	case "cm_transpose":
-		return c.execTranspose(fc, tgt)
+		c.op, exec = "transpose", c.execTranspose
 	case "cm_gather":
-		return c.execGather(fc, tgt)
+		c.op, exec = "gather", c.execGather
 	case "cm_spread":
-		return c.execSpread(fc, tgt)
+		c.op, exec = "spread", c.execSpread
 	case "cm_dot":
-		return c.execDot(fc, tgt)
+		c.op, exec = "dot", c.execDot
+	default:
+		return fmt.Errorf("rt: unknown runtime intrinsic %q: %w", fc.Name, ErrBadOperand)
 	}
-	return fmt.Errorf("rt: unknown runtime intrinsic %q: %w", fc.Name, ErrBadOperand)
+	return exec(fc, tgt)
 }
 
 // execShift implements circular and end-off grid shifts over the NEWS
@@ -322,7 +284,7 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 	}
 	class, cyc := c.shiftCost(src, out, d, shift)
 
-	if circular && out.ShiftView && c.Faults == nil && sameExtents(src, out) {
+	if circular && out.ShiftView && c.Faults == nil && slices.Equal(src.Ext, out.Ext) {
 		v, err := viewOf(srcName, src, d, shift)
 		if err != nil {
 			return fmt.Errorf("rt: %s of %q: %w", fc.Name, srcName, err)
@@ -344,18 +306,6 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 	tmp := c.stageFor(out, src)
 	shiftInto(tmp, src.Data, src.Ext, d, shift, circular, boundary)
 	return c.deliverArray(class, cyc, out, tmp)
-}
-
-func sameExtents(a, b *Array) bool {
-	if len(a.Ext) != len(b.Ext) {
-		return false
-	}
-	for d := range a.Ext {
-		if a.Ext[d] != b.Ext[d] {
-			return false
-		}
-	}
-	return true
 }
 
 // shiftInto writes src shifted by shift along dimension d (0-based) of
@@ -411,36 +361,16 @@ func shiftInto(dst, src []float64, ext []int, d, shift int, circular bool, bound
 	}
 }
 
-// shiftCost prices a shift of src into out along dimension d.
+// shiftCost prices a shift of src into out along dimension d: a grid
+// shift between identically-distributed arrays, a general-router
+// realignment across two different layouts.
 func (c *Comm) shiftCost(src, out *Array, d, shift int) (string, float64) {
-	// Default layouts take the legacy NEWS model verbatim: local
-	// block rotate plus wire traffic for boundary-crossing elements,
-	// one charge per PE-grid step travelled.
-	srcD, outD, explicit := effectivePair(src, out)
-	if !explicit {
-		l := c.layoutOf(src)
-		sub := float64(l.SubgridSize())
-		hops := math.Abs(float64(shift))
-		return CommGrid, c.Cost.GridStartup + sub*c.Cost.GridLocal + sub*l.OffPEFraction(d)*c.Cost.GridWire*hops
-	}
-	// Explicit layouts: a shift between identically-distributed arrays
-	// is a grid shift whose wire traffic the layout's own shift model
-	// prices (free for cyclic shifts that are a multiple of chunk*PEs,
-	// torus-minimal otherwise); a shift across two different layouts is
-	// a general-router realignment. Either way the compiler takes the
-	// cheaper of the grid and router paths, as the runtime would.
+	srcD, outD := effectivePair(src, out)
 	l := shape.Distribute(shape.Of(src.Ext...), c.PEs, srcD)
-	sub := float64(l.SubgridSize())
-	router := c.Cost.RouterStartup + sub*c.Cost.RouterPerElem
 	if !srcD.Equal(outD, src.Rank()) {
-		return CommRouter, router
+		return CommRouter, c.Cost.RouterPass(l.SubgridSize())
 	}
-	frac, hops := l.ShiftCost(d, shift)
-	grid := c.Cost.GridStartup + sub*c.Cost.GridLocal + sub*frac*c.Cost.GridWire*hops
-	if grid <= router {
-		return CommGrid, grid
-	}
-	return CommRouter, router
+	return c.Cost.Shift(l, d, shift)
 }
 
 func (c *Comm) execReduce(fc nir.FcnCall, tgt nir.Value) error {
@@ -499,10 +429,7 @@ func (c *Comm) execReduce(fc nir.FcnCall, tgt nir.Value) error {
 		return fmt.Errorf("rt: reduction target must be scalar: %w", ErrBadOperand)
 	}
 
-	l := c.layoutOf(src)
-	cyc := c.Cost.ReduceStartup + float64(l.SubgridSize())*c.Cost.ReducePerElem +
-		math.Log2(float64(c.PEs))*c.Cost.HopCost
-	return c.deliverScalar(CommReduce, cyc, src.Size(), sv.Name, acc)
+	return c.deliverScalar(CommReduce, c.Cost.Reduce(c.layoutOf(src)), src.Size(), sv.Name, acc)
 }
 
 func (c *Comm) execTranspose(fc nir.FcnCall, tgt nir.Value) error {
@@ -517,24 +444,13 @@ func (c *Comm) execTranspose(fc nir.FcnCall, tgt nir.Value) error {
 	if src.Rank() != 2 || out.Size() != src.Size() {
 		return fmt.Errorf("rt: transpose %w", ErrShape)
 	}
-	r, cl := src.Ext[0], src.Ext[1]
-	tmp := c.stageFor(out, src)
-	for j := 0; j < cl; j++ {
-		for i := 0; i < r; i++ {
-			tmp[j+i*cl] = src.Data[i+j*r]
-		}
-	}
-	// Default layouts pay the legacy flat router charge. With explicit
-	// layouts the off-PE traffic is counted exactly: element (i,j) of
-	// the source lands at (j,i) of the target, and a default-layout
-	// partner is assumed aligned with the transpose of the explicit
-	// one (that is where the compiler materializes the temporary). A
-	// (BLOCK,*) -> (*,BLOCK) transpose is thereby fully PE-local.
+	// The off-PE traffic is counted exactly: element (i,j) of the
+	// source lands at (j,i) of the target, and a partner without an
+	// explicit layout is assumed aligned with the transpose of the
+	// explicit one (that is where the compiler materializes the
+	// temporary). A (BLOCK,*) -> (*,BLOCK) transpose is thereby fully
+	// PE-local.
 	sd, od := src.Dist, out.Dist
-	if sd.IsDefault() && od.IsDefault() {
-		l := c.layoutOf(src)
-		return c.deliverArray(CommRouter, c.Cost.RouterStartup+float64(l.SubgridSize())*c.Cost.RouterPerElem, out, tmp)
-	}
 	if sd.IsDefault() {
 		sd = od.Reverse(2)
 	}
@@ -543,32 +459,25 @@ func (c *Comm) execTranspose(fc nir.FcnCall, tgt nir.Value) error {
 	}
 	ls := shape.Distribute(shape.Of(src.Ext...), c.PEs, sd)
 	lo := shape.Distribute(shape.Of(out.Ext...), c.PEs, od)
-	off, local := 0, 0
+	r, cl := src.Ext[0], src.Ext[1]
+	tmp := c.stageFor(out, src)
+	off := 0
+	for j := 0; j < cl; j++ {
+		for i := 0; i < r; i++ {
+			tmp[j+i*cl] = src.Data[i+j*r]
+		}
+	}
+	// Counted in a loop of its own: inside the strided staging loop the
+	// two Owner calls nearly doubled a transpose (EXPERIMENTS B9).
 	for j := 0; j < cl; j++ {
 		for i := 0; i < r; i++ {
 			if ls.Owner(i, j) != lo.Owner(j, i) {
 				off++
-			} else {
-				local++
 			}
 		}
 	}
-	class, cyc := c.routedCost(off, local, lo)
+	class, cyc := c.Cost.Routed(off, len(tmp)-off, lo)
 	return c.deliverArray(class, cyc, out, tmp)
-}
-
-// routedCost prices a permutation moving off elements between PEs and
-// local elements within them, under the target layout: a pure-local
-// permutation is one grid pass; anything off-PE pays router startup
-// plus per-element router charges on the off-PE share, with the local
-// share moved at grid cost. Charges are per-PE (the networks operate in
-// parallel), over the PEs the target layout actually populates.
-func (c *Comm) routedCost(off, local int, lo shape.Layout) (string, float64) {
-	pes := float64(max(lo.PEsUsed(), 1))
-	if off == 0 {
-		return CommGrid, c.Cost.GridStartup + float64(local)/pes*c.Cost.GridLocal
-	}
-	return CommRouter, c.Cost.RouterStartup + float64(off)/pes*c.Cost.RouterPerElem + float64(local)/pes*c.Cost.GridLocal
 }
 
 // execGather implements cm_gather: out(i) = src(idx(i)) for rank-1 src
@@ -593,11 +502,11 @@ func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 	if src.Rank() != 1 || idx.Rank() != 1 || out.Size() != idx.Size() {
 		return fmt.Errorf("rt: gather %w", ErrShape)
 	}
-	srcD, outD, _ := effectivePair(src, out)
+	srcD, outD := effectivePair(src, out)
 	ls := shape.Distribute(shape.Of(src.Ext...), c.PEs, srcD)
 	lo := shape.Distribute(shape.Of(out.Ext...), c.PEs, outD)
 	tmp := c.stage(idx.Size())
-	off, local := 0, 0
+	off := 0
 	for i := range tmp {
 		j := int(idx.Data[i]) - src.Lo[0]
 		if j < 0 || j >= len(src.Data) {
@@ -606,11 +515,9 @@ func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 		tmp[i] = src.Data[j]
 		if ls.Owner(j) != lo.Owner(i) {
 			off++
-		} else {
-			local++
 		}
 	}
-	class, cyc := c.routedCost(off, local, lo)
+	class, cyc := c.Cost.Routed(off, len(tmp)-off, lo)
 	return c.deliverArray(class, cyc, out, tmp)
 }
 
@@ -672,10 +579,7 @@ func (c *Comm) execSpread(fc nir.FcnCall, tgt nir.Value) error {
 			idx[d] = 0
 		}
 	}
-	l := c.layoutOf(out)
-	cyc := c.Cost.GridStartup + float64(l.SubgridSize())*c.Cost.GridLocal +
-		math.Log2(float64(c.PEs))*c.Cost.HopCost
-	return c.deliverArray(CommGrid, cyc, out, tmp)
+	return c.deliverArray(CommGrid, c.Cost.Spread(c.layoutOf(out)), out, tmp)
 }
 
 func (c *Comm) execDot(fc nir.FcnCall, tgt nir.Value) error {
@@ -704,8 +608,5 @@ func (c *Comm) execDot(fc nir.FcnCall, tgt nir.Value) error {
 	if !ok {
 		return fmt.Errorf("rt: dot_product target must be scalar: %w", ErrBadOperand)
 	}
-	l := c.layoutOf(a)
-	cyc := c.Cost.ReduceStartup + float64(l.SubgridSize())*(c.Cost.GridLocal+c.Cost.ReducePerElem) +
-		math.Log2(float64(c.PEs))*c.Cost.HopCost
-	return c.deliverScalar(CommReduce, cyc, a.Size(), sv.Name, acc)
+	return c.deliverScalar(CommReduce, c.Cost.Dot(c.layoutOf(a)), a.Size(), sv.Name, acc)
 }

@@ -37,23 +37,27 @@ func vecStore(n int, da, db shape.Distribution) *Store {
 
 var cyclic = shape.Distribution{Dims: []shape.DimDist{{Kind: shape.DistCyclic}}}
 
-// TestShiftDefaultLayoutLegacyCost pins the directive-free shift charge
-// to the exact legacy NEWS formula — the layout plane must not move a
-// single cycle of the default path.
-func TestShiftDefaultLayoutLegacyCost(t *testing.T) {
+// TestShiftDefaultLayoutIsAllBlock: an array without a directive is an
+// all-BLOCK array. A short shift rides the NEWS grid at the grid
+// formula, and writing BLOCK out changes nothing.
+func TestShiftDefaultLayoutIsAllBlock(t *testing.T) {
 	st := vecStore(128, shape.Distribution{}, shape.Distribution{})
 	c := newComm(st)
 	if err := c.ExecMove(shiftMove(3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	l := shape.Blockwise(shape.Of(128), c.PEs)
-	sub := float64(l.SubgridSize())
-	want := c.Cost.GridStartup + sub*c.Cost.GridLocal + sub*l.OffPEFraction(0)*c.Cost.GridWire*3
-	if c.Cycles != want {
-		t.Fatalf("default shift: %v cycles, legacy formula gives %v", c.Cycles, want)
+	// 2 elements a PE, half of them cross a face per unit shift:
+	// 150 + 2*3.5 + 2*(1/2)*70*3.
+	if want := 367.0; c.Cycles != want || c.ClassCycles[CommGrid] != want {
+		t.Fatalf("default shift: %v cycles %v, want %v on the grid", c.Cycles, c.ClassCycles, want)
 	}
-	if c.ClassCycles[CommGrid] != want || c.ClassCycles[CommRouter] != 0 {
-		t.Fatalf("default shift must be pure grid: %v", c.ClassCycles)
+	block := shape.Distribution{Dims: []shape.DimDist{{Kind: shape.DistBlock}}}
+	cb := newComm(vecStore(128, block, block))
+	if err := cb.ExecMove(shiftMove(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if cb.Cycles != c.Cycles {
+		t.Fatalf("explicit BLOCK shift %v cycles, default %v", cb.Cycles, c.Cycles)
 	}
 }
 
@@ -155,20 +159,21 @@ func transposeMove() nir.Move {
 	}}}
 }
 
-// TestTransposeLayoutClasses pins the transpose cost matrix: default
-// layouts pay the legacy flat router charge; a (BLOCK,*) source into a
-// (*,BLOCK) target is fully PE-local and moves on the grid.
+// TestTransposeLayoutClasses pins the transpose cost matrix: a square
+// all-BLOCK transpose keeps its diagonal blocks home and routes the
+// rest; a (BLOCK,*) source into a (*,BLOCK) target is fully PE-local
+// and moves on the grid.
 func TestTransposeLayoutClasses(t *testing.T) {
-	// Default: legacy router formula, verbatim.
+	// Default: 16x16 over an 8x8 PE grid of 2x2 blocks. The 8 diagonal
+	// blocks stay on their PE, the other 224 elements change owner:
+	// 400 + 224/64*60 + 32/64*3.5.
 	st := matStore(16, shape.Distribution{}, shape.Distribution{})
 	c := newComm(st)
 	if err := c.ExecMove(transposeMove()); err != nil {
 		t.Fatal(err)
 	}
-	l := shape.Blockwise(shape.Of(16, 16), c.PEs)
-	want := c.Cost.RouterStartup + float64(l.SubgridSize())*c.Cost.RouterPerElem
-	if c.ClassCycles[CommRouter] != want {
-		t.Fatalf("default transpose: %v, legacy router formula gives %v", c.ClassCycles, want)
+	if want := 611.75; c.ClassCycles[CommRouter] != want || c.Cycles != want {
+		t.Fatalf("default transpose: %v, counted owners give %v on the router", c.ClassCycles, want)
 	}
 
 	// (BLOCK,*) -> (*,BLOCK): every element's target PE is its source PE.
@@ -285,26 +290,5 @@ func TestCommLineCyclesSumInvariant(t *testing.T) {
 	}
 	if math.Abs(sum-c.Cycles) > 1e-9 {
 		t.Fatalf("LineCycles sum %v, Cycles %v", sum, c.Cycles)
-	}
-}
-
-// TestRestoreWithoutLineCycles checks old-checkpoint compatibility: a
-// snapshot carrying only class totals seeds zero-position line refs so
-// the sum invariant still holds after resume.
-func TestRestoreWithoutLineCycles(t *testing.T) {
-	c := &Comm{Store: nil, PEs: 4, Cost: DefaultCommCost}
-	c.Restore(map[string]float64{CommGrid: 100, CommRouter: 250}, nil, 3)
-	if c.Cycles != 350 || c.Calls != 3 {
-		t.Fatalf("restore totals: %v cycles, %d calls", c.Cycles, c.Calls)
-	}
-	sum := 0.0
-	for ref, v := range c.LineCycles {
-		if ref.Routine != CommRoutine || ref.File != "" || ref.Line != 0 {
-			t.Fatalf("seeded ref %v must be zero-position under %q", ref, CommRoutine)
-		}
-		sum += v
-	}
-	if sum != c.Cycles {
-		t.Fatalf("seeded LineCycles sum %v, Cycles %v", sum, c.Cycles)
 	}
 }

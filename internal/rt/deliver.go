@@ -35,6 +35,9 @@ type transfer struct {
 
 func (c *Comm) deliver(class string, cyc float64, t transfer) error {
 	c.charge(class, cyc)
+	if c.OpCalls != nil {
+		c.OpCalls[c.op+"/"+class]++
+	}
 	inj := c.Faults
 	if inj == nil {
 		t.commit()

@@ -11,7 +11,8 @@ import (
 // generalMove executes a communication-class move with no runtime
 // intrinsic: misaligned section copies, gathers and scatters through
 // subscripted references, and masked motion between shapes. It is the
-// general-router path: every element is charged RouterPerElem. Fortran
+// general-router path: one flat router pass of the iteration shape's
+// blockwise subgrid, whatever the operands' layouts. Fortran
 // assignment semantics hold — the right-hand side is fully evaluated
 // before any element is stored.
 func (c *Comm) generalMove(over shape.Shape, g nir.GuardedMove) error {
@@ -95,8 +96,8 @@ func (c *Comm) generalMove(over shape.Shape, g nir.GuardedMove) error {
 			idx[d] = lo[d]
 		}
 	}
-	l := shape.Blockwise(over, c.PEs)
-	return c.deliverWrites(CommRouter, c.Cost.RouterStartup+float64(l.SubgridSize())*c.Cost.RouterPerElem, writes)
+	sub := shape.Blockwise(over, c.PEs).SubgridSize()
+	return c.deliverWrites(CommRouter, c.Cost.RouterPass(sub), writes)
 }
 
 // resolve maps an array reference to the storage offset selected by the

@@ -9,9 +9,9 @@ import (
 // This file is the distribution plane of the shape layer: HPF-style
 // per-array data distributions (PROCESSORS / DISTRIBUTE / ALIGN) that
 // generalize the implicit blockwise layout of §3.3. The zero
-// Distribution is the paper's default — every dimension BLOCK — and
-// Distribute of the zero value reproduces Blockwise bit for bit, so a
-// directive-free program keeps its exact legacy layout and cost model.
+// Distribution is the paper's default — every dimension BLOCK — an
+// ordinary value: Blockwise is Distribute of it, and a directive-free
+// program is laid out and priced like one that writes BLOCK everywhere.
 
 // DistKind classifies the distribution of one array dimension.
 type DistKind uint8
@@ -169,8 +169,7 @@ func ParseDist(spec string) (Distribution, error) {
 }
 
 // Distribute computes the layout of s over pes processing elements
-// under distribution d. The zero (default) distribution reproduces
-// Blockwise exactly; star dimensions are never split across PEs;
+// under distribution d. Star dimensions are never split across PEs;
 // cyclic dimensions deal their chunks round-robin, with Block holding
 // the nominal worst-case per-PE extent (ceil of the chunk count over
 // the dimension's PEs, times the chunk). Degenerate inputs are clamped
@@ -200,8 +199,7 @@ func Distribute(s Shape, pes int, d Distribution) Layout {
 	remaining := pes
 	for remaining > 1 {
 		// Find the dimension with the largest current per-PE extent
-		// that can still usefully be split (mirrors Blockwise exactly
-		// for all-BLOCK distributions; star dims are never split).
+		// that can still usefully be split (star dims are never split).
 		best, bestBlock := -1, 0
 		for i := range ext {
 			if d.Dim(i).Kind == DistStar {
@@ -229,9 +227,11 @@ func Distribute(s Shape, pes int, d Distribution) Layout {
 	return l
 }
 
-// ownerDim is the PE coordinate along dimension dim that owns 0-based
-// index i under the layout's distribution.
-func (l Layout) ownerDim(dim, i int) int {
+// OwnerDim is the PE coordinate along dimension dim that owns 0-based
+// index i under the layout's distribution; the partition layer counts
+// points per PE coordinate with it when mapping distributions onto node
+// subgrids.
+func (l Layout) OwnerDim(dim, i int) int {
 	pd := l.PEDims[dim]
 	if pd <= 1 {
 		return 0
@@ -248,11 +248,6 @@ func (l Layout) ownerDim(dim, i int) int {
 	}
 }
 
-// OwnerDim is the exported per-dimension ownership query; the partition
-// layer uses it to count points per PE coordinate when mapping explicit
-// distributions onto node subgrids.
-func (l Layout) OwnerDim(dim, i int) int { return l.ownerDim(dim, i) }
-
 // Owner is the PE (0-based, column-major over PEDims) owning the point
 // with the given 0-based coordinates.
 func (l Layout) Owner(idx ...int) int {
@@ -262,7 +257,7 @@ func (l Layout) Owner(idx ...int) int {
 		if d < len(idx) {
 			i = idx[d]
 		}
-		pe += l.ownerDim(d, i) * stride
+		pe += l.OwnerDim(d, i) * stride
 		stride *= l.PEDims[d]
 	}
 	return pe
@@ -270,11 +265,12 @@ func (l Layout) Owner(idx ...int) int {
 
 // ShiftCost models a circular shift by s along dim (0-based): the
 // fraction of elements whose source lives on another PE and the
-// PE-grid distance each travels. For BLOCK dimensions this is exactly
-// the legacy model (1/block per unit shift, |s| hops); CYCLIC
-// dimensions are free when the shift is a multiple of chunk*PEs (every
-// element's partner stays home), and otherwise move everything with a
-// torus-minimal hop distance.
+// PE-grid distance each travels. A dimension held on one PE is a pure
+// local rotate. BLOCK dimensions send 1/block of their elements across
+// a face per unit shift (all of them, when the block is one element),
+// over |s| hops; CYCLIC dimensions are free when the shift is a
+// multiple of chunk*PEs (every element's partner stays home), and
+// otherwise move everything with a torus-minimal hop distance.
 func (l Layout) ShiftCost(dim, s int) (offFrac, hops float64) {
 	if dim < 0 || dim >= len(l.Block) {
 		return 1, abs(s)
@@ -285,7 +281,7 @@ func (l Layout) ShiftCost(dim, s int) (offFrac, hops float64) {
 		return 0, 0
 	}
 	if dd.Kind != DistCyclic {
-		return l.OffPEFraction(dim), abs(s)
+		return 1 / float64(l.Block[dim]), abs(s)
 	}
 	k := dd.chunk()
 	a := s

@@ -94,8 +94,8 @@ func TestBlockwiseDegenerateInputs(t *testing.T) {
 				t.Errorf("PEsUsed = %d, want >= 1", l.PEsUsed())
 			}
 			for d := range l.Extents {
-				if f := l.OffPEFraction(d); f < 0 || f > 1 {
-					t.Errorf("OffPEFraction(%d) = %v, want in [0,1]", d, f)
+				if f, _ := l.ShiftCost(d, 1); f < 0 || f > 1 {
+					t.Errorf("ShiftCost(%d, 1) sends %v of the elements off-PE, want in [0,1]", d, f)
 				}
 			}
 		})
@@ -205,11 +205,11 @@ func TestDistributeCyclicAndStar(t *testing.T) {
 }
 
 func TestShiftCost(t *testing.T) {
-	// Default block: exactly the legacy model.
+	// Default block: 8 elements a PE, one of them crosses per unit shift.
 	l := Distribute(Of(64), 8, Distribution{})
 	frac, hops := l.ShiftCost(0, 3)
-	if frac != l.OffPEFraction(0) || hops != 3 {
-		t.Errorf("block ShiftCost = (%v, %v), want (%v, 3)", frac, hops, l.OffPEFraction(0))
+	if frac != 1.0/8 || hops != 3 {
+		t.Errorf("block ShiftCost = (%v, %v), want (1/8, 3)", frac, hops)
 	}
 	// Cyclic: unit shift moves everything one PE.
 	cyc, _ := ParseDist("cyclic")

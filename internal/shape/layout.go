@@ -84,17 +84,3 @@ func (l Layout) VPRatio() float64 {
 	}
 	return float64(total) / float64(used)
 }
-
-// OffPEFraction estimates, for a unit circular shift along dim, the
-// fraction of elements whose neighbour lives on a different PE: 1/block
-// along that dimension (1.0 when the block is a single element). This
-// drives the grid-communication cost model.
-func (l Layout) OffPEFraction(dim int) float64 {
-	if dim < 0 || dim >= len(l.Block) || l.Block[dim] == 0 {
-		return 1
-	}
-	if l.PEDims[dim] == 1 {
-		return 0 // whole dimension lives on one PE: pure local rotate
-	}
-	return 1 / float64(l.Block[dim])
-}

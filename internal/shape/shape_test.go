@@ -199,14 +199,14 @@ func TestVPRatio(t *testing.T) {
 func TestOffPEFraction(t *testing.T) {
 	l := Blockwise(Of(1024, 1024), 2048)
 	for d := 0; d < 2; d++ {
-		f := l.OffPEFraction(d)
-		if f < 0 || f > 1 {
+		f, _ := l.ShiftCost(d, 1)
+		if f <= 0 || f > 1 {
 			t.Fatalf("fraction %v", f)
 		}
 	}
 	// A dimension held entirely on one PE needs no off-PE traffic.
 	one := Layout{Extents: []int{64}, PEDims: []int{1}, Block: []int{64}, PEs: 2048}
-	if one.OffPEFraction(0) != 0 {
+	if f, _ := one.ShiftCost(0, 1); f != 0 {
 		t.Error("single-PE dimension should have zero off-PE fraction")
 	}
 }

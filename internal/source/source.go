@@ -21,6 +21,9 @@ func (p Pos) IsValid() bool { return p.Line > 0 }
 
 func (p Pos) String() string {
 	if !p.IsValid() {
+		if p.File != "" {
+			return p.File // a named origin without lines, e.g. a command-line override
+		}
 		return "<unknown>"
 	}
 	if p.File == "" {

@@ -15,6 +15,9 @@ func TestPosFormatting(t *testing.T) {
 	if got := (Pos{}).String(); got != "<unknown>" {
 		t.Errorf("got %q", got)
 	}
+	if got := (Pos{File: "<distribute>"}).String(); got != "<distribute>" {
+		t.Errorf("got %q", got)
+	}
 	if (Pos{}).IsValid() || !(Pos{Line: 1, Col: 1}).IsValid() {
 		t.Error("IsValid wrong")
 	}

@@ -45,9 +45,10 @@ end program ltrans
 
 // LayoutFFT is the FFT butterfly kernel over an n-vector: each stage
 // pairs elements at a doubling stride s via circular shifts. Blockwise
-// layouts pay grid wires proportional to s (the late, long-stride stages
-// dominate); a CYCLIC layout makes every power-of-two-aligned stage a
-// free relabeling or a short router hop.
+// layouts pay grid wires proportional to s until the router pass is
+// cheaper (the late, long-stride stages are routed); a CYCLIC layout
+// makes every stride that is a multiple of the PE count a free
+// relabeling and routes the rest.
 func LayoutFFT(n, stages int, directives []string) string {
 	return fmt.Sprintf(`program lfft
 integer, parameter :: n = %d

@@ -22,7 +22,7 @@ want=BENCH_baseline.json
 # The size budget: what `make size` may report at most. A change that
 # grows either number says so by raising it here, in its own diff; a
 # simplification lowers it to what it reached.
-max_lines=19750
+max_lines=19725
 max_flags=56
 
 workdir="$(mktemp -d)"
