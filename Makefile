@@ -14,7 +14,8 @@ GO ?= go
 #                  `make size` stays inside its committed budget
 #   fuzz-smoke     short fuzz of parser, pipeline, oracle, checkpoint reader
 #   profile-smoke  the cycle profiler's three artifact formats
-#   layout-smoke   the !HPF$ layout sweep, oracle-verified and deterministic
+#   layout-smoke   the !HPF$ layout sweep, oracle-verified, deterministic
+#                  and byte-identical to LAYOUT_baseline.json
 #   serve-smoke    f90yd lifecycle: start, load, overload, SIGTERM drain
 #   crash-smoke    SIGKILL mid-load, relaunch, bit-identical recovery
 #   bench-check    vet + tests of the repository benchmark's own module
@@ -67,10 +68,12 @@ race:
 modeled-check:
 	GO="$(GO)" ./scripts/modeled_check.sh
 
-# Refresh the golden after a change that is MEANT to move a modeled
-# number (and say so in the PR).
+# Refresh the goldens after a change that is MEANT to move a modeled
+# number (and say so in the PR): SWE's record, and the layout sweep's
+# that layout-smoke compares against.
 modeled-record:
 	$(GO) run ./cmd/swebench -json -n 512 -steps 2 -o BENCH_baseline.json
+	$(GO) run ./cmd/swebench -layout-sweep -layout-n 65536 -layout-iters 2 -o LAYOUT_baseline.json > /dev/null
 
 # End-to-end server lifecycle smoke: build f90yd, start it on a random
 # port, fire the swebench -serve-url traffic mix (healthy, verified,
@@ -121,8 +124,9 @@ profile-smoke:
 	rm -f .profile-smoke.pb.gz .profile-smoke.folded
 
 # Distribution-plane smoke: the swebench layout sweep with every
-# kernel/layout pair oracle-verified, record determinism across runs,
-# at least one kernel whose best layout is not all-BLOCK, a >= 1.5x
+# kernel/layout pair oracle-verified, record determinism across runs
+# and byte-equality with the committed LAYOUT_baseline.json (the only
+# golden holding transpose, FFT and gather comm cycles), at least one kernel whose best layout is not all-BLOCK, a >= 1.5x
 # worst/best cycle spread, and no row charged more than a router pass
 # per transfer (see EXPERIMENTS.md E2').
 layout-smoke:

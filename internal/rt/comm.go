@@ -441,7 +441,7 @@ func (c *Comm) execTranspose(fc nir.FcnCall, tgt nir.Value) error {
 	if err != nil {
 		return err
 	}
-	if src.Rank() != 2 || out.Size() != src.Size() {
+	if src.Rank() != 2 || out.Rank() != 2 || out.Size() != src.Size() {
 		return fmt.Errorf("rt: transpose %w", ErrShape)
 	}
 	// The off-PE traffic is counted exactly: element (i,j) of the
@@ -459,33 +459,62 @@ func (c *Comm) execTranspose(fc nir.FcnCall, tgt nir.Value) error {
 	}
 	ls := shape.Distribute(shape.Of(src.Ext...), c.PEs, sd)
 	lo := shape.Distribute(shape.Of(out.Ext...), c.PEs, od)
-	r, cl := src.Ext[0], src.Ext[1]
 	tmp := c.stageFor(out, src)
-	off := 0
-	for j := 0; j < cl; j++ {
-		for i := 0; i < r; i++ {
-			tmp[j+i*cl] = src.Data[i+j*r]
-		}
-	}
-	// Counted in a loop of its own: inside the strided staging loop the
-	// two Owner calls nearly doubled a transpose (EXPERIMENTS B9).
-	for j := 0; j < cl; j++ {
-		for i := 0; i < r; i++ {
-			if ls.Owner(i, j) != lo.Owner(j, i) {
-				off++
-			}
-		}
-	}
+	transposeInto(tmp, src.Data, src.Ext[0], src.Ext[1])
+	off := len(tmp) - transposeLocal(ls, lo)
 	class, cyc := c.Cost.Routed(off, len(tmp)-off, lo)
 	return c.deliverArray(class, cyc, out, tmp)
 }
 
+// transposeInto writes the r×c column-major matrix src transposed into
+// dst in 32×32 tiles, so the strided side of each tile stays in cache
+// while the sequential side streams.
+func transposeInto(dst, src []float64, r, c int) {
+	const tile = 32
+	for j0 := 0; j0 < c; j0 += tile {
+		j1 := min(j0+tile, c)
+		for i0 := 0; i0 < r; i0 += tile {
+			i1 := min(i0+tile, r)
+			for j := j0; j < j1; j++ {
+				for i := i0; i < i1; i++ {
+					dst[j+i*c] = src[i+j*r]
+				}
+			}
+		}
+	}
+}
+
+// transposeLocal counts the elements of a transpose from layout ls to
+// layout lo that stay on their PE, in O(rows + columns): source (i,j)
+// lives on a(i) + P·b(j) and lands on c(j) + Q·d(i) (one owner function
+// per dimension; P, Q the PEs along each layout's first dimension), so
+// it stays home exactly when a(i) − Q·d(i) = c(j) − P·b(j). A histogram
+// of the row keys, read at each column key, counts those pairs.
+func transposeLocal(ls, lo shape.Layout) int {
+	a, b := ls.DimOwner(0), ls.DimOwner(1)
+	cj, di := lo.DimOwner(0), lo.DimOwner(1)
+	p, q := ls.PEDims[0], lo.PEDims[0]
+	// Row keys lie in [−base, p): d(i) < lo.PEDims[1].
+	base := q * (lo.PEDims[1] - 1)
+	hist := make([]int, base+p)
+	for i := range ls.Extents[0] {
+		hist[a.Of(i)-q*di.Of(i)+base]++
+	}
+	local := 0
+	for j := range ls.Extents[1] {
+		if k := cj.Of(j) - p*b.Of(j) + base; k >= 0 && k < len(hist) {
+			local += hist[k]
+		}
+	}
+	return local
+}
+
 // execGather implements cm_gather: out(i) = src(idx(i)) for rank-1 src
-// and idx. The cost model counts, element by element, how many fetches
-// cross a PE boundary under the (source, target) layout pair — the
-// irregular-access pattern only the general router can serve. The
-// result array shares the index array's layout (it is computed
-// elementwise from it).
+// and idx. The cost model counts how many fetches cross a PE boundary
+// under the (source, target) layout pair — the irregular-access pattern
+// only the general router can serve — with each layout's owner function
+// derived once, outside the loop. The result array shares the index
+// array's layout (it is computed elementwise from it).
 func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 	src, err := c.arrayArg(fc.Args[0], "cm_gather")
 	if err != nil {
@@ -505,15 +534,17 @@ func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 	srcD, outD := effectivePair(src, out)
 	ls := shape.Distribute(shape.Of(src.Ext...), c.PEs, srcD)
 	lo := shape.Distribute(shape.Of(out.Ext...), c.PEs, outD)
-	tmp := c.stage(idx.Size())
+	from, to := ls.DimOwner(0), lo.DimOwner(0)
+	base, data, ix := src.Lo[0], src.Data, idx.Data
+	tmp := c.stage(len(ix))
 	off := 0
 	for i := range tmp {
-		j := int(idx.Data[i]) - src.Lo[0]
-		if j < 0 || j >= len(src.Data) {
-			return fmt.Errorf("rt: gather index %d out of bounds: %w", j+src.Lo[0], ErrShape)
+		j := int(ix[i]) - base
+		if j < 0 || j >= len(data) {
+			return fmt.Errorf("rt: gather index %d out of bounds: %w", j+base, ErrShape)
 		}
-		tmp[i] = src.Data[j]
-		if ls.Owner(j) != lo.Owner(i) {
+		tmp[i] = data[j]
+		if from.Of(j) != to.Of(i) {
 			off++
 		}
 	}

@@ -48,15 +48,15 @@ func TestCommCostTable(t *testing.T) {
 	}
 }
 
-// randomDist draws a distribution of the given rank; one in four is the
-// default (no directive at all).
-func randomDist(rng *rand.Rand, rank int) shape.Distribution {
+// randomDist draws a distribution of the given rank, CYCLIC chunks below
+// maxK; one in four is the default (no directive at all).
+func randomDist(rng *rand.Rand, rank, maxK int) shape.Distribution {
 	if rng.Intn(4) == 0 {
 		return shape.Distribution{}
 	}
 	d := shape.Distribution{Dims: make([]shape.DimDist, rank)}
 	for i := range d.Dims {
-		d.Dims[i] = shape.DimDist{Kind: shape.DistKind(rng.Intn(3)), K: rng.Intn(5)}
+		d.Dims[i] = shape.DimDist{Kind: shape.DistKind(rng.Intn(3)), K: rng.Intn(maxK)}
 	}
 	return d
 }
@@ -90,7 +90,7 @@ func TestOneCostPathProperties(t *testing.T) {
 		for i := range ext {
 			ext[i] = 1 + rng.Intn(40)
 		}
-		da, db := randomDist(rng, rank), randomDist(rng, rank)
+		da, db := randomDist(rng, rank, 5), randomDist(rng, rank, 5)
 		dim, s := 1+rng.Intn(rank), rng.Intn(200)-100
 		c := run(pes, ext, ext, da, db, shiftMove(s, dim))
 		sd, _ := effectivePair(c.Store.Arrays["a"], c.Store.Arrays["b"])
@@ -116,4 +116,127 @@ func TestOneCostPathProperties(t *testing.T) {
 				r, cl, pes, c.ClassCycles, off, r*cl-off, want, class)
 		}
 	}
+}
+
+// ownerRef is the owner of 0-based index i along dimension d in its
+// modulo form, written from the distribution alone: what DimOwner's mask
+// must agree with.
+func ownerRef(l shape.Layout, d, i int) int {
+	pd, dd := l.PEDims[d], l.Dist.Dim(d)
+	switch {
+	case pd <= 1 || dd.Kind == shape.DistStar:
+		return 0
+	case dd.Kind == shape.DistCyclic:
+		return (i / max(dd.K, 1)) % pd
+	}
+	return min(i/max(l.Block[d], 1), pd-1)
+}
+
+// TestOffPECountClosedForm holds the router's two owner counts to the
+// Layout.Owner double loop over random extents (rectangular and 1-wide
+// included), 1…256 PEs (powers of two or not) and distribution pairs
+// (the default, * and CYCLIC(k) with k above the extent included): the
+// transpose's key histogram, and the gather's hoisted owner functions as
+// priced by a real transfer. Every DimOwner is checked against the
+// modulo form of the owner on the way.
+func TestOffPECountClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	extent := func() int {
+		if rng.Intn(6) == 0 {
+			return 1
+		}
+		return 1 + rng.Intn(40)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		pes := 1 + rng.Intn(256)
+		r, cl := extent(), extent()
+		ls := shape.Distribute(shape.Of(r, cl), pes, randomDist(rng, 2, 48))
+		lo := shape.Distribute(shape.Of(cl, r), pes, randomDist(rng, 2, 48))
+		for _, l := range []shape.Layout{ls, lo} {
+			for d := range l.Extents {
+				own := l.DimOwner(d)
+				for i := 0; i < l.Extents[d]; i++ {
+					if want := ownerRef(l, d, i); own.Of(i) != want || l.OwnerDim(d, i) != want {
+						t.Fatalf("%+v dim %d index %d: DimOwner %d, OwnerDim %d, want %d",
+							l, d, i, own.Of(i), l.OwnerDim(d, i), want)
+					}
+				}
+			}
+		}
+		local := 0
+		for j := 0; j < cl; j++ {
+			for i := 0; i < r; i++ {
+				if ls.Owner(i, j) == lo.Owner(j, i) {
+					local++
+				}
+			}
+		}
+		if got := transposeLocal(ls, lo); got != local {
+			t.Fatalf("%dx%d over %d PEs, %q -> %q: transposeLocal %d, the double loop %d",
+				r, cl, pes, ls.Dist, lo.Dist, got, local)
+		}
+
+		n, m := r*cl, extent()*extent()
+		src, idx, out := NewArray(nir.Float64, shape.Of(n)), NewArray(nir.Integer32, shape.Of(m)), NewArray(nir.Float64, shape.Of(m))
+		src.Dist, out.Dist = randomDist(rng, 1, 48), randomDist(rng, 1, 48)
+		for i := range src.Data {
+			src.Data[i] = float64(i)
+		}
+		for i := range idx.Data {
+			idx.Data[i] = float64(1 + rng.Intn(n))
+		}
+		c := &Comm{PEs: pes, Cost: DefaultCommCost,
+			Store: &Store{Arrays: map[string]*Array{"a": src, "idx": idx, "b": out}, Scalars: map[string]float64{}}}
+		if err := c.ExecMove(gatherMove()); err != nil {
+			t.Fatal(err)
+		}
+		sd, od := effectivePair(src, out)
+		gs, gt := shape.Distribute(shape.Of(n), pes, sd), shape.Distribute(shape.Of(m), pes, od)
+		off := 0
+		for i, v := range idx.Data {
+			if out.Data[i] != v-1 {
+				t.Fatalf("gather b[%d] = %v, want %v", i, out.Data[i], v-1)
+			}
+			if gs.Owner(int(v)-1) != gt.Owner(i) {
+				off++
+			}
+		}
+		if class, want := c.Cost.Routed(off, m-off, gt); c.ClassCycles[class] != want || c.Cycles != want {
+			t.Fatalf("gather %d of %d over %d PEs, %q -> %q: %v, Routed(%d, %d) is %v %s",
+				m, n, pes, sd, od, c.ClassCycles, off, m-off, want, class)
+		}
+	}
+}
+
+// BenchmarkCommRouter is the row a comm change is measured against: the
+// router workload's two moves at its sizes on the CM/2's 2,048 PEs — a
+// 512² (CYCLIC, CYCLIC) transpose and a 2²⁰-element CYCLIC near-neighbour
+// gather (bench/workloads.go genRouter's index pattern).
+func BenchmarkCommRouter(b *testing.B) {
+	cyc2 := shape.Distribution{Dims: []shape.DimDist{{Kind: shape.DistCyclic}, {Kind: shape.DistCyclic}}}
+	run := func(b *testing.B, st *Store, mv nir.Move) {
+		c := &Comm{Store: st, PEs: 2048, Cost: DefaultCommCost}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.ExecMove(mv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("transpose", func(b *testing.B) {
+		const m = 512
+		ta, tb := NewArray(nir.Float64, shape.Of(m, m)), NewArray(nir.Float64, shape.Of(m, m))
+		ta.Dist, tb.Dist = cyc2, cyc2
+		run(b, &Store{Arrays: map[string]*Array{"a": ta, "b": tb}, Scalars: map[string]float64{}}, transposeMove())
+	})
+	b.Run("gather", func(b *testing.B) {
+		const n = 1 << 20
+		st := gatherStore(n, cyclic, func(i int) int {
+			i++
+			return 1 + (i-1+(7*i)%5-2+n)%n
+		})
+		st.Arrays["b"].Dist, st.Arrays["idx"].Dist = cyclic, cyclic
+		run(b, st, gatherMove())
+	})
 }

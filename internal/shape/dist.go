@@ -2,6 +2,7 @@ package shape
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -227,29 +228,58 @@ func Distribute(s Shape, pes int, d Distribution) Layout {
 	return l
 }
 
+// DimOwner is a layout's owner function along one dimension, derived
+// once so a loop over indices pays an inlinable Of per element instead
+// of a walk of the Layout. Of is the one definition of an owner:
+// OwnerDim and Owner are written in terms of it.
+type DimOwner struct {
+	shift uint // chunk index = i >> shift for a power-of-two chunk,
+	div   int  // = i / div for any other (div > 1)
+	mask  int  // pd-1 for CYCLIC, all ones for BLOCK, 0 on one PE
+	last  int  // pd-1, BLOCK's clamp
+}
+
+// DimOwner returns the owner function of dimension d. CYCLIC deals
+// chunks round-robin over the dimension's pd PEs, and since Distribute
+// only doubles PE counts, pd is a power of two and the deal is a mask.
+func (l Layout) DimOwner(d int) DimOwner {
+	pd, dd := l.PEDims[d], l.Dist.Dim(d)
+	switch {
+	case pd <= 1 || dd.Kind == DistStar:
+		return DimOwner{}
+	case dd.Kind == DistCyclic:
+		return chunkOwner(dd.chunk(), pd-1, pd-1)
+	}
+	return chunkOwner(max(l.Block[d], 1), -1, pd-1)
+}
+
+func chunkOwner(k, mask, last int) DimOwner {
+	if k&(k-1) == 0 {
+		return DimOwner{shift: uint(bits.TrailingZeros(uint(k))), mask: mask, last: last}
+	}
+	return DimOwner{div: k, mask: mask, last: last}
+}
+
+// Of is the PE coordinate owning 0-based index i: (i/k) mod pd for
+// CYCLIC(k), min(i/block, pd-1) for BLOCK, 0 on one PE.
+func (o DimOwner) Of(i int) int {
+	q := i >> o.shift
+	if o.div > 1 {
+		q = i / o.div
+	}
+	return min(q&o.mask, o.last)
+}
+
 // OwnerDim is the PE coordinate along dimension dim that owns 0-based
 // index i under the layout's distribution; the partition layer counts
 // points per PE coordinate with it when mapping distributions onto node
 // subgrids.
 func (l Layout) OwnerDim(dim, i int) int {
-	pd := l.PEDims[dim]
-	if pd <= 1 {
-		return 0
-	}
-	dd := l.Dist.Dim(dim)
-	switch dd.Kind {
-	case DistStar:
-		return 0
-	case DistCyclic:
-		return (i / dd.chunk()) % pd
-	default:
-		b := max(l.Block[dim], 1)
-		return min(i/b, pd-1)
-	}
+	return l.DimOwner(dim).Of(i)
 }
 
 // Owner is the PE (0-based, column-major over PEDims) owning the point
-// with the given 0-based coordinates.
+// with the given 0-based coordinates: Σ_d owner_d(i_d)·stride_d.
 func (l Layout) Owner(idx ...int) int {
 	pe, stride := 0, 1
 	for d := range l.Extents {
@@ -257,7 +287,7 @@ func (l Layout) Owner(idx ...int) int {
 		if d < len(idx) {
 			i = idx[d]
 		}
-		pe += l.OwnerDim(d, i) * stride
+		pe += l.DimOwner(d).Of(i) * stride
 		stride *= l.PEDims[d]
 	}
 	return pe

@@ -63,6 +63,36 @@ func TestDistributeDefaultMatchesLegacyBlockwise(t *testing.T) {
 	}
 }
 
+// TestDistributePEDimsArePowersOfTwo: Distribute only ever doubles a
+// dimension's PE count, so every PEDims entry is a power of two — for PE
+// counts that are not powers of two too. DimOwner's CYCLIC owner is a
+// mask on that fact.
+func TestDistributePEDimsArePowersOfTwo(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	kinds := []DimDist{{Kind: DistBlock}, {Kind: DistCyclic}, {Kind: DistCyclic, K: 3}, {Kind: DistStar}}
+	for trial := 0; trial < 2000; trial++ {
+		rank := 1 + rng.Intn(3)
+		ext := make([]int, rank)
+		d := Distribution{Dims: make([]DimDist, rank)}
+		for i := range ext {
+			ext[i] = 1 + rng.Intn(100)
+			d.Dims[i] = kinds[rng.Intn(len(kinds))]
+		}
+		pes := 1 + rng.Intn(3000)
+		l := Distribute(Of(ext...), pes, d)
+		used := 1
+		for _, pd := range l.PEDims {
+			if pd < 1 || pd&(pd-1) != 0 {
+				t.Fatalf("Distribute(%v, %d, %v).PEDims = %v: %d is not a power of two", ext, pes, d, l.PEDims, pd)
+			}
+			used *= pd
+		}
+		if used > pes {
+			t.Fatalf("Distribute(%v, %d, %v).PEDims = %v spans more than the machine", ext, pes, d, l.PEDims)
+		}
+	}
+}
+
 func TestBlockwiseDegenerateInputs(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -8,7 +8,11 @@
 #      the NEWS grid may never cost more than leaving it),
 #   2. run the unverified sweep twice and assert the two
 #      f90y-layout/v1 records are byte-identical (the sweep is
-#      deterministic),
+#      deterministic) and byte-equal to the committed
+#      LAYOUT_baseline.json — the golden that holds the comm cycles of
+#      transpose, FFT and gather, as BENCH_baseline.json holds SWE's
+#      (`make modeled-record` refreshes both when a modeled number is
+#      MEANT to move),
 #   3. assert at least one kernel's best layout is not all-BLOCK, and
 #   4. assert the worst/best cycle spread reaches 1.5x on some kernel
 #      (the distribution choice must matter in the model; the single
@@ -42,6 +46,12 @@ $GO run ./cmd/swebench -layout-sweep \
 if ! cmp -s "$workdir/b.json" "$workdir/c.json"; then
 	echo "layout-smoke: FAIL: sweep records differ between runs" >&2
 	diff "$workdir/b.json" "$workdir/c.json" >&2 || true
+	exit 1
+fi
+if [ "$N" = 65536 ] && [ "$ITERS" = 2 ] && ! cmp -s LAYOUT_baseline.json "$workdir/b.json"; then
+	echo "layout-smoke: FAIL: sweep record differs from LAYOUT_baseline.json" >&2
+	diff LAYOUT_baseline.json "$workdir/b.json" >&2 || true
+	echo "layout-smoke: if the change is meant to move a modeled number: make modeled-record" >&2
 	exit 1
 fi
 

@@ -21,8 +21,13 @@ want=BENCH_baseline.json
 
 # The size budget: what `make size` may report at most. A change that
 # grows either number says so by raising it here, in its own diff; a
-# simplification lowers it to what it reached.
-max_lines=19725
+# simplification lowers it to what it reached. PR 25 raised it by 38
+# (19,725 → 19,763): shape.DimOwner (an owner function derived once per
+# dimension, shift or divide, then mask or clamp) and rt's transposeInto
+# / transposeLocal (tiled staging, the O(rows + columns) owner-key
+# histogram) — what takes the router's owner counting from an Owner call
+# per element to layout arithmetic.
+max_lines=19763
 max_flags=56
 
 workdir="$(mktemp -d)"
