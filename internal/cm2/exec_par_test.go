@@ -109,7 +109,7 @@ func TestExecChainedAddend(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		want := float64(i+1)*2 + 100*float64(i)
+		want := float64(float64(i+1)*2) + float64(100*float64(i))
 		if got := st.Arrays["d"].Data[i]; got != want {
 			t.Fatalf("d[%d] = %v, want %v", i, got, want)
 		}

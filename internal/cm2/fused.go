@@ -6,17 +6,33 @@ import "f90y/internal/peac"
 // the explicit float64 conversion is the spec's fusion barrier, pinning
 // the intermediate to the exact rounding a register write performs —
 // then combines t with z on the side the second instruction read the
-// register. Operand order is preserved exactly (no commuting), so even
-// NaN-payload propagation matches the unfused pair.
+// register. The result is the unfused pair's bit for bit on every lane
+// where that is not NaN (±0 included), and NaN wherever it is NaN: the
+// contract oracle.ULPDist assumes. A NaN's payload is not part of it —
+// gc may commute a commutative op, so z + t with two NaN operands can
+// return either payload.
 
 // fusedOps is indexed [op1][op2][accumulator side] with the ops in
 // fuseIndex order and side 1 meaning the second instruction read t as
-// its left operand.
-var fusedOps = [4][4][2]peac.LaneFunc{
+// its left operand. Each entry runs the pair's vector body where the
+// host has one (peac.Vector), the Go loop below otherwise and on the
+// tail.
+var fusedOps = vectorPairs([4][4][2]peac.LaneFunc{
 	{{fuseAddAddR, fuseAddAddL}, {fuseAddSubR, fuseAddSubL}, {fuseAddMulR, fuseAddMulL}, {fuseAddDivR, fuseAddDivL}},
 	{{fuseSubAddR, fuseSubAddL}, {fuseSubSubR, fuseSubSubL}, {fuseSubMulR, fuseSubMulL}, {fuseSubDivR, fuseSubDivL}},
 	{{fuseMulAddR, fuseMulAddL}, {fuseMulSubR, fuseMulSubL}, {fuseMulMulR, fuseMulMulL}, {fuseMulDivR, fuseMulDivL}},
 	{{fuseDivAddR, fuseDivAddL}, {fuseDivSubR, fuseDivSubL}, {fuseDivMulR, fuseDivMulL}, {fuseDivDivR, fuseDivDivL}},
+})
+
+func vectorPairs(loops [4][4][2]peac.LaneFunc) [4][4][2]peac.LaneFunc {
+	for i := range loops {
+		for j := range loops[i] {
+			for side, loop := range loops[i][j] {
+				loops[i][j][side] = peac.Vector(peac.PairBody(i, j, side), loop)
+			}
+		}
+	}
+	return loops
 }
 
 // fuseIndex is an op's row in fusedOps, -1 for an op that never fuses.

@@ -136,9 +136,10 @@ type VM struct {
 }
 
 // charge adds cyc to one attribution bucket, keeping Cycles as the
-// re-summed total so the buckets always sum exactly to it.
+// re-summed total so the buckets always sum exactly to it. cyc is
+// rounded before the add, so a caller's product never fuses into it.
 func (vm *VM) charge(bucket *float64, cyc float64) {
-	*bucket += cyc
+	*bucket += float64(cyc)
 	vm.Cycles = vm.IssueCycles + vm.ScalarCycles + vm.ElemCycles + vm.DispatchCycles + vm.StallCycles
 }
 
@@ -363,7 +364,7 @@ func (vm *VM) execOp(op fe.Op) error {
 	case fe.Assign:
 		return vm.assign(op)
 	case fe.CallNode:
-		vm.charge(&vm.DispatchCycles, vm.Cost.DispatchStart+float64(len(op.Routine.Params))*vm.Cost.DispatchPerArg)
+		vm.charge(&vm.DispatchCycles, vm.Cost.DispatchStart+float64(float64(len(op.Routine.Params))*vm.Cost.DispatchPerArg))
 		return vm.Hooks.Dispatch(op.Routine, op.Over)
 	case fe.Comm:
 		return vm.Hooks.Comm(vm.bindLocals(op.Move))

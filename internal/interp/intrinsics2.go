@@ -331,7 +331,7 @@ func (m *Machine) evalDot(e *ast.Index, args map[string]ast.Expr) (result, error
 	}
 	var s float64
 	for i := 0; i < a.Size(); i++ {
-		s += a.at(i).AsFloat() * b.at(i).AsFloat()
+		s += float64(a.at(i).AsFloat() * b.at(i).AsFloat())
 	}
 	return scalarResult(RealVal(s)), nil
 }

@@ -23,7 +23,9 @@ func b2f(b bool) float64 {
 // sources resliced to len(dst) so the compiler drops the bounds checks.
 // Loops run in ascending element order and touch only index i per
 // step, so a destination register aliasing a source (d = d*s) computes
-// one element at a time, reading i before writing i.
+// one element at a time, reading i before writing i. A product that
+// feeds a sum is written float64(x*y): the conversion forbids a fused
+// multiply-add, so every architecture rounds twice, as the op does.
 
 func lanesAdd(dst, x, y, _ []float64) {
 	x, y = x[:len(dst)], y[:len(dst)]
@@ -80,7 +82,7 @@ func lanesModInt(dst, x, y []float64) error {
 			return errIntModZero
 		}
 		v := x[i]
-		dst[i] = v - math.Trunc(v/d)*d
+		dst[i] = v - float64(math.Trunc(v/d)*d)
 	}
 	return nil
 }
@@ -102,14 +104,14 @@ func lanesMax(dst, x, y, _ []float64) {
 func lanesFmadd(dst, x, y, z []float64) {
 	x, y, z = x[:len(dst)], y[:len(dst)], z[:len(dst)]
 	for i := range dst {
-		dst[i] = x[i]*y[i] + z[i]
+		dst[i] = float64(x[i]*y[i]) + z[i]
 	}
 }
 
 func lanesFmsub(dst, x, y, z []float64) {
 	x, y, z = x[:len(dst)], y[:len(dst)], z[:len(dst)]
 	for i := range dst {
-		dst[i] = x[i]*y[i] - z[i]
+		dst[i] = float64(x[i]*y[i]) - z[i]
 	}
 }
 
@@ -134,40 +136,31 @@ func lanesSqrt(dst, x, _, _ []float64) {
 	}
 }
 
-func lanesSin(dst, x, _, _ []float64) {
+// lanesRepeat is the lane loop of a transcendental: f is a function of
+// its input's bits alone, so a lane whose input repeats the previous
+// lane's bits reuses that lane's result instead of calling f (SWE's
+// sin((j-0.5)*dj) is one value along a strip). The previous input is
+// kept in a local, not re-read from x, so dst may be x (fsinv aV1 aV1).
+func lanesRepeat(dst, x []float64, f func(float64) float64) {
 	x = x[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Sin(x[i])
+	var in, out float64
+	for i, v := range x {
+		if i == 0 || math.Float64bits(v) != math.Float64bits(in) {
+			in, out = v, f(v)
+		}
+		dst[i] = out
 	}
 }
 
-func lanesCos(dst, x, _, _ []float64) {
-	x = x[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Cos(x[i])
-	}
-}
+func lanesSin(dst, x, _, _ []float64) { lanesRepeat(dst, x, math.Sin) }
 
-func lanesTan(dst, x, _, _ []float64) {
-	x = x[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Tan(x[i])
-	}
-}
+func lanesCos(dst, x, _, _ []float64) { lanesRepeat(dst, x, math.Cos) }
 
-func lanesExp(dst, x, _, _ []float64) {
-	x = x[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Exp(x[i])
-	}
-}
+func lanesTan(dst, x, _, _ []float64) { lanesRepeat(dst, x, math.Tan) }
 
-func lanesLog(dst, x, _, _ []float64) {
-	x = x[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Log(x[i])
-	}
-}
+func lanesExp(dst, x, _, _ []float64) { lanesRepeat(dst, x, math.Exp) }
+
+func lanesLog(dst, x, _, _ []float64) { lanesRepeat(dst, x, math.Log) }
 
 func lanesTrunc(dst, x, _, _ []float64) {
 	x = x[:len(dst)]

@@ -54,15 +54,15 @@ var ops = [JNZ + 1]OpInfo{
 	NOP:    {Name: "nop", Class: ClassVector, Free: true},
 	FLODV:  {Name: "flodv", Class: ClassMemory, Form: FormLoad, Lanes: lanesMov},
 	FSTRV:  {Name: "fstrv", Class: ClassMemory, Form: FormStore},
-	FADDV:  {Name: "faddv", Class: ClassVector, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: lanesAdd},
-	FSUBV:  {Name: "fsubv", Class: ClassVector, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: lanesSub},
-	FMULV:  {Name: "fmulv", Class: ClassVector, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: lanesMul},
-	FDIVV:  {Name: "fdivv", Class: ClassDivide, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: lanesDiv, IntLanes: lanesDivInt},
+	FADDV:  {Name: "faddv", Class: ClassVector, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: Vector(arithBodies[bodyAdd], lanesAdd)},
+	FSUBV:  {Name: "fsubv", Class: ClassVector, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: Vector(arithBodies[bodySub], lanesSub)},
+	FMULV:  {Name: "fmulv", Class: ClassVector, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: Vector(arithBodies[bodyMul], lanesMul)},
+	FDIVV:  {Name: "fdivv", Class: ClassDivide, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: Vector(arithBodies[bodyDiv], lanesDiv), IntLanes: lanesDivInt},
 	FMODV:  {Name: "fmodv", Class: ClassDivide, Form: FormArith, Srcs: 2, Trap: true, Flops: 1, Lanes: lanesMod, IntLanes: lanesModInt},
 	FMINV:  {Name: "fminv", Class: ClassVector, Form: FormArith, Srcs: 2, Flops: 1, Lanes: lanesMin},
 	FMAXV:  {Name: "fmaxv", Class: ClassVector, Form: FormArith, Srcs: 2, Flops: 1, Lanes: lanesMax},
-	FMADDV: {Name: "fmaddv", Class: ClassVector, Form: FormArith, Srcs: 3, Trap: true, Flops: 2, Lanes: lanesFmadd},
-	FMSUBV: {Name: "fmsubv", Class: ClassVector, Form: FormArith, Srcs: 3, Trap: true, Flops: 2, Lanes: lanesFmsub},
+	FMADDV: {Name: "fmaddv", Class: ClassVector, Form: FormArith, Srcs: 3, Trap: true, Flops: 2, Lanes: Vector(pairBodies[bodyMul][bodyAdd][pairLeft], lanesFmadd)},
+	FMSUBV: {Name: "fmsubv", Class: ClassVector, Form: FormArith, Srcs: 3, Trap: true, Flops: 2, Lanes: Vector(pairBodies[bodyMul][bodySub][pairLeft], lanesFmsub)},
 	FNEGV:  {Name: "fnegv", Class: ClassVector, Form: FormArith, Srcs: 1, Flops: 1, Lanes: lanesNeg},
 	FABSV:  {Name: "fabsv", Class: ClassVector, Form: FormArith, Srcs: 1, Flops: 1, Lanes: lanesAbs},
 	FSQRTV: {Name: "fsqrtv", Class: ClassSqrt, Form: FormArith, Srcs: 1, Trap: true, Flops: 1, Lanes: lanesSqrt},

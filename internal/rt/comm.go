@@ -628,11 +628,11 @@ func (c *Comm) execDot(fc nir.FcnCall, tgt nir.Value) error {
 	acc := 0.0
 	if a.Kind == nir.Integer32 && b.Kind == nir.Integer32 {
 		for i := range a.Data {
-			acc += math.Trunc(a.Data[i]) * math.Trunc(b.Data[i])
+			acc += float64(math.Trunc(a.Data[i]) * math.Trunc(b.Data[i]))
 		}
 	} else {
 		for i := range a.Data {
-			acc += a.Data[i] * b.Data[i]
+			acc += float64(a.Data[i] * b.Data[i])
 		}
 	}
 	sv, ok := tgt.(nir.SVar)

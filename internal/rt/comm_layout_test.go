@@ -74,7 +74,7 @@ func TestShiftCyclicAlignedFree(t *testing.T) {
 	}
 	l := shape.Distribute(shape.Of(128), c.PEs, cyclic)
 	sub := float64(l.SubgridSize())
-	want := c.Cost.GridStartup + sub*c.Cost.GridLocal // zero wire term
+	want := c.Cost.GridStartup + float64(sub*c.Cost.GridLocal) // zero wire term
 	if c.Cycles != want {
 		t.Fatalf("free cyclic shift: %v cycles, want %v", c.Cycles, want)
 	}
@@ -126,7 +126,7 @@ func TestShiftCrossDistributionRouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := shape.Distribute(shape.Of(128), c.PEs, cyclic)
-	want := c.Cost.RouterStartup + float64(l.SubgridSize())*c.Cost.RouterPerElem
+	want := c.Cost.RouterStartup + float64(float64(l.SubgridSize())*c.Cost.RouterPerElem)
 	if c.ClassCycles[CommRouter] != want || c.ClassCycles[CommGrid] != 0 {
 		t.Fatalf("cross-distribution shift must be a router realignment of %v: %v", want, c.ClassCycles)
 	}

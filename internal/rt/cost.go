@@ -14,7 +14,9 @@ import (
 // charge (§2.2: special-purpose communications "can be substantially
 // faster than the worst-case router alternative"). Reductions combine a
 // local sweep with a log-depth hypercube phase. A layout is priced the
-// same whether a directive wrote it or it is the all-BLOCK default.
+// same whether a directive wrote it or it is the all-BLOCK default, and
+// on every architecture: each product that feeds a sum is pinned with
+// float64(...), which forbids a fused multiply-add.
 type CommCost struct {
 	GridStartup   float64
 	GridLocal     float64 // per element, intra-PE
@@ -41,7 +43,7 @@ var DefaultCommCost = CommCost{
 // RouterPass prices one general-router pass over a subgrid of sub
 // elements: a realignment, a general move, a dead PE's remap.
 func (k CommCost) RouterPass(sub int) float64 {
-	return k.RouterStartup + float64(sub)*k.RouterPerElem
+	return k.RouterStartup + float64(float64(sub)*k.RouterPerElem)
 }
 
 // Shift prices a shift by s along dimension d (0-based) between two
@@ -53,7 +55,7 @@ func (k CommCost) RouterPass(sub int) float64 {
 func (k CommCost) Shift(l shape.Layout, d, s int) (string, float64) {
 	sub := float64(l.SubgridSize())
 	frac, hops := l.ShiftCost(d, s)
-	grid := k.GridStartup + sub*k.GridLocal + sub*frac*k.GridWire*hops
+	grid := k.GridStartup + float64(sub*k.GridLocal) + float64(sub*frac*k.GridWire*hops)
 	if router := k.RouterPass(l.SubgridSize()); router < grid {
 		return CommRouter, router
 	}
@@ -69,30 +71,30 @@ func (k CommCost) Shift(l shape.Layout, d, s int) (string, float64) {
 func (k CommCost) Routed(off, local int, lo shape.Layout) (string, float64) {
 	pes := float64(max(lo.PEsUsed(), 1))
 	if off == 0 {
-		return CommGrid, k.GridStartup + float64(local)/pes*k.GridLocal
+		return CommGrid, k.GridStartup + float64(float64(local)/pes*k.GridLocal)
 	}
-	return CommRouter, k.RouterStartup + float64(off)/pes*k.RouterPerElem + float64(local)/pes*k.GridLocal
+	return CommRouter, k.RouterStartup + float64(float64(off)/pes*k.RouterPerElem) + float64(float64(local)/pes*k.GridLocal)
 }
 
 // Reduce prices a reduction of an array laid out as l to a scalar: a
 // sweep of the subgrid, then the combine tree across the machine.
 func (k CommCost) Reduce(l shape.Layout) float64 {
-	return k.ReduceStartup + float64(l.SubgridSize())*k.ReducePerElem + k.tree(l)
+	return k.ReduceStartup + float64(float64(l.SubgridSize())*k.ReducePerElem) + k.tree(l)
 }
 
 // Spread prices a broadcast along a new dimension into an array laid
 // out as l: a grid pass of the subgrid after the fan-out tree.
 func (k CommCost) Spread(l shape.Layout) float64 {
-	return k.GridStartup + float64(l.SubgridSize())*k.GridLocal + k.tree(l)
+	return k.GridStartup + float64(float64(l.SubgridSize())*k.GridLocal) + k.tree(l)
 }
 
 // Dot prices a dot product of two arrays laid out as l: the elementwise
 // multiply rides the reduction's sweep.
 func (k CommCost) Dot(l shape.Layout) float64 {
-	return k.ReduceStartup + float64(l.SubgridSize())*(k.GridLocal+k.ReducePerElem) + k.tree(l)
+	return k.ReduceStartup + float64(float64(l.SubgridSize())*(k.GridLocal+k.ReducePerElem)) + k.tree(l)
 }
 
 // tree is the log-depth hypercube phase over the whole machine.
 func (k CommCost) tree(l shape.Layout) float64 {
-	return math.Log2(float64(l.PEs)) * k.HopCost
+	return float64(math.Log2(float64(l.PEs)) * k.HopCost)
 }

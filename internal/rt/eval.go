@@ -193,7 +193,7 @@ func evalBinary(op nir.BinOp, l float64, lk nir.ScalarKind, r float64, rk nir.Sc
 			if r == 0 {
 				return 0, 0, fmt.Errorf("rt: mod by zero")
 			}
-			return l - math.Trunc(l/r)*r, nir.Integer32, nil
+			return l - float64(math.Trunc(l/r)*r), nir.Integer32, nil
 		}
 		return math.Mod(l, r), kind, nil
 	case nir.Min:

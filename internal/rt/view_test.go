@@ -28,7 +28,7 @@ func viewTestStore() *Store {
 	st := NewStore(syms)
 	for j := 0; j < 3; j++ {
 		for i := 0; i < 4; i++ {
-			st.Arrays["a"].Data[i+4*j] = float64(i+1) + 10*float64(j+1)
+			st.Arrays["a"].Data[i+4*j] = float64(i+1) + float64(10*float64(j+1))
 		}
 	}
 	return st

@@ -205,7 +205,7 @@ func (st *serverStats) noteRun(d time.Duration) {
 	if st.ewmaRunNS == 0 {
 		st.ewmaRunNS = ns
 	} else {
-		st.ewmaRunNS = 0.8*st.ewmaRunNS + 0.2*ns
+		st.ewmaRunNS = float64(0.8*st.ewmaRunNS) + float64(0.2*ns)
 	}
 	st.mu.Unlock()
 }

@@ -81,7 +81,7 @@ func (s *Sim) groups() float64 {
 // chargeOp accounts one elemental whole-array operation.
 func (s *Sim) chargeOp(flopsPerElem int) {
 	s.Ops++
-	s.Cycles += s.CallOverhead + s.groups()*s.OpCycles
+	s.Cycles += s.CallOverhead + float64(s.groups()*s.OpCycles)
 	s.Flops += int64(flopsPerElem * s.N * s.N)
 }
 
@@ -107,7 +107,7 @@ func (s *Sim) Scale(dst, a string, f func(x float64) float64) {
 func (s *Sim) Copy(dst, a string) {
 	copy(s.PVar(dst), s.PVar(a))
 	s.Ops++
-	s.Cycles += s.CallOverhead + s.groups()*s.OpCycles
+	s.Cycles += s.CallOverhead + float64(s.groups()*s.OpCycles)
 }
 
 // Shift is dst = CSHIFT(a, dim, amt) over the NEWS grid.
@@ -126,7 +126,7 @@ func (s *Sim) Shift(dst, a string, dim, amt int) {
 		}
 	}
 	s.Ops++
-	s.Cycles += s.ShiftStartup + s.groups()*s.ShiftPerGroup*math.Abs(float64(amt))
+	s.Cycles += s.ShiftStartup + float64(s.groups()*s.ShiftPerGroup*math.Abs(float64(amt)))
 }
 
 // Init fills a parallel variable from a coordinate function (self-address

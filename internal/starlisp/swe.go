@@ -38,7 +38,7 @@ func RunSWE(n, itmax int, m Model) (*Sim, Result) {
 		return aa * math.Sin((float64(i)-0.5)*di) * math.Sin((float64(j)-0.5)*dj)
 	})
 	s.Init("p", func(i, j int) float64 {
-		return pcf*(math.Cos(2.0*(float64(i)-1)*di)+math.Cos(2.0*(float64(j)-1)*dj)) + 50000.0
+		return float64(pcf*(math.Cos(2.0*(float64(i)-1)*di)+math.Cos(2.0*(float64(j)-1)*dj))) + 50000.0
 	})
 	// u = -(cshift(psi,2,1) - psi)*(n/el)*10 ; v analogous on dim 1.
 	s.Shift("t", "psi", 2, 1)

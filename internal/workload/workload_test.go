@@ -40,7 +40,7 @@ func TestSWEParsesAndRuns(t *testing.T) {
 	u := m.Array("u")
 	energy := 0.0
 	for _, v := range u.F {
-		energy += v * v
+		energy += float64(v * v)
 	}
 	if energy == 0 {
 		t.Fatal("u is identically zero")

@@ -21,13 +21,15 @@ want=BENCH_baseline.json
 
 # The size budget: what `make size` may report at most. A change that
 # grows either number says so by raising it here, in its own diff; a
-# simplification lowers it to what it reached. PR 25 raised it by 38
-# (19,725 → 19,763): shape.DimOwner (an owner function derived once per
-# dimension, shift or divide, then mask or clamp) and rt's transposeInto
-# / transposeLocal (tiled staging, the O(rows + columns) owner-key
-# histogram) — what takes the router's owner counting from an Owner call
-# per element to layout arithmetic.
-max_lines=19763
+# simplification lowers it to what it reached. The last raise, by 80
+# (19,763 → 19,843), buys the PEAC vector bodies: the Go declarations of
+# the 36 AVX bodies in internal/peac/vec_amd64.s (one line each — the
+# assembly itself is not Go and not counted), the CPU probe, the one
+# peac.Vector helper that picks a body or the Go loop per call, and the
+# two tables that route the op table's arithmetic rows and cm2's fused
+# pairs through it — what runs the lane loops four lanes per host
+# instruction instead of one.
+max_lines=19843
 max_flags=56
 
 workdir="$(mktemp -d)"
