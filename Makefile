@@ -20,6 +20,7 @@ GO ?= go
 #                  and byte-identical to LAYOUT_baseline.json
 #   serve-smoke    f90yd lifecycle: start, load, overload, SIGTERM drain
 #   crash-smoke    SIGKILL mid-load, relaunch, bit-identical recovery
+#                  (both are swebench -serve, cmd/swebench/serve.go)
 #   bench-check    vet + tests of the repository benchmark's own module
 check: vet build race modeled-check fuzz-smoke profile-smoke layout-smoke serve-smoke crash-smoke bench-check
 
@@ -80,29 +81,30 @@ modeled-record:
 	$(GO) run ./cmd/swebench -json -n 512 -steps 2 -o BENCH_baseline.json
 	$(GO) run ./cmd/swebench -layout-sweep -layout-n 65536 -layout-iters 2 -o LAYOUT_baseline.json > /dev/null
 
-# End-to-end server lifecycle smoke: build f90yd, start it on a random
-# port, fire the swebench -serve-url traffic mix (healthy, verified,
-# fault-injected, budget-killer, oversize), assert only documented
-# statuses come back, SIGTERM, and assert a clean drain (exit 0 with a
+# End-to-end server lifecycle smoke: swebench -serve launches f90yd on a
+# random port, sends the traffic mix (healthy, verified, fault-injected,
+# budget-killer, oversize), then an overflow burst that must be shed as
+# both 429 tenant_busy and 429 queue_full; every status must be in the
+# documented taxonomy, and SIGTERM must drain cleanly (exit 0 with a
 # draining stats snapshot).
 serve-smoke:
-	REQS=48 LOADW=8 OUT=.load-smoke.json ./scripts/serve_smoke.sh
+	GO="$(GO)" ./scripts/serve_smoke.sh -o .load-smoke.json
 	rm -f .load-smoke.json
 
-# Durability-plane crash smoke: the swebench -restart harness SIGKILLs
-# a -state-dir f90yd mid-load and relaunches it, clean and under
-# torn/short durable-write injection. Fails on any silent job loss,
-# any result diverging from its uninterrupted baseline, or a run where
-# the kills never actually interrupted anything (vacuity check).
+# Durability-plane crash smoke: swebench -serve -restart SIGKILLs a
+# -state-dir f90yd mid-load and relaunches it 3 times clean, then 3
+# times under torn/short durable-write injection. Fails on any silent
+# job loss, any result diverging from its uninterrupted baseline, a
+# clean phase that resumed no job from a spill (vacuity), or an unclean
+# final drain.
 crash-smoke:
-	KILLS=3 OUT=.crash-smoke.json ./scripts/crash_smoke.sh
+	GO="$(GO)" ./scripts/serve_smoke.sh -restart 3 -o .crash-smoke.json
 	rm -f .crash-smoke.json
 
-# Crash soak: 20 SIGKILL/relaunch cycles per phase (clean + fault
-# injected), recording the f90y-crash/v1 evidence quoted in
-# EXPERIMENTS.md L2.
+# Crash soak: 20 SIGKILL/relaunch cycles per phase, recording the
+# f90y-crash/v2 evidence quoted in EXPERIMENTS.md L2.
 crash-soak:
-	KILLS=20 OUT=CRASH_soak.json ./scripts/crash_smoke.sh
+	GO="$(GO)" ./scripts/serve_smoke.sh -restart 20 -o CRASH_soak.json
 
 # Short fuzz of the parser, the whole compile pipeline, the
 # differential oracle, and the checkpoint reader (~35s). The native

@@ -48,7 +48,7 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 // no ExecJIT identifier may reappear in non-test code, nothing reads
 // ExecOpts.JIT (inert; bench/layers names it), nothing outside
 // internal/cm2 names cm2's test-only Engine, and the CLI surface stays at
-// 59 flags: the 69 left after -exec-jit went from f90yrun, f90yd and
+// 51 flags: the 69 left after -exec-jit went from f90yrun, f90yd and
 // swebench, less the six swebench lost with its wall-clock recorders
 // (the serial-vs-parallel batch timer's mode flag, -exec-workers,
 // -serve-wait, and -profile, -profile-pprof, -profile-folded, which
@@ -61,9 +61,15 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 // durable.go, so no literal may spell that flag either; f90yrun's
 // -checkpoint-every, an explicit request for a file, stays), less the
 // three that made f90yc a second way to run a program (-metrics, -trace,
-// -faults; f90yrun's emit a superset). A new flag must say which old one
-// it retires (ROADMAP) and update this count and the budget `make
-// modeled-check` holds `make size` to.
+// -faults; f90yrun's emit a superset), less five of swebench's seven
+// server flags (-serve-url, -load, -load-workers, -state-dir,
+// -restart-io-faults; -server-bin became -serve: the one harness,
+// cmd/swebench/serve.go, always launches its own f90yd, sends one fixed
+// load, keeps durable state in a temporary directory and runs the
+// write-faulted phase after the clean one, so no literal may spell a
+// retired name). A new flag must say which old one it retires (ROADMAP)
+// and update this count and the budget `make modeled-check` holds `make
+// size` to.
 func TestEngineFlagRetired(t *testing.T) {
 	defining := map[string]bool{}
 	for _, typ := range []string{"Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Text"} {
@@ -83,6 +89,11 @@ func TestEngineFlagRetired(t *testing.T) {
 				}
 				if n.Kind == token.STRING && strings.Contains(n.Value, "ckpt-every") {
 					t.Errorf("%s: literal %s: the spill rule is derived, not configured", fset.Position(n.Pos()), n.Value)
+				}
+				for _, retired := range []string{"serve-url", "load-workers", "server-bin", "restart-io-faults"} {
+					if n.Kind == token.STRING && strings.Contains(n.Value, retired) {
+						t.Errorf("%s: literal %s: the server harness launches and sizes its own f90yd", fset.Position(n.Pos()), n.Value)
+					}
 				}
 			case *ast.Ident:
 				if strings.Contains(n.Name, "ExecJIT") {
@@ -105,8 +116,8 @@ func TestEngineFlagRetired(t *testing.T) {
 			return true
 		})
 	})
-	if flags != 56 {
-		t.Errorf("cmd/ declares %d flags, want 56", flags)
+	if flags != 51 {
+		t.Errorf("cmd/ declares %d flags, want 51", flags)
 	}
 }
 

@@ -35,18 +35,21 @@ const (
 	benchSteps = 2
 )
 
-func compileRun(b *testing.B, src string, cfg Config) *cm2.Result {
-	b.Helper()
+func compileRun(tb testing.TB, src string, cfg Config) *cm2.Result {
+	tb.Helper()
 	comp, err := Compile("bench.f90", src, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := comp.Run(context.Background(), nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return res
 }
+
+// cmfConfig compiles under the CM Fortran v1.1 model (internal/cmf).
+var cmfConfig = Config{Opt: cmf.OptOptions(), PE: cmf.PEOptions()}
 
 // ---- E1: §6 performance table ----
 
@@ -63,11 +66,7 @@ func BenchmarkSWE_CMF(b *testing.B) {
 	src := workload.SWE(benchN, benchSteps)
 	var last *cm2.Result
 	for i := 0; i < b.N; i++ {
-		res, err := cmf.Run("swe.f90", src, cm2.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = compileRun(b, src, cmfConfig)
 	}
 	b.ReportMetric(last.GFLOPS(), "gflops-modeled")
 	b.ReportMetric(float64(last.NodeCalls), "node-calls")
@@ -127,18 +126,8 @@ func TestE1PaperScale(t *testing.T) {
 	_, sl := starlisp.RunSWE(n, steps, starlisp.DefaultModel)
 	slGF := sl.GFLOPS(starlisp.DefaultModel.ClockHz)
 
-	cmfRes, err := cmf.Run("swe.f90", src, cm2.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := Compile("swe.f90", src, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := comp.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmfRes := compileRun(t, src, cmfConfig)
+	res := compileRun(t, src, DefaultConfig())
 
 	within := func(got, want float64) bool { return got > 0.9*want && got < 1.1*want }
 	if !within(slGF, 1.89) {

@@ -47,7 +47,6 @@ import (
 
 	"f90y"
 	"f90y/internal/cm2"
-	"f90y/internal/cmf"
 	"f90y/internal/faults"
 	"f90y/internal/obs/profile"
 	"f90y/internal/starlisp"
@@ -125,20 +124,23 @@ func buildRecord(n, steps int, plan *faults.Plan) (benchRecord, error) {
 	ctx := context.Background()
 	cfg := f90y.DefaultConfig()
 
-	comp, err := f90y.CompileCtx(ctx, "swe.f90", src, cfg)
-	if err != nil {
-		return benchRecord{}, err
-	}
 	var ctl *cm2.Control
 	if plan != nil {
 		ctl = &cm2.Control{Faults: faults.New(plan, nil)}
 	}
-	res, err := comp.Run(ctx, ctl)
+	run := func(c f90y.Config, ctl *cm2.Control) (*cm2.Result, error) {
+		comp, err := f90y.CompileCtx(ctx, "swe.f90", src, c)
+		if err != nil {
+			return nil, err
+		}
+		return comp.Run(ctx, ctl)
+	}
+	res, err := run(cfg, ctl)
 	if err != nil {
 		return benchRecord{}, err
 	}
 	_, sl := starlisp.RunSWE(n, steps, starlisp.DefaultModel)
-	cmfRes, err := cmf.Run("swe.f90", src, cm2.Default())
+	cmfRes, err := run(cmfConfig, nil)
 	if err != nil {
 		return benchRecord{}, err
 	}
@@ -194,9 +196,6 @@ func buildRecord(n, steps int, plan *faults.Plan) (benchRecord, error) {
 // writeJSON runs the SWE benchmark and writes the record to path
 // (default BENCH_swe_n<N>_s<steps>.json), printing the path on success.
 func writeJSON(path string, n, steps int) {
-	if path == "" {
-		path = fmt.Sprintf("BENCH_swe_n%d_s%d.json", n, steps)
-	}
 	plan, err := faults.ParseSpec(*flagFaults)
 	if err != nil {
 		die(err)
@@ -205,10 +204,22 @@ func writeJSON(path string, n, steps int) {
 	if err != nil {
 		die(err)
 	}
-	if err := writeRecord(path, rec); err != nil {
+	if err := emit(os.Stdout, path, fmt.Sprintf("BENCH_swe_n%d_s%d.json", n, steps), rec); err != nil {
 		die(err)
 	}
-	fmt.Println(path)
+}
+
+// emit writes a mode's record to path (def when empty) and names the
+// file on w.
+func emit(w io.Writer, path, def string, rec any) error {
+	if path == "" {
+		path = def
+	}
+	err := writeRecord(path, rec)
+	if err == nil {
+		fmt.Fprintln(w, path)
+	}
+	return err
 }
 
 // writeRecord writes any record as indented JSON.

@@ -267,12 +267,5 @@ func runLayoutSweep(w io.Writer, path string, n, iters int, verify bool) error {
 		}
 	}
 	fmt.Fprintf(w, "\nany_non_block_best=%t max_spread=%.2fx\n", rec.AnyNonBlockBest, rec.MaxSpread)
-	if path == "" {
-		path = fmt.Sprintf("BENCH_layout_n%d_i%d.json", n, iters)
-	}
-	if err := writeRecord(path, rec); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, path)
-	return nil
+	return emit(w, path, fmt.Sprintf("BENCH_layout_n%d_i%d.json", n, iters), rec)
 }

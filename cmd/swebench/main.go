@@ -2,9 +2,8 @@
 // (§6 and the worked figures) on the simulated CM/2, printing
 // paper-versus-measured tables, and is the harness the tier-1 gates
 // drive: the modeled-fields golden, the chaos soak, the layout sweep,
-// the server load mix and the crash-restart check. It measures modeled
-// cycles only; wall-clock evidence is the repository benchmark's job
-// (bench/, BENCHMARK.json).
+// and the two server gates. It measures modeled cycles only; wall-clock
+// evidence is the repository benchmark's job (bench/, BENCHMARK.json).
 //
 // Usage:
 //
@@ -14,26 +13,22 @@
 //	swebench -layout-sweep [-layout-n 65536] [-layout-iters 2]
 //	         [-layout-verify] [-o BENCH_layout.json]
 //	swebench -soak N [-json [-o SOAK.json]] [-parallel N] [-repro-dir DIR]
-//	swebench -serve-url http://127.0.0.1:8090 [-load 64] [-load-workers 8]
-//	         [-o LOAD_swe.json]
-//	swebench -restart N -server-bin ./f90yd [-state-dir DIR]
-//	         [-restart-io-faults seed=1,torn=0.05] [-o CRASH_swe.json]
+//	swebench -serve ./f90yd [-restart N] [-o LOAD_swe.json|CRASH_swe.json]
 //
-// With -serve-url the suite turns into a traffic generator against a
-// running f90yd server (see serve.go): a deterministic mix of healthy,
-// verified, fault-injected, budget-killer, and oversized jobs is fired
-// from concurrent clients, every response is checked against the
-// documented error taxonomy (any 500 fails the run), and a
-// "f90y-load/v2" record of per-class status and error-code counts is
-// written to -o.
-//
-// With -restart the suite becomes a crash-safety harness (see
-// restart.go): it launches its own f90yd on a durable -state-dir,
-// SIGKILLs it mid-load N times, relaunches it on the same state, and
-// fails unless every acknowledged job is recovered with a result
-// byte-identical to an uninterrupted baseline — or, under
-// -restart-io-faults, is lost ONLY as a server-reported torn-record
-// casualty. A "f90y-crash/v1" record goes to -o.
+// With -serve the suite launches the named f90yd on a loopback port,
+// drives it through one client and requires a clean SIGTERM drain (see
+// serve.go). Alone it is the load gate: a deterministic mix of healthy,
+// verified, fault-injected, budget-killer and oversized jobs plus an
+// overflow burst; every response must be in the documented error
+// taxonomy (any 500 fails the run), the burst must be shed as both 429
+// tenant_busy and 429 queue_full, and a "f90y-load/v3" record of
+// per-class status and error-code counts goes to -o. With -restart N it
+// is the crash gate: on a durable state dir the server is SIGKILLed
+// mid-load and relaunched N times, then N times more under torn/short
+// durable-write injection, and the command fails unless every
+// acknowledged job recovers with a result byte-identical to an
+// uninterrupted baseline — or, under injection, is lost ONLY as a
+// server-reported casualty. A "f90y-crash/v2" record goes to -o.
 //
 // The experiments always render through one N-worker pool (-parallel N;
 // N <= 1 is a pool of one, which runs them in order): each experiment
@@ -79,7 +74,6 @@ import (
 	"f90y/internal/cmf"
 	"f90y/internal/driver"
 	"f90y/internal/fe"
-	"f90y/internal/opt"
 	"f90y/internal/pe"
 	"f90y/internal/peac"
 	"f90y/internal/starlisp"
@@ -96,17 +90,12 @@ var (
 	flagParallel   = flag.Int("parallel", 0, "run experiments on an N-worker pool (N <= 1: one at a time, in order); with -soak, N < 1 = GOMAXPROCS")
 	flagSoak       = flag.Int("soak", 0, "chaos-soak: verify all kernels differentially, then sweep N seeds x fault plans x backends")
 	flagReproDir   = flag.String("repro-dir", "soak-repros", "directory for fault-invariance reproducer specs (-soak)")
-	flagServeURL   = flag.String("serve-url", "", "load-generator client mode: fire a mixed job stream at a running f90yd and write a f90y-load/v2 record")
-	flagLoad       = flag.Int("load", 64, "with -serve-url: total requests to issue")
-	flagLoadW      = flag.Int("load-workers", 8, "with -serve-url: concurrent client connections")
+	flagServe      = flag.String("serve", "", "server gate: launch this f90yd, drive it with the load mix (or with -restart, the crash schedule), drain it and write a record")
 	flagLayout     = flag.Bool("layout-sweep", false, "sweep the kernel trio across !HPF$ data distributions and write a f90y-layout/v1 record")
 	flagLayoutN    = flag.Int("layout-n", 65536, "with -layout-sweep: problem size (elements)")
 	flagLayoutIter = flag.Int("layout-iters", 2, "with -layout-sweep: kernel iterations")
 	flagLayoutVer  = flag.Bool("layout-verify", false, "with -layout-sweep: oracle-verify each (kernel, layout) pair at a reduced size first")
-	flagRestart    = flag.Int("restart", 0, "crash harness: SIGKILL and relaunch the managed server N times mid-load, verifying bit-identical recovery (see restart.go)")
-	flagServerBin  = flag.String("server-bin", "", "with -restart: path to the f90yd binary to launch, kill, and relaunch")
-	flagStateDir   = flag.String("state-dir", "", "with -restart: server durability directory (default: a fresh temp dir)")
-	flagIOFaults   = flag.String("restart-io-faults", "", "with -restart: -io-faults spec passed to the server, e.g. seed=1,torn=0.05,short=0.05")
+	flagRestart    = flag.Int("restart", 0, "with -serve: SIGKILL and relaunch the server N times mid-load, clean and then under write faults, verifying bit-identical recovery")
 )
 
 // experiment is one reproduction: it renders its table to w, running
@@ -124,14 +113,8 @@ var experiments = []experiment{
 func main() {
 	flag.Parse()
 	workers := *flagParallel
-	if *flagRestart > 0 {
-		if err := runRestart(os.Stdout, *flagServerBin, *flagRestart, *flagStateDir, *flagIOFaults, *flagOut); err != nil {
-			die(err)
-		}
-		return
-	}
-	if *flagServeURL != "" {
-		if err := runServeLoad(os.Stdout, *flagServeURL, *flagLoad, *flagLoadW, *flagOut); err != nil {
+	if *flagServe != "" || *flagRestart > 0 {
+		if err := runServe(os.Stdout, *flagServe, *flagRestart, *flagOut); err != nil {
 			die(err)
 		}
 		return
@@ -234,6 +217,11 @@ func runF90Y(svc *driver.Service, file, src string, cfg f90y.Config) (*cm2.Resul
 	return res.Result, res.Err
 }
 
+// cmfConfig compiles under the CM Fortran v1.1 model (internal/cmf): one
+// statement at a time, no cross-statement blocking, which is also the
+// unblocked configuration of E2–E5.
+var cmfConfig = f90y.Config{Opt: cmf.OptOptions(), PE: cmf.PEOptions()}
+
 // compileF90Y compiles through the shared cache without running.
 func compileF90Y(svc *driver.Service, file, src string, cfg f90y.Config) (*fe.Program, error) {
 	art, err := svc.Compile(context.Background(), file, src, cfg)
@@ -251,12 +239,7 @@ func e1(w io.Writer, svc *driver.Service, n, steps int) error {
 	_, sl := starlisp.RunSWE(n, steps, starlisp.DefaultModel)
 	slGF := sl.GFLOPS(starlisp.DefaultModel.ClockHz)
 
-	machine := cm2.Default()
-	cmfProg, _, err := cmf.Compile("swe.f90", src)
-	if err != nil {
-		return err
-	}
-	cmfRes, err := machine.RunCtx(context.Background(), cmfProg, nil, nil, nil)
+	cmfRes, err := runF90Y(svc, "swe.f90", src, cmfConfig)
 	if err != nil {
 		return err
 	}
@@ -277,48 +260,43 @@ func e1(w io.Writer, svc *driver.Service, n, steps int) error {
 	return nil
 }
 
-// e2 is the Fig. 9 domain-blocking transformation: phase counts before and
-// after.
-func e2(w io.Writer, svc *driver.Service, n, steps int) error {
-	src := workload.Fig9(64)
-	with, err := runF90Y(svc, "fig9.f90", src, f90y.DefaultConfig())
+// blocking renders a blocking experiment: src's node calls and total
+// cycles compiled one statement at a time (the row named unblocked) and
+// by the full compiler.
+func blocking(w io.Writer, svc *driver.Service, title, file, src, unblocked string) error {
+	with, err := runF90Y(svc, file, src, f90y.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	without, err := runF90Y(svc, "fig9.f90", src, f90y.Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized})
+	without, err := runF90Y(svc, file, src, cmfConfig)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "E2 (Fig. 9): domain blocking — like-shape moves fuse into one computation block")
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-24s %-12s %s\n", "configuration", "node calls", "total cycles")
-	fmt.Fprintf(w, "%-24s %-12d %.0f\n", "naive (per statement)", without.NodeCalls, without.TotalCycles())
+	fmt.Fprintf(w, "%-24s %-12d %.0f\n", unblocked, without.NodeCalls, without.TotalCycles())
 	fmt.Fprintf(w, "%-24s %-12d %.0f\n", "blocked (F90-Y)", with.NodeCalls, with.TotalCycles())
 	return nil
 }
 
+// e2 is the Fig. 9 domain-blocking transformation: phase counts before and
+// after.
+func e2(w io.Writer, svc *driver.Service, n, steps int) error {
+	return blocking(w, svc, "E2 (Fig. 9): domain blocking — like-shape moves fuse into one computation block",
+		"fig9.f90", workload.Fig9(64), "naive (per statement)")
+}
+
 // e3 is the Fig. 10 masked-assignment blocking experiment.
 func e3(w io.Writer, svc *driver.Service, n, steps int) error {
-	src := workload.Fig10(32)
-	with, err := runF90Y(svc, "fig10.f90", src, f90y.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	without, err := runF90Y(svc, "fig10.f90", src, f90y.Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "E3 (Fig. 10): masked-assignment blocking — disjoint masked sections share a block")
-	fmt.Fprintf(w, "%-24s %-12s %s\n", "configuration", "node calls", "total cycles")
-	fmt.Fprintf(w, "%-24s %-12d %.0f\n", "unblocked", without.NodeCalls, without.TotalCycles())
-	fmt.Fprintf(w, "%-24s %-12d %.0f\n", "blocked (F90-Y)", with.NodeCalls, with.TotalCycles())
-	return nil
+	return blocking(w, svc, "E3 (Fig. 10): masked-assignment blocking — disjoint masked sections share a block",
+		"fig10.f90", workload.Fig10(32), "unblocked")
 }
 
 // e4 is the Fig. 11 partition-structure experiment over an alternating
 // phase graph.
 func e4(w io.Writer, svc *driver.Service, n, steps int) error {
 	src := workload.Fig11(64, 16)
-	naive, err := compileF90Y(svc, "fig11.f90", src, f90y.Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized})
+	naive, err := compileF90Y(svc, "fig11.f90", src, cmfConfig)
 	if err != nil {
 		return err
 	}
@@ -341,25 +319,15 @@ func e5(w io.Writer, svc *driver.Service, n, steps int) error {
 	// Per-statement partitioning isolates the Fig. 12 statement as its own
 	// PEAC routine; only the PE/NIR optimization level differs.
 	src := workload.Fig12(64)
-	perStmt := opt.Options{PadSections: true}
-	compN, err := compileF90Y(svc, "fig12.f90", src, f90y.Config{Opt: perStmt, PE: pe.Naive})
+	compN, err := compileF90Y(svc, "fig12.f90", src, f90y.Config{Opt: cmfConfig.Opt, PE: pe.Naive})
 	if err != nil {
 		return err
 	}
-	compO, err := compileF90Y(svc, "fig12.f90", src, f90y.Config{Opt: perStmt, PE: pe.Optimized})
+	compO, err := compileF90Y(svc, "fig12.f90", src, cmfConfig)
 	if err != nil {
 		return err
 	}
-	pick := func(p *fe.Program) *peac.Routine {
-		var best *peac.Routine
-		for _, r := range p.Routines {
-			if best == nil || r.InstrCount() > best.InstrCount() {
-				best = r
-			}
-		}
-		return best
-	}
-	rn, ro := pick(compN), pick(compO)
+	rn, ro := largest(compN), largest(compO)
 	cm := peac.DefaultCost
 	fmt.Fprintln(w, "E5 (Fig. 12): SWE excerpt, naive vs optimized PEAC encoding")
 	fmt.Fprintf(w, "%-12s %-14s %-14s %s\n", "encoding", "instructions", "issue slots", "cycles/iter")
@@ -384,15 +352,21 @@ func e6(w io.Writer, svc *driver.Service, n, steps int) error {
 		if err != nil {
 			return err
 		}
-		var r *peac.Routine
-		for _, rt := range comp.Routines {
-			if r == nil || rt.InstrCount() > r.InstrCount() {
-				r = rt
-			}
-		}
+		r := largest(comp)
 		fmt.Fprintf(w, "%-8d %-14d %-12d %d\n", terms, r.InstrCount(), r.SpillSlots, peac.DefaultCost.BodyCycles(r.Body))
 	}
 	return nil
+}
+
+// largest is p's node routine with the most instructions.
+func largest(p *fe.Program) *peac.Routine {
+	var best *peac.Routine
+	for _, r := range p.Routines {
+		if best == nil || r.InstrCount() > best.InstrCount() {
+			best = r
+		}
+	}
+	return best
 }
 
 // e7 is the §5.3.1 CM-5 retarget: the same partitioned program runs on

@@ -26,10 +26,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"f90y/internal/driver"
@@ -128,20 +126,10 @@ func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outP
 		if rec.Violations == nil {
 			rec.Violations = []oracle.Violation{}
 		}
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return failures, err
-		}
-		data = append(data, '\n')
 		if outPath == "" || outPath == "-" {
-			_, err = w.Write(data)
-			return failures, err
+			return failures, writeRecordTo(w, rec)
 		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return failures, err
-		}
-		fmt.Fprintln(w, outPath)
-		return failures, nil
+		return failures, emit(w, outPath, "", rec)
 	}
 
 	fmt.Fprintf(w, "soak: %d programs x %d backends x %d seeds x %d plans = %d faulted runs\n",

@@ -31,22 +31,21 @@ func main() {
 	// Hand-coded *Lisp, fieldwise model.
 	_, sl := starlisp.RunSWE(*n, *steps, starlisp.DefaultModel)
 
+	run := func(cfg f90y.Config) (*f90y.Compilation, *cm2.Result) {
+		comp, err := f90y.Compile("swe.f90", src, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := comp.Run(context.Background(), nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return comp, res
+	}
 	// CM Fortran model: same back end, per-statement compilation.
-	machine := cm2.Default()
-	cmfRes, err := cmf.Run("swe.f90", src, machine)
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	_, cmfRes := run(f90y.Config{Opt: cmf.OptOptions(), PE: cmf.PEOptions()})
 	// Fortran-90-Y, full shape transformations.
-	comp, err := f90y.Compile("swe.f90", src, f90y.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := comp.Run(context.Background(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
+	comp, res := run(f90y.DefaultConfig())
 
 	fmt.Printf("shallow-water equations, %dx%d grid, %d steps, 2048 PEs @ 7 MHz\n\n", *n, *n, *steps)
 	fmt.Printf("%-30s %10s    %s\n", "system", "modeled GF", "paper (§6)")

@@ -10,17 +10,14 @@
 // entire Fortran-90-Y back end (including the tuned PE code generator)
 // with the domain-blocking and communication-clustering transformations
 // disabled.
+//
+// The model is a configuration, not a pipeline: compile under it with
+// f90y.CompileCtx and f90y.Config{Opt: cmf.OptOptions(), PE:
+// cmf.PEOptions()}.
 package cmf
 
 import (
-	"context"
-
-	"f90y/internal/cm2"
-	"f90y/internal/fe"
-	"f90y/internal/lower"
 	"f90y/internal/opt"
-	"f90y/internal/parser"
-	"f90y/internal/partition"
 	"f90y/internal/pe"
 )
 
@@ -36,29 +33,4 @@ func OptOptions() opt.Options {
 // overlap), matching CMF's production-quality per-statement codeblocks.
 func PEOptions() pe.Options {
 	return pe.Optimized
-}
-
-// Compile compiles source under the CMF model, returning the partitioned
-// program.
-func Compile(filename, src string) (*fe.Program, partition.Stats, error) {
-	tree, err := parser.Parse(filename, src)
-	if err != nil {
-		return nil, partition.Stats{}, err
-	}
-	mod, err := lower.Lower(tree)
-	if err != nil {
-		return nil, partition.Stats{}, err
-	}
-	omod, _ := opt.Optimize(mod, OptOptions())
-	return partition.Compile(omod, PEOptions())
-}
-
-// Run compiles and executes source on the given machine under the CMF
-// model.
-func Run(filename, src string, m *cm2.Machine) (*cm2.Result, error) {
-	prog, _, err := Compile(filename, src)
-	if err != nil {
-		return nil, err
-	}
-	return m.RunCtx(context.Background(), prog, nil, nil, nil)
 }

@@ -1,21 +1,41 @@
-package cmf
+package cmf_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"f90y"
 	"f90y/internal/cm2"
+	"f90y/internal/cmf"
 	"f90y/internal/interp"
 	"f90y/internal/parser"
 	"f90y/internal/workload"
 )
 
-func TestCMFModelMatchesOracle(t *testing.T) {
-	src := workload.SWE(16, 2)
-	res, err := Run("swe.f90", src, cm2.Default())
+// compile compiles src under the CMF model.
+func compile(t *testing.T, src string) *f90y.Compilation {
+	t.Helper()
+	comp, err := f90y.Compile("swe.f90", src, f90y.Config{Opt: cmf.OptOptions(), PE: cmf.PEOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return comp
+}
+
+// run compiles and executes src under the CMF model on the default CM/2.
+func run(t *testing.T, src string) *cm2.Result {
+	t.Helper()
+	res, err := compile(t, src).Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestCMFModelMatchesOracle(t *testing.T) {
+	src := workload.SWE(16, 2)
+	res := run(t, src)
 	tree, _ := parser.Parse("swe.f90", src)
 	oracle, err := interp.Run(tree)
 	if err != nil {
@@ -41,26 +61,18 @@ a = b + 1.0
 b = a*a
 end program t
 `
-	prog, stats, err := Compile("t.f90", src)
-	if err != nil {
-		t.Fatal(err)
+	comp := compile(t, src)
+	if comp.PartStats.NodeRoutines != 4 {
+		t.Fatalf("node routines = %d, want 4 (per statement)", comp.PartStats.NodeRoutines)
 	}
-	if stats.NodeRoutines != 4 {
-		t.Fatalf("node routines = %d, want 4 (per statement)", stats.NodeRoutines)
-	}
-	if len(prog.Routines) != 4 {
-		t.Fatalf("routines = %d", len(prog.Routines))
+	if len(comp.Program.Routines) != 4 {
+		t.Fatalf("routines = %d", len(comp.Program.Routines))
 	}
 }
 
 func TestCMFSlowerThanF90YOnSWE(t *testing.T) {
 	// The §6 ordering at a moderate problem size.
-	src := workload.SWE(128, 2)
-	m := cm2.Default()
-	cmfRes, err := Run("swe.f90", src, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmfRes := run(t, workload.SWE(128, 2))
 	if cmfRes.NodeCalls == 0 {
 		t.Fatal("no node calls")
 	}

@@ -42,9 +42,9 @@ package server
 //	500  internal          anything not in this table (a bug by definition)
 //
 // 4xx are the caller's program or the caller's pacing; 503 is the
-// operator's lifecycle; 500 is ours. The load generator (swebench
-// -serve-url) and the acceptance gate assert that expected failure
-// injections produce only the statuses above, never 500.
+// operator's lifecycle; 500 is ours. The server harness (swebench
+// -serve, behind make serve-smoke and crash-smoke) asserts that expected
+// failure injections produce only the statuses above, never 500.
 
 import (
 	"context"
