@@ -79,7 +79,7 @@ modeled-check:
 # that layout-smoke compares against.
 modeled-record:
 	$(GO) run ./cmd/swebench -json -n 512 -steps 2 -o BENCH_baseline.json
-	$(GO) run ./cmd/swebench -layout-sweep -layout-n 65536 -layout-iters 2 -o LAYOUT_baseline.json > /dev/null
+	$(GO) run ./cmd/swebench -layout-sweep -o LAYOUT_baseline.json > /dev/null
 
 # End-to-end server lifecycle smoke: swebench -serve launches f90yd on a
 # random port, sends the traffic mix (healthy, verified, fault-injected,
@@ -119,13 +119,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s ./internal/rt
 
-# End-to-end smoke of the source-line cycle profiler: one run emits the
-# annotated listing, the pprof protobuf, and the folded stacks; the
-# pprof file must parse with the stock toolchain and the folded file
-# must be non-empty.
+# End-to-end smoke of the source-line cycle profiler: one run with three
+# -profile destinations emits the annotated listing (-), the pprof
+# protobuf (*.pb.gz), and the folded stacks (*.folded); the pprof file
+# must parse with the stock toolchain and the folded file must be
+# non-empty.
 profile-smoke:
-	$(GO) run ./cmd/f90yrun -profile -profile-pprof .profile-smoke.pb.gz \
-		-profile-folded .profile-smoke.folded examples/swe.f90 > /dev/null
+	$(GO) run ./cmd/f90yrun -profile - -profile .profile-smoke.pb.gz \
+		-profile .profile-smoke.folded examples/swe.f90 > /dev/null
 	$(GO) tool pprof -top .profile-smoke.pb.gz > /dev/null
 	test -s .profile-smoke.folded
 	rm -f .profile-smoke.pb.gz .profile-smoke.folded
@@ -141,10 +142,10 @@ layout-smoke:
 
 # Full chaos soak: verify all seven kernels across interp/cm2/cm5,
 # then sweep 25 seeds x 4 fault plans x 2 backends (1400 faulted runs)
-# asserting bit-exact fault invariance. Reproducers for any violation
-# land in soak-repros/.
+# asserting bit-exact fault invariance, on a GOMAXPROCS-wide pool.
+# Reproducers for any violation land in soak-repros/.
 soak:
-	$(GO) run ./cmd/swebench -soak 25 -parallel -1
+	$(GO) run ./cmd/swebench -soak 25
 
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...

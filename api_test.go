@@ -48,11 +48,11 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 // no ExecJIT identifier may reappear in non-test code, nothing reads
 // ExecOpts.JIT (inert; bench/layers names it), nothing outside
 // internal/cm2 names cm2's test-only Engine, and the CLI surface stays at
-// 51 flags: the 69 left after -exec-jit went from f90yrun, f90yd and
+// 42 flags: the 69 left after -exec-jit went from f90yrun, f90yd and
 // swebench, less the six swebench lost with its wall-clock recorders
 // (the serial-vs-parallel batch timer's mode flag, -exec-workers,
 // -serve-wait, and -profile, -profile-pprof, -profile-folded, which
-// remain on f90yrun), less the three that made the executor's width a
+// f90yrun also had), less the three that made the executor's width a
 // user's setting (f90yrun -exec-workers, f90yd -exec-workers, f90yd
 // -tenant-exec-workers; internal/driver derives the width now, so no
 // string literal in non-test code may spell the flag or the retired
@@ -67,20 +67,38 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 // cmd/swebench/serve.go, always launches its own f90yd, sends one fixed
 // load, keeps durable state in a temporary directory and runs the
 // write-faulted phase after the clean one, so no literal may spell a
-// retired name). A new flag must say which old one it retires (ROADMAP)
-// and update this count and the budget `make modeled-check` holds `make
-// size` to.
+// retired name), less nine that only ever took one value or repeated
+// another (swebench -layout-n, -layout-iters, -repro-dir, -parallel and
+// -experiment became constants, a GOMAXPROCS derivation and positional
+// arguments; f90yrun -profile-pprof and -profile-folded folded into the
+// repeatable -profile DEST; f90yc -v repeated -dump stats; f90yd
+// -disk-cache-bytes became a constant), none of which may be defined
+// again. The count, and `make size`'s grep, see every flag only while
+// cmd/ declares them on package flag's own identifier, so a FlagSet or
+// a renamed flag import there fails too. A new flag must say which old
+// one it retires (ROADMAP) and update this count and the budget `make
+// modeled-check` holds `make size` to.
 func TestEngineFlagRetired(t *testing.T) {
 	defining := map[string]bool{}
 	for _, typ := range []string{"Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Text"} {
 		defining[typ], defining[typ+"Var"] = true, true
 	}
 	defining["Var"], defining["Func"], defining["BoolFunc"] = true, true, true
+	retiredFlag := map[string]bool{}
+	for _, name := range []string{"layout-n", "layout-iters", "repro-dir", "parallel", "experiment",
+		"profile-pprof", "profile-folded", "v", "disk-cache-bytes"} {
+		retiredFlag[`"`+name+`"`] = true
+	}
 
 	flags := 0
 	eachNonTestFile(t, func(path string, fset *token.FileSet, file *ast.File) {
 		inCmd := strings.HasPrefix(path, "cmd/")
 		inCM2 := strings.HasPrefix(path, "internal/cm2/")
+		for _, imp := range file.Imports {
+			if inCmd && imp.Path.Value == `"flag"` && imp.Name != nil && imp.Name.Name != "flag" {
+				t.Errorf("%s: flag imported as %s: the flag count sees only package flag's own name", fset.Position(imp.Pos()), imp.Name.Name)
+			}
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BasicLit:
@@ -106,18 +124,29 @@ func TestEngineFlagRetired(t *testing.T) {
 				if pkg, ok := n.X.(*ast.Ident); ok && !inCM2 && pkg.Name == "cm2" && strings.Contains(n.Sel.Name, "Engine") {
 					t.Errorf("%s: cm2.%s outside internal/cm2: the engine is test-only", fset.Position(n.Pos()), n.Sel.Name)
 				}
+				if pkg, ok := n.X.(*ast.Ident); ok && inCmd && pkg.Name == "flag" && strings.Contains(n.Sel.Name, "FlagSet") {
+					t.Errorf("%s: flag.%s: a FlagSet's flags escape the count; declare on package flag", fset.Position(n.Pos()), n.Sel.Name)
+				}
 			case *ast.CallExpr:
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && inCmd && defining[sel.Sel.Name] {
 					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" {
 						flags++
+						for _, arg := range n.Args {
+							if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+								if retiredFlag[lit.Value] {
+									t.Errorf("%s: flag %s is retired", fset.Position(lit.Pos()), lit.Value)
+								}
+								break // the first string argument is the flag's name
+							}
+						}
 					}
 				}
 			}
 			return true
 		})
 	})
-	if flags != 51 {
-		t.Errorf("cmd/ declares %d flags, want 51", flags)
+	if flags != 42 {
+		t.Errorf("cmd/ declares %d flags, want 42", flags)
 	}
 }
 

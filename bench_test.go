@@ -21,7 +21,6 @@ import (
 
 	"f90y/internal/cm2"
 	"f90y/internal/cm5"
-	"f90y/internal/cmf"
 	"f90y/internal/obs"
 	"f90y/internal/opt"
 	"f90y/internal/pe"
@@ -48,9 +47,6 @@ func compileRun(tb testing.TB, src string, cfg Config) *cm2.Result {
 	return res
 }
 
-// cmfConfig compiles under the CM Fortran v1.1 model (internal/cmf).
-var cmfConfig = Config{Opt: cmf.OptOptions(), PE: cmf.PEOptions()}
-
 // ---- E1: §6 performance table ----
 
 func BenchmarkSWE_StarLisp(b *testing.B) {
@@ -66,7 +62,7 @@ func BenchmarkSWE_CMF(b *testing.B) {
 	src := workload.SWE(benchN, benchSteps)
 	var last *cm2.Result
 	for i := 0; i < b.N; i++ {
-		last = compileRun(b, src, cmfConfig)
+		last = compileRun(b, src, CMFConfig())
 	}
 	b.ReportMetric(last.GFLOPS(), "gflops-modeled")
 	b.ReportMetric(float64(last.NodeCalls), "node-calls")
@@ -126,7 +122,7 @@ func TestE1PaperScale(t *testing.T) {
 	_, sl := starlisp.RunSWE(n, steps, starlisp.DefaultModel)
 	slGF := sl.GFLOPS(starlisp.DefaultModel.ClockHz)
 
-	cmfRes := compileRun(t, src, cmfConfig)
+	cmfRes := compileRun(t, src, CMFConfig())
 	res := compileRun(t, src, DefaultConfig())
 
 	within := func(got, want float64) bool { return got > 0.9*want && got < 1.1*want }
@@ -148,7 +144,7 @@ func TestE1PaperScale(t *testing.T) {
 
 func BenchmarkFig9_Naive(b *testing.B) {
 	src := workload.Fig9(64)
-	cfg := Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized}
+	cfg := CMFConfig()
 	var last *cm2.Result
 	for i := 0; i < b.N; i++ {
 		last = compileRun(b, src, cfg)
@@ -171,7 +167,7 @@ func BenchmarkFig9_Blocked(b *testing.B) {
 
 func BenchmarkFig10_Unblocked(b *testing.B) {
 	src := workload.Fig10(32)
-	cfg := Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized}
+	cfg := CMFConfig()
 	var last *cm2.Result
 	for i := 0; i < b.N; i++ {
 		last = compileRun(b, src, cfg)
@@ -194,7 +190,7 @@ func BenchmarkFig10_Blocked(b *testing.B) {
 
 func BenchmarkFig11_Naive(b *testing.B) {
 	src := workload.Fig11(64, 16)
-	cfg := Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized}
+	cfg := CMFConfig()
 	var routines int
 	for i := 0; i < b.N; i++ {
 		comp, err := Compile("fig11.f90", src, cfg)
@@ -226,7 +222,7 @@ func BenchmarkFig11_Blocked(b *testing.B) {
 func fig12Routine(b *testing.B, peOpts pe.Options) *peac.Routine {
 	b.Helper()
 	comp, err := Compile("fig12.f90", workload.Fig12(64),
-		Config{Opt: opt.Options{PadSections: true}, PE: peOpts})
+		Config{Opt: CMFConfig().Opt, PE: peOpts})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -312,7 +308,7 @@ func BenchmarkAblationBlocking(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"off", Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized}},
+		{"off", CMFConfig()},
 		{"on", DefaultConfig()},
 	} {
 		b.Run(v.name, func(b *testing.B) {

@@ -6,13 +6,15 @@
 //
 //	f90yc [flags] file.f90
 //
-//	-dump ast|nir|opt|peac|host|stats|none  what to print (default peac; none with -v)
+//	-dump ast|nir|opt|peac|host|stats|none  what to print (default peac)
 //	-O                                   optimization level (default true)
 //	-pe naive|optimized                  PE code generator level
-//	-v                                   print the phase/counter report to stderr
 //
-// f90yc compiles; it never runs the program. The full telemetry report, the Chrome trace and fault injection
-// — compile spans plus the "exec" span and the cycle attribution — are
+// -dump stats prints the compilation phase/counter report. -O=false
+// compiles under f90y.CMFConfig's NIR passes — section padding without
+// cross-statement blocking. f90yc compiles; it never runs the program.
+// The full telemetry report, the Chrome trace and fault injection —
+// compile spans plus the "exec" span and the cycle attribution — are
 // f90yrun's -metrics, -trace and -faults.
 package main
 
@@ -31,10 +33,9 @@ import (
 )
 
 var (
-	flagDump = flag.String("dump", "", "dump: ast, nir, opt, peac, host, stats, none (default peac; none with -v)")
+	flagDump = flag.String("dump", "peac", "dump: ast, nir, opt, peac, host, stats, none")
 	flagO    = flag.Bool("O", true, "enable the NIR shape transformations (blocking, padding)")
 	flagPE   = flag.String("pe", "optimized", "PE code generator: naive or optimized")
-	flagV    = flag.Bool("v", false, "print the compilation phase/counter report to stderr")
 )
 
 func main() {
@@ -52,26 +53,16 @@ func main() {
 
 	cfg := f90y.Config{Opt: opt.Default, PE: pe.Optimized}
 	if !*flagO {
-		cfg.Opt = opt.Options{PadSections: true}
+		cfg.Opt = f90y.CMFConfig().Opt
 	}
 	if *flagPE == "naive" {
 		cfg.PE = pe.Naive
 	}
 
-	// -v and the stats dump render the one collector, so there is a
-	// single formatting path for phase statistics.
 	var col *obs.Collector
-	if *flagV || *flagDump == "stats" {
+	if *flagDump == "stats" {
 		col = obs.NewCollector()
 		cfg.Obs = col
-	}
-
-	dump := *flagDump
-	if dump == "" {
-		dump = "peac"
-		if *flagV {
-			dump = "none"
-		}
 	}
 
 	comp, err := f90y.Compile(file, string(src), cfg)
@@ -80,7 +71,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	switch dump {
+	switch *flagDump {
 	case "none":
 	case "ast":
 		fmt.Print(ast.Format(comp.AST))
@@ -98,12 +89,8 @@ func main() {
 	case "stats":
 		fmt.Print(col.Report())
 	default:
-		fmt.Fprintf(os.Stderr, "f90yc: unknown dump %q\n", dump)
+		fmt.Fprintf(os.Stderr, "f90yc: unknown dump %q\n", *flagDump)
 		os.Exit(2)
-	}
-
-	if *flagV && dump != "stats" {
-		fmt.Fprint(os.Stderr, col.Report())
 	}
 }
 

@@ -10,7 +10,7 @@
 //	      [-max-cycles 2e9] [-tenant-inflight 8]
 //	      [-max-source-bytes 1048576] [-tenant-max-cycles 0]
 //	      [-cache-entries 512] [-cache-bytes 268435456]
-//	      [-retained-jobs 256] [-state-dir DIR] [-disk-cache-bytes 1073741824]
+//	      [-retained-jobs 256] [-state-dir DIR]
 //	      [-io-faults spec]
 //
 // Endpoints:
@@ -34,15 +34,16 @@
 // width.
 //
 // With -state-dir the server is crash-safe (job journal, run spills,
-// persistent artifact cache; internal/server durable.go). There is no
-// spill-cadence flag either: a run spills at a host boundary when the
-// work a crash would lose is worth a spill — at least 100 ms at risk,
-// and no more often than eight times what its last spill took — so a
-// request that finishes sooner writes two journal records and no spill,
-// and is restored after a crash by re-running it from its journaled
-// source. Every run's store is drawn from one slab arena and handed back
-// once the response is rendered; /statsz reports both (durability,
-// store_arena).
+// persistent artifact cache; internal/server durable.go). The disk
+// cache is pruned to 1 GiB at startup; there is no flag for the bound.
+// Nor is there a spill-cadence flag: a run spills at a host boundary
+// when the work a crash would lose is worth a spill — at least 100 ms
+// at risk, and no more often than eight times what its last spill took
+// — so a request that finishes sooner writes two journal records and
+// no spill, and is restored after a crash by re-running it from its
+// journaled source. Every run's store is drawn from one slab arena and
+// handed back once the response is rendered; /statsz reports both
+// (durability, store_arena).
 //
 // -addr-file writes the bound address (host:port) to a file once the
 // listener is up — with -addr 127.0.0.1:0 this is how scripts discover
@@ -79,7 +80,6 @@ var (
 	flagCacheBytes   = flag.Int64("cache-bytes", 256<<20, "artifact cache LRU byte bound (estimated)")
 	flagRetainedJobs = flag.Int("retained-jobs", 256, "finished jobs retained for GET /v1/jobs/{id}")
 	flagStateDir     = flag.String("state-dir", "", "durability plane root (job journal, drain spills, persistent artifact cache); empty = disabled")
-	flagDiskCache    = flag.Int64("disk-cache-bytes", 1<<30, "persistent artifact cache byte bound under -state-dir (pruned at startup)")
 	flagIOFaults     = flag.String("io-faults", "", "deterministic durable-write fault spec, e.g. seed=1,torn=0.05,short=0.05 (crash testing)")
 )
 
@@ -107,13 +107,12 @@ func main() {
 			MaxCycles:      *flagTenantCycles,
 			MaxSourceBytes: *flagMaxSource,
 		},
-		RetainedJobs:   *flagRetainedJobs,
-		CacheEntries:   *flagCacheEntries,
-		CacheBytes:     *flagCacheBytes,
-		StateDir:       *flagStateDir,
-		DiskCacheBytes: *flagDiskCache,
-		IOFaults:       faults.NewIO(ioPlan),
-		Log:            os.Stderr,
+		RetainedJobs: *flagRetainedJobs,
+		CacheEntries: *flagCacheEntries,
+		CacheBytes:   *flagCacheBytes,
+		StateDir:     *flagStateDir,
+		IOFaults:     faults.NewIO(ioPlan),
+		Log:          os.Stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "f90yd:", err)

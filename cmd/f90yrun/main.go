@@ -5,7 +5,7 @@
 // Usage:
 //
 //	f90yrun [-target cm2|cm5] [-pes N] [-verify] [-metrics] [-trace out.json]
-//	        [-profile] [-profile-pprof swe.pb.gz] [-profile-folded swe.folded]
+//	        [-profile -|swe.pb.gz|swe.folded]...
 //	        [-timeout 30s] [-max-cycles N] [-numeric off|trap|record]
 //	        [-faults spec] [-checkpoint-every N] [-checkpoint file.ckpt]
 //	        [-resume file.ckpt] [-distribute a=cyclic]... file.f90
@@ -30,14 +30,16 @@
 // cycle attribution) to stderr; -trace writes the same telemetry as
 // Chrome trace_event JSON.
 //
-// -profile prints the source-line cycle profile to stdout: the compiler
-// threads source positions from the Fortran tokens through NIR and PEAC,
-// and the machine model attributes every modeled PE cycle back to the
-// line that generated it (the attribution sums exactly to the report's
-// pe cycle total and is bit-identical at every executor width).
-// -profile-pprof writes the same attribution as a gzipped pprof profile
-// (`go tool pprof -top file.pb.gz`); -profile-folded writes folded
-// stacks (routine;file:line;class cycles) for flamegraph tooling.
+// -profile DEST renders the source-line cycle profile (repeatable): the
+// compiler threads source positions from the Fortran tokens through NIR
+// and PEAC, and the machine model attributes every modeled PE cycle back
+// to the line that generated it (the attribution sums exactly to the
+// report's pe cycle total and is bit-identical at every executor
+// width). The destination's spelling picks the format: "-" prints the
+// annotated listing to stdout, "*.pb.gz" writes a gzipped pprof profile
+// (`go tool pprof -top file.pb.gz`), "*.folded" writes folded stacks
+// (routine;file:line;class cycles) for flamegraph tooling; any other
+// spelling exits 2 before compiling.
 //
 // -timeout bounds the whole compile+run in wall-clock time: past the
 // deadline the run stops at the next host-op boundary with an error
@@ -108,10 +110,8 @@ var (
 	flagCkEvery = flag.Int("checkpoint-every", 0, "write a checkpoint every N host boundaries (0 = off)")
 	flagCkPath  = flag.String("checkpoint", "", "checkpoint file path (default <file>.ckpt)")
 	flagResume  = flag.String("resume", "", "resume from a checkpoint file")
-	flagProf    = flag.Bool("profile", false, "print the source-annotated cycle profile (hot lines + listing) to stdout")
-	flagProfPB  = flag.String("profile-pprof", "", "write a pprof protobuf profile (open with go tool pprof)")
-	flagProfFG  = flag.String("profile-folded", "", "write folded stacks for flamegraph tooling")
 	flagDist    distributeFlags
+	flagProfile driver.ProfileOptions
 )
 
 // distributeFlags collects the repeatable -distribute overrides.
@@ -126,6 +126,8 @@ func (d *distributeFlags) Set(v string) error {
 func init() {
 	flag.Var(&flagDist, "distribute",
 		"override an array's data distribution, array=spec (repeatable), e.g. a=cyclic or b=block,cyclic(2)")
+	flag.Var(&flagProfile, "profile",
+		"render the source-line cycle profile (repeatable): - for the annotated listing on stdout, *.pb.gz for pprof, *.folded for folded stacks")
 }
 
 // fail reports a run error; an injected fatal fault or a budget kill
@@ -240,8 +242,7 @@ func main() {
 	for _, line := range r.Output {
 		fmt.Println(line)
 	}
-	prof := driver.ProfileOptions{Text: *flagProf, Pprof: *flagProfPB, Folded: *flagProfFG}
-	if err := prof.Emit(res.Profile(), os.Stdout, os.Stderr); err != nil {
+	if err := flagProfile.Emit(res.Profile(), os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "f90yrun:", err)
 		os.Exit(1)
 	}

@@ -29,7 +29,7 @@ package main
 //	  "profile": {"total_cycles": p, "hot_lines": [{"file", "line",
 //	      "cycles"}, ...]},               source-line attribution summary:
 //	      total_cycles equals cycles.pe exactly and the five hottest lines
-//	      ride along (full artifacts: f90yrun -profile*),
+//	      ride along (full artifacts: f90yrun -profile DEST),
 //	  "faults": {...}                     only when -faults injected a plan:
 //	      spec, injected counts per kind, retries, retry_cycles, degraded,
 //	      dead_pes
@@ -77,7 +77,7 @@ type benchRecord struct {
 // benchProfile summarizes the run's source-line cycle attribution: the
 // attribution total (equals cycles.pe exactly — attribution conserves
 // cycles) and the five hottest source lines. The full profile is
-// f90yrun -profile*; this summary keeps the record self-contained for
+// f90yrun -profile DEST; this summary keeps the record self-contained for
 // scripts.
 type benchProfile struct {
 	TotalCycles float64        `json:"total_cycles"`
@@ -140,7 +140,7 @@ func buildRecord(n, steps int, plan *faults.Plan) (benchRecord, error) {
 		return benchRecord{}, err
 	}
 	_, sl := starlisp.RunSWE(n, steps, starlisp.DefaultModel)
-	cmfRes, err := run(cmfConfig, nil)
+	cmfRes, err := run(f90y.CMFConfig(), nil)
 	if err != nil {
 		return benchRecord{}, err
 	}

@@ -248,15 +248,19 @@ func buildLayoutRecord(svc *driver.Service, n, iters int, verify bool) (layoutRe
 	return rec, nil
 }
 
+// The sweep's one size: the problem size (elements) and kernel
+// iterations LAYOUT_baseline.json is recorded at.
+const layoutN, layoutIters = 65536, 2
+
 // runLayoutSweep prints the sweep table to w and writes the record to
-// path (default BENCH_layout_n<N>_i<iters>.json).
-func runLayoutSweep(w io.Writer, path string, n, iters int, verify bool) error {
+// path (default BENCH_layout_n65536_i2.json).
+func runLayoutSweep(w io.Writer, path string, verify bool) error {
 	svc := driver.New(1)
-	rec, err := buildLayoutRecord(svc, n, iters, verify)
+	rec, err := buildLayoutRecord(svc, layoutN, layoutIters, verify)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Layout sweep: !HPF$ distribution plane, %d PEs, n=%d, iters=%d\n", rec.PEs, n, iters)
+	fmt.Fprintf(w, "Layout sweep: !HPF$ distribution plane, %d PEs, n=%d, iters=%d\n", rec.PEs, layoutN, layoutIters)
 	for _, k := range rec.Kernels {
 		fmt.Fprintf(w, "\n%s (n=%d, iters=%d): best=%s spread=%.2fx\n", k.Kernel, k.N, k.Iters, k.BestLayout, k.Spread)
 		fmt.Fprintf(w, "  %-10s %-14s %-14s %-12s %-12s %-10s %s\n",
@@ -267,5 +271,5 @@ func runLayoutSweep(w io.Writer, path string, n, iters int, verify bool) error {
 		}
 	}
 	fmt.Fprintf(w, "\nany_non_block_best=%t max_spread=%.2fx\n", rec.AnyNonBlockBest, rec.MaxSpread)
-	return emit(w, path, fmt.Sprintf("BENCH_layout_n%d_i%d.json", n, iters), rec)
+	return emit(w, path, fmt.Sprintf("BENCH_layout_n%d_i%d.json", layoutN, layoutIters), rec)
 }

@@ -7,12 +7,10 @@
 //
 // Usage:
 //
-//	swebench [-n 1024] [-steps 4] [-experiment e1|e2|e3|e4|e5|e6|e7|all]
-//	         [-parallel N]
+//	swebench [-n 1024] [-steps 4] [e1 e2 e3 e4 e5 e6 e7]
 //	swebench -json [-o BENCH_swe.json] [-n 1024] [-steps 4] [-faults SPEC]
-//	swebench -layout-sweep [-layout-n 65536] [-layout-iters 2]
-//	         [-layout-verify] [-o BENCH_layout.json]
-//	swebench -soak N [-json [-o SOAK.json]] [-parallel N] [-repro-dir DIR]
+//	swebench -layout-sweep [-layout-verify] [-o BENCH_layout.json]
+//	swebench -soak N [-json [-o SOAK.json]]
 //	swebench -serve ./f90yd [-restart N] [-o LOAD_swe.json|CRASH_swe.json]
 //
 // With -serve the suite launches the named f90yd on a loopback port,
@@ -30,11 +28,13 @@
 // uninterrupted baseline — or, under injection, is lost ONLY as a
 // server-reported casualty. A "f90y-crash/v2" record goes to -o.
 //
-// The experiments always render through one N-worker pool (-parallel N;
-// N <= 1 is a pool of one, which runs them in order): each experiment
-// renders into its own buffer, buffers print in experiment order, and
-// every table is byte-identical for every N — the experiments share one
-// compile cache (internal/driver) but no mutable run state.
+// The arguments name the experiments to render, in order; none renders
+// all seven. No other mode takes arguments. The experiments render
+// through one pool sized from GOMAXPROCS — there is no pool-size flag
+// (suitePool): each experiment renders into its own buffer, buffers
+// print in experiment order, and every table is byte-identical for
+// every pool size — the experiments share one compile cache
+// (internal/driver) but no mutable run state.
 //
 // With -json the SWE benchmark runs once and a machine-readable record
 // of its modeled fields (schema "f90y-bench/v2", see json.go) is
@@ -42,21 +42,22 @@
 // is printed to stdout. The record is byte-deterministic — it is the
 // golden `make modeled-check` compares — and carries a "profile"
 // summary (total attributed cycles + five hottest source lines); the
-// full profile artifacts are `f90yrun -profile*`.
+// full profile artifacts are `f90yrun -profile DEST`.
 //
 // With -layout-sweep the router-heavy kernel trio (transpose, FFT
 // butterfly, irregular gather) runs under BLOCK / CYCLIC / ALIGN'd
 // !HPF$ data distributions and a deterministic "f90y-layout/v1" record
 // (per-layout cycles, NEWS/router/reduce split, best layout, spread)
-// is written to -o (default BENCH_layout_n<N>_i<iters>.json; see
-// layout.go). -layout-verify first pushes every (kernel, layout) pair
+// is written to -o (default BENCH_layout_n65536_i2.json; see
+// layout.go). The sweep runs at one size, the golden's: n=65536,
+// iters=2. -layout-verify first pushes every (kernel, layout) pair
 // through the differential oracle at a reduced size.
 //
 // With -soak N the suite's kernels are verified through the
 // differential oracle and chaos-soaked across N seeds x fault plans x
-// every target (see soak.go; -parallel N < 1 selects GOMAXPROCS
-// there); fault-invariance violations are minimized to reproducer
-// specs under -repro-dir and fail the command. -json writes a
+// every target on a GOMAXPROCS-wide pool (see soak.go);
+// fault-invariance violations are minimized to reproducer specs under
+// soak-repros/ and fail the command. -json writes a
 // "f90y-soak/v1" record to -o (default stdout).
 package main
 
@@ -67,11 +68,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"f90y"
 	"f90y/internal/cm2"
-	"f90y/internal/cmf"
 	"f90y/internal/driver"
 	"f90y/internal/fe"
 	"f90y/internal/pe"
@@ -81,21 +82,16 @@ import (
 )
 
 var (
-	flagN          = flag.Int("n", 1024, "SWE grid edge")
-	flagSteps      = flag.Int("steps", 4, "SWE time steps")
-	flagExp        = flag.String("experiment", "all", "experiment id: e1..e7 or all")
-	flagJSON       = flag.Bool("json", false, "write a machine-readable record of the modeled fields instead of tables")
-	flagOut        = flag.String("o", "", "output path for the mode's record (defaults depend on mode)")
-	flagFaults     = flag.String("faults", "", driver.FaultsHelp)
-	flagParallel   = flag.Int("parallel", 0, "run experiments on an N-worker pool (N <= 1: one at a time, in order); with -soak, N < 1 = GOMAXPROCS")
-	flagSoak       = flag.Int("soak", 0, "chaos-soak: verify all kernels differentially, then sweep N seeds x fault plans x backends")
-	flagReproDir   = flag.String("repro-dir", "soak-repros", "directory for fault-invariance reproducer specs (-soak)")
-	flagServe      = flag.String("serve", "", "server gate: launch this f90yd, drive it with the load mix (or with -restart, the crash schedule), drain it and write a record")
-	flagLayout     = flag.Bool("layout-sweep", false, "sweep the kernel trio across !HPF$ data distributions and write a f90y-layout/v1 record")
-	flagLayoutN    = flag.Int("layout-n", 65536, "with -layout-sweep: problem size (elements)")
-	flagLayoutIter = flag.Int("layout-iters", 2, "with -layout-sweep: kernel iterations")
-	flagLayoutVer  = flag.Bool("layout-verify", false, "with -layout-sweep: oracle-verify each (kernel, layout) pair at a reduced size first")
-	flagRestart    = flag.Int("restart", 0, "with -serve: SIGKILL and relaunch the server N times mid-load, clean and then under write faults, verifying bit-identical recovery")
+	flagN         = flag.Int("n", 1024, "SWE grid edge")
+	flagSteps     = flag.Int("steps", 4, "SWE time steps")
+	flagJSON      = flag.Bool("json", false, "write a machine-readable record of the modeled fields instead of tables")
+	flagOut       = flag.String("o", "", "output path for the mode's record (defaults depend on mode)")
+	flagFaults    = flag.String("faults", "", driver.FaultsHelp)
+	flagSoak      = flag.Int("soak", 0, "chaos-soak: verify all kernels differentially, then sweep N seeds x fault plans x backends")
+	flagServe     = flag.String("serve", "", "server gate: launch this f90yd, drive it with the load mix (or with -restart, the crash schedule), drain it and write a record")
+	flagLayout    = flag.Bool("layout-sweep", false, "sweep the kernel trio across !HPF$ data distributions and write a f90y-layout/v1 record")
+	flagLayoutVer = flag.Bool("layout-verify", false, "with -layout-sweep: oracle-verify each (kernel, layout) pair at a reduced size first")
+	flagRestart   = flag.Int("restart", 0, "with -serve: SIGKILL and relaunch the server N times mid-load, clean and then under write faults, verifying bit-identical recovery")
 )
 
 // experiment is one reproduction: it renders its table to w, running
@@ -112,7 +108,11 @@ var experiments = []experiment{
 
 func main() {
 	flag.Parse()
-	workers := *flagParallel
+	tables := !*flagJSON && *flagSoak <= 0 && !*flagLayout && *flagServe == "" && *flagRestart <= 0
+	if flag.NArg() > 0 && !tables {
+		fmt.Fprintln(os.Stderr, "swebench: experiment names select tables; no other mode takes arguments")
+		os.Exit(2)
+	}
 	if *flagServe != "" || *flagRestart > 0 {
 		if err := runServe(os.Stdout, *flagServe, *flagRestart, *flagOut); err != nil {
 			die(err)
@@ -120,7 +120,7 @@ func main() {
 		return
 	}
 	if *flagSoak > 0 {
-		failures, err := runSoak(os.Stdout, *flagSoak, workers, *flagReproDir, *flagJSON, *flagOut)
+		failures, err := runSoak(os.Stdout, *flagSoak, *flagJSON, *flagOut)
 		if err != nil {
 			die(err)
 		}
@@ -130,7 +130,7 @@ func main() {
 		return
 	}
 	if *flagLayout {
-		if err := runLayoutSweep(os.Stdout, *flagOut, *flagLayoutN, *flagLayoutIter, *flagLayoutVer); err != nil {
+		if err := runLayoutSweep(os.Stdout, *flagOut, *flagLayoutVer); err != nil {
 			die(err)
 		}
 		return
@@ -140,17 +140,25 @@ func main() {
 		return
 	}
 
-	ids := []string{}
-	if *flagExp == "all" {
+	ids := flag.Args()
+	if len(ids) == 0 {
 		for _, e := range experiments {
 			ids = append(ids, e.id)
 		}
-	} else {
-		ids = append(ids, *flagExp)
 	}
-	if err := runSuite(os.Stdout, driver.New(workers), ids, *flagN, *flagSteps, workers); err != nil {
+	svc, pool := suitePool(len(ids))
+	if err := runSuite(os.Stdout, svc, ids, *flagN, *flagSteps, pool); err != nil {
 		die(err)
 	}
+}
+
+// suitePool sizes the experiment pool and the service together: one
+// pool worker per experiment, up to GOMAXPROCS, and a service of as
+// many workers, so each run's executor width — GOMAXPROCS / service
+// workers, derived in internal/driver — times the pool covers the host.
+func suitePool(experiments int) (*driver.Service, int) {
+	pool := max(1, min(runtime.GOMAXPROCS(0), experiments))
+	return driver.New(pool), pool
 }
 
 // runSuite executes the named experiments against one shared service
@@ -163,7 +171,7 @@ func runSuite(w io.Writer, svc *driver.Service, ids []string, n, steps, workers 
 	for _, e := range experiments {
 		byID[e.id] = e.fn
 	}
-	blank := len(ids) > 1 // "all" mode separates tables with a blank line
+	blank := len(ids) > 1 // several tables are separated by a blank line
 	for _, id := range ids {
 		if byID[id] == nil {
 			return fmt.Errorf("unknown experiment %q", id)
@@ -217,11 +225,6 @@ func runF90Y(svc *driver.Service, file, src string, cfg f90y.Config) (*cm2.Resul
 	return res.Result, res.Err
 }
 
-// cmfConfig compiles under the CM Fortran v1.1 model (internal/cmf): one
-// statement at a time, no cross-statement blocking, which is also the
-// unblocked configuration of E2–E5.
-var cmfConfig = f90y.Config{Opt: cmf.OptOptions(), PE: cmf.PEOptions()}
-
 // compileF90Y compiles through the shared cache without running.
 func compileF90Y(svc *driver.Service, file, src string, cfg f90y.Config) (*fe.Program, error) {
 	art, err := svc.Compile(context.Background(), file, src, cfg)
@@ -239,7 +242,7 @@ func e1(w io.Writer, svc *driver.Service, n, steps int) error {
 	_, sl := starlisp.RunSWE(n, steps, starlisp.DefaultModel)
 	slGF := sl.GFLOPS(starlisp.DefaultModel.ClockHz)
 
-	cmfRes, err := runF90Y(svc, "swe.f90", src, cmfConfig)
+	cmfRes, err := runF90Y(svc, "swe.f90", src, f90y.CMFConfig())
 	if err != nil {
 		return err
 	}
@@ -268,7 +271,7 @@ func blocking(w io.Writer, svc *driver.Service, title, file, src, unblocked stri
 	if err != nil {
 		return err
 	}
-	without, err := runF90Y(svc, file, src, cmfConfig)
+	without, err := runF90Y(svc, file, src, f90y.CMFConfig())
 	if err != nil {
 		return err
 	}
@@ -296,7 +299,7 @@ func e3(w io.Writer, svc *driver.Service, n, steps int) error {
 // phase graph.
 func e4(w io.Writer, svc *driver.Service, n, steps int) error {
 	src := workload.Fig11(64, 16)
-	naive, err := compileF90Y(svc, "fig11.f90", src, cmfConfig)
+	naive, err := compileF90Y(svc, "fig11.f90", src, f90y.CMFConfig())
 	if err != nil {
 		return err
 	}
@@ -319,11 +322,11 @@ func e5(w io.Writer, svc *driver.Service, n, steps int) error {
 	// Per-statement partitioning isolates the Fig. 12 statement as its own
 	// PEAC routine; only the PE/NIR optimization level differs.
 	src := workload.Fig12(64)
-	compN, err := compileF90Y(svc, "fig12.f90", src, f90y.Config{Opt: cmfConfig.Opt, PE: pe.Naive})
+	compN, err := compileF90Y(svc, "fig12.f90", src, f90y.Config{Opt: f90y.CMFConfig().Opt, PE: pe.Naive})
 	if err != nil {
 		return err
 	}
-	compO, err := compileF90Y(svc, "fig12.f90", src, cmfConfig)
+	compO, err := compileF90Y(svc, "fig12.f90", src, f90y.CMFConfig())
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -39,6 +40,27 @@ func TestConcurrentSuiteMatchesSerial(t *testing.T) {
 	}
 	if !strings.Contains(serial.String(), "E7 (§5.3.1)") {
 		t.Error("suite output is missing the E7 table")
+	}
+}
+
+// TestSuitePoolCoversHost holds the one derivation of the suite's
+// parallelism at several host sizes: the pool times each run's executor
+// width (GOMAXPROCS / service workers, as internal/driver derives it)
+// never exceeds the host and leaves fewer than a pool's worth of its
+// cores idle. A pool of one over a GOMAXPROCS-wide service runs every
+// table on one core.
+func TestSuitePoolCoversHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 4, 8, 16, 64} {
+		runtime.GOMAXPROCS(procs)
+		for _, jobs := range []int{1, len(experiments)} {
+			svc, pool := suitePool(jobs)
+			width := max(1, procs/svc.Workers())
+			if busy := pool * width; pool > jobs || busy > procs || busy <= procs-pool {
+				t.Errorf("procs=%d, %d experiments: a pool of %d at width %d keeps %d cores busy",
+					procs, jobs, pool, width, busy)
+			}
+		}
 	}
 }
 

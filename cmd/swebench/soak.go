@@ -7,7 +7,7 @@ package main
 // run under N seeds x the default fault plans x those machines,
 // asserting that every recovered fault leaves the numerical results
 // bit-identical to the unfaulted baseline. Violations are minimized to a
-// reproducer spec written under -repro-dir and fail the command with
+// reproducer spec written under soak-repros/ and fail the command with
 // exit status 1.
 //
 // Schema "f90y-soak/v1" (-soak N -json):
@@ -51,6 +51,9 @@ func soakPrograms() []oracle.Program {
 	}
 }
 
+// reproDir receives one reproducer spec per fault-invariance violation.
+const reproDir = "soak-repros"
+
 type soakProgram struct {
 	Name  string `json:"name"`
 	Vars  int    `json:"vars"`
@@ -71,9 +74,9 @@ type soakRecord struct {
 // runSoak verifies then chaos-soaks the suite. It returns the number of
 // failures (violations + verify failures + run errors); the caller
 // exits nonzero when it is not 0.
-func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outPath string) (int, error) {
+func runSoak(w io.Writer, seeds int, asJSON bool, outPath string) (int, error) {
 	progs := soakPrograms()
-	svc := driver.New(workers)
+	svc := driver.New(0)          // a GOMAXPROCS-wide pool
 	svc.MaxCycles = 2_000_000_000 // fault-induced runaways must not hang the sweep
 
 	rec := soakRecord{Schema: "f90y-soak/v1", Seeds: seeds}

@@ -16,7 +16,6 @@ import (
 
 	"f90y"
 	"f90y/internal/cm2"
-	"f90y/internal/cmf"
 	"f90y/internal/starlisp"
 	"f90y/internal/workload"
 )
@@ -43,7 +42,7 @@ func main() {
 		return comp, res
 	}
 	// CM Fortran model: same back end, per-statement compilation.
-	_, cmfRes := run(f90y.Config{Opt: cmf.OptOptions(), PE: cmf.PEOptions()})
+	_, cmfRes := run(f90y.CMFConfig())
 	// Fortran-90-Y, full shape transformations.
 	comp, res := run(f90y.DefaultConfig())
 

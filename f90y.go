@@ -76,6 +76,24 @@ func DefaultConfig() Config {
 	return Config{Opt: opt.Default, PE: pe.Optimized, Machine: cm2.Default()}
 }
 
+// CMFConfig models Thinking Machines' CM Fortran compiler (v1.1,
+// slicewise) as the paper's comparator (§6: "The slicewise CM Fortran
+// compiler (v1.1) reached an extrapolated 2.79 gigaflops").
+//
+// The model follows §6's own explanation of why Fortran-90-Y beats CMF:
+// CMF generates competitive node code for each statement, but compiles
+// per-statement — no shape-based blocking across statements, so PEAC
+// subroutine call overhead is paid per statement and no values are
+// reused across statement boundaries. The configuration therefore
+// shares the entire Fortran-90-Y back end, including the tuned PE code
+// generator (CMF's production-quality per-statement codeblocks), with
+// domain blocking disabled; section padding stays on, since CMF's
+// virtual-processor model also executes sections as masked full-VP-set
+// operations. It is also the unblocked configuration of E2–E5.
+func CMFConfig() Config {
+	return Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized}
+}
+
 // Compilation is the result of compiling one program: every intermediate
 // artifact of the pipeline, retained for inspection and tooling.
 type Compilation struct {

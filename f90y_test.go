@@ -22,7 +22,7 @@ import (
 // naive PE back end, and everything off.
 var configs = map[string]Config{
 	"optimized": {Opt: opt.Default, PE: pe.Optimized},
-	"cmf-like":  {Opt: opt.Options{PadSections: true}, PE: pe.Optimized},
+	"cmf-like":  CMFConfig(),
 	"naive-pe":  {Opt: opt.Default, PE: pe.Naive},
 	"no-opt":    {Opt: opt.Options{PadSections: true}, PE: pe.Naive},
 }
@@ -470,7 +470,7 @@ func TestSWEPerformanceShape(t *testing.T) {
 		return res
 	}
 	full := run(Config{Opt: opt.Default, PE: pe.Optimized})
-	cmfLike := run(Config{Opt: opt.Options{PadSections: true}, PE: pe.Optimized})
+	cmfLike := run(CMFConfig())
 	if full.TotalCycles() >= cmfLike.TotalCycles() {
 		t.Fatalf("blocking did not pay: %v >= %v cycles", full.TotalCycles(), cmfLike.TotalCycles())
 	}
@@ -479,6 +479,45 @@ func TestSWEPerformanceShape(t *testing.T) {
 	}
 	if full.GFLOPS() <= cmfLike.GFLOPS() {
 		t.Fatalf("GFLOPS: full %v <= cmf %v", full.GFLOPS(), cmfLike.GFLOPS())
+	}
+}
+
+// TestCMFModelMatchesOracle runs SWE under the CM Fortran model alone
+// and checks every field against the reference interpreter.
+func TestCMFModelMatchesOracle(t *testing.T) {
+	src := workload.SWE(16, 2)
+	oracle, err := Interpret("swe.f90", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare(t, "cmf", src, oracle, compileRun(t, src, CMFConfig()))
+}
+
+// TestCMFCompilesPerStatement holds the model to §6's explanation: no
+// cross-statement blocking, so four like-shape statements become four
+// node routines.
+func TestCMFCompilesPerStatement(t *testing.T) {
+	comp, err := Compile("t.f90", wrap(`real, array(32,32) :: a, b
+a = 1.0
+b = a*2.0
+a = b + 1.0
+b = a*a`), CMFConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp.PartStats.NodeRoutines != 4 || len(comp.Program.Routines) != 4 {
+		t.Fatalf("node routines = %d (%d in the program), want 4 (per statement)",
+			comp.PartStats.NodeRoutines, len(comp.Program.Routines))
+	}
+}
+
+// TestCMFSlowerThanF90YOnSWE is the §6 ordering at a moderate problem
+// size.
+func TestCMFSlowerThanF90YOnSWE(t *testing.T) {
+	src := workload.SWE(128, 2)
+	cmf, f90y := compileRun(t, src, CMFConfig()), compileRun(t, src, DefaultConfig())
+	if cmf.NodeCalls == 0 || cmf.GFLOPS() <= 0 || cmf.GFLOPS() >= f90y.GFLOPS() {
+		t.Fatalf("CMF %d node calls at %.2f GF, F90-Y %.2f GF", cmf.NodeCalls, cmf.GFLOPS(), f90y.GFLOPS())
 	}
 }
 

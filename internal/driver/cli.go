@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"f90y/internal/cm2"
 	"f90y/internal/faults"
@@ -76,47 +77,64 @@ func (o ControlOptions) Build(file string, rec obs.Recorder) (cm2.Control, error
 	return ctl, nil
 }
 
-// ProfileOptions bundles f90yrun's -profile* flags: the text hot-line
-// report and the two file artifacts built from the same source-line
-// cycle attribution.
-type ProfileOptions struct {
-	Text   bool   // -profile: annotated source listing
-	Pprof  string // -profile-pprof: gzipped pprof protobuf path ("" = off)
-	Folded string // -profile-folded: folded-stacks path ("" = off)
+// ProfileOptions is f90yrun's repeatable -profile DEST: each
+// destination renders the one source-line cycle attribution in the
+// format its spelling names — "-" the annotated listing on stdout,
+// "*.pb.gz" a gzipped pprof protobuf, "*.folded" folded stacks. As a
+// flag.Value it refuses any other spelling, so a bad destination is a
+// usage error before anything compiles.
+type ProfileOptions []string
+
+func (o *ProfileOptions) String() string { return strings.Join(*o, " ") }
+
+func (o *ProfileOptions) Set(dest string) error {
+	if _, _, err := profileFormat(dest); err != nil {
+		return err
+	}
+	*o = append(*o, dest)
+	return nil
 }
 
-// Any reports whether any profile output is requested.
-func (o ProfileOptions) Any() bool {
-	return o.Text || o.Pprof != "" || o.Folded != ""
+// profileFormat resolves a destination to its renderer and the name
+// its log line gives a file artifact.
+func profileFormat(dest string) (func(*profile.Profile, io.Writer) error, string, error) {
+	switch {
+	case dest == "-":
+		return (*profile.Profile).WriteAnnotated, "", nil
+	case strings.HasSuffix(dest, ".pb.gz"):
+		return (*profile.Profile).WritePprof, "pprof profile", nil
+	case strings.HasSuffix(dest, ".folded"):
+		return (*profile.Profile).WriteFolded, "folded-stacks profile", nil
+	}
+	return nil, "", fmt.Errorf("profile destination %q: want - (annotated listing), *.pb.gz (pprof) or *.folded (folded stacks)", dest)
 }
 
-// Emit renders the requested artifacts from p: the annotated listing to
-// w, the pprof and folded files to their paths (each noted on logw). A
-// nil p with outputs requested is an error — the run produced no
-// attribution to profile.
+// Emit renders p to every destination in order: the annotated listing
+// to w, the files to their paths (each noted on logw). A nil p with
+// destinations given is an error — the run produced no attribution to
+// profile.
 func (o ProfileOptions) Emit(p *profile.Profile, w, logw io.Writer) error {
-	if !o.Any() {
+	if len(o) == 0 {
 		return nil
 	}
 	if p == nil {
 		return fmt.Errorf("driver: profile requested but the run produced no cycle attribution")
 	}
-	if o.Text {
-		if err := p.WriteAnnotated(w); err != nil {
+	for _, dest := range o {
+		render, name, err := profileFormat(dest)
+		if err != nil {
 			return err
 		}
-	}
-	if o.Pprof != "" {
-		if err := WriteFile(o.Pprof, p.WritePprof); err != nil {
+		if dest == "-" {
+			if err := render(p, w); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := WriteFile(dest, func(f io.Writer) error { return render(p, f) }); err != nil {
 			return err
 		}
-		fmt.Fprintf(logw, "pprof profile written to %s\n", o.Pprof)
-	}
-	if o.Folded != "" {
-		if err := WriteFile(o.Folded, p.WriteFolded); err != nil {
-			return err
-		}
-		fmt.Fprintf(logw, "folded-stacks profile written to %s\n", o.Folded)
+		fmt.Fprintf(logw, "%s written to %s\n", name, dest)
 	}
 	return nil
 }

@@ -3,6 +3,9 @@ package driver
 import (
 	"bytes"
 	"context"
+	"flag"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,7 +42,7 @@ func TestRunResultProfileConservesCycles(t *testing.T) {
 		var text, log bytes.Buffer
 		pprofPath := t.TempDir() + "/p.pb.gz"
 		foldedPath := t.TempDir() + "/p.folded"
-		opts := ProfileOptions{Text: true, Pprof: pprofPath, Folded: foldedPath}
+		opts := ProfileOptions{"-", pprofPath, foldedPath}
 		if err := opts.Emit(p, &text, &log); err != nil {
 			t.Fatalf("%s: emit: %v", target, err)
 		}
@@ -58,7 +61,47 @@ func TestRunResultProfileConservesCycles(t *testing.T) {
 		t.Errorf("empty options must be a no-op, got %v", err)
 	}
 	// Outputs requested but no attribution: a hard error, not silence.
-	if err := (ProfileOptions{Text: true}).Emit(nil, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
+	if err := (ProfileOptions{"-"}).Emit(nil, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 		t.Error("profile requested with no attribution must error")
+	}
+}
+
+// TestProfileDestinations holds -profile's one spelling rule: "-" is
+// the annotated listing, the suffix names a file's format, and any
+// other destination is refused when the flag is parsed — a usage error
+// (exit 2) before anything compiles.
+func TestProfileDestinations(t *testing.T) {
+	var opts ProfileOptions
+	fs := flag.NewFlagSet("f90yrun", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Var(&opts, "profile", "")
+	if err := fs.Parse([]string{"-profile", "-", "-profile", "p.pb.gz", "-profile", "p.folded"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (ProfileOptions{"-", "p.pb.gz", "p.folded"}); !slices.Equal(opts, want) {
+		t.Errorf("parsed %q, want %q", opts, want)
+	}
+	for _, bad := range []string{"p.pprof", "p.pb", "profile.txt", ""} {
+		if err := fs.Parse([]string{"-profile", bad}); err == nil {
+			t.Errorf("-profile %q accepted; want a usage error", bad)
+		}
+	}
+
+	// "-" selects the annotated listing, written to stdout and logged
+	// nowhere.
+	res := New(1).Run(context.Background(), Job{File: "swe.f90", Source: workload.SWE(16, 1), Config: f90y.DefaultConfig()})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	var out, log bytes.Buffer
+	if err := (ProfileOptions{"-"}).Emit(res.Profile(), &out, &log); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := res.Profile().WriteAnnotated(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) || log.Len() != 0 {
+		t.Errorf("-profile - wrote %d bytes (annotated listing is %d) and logged %q", out.Len(), want.Len(), log.String())
 	}
 }

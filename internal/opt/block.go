@@ -7,7 +7,7 @@ import (
 )
 
 // Options selects which transformations run. The CMF-like baseline
-// (internal/cmf) disables BlockDomains to model per-statement compilation.
+// (f90y.CMFConfig) disables BlockDomains to model per-statement compilation.
 type Options struct {
 	// PadSections converts aligned section moves to full-shape masked
 	// moves (Fig. 10).

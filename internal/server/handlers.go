@@ -37,7 +37,10 @@ func tenantOf(r *http.Request) string {
 // key material; see driver.Fingerprint).
 type configSpec struct {
 	// Opt is the NIR transformation level: "default" (all passes, the
-	// default) or "naive" (none).
+	// default) or "naive" (none). Mind the names: the wire's "naive"
+	// runs no NIR pass at all, while f90yc -O=false keeps section
+	// padding — that is f90y.CMFConfig, the CM Fortran model — so the
+	// two "unoptimized" levels compile different programs.
 	Opt string `json:"opt,omitempty"`
 	// PE is the PE code-generator level: "optimized" (the default) or
 	// "naive".

@@ -77,15 +77,16 @@ type Config struct {
 	// New replays any prior epoch's journal found there. Empty (the
 	// default) disables all of it.
 	StateDir string
-	// DiskCacheBytes bounds the persistent artifact cache under
-	// StateDir; oldest entries are pruned at startup (0 = 1 GiB).
-	DiskCacheBytes int64
 	// IOFaults, when non-nil, mangles durable writes (journal appends,
 	// spills, cache entries) for crash testing; see faults.ParseIOSpec.
 	IOFaults *faults.IOInjector
 	// Log receives one line per lifecycle event (nil = discard).
 	Log io.Writer
 }
+
+// diskCacheBytes bounds the persistent artifact cache under
+// Config.StateDir; the oldest entries are pruned at startup.
+const diskCacheBytes = 1 << 30
 
 // DefaultQuotas are the per-tenant bounds applied when Config.Quotas is
 // the zero value: enough in-flight work to saturate a small pool,
@@ -123,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
-	}
-	if c.DiskCacheBytes == 0 {
-		c.DiskCacheBytes = 1 << 30
 	}
 	if c.Log == nil {
 		c.Log = io.Discard
@@ -251,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 		s.dur = dur
 		svc.CacheDir = filepath.Join(cfg.StateDir, "cache")
 		svc.IOFaults = cfg.IOFaults
-		if n := svc.PruneDiskCache(cfg.DiskCacheBytes); n > 0 {
+		if n := svc.PruneDiskCache(diskCacheBytes); n > 0 {
 			fmt.Fprintf(cfg.Log, "f90yd: pruned %d disk cache entries\n", n)
 		}
 		var carry []jrec

@@ -14,6 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"f90y"
+	"f90y/internal/opt"
+	"f90y/internal/pe"
 	"f90y/internal/workload"
 )
 
@@ -598,5 +601,46 @@ func TestJobRetentionBounded(t *testing.T) {
 	}
 	if st, _ := get(t, c, hs.URL+"/v1/jobs/"+ids[5]); st != 200 {
 		t.Errorf("newest job not retained: %d", st)
+	}
+}
+
+// TestConfigSpecWire pins the compile-config wire format: each opt × pe
+// level pair builds the configuration it names, an empty field is its
+// default, and an unknown level is a 400 over HTTP. It also pins the
+// naming trap configSpec documents: the wire's opt "naive" runs no NIR
+// pass at all, unlike f90yc -O=false, which keeps section padding (the
+// CM Fortran model, f90y.CMFConfig).
+func TestConfigSpecWire(t *testing.T) {
+	for _, tc := range []struct {
+		spec configSpec
+		opt  opt.Options
+		pe   pe.Options
+	}{
+		{configSpec{}, opt.Default, pe.Optimized},
+		{configSpec{Opt: "default", PE: "optimized"}, opt.Default, pe.Optimized},
+		{configSpec{Opt: "default", PE: "naive"}, opt.Default, pe.Naive},
+		{configSpec{Opt: "naive", PE: "optimized"}, opt.Options{}, pe.Optimized},
+		{configSpec{Opt: "naive", PE: "naive"}, opt.Options{}, pe.Naive},
+	} {
+		cfg, err := tc.spec.build()
+		if err != nil {
+			t.Errorf("%+v: %v", tc.spec, err)
+			continue
+		}
+		if cfg.Opt != tc.opt || cfg.PE != tc.pe || cfg.Machine == nil {
+			t.Errorf("%+v built %+v / %+v (machine %v), want %+v / %+v on the default machine",
+				tc.spec, cfg.Opt, cfg.PE, cfg.Machine, tc.opt, tc.pe)
+		}
+	}
+	if naive, _ := (configSpec{Opt: "naive"}).build(); naive.Opt == f90y.CMFConfig().Opt {
+		t.Error(`opt "naive" is the CM Fortran model's NIR passes; the wire format says it is none`)
+	}
+
+	_, hs := testServer(t, Config{Workers: 1, QueueDepth: 4})
+	for _, spec := range []map[string]any{{"opt": "O3"}, {"pe": "fast"}} {
+		body := map[string]any{"source": "program p\nend\n", "config": spec}
+		if status, v, _ := post(t, hs.Client(), hs.URL+"/v1/compile", "", body); status != 400 || errCode(v) != "bad_request" {
+			t.Errorf("config %v: got (%d, %s), want (400, bad_request)", spec, status, errCode(v))
+		}
 	}
 }

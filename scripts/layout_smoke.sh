@@ -9,7 +9,7 @@
 #   2. run the unverified sweep twice and assert the two
 #      f90y-layout/v1 records are byte-identical (the sweep is
 #      deterministic) and byte-equal to the committed
-#      LAYOUT_baseline.json — the golden that holds the comm cycles of
+#      LAYOUT_baseline.json (the sweep has one size, n=65536, iters=2) — the golden that holds the comm cycles of
 #      transpose, FFT and gather, as BENCH_baseline.json holds SWE's
 #      (`make modeled-record` refreshes both when a modeled number is
 #      MEANT to move),
@@ -19,36 +19,27 @@
 #      cost path supports 1.87x, the gather — the 139x the FFT once
 #      showed was the default layout's own pricing branch, not layout).
 #
-# Parameters (environment):
-#   N      sweep problem size (elements)  (default 65536)
-#   ITERS  kernel iterations              (default 2)
-#
 # Used by `make layout-smoke` (tier-1).
 set -eu
 
-N="${N:-65536}"
-ITERS="${ITERS:-2}"
 GO="${GO:-go}"
 
 workdir="$(mktemp -d)"
 cleanup() { rm -rf "$workdir"; }
 trap cleanup EXIT INT TERM
 
-echo "layout-smoke: verified sweep (n=$N iters=$ITERS)"
-$GO run ./cmd/swebench -layout-sweep -layout-verify \
-	-layout-n "$N" -layout-iters "$ITERS" -o "$workdir/a.json" > "$workdir/a.txt"
+echo "layout-smoke: verified sweep"
+$GO run ./cmd/swebench -layout-sweep -layout-verify -o "$workdir/a.json" > "$workdir/a.txt"
 
 echo "layout-smoke: determinism re-runs"
-$GO run ./cmd/swebench -layout-sweep \
-	-layout-n "$N" -layout-iters "$ITERS" -o "$workdir/b.json" > /dev/null
-$GO run ./cmd/swebench -layout-sweep \
-	-layout-n "$N" -layout-iters "$ITERS" -o "$workdir/c.json" > /dev/null
+$GO run ./cmd/swebench -layout-sweep -o "$workdir/b.json" > /dev/null
+$GO run ./cmd/swebench -layout-sweep -o "$workdir/c.json" > /dev/null
 if ! cmp -s "$workdir/b.json" "$workdir/c.json"; then
 	echo "layout-smoke: FAIL: sweep records differ between runs" >&2
 	diff "$workdir/b.json" "$workdir/c.json" >&2 || true
 	exit 1
 fi
-if [ "$N" = 65536 ] && [ "$ITERS" = 2 ] && ! cmp -s LAYOUT_baseline.json "$workdir/b.json"; then
+if ! cmp -s LAYOUT_baseline.json "$workdir/b.json"; then
 	echo "layout-smoke: FAIL: sweep record differs from LAYOUT_baseline.json" >&2
 	diff LAYOUT_baseline.json "$workdir/b.json" >&2 || true
 	echo "layout-smoke: if the change is meant to move a modeled number: make modeled-record" >&2
