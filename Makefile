@@ -5,8 +5,10 @@ GO ?= go
 # check is the tier-1 gate (see ROADMAP.md). Ten stages, every test run
 # race-enabled exactly once:
 #   vet            go vet, also under -tags purego and GOARCH=arm64 (the
-#                  builds without the AVX bodies), and no fused
-#                  multiply-add in the arm64 build (scripts/no_fma_check.sh)
+#                  builds without the AVX bodies), GOOS=darwin and
+#                  GOOS=windows (the builds without huge-page advice),
+#                  and no fused multiply-add in the arm64 build
+#                  (scripts/no_fma_check.sh)
 #   build          go build
 #   race           the whole suite under -race -short (-short skips only
 #                  the paper-scale TestE1PaperScale; `make test` runs it)
@@ -28,6 +30,8 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags purego ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	GO="$(GO)" ./scripts/no_fma_check.sh
 
 build:

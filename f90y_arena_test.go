@@ -5,12 +5,15 @@ package f90y_test
 // may reach the program.
 
 import (
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"f90y/internal/cm2"
 	"f90y/internal/faults"
 	"f90y/internal/rt"
+	"f90y/internal/workload"
 )
 
 // Two programs over the same three 37x41 arrays: the reader reads c
@@ -54,6 +57,30 @@ func TestReusedStoreIsCleared(t *testing.T) {
 			reused.Store.ArenaReuses, counters["rt/arena/get"], counters["rt/arena/reuse"])
 	}
 	sameViewRun(t, "on slabs the poisoner released", fresh, reused)
+}
+
+// TestArenaHugeCounter: rt/arena/huge counts a run's slabs that were
+// advised onto huge pages — on a Linux host with transparent huge pages,
+// each of SWE 512²'s 2 MB arrays; never one of the 192² arrays serve_hot
+// runs.
+func TestArenaHugeCounter(t *testing.T) {
+	_, err := os.Stat("/sys/kernel/mm/transparent_hugepage")
+	thp := runtime.GOOS == "linux" && err == nil
+	for _, n := range []int{512, 192} {
+		res, counters := viewRun(t, workload.SWE(n, 1), nil)
+		want := 0
+		for _, a := range res.Store.Arrays {
+			if thp && 8*len(a.Data) >= 2<<20 {
+				want++
+			}
+		}
+		if n == 512 && thp && want == 0 {
+			t.Fatal("SWE 512² has no array of 2 MB; the check is vacuous")
+		}
+		if got := counters["rt/arena/huge"]; got != float64(want) || res.Store.ArenaHuge != want {
+			t.Errorf("SWE %d²: rt/arena/huge %v (store %d), want %d", n, got, res.Store.ArenaHuge, want)
+		}
+	}
 }
 
 // TestRunsHandEverySlabBack: a run that copies every shift (an attached

@@ -232,6 +232,7 @@ func (r *run) emit() {
 	}
 	obs.Add(rec, "rt/arena/get", float64(r.store.ArenaGets))
 	obs.Add(rec, "rt/arena/reuse", float64(r.store.ArenaReuses))
+	obs.Add(rec, "rt/arena/huge", float64(r.store.ArenaHuge))
 	if res.Numeric != nil {
 		for cl, n := range res.Numeric.NaN {
 			obs.Add(rec, "exec/numeric/nan/"+cl, float64(n))

@@ -3,6 +3,7 @@ package rt
 import (
 	"runtime/metrics"
 	"sync"
+	"unsafe"
 )
 
 // The store arena: every array a Store holds — declared arrays, a shift
@@ -12,7 +13,15 @@ import (
 // server answering the same few programs over and over stops allocating,
 // zeroing and garbage-collecting a store per request; a caller that
 // never releases (f90yrun, the f90y API, the oracle) only ever misses,
-// and a miss is make.
+// and a miss is newSlab.
+//
+// A miss of hugePage bytes or more is still a Go allocation the
+// collector owns, but one hugePage longer, re-sliced to start on a
+// huge-page boundary and, where the platform can (arena_linux.go),
+// advised onto transparent huge pages before anything touches it: a
+// fresh process then faults its store in 2 MB at a time, not 4 KB. Only
+// the whole huge pages inside the slab are advised; the partial tail
+// stays on small pages, so the slab's resident size cannot grow.
 //
 // Slabs are keyed by exact length, not by program: cached programs that
 // declare the same extents share one set. A slab is cleared every time
@@ -27,12 +36,17 @@ import (
 // it the bookkeeping costs more than make and clear.
 const arenaMin = 1 << 10
 
+// hugePage is the size of a transparent huge page, in bytes: a slab of
+// at least this many is made huge-page aligned.
+const hugePage = 2 << 20
+
 // ArenaStats counts the arena's traffic since the process started.
 type ArenaStats struct {
 	Gets      int64 `json:"gets"`       // slabs of arenaMin elements and up asked for
 	Reuses    int64 `json:"reuses"`     // of those, served from a returned slab
 	Puts      int64 `json:"puts"`       // slabs handed back
-	HeldBytes int64 `json:"held_bytes"` // idle in the arena now
+	HeldBytes int64 `json:"held_bytes"` // pinned by the slabs idle in the arena now
+	Huge      int64 `json:"huge"`       // slabs made and advised onto huge pages
 }
 
 var arena struct {
@@ -51,10 +65,11 @@ func ReadArenaStats() ArenaStats {
 	return arena.st
 }
 
-// getSlab returns n zeroed elements and whether the arena held them.
-func getSlab(n int) (s []float64, reused bool) {
+// getSlab returns n zeroed elements, whether the arena held them and,
+// when it did not, whether the new slab was advised onto huge pages.
+func getSlab(n int) (s []float64, reused, huge bool) {
 	if n < arenaMin {
-		return make([]float64, n), false
+		return make([]float64, n), false, false
 	}
 	arena.mu.Lock()
 	arena.st.Gets++
@@ -63,16 +78,45 @@ func getSlab(n int) (s []float64, reused bool) {
 			s, l[len(l)-1] = l[len(l)-1], nil
 			gen[n] = l[:len(l)-1]
 			arena.st.Reuses++
-			arena.st.HeldBytes -= int64(8 * n)
+			arena.st.HeldBytes -= slabBytes(n)
 			break
 		}
 	}
 	arena.mu.Unlock()
 	if s == nil {
-		return make([]float64, n), false
+		s, huge = newSlab(n)
+		return s, false, huge
 	}
 	clear(s)
-	return s, true
+	return s, true, false
+}
+
+// newSlab makes n zeroed elements: exactly make below hugePage bytes,
+// and from there up a slab starting on a huge-page boundary, advised
+// where the platform can (adviseHuge), with len == cap == n. huge
+// reports that the advice was taken.
+func newSlab(n int) (s []float64, huge bool) {
+	if 8*n < hugePage {
+		return make([]float64, n), false
+	}
+	buf := make([]float64, n+hugePage/8)
+	off := int((-uintptr(unsafe.Pointer(&buf[0])) & (hugePage - 1)) / 8)
+	s = buf[off : off+n : off+n]
+	if huge = adviseHuge(s); huge {
+		arena.mu.Lock()
+		arena.st.Huge++
+		arena.mu.Unlock()
+	}
+	return s, huge
+}
+
+// slabBytes is what a slab of n elements pins: its elements plus, from
+// hugePage bytes up, the alignment pad around them.
+func slabBytes(n int) int64 {
+	if 8*n < hugePage {
+		return int64(8 * n)
+	}
+	return int64(8*n + hugePage)
 }
 
 // putSlab hands s back; the caller must hold no other reference to it.
@@ -86,7 +130,7 @@ func putSlab(s []float64) {
 	}
 	arena.free[len(s)] = append(arena.free[len(s)], s)
 	arena.st.Puts++
-	arena.st.HeldBytes += int64(8 * len(s))
+	arena.st.HeldBytes += slabBytes(len(s))
 	arena.mu.Unlock()
 }
 
@@ -98,7 +142,7 @@ func ageArena() {
 	arena.mu.Lock()
 	if gc := cycles[0].Value.Uint64(); gc != arena.gc {
 		for n, l := range arena.old {
-			arena.st.HeldBytes -= int64(8 * n * len(l))
+			arena.st.HeldBytes -= slabBytes(n) * int64(len(l))
 		}
 		arena.old, arena.free, arena.gc = arena.free, nil, gc
 	}

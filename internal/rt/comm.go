@@ -65,11 +65,15 @@ type Comm struct {
 }
 
 // stage returns a length-n staging buffer backed by the comm's reused
-// scratch allocation. The caller must write every element before
-// delivering (all comm stagers do), so the buffer is never cleared.
+// scratch allocation, made like a store slab (newSlab) and counted with
+// the store's. The caller must write every element before delivering
+// (all comm stagers do), so the buffer is never cleared.
 func (c *Comm) stage(n int) []float64 {
 	if cap(c.scratch) < n {
-		c.scratch = make([]float64, n)
+		var huge bool
+		if c.scratch, huge = newSlab(n); huge {
+			c.Store.ArenaHuge++
+		}
 	}
 	return c.scratch[:n]
 }

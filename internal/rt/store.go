@@ -140,7 +140,9 @@ type Store struct {
 	Materialized map[string]int
 	// ArenaGets and ArenaReuses count the slabs of arenaMin elements and
 	// up this store asked the arena for, and those it was lent used.
-	ArenaGets, ArenaReuses int
+	// ArenaHuge counts the slabs made for the run — this store's and its
+	// comm staging buffer — that were advised onto huge pages.
+	ArenaGets, ArenaReuses, ArenaHuge int
 }
 
 // NewStore allocates storage for every non-PARAMETER symbol, each array
@@ -168,12 +170,15 @@ func NewStore(syms *lower.SymTab) *Store {
 
 // slab draws n zeroed elements for the store from the arena.
 func (st *Store) slab(n int) []float64 {
-	s, reused := getSlab(n)
+	s, reused, huge := getSlab(n)
 	if n >= arenaMin {
 		st.ArenaGets++
 	}
 	if reused {
 		st.ArenaReuses++
+	}
+	if huge {
+		st.ArenaHuge++
 	}
 	return s
 }

@@ -48,7 +48,7 @@ func (a *Array) View() (src *Array, rot []int, err error) {
 	v := a.view
 	if v == nil {
 		if a.Data == nil {
-			a.Data, _ = getSlab(a.Size())
+			a.Data, _, _ = getSlab(a.Size())
 		}
 		return a, nil, nil
 	}
