@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,6 +15,9 @@ import (
 	"f90y"
 	"f90y/internal/cm2"
 	"f90y/internal/cm5"
+	"f90y/internal/faults"
+	"f90y/internal/hostvm"
+	"f90y/internal/rt"
 )
 
 // TestOneRunEntryPointPerLayer is the tripwire against the Run*/Exec*
@@ -40,6 +44,51 @@ func TestOneRunEntryPointPerLayer(t *testing.T) {
 		if len(got) != 1 || got[0] != c.want {
 			t.Errorf("%v exports Run* methods %v, want exactly [%s]", c.typ, got, c.want)
 		}
+	}
+}
+
+// TestOneSnapshotPath is the tripwire against a second snapshot path:
+// a checkpoint reaches a file through exactly one method,
+// Write(path, inj) — no streaming EncodeTo, nothing else that takes a
+// path or an io.Writer — and the host VM resumes from the
+// *rt.Checkpoint itself, through one Resume field, not through knobs
+// copied out of it.
+func TestOneSnapshotPath(t *testing.T) {
+	ck := reflect.TypeOf(&rt.Checkpoint{})
+	writer := reflect.TypeOf((*io.Writer)(nil)).Elem()
+	var writes []string
+	for i := 0; i < ck.NumMethod(); i++ {
+		m := ck.Method(i)
+		if m.Name == "EncodeTo" {
+			t.Errorf("*rt.Checkpoint has EncodeTo: Encode builds the bytes, Write puts them on disk")
+		}
+		for j := 1; j < m.Type.NumIn(); j++ { // In(0) is the receiver
+			if in := m.Type.In(j); in.Kind() == reflect.String || in.Implements(writer) {
+				writes = append(writes, m.Name)
+				break
+			}
+		}
+	}
+	if len(writes) != 1 || writes[0] != "Write" {
+		t.Errorf("*rt.Checkpoint methods that write somewhere: %v, want exactly [Write]", writes)
+	}
+	want := reflect.TypeOf(func(*rt.Checkpoint, string, *faults.IOInjector) (int, error) { return 0, nil })
+	if m, ok := ck.MethodByName("Write"); !ok || m.Type != want {
+		t.Errorf("(*rt.Checkpoint).Write is %v, want %v", m.Type, want)
+	}
+
+	var resume []string
+	ctl := reflect.TypeOf(hostvm.Ctl{})
+	for i := 0; i < ctl.NumField(); i++ {
+		if f := ctl.Field(i); strings.HasPrefix(f.Name, "Resume") {
+			resume = append(resume, f.Name+" "+f.Type.String())
+		}
+	}
+	if len(resume) != 1 || resume[0] != "Resume *rt.Checkpoint" {
+		t.Errorf("hostvm.Ctl resume fields %v, want exactly [Resume *rt.Checkpoint]", resume)
+	}
+	if _, ok := reflect.TypeOf(&hostvm.Ctl{}).MethodByName("SetResume"); ok {
+		t.Error("hostvm.Ctl has SetResume: the run core sets Resume to the checkpoint itself")
 	}
 }
 

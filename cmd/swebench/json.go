@@ -47,6 +47,7 @@ import (
 
 	"f90y"
 	"f90y/internal/cm2"
+	"f90y/internal/driver"
 	"f90y/internal/faults"
 	"f90y/internal/obs/profile"
 	"f90y/internal/starlisp"
@@ -150,8 +151,8 @@ func buildRecord(n, steps int, plan *faults.Plan) (benchRecord, error) {
 		Name:      "swe",
 		N:         n,
 		Steps:     steps,
-		PEs:       cfg.Machine.PEs,
-		ClockHz:   cfg.Machine.ClockHz,
+		PEs:       driver.Targets[0].Units,
+		ClockHz:   driver.Targets[0].ClockHz,
 		GFLOPS:    res.GFLOPS(),
 		Flops:     res.Flops,
 		NodeCalls: res.NodeCalls,

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"f90y"
+	"f90y/internal/driver"
 )
 
 // The §2.1 example from the paper: whole-array assignments replacing the
@@ -50,8 +51,9 @@ func main() {
 	for _, line := range res.Output {
 		fmt.Println("program output:", line)
 	}
+	// Compilation.Run runs on the default machine, the first target.
 	fmt.Printf("modeled: %.3f ms on %d PEs, %.2f GFLOPS\n",
-		res.Seconds()*1e3, comp.Machine.PEs, res.GFLOPS())
+		res.Seconds()*1e3, driver.Targets[0].Units, res.GFLOPS())
 
 	// Cross-check against the reference interpreter.
 	oracle, err := f90y.Interpret("quickstart.f90", source)

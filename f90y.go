@@ -46,17 +46,16 @@ import (
 // context.DeadlineExceeded) is wrapped alongside it.
 var ErrCanceled = rt.ErrCanceled
 
-// Config selects the optimization level and target machine for a
-// compilation.
+// Config says what a compilation compiles: the optimization levels,
+// the per-array distribution overrides, and where its telemetry goes.
+// The machine a program runs on is the run's choice, not the compile's
+// (driver.Job.Machine).
 type Config struct {
 	// Opt selects the NIR transformation passes (§4.2). The zero value
 	// disables them; use opt.Default for the full compiler.
 	Opt opt.Options
 	// PE selects the PE/NIR code generator optimizations (§5.2).
 	PE pe.Options
-	// Machine is the simulated target; nil means the default 2,048-PE,
-	// 7 MHz CM/2.
-	Machine *cm2.Machine
 	// Obs receives compilation and execution telemetry: one span per
 	// pipeline phase (lex, parse, lower, each opt pass, partition,
 	// pe-codegen per routine, exec) plus each phase's statistics as
@@ -73,7 +72,7 @@ type Config struct {
 
 // DefaultConfig is the fully optimizing Fortran-90-Y configuration.
 func DefaultConfig() Config {
-	return Config{Opt: opt.Default, PE: pe.Optimized, Machine: cm2.Default()}
+	return Config{Opt: opt.Default, PE: pe.Optimized}
 }
 
 // CMFConfig models Thinking Machines' CM Fortran compiler (v1.1,
@@ -103,7 +102,6 @@ type Compilation struct {
 	OptStats  opt.Stats
 	Program   *fe.Program // partitioned host program + PEAC routines
 	PartStats partition.Stats
-	Machine   *cm2.Machine
 	Obs       obs.Recorder // telemetry sink carried from Config (may be nil)
 }
 
@@ -147,9 +145,6 @@ func Compile(filename, src string, cfg Config) (*Compilation, error) {
 // phases: a canceled context or an expired deadline aborts the
 // compilation with an error wrapping ErrCanceled.
 func CompileCtx(ctx context.Context, filename, src string, cfg Config) (*Compilation, error) {
-	if cfg.Machine == nil {
-		cfg.Machine = cm2.Default()
-	}
 	rec := cfg.Obs
 	phaseCtx := func(phase string) error {
 		if ctx.Err() != nil {
@@ -254,12 +249,12 @@ func CompileCtx(ctx context.Context, filename, src string, cfg Config) (*Compila
 		OptStats:  ostats,
 		Program:   prog,
 		PartStats: pstats,
-		Machine:   cfg.Machine,
 		Obs:       rec,
 	}, nil
 }
 
-// Run executes the compiled program on the simulated CM/2 under ctx,
+// Run executes the compiled program on the default simulated CM/2 (2,048
+// PEs at 7 MHz; another machine is a cm2.Target's Run) under ctx,
 // reporting an "exec" span plus the cycle-attribution counters to the
 // compilation's recorder. Cancellation and deadline expiry are checked
 // at host op and loop-iteration boundaries and surface as an error
@@ -271,7 +266,7 @@ func CompileCtx(ctx context.Context, filename, src string, cfg Config) (*Compila
 func (c *Compilation) Run(ctx context.Context, ctl *cm2.Control) (*cm2.Result, error) {
 	span := obs.Start(c.Obs, "exec")
 	defer span.End()
-	return c.Machine.RunCtx(ctx, c.Program, nil, c.Obs, ctl)
+	return cm2.Default().Target().Run(ctx, c.Program, nil, c.Obs, ctl)
 }
 
 // Interpret runs a program under the reference interpreter (the oracle):

@@ -120,10 +120,11 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 		// One snap closure serves every boundary of the run, so one the
 		// hook declines allocates nothing.
 		var at *hostvm.VM
-		var b rt.Boundary
-		snap := func() *rt.Checkpoint { return r.snapshot(at, b) }
-		hctl.Checkpoint = func(vm *hostvm.VM, next int, inLoop bool, iterDone int) error {
-			at, b = vm, rt.Boundary{Machine: t.Name, NextOp: next, InLoop: inLoop, IterDone: iterDone}
+		var next, iterDone int
+		var inLoop bool
+		snap := func() *rt.Checkpoint { return r.snapshot(at, next, inLoop, iterDone) }
+		hctl.Checkpoint = func(vm *hostvm.VM, n int, l bool, it int) error {
+			at, next, inLoop, iterDone = vm, n, l, it
 			return ctl.Checkpoint(snap)
 		}
 	}
@@ -165,12 +166,26 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 	return res, nil
 }
 
-// snapshot captures a consistent machine state at a host boundary; the
-// Split travels in Checkpoint.Extra.
-func (r *run) snapshot(vm *hostvm.VM, b rt.Boundary) *rt.Checkpoint {
-	ck := rt.SnapshotBoundary(r.store, r.comm, b,
-		rt.HostState{Output: vm.Output, Cycles: vm.Cycles, ClassCycles: vm.ClassCycles()},
-		r.res.ExecTotals)
+// snapshot captures a consistent machine state at a host boundary —
+// every op before next has completed; with inLoop, op next is a serial
+// DO completed through iteration iterDone: the store, the host VM's
+// output and buckets, the comm layer's, and the node totals, every map
+// a copy so the run goes on without touching the snapshot. The Split
+// travels in Checkpoint.Extra.
+func (r *run) snapshot(vm *hostvm.VM, next int, inLoop bool, iterDone int) *rt.Checkpoint {
+	ck := r.store.Checkpoint()
+	ck.Machine = r.t.Name
+	ck.NextOp, ck.InLoop, ck.IterDone = next, inLoop, iterDone
+	ck.Output = append([]string(nil), vm.Output...)
+	ck.HostCycles, ck.HostClassCycles = vm.Cycles, vm.ClassCycles()
+	tot, comm := r.res.ExecTotals, r.comm
+	ck.Flops, ck.NodeCalls, ck.PECycles = tot.Flops, tot.NodeCalls, tot.PECycles
+	ck.PEClassCycles = rt.CopyMap(tot.PEClassCycles)
+	ck.PERoutineCycles = rt.CopyMap(tot.PERoutineCycles)
+	ck.PELineCycles = rt.CopyLineMap(tot.PELineCycles)
+	ck.CommCalls, ck.CommCycles = comm.Calls, comm.Cycles
+	ck.CommClassCycles = rt.CopyMap(comm.ClassCycles)
+	ck.CommLineCycles = rt.CopyLineMap(comm.LineCycles)
 	sp := r.res.Split
 	ck.Extra = map[string]float64{extraSetup: sp.Setup, extraVector: sp.Vector, extraDegrade: sp.Degrade}
 	return ck
@@ -178,26 +193,34 @@ func (r *run) snapshot(vm *hostvm.VM, b rt.Boundary) *rt.Checkpoint {
 
 // resume restores a snapshot into the store, the comm layer, the
 // accumulators, and the host control plane, so the continued run picks
-// up every total where the snapshot left it. A snapshot of another
+// up every total where the snapshot left it; the maps are copies, so a
+// resumed run never aliases the checkpoint. A snapshot of another
 // machine is rejected before anything is touched: its cycle buckets
 // mean something else.
 func (r *run) resume(ck *rt.Checkpoint, hctl *hostvm.Ctl) error {
 	if ck.Machine != r.t.Name {
 		return fmt.Errorf("%s: resume: %w: snapshot of a %q run", r.t.Name, rt.ErrCkptMachine, ck.Machine)
 	}
-	tot, err := rt.ResumeBoundary(ck, r.store, r.comm)
-	if err != nil {
+	if err := ck.ApplyStore(r.store); err != nil {
 		return fmt.Errorf("%s: resume: %w", r.t.Name, err)
 	}
+	r.comm.Restore(ck.CommClassCycles, ck.CommLineCycles, ck.CommCalls)
 	res := r.res
-	res.ExecTotals = tot
+	res.ExecTotals = rt.ExecTotals{
+		Flops:           ck.Flops,
+		NodeCalls:       ck.NodeCalls,
+		PECycles:        ck.PECycles,
+		PEClassCycles:   rt.CopyMap(ck.PEClassCycles),
+		PERoutineCycles: rt.CopyMap(ck.PERoutineCycles),
+		PELineCycles:    rt.CopyLineMap(ck.PELineCycles),
+	}
 	res.Split = Split{Setup: ck.Extra[extraSetup], Vector: ck.Extra[extraVector], Degrade: ck.Extra[extraDegrade]}
 	if res.Split.Degrade != 0 {
 		// CM-5 snapshots from before the core carry degradation in
 		// Extra only, not in the class map.
 		res.PEClassCycles[DegradeClass] = res.Split.Degrade
 	}
-	hctl.SetResume(ck)
+	hctl.Resume = ck
 	return nil
 }
 

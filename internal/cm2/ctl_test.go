@@ -485,7 +485,7 @@ func TestCheckpointRoundTripsThroughDisk(t *testing.T) {
 		mustRun(t, tg, prog, ctl)
 		last := (*cks)[len(*cks)-1]
 		path := t.TempDir() + "/ck.ckpt"
-		if err := last.Write(path); err != nil {
+		if _, err := last.Write(path, nil); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := rt.ReadCheckpoint(path)

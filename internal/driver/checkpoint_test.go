@@ -109,7 +109,7 @@ func TestCheckpointCarriesNaNAndInf(t *testing.T) {
 			ctl.Checkpoint = func(snap func() *rt.Checkpoint) error {
 				boundaries++
 				ck := snap()
-				if err := ck.Write(filepath.Join(dir, fmt.Sprintf("b%03d.ckpt", boundaries))); err != nil {
+				if _, err := ck.Write(filepath.Join(dir, fmt.Sprintf("b%03d.ckpt", boundaries)), nil); err != nil {
 					return err
 				}
 				return writeLast(func() *rt.Checkpoint { return ck })

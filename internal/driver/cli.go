@@ -66,7 +66,8 @@ func (o ControlOptions) Build(file string, rec obs.Recorder) (cm2.Control, error
 			if boundaries++; boundaries%every != 0 {
 				return nil
 			}
-			return snap().Write(path)
+			_, err := snap().Write(path, nil)
+			return err
 		}
 	}
 	if o.ResumePath != "" {

@@ -55,9 +55,10 @@ func KeyOf(src string, cfg f90y.Config) Key {
 
 // Fingerprint renders the parts of a Config that change the pipeline's
 // artifacts: the NIR transformation options and the PE code-generator
-// options. Machine and Obs are deliberately excluded — the target
-// machine is a run-time choice (the partitioned program is machine-
-// independent, §5.3.1), and telemetry never alters what is compiled.
+// options, and the distribution overrides. Obs is deliberately
+// excluded: telemetry never alters what is compiled. (The target
+// machine is a run-time choice, Job.Machine, and no part of a Config:
+// the partitioned program is machine-independent, §5.3.1.)
 //
 // The rendering is explicit, field by field, NOT reflective (%+v):
 // adding, removing, or reordering a field in opt.Options or pe.Options

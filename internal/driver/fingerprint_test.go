@@ -70,9 +70,9 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		t.Errorf("pe.Options has %d fields; Fingerprint renders 5 — "+
 			"add the new field to Fingerprint (and the golden test) or exclude it deliberately, then update this count", n)
 	}
-	if n := reflect.TypeOf(f90y.Config{}).NumField(); n != 5 {
-		t.Errorf("f90y.Config has %d fields; Fingerprint accounts for 5 "+
-			"(Opt, PE, Distribute rendered; Machine, Obs deliberately excluded) — "+
+	if n := reflect.TypeOf(f90y.Config{}).NumField(); n != 4 {
+		t.Errorf("f90y.Config has %d fields; Fingerprint accounts for 4 "+
+			"(Opt, PE, Distribute rendered; Obs deliberately excluded) — "+
 			"decide whether the new field belongs in the cache key, then update this count", n)
 	}
 }

@@ -85,28 +85,13 @@ type Ctl struct {
 	// machine, not just the front end. Nil counts host cycles only.
 	ExtraCycles func() float64
 
-	// Resume position (from a checkpoint): skip completed top-level
-	// ops, and when ResumeInLoop is set re-enter op ResumeOp's serial
-	// DO at iteration ResumeIter+1.
-	ResumeOp     int
-	ResumeInLoop bool
-	ResumeIter   int
-	// ResumeOutput pre-seeds the accumulated program output.
-	ResumeOutput []string
-	// ResumeClassCycles pre-seeds the per-class host cycle buckets so
-	// a resumed run's totals continue from the snapshot.
-	ResumeClassCycles map[string]float64
-}
-
-// SetResume points the control plane at a snapshot's resume position
-// and pre-seeded host state. It is the single place the checkpoint
-// fields map onto the Resume* knobs, shared by every machine model.
-func (c *Ctl) SetResume(ck *rt.Checkpoint) {
-	c.ResumeOp = ck.NextOp
-	c.ResumeInLoop = ck.InLoop
-	c.ResumeIter = ck.IterDone
-	c.ResumeOutput = ck.Output
-	c.ResumeClassCycles = ck.HostClassCycles
+	// Resume continues the run from a snapshot's boundary: completed
+	// top-level ops are skipped, a serial DO the snapshot stopped inside
+	// (InLoop) re-enters at iteration IterDone+1, and the output and the
+	// per-class host cycle buckets continue from the snapshot's. The
+	// machine layer restores the store and its own totals. Nil starts
+	// at the first op.
+	Resume *rt.Checkpoint
 }
 
 // VM is one host execution.
@@ -177,19 +162,21 @@ func RunCtx(ctx context.Context, prog *fe.Program, store *rt.Store, cost Cost, h
 		ctl = &Ctl{}
 	}
 	vm = &VM{Store: store, Cost: cost, Hooks: hooks, runCtx: ctx, done: ctx.Done(), ctl: ctl, limit: 500_000_000}
-	vm.Output = append(vm.Output, ctl.ResumeOutput...)
-	for cl, v := range ctl.ResumeClassCycles {
-		switch cl {
-		case HostIssue:
-			vm.charge(&vm.IssueCycles, v)
-		case HostScalar:
-			vm.charge(&vm.ScalarCycles, v)
-		case HostElem:
-			vm.charge(&vm.ElemCycles, v)
-		case HostDispatch:
-			vm.charge(&vm.DispatchCycles, v)
-		case HostStall:
-			vm.charge(&vm.StallCycles, v)
+	if ck := ctl.Resume; ck != nil {
+		vm.Output = append(vm.Output, ck.Output...)
+		for cl, v := range ck.HostClassCycles {
+			switch cl {
+			case HostIssue:
+				vm.charge(&vm.IssueCycles, v)
+			case HostScalar:
+				vm.charge(&vm.ScalarCycles, v)
+			case HostElem:
+				vm.charge(&vm.ElemCycles, v)
+			case HostDispatch:
+				vm.charge(&vm.DispatchCycles, v)
+			case HostStall:
+				vm.charge(&vm.StallCycles, v)
+			}
 		}
 	}
 	defer func() {
@@ -214,14 +201,18 @@ func (vm *VM) Stopped() bool { return vm.stopped }
 // top-level op (and, inside top-level serial DO loops, after every
 // iteration).
 func (vm *VM) execTop(ops []fe.Op) error {
-	for i := vm.ctl.ResumeOp; i < len(ops); i++ {
+	first, inLoop := 0, false
+	if ck := vm.ctl.Resume; ck != nil {
+		first, inLoop = ck.NextOp, ck.InLoop
+	}
+	for i := first; i < len(ops); i++ {
 		op := ops[i]
 		if ds, ok := op.(fe.DoSerial); ok {
 			// Mirror execOp's decode charge, then run the loop with
 			// iteration-granular boundaries. When resuming inside this
 			// loop the decode charge is already in the snapshot's
 			// buckets, so it must not be re-ticked.
-			resume := i == vm.ctl.ResumeOp && vm.ctl.ResumeInLoop
+			resume := i == first && inLoop
 			if !resume {
 				if err := vm.tick(); err != nil {
 					return err
@@ -413,7 +404,7 @@ func (vm *VM) doSerial(op fe.DoSerial, resume bool, topIdx int) error {
 	}
 	lo := iv.Lo
 	if resume {
-		lo = vm.ctl.ResumeIter + 1
+		lo = vm.ctl.Resume.IterDone + 1
 	}
 	vm.frames = append(vm.frames, frame{s: op.S})
 	fi := len(vm.frames) - 1

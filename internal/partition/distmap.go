@@ -16,9 +16,9 @@ import (
 // DimCounts returns how many index points each PE coordinate along
 // layout dimension d owns (length PEDims[d]; entries sum to Extents[d]).
 func DimCounts(lo shape.Layout, d int) []int {
-	counts := make([]int, lo.PEDims[d])
+	counts, own := make([]int, lo.PEDims[d]), lo.DimOwner(d)
 	for i := 0; i < lo.Extents[d]; i++ {
-		counts[lo.OwnerDim(d, i)]++
+		counts[own.Of(i)]++
 	}
 	return counts
 }
@@ -58,9 +58,9 @@ func NodeSubgridSize(lo shape.Layout) int {
 // owns more points than the nominal Block bound promises.
 func CheckCover(lo shape.Layout) error {
 	for d := range lo.Extents {
-		counts := make([]int, lo.PEDims[d])
+		counts, own := make([]int, lo.PEDims[d]), lo.DimOwner(d)
 		for i := 0; i < lo.Extents[d]; i++ {
-			pe := lo.OwnerDim(d, i)
+			pe := own.Of(i)
 			if pe < 0 || pe >= lo.PEDims[d] {
 				return fmt.Errorf("partition: dim %d index %d owner %d outside PE grid [0,%d)",
 					d, i, pe, lo.PEDims[d])

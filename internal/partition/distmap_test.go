@@ -27,7 +27,7 @@ func randDist(rng *rand.Rand, rank int) shape.Distribution {
 }
 
 // bruteCounts walks every point of the layout's index space and tallies
-// how many each linear PE owns.
+// how many each linear PE (column-major over PEDims) owns.
 func bruteCounts(lo shape.Layout) map[int]int {
 	counts := map[int]int{}
 	idx := make([]int, len(lo.Extents))
@@ -36,7 +36,12 @@ func bruteCounts(lo shape.Layout) map[int]int {
 		total *= e
 	}
 	for n := 0; n < total; n++ {
-		counts[lo.Owner(idx...)]++
+		pe, stride := 0, 1
+		for d, i := range idx {
+			pe += lo.DimOwner(d).Of(i) * stride
+			stride *= lo.PEDims[d]
+		}
+		counts[pe]++
 		for d := range idx {
 			idx[d]++
 			if idx[d] < lo.Extents[d] {

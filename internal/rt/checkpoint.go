@@ -7,13 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 
+	"f90y/internal/faults"
 	"f90y/internal/nir"
 )
 
@@ -29,7 +29,7 @@ import (
 // DESIGN.md "Checkpoint/restart" has the layout byte by byte.
 const CkptSchema = "f90y-ckpt/v2"
 
-// ckptTrailer is the integrity trailer Write appends after the body
+// ckptTrailer is the integrity trailer Encode appends after the body
 // (header line + payload): a newline, this prefix, the IEEE CRC-32 of
 // the body as eight lowercase hex digits, and a final newline. A file
 // that ends mid-body (torn write, lost tail) lacks the trailer and
@@ -80,6 +80,30 @@ type ckptArrayHdr struct {
 	N int `json:"n"`
 }
 
+// ExecTotals is the machine-independent node-side accumulator state: a
+// run accumulates into it (cm2.Result embeds it), a snapshot carries it
+// and a resume restores it — flop and dispatch counts plus the PE cycle
+// total and its attributions (§5.2/§6), each of which sums exactly to
+// PECycles.
+type ExecTotals struct {
+	Flops     int64
+	NodeCalls int
+	PECycles  float64
+	// PEClassCycles attributes PECycles per PEAC instruction class
+	// (peac.CycleClass names: vector-arith, divide, sqrt, transcend,
+	// load-store, spill, loop; plus the machine layer's degrade and
+	// setup classes).
+	PEClassCycles map[string]float64
+	// PERoutineCycles attributes PECycles per PEAC routine.
+	PERoutineCycles map[string]float64
+	// PELineCycles attributes PECycles per (routine, source line, class)
+	// cell, keyed by the provenance threaded from the Fortran front end
+	// through PEAC; the per-class marginals equal PEClassCycles. The
+	// attribution is computed from the analytic model before dispatch,
+	// so it is bit-identical for every ExecWorkers setting.
+	PELineCycles map[LineRef]float64
+}
+
 // Checkpoint is a versioned machine snapshot taken at a host-program
 // boundary: the complete store, the accumulated output and cycle
 // attribution, and the resume position. A run restarted from a
@@ -96,9 +120,11 @@ type Checkpoint struct {
 	InLoop   bool `json:"in_loop,omitempty"`
 	IterDone int  `json:"iter_done,omitempty"`
 
-	// Accumulated execution state. Totals are carried explicitly —
-	// the class maps need not sum to them (PE routine overheads are
-	// attributed per routine, not per class).
+	// Accumulated execution state: each total and the maps that
+	// attribute it, every map summing exactly to its total (the PE
+	// class, routine and line maps to PECycles, the comm maps to
+	// CommCycles, the host classes to HostCycles), as in ExecTotals and
+	// the result a resumed run continues.
 	Output          []string           `json:"output,omitempty"`
 	Flops           int64              `json:"flops"`
 	NodeCalls       int                `json:"node_calls"`
@@ -221,78 +247,59 @@ func (ck *Checkpoint) ApplyStore(st *Store) error {
 	return nil
 }
 
-// Write serializes the checkpoint to path durably and atomically: the
-// body plus a CRC-32 trailer stream into a temporary file in the same
-// directory, the file is fsynced, renamed over path, and the directory
-// is fsynced so the rename itself survives a crash. A reader therefore
+// Write puts the checkpoint on disk at path, the one way a checkpoint
+// reaches a file: its Encode bytes, passed through inj (nil passes them
+// untouched; an armed injector tears or shortens some, as the server's
+// -io-faults asks), committed by WriteFileAtomic. A reader therefore
 // sees either the previous complete checkpoint or this one — never a
-// mix — and a torn tail is detectable by the missing trailer.
-func (ck *Checkpoint) Write(path string) error {
-	return writeAtomic(path, ck.EncodeTo)
+// mix — and a torn tail is detectable by the missing trailer. It
+// returns the number of bytes written.
+func (ck *Checkpoint) Write(path string, inj *faults.IOInjector) (int, error) {
+	data, err := ck.Encode()
+	if err != nil {
+		return 0, err
+	}
+	data, _ = inj.Mangle(data)
+	if err := WriteFileAtomic(path, data); err != nil {
+		return 0, err
+	}
+	return len(data), nil
 }
 
-// Encode renders the checkpoint's durable byte form in memory: exactly
-// the bytes Write puts on disk. Exposed so callers that must interpose
-// on the bytes (the server's spill writes, which pass through the fault
-// injector) produce exactly what Write would.
+// ckptTrailerLen is the trailer's fixed width: "\n", ckptTrailer, eight
+// hex digits, "\n".
+const ckptTrailerLen = 1 + len(ckptTrailer) + 8 + 1
+
+// Encode renders the checkpoint's durable byte form (see CkptSchema):
+// exactly the bytes Write puts on disk, in one buffer of exactly their
+// size, the CRC taken once over the body.
 func (ck *Checkpoint) Encode() ([]byte, error) {
-	values := len(ck.Scalars)
-	for _, a := range ck.Arrays {
-		values += len(a.Data)
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, 8*values+ckptChunk))
-	if err := ck.EncodeTo(buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// ckptChunk is how many bytes of array values EncodeTo converts at a time.
-const ckptChunk = 64 << 10
-
-// EncodeTo streams the checkpoint's durable byte form (see CkptSchema)
-// to w: values are converted through one reused chunk and the CRC is
-// updated as the bytes go out, so nothing the size of the store is
-// built in memory.
-func (ck *Checkpoint) EncodeTo(w io.Writer) error {
 	h := ckptHeader{Checkpoint: ck}
 	for name := range ck.Scalars {
 		h.ScalarNames = append(h.ScalarNames, name)
 	}
 	sort.Strings(h.ScalarNames)
+	values := len(h.ScalarNames)
 	for name, a := range ck.Arrays {
 		h.ArrayHdrs = append(h.ArrayHdrs, ckptArrayHdr{Name: name, CkptArray: a, N: len(a.Data)})
+		values += len(a.Data)
 	}
 	sort.Slice(h.ArrayHdrs, func(i, j int) bool { return h.ArrayHdrs[i].Name < h.ArrayHdrs[j].Name })
-	buf, err := json.Marshal(h)
+	head, err := json.Marshal(h)
 	if err != nil {
-		return fmt.Errorf("rt: encode checkpoint: %w", err)
+		return nil, fmt.Errorf("rt: encode checkpoint: %w", err)
 	}
+	buf := append(make([]byte, 0, len(head)+1+8*values+ckptTrailerLen), head...)
 	buf = append(buf, '\n')
 	for _, name := range h.ScalarNames {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ck.Scalars[name]))
 	}
-	crc := crc32.NewIEEE()
-	body := io.MultiWriter(crc, w)
-	_, err = body.Write(buf)
-	chunk := make([]byte, ckptChunk)
 	for _, a := range h.ArrayHdrs {
-		for vals := a.Data; len(vals) > 0 && err == nil; {
-			k := min(len(vals), len(chunk)/8)
-			for i, v := range vals[:k] {
-				binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
-			}
-			_, err = body.Write(chunk[:8*k])
-			vals = vals[k:]
+		for _, v := range a.Data {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
-	if err == nil {
-		_, err = fmt.Fprintf(w, "\n%s%08x\n", ckptTrailer, crc.Sum32())
-	}
-	if err != nil {
-		return fmt.Errorf("rt: encode checkpoint: %w", err)
-	}
-	return nil
+	return fmt.Appendf(buf, "\n%s%08x\n", ckptTrailer, crc32.ChecksumIEEE(buf)), nil
 }
 
 // WriteFileAtomic writes data to path via temp+fsync+rename(+dir
@@ -301,21 +308,12 @@ func (ck *Checkpoint) EncodeTo(w io.Writer) error {
 // the system (checkpoints, spill files, journal compactions, cache
 // entries) so the crash-safety discipline lives in one place.
 func WriteFileAtomic(path string, data []byte) error {
-	return writeAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-// writeAtomic is WriteFileAtomic with the temporary file's content
-// produced by fill, so a checkpoint can stream into it.
-func writeAtomic(path string, fill func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("rt: write %s: %w", path, err)
 	}
-	if err := fill(f); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("rt: write %s: %w", path, err)
@@ -359,7 +357,7 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// decodeCheckpoint is EncodeTo's inverse over a whole file image. The
+// decodeCheckpoint is Encode's inverse over a whole file image. The
 // trailer matched before anything is decoded, so a header or payload
 // that still does not fit is a writer bug — for the reader it is
 // indistinguishable from corruption.
@@ -412,20 +410,17 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 // verifying the CRC. The trailer is fixed-width, so a partial tail
 // never parses as a valid trailer.
 func checkCkptTrailer(data []byte) ([]byte, error) {
-	// "\n" + prefix + 8 hex digits + "\n"
-	tlen := 1 + len(ckptTrailer) + 8 + 1
-	if len(data) < tlen {
+	if len(data) < ckptTrailerLen {
 		return nil, fmt.Errorf("%d bytes, shorter than the integrity trailer: %w", len(data), ErrCkptTruncated)
 	}
-	trailer := data[len(data)-tlen:]
-	if trailer[0] != '\n' || !bytes.HasPrefix(trailer[1:], []byte(ckptTrailer)) || trailer[tlen-1] != '\n' {
+	body, trailer := data[:len(data)-ckptTrailerLen], data[len(data)-ckptTrailerLen:]
+	if trailer[0] != '\n' || !bytes.HasPrefix(trailer[1:], []byte(ckptTrailer)) || trailer[ckptTrailerLen-1] != '\n' {
 		return nil, fmt.Errorf("missing integrity trailer (torn write): %w", ErrCkptTruncated)
 	}
 	var want uint32
-	if _, err := fmt.Sscanf(string(trailer[1+len(ckptTrailer):tlen-1]), "%08x", &want); err != nil {
+	if _, err := fmt.Sscanf(string(trailer[1+len(ckptTrailer):ckptTrailerLen-1]), "%08x", &want); err != nil {
 		return nil, fmt.Errorf("unreadable integrity trailer: %w", ErrCkptTruncated)
 	}
-	body := data[:len(data)-tlen]
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("body crc32 %08x, trailer says %08x: %w", got, want, ErrCkptCorrupt)
 	}

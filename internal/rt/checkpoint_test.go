@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"f90y/internal/faults"
 )
 
 func testCkpt() *Checkpoint {
@@ -100,10 +102,12 @@ func sameBits(t *testing.T, want, got *Checkpoint) {
 
 // TestCheckpointTrailerRoundTrip: Write appends the CRC trailer,
 // ReadCheckpoint verifies it, and the snapshot round-trips intact;
-// Encode renders exactly the bytes Write puts on disk.
+// Write puts exactly Encode's bytes on disk and reports their count,
+// and Encode builds them in one buffer of exactly their size.
 func TestCheckpointTrailerRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.ckpt")
-	if err := testCkpt().Write(path); err != nil {
+	n, err := testCkpt().Write(path, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -113,12 +117,16 @@ func TestCheckpointTrailerRoundTrip(t *testing.T) {
 	if !strings.Contains(string(data), ckptTrailer) {
 		t.Fatalf("written checkpoint carries no %q trailer", ckptTrailer)
 	}
+	if n != len(data) {
+		t.Errorf("Write reported %d bytes, the file has %d", n, len(data))
+	}
+	for _, ck := range []*Checkpoint{testCkpt(), bigCkpt(3, 5000)} {
+		if enc := mustEncode(t, ck); cap(enc) != len(enc) {
+			t.Errorf("Encode: %d bytes in a buffer of %d", len(enc), cap(enc))
+		}
+	}
 	if enc := mustEncode(t, testCkpt()); !bytes.Equal(enc, data) {
 		t.Errorf("Encode and Write disagree:\n%q\n%q", enc, data)
-	}
-	var buf bytes.Buffer
-	if err := testCkpt().EncodeTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), data) {
-		t.Errorf("EncodeTo: %v; streamed %d bytes, want the %d on disk", err, buf.Len(), len(data))
 	}
 	ck, err := ReadCheckpoint(path)
 	if err != nil {
@@ -132,7 +140,7 @@ func TestCheckpointTrailerRoundTrip(t *testing.T) {
 // TestCheckpointValuesAreRawBits: every value class JSON could not
 // carry (NaN with a payload, ±Inf) or would not carry exactly (-0.0, a
 // denormal) survives as a scalar and as an array element, bit for bit,
-// and a chunk-straddling array keeps its order.
+// and a long array keeps its order.
 func TestCheckpointValuesAreRawBits(t *testing.T) {
 	special := []float64{
 		math.Float64frombits(0x7ff8dead0000beef), // quiet NaN with payload
@@ -146,7 +154,7 @@ func TestCheckpointValuesAreRawBits(t *testing.T) {
 	for i, v := range special {
 		ck.Scalars[fmt.Sprintf("s%d", i)] = v
 	}
-	long := make([]float64, 3*(64<<10)/8+5) // more than three conversion chunks
+	long := make([]float64, 3*(64<<10)/8+5)
 	for i := range long {
 		long[i] = special[i%len(special)] + float64(i)
 	}
@@ -289,18 +297,39 @@ func TestCheckpointRejectsV1(t *testing.T) {
 	}
 }
 
+// TestCheckpointWriteMangled: Write passes its bytes through the I/O
+// injector, so a torn write lands as a file that reads back as
+// ErrCkptTruncated, and the count Write reports is what reached disk.
+func TestCheckpointWriteMangled(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.ckpt")
+	inj := faults.NewIO(&faults.IOPlan{Seed: 1, Torn: 1})
+	n, err := testCkpt().Write(path, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(mustEncode(t, testCkpt())) / 2; n != want {
+		t.Errorf("torn Write reported %d bytes, want half of the encoding, %d", n, want)
+	}
+	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCkptTruncated) {
+		t.Errorf("ReadCheckpoint of a torn Write: %v, want ErrCkptTruncated", err)
+	}
+	if st := inj.Stats(); st.Writes != 1 || st.Torn != 1 {
+		t.Errorf("injector saw %+v, want one torn write", st)
+	}
+}
+
 // TestCheckpointWriteLeavesNoTemp: the atomic write cleans its
-// temporary file up on success, and on a failed stream leaves neither
+// temporary file up on success, and on a failed encode leaves neither
 // the temporary nor a partial target.
 func TestCheckpointWriteLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.ckpt")
-	if err := testCkpt().Write(path); err != nil {
+	if _, err := testCkpt().Write(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	bad := testCkpt()
 	bad.HostCycles = math.NaN() // a cycle bucket is header JSON: unencodable
-	if err := bad.Write(filepath.Join(dir, "bad.ckpt")); err == nil {
+	if _, err := bad.Write(filepath.Join(dir, "bad.ckpt"), nil); err == nil {
 		t.Error("Write of an unencodable header succeeded")
 	}
 	ents, err := os.ReadDir(dir)

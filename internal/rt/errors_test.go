@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"f90y/internal/faults"
@@ -98,6 +99,103 @@ func TestShiftSizeMismatchShapeError(t *testing.T) {
 	if !errors.Is(err, ErrShape) {
 		t.Fatalf("error %v does not wrap ErrShape", err)
 	}
+}
+
+// TestGeneralMoveOperandTooShort: a general move over a shape one
+// element longer than a whole-array operand is a shape error, whether
+// the short array is read or written — never an index panic.
+func TestGeneralMoveOperandTooShort(t *testing.T) {
+	st, _ := storeFor(t, "program t\nreal a(4), b(5)\na = 0\nb = 0\nend program t")
+	over := shape.Of(5)
+	for name, g := range map[string]nir.GuardedMove{
+		"source": {Mask: nir.True, Src: every("a"), Tgt: every("b")},
+		"target": {Mask: nir.True, Src: every("b"), Tgt: every("a")},
+	} {
+		err := newComm(st).ExecMove(nir.Move{Over: over, Moves: []nir.GuardedMove{g}})
+		if !errors.Is(err, ErrShape) {
+			t.Errorf("%s one element short: error %v does not wrap ErrShape", name, err)
+		}
+	}
+}
+
+// faultedMatchesClean runs mv on two stores of one program, filled
+// alike, the second under a 50% corruption rate: every corrupted
+// transfer must be caught by its verify and retransmitted, so the
+// faulted store ends bit-equal to the fault-free one, with the retries
+// counted and charged.
+func faultedMatchesClean(t *testing.T, src string, fill func(*Store), mv nir.Move) {
+	t.Helper()
+	clean, _ := storeFor(t, src)
+	faulted, _ := storeFor(t, src)
+	fill(clean)
+	fill(faulted)
+	cc, fc := newComm(clean), newComm(faulted)
+	inj := faults.New(&faults.Plan{Seed: 42, Corrupt: 0.5, MaxRetries: 64}, nil)
+	fc.Faults = inj
+	if err := cc.ExecMove(mv); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.ExecMove(mv); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range clean.Scalars {
+		if g := faulted.Scalars[name]; math.Float64bits(g) != math.Float64bits(v) {
+			t.Errorf("scalar %s = %v under corruption, %v without", name, g, v)
+		}
+	}
+	for name, a := range clean.Arrays {
+		for i, v := range a.Data {
+			if g := faulted.Arrays[name].Data[i]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Errorf("%s[%d] = %v under corruption, %v without", name, i, g, v)
+			}
+		}
+	}
+	if s := inj.Stats(); s.Injected["corrupt"] == 0 || s.Retries != s.Injected["corrupt"] {
+		t.Errorf("%d corruptions, %d retries: want some, each caught and retried", s.Injected["corrupt"], s.Retries)
+	}
+	if fc.Cycles <= cc.Cycles {
+		t.Errorf("retries charged nothing: %v cycles, %v clean", fc.Cycles, cc.Cycles)
+	}
+}
+
+// TestGeneralMoveCorruptionVerified drives deliverWrites' corrupt and
+// verify closures: one guarded move writes each offset of r twice (the
+// second write must win, in the commit and in the check), the other
+// stores into an Integer32 target, whose check must compare the
+// truncated value.
+func TestGeneralMoveCorruptionVerified(t *testing.T) {
+	S := shape.Of(6)
+	i := nir.LocalUnder{S: S, Dim: 1}
+	at := func(name string, sub nir.Value) nir.AVar {
+		return nir.AVar{Name: name, Field: nir.Subscript{Subs: []nir.Value{sub}}}
+	}
+	half := nir.Binary{Op: nir.Div, L: nir.Binary{Op: nir.Plus, L: i, R: nir.IntConst(1)}, R: nir.IntConst(2)}
+	mv := nir.Move{Over: S, Moves: []nir.GuardedMove{
+		{Mask: nir.True, Src: at("a", i), Tgt: at("r", half)},
+		{Mask: nir.True, Src: at("a", nir.Binary{Op: nir.Minus, L: nir.IntConst(7), R: i}), Tgt: at("k", i)},
+	}}
+	faultedMatchesClean(t, "program t\nreal a(6), r(3)\ninteger k(6)\na = 0\nr = 0\nk = 0\nend program t",
+		func(st *Store) {
+			for j := range st.Arrays["a"].Data {
+				st.Arrays["a"].Data[j] = 1.75 * float64(j+1)
+			}
+		}, mv)
+}
+
+// TestReductionCorruptionVerified drives deliverScalar's verify: a sum
+// whose result is corrupted in flight is retransmitted until it lands.
+func TestReductionCorruptionVerified(t *testing.T) {
+	mv := nir.Move{Moves: []nir.GuardedMove{{
+		Mask: nir.True,
+		Src:  nir.FcnCall{Name: "cm_reduce_sum", Args: []nir.Value{every("a")}},
+		Tgt:  nir.SVar{Name: "s"},
+	}}}
+	faultedMatchesClean(t, "program t\nreal a(8)\nreal s\na = 0\ns = 0\nend program t",
+		func(st *Store) {
+			for j := range st.Arrays["a"].Data {
+				st.Arrays["a"].Data[j] = float64(j) + 0.5
+			}
+		}, mv)
 }
 
 // TestTransferGivesUpAfterRetries drives the resilient delivery path to

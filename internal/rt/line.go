@@ -52,6 +52,16 @@ func (l *LineRef) UnmarshalText(text []byte) error {
 	return nil
 }
 
+// CopyMap returns an independent copy of a cycle-bucket map. A nil map
+// copies to an empty (non-nil) map.
+func CopyMap(m map[string]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
 // CopyLineMap returns an independent copy of a per-line cycle map. A nil
 // map copies to an empty (non-nil) map, matching CopyMap.
 func CopyLineMap(m map[LineRef]float64) map[LineRef]float64 {

@@ -105,8 +105,8 @@ func (c *Comm) generalMove(over shape.Shape, g nir.GuardedMove) error {
 func (c *Comm) resolve(av nir.AVar, arr *Array, idx, iterLo []int, pos int, ctx *EvalCtx) (int, error) {
 	switch f := av.Field.(type) {
 	case nir.Everywhere:
-		if arr.Size() < pos {
-			return 0, fmt.Errorf("rt: %q too small for move", av.Name)
+		if pos >= arr.Size() {
+			return 0, fmt.Errorf("rt: %q has %d elements, the move reaches element %d: %w", av.Name, arr.Size(), pos+1, ErrShape)
 		}
 		return pos, nil
 	case nir.Subscript:

@@ -142,18 +142,14 @@ func (d *durable) spillPath(id string) string {
 // durability (counted, logged with the job id) but never fails the run
 // — same policy as a failed journal append.
 func (d *durable) writeSpill(id string, ck *rt.Checkpoint) (int, error) {
-	data, err := ck.Encode()
-	if err == nil {
-		data, _ = d.io.Mangle(data)
-		err = rt.WriteFileAtomic(d.spillPath(id), data)
-	}
+	n, err := ck.Write(d.spillPath(id), d.io)
 	if err != nil {
 		d.count(func(st *DurabilityStats) { st.SpillErrors++ })
 		d.logf("f90yd: spill for job %s failed: %v\n", id, err)
 		return 0, err
 	}
 	d.count(func(st *DurabilityStats) { st.SpillWrites++ })
-	return len(data), nil
+	return n, nil
 }
 
 // readSpill loads the checkpoint of a job bound for the machine named

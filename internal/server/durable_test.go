@@ -321,7 +321,7 @@ func TestServerRecoveryOtherMachineSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.Machine = "cm5"
-	if err := ck.Write(spill); err != nil {
+	if _, err := ck.Write(spill, nil); err != nil {
 		t.Fatal(err)
 	}
 

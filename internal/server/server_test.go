@@ -627,9 +627,8 @@ func TestConfigSpecWire(t *testing.T) {
 			t.Errorf("%+v: %v", tc.spec, err)
 			continue
 		}
-		if cfg.Opt != tc.opt || cfg.PE != tc.pe || cfg.Machine == nil {
-			t.Errorf("%+v built %+v / %+v (machine %v), want %+v / %+v on the default machine",
-				tc.spec, cfg.Opt, cfg.PE, cfg.Machine, tc.opt, tc.pe)
+		if cfg.Opt != tc.opt || cfg.PE != tc.pe {
+			t.Errorf("%+v built %+v / %+v, want %+v / %+v", tc.spec, cfg.Opt, cfg.PE, tc.opt, tc.pe)
 		}
 	}
 	if naive, _ := (configSpec{Opt: "naive"}).build(); naive.Opt == f90y.CMFConfig().Opt {

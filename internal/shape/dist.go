@@ -230,8 +230,8 @@ func Distribute(s Shape, pes int, d Distribution) Layout {
 
 // DimOwner is a layout's owner function along one dimension, derived
 // once so a loop over indices pays an inlinable Of per element instead
-// of a walk of the Layout. Of is the one definition of an owner:
-// OwnerDim and Owner are written in terms of it.
+// of a walk of the Layout. Of is the one definition of an owner; a
+// point's PE is Σ_d owner_d(i_d)·stride_d, column-major over PEDims.
 type DimOwner struct {
 	shift uint // chunk index = i >> shift for a power-of-two chunk,
 	div   int  // = i / div for any other (div > 1)
@@ -268,29 +268,6 @@ func (o DimOwner) Of(i int) int {
 		q = i / o.div
 	}
 	return min(q&o.mask, o.last)
-}
-
-// OwnerDim is the PE coordinate along dimension dim that owns 0-based
-// index i under the layout's distribution; the partition layer counts
-// points per PE coordinate with it when mapping distributions onto node
-// subgrids.
-func (l Layout) OwnerDim(dim, i int) int {
-	return l.DimOwner(dim).Of(i)
-}
-
-// Owner is the PE (0-based, column-major over PEDims) owning the point
-// with the given 0-based coordinates: Σ_d owner_d(i_d)·stride_d.
-func (l Layout) Owner(idx ...int) int {
-	pe, stride := 0, 1
-	for d := range l.Extents {
-		i := 0
-		if d < len(idx) {
-			i = idx[d]
-		}
-		pe += l.DimOwner(d).Of(i) * stride
-		stride *= l.PEDims[d]
-	}
-	return pe
 }
 
 // ShiftCost models a circular shift by s along dim (0-based): the

@@ -197,14 +197,14 @@ func TestDistributeCyclicAndStar(t *testing.T) {
 	if l.PEDims[0] != 8 || l.Block[0] != 8 {
 		t.Fatalf("cyclic layout = %+v", l)
 	}
-	if got := l.Owner(0); got != 0 {
-		t.Errorf("Owner(0) = %d", got)
+	if got := l.DimOwner(0).Of(0); got != 0 {
+		t.Errorf("DimOwner(0).Of(0) = %d", got)
 	}
-	if got := l.Owner(9); got != 1 {
-		t.Errorf("Owner(9) = %d, want 1", got)
+	if got := l.DimOwner(0).Of(9); got != 1 {
+		t.Errorf("DimOwner(0).Of(9) = %d, want 1", got)
 	}
-	if got := l.Owner(63); got != 7 {
-		t.Errorf("Owner(63) = %d, want 7", got)
+	if got := l.DimOwner(0).Of(63); got != 7 {
+		t.Errorf("DimOwner(0).Of(63) = %d, want 7", got)
 	}
 
 	// Star dims are never split.
@@ -223,14 +223,14 @@ func TestDistributeCyclicAndStar(t *testing.T) {
 	if l3.PEDims[0] != 4 {
 		t.Fatalf("cyclic(4) layout = %+v", l3)
 	}
-	if got := l3.Owner(3); got != 0 {
-		t.Errorf("Owner(3) = %d, want 0", got)
+	if got := l3.DimOwner(0).Of(3); got != 0 {
+		t.Errorf("DimOwner(0).Of(3) = %d, want 0", got)
 	}
-	if got := l3.Owner(4); got != 1 {
-		t.Errorf("Owner(4) = %d, want 1", got)
+	if got := l3.DimOwner(0).Of(4); got != 1 {
+		t.Errorf("DimOwner(0).Of(4) = %d, want 1", got)
 	}
-	if got := l3.Owner(16); got != 0 {
-		t.Errorf("Owner(16) = %d, want 0 (wraps)", got)
+	if got := l3.DimOwner(0).Of(16); got != 0 {
+		t.Errorf("DimOwner(0).Of(16) = %d, want 0 (wraps)", got)
 	}
 }
 
