@@ -9,7 +9,8 @@ GO ?= go
 #                  GOOS=windows (the builds without huge-page advice),
 #                  and no fused multiply-add in the arm64 build
 #                  (scripts/no_fma_check.sh)
-#   build          go build
+#   build          go build, then run the four examples small (quickstart,
+#                  masked and stencil verify through internal/oracle)
 #   race           the whole suite under -race -short (-short skips only
 #                  the paper-scale TestE1PaperScale; `make test` runs it)
 #   modeled-check  the paper-scale f90y-bench/v2 record regenerates
@@ -36,6 +37,10 @@ vet:
 
 build:
 	$(GO) build ./...
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/masked > /dev/null
+	$(GO) run ./examples/stencil -n 32 -iters 2 > /dev/null
+	$(GO) run ./examples/swe -n 64 -steps 2 > /dev/null
 
 # The repository benchmark (bench/, see BENCHMARK.json) is its own
 # module, so `go vet ./...` and `go test ./...` above never see it.

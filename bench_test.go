@@ -140,6 +140,33 @@ func TestE1PaperScale(t *testing.T) {
 	}
 }
 
+// TestSWEPerformanceShape checks the §6 qualitative claim inside the
+// compiled path: the optimized compiler spends fewer total cycles than the
+// per-statement (CMF-like) configuration on the same SWE run.
+func TestSWEPerformanceShape(t *testing.T) {
+	src := workload.SWE(64, 2)
+	full, cmfLike := compileRun(t, src, DefaultConfig()), compileRun(t, src, CMFConfig())
+	if full.TotalCycles() >= cmfLike.TotalCycles() {
+		t.Fatalf("blocking did not pay: %v >= %v cycles", full.TotalCycles(), cmfLike.TotalCycles())
+	}
+	if full.NodeCalls >= cmfLike.NodeCalls {
+		t.Fatalf("blocking did not reduce node calls: %d vs %d", full.NodeCalls, cmfLike.NodeCalls)
+	}
+	if full.GFLOPS() <= cmfLike.GFLOPS() {
+		t.Fatalf("GFLOPS: full %v <= cmf %v", full.GFLOPS(), cmfLike.GFLOPS())
+	}
+}
+
+// TestCMFSlowerThanF90YOnSWE is the §6 ordering at a moderate problem
+// size.
+func TestCMFSlowerThanF90YOnSWE(t *testing.T) {
+	src := workload.SWE(128, 2)
+	cmf, f90y := compileRun(t, src, CMFConfig()), compileRun(t, src, DefaultConfig())
+	if cmf.NodeCalls == 0 || cmf.GFLOPS() <= 0 || cmf.GFLOPS() >= f90y.GFLOPS() {
+		t.Fatalf("CMF %d node calls at %.2f GF, F90-Y %.2f GF", cmf.NodeCalls, cmf.GFLOPS(), f90y.GFLOPS())
+	}
+}
+
 // ---- E2: Fig. 9 domain blocking ----
 
 func BenchmarkFig9_Naive(b *testing.B) {

@@ -23,9 +23,9 @@
 // (internal/oracle): the reference interpreter and EVERY machine of the
 // table execute it — compiled as this run was, -distribute overrides
 // included, and with the -pes resize applied to the -target machine —
-// and the final stores are cross-checked value-for-value under the
-// documented ULP tolerance; a divergence reports the first differing
-// variable, element, and backend pair and exits nonzero. -metrics prints
+// and each machine's final store must equal the interpreter's bit for
+// bit; a divergence reports the first differing variable, element, and
+// backend pair and exits nonzero. -metrics prints
 // the phase/counter telemetry report (compile spans plus execution
 // cycle attribution) to stderr; -trace writes the same telemetry as
 // Chrome trace_event JSON.
@@ -235,8 +235,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "f90yrun: verify:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "verify: %d variables, %d values agree across %s (<=%d ulps)\n",
-			rep.Vars, rep.Elems, strings.Join(rep.Backends, ", "), uint64(oracle.DefaultULPs))
+		fmt.Fprintf(os.Stderr, "verify: %d variables, %d values bit-identical across %s\n",
+			rep.Vars, rep.Elems, strings.Join(rep.Backends, ", "))
 	}
 
 	for _, line := range r.Output {

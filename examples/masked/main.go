@@ -15,8 +15,10 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"f90y"
+	"f90y/internal/oracle"
 )
 
 const source = `
@@ -59,17 +61,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oracle, err := f90y.Interpret("masked.f90", source)
+	rep, err := oracle.Verify("masked.f90", source, oracle.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := oracle.Array("field")
-	got := res.Store.Arrays["field"]
-	for i := range got.Data {
-		if d := got.Data[i] - want.F[i]; d > 1e-9 || d < -1e-9 {
-			log.Fatalf("field[%d]: compiled %v, oracle %v", i, got.Data[i], want.F[i])
-		}
-	}
-	fmt.Printf("verify: %d elements match the reference interpreter\n", len(got.Data))
+	fmt.Printf("verify: %d values bit-identical across %s\n", rep.Elems, strings.Join(rep.Backends, ", "))
 	fmt.Printf("modeled: %.2f GFLOPS over %d node dispatches\n", res.GFLOPS(), res.NodeCalls)
 }

@@ -11,9 +11,11 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"f90y"
 	"f90y/internal/driver"
+	"f90y/internal/oracle"
 )
 
 // The §2.1 example from the paper: whole-array assignments replacing the
@@ -55,15 +57,10 @@ func main() {
 	fmt.Printf("modeled: %.3f ms on %d PEs, %.2f GFLOPS\n",
 		res.Seconds()*1e3, driver.Targets[0].Units, res.GFLOPS())
 
-	// Cross-check against the reference interpreter.
-	oracle, err := f90y.Interpret("quickstart.f90", source)
+	// Cross-check the interpreter and every machine, bit for bit.
+	rep, err := oracle.Verify("quickstart.f90", source, oracle.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, _ := oracle.Scalar("ksum")
-	got := res.Store.Scalars["ksum"]
-	fmt.Printf("verify: compiled ksum = %v, interpreter ksum = %d\n", got, want.I)
-	if got != float64(want.I) {
-		log.Fatal("MISMATCH")
-	}
+	fmt.Printf("verify: %d values bit-identical across %s\n", rep.Elems, strings.Join(rep.Backends, ", "))
 }

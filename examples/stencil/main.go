@@ -15,9 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"f90y"
 	"f90y/internal/opt"
+	"f90y/internal/oracle"
 	"f90y/internal/pe"
 	"f90y/internal/workload"
 )
@@ -60,19 +62,11 @@ func main() {
 		}
 	}
 
-	// The full configuration's result is verified against the oracle.
-	comp, _ := f90y.Compile("stencil.f90", src, f90y.DefaultConfig())
-	res, _ := comp.Run(context.Background(), nil)
-	oracle, err := f90y.Interpret("stencil.f90", src)
+	// The full configuration is verified: the reference interpreter and
+	// every machine must agree bit for bit.
+	rep, err := oracle.Verify("stencil.f90", src, oracle.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := oracle.Array("grid")
-	got := res.Store.Arrays["grid"]
-	for i := range got.Data {
-		if diff := got.Data[i] - want.F[i]; diff > 1e-9 || diff < -1e-9 {
-			log.Fatalf("grid[%d]: compiled %v, oracle %v", i, got.Data[i], want.F[i])
-		}
-	}
-	fmt.Printf("\nverify: all %d grid points match the reference interpreter\n", len(got.Data))
+	fmt.Printf("\nverify: %d values bit-identical across %s\n", rep.Elems, strings.Join(rep.Backends, ", "))
 }

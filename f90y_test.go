@@ -1,18 +1,19 @@
-package f90y
+package f90y_test
+
+// The corpus lives in the external test package: internal/oracle
+// imports f90y.
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"f90y/internal/cm2"
-	"f90y/internal/interp"
-	"f90y/internal/nir"
+	"f90y"
 	"f90y/internal/opt"
+	"f90y/internal/oracle"
 	"f90y/internal/pe"
 	"f90y/internal/workload"
 )
@@ -20,104 +21,21 @@ import (
 // configs are the optimization levels every corpus program must agree
 // under: the full compiler, the CMF-like per-statement configuration, a
 // naive PE back end, and everything off.
-var configs = map[string]Config{
+var configs = map[string]f90y.Config{
 	"optimized": {Opt: opt.Default, PE: pe.Optimized},
-	"cmf-like":  CMFConfig(),
+	"cmf-like":  f90y.CMFConfig(),
 	"naive-pe":  {Opt: opt.Default, PE: pe.Naive},
 	"no-opt":    {Opt: opt.Options{PadSections: true}, PE: pe.Naive},
 }
 
-// agree compiles and runs src under every configuration and checks
-// arrays, scalars, and PRINT output against the reference interpreter.
+// agree verifies src under every configuration: oracle.Verify runs it on
+// the interpreter and on every machine, and arrays, scalars and PRINT
+// output must be bit-identical.
 func agree(t *testing.T, name, src string) {
 	t.Helper()
-	oracle, err := Interpret(name, src)
-	if err != nil {
-		t.Fatalf("oracle: %v\n%s", err, src)
-	}
 	for cname, cfg := range configs {
-		comp, err := Compile(name, src, cfg)
-		if err != nil {
-			t.Fatalf("[%s] compile: %v\n%s", cname, err, src)
-		}
-		res, err := comp.Run(context.Background(), nil)
-		if err != nil {
-			t.Fatalf("[%s] run: %v\n%s", cname, err, src)
-		}
-		compare(t, cname, src, oracle, res)
-	}
-}
-
-const tol = 1e-9
-
-func close2(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	return d <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
-func compare(t *testing.T, cname, src string, oracle *interp.Machine, res *cm2.Result) {
-	t.Helper()
-	for name, arr := range res.Store.Arrays {
-		if strings.HasPrefix(name, "tmp") {
-			continue // compiler temporaries have no oracle counterpart
-		}
-		oa := oracle.Array(name)
-		if oa == nil {
-			t.Fatalf("[%s] oracle missing array %q", cname, name)
-		}
-		if oa.Size() != arr.Size() {
-			t.Fatalf("[%s] %q size %d vs %d", cname, name, arr.Size(), oa.Size())
-		}
-		for i := 0; i < arr.Size(); i++ {
-			var want float64
-			switch oa.Kind {
-			case interp.KInt:
-				want = float64(oa.I[i])
-			case interp.KLogical:
-				if oa.B[i] {
-					want = 1
-				}
-			default:
-				want = oa.F[i]
-			}
-			if !close2(arr.Data[i], want) {
-				t.Fatalf("[%s] %q[%d] = %v, oracle %v\nsource:\n%s", cname, name, i, arr.Data[i], want, src)
-			}
-		}
-	}
-	for name, got := range res.Store.Scalars {
-		if strings.HasPrefix(name, "tmp") {
-			continue
-		}
-		ov, ok := oracle.Scalar(name)
-		if !ok {
-			t.Fatalf("[%s] oracle missing scalar %q", cname, name)
-		}
-		var want float64
-		switch ov.Kind {
-		case interp.KInt:
-			want = float64(ov.I)
-		case interp.KLogical:
-			if ov.B {
-				want = 1
-			}
-		default:
-			want = ov.F
-		}
-		if !close2(got, want) {
-			t.Fatalf("[%s] scalar %q = %v, oracle %v\nsource:\n%s", cname, name, got, want, src)
-		}
-	}
-	if want, got := oracle.Output(), res.Output; len(want) != len(got) {
-		t.Fatalf("[%s] output lines %d vs %d:\n%q\n%q", cname, len(got), len(want), got, want)
-	} else {
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("[%s] output[%d] = %q, oracle %q", cname, i, got[i], want[i])
-			}
+		if _, err := oracle.Verify(name, src, oracle.Options{Config: &cfg}); err != nil {
+			t.Fatalf("[%s] %v\nsource:\n%s", cname, err, src)
 		}
 	}
 }
@@ -352,7 +270,7 @@ end do`))
 
 // TestRandomStraightLinePrograms is the semantic-preservation property
 // test: randomized whole-array straight-line programs must agree with the
-// oracle under every optimization level.
+// interpreter bit for bit under every optimization level.
 func TestRandomStraightLinePrograms(t *testing.T) {
 	gen := func(seed int64) string {
 		r := rand.New(rand.NewSource(seed))
@@ -382,31 +300,10 @@ func TestRandomStraightLinePrograms(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		src := gen(seed)
-		oracle, err := Interpret("rand.f90", src)
-		if err != nil {
-			t.Logf("oracle failed: %v\n%s", err, src)
-			return false
-		}
 		for cname, cfg := range configs {
-			comp, err := Compile("rand.f90", src, cfg)
-			if err != nil {
-				t.Logf("[%s] compile: %v\n%s", cname, err, src)
+			if _, err := oracle.Verify("rand.f90", src, oracle.Options{Config: &cfg}); err != nil {
+				t.Logf("[%s] %v\n%s", cname, err, src)
 				return false
-			}
-			res, err := comp.Run(context.Background(), nil)
-			if err != nil {
-				t.Logf("[%s] run: %v\n%s", cname, err, src)
-				return false
-			}
-			for _, name := range []string{"a", "b", "c", "d"} {
-				oa := oracle.Array(name)
-				arr := res.Store.Arrays[name]
-				for i := 0; i < arr.Size(); i++ {
-					if !close2(arr.Data[i], oa.F[i]) {
-						t.Logf("[%s] %s[%d]=%v oracle %v\n%s", cname, name, i, arr.Data[i], oa.F[i], src)
-						return false
-					}
-				}
 			}
 		}
 		return true
@@ -426,7 +323,7 @@ do it = 1, 3
   v = cshift(u, 1, 1)*0.5 + u
   u = v
 end do`)
-	comp, err := Compile("perf.f90", src, DefaultConfig())
+	comp, err := f90y.Compile("perf.f90", src, f90y.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,81 +340,31 @@ end do`)
 	if res.GFLOPS() <= 0 {
 		t.Fatalf("gflops = %v", res.GFLOPS())
 	}
-	_ = nir.True // keep import for the helper below
 }
 
-// TestEndToEndSWE runs the paper's benchmark itself through the full
-// compiler and checks the fields against the oracle.
+// TestEndToEndSWE runs the paper's benchmark itself through every
+// configuration (the cmf-like row is the CM Fortran model) and checks
+// every field against the interpreter.
 func TestEndToEndSWE(t *testing.T) {
 	src := workload.SWE(16, 3)
 	agree(t, "swe.f90", src)
-}
-
-// TestSWEPerformanceShape checks the §6 qualitative claim inside the
-// compiled path: the optimized compiler spends fewer total cycles than the
-// per-statement (CMF-like) configuration on the same SWE run.
-func TestSWEPerformanceShape(t *testing.T) {
-	src := workload.SWE(64, 2)
-	run := func(cfg Config) *cm2.Result {
-		comp, err := Compile("swe.f90", src, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := comp.Run(context.Background(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	full := run(Config{Opt: opt.Default, PE: pe.Optimized})
-	cmfLike := run(CMFConfig())
-	if full.TotalCycles() >= cmfLike.TotalCycles() {
-		t.Fatalf("blocking did not pay: %v >= %v cycles", full.TotalCycles(), cmfLike.TotalCycles())
-	}
-	if full.NodeCalls >= cmfLike.NodeCalls {
-		t.Fatalf("blocking did not reduce node calls: %d vs %d", full.NodeCalls, cmfLike.NodeCalls)
-	}
-	if full.GFLOPS() <= cmfLike.GFLOPS() {
-		t.Fatalf("GFLOPS: full %v <= cmf %v", full.GFLOPS(), cmfLike.GFLOPS())
-	}
-}
-
-// TestCMFModelMatchesOracle runs SWE under the CM Fortran model alone
-// and checks every field against the reference interpreter.
-func TestCMFModelMatchesOracle(t *testing.T) {
-	src := workload.SWE(16, 2)
-	oracle, err := Interpret("swe.f90", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare(t, "cmf", src, oracle, compileRun(t, src, CMFConfig()))
 }
 
 // TestCMFCompilesPerStatement holds the model to §6's explanation: no
 // cross-statement blocking, so four like-shape statements become four
 // node routines.
 func TestCMFCompilesPerStatement(t *testing.T) {
-	comp, err := Compile("t.f90", wrap(`real, array(32,32) :: a, b
+	comp, err := f90y.Compile("t.f90", wrap(`real, array(32,32) :: a, b
 a = 1.0
 b = a*2.0
 a = b + 1.0
-b = a*a`), CMFConfig())
+b = a*a`), f90y.CMFConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if comp.PartStats.NodeRoutines != 4 || len(comp.Program.Routines) != 4 {
 		t.Fatalf("node routines = %d (%d in the program), want 4 (per statement)",
 			comp.PartStats.NodeRoutines, len(comp.Program.Routines))
-	}
-}
-
-// TestCMFSlowerThanF90YOnSWE is the §6 ordering at a moderate problem
-// size.
-func TestCMFSlowerThanF90YOnSWE(t *testing.T) {
-	src := workload.SWE(128, 2)
-	cmf, f90y := compileRun(t, src, CMFConfig()), compileRun(t, src, DefaultConfig())
-	if cmf.NodeCalls == 0 || cmf.GFLOPS() <= 0 || cmf.GFLOPS() >= f90y.GFLOPS() {
-		t.Fatalf("CMF %d node calls at %.2f GF, F90-Y %.2f GF", cmf.NodeCalls, cmf.GFLOPS(), f90y.GFLOPS())
 	}
 }
 

@@ -7,8 +7,9 @@ import "f90y/internal/peac"
 // the intermediate to the exact rounding a register write performs —
 // then combines t with z on the side the second instruction read the
 // register. The result is the unfused pair's bit for bit on every lane
-// where that is not NaN (±0 included), and NaN wherever it is NaN: the
-// contract oracle.ULPDist assumes. A NaN's payload is not part of it —
+// where that is not NaN (±0 included), and NaN wherever it is NaN: a
+// stronger contract than oracle.Verify's rule (equal, or both NaN)
+// needs. A NaN's payload is not part of it —
 // gc may commute a commutative op, so z + t with two NaN operands can
 // return either payload.
 

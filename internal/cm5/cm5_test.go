@@ -2,11 +2,9 @@ package cm5
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"f90y/internal/cm2"
-	"f90y/internal/interp"
 	"f90y/internal/lower"
 	"f90y/internal/opt"
 	"f90y/internal/parser"
@@ -47,29 +45,6 @@ func TestSameFrontEndBothTargets(t *testing.T) {
 			if a2.Data[i] != a5.Data[i] {
 				t.Fatalf("%s[%d]: cm2 %v, cm5 %v", name, i, a2.Data[i], a5.Data[i])
 			}
-		}
-	}
-}
-
-func TestCM5MatchesOracle(t *testing.T) {
-	src := workload.SWE(16, 2)
-	tree, _ := parser.Parse("swe.f90", src)
-	oracle, err := interp.Run(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, _ := lower.Lower(tree)
-	omod, _ := opt.Optimize(mod, opt.Default)
-	prog, _, _ := partition.Compile(omod, pe.Optimized)
-	res, err := Default().RunCtx(context.Background(), prog, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := oracle.Array("p")
-	got := res.Store.Arrays["p"]
-	for i := range got.Data {
-		if math.Abs(got.Data[i]-p.F[i]) > 1e-9*math.Max(1, math.Abs(p.F[i])) {
-			t.Fatalf("p[%d] = %v, oracle %v", i, got.Data[i], p.F[i])
 		}
 	}
 }

@@ -94,8 +94,8 @@ func TestVerifyChecksWhatRan(t *testing.T) {
 
 // TestOracleThirdTarget: a third machine is one value. A 256-node,
 // 2-lane CM-5 written here as a Target literal joins the table's two,
-// and every machine pair still agrees bit for bit (interpreter against
-// each within the tolerance) on SWE and the layout trio.
+// and every machine still agrees with the interpreter bit for bit on
+// SWE and the layout trio.
 func TestOracleThirdTarget(t *testing.T) {
 	m := cm5.Default()
 	small := &cm2.Target{
@@ -112,7 +112,7 @@ func TestOracleThirdTarget(t *testing.T) {
 		"fft":       workload.LayoutFFT(64, 6, nil),
 		"gather":    workload.LayoutGather(64, 2, nil),
 	} {
-		pairwise, err := Verify(name+".f90", src, Options{})
+		table, err := Verify(name+".f90", src, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -124,9 +124,9 @@ func TestOracleThirdTarget(t *testing.T) {
 		if got := rep.Backends; len(got) != 4 || got[3] != small.Name {
 			t.Errorf("%s: backends %v, want interp, the table, %s", name, got, small.Name)
 		}
-		// Three backends make three pairs, four make six.
-		if rep.Elems != 2*pairwise.Elems {
-			t.Errorf("%s: %d values compared over four backends, %d over three: want twice as many", name, rep.Elems, pairwise.Elems)
+		// One comparison per machine: two over three backends, three over four.
+		if 2*rep.Elems != 3*table.Elems {
+			t.Errorf("%s: %d values compared over four backends, %d over three: want 3/2 as many", name, rep.Elems, table.Elems)
 		}
 	}
 }

@@ -1,25 +1,25 @@
 // Package oracle implements differential execution verification: one
 // program is run on the reference interpreter and on every simulated
-// machine of the target table (driver.Targets: CM/2 and CM-5), and the
-// final stores are cross-checked value-for-value. The interpreter
-// evaluates the AST directly — no lowering, no partitioning, no machine
-// model — so any disagreement localizes a bug to the compiled pipeline
-// (or, less often, to the interpreter itself). On top of the verifier, soak.go
-// builds a chaos harness asserting the fault-invariance property:
-// injected faults may change cycle totals but never numerical results.
+// machine of the target table (driver.Targets: CM/2 and CM-5), and each
+// machine's final store is compared with the interpreter's. The
+// interpreter evaluates the AST directly — no lowering, no partitioning,
+// no machine model — so any disagreement localizes a bug to the compiled
+// pipeline (or, less often, to the interpreter itself). On top of the
+// verifier, soak.go builds a chaos harness asserting the
+// fault-invariance property: injected faults may change cycle totals but
+// never numerical results.
 //
-// # Tolerance model
+// # Exactness
 //
-// Integer and logical values must match exactly. Real values must agree
-// within Options.ULPs units in the last place (default DefaultULPs):
-// the interpreter evaluates expressions as written while the compiled
-// pipeline may reassociate (e.g. FMADD contraction, reduction-tree
-// order), so bit-exactness between the two is not a sound requirement —
-// but a small ULP envelope is. The machine backends share one PEAC
-// executor, so every machine pair is checked bit-exact (0 ULPs), as is
-// every faulted-vs-baseline pair in the soak harness. PRINT output is
-// compared byte-for-byte between the machine backends and against the
-// interpreter (both sides format through the same %g rules).
+// Compilation preserves the program's meaning to the bit. Every value —
+// real, integer or logical — must be equal as a float64 on both sides,
+// or NaN on both, and PRINT output must match byte for byte (both sides
+// format through the same %g rules). There is no tolerance: the compiled
+// pipeline contracts no multiply-add and reorders no reduction, and a
+// legitimate reassociation is fixed by the evaluation order on one side,
+// never by an envelope. Equality is transitive, so each machine is
+// compared with the interpreter only. The soak harness compares every
+// faulted run with its baseline by the same rule.
 package oracle
 
 import (
@@ -37,14 +37,8 @@ import (
 	"f90y/internal/interp"
 	"f90y/internal/nir"
 	"f90y/internal/rt"
+	"f90y/internal/shape"
 )
-
-// DefaultULPs is the real-valued tolerance between the interpreter and
-// a compiled backend when Options.ULPs is zero. Reassociation changes
-// results by at most a few ULPs for the workloads in this repo; 8
-// leaves headroom without masking real bugs (a wrong shift direction or
-// a dropped mask diverges by many orders of magnitude, not ULPs).
-const DefaultULPs = 8
 
 // ErrDivergence is the sentinel wrapped by Verify when the backends
 // disagree; the error's Report carries the first divergence.
@@ -52,9 +46,6 @@ var ErrDivergence = errors.New("oracle: backends diverge")
 
 // Options configures one differential verification.
 type Options struct {
-	// ULPs is the interpreter-vs-backend tolerance for real values;
-	// zero means DefaultULPs. Machine-vs-machine is always 0.
-	ULPs uint64
 	// Config is the compile configuration of the run being verified —
 	// optimization levels and distribution overrides — so the oracle
 	// checks the program that ran, not the source as written; nil means
@@ -67,9 +58,8 @@ type Options struct {
 	// zero disables the watchdog.
 	MaxCycles float64
 	// ExecWorkers forces each machine backend's executor width (see
-	// cm2.Control.ExecWorkers; zero is serial). Because the sharded
-	// executor is bit-exact, the machine-pair 0-ULP check and the
-	// interpreter tolerance are unchanged.
+	// cm2.Control.ExecWorkers; zero is serial). The sharded executor is
+	// bit-exact, so the comparison is the same at every width.
 	ExecWorkers int
 	// InterpSteps bounds the interpreter (interp.ErrSteps on overrun);
 	// zero means the interpreter's default backstop.
@@ -87,10 +77,13 @@ type Divergence struct {
 	Coords []int  `json:"coords,omitempty"` // declared-space coordinates
 	A      string `json:"a"`                // first backend of the pair
 	B      string `json:"b"`                // second backend of the pair
-	AVal   string `json:"aval"`
+	AVal   string `json:"aval"`             // shortest round-trip value, or what "missing" found
 	BVal   string `json:"bval"`
-	ULPs   uint64 `json:"ulps"` // distance for real pairs; 0 otherwise
-	Kind   string `json:"kind"` // real, int, logical, output
+	ULPs   uint64 `json:"ulps"` // distance for real pairs (ULPDist); 0 otherwise
+	// Kind is real, int or logical for a differing value, output for a
+	// differing PRINT line, and missing for a variable one side lacks or
+	// holds at another length.
+	Kind string `json:"kind"`
 }
 
 func (d *Divergence) String() string {
@@ -110,7 +103,7 @@ type Report struct {
 	File       string      `json:"file"`
 	Backends   []string    `json:"backends"` // "interp", then each machine's name
 	Vars       int         `json:"vars"`     // variables cross-checked
-	Elems      int         `json:"elems"`    // total values compared per backend pair
+	Elems      int         `json:"elems"`    // values compared, summed over the machines
 	Divergence *Divergence `json:"divergence,omitempty"`
 	// Runs are the machine runs that were compared, in Backends order
 	// (Runs[i] ran on Backends[i+1]).
@@ -118,11 +111,10 @@ type Report struct {
 }
 
 // Verify compiles the program once and runs it on the interpreter and
-// on every target, then cross-checks the results: interpreter against
-// each machine at the ULP tolerance, each machine pair bit-exact. A nil
-// error means full agreement; a divergence returns the report and an
-// error wrapping ErrDivergence; any compile or run failure is returned
-// as-is.
+// on every target, comparing each machine's results with the
+// interpreter's bit for bit. A nil error means full agreement; a
+// divergence returns the report and an error wrapping ErrDivergence;
+// any compile or run failure is returned as-is.
 func Verify(file, src string, o Options) (*Report, error) {
 	cfg := f90y.DefaultConfig()
 	if o.Config != nil {
@@ -141,7 +133,7 @@ func Verify(file, src string, o Options) (*Report, error) {
 		total := 0
 		for _, sym := range comp.Program.Syms.All() {
 			if sym.Shape != nil && !sym.Param {
-				total += rt.NewArray(sym.Kind, sym.Shape).Size()
+				total += shape.Size(sym.Shape)
 			}
 		}
 		if total > o.MaxElems {
@@ -153,9 +145,9 @@ func Verify(file, src string, o Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: interp: %w", err)
 	}
+	ref, skip := interpState(comp, im), loopVars(comp.AST)
 	ctl := &cm2.Control{MaxCycles: o.MaxCycles, ExecWorkers: o.ExecWorkers}
 	rep := &Report{File: file, Backends: []string{"interp"}}
-	states := []*state{interpState(comp, im)}
 	for _, t := range targets {
 		res, err := t.Run(context.Background(), comp.Program, nil, nil, ctl)
 		if err != nil {
@@ -163,57 +155,46 @@ func Verify(file, src string, o Options) (*Report, error) {
 		}
 		rep.Backends = append(rep.Backends, t.Name)
 		rep.Runs = append(rep.Runs, res)
-		states = append(states, storeState(t.Name, comp, res.Store, res.Output))
-	}
-
-	skip := loopVars(comp.AST)
-	ulps := o.ULPs
-	if ulps == 0 {
-		ulps = DefaultULPs
-	}
-	// Every pair: the interpreter (states[0]) against each machine within
-	// the tolerance, then machine against machine — one shared PEAC
-	// executor, so bit-exact.
-	for i, a := range states {
-		tol := uint64(0)
-		if i == 0 {
-			tol = ulps
-		}
-		for _, b := range states[i+1:] {
-			d, vars, elems := compare(a, b, tol, skip)
-			if vars > rep.Vars {
-				rep.Vars = vars
-			}
-			rep.Elems += elems
-			if d != nil {
-				rep.Divergence = d
-				return rep, fmt.Errorf("oracle: %s: %s: %w", file, d, ErrDivergence)
-			}
+		d, vars, elems := compare(ref, storeState(t.Name, comp, res.Store, res.Output), skip)
+		rep.Vars = max(rep.Vars, vars)
+		rep.Elems += elems
+		if d != nil {
+			rep.Divergence = d
+			return rep, fmt.Errorf("oracle: %s: %s: %w", file, d, ErrDivergence)
 		}
 	}
 	return rep, nil
 }
 
 // state is one backend's observable final state, normalized for
-// comparison: every non-temporary array flattened to column-major
-// float64 lanes plus the value kind, every scalar, and PRINT output.
+// comparison: every variable as column-major float64 lanes (a scalar is
+// one lane and has no extents), and PRINT output.
 type state struct {
-	name    string
-	order   []string // declaration order, arrays then scalars
-	arrays  map[string][]float64
-	exts    map[string][]int  // extents per array, for coordinate reports
-	los     map[string][]int  // declared lower bounds per array
-	kinds   map[string]string // real, int, logical
-	scalars map[string]float64
-	out     []string
+	name  string
+	order []string             // every variable the backend should hold
+	vals  map[string][]float64 // a name in order but not here is missing
+	exts  map[string][]int     // extents per array, for coordinate reports
+	los   map[string][]int     // declared lower bounds per array
+	kinds map[string]string    // real, int, logical
+	out   []string
 }
 
 func newState(name string, out []string) *state {
 	return &state{
-		name: name, out: out,
-		arrays: map[string][]float64{}, exts: map[string][]int{}, los: map[string][]int{},
-		kinds: map[string]string{}, scalars: map[string]float64{},
+		name: name, out: out, vals: map[string][]float64{},
+		exts: map[string][]int{}, los: map[string][]int{}, kinds: map[string]string{},
 	}
+}
+
+// declare adds a variable the backend should hold.
+func (s *state) declare(name string, kind nir.ScalarKind) {
+	s.order = append(s.order, name)
+	s.kinds[name] = kindName(kind)
+}
+
+// setArray records an array's lanes and geometry.
+func (s *state) setArray(name string, lanes []float64, ext, lo []int) {
+	s.vals[name], s.exts[name], s.los[name] = lanes, ext, lo
 }
 
 func kindName(k nir.ScalarKind) string {
@@ -235,30 +216,27 @@ func storeState(name string, comp *f90y.Compilation, st *rt.Store, out []string)
 		if sym.Param || sym.Temp {
 			continue
 		}
-		s.kinds[sym.Name] = kindName(sym.Kind)
+		s.declare(sym.Name, sym.Kind)
 		if sym.Shape != nil {
 			if a := st.Arrays[sym.Name]; a != nil {
-				s.order = append(s.order, sym.Name)
-				s.arrays[sym.Name] = a.Data
-				s.exts[sym.Name], s.los[sym.Name] = a.Ext, a.Lo
+				s.setArray(sym.Name, a.Data, a.Ext, a.Lo)
 			}
-			continue
+		} else if v, ok := st.Scalars[sym.Name]; ok {
+			s.vals[sym.Name] = []float64{v}
 		}
-		s.order = append(s.order, sym.Name)
-		s.scalars[sym.Name] = st.Scalars[sym.Name]
 	}
 	return s
 }
 
 // interpState normalizes the reference interpreter's machine, reading
-// the same symbol list so both sides compare identical variable sets.
+// the same symbol list so both sides declare identical variable sets.
 func interpState(comp *f90y.Compilation, m *interp.Machine) *state {
 	s := newState("interp", m.Output())
 	for _, sym := range comp.Program.Syms.All() {
 		if sym.Param || sym.Temp {
 			continue
 		}
-		s.kinds[sym.Name] = kindName(sym.Kind)
+		s.declare(sym.Name, sym.Kind)
 		if sym.Shape != nil {
 			a := m.Array(sym.Name)
 			if a == nil {
@@ -277,72 +255,65 @@ func interpState(comp *f90y.Compilation, m *interp.Machine) *state {
 					lanes[i] = a.F[i]
 				}
 			}
-			s.order = append(s.order, sym.Name)
-			s.arrays[sym.Name] = lanes
-			s.exts[sym.Name], s.los[sym.Name] = a.Ext, a.Lo
+			s.setArray(sym.Name, lanes, a.Ext, a.Lo)
 			continue
 		}
-		v, ok := m.Scalar(sym.Name)
-		if !ok {
-			continue
-		}
-		s.order = append(s.order, sym.Name)
-		if v.Kind == interp.KLogical {
-			if v.B {
-				s.scalars[sym.Name] = 1
+		if v, ok := m.Scalar(sym.Name); ok {
+			f := v.AsFloat()
+			if v.Kind == interp.KLogical {
+				f = 0
+				if v.B {
+					f = 1
+				}
 			}
-		} else {
-			s.scalars[sym.Name] = v.AsFloat()
+			s.vals[sym.Name] = []float64{f}
 		}
 	}
 	return s
 }
 
-// compare cross-checks two states: variables in declaration order (a's
-// order; only variables present on both sides are compared), then PRINT
-// output line-by-line. skip names scalars excluded from comparison —
-// DO-loop and FORALL index variables, whose final values are
-// deliberately backend-specific (F90 leaves the compiled index in loop
-// state; the interpreter materializes the final+step value).
-func compare(a, b *state, tol uint64, skip map[string]bool) (*Divergence, int, int) {
+// compare checks b against a bit for bit: every variable in a's
+// declaration order, then any only b declares, then PRINT output line by
+// line. A variable one side lacks, or holds at another length, is a
+// divergence of kind "missing". skip names scalars excluded from
+// comparison — DO-loop and FORALL index variables, whose final values
+// are deliberately backend-specific (F90 leaves the compiled index in
+// loop state; the interpreter materializes the final+step value).
+func compare(a, b *state, skip map[string]bool) (*Divergence, int, int) {
 	vars, elems := 0, 0
+	missing := func(name string) *Divergence {
+		return &Divergence{Var: name, Index: -1, A: a.name, B: b.name,
+			AVal: a.holds(name), BVal: b.holds(name), Kind: "missing"}
+	}
 	for _, name := range a.order {
-		kind := a.kinds[name]
-		if av, ok := a.arrays[name]; ok {
-			bv, ok := b.arrays[name]
-			if !ok || len(av) != len(bv) {
-				continue
-			}
-			vars++
-			for i := range av {
-				elems++
-				if d, n := valDiff(kind, av[i], bv[i], tol); d {
-					return &Divergence{
-						Var: name, Index: i, Coords: coordsOf(a.exts[name], a.los[name], i),
-						A: a.name, B: b.name,
-						AVal: fmtVal(kind, av[i]), BVal: fmtVal(kind, bv[i]),
-						ULPs: n, Kind: kind,
-					}, vars, elems
-				}
-			}
-			continue
-		}
 		if skip[name] {
 			continue
 		}
-		av, aok := a.scalars[name]
-		bv, bok := b.scalars[name]
-		if !aok || !bok {
-			continue
+		av, aok := a.vals[name]
+		bv, bok := b.vals[name]
+		if !aok || !bok || len(av) != len(bv) {
+			return missing(name), vars, elems
 		}
 		vars++
-		elems++
-		if d, n := valDiff(kind, av, bv, tol); d {
-			return &Divergence{
-				Var: name, Index: -1, A: a.name, B: b.name,
-				AVal: fmtVal(kind, av), BVal: fmtVal(kind, bv),
-				ULPs: n, Kind: kind,
-			}, vars, elems
+		kind := a.kinds[name]
+		for i := range av {
+			elems++
+			if valDiff(av[i], bv[i]) {
+				d := &Divergence{Var: name, Index: -1, A: a.name, B: b.name,
+					AVal: fmtVal(kind, av[i]), BVal: fmtVal(kind, bv[i]), Kind: kind}
+				if ext, ok := a.exts[name]; ok {
+					d.Index, d.Coords = i, coordsOf(ext, a.los[name], i)
+				}
+				if kind == "real" {
+					d.ULPs = ULPDist(av[i], bv[i])
+				}
+				return d, vars, elems
+			}
+		}
+	}
+	for _, name := range b.order {
+		if _, ok := a.kinds[name]; !ok && !skip[name] {
+			return missing(name), vars, elems
 		}
 	}
 	for i := 0; i < len(a.out) || i < len(b.out); i++ {
@@ -364,15 +335,21 @@ func compare(a, b *state, tol uint64, skip map[string]bool) (*Divergence, int, i
 	return nil, vars, elems
 }
 
-// valDiff reports whether two values of one kind diverge under the
-// tolerance, and the ULP distance for real pairs. Integers and logicals
-// must match exactly regardless of tol.
-func valDiff(kind string, a, b float64, tol uint64) (bool, uint64) {
-	if kind != "real" {
-		return a != b, 0
+// holds says how much of a variable the state has, for a "missing"
+// divergence.
+func (s *state) holds(name string) string {
+	v, ok := s.vals[name]
+	if !ok {
+		return "absent"
 	}
-	n := ULPDist(a, b)
-	return n > tol, n
+	return strconv.Itoa(len(v)) + " values"
+}
+
+// valDiff reports whether two values diverge under the one agreement
+// rule: they agree when equal as float64s (so +0 and -0 agree) or both
+// NaN, and under no tolerance otherwise.
+func valDiff(a, b float64) bool {
+	return a != b && !(math.IsNaN(a) && math.IsNaN(b))
 }
 
 func fmtVal(kind string, v float64) string {
@@ -389,12 +366,11 @@ func fmtVal(kind string, v float64) string {
 }
 
 // ULPDist is the distance between two float64s in units in the last
-// place, computed on the ordered-integer mapping of IEEE-754 bit
-// patterns (negative floats map below positive so the distance is
-// monotone across zero). Two NaNs are distance 0; NaN against a number
-// is MaxUint64; +0 and -0 are distance 0 by the same mapping symmetry
-// (both map adjacent to the origin: the distance is 1... so special-case
-// equality first).
+// place, on the ordered-integer mapping of IEEE-754 bit patterns
+// (negative floats map below positive, so the distance is monotone
+// across zero). Equal values are distance 0, +0 and -0 included, as are
+// two NaNs; a NaN against a number is MaxUint64. It only reports how far
+// apart a divergence is: agreement is valDiff's exact rule.
 func ULPDist(a, b float64) uint64 {
 	if a == b {
 		return 0 // covers +0 vs -0

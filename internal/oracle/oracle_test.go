@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"f90y"
 	"f90y/internal/cm2"
 	"f90y/internal/driver"
 	"f90y/internal/faults"
@@ -109,9 +111,101 @@ func TestBrokenBackendOpCaught(t *testing.T) {
 	}
 }
 
-// TestVerifyULPTolerance: values within the envelope pass, values
-// beyond it are reported with their ULP distance.
-func TestVerifyULPTolerance(t *testing.T) {
+// TestVerifyCatchesOneULP is the exactness tripwire: the lowest
+// mantissa bit of one element, flipped in the first machine's store, is
+// a divergence naming the variable, the interpreter/machine pair and a
+// distance of one ULP. Any tolerance would let it through.
+func TestVerifyCatchesOneULP(t *testing.T) {
+	const src = "program tripwire\nreal b(16)\nb = 0.25\nend program tripwire\n"
+	flipped := math.Float64frombits(math.Float64bits(0.25) ^ 1)
+	// Set, not toggled, after every dispatch, so the final store holds the
+	// flipped value however the program is partitioned.
+	cm2.TestOnlyPerturb = func(_ string, store *rt.Store) {
+		if b := store.Arrays["b"]; b != nil {
+			b.Data[4] = flipped
+		}
+	}
+	defer func() { cm2.TestOnlyPerturb = nil }()
+
+	rep, err := Verify("tripwire.f90", src, Options{})
+	if !errors.Is(err, ErrDivergence) {
+		t.Fatalf("want ErrDivergence, got %v", err)
+	}
+	d := rep.Divergence
+	if d == nil || d.Var != "b" || d.Index != 4 || d.Kind != "real" {
+		t.Fatalf("divergence %+v, want real b at index 4", d)
+	}
+	if d.A != "interp" || d.B != driver.Targets[0].Name {
+		t.Errorf("backend pair %s/%s, want interp/%s", d.A, d.B, driver.Targets[0].Name)
+	}
+	if d.ULPs != 1 {
+		t.Errorf("distance %d ulps, want 1", d.ULPs)
+	}
+}
+
+// TestCompareReportsMissing: compare skips nothing. A variable one side
+// lacks, or holds at another length, is a divergence of kind "missing",
+// and a machine store without a declared scalar does not read it as 0.
+func TestCompareReportsMissing(t *testing.T) {
+	mk := func(name string) *state {
+		s := newState(name, nil)
+		s.declare("u", nir.Float64)
+		s.setArray("u", []float64{1, 2}, []int{2}, []int{1})
+		s.declare("x", nir.Float64)
+		s.vals["x"] = []float64{3}
+		return s
+	}
+	if d, vars, elems := compare(mk("a"), mk("b"), nil); d != nil || vars != 2 || elems != 3 {
+		t.Fatalf("identical states: %v, %d vars, %d values; want agreement over 2 and 3", d, vars, elems)
+	}
+	cases := map[string]struct {
+		change func(a, b *state)
+		want   string
+	}{
+		"array absent":    {func(a, b *state) { delete(b.vals, "u") }, "u"},
+		"array length":    {func(a, b *state) { b.vals["u"] = []float64{1, 2, 3} }, "u"},
+		"scalar absent":   {func(a, b *state) { delete(a.vals, "x") }, "x"},
+		"only b declares": {func(a, b *state) { b.declare("y", nir.Integer32); b.vals["y"] = []float64{1} }, "y"},
+	}
+	for name, c := range cases {
+		a, b := mk("a"), mk("b")
+		c.change(a, b)
+		d, _, _ := compare(a, b, nil)
+		if d == nil || d.Kind != "missing" || d.Var != c.want {
+			t.Errorf("%s: divergence %+v, want missing %s", name, d, c.want)
+		}
+	}
+
+	comp, err := f90y.Compile("s.f90", "program s\nreal x\nx = 2.0\nend program s\n", f90y.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := storeState("cm2", comp, &rt.Store{Arrays: map[string]*rt.Array{}, Scalars: map[string]float64{}}, nil)
+	if v, ok := st.vals["x"]; ok {
+		t.Errorf("absent scalar read as %v", v)
+	}
+}
+
+// TestMaxElemsRefusesWithoutAllocating: the declared-size guard counts
+// elements from the shapes, so refusing a 512 MB declaration allocates
+// next to nothing.
+func TestMaxElemsRefusesWithoutAllocating(t *testing.T) {
+	const src = "program big\nreal a(8192,8192)\na = 1.0\nend program big\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Verify("big.f90", src, Options{MaxElems: 1 << 10})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "element limit") {
+		t.Fatalf("want the element-limit refusal, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusal allocated %d bytes, want under 1 MB", got)
+	}
+}
+
+// TestULPDist: the distance a divergence reports, symmetric, with ±0
+// and two NaNs at 0.
+func TestULPDist(t *testing.T) {
 	cases := []struct {
 		a, b float64
 		want uint64
