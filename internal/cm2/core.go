@@ -99,7 +99,7 @@ func (t *Target) Run(ctx context.Context, prog *fe.Program, store *rt.Store, rec
 	r := &run{
 		t: t, ctx: ctx, store: store, rec: rec,
 		inj:  ctl.Faults,
-		comm: &rt.Comm{Store: store, PEs: t.Units * t.Lanes, Cost: t.CommCost, Faults: ctl.Faults},
+		comm: &rt.Comm{Store: store, PEs: t.Units * t.Lanes, Cost: t.CommCost, Faults: ctl.Faults, Workers: ctl.ExecWorkers},
 		res: &Result{Store: store, ClockHz: t.ClockHz, Numeric: ctl.Numeric, ExecTotals: rt.ExecTotals{
 			PEClassCycles:   map[string]float64{},
 			PERoutineCycles: map[string]float64{},
@@ -250,6 +250,8 @@ func (r *run) emit() {
 	add("exec/host/", res.HostClassCycles)
 	add("exec/routine/", res.PERoutineCycles)
 	add("rt/comm/", r.comm.OpCalls)
+	obs.Add(rec, "rt/comm/parallel", float64(r.comm.Parallel))
+	obs.Add(rec, "exec/copy-bytes/comm-stage", float64(r.comm.StageBytes))
 	for why, n := range r.store.Materialized {
 		obs.Add(rec, "rt/shift-view/materialized/"+why, float64(n))
 	}

@@ -21,8 +21,9 @@ import (
 // also the sharding grain of the parallel executor: chunk boundaries are
 // fixed by this constant, never by the worker count, which is one of the
 // two invariants that make results bit-exact under parallelism (the other
-// is that chunks cover disjoint element ranges).
-const chunkSize = 4096
+// is that chunks cover disjoint element ranges). It is rt.Grain, the
+// same block the comm layer fills its payloads in.
+const chunkSize = rt.Grain
 
 // stream is one pointer-register binding: an array subgrid stream or a
 // coordinate subgrid.

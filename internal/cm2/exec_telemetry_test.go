@@ -23,12 +23,13 @@ import (
 	"f90y/internal/workload"
 )
 
-// modeledCounters strips the wall-clock pool instrumentation, leaving
-// only counters derived from the deterministic machine model.
+// modeledCounters strips the wall-clock pool instrumentation and the
+// count of comm payloads filled on the pool, leaving only counters
+// derived from the deterministic machine model.
 func modeledCounters(col *obs.Collector) map[string]float64 {
 	out := map[string]float64{}
 	for k, v := range col.Counters() {
-		if !strings.HasPrefix(k, "execpool/") {
+		if !strings.HasPrefix(k, "execpool/") && k != "rt/comm/parallel" {
 			out[k] = v
 		}
 	}

@@ -53,8 +53,10 @@ type Control struct {
 	// class. Nil disables the plane.
 	Numeric *rt.Numeric
 	// ExecWorkers shards every PEAC routine dispatch across a chunk
-	// worker pool: 0 and 1 execute serially, n > 1 uses n workers, and
-	// a negative value selects GOMAXPROCS. Results — store contents,
+	// worker pool, and the payload of every gather, transpose and copying
+	// shift across as many goroutines (rt.Comm.Workers): 0 and 1 execute
+	// serially, n > 1 uses n workers, and a negative value selects
+	// GOMAXPROCS. Results — store contents,
 	// output, cycle totals, numeric tallies — are bit-exact and
 	// invariant under the worker count; only simulator wall-clock
 	// changes. The analytic cycle model is computed before dispatch and

@@ -33,12 +33,13 @@ func TestExecWidthRule(t *testing.T) {
 	}
 }
 
-// poolCounters returns the sharded executor's wall-clock telemetry, the
-// only trace a width leaves.
+// poolCounters returns the sharded executor's wall-clock telemetry and a
+// nonzero count of comm payloads filled on the pool, the only traces a
+// width leaves.
 func poolCounters(col *obs.Collector) map[string]float64 {
 	out := map[string]float64{}
 	for k, v := range col.Counters() {
-		if strings.HasPrefix(k, "execpool/") {
+		if strings.HasPrefix(k, "execpool/") || k == "rt/comm/parallel" && v != 0 {
 			out[k] = v
 		}
 	}
@@ -50,6 +51,8 @@ func poolCounters(col *obs.Collector) map[string]float64 {
 // shows up) and every modeled field, the output and the store equal the
 // same job forced to width 1 — whose own Ctl.ExecWorkers wins, so no
 // pool runs — while a single-chunk program never leaves the inline path.
+// The comm layer gets the same width: a gather past two chunks fills
+// its payload on the pool at the derived width, inline at width 1.
 // Not parallel: GOMAXPROCS is process-wide.
 func TestRunDerivesExecutorWidth(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
@@ -70,6 +73,7 @@ func TestRunDerivesExecutorWidth(t *testing.T) {
 
 	big := workload.SWE(96, 2)   // 9,216 elements: three chunks
 	small := workload.SWE(16, 2) // 256 elements: one chunk
+	gather := workload.LayoutGather(3*4096+5, 2, nil)
 	for _, m := range Targets {
 		target := m.Name
 		wide, pool := run(big, m, cm2.Control{})
@@ -91,6 +95,12 @@ func TestRunDerivesExecutorWidth(t *testing.T) {
 		}
 		if _, pool := run(small, m, cm2.Control{}); len(pool) != 0 {
 			t.Errorf("%s: a single-chunk program left the inline path: %v", target, pool)
+		}
+		if _, pool := run(gather, m, cm2.Control{}); pool["rt/comm/parallel"] != 2 {
+			t.Errorf("%s: two gathers past two chunks on 4 cores: rt/comm/parallel = %v, want 2", target, pool["rt/comm/parallel"])
+		}
+		if _, pool := run(gather, m, cm2.Control{ExecWorkers: 1}); pool["rt/comm/parallel"] != 0 {
+			t.Errorf("%s: width 1 fanned %v comm payloads out", target, pool["rt/comm/parallel"])
 		}
 	}
 }

@@ -59,22 +59,31 @@ func TestVerifyAgreesOnWorkloads(t *testing.T) {
 // evaluator and the translated form. The grid is sized so every field
 // straddles the executor's chunk boundary (70x70 = 4900 elements > one
 // 4096-element chunk), exercising cross-chunk sharding against the
-// serial interpreter.
+// serial interpreter. The CYCLIC gather (12,293 elements) and transpose
+// (128² = 16,384) are past two chunks, so the comm layer fills their
+// payloads on the same workers.
 func TestVerifyShardedExecutor(t *testing.T) {
 	defer func() { cm2.TestOnlyEngine = cm2.EngineTranslated }()
+	progs := []struct{ name, src string }{
+		{"swe.f90", workload.SWE(70, 2)},
+		{"gather.f90", workload.LayoutGather(3*4096+5, 2, []string{"!HPF$ DISTRIBUTE a(CYCLIC)", "!HPF$ ALIGN b WITH a"})},
+		{"transpose.f90", workload.LayoutTranspose(128, 2, []string{"!HPF$ DISTRIBUTE a(CYCLIC, CYCLIC)", "!HPF$ ALIGN b WITH a", "!HPF$ ALIGN c WITH a"})},
+	}
 	for _, e := range []cm2.Engine{cm2.EngineReference, cm2.EngineTranslated} {
 		cm2.TestOnlyEngine = e
-		for _, workers := range []int{2, -1} {
-			rep, err := Verify("swe.f90", workload.SWE(70, 2), Options{ExecWorkers: workers})
-			if err != nil {
-				t.Errorf("engine=%d workers=%d: %v", e, workers, err)
-				continue
-			}
-			if rep.Divergence != nil {
-				t.Errorf("engine=%d workers=%d: unexpected divergence %s", e, workers, rep.Divergence)
-			}
-			if rep.Vars == 0 || rep.Elems == 0 {
-				t.Errorf("engine=%d workers=%d: nothing compared (vars=%d elems=%d)", e, workers, rep.Vars, rep.Elems)
+		for _, p := range progs {
+			for _, workers := range []int{2, 8, -1} {
+				rep, err := Verify(p.name, p.src, Options{ExecWorkers: workers})
+				if err != nil {
+					t.Errorf("%s engine=%d workers=%d: %v", p.name, e, workers, err)
+					continue
+				}
+				if rep.Divergence != nil {
+					t.Errorf("%s engine=%d workers=%d: unexpected divergence %s", p.name, e, workers, rep.Divergence)
+				}
+				if rep.Vars == 0 || rep.Elems == 0 {
+					t.Errorf("%s engine=%d workers=%d: nothing compared (vars=%d elems=%d)", p.name, e, workers, rep.Vars, rep.Elems)
+				}
 			}
 		}
 	}

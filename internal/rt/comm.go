@@ -3,7 +3,10 @@ package rt
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"f90y/internal/faults"
 	"f90y/internal/nir"
@@ -45,15 +48,28 @@ type Comm struct {
 	// over the CommClasses): which operations left the NEWS grid. Nil
 	// costs one branch per transfer.
 	OpCalls map[string]float64
+	// Parallel counts the transfers whose payload was filled on more
+	// than one worker, StageBytes the bytes deliverArray copied out of a
+	// staging buffer. Both count only while OpCalls is non-nil.
+	Parallel, StageBytes int
+	// Workers is how many goroutines fill a payload of two Grain or
+	// more: 0 and 1 fill it inline, a negative value means GOMAXPROCS.
+	// The run core passes the executor's width (Control.ExecWorkers).
+	// Blocks are cut by Grain, writes are disjoint pure copies and the
+	// gather's owner count is an integer sum, so every store and cycle
+	// is bit-identical at every width.
+	Workers int
 	// pos is the source position of the guarded move currently
 	// executing; charge attributes cycles (including fault retries) to
 	// it. op names the operation for OpCalls.
 	pos source.Pos
 	op  string
 	// scratch is the staging buffer comm ops reuse between transfers.
-	// Comm ops run serially on the host thread and deliver never
-	// retains the staged slice past the call, so one buffer suffices;
-	// every op overwrites every element it delivers.
+	// One comm op runs at a time (its blocks may fill on several
+	// goroutines, but the op is called from the host loop and returns
+	// after they finish) and deliver never retains the staged slice past
+	// the call, so one buffer suffices; every op overwrites every
+	// element it delivers.
 	scratch []float64
 	// Faults, when non-nil, subjects every transfer to the injection
 	// plane: drops and corruptions are detected (ack timeout,
@@ -99,6 +115,59 @@ func (c *Comm) stageFor(dst *Array, srcs ...*Array) []float64 {
 		}
 	}
 	return c.stage(dst.Size())
+}
+
+// Grain is the block, in elements, that the host splits array work
+// into: the PEAC executor's chunk and the comm layer's payload block.
+// Blocks are cut by this constant, never by a worker count, so which
+// goroutine filled a block cannot show in a result.
+const Grain = 4096
+
+// blocks is a payload of n elements cut into grain-long blocks, and the
+// number of goroutines that fill them.
+type blocks struct{ n, grain, workers int }
+
+// cut plans a payload of n elements in blocks of grain elements. It
+// fans out only from two Grain and two blocks up, on c.Workers
+// goroutines at most, and counts a fan-out in Parallel.
+func (c *Comm) cut(n, grain int) blocks {
+	b := blocks{n: n, grain: grain, workers: 1}
+	if n >= 2*Grain {
+		w := c.Workers
+		if w < 0 {
+			w = runtime.GOMAXPROCS(0)
+		}
+		b.workers = max(1, min(w, b.count()))
+	}
+	if b.workers > 1 && c.OpCalls != nil {
+		c.Parallel++
+	}
+	return b
+}
+
+func (b blocks) count() int { return (b.n + b.grain - 1) / max(b.grain, 1) }
+
+// each calls fill(lo, hi) once for every block [lo, hi): the caller and
+// workers−1 goroutines claim blocks off a counter, so inline they run
+// in order and no goroutine starts, and each returns once every block
+// is done. fill must write only inside its own block.
+func (b blocks) each(fill func(lo, hi int)) {
+	var next atomic.Int64
+	work := func() {
+		for k := int(next.Add(1)) - 1; k < b.count(); k = int(next.Add(1)) - 1 {
+			fill(k*b.grain, min(b.n, (k+1)*b.grain))
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(b.workers - 1)
+	for range b.workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 func fill(dst []float64, v float64) {
@@ -308,60 +377,50 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 		c.Store.overwrite(out, why)
 	}
 	tmp := c.stageFor(out, src)
-	shiftInto(tmp, src.Data, src.Ext, d, shift, circular, boundary)
+	c.cut(len(tmp), Grain).each(func(lo, hi int) {
+		shiftInto(tmp, src.Data, src.Ext, d, shift, circular, boundary, lo, hi)
+	})
 	return c.deliverArray(class, cyc, out, tmp)
 }
 
-// shiftInto writes src shifted by shift along dimension d (0-based) of
-// an array of extents ext into dst: dst[i] = src[i+shift] along d,
+// shiftInto writes dst[lo:hi] of src shifted by shift along dimension d
+// (0-based) of an array of extents ext: dst[i] = src[i+shift] along d,
 // wrapping when circular, boundary where an end-off shift runs out.
-// It goes block by block: each (outer, i) pair covers a contiguous
-// strideBelow-long run, so the whole shift is memmoves instead of a
-// per-element divide/modulo to recover i from the flat offset. A shift
-// along the lowest axis (strideBelow == 1) degenerates to one-element
-// "runs", so it gets its own form: each n-long block is a rotation (two
-// copies) or an end-off slide (one copy plus a boundary fill).
-func shiftInto(dst, src []float64, ext []int, d, shift int, circular bool, boundary float64) {
-	n := ext[d]
-	strideBelow := 1
-	for k := 0; k < d; k++ {
-		strideBelow *= ext[k]
+// Every n·stride-long block of dst (stride the product of the extents
+// below d) splits at one cut into two runs, and each run is a single
+// copy from src at a fixed offset or a boundary fill — so the whole
+// shift is memmoves, clipped to [lo, hi), whatever the axis.
+func shiftInto(dst, src []float64, ext []int, d, shift int, circular bool, boundary float64, lo, hi int) {
+	n, stride := ext[d], 1
+	for _, e := range ext[:d] {
+		stride *= e
 	}
-	if strideBelow == 1 {
-		s := shift
-		if circular {
-			s = ((s % n) + n) % n
-		}
-		for base := 0; base < len(dst); base += n {
-			switch {
-			case circular:
-				copy(dst[base:base+n-s], src[base+s:base+n])
-				copy(dst[base+n-s:base+n], src[base:base+s])
-			case s >= n || s <= -n:
-				fill(dst[base:base+n], boundary)
-			case s >= 0:
-				copy(dst[base:base+n-s], src[base+s:base+n])
-				fill(dst[base+n-s:base+n], boundary)
-			default:
-				fill(dst[base:base-s], boundary)
-				copy(dst[base-s:base+n], src[base:base+n+s])
-			}
-		}
-		return
+	blk, s := n*stride, shift
+	if circular {
+		s = ((s % n) + n) % n
+	} else {
+		s = max(-n, min(n, s))
 	}
-	blk := n * strideBelow
-	for base := 0; base < len(dst); base += blk {
-		for i := 0; i < n; i++ {
-			row := dst[base+i*strideBelow : base+(i+1)*strideBelow]
-			j := i + shift
-			if circular {
-				j = ((j % n) + n) % n
-			} else if j < 0 || j >= n {
-				fill(row, boundary)
-				continue
-			}
-			copy(row, src[base+j*strideBelow:base+(j+1)*strideBelow])
+	// s ≥ 0: the head reads s rows on, the tail wraps to the block's
+	// start (circular) or is boundary. s < 0 (end-off only): the head
+	// is boundary and the tail reads −s rows back.
+	cut, head, tail, headFill, tailFill := (n-s)*stride, s*stride, (s-n)*stride, false, !circular
+	if s < 0 {
+		cut, tail, headFill, tailFill = -s*stride, s*stride, true, false
+	}
+	run := func(a, b, from int, bnd bool) {
+		a, b = max(a, lo), min(b, hi)
+		switch {
+		case a >= b:
+		case bnd:
+			fill(dst[a:b], boundary)
+		default:
+			copy(dst[a:b], src[a+from:b+from])
 		}
+	}
+	for base := lo - lo%blk; base < hi; base += blk {
+		run(base, base+cut, head, headFill)
+		run(base+cut, base+blk, tail, tailFill)
 	}
 }
 
@@ -464,24 +523,34 @@ func (c *Comm) execTranspose(fc nir.FcnCall, tgt nir.Value) error {
 	ls := shape.Distribute(shape.Of(src.Ext...), c.PEs, sd)
 	lo := shape.Distribute(shape.Of(out.Ext...), c.PEs, od)
 	tmp := c.stageFor(out, src)
-	transposeInto(tmp, src.Data, src.Ext[0], src.Ext[1])
+	r, cols := src.Ext[0], src.Ext[1]
+	// A block is whole dst columns: at least one tile of them and at
+	// least one Grain of elements.
+	c.cut(len(tmp), max(tile, Grain/max(cols, 1))*cols).each(func(a, b int) {
+		transposeInto(tmp, src.Data, r, cols, a/cols, b/cols)
+	})
 	off := len(tmp) - transposeLocal(ls, lo)
 	class, cyc := c.Cost.Routed(off, len(tmp)-off, lo)
 	return c.deliverArray(class, cyc, out, tmp)
 }
 
-// transposeInto writes the r×c column-major matrix src transposed into
-// dst in 32×32 tiles, so the strided side of each tile stays in cache
-// while the sequential side streams.
-func transposeInto(dst, src []float64, r, c int) {
-	const tile = 32
-	for j0 := 0; j0 < c; j0 += tile {
-		j1 := min(j0+tile, c)
-		for i0 := 0; i0 < r; i0 += tile {
-			i1 := min(i0+tile, r)
-			for j := j0; j < j1; j++ {
-				for i := i0; i < i1; i++ {
-					dst[j+i*c] = src[i+j*r]
+// tile is the edge of transposeInto's square tiles.
+const tile = 32
+
+// transposeInto writes rows i0 ≤ i < i1 of the r×c column-major matrix
+// src, transposed, into dst: each is the contiguous dst run
+// dst[i·c : (i+1)·c]. It goes in tile×tile tiles, writing dst
+// sequentially and reading src with the stride: stores 8·c bytes apart
+// would all map to one L1 set when c is a power of two.
+func transposeInto(dst, src []float64, r, c, i0, i1 int) {
+	for it := i0; it < i1; it += tile {
+		ie := min(it+tile, i1)
+		for j0 := 0; j0 < c; j0 += tile {
+			j1 := min(j0+tile, c)
+			for i := it; i < ie; i++ {
+				row := dst[i*c+j0 : i*c+j1]
+				for k := range row {
+					row[k] = src[i+(j0+k)*r]
 				}
 			}
 		}
@@ -519,6 +588,13 @@ func transposeLocal(ls, lo shape.Layout) int {
 // only the general router can serve — with each layout's owner function
 // derived once, outside the loop. The result array shares the index
 // array's layout (it is computed elementwise from it).
+//
+// The payload is built through stageFor, so a healthy gather writes out
+// in place, in two passes over the same blocks. The first reads only
+// idx: it checks every index and counts the owner changes per block.
+// The second fetches, and runs only when no index was bad — so a bad
+// one, reported as the lowest the serial loop would meet first, leaves
+// out untouched.
 func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 	src, err := c.arrayArg(fc.Args[0], "cm_gather")
 	if err != nil {
@@ -540,20 +616,50 @@ func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 	lo := shape.Distribute(shape.Of(out.Ext...), c.PEs, outD)
 	from, to := ls.DimOwner(0), lo.DimOwner(0)
 	base, data, ix := src.Lo[0], src.Data, idx.Data
-	tmp := c.stage(len(ix))
+	bl := c.cut(len(ix), Grain)
+	// Per block: its owner changes, and its first bad position or -1.
+	offs, bad := make([]int, bl.count()), make([]int, bl.count())
+	bl.each(func(a, b int) {
+		offs[a/Grain], bad[a/Grain] = gatherScan(ix[a:b], a, base, len(data), from, to)
+	})
 	off := 0
-	for i := range tmp {
-		j := int(ix[i]) - base
-		if j < 0 || j >= len(data) {
-			return fmt.Errorf("rt: gather index %d out of bounds: %w", j+base, ErrShape)
+	for k, i := range bad {
+		if i >= 0 {
+			return fmt.Errorf("rt: gather index %d out of bounds: %w", int(ix[i]), ErrShape)
 		}
-		tmp[i] = data[j]
-		if from.Of(j) != to.Of(i) {
+		off += offs[k]
+	}
+	tmp := c.stageFor(out, src, idx)
+	bl.each(func(a, b int) { gatherFetch(tmp[a:b], data, ix[a:b], base) })
+	class, cyc := c.Cost.Routed(off, len(tmp)-off, lo)
+	return c.deliverArray(class, cyc, out, tmp)
+}
+
+// gatherScan is a gather's first pass over the indexes ix, the block
+// starting at position lo, into a source of n elements from lower bound
+// base: it counts the fetches whose owner under from is not the owner
+// of their position under to, and returns the first position whose
+// index is out of bounds, or -1.
+func gatherScan(ix []float64, lo, base, n int, from, to shape.DimOwner) (off, bad int) {
+	for k, v := range ix {
+		j := int(v) - base
+		if j < 0 || j >= n {
+			return off, lo + k
+		}
+		if from.Of(j) != to.Of(lo+k) {
 			off++
 		}
 	}
-	class, cyc := c.Cost.Routed(off, len(tmp)-off, lo)
-	return c.deliverArray(class, cyc, out, tmp)
+	return off, -1
+}
+
+// gatherFetch is a gather's second pass: dst[i] = data[ix[i]-base],
+// every index already checked.
+func gatherFetch(dst, data, ix []float64, base int) {
+	ix = ix[:len(dst)]
+	for i, v := range ix {
+		dst[i] = data[int(v)-base]
+	}
 }
 
 func (c *Comm) execSpread(fc nir.FcnCall, tgt nir.Value) error {

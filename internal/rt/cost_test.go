@@ -217,36 +217,3 @@ func TestOffPECountClosedForm(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkCommRouter is the row a comm change is measured against: the
-// router workload's two moves at its sizes on the CM/2's 2,048 PEs — a
-// 512² (CYCLIC, CYCLIC) transpose and a 2²⁰-element CYCLIC near-neighbour
-// gather (bench/workloads.go genRouter's index pattern).
-func BenchmarkCommRouter(b *testing.B) {
-	cyc2 := shape.Distribution{Dims: []shape.DimDist{{Kind: shape.DistCyclic}, {Kind: shape.DistCyclic}}}
-	run := func(b *testing.B, st *Store, mv nir.Move) {
-		c := &Comm{Store: st, PEs: 2048, Cost: DefaultCommCost}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := c.ExecMove(mv); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("transpose", func(b *testing.B) {
-		const m = 512
-		ta, tb := NewArray(nir.Float64, shape.Of(m, m)), NewArray(nir.Float64, shape.Of(m, m))
-		ta.Dist, tb.Dist = cyc2, cyc2
-		run(b, &Store{Arrays: map[string]*Array{"a": ta, "b": tb}, Scalars: map[string]float64{}}, transposeMove())
-	})
-	b.Run("gather", func(b *testing.B) {
-		const n = 1 << 20
-		st := gatherStore(n, cyclic, func(i int) int {
-			i++
-			return 1 + (i-1+(7*i)%5-2+n)%n
-		})
-		st.Arrays["b"].Dist, st.Arrays["idx"].Dist = cyclic, cyclic
-		run(b, st, gatherMove())
-	})
-}

@@ -92,6 +92,9 @@ func (c *Comm) deliverArray(class string, cyc float64, dst *Array, stage []float
 		commit: func() {
 			if !inPlace {
 				copy(dst.Data, stage)
+				if c.OpCalls != nil {
+					c.StageBytes += 8 * len(stage)
+				}
 			}
 		},
 		corrupt: func(victim int, bit uint) {

@@ -95,7 +95,7 @@ func (st *Store) materialize(a *Array) error {
 	for d, r := range rot {
 		if r != 0 {
 			next := st.slab(len(data))
-			shiftInto(next, data, a.Ext, d, r, true, 0)
+			shiftInto(next, data, a.Ext, d, r, true, 0, 0, len(next))
 			if own {
 				putSlab(data)
 			}
