@@ -35,7 +35,7 @@ print *, 'b1 =', b(1)
 end program t
 `)
 	mod, _ := lower.Lower(tree)
-	omod, _ := opt.Optimize(mod, opt.Default)
+	omod, _ := opt.OptimizeObs(mod, opt.Default, nil)
 	prog, _, err := partition.Compile(omod, pe.Optimized)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestExecRoutineErrors(t *testing.T) {
 // TestChunkingIsExact: results must be identical regardless of chunk
 // boundaries (the shape is larger than one chunk).
 func TestChunkingIsExact(t *testing.T) {
-	n := chunkSize*2 + 17
+	n := rt.Grain*2 + 17
 	r := &peac.Routine{
 		Name: "P",
 		Params: []peac.Param{
@@ -227,7 +227,7 @@ end program t
 `
 	tree, _ := parser.Parse("t.f90", src)
 	mod, _ := lower.Lower(tree)
-	omod, _ := opt.Optimize(mod, opt.Default)
+	omod, _ := opt.OptimizeObs(mod, opt.Default, nil)
 	prog, _, _ := partition.Compile(omod, pe.Optimized)
 
 	small := Default()

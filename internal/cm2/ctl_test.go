@@ -54,7 +54,7 @@ func compileSrc(t *testing.T, file, src string) *fe.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	omod, _ := opt.Optimize(mod, opt.Default)
+	omod, _ := opt.OptimizeObs(mod, opt.Default, nil)
 	prog, _, err := partition.Compile(omod, pe.Optimized)
 	if err != nil {
 		t.Fatal(err)

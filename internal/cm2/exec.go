@@ -4,26 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"f90y/internal/obs"
 	"f90y/internal/peac"
 	"f90y/internal/rt"
 	"f90y/internal/shape"
 )
-
-// chunkSize bounds executor memory: registers are materialized for this
-// many elements at a time. The cycle model is analytic, so the chunk size
-// has no effect on reported performance, only on simulation memory. It is
-// also the sharding grain of the parallel executor: chunk boundaries are
-// fixed by this constant, never by the worker count, which is one of the
-// two invariants that make results bit-exact under parallelism (the other
-// is that chunks cover disjoint element ranges). It is rt.Grain, the
-// same block the comm layer fills its payloads in.
-const chunkSize = rt.Grain
 
 // stream is one pointer-register binding: an array subgrid stream or a
 // coordinate subgrid.
@@ -47,7 +34,8 @@ type stream struct {
 var TestOnlyPerturb func(routine string, store *rt.Store)
 
 // ExecOpts configures one routine execution beyond the routine, shape,
-// and store themselves. The zero value is the production default: serial.
+// and store themselves. The zero value is the production default: one
+// worker.
 type ExecOpts struct {
 	// Num attaches the numeric-exception plane: destination lanes of
 	// every can-trap float op are scanned for NaN/Inf after execution.
@@ -61,20 +49,21 @@ type ExecOpts struct {
 	// subgrid that does not tile the shape exactly can never report a
 	// processing element beyond the machine.
 	PEs int
-	// Workers fans chunk execution out across a worker pool: 0 and 1
-	// run serially, n > 1 runs n workers, negative selects GOMAXPROCS.
-	// Results are bit-exact and invariant under the worker count:
-	// chunks cover disjoint element ranges, so grid-local routines
-	// execute independently per chunk, and every per-element value is
-	// computed by the identical instruction sequence regardless of
-	// which worker ran its chunk.
+	// Workers fans chunk execution out on the host's one pool
+	// (rt.Cut): 0 and 1 run one worker, n > 1 up to n, negative
+	// selects GOMAXPROCS. Results are bit-exact and invariant under the
+	// worker count: chunks cover disjoint element ranges, so grid-local
+	// routines execute independently per chunk, and every per-element
+	// value is computed by the identical instruction sequence
+	// regardless of which worker ran its chunk.
 	Workers int
-	// Rec receives pool runtime telemetry from the parallel path:
-	// per-worker busy spans (one trace track per worker), chunk spans,
-	// chunk-claim wait and chunk duration histograms, and utilization
-	// counters, all under the "execpool/" namespace. Wall-clock only —
-	// it never feeds modeled cycles, so attaching a recorder cannot
-	// perturb results. Nil (or a serial run) records nothing.
+	// Rec receives the pool's wall-clock telemetry when the dispatch
+	// fans out: per-worker busy spans (one trace track per worker),
+	// chunk spans, chunk-claim wait and chunk duration histograms, and
+	// utilization counters, all under the "execpool/" namespace
+	// (rt.Blocks.Each). It never feeds modeled cycles, so attaching a
+	// recorder cannot perturb results. Nil (or one worker) records
+	// nothing.
 	Rec obs.Recorder
 	// JIT is inert: every routine is translated on its first dispatch
 	// (jit.go). The field stays only because bench/layers names it.
@@ -83,52 +72,118 @@ type ExecOpts struct {
 
 // ExecRoutineOpts executes a PEAC routine functionally over the whole
 // shape. All PEs run the identical program over their subgrids;
-// executing over the flattened array in chunks is exact for grid-local
-// code. It is shared by every machine model built on the PEAC ISA
-// (CM/2, CM/5), and runs under a context, a numeric-exception plane
-// (when ExecOpts.Num is active, the destination lanes of every can-trap
-// float op are scanned for NaN/Inf after execution, and ExecOpts.Subgrid
-// — the per-PE element count of the dispatch layout — attributes an
-// exceptional lane to its processing element), and an optional chunk
-// worker pool (see ExecOpts). The context is honored by the parallel
-// path between chunks: a canceled context stops the fan-out and returns
-// an error wrapping rt.ErrCanceled.
+// executing over the flattened array in rt.Grain chunks is exact for
+// grid-local code. It is shared by every machine model built on the
+// PEAC ISA (CM/2, CM/5), and runs under a context, a numeric-exception
+// plane (when ExecOpts.Num is active, the destination lanes of every
+// can-trap float op are scanned for NaN/Inf after execution, and
+// ExecOpts.Subgrid — the per-PE element count of the dispatch layout —
+// attributes an exceptional lane to its processing element), and the
+// chunk pool (see ExecOpts). The context is checked between chunks: a
+// canceled context stops the dispatch with an error wrapping
+// rt.ErrCanceled.
 //
-// Error and numeric-plane semantics under parallelism are deterministic:
-// the error returned is always the one the serial executor would have
-// hit first (the failing chunk with the lowest element range wins,
-// regardless of worker completion order), and record-mode numeric
-// tallies are merged per class, so totals match a serial run exactly.
-// The only divergence a failing parallel run may exhibit is which
-// not-yet-reported chunks also executed before the pool drained — a
-// failed run's store contents are unspecified on the serial path too.
+// A dispatch binds its parameters, runs its chunks in one
+// rt.Blocks.Each, and merges its workers' numeric planes, so error and
+// numeric-plane semantics are the same at every width: the error
+// returned is the one a serial loop would hit first (the failing chunk
+// with the lowest element range), and record-mode tallies merge per
+// class into totals that match one worker's exactly. The only
+// divergence a failing run may exhibit at more than one worker is which
+// chunks above the failing one also executed — a failed run's store
+// contents are unspecified.
 func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, store *rt.Store, o ExecOpts) error {
+	d := dispatchPool.Get().(*dispatch)
+	defer d.release()
+	if err := d.bind(r, over, store, &o); err != nil {
+		return err
+	}
+	b := rt.Cut(shape.Size(over), rt.Grain, o.Workers)
+	for len(d.slots) < b.Workers {
+		s := &slot{d: d}
+		s.chunk = s.run
+		d.slots = append(d.slots, s)
+	}
+	err := b.Each(ctx, o.Rec, r.Name, d.work)
+	// Every worker's plane merges, error paths included: record-mode
+	// tallies made before a failure stand, as one worker's would.
+	for _, s := range d.slots[:b.Workers] {
+		putWorkspace(s.ws)
+		s.ws = nil
+		o.Num.Merge(s.num)
+	}
+	if err != nil {
+		return fmt.Errorf("cm2: routine %s: %w", r.Name, err)
+	}
+	if TestOnlyPerturb != nil {
+		TestOnlyPerturb(r.Name, store)
+	}
+	return nil
+}
+
+// dispatch is one ExecRoutineOpts call: the bindings every chunk reads
+// and one slot per worker. Dispatches are pooled, and work and each
+// slot's chunk are method values made once with them, so a dispatch
+// allocates no closure and, once warm, no binding slice.
+type dispatch struct {
+	r    *peac.Routine
+	prog *program // the translated form, or nil under the reference evaluator
+	// Bindings, indexed by register; a register no parameter binds keeps
+	// the zero stream (unbound) or scalar (0).
+	streams              []stream
+	scalars              []float64
+	ext, lo, strideBelow []int
+	fast                 bool // the fast path was granted
+	nregs, nbcast, lanes int  // workspace sizing, broadcast lanes
+	num                  *rt.Numeric
+	subgrid, npes        int
+	slots                []*slot
+	work                 func(w int) func(lo, hi int) error // d.worker
+}
+
+// slot is one worker's state in a dispatch: its workspace and its
+// private numeric plane, merged after the pool joins.
+type slot struct {
+	d     *dispatch
+	ws    *workspace
+	num   *rt.Numeric // &plane, or nil with the plane off
+	plane rt.Numeric
+	chunk func(lo, hi int) error // s.run
+}
+
+var dispatchPool = sync.Pool{New: func() any {
+	d := &dispatch{}
+	d.work = d.worker
+	return d
+}}
+
+// bind resolves r's parameters against store over the shape. The arrays
+// the routine stores to move to their next write generation first, so a
+// view of one of them — which the stores would change under the chunks
+// still reading it — is stale by the time it would bind.
+func (d *dispatch) bind(r *peac.Routine, over shape.Shape, store *rt.Store, o *ExecOpts) error {
 	n := shape.Size(over)
-	ext := shape.Extents(over)
-	lo := shape.Lowers(over)
+	d.r, d.num, d.subgrid, d.npes = r, o.Num, o.Subgrid, o.PEs
+	d.ext, d.lo = shape.Extents(over), shape.Lowers(over)
 
 	// The routine's one translated form, built on first dispatch — or nil
-	// when a test pinned the reference evaluator. Both share the chunk
-	// grid, the worker pool, the workspace pool, and the numeric plane.
-	var prog *program
+	// when a test pinned the reference evaluator.
 	var stored []bool // by pointer register: the body stores through it
-	nregs, nptr, nsreg := 0, 0, 0
+	nptr, nsreg := 0, 0
 	if TestOnlyEngine == EngineReference {
-		nregs, nptr, nsreg = extents(r)
+		d.nregs, nptr, nsreg = extents(r)
+		d.nbcast = 0
 		stored = r.StoredPtrs()
 	} else {
-		prog = translated(r)
-		nregs, nptr, nsreg = prog.nregs, prog.nptr, prog.nsreg
-		stored = prog.stored
+		d.prog = translated(r)
+		d.nregs, nptr, nsreg = d.prog.nregs, d.prog.nptr, d.prog.nsreg
+		d.nbcast = len(d.prog.scalarRegs)
+		stored = d.prog.stored
 	}
+	d.streams = append(d.streams[:0], make([]stream, nptr)...)
+	d.scalars = append(d.scalars[:0], make([]float64, nsreg)...)
+	d.lanes = min(n, rt.Grain)
 
-	// Bindings, indexed by register; a register no parameter binds keeps
-	// the zero stream (unbound) or scalar (0). The arrays the routine
-	// stores to move to their next write generation first, so a view of
-	// one of them — which the stores would change under the chunks still
-	// reading it — is stale by the time it would bind.
-	streams := make([]stream, nptr)
-	scalars := make([]float64, nsreg)
 	for _, p := range r.Params {
 		if arr := store.Arrays[p.Name]; p.Kind == peac.ArrayParam && arr != nil && stored[p.Reg] {
 			if arr.Data == nil {
@@ -147,194 +202,86 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 			if arr.Size() != n {
 				return fmt.Errorf("cm2: array %q size %d does not conform to shape %v", p.Name, arr.Size(), over)
 			}
-			streams[p.Reg] = stream{arr: arr}
+			d.streams[p.Reg] = stream{arr: arr}
 			if arr.Data == nil {
 				// The one place a view becomes a rotated stream.
 				src, rot, err := arr.View()
 				if err != nil {
 					return fmt.Errorf("cm2: routine %s: shift temporary %q: %w", r.Name, p.Name, err)
 				}
-				if streams[p.Reg] = (stream{arr: src, rot: rot}); rot != nil {
+				if d.streams[p.Reg] = (stream{arr: src, rot: rot}); rot != nil {
 					obs.Add(o.Rec, "exec/shift-view/bound", 1)
 				}
 			}
 		case peac.CoordParam:
-			if p.Dim < 1 || p.Dim > len(ext) {
+			if p.Dim < 1 || p.Dim > len(d.ext) {
 				return fmt.Errorf("cm2: coordinate dim %d out of range for %v", p.Dim, over)
 			}
-			streams[p.Reg] = stream{coordDim: p.Dim}
+			d.streams[p.Reg] = stream{coordDim: p.Dim}
 		case peac.ScalarParam:
 			v, ok := store.Scalars[p.Name]
 			if !ok {
 				return fmt.Errorf("cm2: routine %s references undefined scalar %q", r.Name, p.Name)
 			}
-			scalars[p.Reg] = v
+			d.scalars[p.Reg] = v
 		case peac.ConstParam:
-			scalars[p.Reg] = p.Value
+			d.scalars[p.Reg] = p.Value
 		}
 	}
 
 	// Coordinate strides (column-major).
-	strideBelow := make([]int, len(ext))
+	d.strideBelow = d.strideBelow[:0]
 	s := 1
-	for d := range ext {
-		strideBelow[d] = s
-		s *= ext[d]
-	}
-
-	nchunks := (n + chunkSize - 1) / chunkSize
-	workers := o.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nchunks {
-		workers = nchunks
+	for _, e := range d.ext {
+		d.strideBelow = append(d.strideBelow, s)
+		s *= e
 	}
 
 	// The fast path is granted or refused once per dispatch, over these
 	// bindings; a refusal is counted under its reason.
-	fast, nbcast := false, 0
-	if prog != nil {
-		nbcast = len(prog.scalarRegs)
-		if prog.hasFast {
-			refused := prog.refusal(streams, o.Num)
-			if fast = refused == ""; !fast {
-				obs.Add(o.Rec, "exec/fastpath-refused/"+refused, 1)
-			}
+	d.fast = false
+	if d.prog != nil && d.prog.hasFast {
+		refused := d.prog.refusal(d.streams, o.Num)
+		if d.fast = refused == ""; !d.fast {
+			obs.Add(o.Rec, "exec/fastpath-refused/"+refused, 1)
 		}
-	}
-	setup := func(ws *workspace) {
-		if prog != nil {
-			prog.bindScalars(ws, scalars, min(n, chunkSize))
-		}
-	}
-	runChunk := func(ws *workspace, start, w int, num *rt.Numeric) error {
-		if prog != nil {
-			e := env{p: prog, ws: ws, streams: streams, fast: fast, start: start, w: w,
-				ext: ext, lo: lo, strideBelow: strideBelow,
-				num: num, subgrid: o.Subgrid, npes: o.PEs}
-			return prog.execChunk(&e)
-		}
-		return refChunk(r, ws, streams, scalars, start, w, ext, lo, strideBelow, num, o.Subgrid, o.PEs)
-	}
-
-	if workers <= 1 {
-		ws := getWorkspace(nregs, r.SpillSlots, nbcast)
-		defer putWorkspace(ws)
-		setup(ws)
-		for start := 0; start < n; start += chunkSize {
-			w := min(chunkSize, n-start)
-			if err := runChunk(ws, start, w, o.Num); err != nil {
-				return fmt.Errorf("cm2: routine %s: %w", r.Name, err)
-			}
-		}
-		if TestOnlyPerturb != nil {
-			TestOnlyPerturb(r.Name, store)
-		}
-		return nil
-	}
-
-	// Parallel fan-out. Chunks are claimed off a monotone counter, so by
-	// the time chunk k is claimed every chunk below k has been claimed
-	// too; a failing chunk cancels further claims but already-claimed
-	// chunks run to completion. Together these guarantee that the
-	// lowest-indexed error is always discovered, which is exactly the
-	// error the serial loop would have returned.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next   atomic.Int64
-		done   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	errs := make([]error, nchunks)
-	nums := make([]*rt.Numeric, workers)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			ws := getWorkspace(nregs, r.SpillSlots, nbcast)
-			defer putWorkspace(ws)
-			setup(ws)
-			// Each worker tallies (or traps) into a private plane;
-			// record-mode counts merge after the pool drains.
-			var wnum *rt.Numeric
-			if o.Num != nil {
-				wnum = &rt.Numeric{Mode: o.Num.Mode}
-				nums[wk] = wnum
-			}
-			// Pool telemetry: each worker records on its own track, so
-			// the Chrome trace shows one lane per worker with the busy
-			// span and the chunk spans inside it. All of it is gated on
-			// o.Rec so the plain hot path runs unchanged.
-			track := wk + 1
-			if o.Rec != nil {
-				obs.Add(o.Rec, "execpool/workers", 1)
-				busy := obs.StartTrack(o.Rec, "worker/"+r.Name, track)
-				defer busy.End()
-			}
-			for cctx.Err() == nil {
-				var claim time.Time
-				if o.Rec != nil {
-					claim = time.Now()
-				}
-				idx := int(next.Add(1)) - 1
-				if idx >= nchunks {
-					return
-				}
-				start := idx * chunkSize
-				w := min(chunkSize, n-start)
-				var sp obs.Span
-				var t0 time.Time
-				if o.Rec != nil {
-					t0 = time.Now()
-					obs.Observe(o.Rec, "execpool/chunk-claim-wait-ns", float64(t0.Sub(claim).Nanoseconds()))
-					sp = obs.StartTrack(o.Rec, "chunk/"+r.Name, track)
-				}
-				err := runChunk(ws, start, w, wnum)
-				if o.Rec != nil {
-					sp.End()
-					obs.Observe(o.Rec, "execpool/chunk-ns", float64(time.Since(t0).Nanoseconds()))
-					obs.Add(o.Rec, "execpool/chunks", 1)
-					obs.Add(o.Rec, "execpool/elements", float64(w))
-				}
-				if err != nil {
-					errs[idx] = err
-					failed.Store(true)
-					cancel()
-					return
-				}
-				done.Add(1)
-			}
-		}(wk)
-	}
-	wg.Wait()
-
-	// Merge the per-worker numeric planes before ANY exit, error paths
-	// included: the serial loop tallies record-mode counts straight into
-	// o.Num before returning its error, so a failing parallel run must
-	// surface the tallies its workers accumulated too, not drop them.
-	if o.Num != nil {
-		for _, wn := range nums {
-			o.Num.Merge(wn)
-		}
-	}
-	if failed.Load() {
-		for _, err := range errs {
-			if err != nil {
-				return fmt.Errorf("cm2: routine %s: %w", r.Name, err)
-			}
-		}
-	}
-	if int(done.Load()) < nchunks {
-		// No chunk failed but not all ran: the caller's context ended.
-		return fmt.Errorf("cm2: routine %s: %w", r.Name, rt.Canceled(ctx))
-	}
-	if TestOnlyPerturb != nil {
-		TestOnlyPerturb(r.Name, store)
 	}
 	return nil
+}
+
+// worker readies slot w for the pool: a workspace with the scalar
+// broadcasts filled and a fresh numeric plane.
+func (d *dispatch) worker(w int) func(lo, hi int) error {
+	s := d.slots[w]
+	s.ws = getWorkspace(d.nregs, d.r.SpillSlots, d.nbcast)
+	if d.prog != nil {
+		d.prog.bindScalars(s.ws, d.scalars, d.lanes)
+	}
+	s.num = nil
+	if d.num != nil {
+		s.plane = rt.Numeric{Mode: d.num.Mode}
+		s.num = &s.plane
+	}
+	return s.chunk
+}
+
+// run executes elements [lo, hi) on slot s's worker.
+func (s *slot) run(lo, hi int) error {
+	d := s.d
+	if d.prog != nil {
+		e := env{p: d.prog, ws: s.ws, streams: d.streams, fast: d.fast, start: lo, w: hi - lo,
+			ext: d.ext, lo: d.lo, strideBelow: d.strideBelow,
+			num: s.num, subgrid: d.subgrid, npes: d.npes}
+		return d.prog.execChunk(&e)
+	}
+	return refChunk(d.r, s.ws, d.streams, d.scalars, lo, hi-lo, d.ext, d.lo, d.strideBelow, s.num, d.subgrid, d.npes)
+}
+
+// release drops what the dispatch referenced and returns it to the pool.
+func (d *dispatch) release() {
+	clear(d.streams)
+	d.r, d.prog, d.num = nil, nil, nil
+	dispatchPool.Put(d)
 }
 
 // workspace is one executor worker's private mutable state: the
@@ -377,17 +324,17 @@ var wsPool = sync.Pool{New: func() any { return &workspace{} }}
 func getWorkspace(nregs, nslots, nbcast int) *workspace {
 	ws := wsPool.Get().(*workspace)
 	for len(ws.regs) < nregs {
-		ws.regs = append(ws.regs, make([]float64, chunkSize))
+		ws.regs = append(ws.regs, make([]float64, rt.Grain))
 	}
 	for len(ws.slots) < nslots {
-		ws.slots = append(ws.slots, make([]float64, chunkSize))
+		ws.slots = append(ws.slots, make([]float64, rt.Grain))
 	}
 	for len(ws.bcast) < nbcast {
-		ws.bcast = append(ws.bcast, make([]float64, chunkSize))
+		ws.bcast = append(ws.bcast, make([]float64, rt.Grain))
 	}
 	for i := range ws.mem {
 		if ws.mem[i] == nil {
-			ws.mem[i] = make([]float64, chunkSize)
+			ws.mem[i] = make([]float64, rt.Grain)
 		}
 	}
 	return ws

@@ -104,11 +104,11 @@ func differential(t *testing.T, label string, r *peac.Routine, n int, mk func() 
 }
 
 // TestExecJITChunkBoundaries drives every engine selection across the
-// chunk-boundary cases (n = 1, chunkSize-1, chunkSize, chunkSize+1, plus
+// chunk-boundary cases (n = 1, rt.Grain-1, rt.Grain, rt.Grain+1, plus
 // a many-chunk count) and worker counts, asserting bit-exact agreement
 // with the serial reference evaluator.
 func TestExecJITChunkBoundaries(t *testing.T) {
-	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
+	for _, n := range []int{1, rt.Grain - 1, rt.Grain, rt.Grain + 1, 3*rt.Grain + 5} {
 		differential(t, fmt.Sprintf("n=%d", n), chunkRoutine(), n, func() *rt.Store { return chunkStore(n) },
 			[]int{1, 2, 8, -1}, "d")
 	}
@@ -173,7 +173,7 @@ func TestExecJITChainedMemPositions(t *testing.T) {
 			arrs: []string{"a", "b", "d"},
 		},
 	}
-	const n = 2*chunkSize + 9
+	const n = 2*rt.Grain + 9
 	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":
@@ -336,11 +336,11 @@ func TestExecJITTrapIdentical(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(2), D: peac.M(4)},
 		},
 	}
-	n := 3 * chunkSize
+	n := 3 * rt.Grain
 	mk := func() *rt.Store {
 		return parStore(n, []string{"a", "b", "d"}, func(name string, i int) float64 {
 			if name == "b" {
-				if i == chunkSize+55 || i == 2*chunkSize+3 {
+				if i == rt.Grain+55 || i == 2*rt.Grain+3 {
 					return 0
 				}
 				return 2
@@ -388,7 +388,7 @@ func TestExecJITNumericRecordParity(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(2), D: peac.M(4)},
 		},
 	}
-	n := 2*chunkSize + 77
+	n := 2*rt.Grain + 77
 	mk := func() *rt.Store {
 		return parStore(n, []string{"a", "b", "d"}, func(name string, i int) float64 {
 			switch name {
@@ -451,7 +451,7 @@ func TestExecJITRecordMergeOnFailure(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(2), D: peac.M(4)},
 		},
 	}
-	n := 3*chunkSize + 17
+	n := 3*rt.Grain + 17
 	mk := func() *rt.Store {
 		return parStore(n, []string{"a", "b", "c", "d"}, func(name string, i int) float64 {
 			switch name {
@@ -563,7 +563,7 @@ func fuseRoutine(op1, op2 peac.Opcode, accLeft bool) *peac.Routine {
 // store is bit-identical to the reference evaluator, serial and parallel.
 func TestExecJITFusedPairs(t *testing.T) {
 	ops := []peac.Opcode{peac.FADDV, peac.FSUBV, peac.FMULV, peac.FDIVV}
-	const n = chunkSize + 601
+	const n = rt.Grain + 601
 	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":
@@ -604,7 +604,7 @@ func TestExecJITSinkAliasing(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(0), D: peac.M(4)},
 		},
 	}
-	const n = 2*chunkSize + 31
+	const n = 2*rt.Grain + 31
 	fill := func(name string, i int) float64 {
 		if name == "a" {
 			return float64(i%19) + 0.5
@@ -635,7 +635,7 @@ func TestExecJITFusionLiveness(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(1), D: peac.M(5)},
 		},
 	}
-	const n = chunkSize + 77
+	const n = rt.Grain + 77
 	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":
@@ -655,7 +655,7 @@ func TestExecJITFusionLiveness(t *testing.T) {
 // store) must match the reference evaluator exactly.
 func TestExecJITFusedNumericRecord(t *testing.T) {
 	r := fuseRoutine(peac.FDIVV, peac.FMULV, true)
-	const n = chunkSize + 99
+	const n = rt.Grain + 99
 	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":

@@ -223,7 +223,7 @@ func chunkStore(n int) *rt.Store {
 // to the serial run.
 func TestExecParallelChunkBoundaries(t *testing.T) {
 	r := chunkRoutine()
-	for _, n := range []int{1, 7, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
+	for _, n := range []int{1, 7, rt.Grain - 1, rt.Grain, rt.Grain + 1, 3*rt.Grain + 5} {
 		ref := chunkStore(n)
 		if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), ref, ExecOpts{Workers: 1}); err != nil {
 			t.Fatalf("n=%d serial: %v", n, err)
@@ -262,7 +262,7 @@ func TestExecParallelNumericRecordMerge(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(2), D: peac.M(4)},
 		},
 	}
-	n := 2*chunkSize + 100
+	n := 2*rt.Grain + 100
 	mk := func() *rt.Store {
 		return parStore(n, []string{"a", "b", "d"}, func(name string, i int) float64 {
 			switch name {
@@ -329,12 +329,12 @@ func TestExecParallelTrapLowestElement(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(2), D: peac.M(4)},
 		},
 	}
-	n := 4 * chunkSize
+	n := 4 * rt.Grain
 	mk := func() *rt.Store {
 		return parStore(n, []string{"a", "b", "d"}, func(name string, i int) float64 {
 			if name == "b" {
 				// Zeros (-> Inf) in chunk 1 and chunk 3.
-				if i == chunkSize+123 || i == 3*chunkSize+7 {
+				if i == rt.Grain+123 || i == 3*rt.Grain+7 {
 					return 0
 				}
 				return 2
@@ -350,7 +350,7 @@ func TestExecParallelTrapLowestElement(t *testing.T) {
 	if ref == nil || !errors.Is(ref, rt.ErrNumeric) {
 		t.Fatalf("serial trap error = %v, want rt.ErrNumeric", ref)
 	}
-	wantElem := "element " + itoaTest(chunkSize+123)
+	wantElem := "element " + itoaTest(rt.Grain+123)
 	if !strings.Contains(ref.Error(), wantElem) {
 		t.Fatalf("serial trap error %q does not name the lowest exceptional %s", ref, wantElem)
 	}
@@ -362,16 +362,19 @@ func TestExecParallelTrapLowestElement(t *testing.T) {
 	}
 }
 
-// TestExecParallelCanceled asserts a canceled context stops the fan-out
-// with an error wrapping rt.ErrCanceled.
+// TestExecParallelCanceled asserts a canceled context stops a dispatch
+// with an error wrapping rt.ErrCanceled at every width, one worker
+// included.
 func TestExecParallelCanceled(t *testing.T) {
 	r := chunkRoutine()
-	n := 2 * chunkSize
+	n := 2 * rt.Grain
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ExecRoutineOpts(ctx, r, shape.Of(n), chunkStore(n), ExecOpts{Workers: 2})
-	if !errors.Is(err, rt.ErrCanceled) {
-		t.Fatalf("err = %v, want rt.ErrCanceled", err)
+	for _, workers := range []int{0, 1, 2, 8} {
+		err := ExecRoutineOpts(ctx, r, shape.Of(n), chunkStore(n), ExecOpts{Workers: workers})
+		if !errors.Is(err, rt.ErrCanceled) {
+			t.Errorf("workers=%d: err = %v, want rt.ErrCanceled", workers, err)
+		}
 	}
 }
 

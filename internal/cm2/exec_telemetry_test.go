@@ -37,9 +37,9 @@ func modeledCounters(col *obs.Collector) map[string]float64 {
 }
 
 func TestConcurrentExecPoolTelemetry(t *testing.T) {
-	// The grid must exceed the executor's chunk size (4096 elements) or
-	// the pool clamps to one worker and the parallel path never runs:
-	// 96x96 = 9216 elements = 3 chunks.
+	// The grid must span two executor chunks (2 × 4096 elements) or the
+	// pool runs one worker and records nothing: 96x96 = 9216 elements =
+	// 3 chunks.
 	src := workload.SWE(96, 2)
 	comp, err := f90y.Compile("swe.f90", src, f90y.DefaultConfig())
 	if err != nil {
@@ -118,7 +118,7 @@ func TestConcurrentExecPoolTelemetry(t *testing.T) {
 		// The pool itself reported: workers joined, chunks were claimed,
 		// and the chunk histograms saw one sample per claimed chunk. A
 		// negative count resolves to GOMAXPROCS, which on a single-CPU
-		// host is the serial path — no pool, no pool telemetry.
+		// host is one worker — no fan-out, no pool telemetry.
 		effective := workers
 		if effective < 0 {
 			effective = runtime.GOMAXPROCS(0)

@@ -144,18 +144,18 @@ func TestExecTierScalarLanes(t *testing.T) {
 	ws := getWorkspace(peac.NumVRegs, 0, 1)
 	scalars := make([]float64, wide.nsreg)
 	scalars[16] = 7
-	wide.bindScalars(ws, scalars, chunkSize)
+	wide.bindScalars(ws, scalars, rt.Grain)
 	scalars[16] = 3
 	narrow.bindScalars(ws, scalars, 256)
-	if b := ws.bcast[0]; b[0] != 3 || b[255] != 3 || b[256] != 7 || b[chunkSize-1] != 7 {
-		t.Errorf("broadcast lanes 0, 255, 256, 4095 = %v %v %v %v, want 3 3 7 7", b[0], b[255], b[256], b[chunkSize-1])
+	if b := ws.bcast[0]; b[0] != 3 || b[255] != 3 || b[256] != 7 || b[rt.Grain-1] != 7 {
+		t.Errorf("broadcast lanes 0, 255, 256, 4095 = %v %v %v %v, want 3 3 7 7", b[0], b[255], b[256], b[rt.Grain-1])
 	}
 	putWorkspace(ws)
 
 	// End to end through the pool: whichever workspace the narrow dispatch
 	// draws, every lane it reads carries its own scalar.
-	st := parStore(chunkSize, []string{"a", "d"}, ramp)
-	if err := execEngine(EngineTranslated, scaled("Pwide", 7), chunkSize, st, ExecOpts{}); err != nil {
+	st := parStore(rt.Grain, []string{"a", "d"}, ramp)
+	if err := execEngine(EngineTranslated, scaled("Pwide", 7), rt.Grain, st, ExecOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	st = parStore(256, []string{"a", "d"}, ramp)
@@ -176,7 +176,7 @@ func TestExecTierScalarLanes(t *testing.T) {
 // whatever each ran, every store must equal the serial reference bit for
 // bit. Run under -race by `make race`.
 func TestExecTierConcurrentFirstDispatch(t *testing.T) {
-	for _, n := range []int{300, chunkSize + 300} {
+	for _, n := range []int{300, rt.Grain + 300} {
 		mk := func() *rt.Store {
 			return parStore(n, []string{"a", "b", "d"}, func(name string, i int) float64 {
 				return float64(i%11) + 0.5

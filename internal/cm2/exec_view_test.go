@@ -156,7 +156,7 @@ func TestExecViewDifferential(t *testing.T) {
 						t.Fatalf("%s: %s workers=%d dispatch %d: %v", label, sel.name, w, pass, err)
 					}
 					sameBits(t, fmt.Sprintf("%s: %s workers=%d", label, sel.name, w), st, want, "d", "e")
-					if got := col.Counter("exec/shift-view/bound"); got != 3 {
+					if got := col.Counters()["exec/shift-view/bound"]; got != 3 {
 						t.Fatalf("%s: %v views bound, want 3", label, got)
 					}
 					if len(st.Materialized) != 0 {

@@ -513,7 +513,7 @@ func (p *program) refusal(streams []stream, num *rt.Numeric) string {
 // bindScalars fills the first lanes lanes of the workspace's broadcast
 // buffers from the dispatch's scalar registers: one fill per worker per
 // dispatch, after which every scalar operand is an ordinary lane vector.
-// lanes is the widest chunk window the dispatch has (min(n, chunkSize)):
+// lanes is the widest chunk window the dispatch has (min(n, rt.Grain)):
 // steps never read past their window, so a 256-element dispatch fills
 // 256 lanes, not 4,096. An unbound scalar register broadcasts 0.
 func (p *program) bindScalars(ws *workspace, scalars []float64, lanes int) {
@@ -554,7 +554,7 @@ func (e *env) loaded(r ref) bool {
 }
 
 // zeroLanes is what a NoOperand source reads.
-var zeroLanes = make([]float64, chunkSize)
+var zeroLanes = make([]float64, rt.Grain)
 
 // lanes resolves an operand to its lane slice for the current window;
 // pos selects the fetch buffer a coordinate stream materializes into

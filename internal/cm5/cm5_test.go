@@ -20,7 +20,7 @@ func TestSameFrontEndBothTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	omod, _ := opt.Optimize(mod, opt.Default)
+	omod, _ := opt.OptimizeObs(mod, opt.Default, nil)
 	prog, _, err := partition.Compile(omod, pe.Optimized)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestCM5ThreeWaySplitAccounting(t *testing.T) {
 	src := workload.SWE(32, 2)
 	tree, _ := parser.Parse("swe.f90", src)
 	mod, _ := lower.Lower(tree)
-	omod, _ := opt.Optimize(mod, opt.Default)
+	omod, _ := opt.OptimizeObs(mod, opt.Default, nil)
 	prog, _, _ := partition.Compile(omod, pe.Optimized)
 	res, err := Default().RunCtx(context.Background(), prog, nil, nil)
 	if err != nil {
@@ -74,7 +74,7 @@ func TestCM5OutperformsCM2(t *testing.T) {
 	src := workload.SWE(128, 2)
 	tree, _ := parser.Parse("swe.f90", src)
 	mod, _ := lower.Lower(tree)
-	omod, _ := opt.Optimize(mod, opt.Default)
+	omod, _ := opt.OptimizeObs(mod, opt.Default, nil)
 	prog, _, _ := partition.Compile(omod, pe.Optimized)
 
 	r2, err := cm2.Default().RunCtx(context.Background(), prog, nil, nil, nil)

@@ -25,7 +25,7 @@ func TestCountOpsWalksNesting(t *testing.T) {
 					},
 				},
 			},
-			DoSerial{S: shape.SerialOf(4), Body: []Op{
+			DoSerial{S: shape.Interval{Lo: 1, Hi: 4, Serial: true}, Body: []Op{
 				Print{Args: []nir.Value{nir.StrConst{S: "hi"}}},
 			}},
 		},

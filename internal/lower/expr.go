@@ -266,17 +266,18 @@ func (lw *lowerer) lowerSection(e *ast.Index, sym *Symbol) (nir.Section, shape.S
 			continue
 		}
 		clo, chi, cstep := lo, hi, 1
+		okLo, okHi, okStep := true, true, true
 		if s.Lo != nil {
-			clo, _ = lw.evalConstInt(s.Lo, "section lower bound")
+			clo, okLo = lw.evalConstInt(s.Lo, "section lower bound")
 		}
 		if s.Hi != nil {
-			chi, _ = lw.evalConstInt(s.Hi, "section upper bound")
+			chi, okHi = lw.evalConstInt(s.Hi, "section upper bound")
 		}
 		if s.Step != nil {
-			cstep, _ = lw.evalConstInt(s.Step, "section stride")
-			if cstep == 0 {
+			cstep, okStep = lw.evalConstInt(s.Step, "section stride")
+			if okStep && cstep == 0 {
 				lw.rep.Errorf("shapecheck", e.Pos, "zero section stride")
-				cstep = 1
+				cstep, okStep = 1, false
 			}
 		}
 		count := 0
@@ -285,9 +286,23 @@ func (lw *lowerer) lowerSection(e *ast.Index, sym *Symbol) (nir.Section, shape.S
 		} else if cstep < 0 && chi <= clo {
 			count = (clo-chi)/(-cstep) + 1
 		}
-		if count <= 0 {
+		switch {
+		case !okLo || !okHi || !okStep:
+			// The bound that is not constant, or the zero stride, has
+			// its own error.
+			count = max(count, 1)
+		case count <= 0:
 			lw.rep.Errorf("shapecheck", e.Pos, "empty section %d:%d:%d of %q", clo, chi, cstep, e.Name)
 			count = 1
+		default:
+			// The first and last selected elements bound the rest.
+			for _, x := range [2]int{clo, clo + (count-1)*cstep} {
+				if x < lo || x > hi {
+					lw.rep.Errorf("shapecheck", e.Pos, "section %d:%d:%d of %q: subscript %d out of bounds %d:%d in dimension %d",
+						clo, chi, cstep, e.Name, x, lo, hi, i+1)
+					break
+				}
+			}
 		}
 		t := nir.Triplet{Lo: nir.IntConst(int64(clo)), Hi: nir.IntConst(int64(chi))}
 		if cstep != 1 {

@@ -92,6 +92,9 @@ func (lw *lowerer) lowerDecls(decls []*ast.Decl) []nir.Imp {
 			} else {
 				sym.Shape = shape.Prod{Dims: dims}
 			}
+			if _, ok := shape.SizeOK(sym.Shape); !ok {
+				lw.rep.Errorf("lower", d.Pos, "array %q has more elements than an int can count", d.Name)
+			}
 			sym.Lowers = lowers
 			sym.Type = nir.DField{Shape: sym.Shape, Elem: nir.Scalar{Kind: kind}}
 		}

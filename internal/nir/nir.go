@@ -70,35 +70,6 @@ func (d DField) String() string {
 	return fmt.Sprintf("dfield{shape=%s, element=%s}", d.Shape, d.Elem)
 }
 
-// Elemental returns the scalar kind at the bottom of a (possibly nested)
-// dfield type.
-func Elemental(t Type) ScalarKind {
-	for {
-		switch tt := t.(type) {
-		case Scalar:
-			return tt.Kind
-		case DField:
-			t = tt.Elem
-		default:
-			panic("nir: unknown type")
-		}
-	}
-}
-
-// IsField reports whether t is a dfield.
-func IsField(t Type) bool {
-	_, ok := t.(DField)
-	return ok
-}
-
-// FieldShape returns the shape of a dfield type, or nil for scalars.
-func FieldShape(t Type) shape.Shape {
-	if d, ok := t.(DField); ok {
-		return d.Shape
-	}
-	return nil
-}
-
 // ---- Declaration domain (D) ----
 
 // Decl is a member of the NIR declaration domain.

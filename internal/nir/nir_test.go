@@ -321,7 +321,7 @@ func TestWalkImpsVisitsEverything(t *testing.T) {
 	inner := Move{Moves: []GuardedMove{{Mask: True, Src: IntConst(1), Tgt: SVar{Name: "x"}}}}
 	prog := Program{Body: WithDomain{Name: "a", Shape: shape.Of(4),
 		Body: WithDecl{Decl: DeclVar{Name: "x", Type: Scalar{Kind: Integer32}},
-			Body: Do{S: shape.SerialOf(4), Body: Concurrently{List: []Imp{inner, While{Cond: True, Body: Skip{}}}}}}}}
+			Body: Do{S: shape.Interval{Lo: 1, Hi: 4, Serial: true}, Body: Concurrently{List: []Imp{inner, While{Cond: True, Body: Skip{}}}}}}}}
 	count := 0
 	WalkImps(prog, func(Imp) { count++ })
 	// Program, WithDomain, WithDecl, Do, Concurrently, Move, While, Skip.
@@ -351,4 +351,33 @@ func TestNamesSetAlgebra(t *testing.T) {
 	if !s.Intersects(Names{"b", "m"}) || s.Intersects(Names{"b", "n", "z"}) || s.Intersects(nil) {
 		t.Fatal("Intersects wrong")
 	}
+}
+
+// Elemental returns the scalar kind at the bottom of a (possibly nested)
+// dfield type.
+func Elemental(t Type) ScalarKind {
+	for {
+		switch tt := t.(type) {
+		case Scalar:
+			return tt.Kind
+		case DField:
+			t = tt.Elem
+		default:
+			panic("nir: unknown type")
+		}
+	}
+}
+
+// IsField reports whether t is a dfield.
+func IsField(t Type) bool {
+	_, ok := t.(DField)
+	return ok
+}
+
+// FieldShape returns the shape of a dfield type, or nil for scalars.
+func FieldShape(t Type) shape.Shape {
+	if d, ok := t.(DField); ok {
+		return d.Shape
+	}
+	return nil
 }

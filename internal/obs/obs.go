@@ -329,13 +329,6 @@ func (c *Collector) Counters() map[string]float64 {
 	return out
 }
 
-// Counter returns one counter's value (zero if never incremented).
-func (c *Collector) Counter(name string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters[name]
-}
-
 // Histograms returns a copy of the histogram map.
 func (c *Collector) Histograms() map[string]*Hist {
 	c.mu.Lock()

@@ -55,13 +55,13 @@ func TestCountersAccumulate(t *testing.T) {
 	c.Add("a", 2)
 	c.Add("a", 3)
 	c.Add("b", -1)
-	if got := c.Counter("a"); got != 5 {
+	if got := c.Counters()["a"]; got != 5 {
 		t.Errorf("a = %v, want 5", got)
 	}
-	if got := c.Counter("b"); got != -1 {
+	if got := c.Counters()["b"]; got != -1 {
 		t.Errorf("b = %v, want -1", got)
 	}
-	if got := c.Counter("missing"); got != 0 {
+	if got := c.Counters()["missing"]; got != 0 {
 		t.Errorf("missing = %v, want 0", got)
 	}
 }

@@ -327,14 +327,3 @@ func Phases(a nir.Imp, syms *lower.SymTab) []Class {
 	}
 	return out
 }
-
-// CountClass counts phases of one class.
-func CountClass(phases []Class, c Class) int {
-	n := 0
-	for _, p := range phases {
-		if p == c {
-			n++
-		}
-	}
-	return n
-}

@@ -151,7 +151,7 @@ b = a`)
 		t.Fatalf("before: %v", before)
 	}
 
-	out, stats := Optimize(mod, Default)
+	out, stats := OptimizeObs(mod, Default, nil)
 	after := Phases(out.Body, out.Syms)
 	// One fused computation block, the serial DO, and the DO index's
 	// final store.
@@ -179,7 +179,7 @@ b(1:32:2,:) = a(1:32:2,:)
 c = n + 1
 b(2:32:2,:) = 5*a(2:32:2,:)`)
 	mod := mustModule(t, src)
-	out, stats := Optimize(mod, Default)
+	out, stats := OptimizeObs(mod, Default, nil)
 	acts := topActions(out.Body)
 	if len(acts) != 2 {
 		t.Fatalf("phases = %d:\n%s", len(acts), nir.Print(out.Body))
@@ -208,7 +208,7 @@ func TestBlockingRespectsDependences(t *testing.T) {
 	// Pointwise fusion IS legal here (same shape): check it happens.
 	src := wrap("integer x(8), y(8)\ny = x\nx = 2*y")
 	mod := mustModule(t, src)
-	out, _ := Optimize(mod, Default)
+	out, _ := OptimizeObs(mod, Default, nil)
 	acts := topActions(out.Body)
 	if len(acts) != 1 {
 		t.Fatalf("pointwise RAW should fuse: %d phases", len(acts))
@@ -221,7 +221,7 @@ y = x
 z = cshift(y, 1)
 x = z + 1`)
 	mod2 := mustModule(t, src2)
-	out2, _ := Optimize(mod2, Default)
+	out2, _ := OptimizeObs(mod2, Default, nil)
 	phases := Phases(out2.Body, out2.Syms)
 	if CountClass(phases, Compute) != 2 || CountClass(phases, Comm) != 1 {
 		t.Fatalf("phases = %v", phases)
@@ -237,7 +237,7 @@ y = x + 1
 w = cshift(z, 1)
 x = y*2`)
 	mod := mustModule(t, src)
-	out, stats := Optimize(mod, Default)
+	out, stats := OptimizeObs(mod, Default, nil)
 	if stats.FusedMoves != 2 {
 		t.Fatalf("fused = %d\n%s", stats.FusedMoves, nir.Print(out.Body))
 	}
@@ -258,7 +258,7 @@ func TestCommHoistingClustersSWEPattern(t *testing.T) {
 c = cshift(a, 1)*0.5
 d = cshift(b, 1)*0.5 + c`)
 	mod := mustModule(t, src)
-	out, _ := Optimize(mod, Default)
+	out, _ := OptimizeObs(mod, Default, nil)
 	phases := Phases(out.Body, out.Syms)
 	if CountClass(phases, Compute) != 1 || CountClass(phases, Comm) != 2 {
 		t.Fatalf("phases = %v\n%s", phases, nir.Print(out.Body))
@@ -279,7 +279,7 @@ do it = 1, 10
   v = v*2.0
 end do`)
 	mod := mustModule(t, src)
-	out, stats := Optimize(mod, Default)
+	out, stats := OptimizeObs(mod, Default, nil)
 	if stats.FusedMoves != 1 {
 		t.Fatalf("fused inside loop = %d", stats.FusedMoves)
 	}
@@ -292,7 +292,7 @@ end do`)
 func TestDifferentShapesDoNotFuse(t *testing.T) {
 	src := wrap("integer a(8)\ninteger b(16)\na = 1\nb = 2")
 	mod := mustModule(t, src)
-	out, stats := Optimize(mod, Default)
+	out, stats := OptimizeObs(mod, Default, nil)
 	if stats.FusedMoves != 0 {
 		t.Fatal("incongruent shapes fused")
 	}
@@ -307,7 +307,7 @@ func TestOptimizeWithBlockingDisabled(t *testing.T) {
 a = 1
 b = 2*a`)
 	mod := mustModule(t, src)
-	out, stats := Optimize(mod, Options{PadSections: true})
+	out, stats := OptimizeObs(mod, Options{PadSections: true}, nil)
 	if stats.FusedMoves != 0 {
 		t.Fatal("blocking ran while disabled")
 	}
@@ -319,7 +319,7 @@ b = 2*a`)
 func TestOptimizePreservesWrapper(t *testing.T) {
 	src := wrap("integer a(8), b(8)\na = 1\nb = a")
 	mod := mustModule(t, src)
-	out, _ := Optimize(mod, Default)
+	out, _ := OptimizeObs(mod, Default, nil)
 	text := nir.Print(out.Prog)
 	if !strings.Contains(text, "PROGRAM(") || !strings.Contains(text, "WITH_DECL") {
 		t.Fatalf("wrapper lost:\n%s", text)
@@ -358,7 +358,7 @@ do j = 1, 8
   d(j) = b(j,j)
 end do`)
 	mod := mustModule(t, src)
-	out, stats := Optimize(mod, Default)
+	out, stats := OptimizeObs(mod, Default, nil)
 	if stats.FusedLoops != 1 {
 		t.Fatalf("fused loops = %d\n%s", stats.FusedLoops, nir.Print(out.Body))
 	}
@@ -384,7 +384,7 @@ do j = 1, 8
   d(j) = c(9-j)
 end do`)
 	mod := mustModule(t, src)
-	_, stats := Optimize(mod, Default)
+	_, stats := OptimizeObs(mod, Default, nil)
 	if stats.FusedLoops != 0 {
 		t.Fatalf("dependent loops fused")
 	}
@@ -400,7 +400,7 @@ do j = 1, 4
   d(j) = j
 end do`)
 	mod := mustModule(t, src)
-	_, stats := Optimize(mod, Default)
+	_, stats := OptimizeObs(mod, Default, nil)
 	if stats.FusedLoops != 0 {
 		t.Fatalf("different-bounds loops fused")
 	}
@@ -433,4 +433,21 @@ where (a > 0.5) b = 0.5*a`))
 	if got, want := o.cls.Calls-calls, 101*len(acts); got != want {
 		t.Errorf("%d classification walks, want %d: a carried verdict must not walk again", got, want)
 	}
+}
+
+// CountClass counts phases of one class.
+func CountClass(phases []Class, c Class) int {
+	n := 0
+	for _, p := range phases {
+		if p == c {
+			n++
+		}
+	}
+	return n
+}
+
+// PadMove classifies m and pads it (padMove).
+func (c *Classifier) PadMove(m nir.Move) (nir.Move, bool) {
+	v, sec := c.classifyMove(m)
+	return padMove(m, v, sec)
 }

@@ -5,22 +5,17 @@ import (
 	"f90y/internal/shape"
 )
 
-// PadMove rewrites an aligned section move into a full-shape masked move
+// padMove rewrites an aligned section move into a full-shape masked move
 // (Fig. 10): the compiler "pads computations over array subsections to
 // full-array operations, increasing the pool of sibling computations which
 // could be implemented in the same computation block". The generated mask
 // tests the local coordinate matrix against the section's bounds and
-// stride (the BINARY(Equals, BINARY(Mod, ...)) encoding of Fig. 10).
+// stride (the BINARY(Equals, BINARY(Mod, ...)) encoding of Fig. 10). The
+// move's classification walk (classifyMove) has already described it.
 //
-// PadMove returns the padded move and true, or the original move and
+// padMove returns the padded move and true, or the original move and
 // false when padding does not apply (not a compute move, no sections,
 // negative strides, or rank-reducing subscripts).
-func (c *Classifier) PadMove(m nir.Move) (nir.Move, bool) {
-	v, sec := c.classifyMove(m)
-	return padMove(m, v, sec)
-}
-
-// padMove pads a move its classification walk has already described.
 func padMove(m nir.Move, v Verdict, secs sections) (nir.Move, bool) {
 	if v.Class != Compute || !secs.found {
 		return m, false

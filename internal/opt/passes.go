@@ -30,16 +30,10 @@ func passes(opts Options) []Pass {
 	return out
 }
 
-// Optimize runs the NIR transformation stage over a module, returning
+// OptimizeObs runs the NIR transformation stage over a module, returning
 // the rewritten module (Body and Prog replaced) and statistics. The
-// input module is not modified.
-func Optimize(mod *lower.Module, opts Options) (*lower.Module, Stats) {
-	return OptimizeObs(mod, opts, nil)
-}
-
-// OptimizeObs is Optimize with telemetry: each pass emits one
-// "opt/<name>" span, and the final statistics are emitted as counters.
-// rec may be nil.
+// input module is not modified. Each pass emits one "opt/<name>" span,
+// and the final statistics are emitted as counters; rec may be nil.
 func OptimizeObs(mod *lower.Module, opts Options, rec obs.Recorder) (*lower.Module, Stats) {
 	o := &optimizer{cls: &Classifier{Syms: mod.Syms}, opts: opts, verdicts: map[*nir.GuardedMove]Verdict{}}
 	body := mod.Body

@@ -7,11 +7,7 @@ package partition
 // its slowest processor — so the quantity of interest is the maximum
 // number of points any single PE owns.
 
-import (
-	"fmt"
-
-	"f90y/internal/shape"
-)
+import "f90y/internal/shape"
 
 // DimCounts returns how many index points each PE coordinate along
 // layout dimension d owns (length PEDims[d]; entries sum to Extents[d]).
@@ -50,38 +46,4 @@ func NodeSubgridSize(lo shape.Layout) int {
 		return lo.SubgridSize()
 	}
 	return MaxPointsPerPE(lo)
-}
-
-// CheckCover verifies the layout's ownership map partitions the index
-// space: along every dimension each point has exactly one owner inside
-// the PE grid and the per-PE counts sum back to the extent, and no PE
-// owns more points than the nominal Block bound promises.
-func CheckCover(lo shape.Layout) error {
-	for d := range lo.Extents {
-		counts, own := make([]int, lo.PEDims[d]), lo.DimOwner(d)
-		for i := 0; i < lo.Extents[d]; i++ {
-			pe := own.Of(i)
-			if pe < 0 || pe >= lo.PEDims[d] {
-				return fmt.Errorf("partition: dim %d index %d owner %d outside PE grid [0,%d)",
-					d, i, pe, lo.PEDims[d])
-			}
-			counts[pe]++
-		}
-		total, most := 0, 0
-		for _, c := range counts {
-			total += c
-			if c > most {
-				most = c
-			}
-		}
-		if total != lo.Extents[d] {
-			return fmt.Errorf("partition: dim %d per-PE counts sum to %d, extent is %d",
-				d, total, lo.Extents[d])
-		}
-		if most > lo.Block[d] {
-			return fmt.Errorf("partition: dim %d worst PE owns %d points, nominal block is %d",
-				d, most, lo.Block[d])
-		}
-	}
-	return nil
 }

@@ -22,7 +22,7 @@ func compile(t *testing.T, src string, o opt.Options) (*fe.Program, Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	omod, _ := opt.Optimize(mod, o)
+	omod, _ := opt.OptimizeObs(mod, o, nil)
 	prog, stats, err := Compile(omod, pe.Optimized)
 	if err != nil {
 		t.Fatal(err)

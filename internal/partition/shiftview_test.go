@@ -79,12 +79,12 @@ func TestShiftViewDecisions(t *testing.T) {
 			ops:    []fe.Op{cshift("t0", "a", 1), cshift("t1", "t0", -1), copyTo("b", "t1", "t0")},
 			marked: []string{"t0", "t1"}},
 		{name: "inside a serial DO, source written after the last use", temps: []string{"t0"},
-			ops: []fe.Op{fe.DoSerial{S: shape.SerialOf(3), Body: []fe.Op{
+			ops: []fe.Op{fe.DoSerial{S: shape.Interval{Lo: 1, Hi: 3, Serial: true}, Body: []fe.Op{
 				cshift("t0", "a", 1), copyTo("b", "t0"), copyTo("a", "b")}}},
 			marked: []string{"t0"}},
 		{name: "hoisted over a loop that leaves the source alone", temps: []string{"t0"},
 			ops: []fe.Op{cshift("t0", "a", 1),
-				fe.DoSerial{S: shape.SerialOf(3), Body: []fe.Op{copyTo("c", "b")}},
+				fe.DoSerial{S: shape.Interval{Lo: 1, Hi: 3, Serial: true}, Body: []fe.Op{copyTo("c", "b")}},
 				copyTo("b", "t0")},
 			marked: []string{"t0"}},
 		{name: "never read", temps: []string{"t0"},
@@ -103,10 +103,10 @@ func TestShiftViewDecisions(t *testing.T) {
 			refused: map[string]float64{refusedNotWhole: 1}},
 		{name: "read in a nested block", temps: []string{"t0"},
 			ops: []fe.Op{cshift("t0", "a", 1),
-				fe.DoSerial{S: shape.SerialOf(3), Body: []fe.Op{copyTo("b", "t0")}}},
+				fe.DoSerial{S: shape.Interval{Lo: 1, Hi: 3, Serial: true}, Body: []fe.Op{copyTo("b", "t0")}}},
 			refused: map[string]float64{refusedOtherBlock: 1}},
 		{name: "read before the shift", temps: []string{"t0"},
-			ops: []fe.Op{fe.DoSerial{S: shape.SerialOf(3), Body: []fe.Op{
+			ops: []fe.Op{fe.DoSerial{S: shape.Interval{Lo: 1, Hi: 3, Serial: true}, Body: []fe.Op{
 				copyTo("b", "t0"), cshift("t0", "a", 1)}}},
 			refused: map[string]float64{refusedOtherBlock: 1}},
 		{name: "host element read", temps: []string{"t0"},

@@ -23,7 +23,7 @@ func computeMove(t *testing.T, src string) (nir.Move, *lower.SymTab) {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	mod, _ = opt.Optimize(mod, opt.Default)
+	mod, _ = opt.OptimizeObs(mod, opt.Default, nil)
 	cls := &opt.Classifier{Syms: mod.Syms}
 	var list []nir.Imp
 	if seq, ok := mod.Body.(nir.Sequentially); ok {

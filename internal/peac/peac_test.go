@@ -227,3 +227,13 @@ func TestBodyCyclesByClassSumProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// RoutineCycles is the per-PE cost of executing the routine over a local
+// subgrid of the given element count.
+func (c CostModel) RoutineCycles(r *Routine, subgridElems int) int {
+	iters := (subgridElems + VectorWidth - 1) / VectorWidth
+	if iters == 0 {
+		return 0
+	}
+	return iters * c.BodyCycles(r.Body)
+}

@@ -222,13 +222,3 @@ func (c CostModel) InstrCycles(i Instr) int {
 		ClassMemory: c.VectorOp, ClassSpill: c.Spill, ClassLoop: c.LoopJnz,
 	}[info.Class]
 }
-
-// RoutineCycles is the per-PE cost of executing the routine over a local
-// subgrid of the given element count.
-func (c CostModel) RoutineCycles(r *Routine, subgridElems int) int {
-	iters := (subgridElems + VectorWidth - 1) / VectorWidth
-	if iters == 0 {
-		return 0
-	}
-	return iters * c.BodyCycles(r.Body)
-}

@@ -1,12 +1,10 @@
 package rt
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"f90y/internal/faults"
 	"f90y/internal/nir"
@@ -52,9 +50,10 @@ type Comm struct {
 	// than one worker, StageBytes the bytes deliverArray copied out of a
 	// staging buffer. Both count only while OpCalls is non-nil.
 	Parallel, StageBytes int
-	// Workers is how many goroutines fill a payload of two Grain or
-	// more: 0 and 1 fill it inline, a negative value means GOMAXPROCS.
-	// The run core passes the executor's width (Control.ExecWorkers).
+	// Workers is how many workers fill a payload on the host's one
+	// fan-out (Cut): 0 and 1 fill it inline, a negative value means
+	// GOMAXPROCS. The run core passes the executor's width
+	// (Control.ExecWorkers).
 	// Blocks are cut by Grain, writes are disjoint pure copies and the
 	// gather's owner count is an integer sum, so every store and cycle
 	// is bit-identical at every width.
@@ -117,57 +116,14 @@ func (c *Comm) stageFor(dst *Array, srcs ...*Array) []float64 {
 	return c.stage(dst.Size())
 }
 
-// Grain is the block, in elements, that the host splits array work
-// into: the PEAC executor's chunk and the comm layer's payload block.
-// Blocks are cut by this constant, never by a worker count, so which
-// goroutine filled a block cannot show in a result.
-const Grain = 4096
-
-// blocks is a payload of n elements cut into grain-long blocks, and the
-// number of goroutines that fill them.
-type blocks struct{ n, grain, workers int }
-
-// cut plans a payload of n elements in blocks of grain elements. It
-// fans out only from two Grain and two blocks up, on c.Workers
-// goroutines at most, and counts a fan-out in Parallel.
-func (c *Comm) cut(n, grain int) blocks {
-	b := blocks{n: n, grain: grain, workers: 1}
-	if n >= 2*Grain {
-		w := c.Workers
-		if w < 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		b.workers = max(1, min(w, b.count()))
-	}
-	if b.workers > 1 && c.OpCalls != nil {
+// cut plans a payload of n elements in blocks of grain elements on
+// c.Workers workers (Cut), and counts a fan-out in Parallel.
+func (c *Comm) cut(n, grain int) Blocks {
+	b := Cut(n, grain, c.Workers)
+	if b.Workers > 1 && c.OpCalls != nil {
 		c.Parallel++
 	}
 	return b
-}
-
-func (b blocks) count() int { return (b.n + b.grain - 1) / max(b.grain, 1) }
-
-// each calls fill(lo, hi) once for every block [lo, hi): the caller and
-// workers−1 goroutines claim blocks off a counter, so inline they run
-// in order and no goroutine starts, and each returns once every block
-// is done. fill must write only inside its own block.
-func (b blocks) each(fill func(lo, hi int)) {
-	var next atomic.Int64
-	work := func() {
-		for k := int(next.Add(1)) - 1; k < b.count(); k = int(next.Add(1)) - 1 {
-			fill(k*b.grain, min(b.n, (k+1)*b.grain))
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(b.workers - 1)
-	for range b.workers - 1 {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 func fill(dst []float64, v float64) {
@@ -377,7 +333,7 @@ func (c *Comm) execShift(fc nir.FcnCall, tgt nir.Value) error {
 		c.Store.overwrite(out, why)
 	}
 	tmp := c.stageFor(out, src)
-	c.cut(len(tmp), Grain).each(func(lo, hi int) {
+	c.cut(len(tmp), Grain).Fill(func(lo, hi int) {
 		shiftInto(tmp, src.Data, src.Ext, d, shift, circular, boundary, lo, hi)
 	})
 	return c.deliverArray(class, cyc, out, tmp)
@@ -526,7 +482,7 @@ func (c *Comm) execTranspose(fc nir.FcnCall, tgt nir.Value) error {
 	r, cols := src.Ext[0], src.Ext[1]
 	// A block is whole dst columns: at least one tile of them and at
 	// least one Grain of elements.
-	c.cut(len(tmp), max(tile, Grain/max(cols, 1))*cols).each(func(a, b int) {
+	c.cut(len(tmp), max(tile, Grain/max(cols, 1))*cols).Fill(func(a, b int) {
 		transposeInto(tmp, src.Data, r, cols, a/cols, b/cols)
 	})
 	off := len(tmp) - transposeLocal(ls, lo)
@@ -617,20 +573,24 @@ func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 	from, to := ls.DimOwner(0), lo.DimOwner(0)
 	base, data, ix := src.Lo[0], src.Data, idx.Data
 	bl := c.cut(len(ix), Grain)
-	// Per block: its owner changes, and its first bad position or -1.
-	offs, bad := make([]int, bl.count()), make([]int, bl.count())
-	bl.each(func(a, b int) {
-		offs[a/Grain], bad[a/Grain] = gatherScan(ix[a:b], a, base, len(data), from, to)
-	})
-	off := 0
-	for k, i := range bad {
-		if i >= 0 {
-			return fmt.Errorf("rt: gather index %d out of bounds: %w", int(ix[i]), ErrShape)
+	// Per block: its owner changes. A bad index fails its block, so the
+	// error is the lowest bad one, the one the serial loop meets first.
+	offs := make([]int, bl.Count())
+	err = bl.Each(context.TODO(), nil, "", func(int) func(a, b int) error {
+		return func(a, b int) (err error) {
+			offs[a/Grain], err = gatherScan(ix[a:b], a, base, len(data), from, to)
+			return err
 		}
-		off += offs[k]
+	})
+	if err != nil {
+		return err
+	}
+	off := 0
+	for _, o := range offs {
+		off += o
 	}
 	tmp := c.stageFor(out, src, idx)
-	bl.each(func(a, b int) { gatherFetch(tmp[a:b], data, ix[a:b], base) })
+	bl.Fill(func(a, b int) { gatherFetch(tmp[a:b], data, ix[a:b], base) })
 	class, cyc := c.Cost.Routed(off, len(tmp)-off, lo)
 	return c.deliverArray(class, cyc, out, tmp)
 }
@@ -638,19 +598,19 @@ func (c *Comm) execGather(fc nir.FcnCall, tgt nir.Value) error {
 // gatherScan is a gather's first pass over the indexes ix, the block
 // starting at position lo, into a source of n elements from lower bound
 // base: it counts the fetches whose owner under from is not the owner
-// of their position under to, and returns the first position whose
-// index is out of bounds, or -1.
-func gatherScan(ix []float64, lo, base, n int, from, to shape.DimOwner) (off, bad int) {
+// of their position under to, and fails at the first index out of
+// bounds.
+func gatherScan(ix []float64, lo, base, n int, from, to shape.DimOwner) (off int, err error) {
 	for k, v := range ix {
 		j := int(v) - base
 		if j < 0 || j >= n {
-			return off, lo + k
+			return off, fmt.Errorf("rt: gather index %d out of bounds: %w", int(v), ErrShape)
 		}
 		if from.Of(j) != to.Of(lo+k) {
 			off++
 		}
 	}
-	return off, -1
+	return off, nil
 }
 
 // gatherFetch is a gather's second pass: dst[i] = data[ix[i]-base],

@@ -470,3 +470,13 @@ func TestUnaryEvalFunctions(t *testing.T) {
 		}
 	}
 }
+
+// Coord returns the declared-space coordinate along dim (1-based) of the
+// element at storage offset off.
+func (a *Array) Coord(off, dim int) int {
+	stride := 1
+	for d := 0; d < dim-1; d++ {
+		stride *= a.Ext[d]
+	}
+	return a.Lo[dim-1] + (off/stride)%a.Ext[dim-1]
+}

@@ -78,16 +78,6 @@ func (a *Array) Offset(idx []int) (int, error) {
 	return off, nil
 }
 
-// Coord returns the declared-space coordinate along dim (1-based) of the
-// element at storage offset off.
-func (a *Array) Coord(off, dim int) int {
-	stride := 1
-	for d := 0; d < dim-1; d++ {
-		stride *= a.Ext[d]
-	}
-	return a.Lo[dim-1] + (off/stride)%a.Ext[dim-1]
-}
-
 // StoreVal writes v with the array's kind semantics (integers truncate).
 func (a *Array) StoreVal(off int, v float64) {
 	if a.Kind == nir.Integer32 {

@@ -70,17 +70,3 @@ func (l Layout) SubgridSize() int {
 	}
 	return n
 }
-
-// VPRatio is the virtual-processor ratio: total points divided by PEs
-// used, i.e. the average work per processor.
-func (l Layout) VPRatio() float64 {
-	total := 1
-	for _, e := range l.Extents {
-		total *= e
-	}
-	used := l.PEsUsed()
-	if used == 0 {
-		return 0
-	}
-	return float64(total) / float64(used)
-}

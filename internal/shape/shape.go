@@ -12,6 +12,7 @@ package shape
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -51,8 +52,9 @@ type Prod struct {
 	Dims []Shape
 }
 
-// Ref names a domain bound by WITH_DOMAIN. Refs are resolved against an
-// Env before any metric query.
+// Ref names a domain bound by WITH_DOMAIN. Lowering names a
+// declaration's domain with one in NIR types; no metric query accepts
+// an unresolved Ref.
 type Ref struct {
 	Name string
 }
@@ -81,51 +83,6 @@ func (p Prod) String() string {
 }
 
 func (r Ref) String() string { return fmt.Sprintf("domain '%s'", r.Name) }
-
-// Env binds domain names to shapes. Environments are persistent: Bind
-// returns an extended copy, leaving the receiver usable.
-type Env struct {
-	parent *Env
-	name   string
-	shape  Shape
-}
-
-// Bind returns an environment extending e with name bound to s.
-func (e *Env) Bind(name string, s Shape) *Env {
-	return &Env{parent: e, name: name, shape: s}
-}
-
-// Lookup resolves a domain name.
-func (e *Env) Lookup(name string) (Shape, bool) {
-	for env := e; env != nil; env = env.parent {
-		if env.name == name {
-			return env.shape, true
-		}
-	}
-	return nil, false
-}
-
-// Resolve replaces every Ref in s by its binding in env. It panics on an
-// unbound name — shapechecking guarantees closed shapes before any phase
-// queries shape metrics.
-func Resolve(s Shape, env *Env) Shape {
-	switch s := s.(type) {
-	case Ref:
-		b, ok := env.Lookup(s.Name)
-		if !ok {
-			panic("shape: unbound domain '" + s.Name + "'")
-		}
-		return Resolve(b, env)
-	case Prod:
-		dims := make([]Shape, len(s.Dims))
-		for i, d := range s.Dims {
-			dims[i] = Resolve(d, env)
-		}
-		return Prod{Dims: dims}
-	default:
-		return s
-	}
-}
 
 // Rank is the number of dimensions of a resolved shape. Points have rank 0.
 func Rank(s Shape) int {
@@ -186,19 +143,36 @@ func appendDims(dst []int, s Shape, lowers bool) []int {
 }
 
 // Size is the number of points in a resolved shape. Points have size 1.
+// A count past the largest int is 0; SizeOK reports it.
 func Size(s Shape) int {
-	n := 1
+	n, _ := SizeOK(s)
+	return n
+}
+
+// SizeOK is Size, and whether the count fits in an int. The front end
+// rejects a declaration whose count does not, so every shape a program
+// runs over fits.
+func SizeOK(s Shape) (int, bool) {
 	switch s := s.(type) {
 	case Interval:
-		n = s.Len()
-	case Prod:
-		for _, d := range s.Dims {
-			n *= Size(d)
+		if s.Hi >= s.Lo && s.Hi-s.Lo+1 <= 0 {
+			return 0, false
 		}
+		return s.Len(), true
+	case Prod:
+		n := 1
+		for _, d := range s.Dims {
+			m, ok := SizeOK(d)
+			if !ok || m != 0 && n > math.MaxInt/m {
+				return 0, false
+			}
+			n *= m
+		}
+		return n, true
 	case Ref:
 		panic("shape: Size on unresolved " + s.String())
 	}
-	return n
+	return 1, true
 }
 
 // Serial reports whether any dimension of a resolved shape is a
@@ -273,18 +247,6 @@ func Of(extents ...int) Shape {
 	dims := make([]Shape, len(extents))
 	for i, e := range extents {
 		dims[i] = Interval{Lo: 1, Hi: e}
-	}
-	return Prod{Dims: dims}
-}
-
-// SerialOf builds a serial shape from extents with lower bound 1.
-func SerialOf(extents ...int) Shape {
-	if len(extents) == 1 {
-		return Interval{Lo: 1, Hi: extents[0], Serial: true}
-	}
-	dims := make([]Shape, len(extents))
-	for i, e := range extents {
-		dims[i] = Interval{Lo: 1, Hi: e, Serial: true}
 	}
 	return Prod{Dims: dims}
 }

@@ -210,3 +210,77 @@ func TestOffPEFraction(t *testing.T) {
 		t.Error("single-PE dimension should have zero off-PE fraction")
 	}
 }
+
+// Env binds domain names to shapes: the WITH_DOMAIN environment of
+// Fig. 6. No compiler phase binds a name (lowering declares resolved
+// shapes), so the environment lives with the tests that pin it.
+// Environments are persistent: Bind returns an extended copy, leaving
+// the receiver usable.
+type Env struct {
+	parent *Env
+	name   string
+	shape  Shape
+}
+
+// Bind returns an environment extending e with name bound to s.
+func (e *Env) Bind(name string, s Shape) *Env {
+	return &Env{parent: e, name: name, shape: s}
+}
+
+// Lookup resolves a domain name.
+func (e *Env) Lookup(name string) (Shape, bool) {
+	for env := e; env != nil; env = env.parent {
+		if env.name == name {
+			return env.shape, true
+		}
+	}
+	return nil, false
+}
+
+// Resolve replaces every Ref in s by its binding in env. It panics on an
+// unbound name — shapechecking guarantees closed shapes before any phase
+// queries shape metrics.
+func Resolve(s Shape, env *Env) Shape {
+	switch s := s.(type) {
+	case Ref:
+		b, ok := env.Lookup(s.Name)
+		if !ok {
+			panic("shape: unbound domain '" + s.Name + "'")
+		}
+		return Resolve(b, env)
+	case Prod:
+		dims := make([]Shape, len(s.Dims))
+		for i, d := range s.Dims {
+			dims[i] = Resolve(d, env)
+		}
+		return Prod{Dims: dims}
+	default:
+		return s
+	}
+}
+
+// SerialOf builds a serial shape from extents with lower bound 1.
+func SerialOf(extents ...int) Shape {
+	if len(extents) == 1 {
+		return Interval{Lo: 1, Hi: extents[0], Serial: true}
+	}
+	dims := make([]Shape, len(extents))
+	for i, e := range extents {
+		dims[i] = Interval{Lo: 1, Hi: e, Serial: true}
+	}
+	return Prod{Dims: dims}
+}
+
+// VPRatio is the virtual-processor ratio: total points divided by PEs
+// used, i.e. the average work per processor.
+func (l Layout) VPRatio() float64 {
+	total := 1
+	for _, e := range l.Extents {
+		total *= e
+	}
+	used := l.PEsUsed()
+	if used == 0 {
+		return 0
+	}
+	return float64(total) / float64(used)
+}

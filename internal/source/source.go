@@ -73,11 +73,6 @@ func (r *Reporter) Errorf(phase string, pos Pos, format string, args ...any) {
 	r.errs++
 }
 
-// Warnf records a warning diagnostic.
-func (r *Reporter) Warnf(phase string, pos Pos, format string, args ...any) {
-	r.diags = append(r.diags, Diagnostic{Pos: pos, Severity: Warn, Phase: phase, Msg: fmt.Sprintf(format, args...)})
-}
-
 // HasErrors reports whether any error-severity diagnostic was recorded.
 func (r *Reporter) HasErrors() bool { return r.errs > 0 }
 

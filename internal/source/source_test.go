@@ -1,6 +1,7 @@
 package source
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -65,4 +66,9 @@ func TestSeverityString(t *testing.T) {
 	if Warn.String() != "warning" || Err.String() != "error" {
 		t.Fatal("severity names")
 	}
+}
+
+// Warnf records a warning diagnostic.
+func (r *Reporter) Warnf(phase string, pos Pos, format string, args ...any) {
+	r.diags = append(r.diags, Diagnostic{Pos: pos, Severity: Warn, Phase: phase, Msg: fmt.Sprintf(format, args...)})
 }
