@@ -104,11 +104,12 @@ func differential(t *testing.T, label string, r *peac.Routine, n int, mk func() 
 }
 
 // TestExecJITChunkBoundaries drives every engine selection across the
-// chunk-boundary cases (n = 1, rt.Grain-1, rt.Grain, rt.Grain+1, plus
-// a many-chunk count) and worker counts, asserting bit-exact agreement
-// with the serial reference evaluator.
+// chunk-boundary cases (n = 1, rt.Grain-1, rt.Grain, rt.Grain+1, the
+// fan-out boundary 2·rt.Grain and one past it, plus a many-chunk count)
+// and worker counts, asserting bit-exact agreement with the serial
+// reference evaluator.
 func TestExecJITChunkBoundaries(t *testing.T) {
-	for _, n := range []int{1, rt.Grain - 1, rt.Grain, rt.Grain + 1, 3*rt.Grain + 5} {
+	for _, n := range []int{1, rt.Grain - 1, rt.Grain, rt.Grain + 1, 2 * rt.Grain, 2*rt.Grain + 1, 3*rt.Grain + 5} {
 		differential(t, fmt.Sprintf("n=%d", n), chunkRoutine(), n, func() *rt.Store { return chunkStore(n) },
 			[]int{1, 2, 8, -1}, "d")
 	}
@@ -560,10 +561,11 @@ func fuseRoutine(op1, op2 peac.Opcode, accLeft bool) *peac.Routine {
 // TestExecJITFusedPairs sweeps every fused-pair combination the planner
 // can emit — op1 x op2 x accumulator side — over inputs that include
 // zeros (hence Inf and NaN intermediates for div) and asserts the JIT
-// store is bit-identical to the reference evaluator, serial and parallel.
+// store is bit-identical to the reference evaluator, serial and parallel
+// (n is past two Grain, so four workers fan out).
 func TestExecJITFusedPairs(t *testing.T) {
 	ops := []peac.Opcode{peac.FADDV, peac.FSUBV, peac.FMULV, peac.FDIVV}
-	const n = rt.Grain + 601
+	const n = 2*rt.Grain + 601
 	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":
@@ -635,7 +637,7 @@ func TestExecJITFusionLiveness(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(1), D: peac.M(5)},
 		},
 	}
-	const n = rt.Grain + 77
+	const n = 2*rt.Grain + 77
 	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":
@@ -655,7 +657,7 @@ func TestExecJITFusionLiveness(t *testing.T) {
 // store) must match the reference evaluator exactly.
 func TestExecJITFusedNumericRecord(t *testing.T) {
 	r := fuseRoutine(peac.FDIVV, peac.FMULV, true)
-	const n = rt.Grain + 99
+	const n = 2*rt.Grain + 99
 	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":

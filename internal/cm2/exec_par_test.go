@@ -218,12 +218,12 @@ func chunkStore(n int) *rt.Store {
 }
 
 // TestExecParallelChunkBoundaries runs element counts around every
-// chunk-boundary case (n < chunk, n == chunk, n % chunk != 0, many
-// chunks) across worker counts and asserts the stores are bit-identical
-// to the serial run.
+// chunk-boundary case (n < chunk, n == chunk, n % chunk != 0, the
+// fan-out boundary at two chunks, many chunks) across worker counts and
+// asserts the stores are bit-identical to the serial run.
 func TestExecParallelChunkBoundaries(t *testing.T) {
 	r := chunkRoutine()
-	for _, n := range []int{1, 7, rt.Grain - 1, rt.Grain, rt.Grain + 1, 3*rt.Grain + 5} {
+	for _, n := range []int{1, 7, rt.Grain - 1, rt.Grain, rt.Grain + 1, 2 * rt.Grain, 2*rt.Grain + 1, 3*rt.Grain + 5} {
 		ref := chunkStore(n)
 		if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), ref, ExecOpts{Workers: 1}); err != nil {
 			t.Fatalf("n=%d serial: %v", n, err)

@@ -119,15 +119,16 @@ func TestExecViewPlan(t *testing.T) {
 
 // TestExecViewDifferential: rotated streams, translated against the
 // reference evaluator and against copied shifts, over sizes around the
-// strip and chunk boundaries, a grid whose strips straddle rows, a
-// rank-3 grid, and every worker count.
+// strip, chunk and fan-out boundaries, a grid whose strips straddle
+// rows, a rank-3 grid, and every worker count; the grids past two chunks
+// fan out at more than one worker.
 func TestExecViewDifferential(t *testing.T) {
 	type geometry struct {
 		ext    []int
 		shifts []viewShift
 	}
 	var cases []geometry
-	for _, n := range []int{1, 7, 511, 512, 513, 4095, 4096, 4097} {
+	for _, n := range []int{1, 7, 511, 512, 513, 4095, 4096, 4097, 8192, 8193} {
 		cases = append(cases, geometry{[]int{n}, []viewShift{
 			{"t0", "a", 3, 1}, {"t1", "t0", -5, 1}, {"t2", "a", n + 1, 1}}})
 	}
@@ -136,6 +137,8 @@ func TestExecViewDifferential(t *testing.T) {
 		geometry{[]int{1365, 3}, []viewShift{{"t0", "a", -1, 2}, {"t1", "t0", 2, 2}, {"t2", "a", -400, 1}}},
 		geometry{[]int{64, 65}, []viewShift{{"t0", "a", 0, 1}, {"t1", "a", 64, 1}, {"t2", "a", 1, 2}}},
 		geometry{[]int{17, 5, 53}, []viewShift{{"t0", "a", 2, 2}, {"t1", "t0", -7, 3}, {"t2", "t1", 5, 1}}},
+		geometry{[]int{128, 65}, []viewShift{{"t0", "a", 0, 1}, {"t1", "a", 128, 1}, {"t2", "a", 1, 2}}},
+		geometry{[]int{17, 10, 53}, []viewShift{{"t0", "a", 2, 2}, {"t1", "t0", -7, 3}, {"t2", "t1", 5, 1}}},
 	)
 	for _, g := range cases {
 		sh := shape.Of(g.ext...)
@@ -170,17 +173,18 @@ func TestExecViewDifferential(t *testing.T) {
 
 // TestExecViewRefusedFastPath: a dispatch refused its fast path (the
 // numeric plane is on) runs every step as decoded, loads of rotated
-// streams included, to the same values.
+// streams included, to the same values on two workers (91² elements
+// are past two chunks, so they fan out).
 func TestExecViewRefusedFastPath(t *testing.T) {
-	sh := shape.Of(70, 70)
+	sh := shape.Of(91, 91)
 	shifts := []viewShift{{"t0", "a", 1, 1}, {"t1", "t0", -1, 2}, {"t2", "a", 1, 2}}
 	want := viewStore(t, sh, shifts, true)
-	if err := execEngine(EngineReference, fresh(viewRoutine()), 4900, want, ExecOpts{}); err != nil {
+	if err := execEngine(EngineReference, fresh(viewRoutine()), 91*91, want, ExecOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	st := viewStore(t, sh, shifts, false)
 	num := &rt.Numeric{Mode: rt.NumericRecord}
-	if err := execEngine(EngineTranslated, fresh(viewRoutine()), 4900, st, ExecOpts{Num: num, Workers: 2}); err != nil {
+	if err := execEngine(EngineTranslated, fresh(viewRoutine()), 91*91, st, ExecOpts{Num: num, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, "numeric plane on", st, want, "d", "e")

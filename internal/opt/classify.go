@@ -76,7 +76,7 @@ type Verdict struct {
 	Dist  shape.Distribution
 }
 
-// sections is what the same walk learns for PadMove: the move's first
+// sections is what the same walk learns for padMove: the move's first
 // array section and the declared shape its sectioned arrays share.
 type sections struct {
 	found bool

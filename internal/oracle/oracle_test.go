@@ -57,15 +57,15 @@ func TestVerifyAgreesOnWorkloads(t *testing.T) {
 // TestVerifyShardedExecutor: differential verification holds with the
 // sharded executor active on both machine backends, under the reference
 // evaluator and the translated form. The grid is sized so every field
-// straddles the executor's chunk boundary (70x70 = 4900 elements > one
-// 4096-element chunk), exercising cross-chunk sharding against the
-// serial interpreter. The CYCLIC gather (12,293 elements) and transpose
+// is past two of the executor's 4096-element chunks (91x91 = 8281
+// elements), so the dispatches fan out and cross-chunk sharding is
+// checked against the serial interpreter. The CYCLIC gather (12,293 elements) and transpose
 // (128² = 16,384) are past two chunks, so the comm layer fills their
 // payloads on the same workers.
 func TestVerifyShardedExecutor(t *testing.T) {
 	defer func() { cm2.TestOnlyEngine = cm2.EngineTranslated }()
 	progs := []struct{ name, src string }{
-		{"swe.f90", workload.SWE(70, 2)},
+		{"swe.f90", workload.SWE(91, 2)},
 		{"gather.f90", workload.LayoutGather(3*4096+5, 2, []string{"!HPF$ DISTRIBUTE a(CYCLIC)", "!HPF$ ALIGN b WITH a"})},
 		{"transpose.f90", workload.LayoutTranspose(128, 2, []string{"!HPF$ DISTRIBUTE a(CYCLIC, CYCLIC)", "!HPF$ ALIGN b WITH a", "!HPF$ ALIGN c WITH a"})},
 	}

@@ -116,14 +116,15 @@ func TestJITSmoke(t *testing.T) {
 // TestJITSmokeOracle runs the SWE kernel through the three-way
 // differential oracle (interp vs cm2 vs cm5) under each engine
 // selection on both backends — the gate that lets the translated form
-// be trusted everywhere.
+// be trusted everywhere. The 91×91 grid (8281 elements) is past two
+// chunks, so workers=4 fans out.
 func TestJITSmokeOracle(t *testing.T) {
 	for _, sel := range engineSelections {
 		for _, workers := range []int{0, 4} {
 			var rep *oracle.Report
 			var err error
 			withEngine(sel.e, func() {
-				rep, err = oracle.Verify("swe.f90", workload.SWE(70, 2), oracle.Options{ExecWorkers: workers})
+				rep, err = oracle.Verify("swe.f90", workload.SWE(91, 2), oracle.Options{ExecWorkers: workers})
 			})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", sel.name, workers, err)

@@ -54,11 +54,12 @@ want=BENCH_baseline.json
 # gather's two passes (gatherScan, gatherFetch) built in place, the
 # transpose's row blocks, the Comm.Workers, Parallel and StageBytes
 # fields and their two counters; shiftInto's two copy loops became one.
-# The next cut, by 83 (19,681 → 19,598): 14 exported functions only
-# tests called (with shape's Env) moved into test files or went (−148),
-# PEAC chunks and comm payload blocks moved onto one pool,
-# rt.Cut/Blocks.Each (+36), and constant sections and declaration sizes
-# are checked at compile time (+29).
+# The next cut, by 83 (19,681 → 19,598), is not a net simplification of
+# what remained: 14 exported functions only tests called (with shape's
+# Env) moved into test files or went (−148), while the production code
+# that stayed grew by 65 — PEAC chunks and comm payload blocks moved
+# onto one pool, rt.Cut/Blocks.Each (+36), and constant sections and
+# declaration sizes are checked at compile time (+29).
 max_lines=19598
 max_flags=42
 
